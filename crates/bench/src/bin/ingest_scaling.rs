@@ -243,9 +243,13 @@ fn tail_once(
     std::thread::scope(|scope| {
         let pipeline = scope.spawn(|| {
             let source = LiveSource::tail(log, live_config(mapping).follow);
+            let mut alerts = Vec::new();
             let mut arrivals = Vec::new();
-            let outcome = runner.run(source, &mut sink, |_| arrivals.push(Instant::now()));
-            (outcome, arrivals)
+            let outcome = runner.run(source, &mut sink, |alert| {
+                arrivals.push(Instant::now());
+                alerts.push(alert.clone());
+            });
+            (outcome, alerts, arrivals)
         });
         // Feed the tail, wait for the monitor to catch up, then request a
         // graceful drain. The stop flag must be raised even when the
@@ -253,10 +257,10 @@ fn tail_once(
         let fed = writer(&progress)
             .and_then(|()| wait_counter(&progress.ingested, total_events, "ingested events"));
         stop.store(true, Ordering::Relaxed);
-        let (outcome, arrivals) = pipeline.join().expect("pipeline thread");
+        let (outcome, alerts, arrivals) = pipeline.join().expect("pipeline thread");
         fed?;
-        let report = outcome.map_err(|error| format!("live: pipeline failed: {error}"))?;
-        Ok((report.alerts, arrivals))
+        outcome.map_err(|error| format!("live: pipeline failed: {error}"))?;
+        Ok((alerts, arrivals))
     })
 }
 

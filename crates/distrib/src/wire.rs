@@ -634,6 +634,8 @@ pub fn encode_checkpoint_at(
     snapshot: &[u8],
 ) -> Vec<u8> {
     let mut encoder = Encoder::new(CHECKPOINT_KIND, version);
+    // Three counters, the snapshot and its length.
+    encoder.reserve(4 + 8 + 8 + 4 + snapshot.len());
     encoder.u32(worker_index);
     encoder.u64(through_batch);
     encoder.u64(imports);

@@ -174,35 +174,49 @@ impl Error for CodecError {}
 /// ```
 #[derive(Debug)]
 pub struct Encoder {
-    kind: [u8; 4],
-    version: u32,
-    payload: Vec<u8>,
+    /// The whole frame under construction: the header (its payload length
+    /// still zero) followed by the payload written so far. Sealing patches
+    /// the length and appends the checksum in place, so a frame is never
+    /// copied to prepend its header.
+    frame: Vec<u8>,
 }
 
 impl Encoder {
     /// Starts a frame of the given artefact kind and format version.
     pub fn new(kind: [u8; 4], version: u32) -> Encoder {
-        Encoder { kind, version, payload: Vec::new() }
+        let mut frame = Vec::with_capacity(HEADER_LEN);
+        frame.extend_from_slice(&MAGIC);
+        frame.extend_from_slice(&kind);
+        frame.extend_from_slice(&version.to_le_bytes());
+        frame.extend_from_slice(&0u64.to_le_bytes());
+        Encoder { frame }
+    }
+
+    /// Reserves room for at least `additional` more payload bytes plus the
+    /// trailing checksum, so a caller that knows its payload size up front
+    /// seals the frame without the buffer ever being regrown.
+    pub fn reserve(&mut self, additional: usize) {
+        self.frame.reserve(additional + CHECKSUM_LEN);
     }
 
     /// Appends one byte.
     pub fn u8(&mut self, value: u8) {
-        self.payload.push(value);
+        self.frame.push(value);
     }
 
     /// Appends a bool as one byte (`0` / `1`).
     pub fn bool(&mut self, value: bool) {
-        self.payload.push(u8::from(value));
+        self.frame.push(u8::from(value));
     }
 
     /// Appends a little-endian `u32`.
     pub fn u32(&mut self, value: u32) {
-        self.payload.extend_from_slice(&value.to_le_bytes());
+        self.frame.extend_from_slice(&value.to_le_bytes());
     }
 
     /// Appends a little-endian `u64`.
     pub fn u64(&mut self, value: u64) {
-        self.payload.extend_from_slice(&value.to_le_bytes());
+        self.frame.extend_from_slice(&value.to_le_bytes());
     }
 
     /// Appends an `f64` as its IEEE-754 bit pattern.
@@ -213,7 +227,7 @@ impl Encoder {
     /// Appends a length-prefixed UTF-8 string.
     pub fn str(&mut self, value: &str) {
         self.u32(value.len() as u32);
-        self.payload.extend_from_slice(value.as_bytes());
+        self.frame.extend_from_slice(value.as_bytes());
     }
 
     /// Appends a length-prefixed `u64` slice (bitset words, timelines).
@@ -229,24 +243,24 @@ impl Encoder {
     /// outer frame (e.g. a checkpoint file or a supervisor message).
     pub fn bytes(&mut self, value: &[u8]) {
         self.u32(value.len() as u32);
-        self.payload.extend_from_slice(value);
+        self.frame.extend_from_slice(value);
     }
 
     /// Appends a canonical LEB128 varint (see [`put_varu`]).
     pub fn varu(&mut self, value: u64) {
-        put_varu(&mut self.payload, value);
+        put_varu(&mut self.frame, value);
     }
 
     /// Appends an `f64` in the packed representation of [`put_f64_packed`].
     pub fn f64_packed(&mut self, value: f64) {
-        put_f64_packed(&mut self.payload, value);
+        put_f64_packed(&mut self.frame, value);
     }
 
     /// Appends a varint-length-prefixed UTF-8 string — one length byte
     /// instead of four for the short identifiers per-user rows are keyed by.
     pub fn str_var(&mut self, value: &str) {
-        put_varu(&mut self.payload, value.len() as u64);
-        self.payload.extend_from_slice(value.as_bytes());
+        put_varu(&mut self.frame, value.len() as u64);
+        self.frame.extend_from_slice(value.as_bytes());
     }
 
     /// Appends raw bytes verbatim, with **no** length prefix. The caller's
@@ -254,29 +268,27 @@ impl Encoder {
     /// [`Encoder::varu`]); this exists so pre-encoded rows can be moved into
     /// a frame without a second length field or a re-encode.
     pub fn raw(&mut self, bytes: &[u8]) {
-        self.payload.extend_from_slice(bytes);
+        self.frame.extend_from_slice(bytes);
     }
 
     /// Appends a `u64` row under the smallest of the three row encodings
     /// (see [`put_u64_row`]); returns the tag chosen.
     pub fn u64_row(&mut self, words: &[u64]) -> u8 {
-        put_u64_row(&mut self.payload, words)
+        put_u64_row(&mut self.frame, words)
     }
 
     /// Appends an `f64` row under the smaller of the two value-row encodings
     /// (see [`put_f64_row`]); returns the tag chosen.
     pub fn f64_row(&mut self, values: &[f64]) -> u8 {
-        put_f64_row(&mut self.payload, values)
+        put_f64_row(&mut self.frame, values)
     }
 
-    /// Seals the frame: header, payload, trailing checksum.
+    /// Seals the frame in place: patches the payload length into the
+    /// header and appends the trailing checksum.
     pub fn finish(self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len() + CHECKSUM_LEN);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&self.kind);
-        out.extend_from_slice(&self.version.to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.payload);
+        let mut out = self.frame;
+        let payload_len = (out.len() - HEADER_LEN) as u64;
+        out[12..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
         let checksum = fnv1a(&out);
         out.extend_from_slice(&checksum.to_le_bytes());
         out
@@ -434,6 +446,14 @@ impl<'a> Decoder<'a> {
         self.take(len)
     }
 
+    /// The unread rest of the payload, without consuming it — for formats
+    /// that walk a run of records with the free row functions below and
+    /// then take the whole run at once with [`Decoder::raw`].
+    #[must_use]
+    pub fn remaining(&self) -> &'a [u8] {
+        &self.payload[self.offset..]
+    }
+
     /// Reads a `u64` row written by [`Encoder::u64_row`] into `row` (resized
     /// to `expected_words`); returns the encoding tag found.
     pub fn u64_row_into(
@@ -577,29 +597,54 @@ pub const U64_ROW_INDEXED: u8 = 1;
 pub const U64_ROW_RUNS: u8 = 2;
 
 /// The maximal runs of set bits in `words` as ascending (first bit, length)
-/// pairs, runs merging across word boundaries.
-fn bit_runs(words: &[u64]) -> Vec<(u64, u64)> {
-    let mut runs: Vec<(u64, u64)> = Vec::new();
-    for (index, &word) in words.iter().enumerate() {
-        let base = index as u64 * 64;
-        let mut w = word;
-        while w != 0 {
-            let start = u64::from(w.trailing_zeros());
-            let len = u64::from((!(w >> start)).trailing_zeros());
-            let run_start = base + start;
-            match runs.last_mut() {
-                Some((prev_start, prev_len)) if *prev_start + *prev_len == run_start => {
-                    *prev_len += len;
-                }
-                _ => runs.push((run_start, len)),
+/// pairs, runs merging across word boundaries. Computed lazily, so sizing
+/// and writing a row allocate nothing.
+struct BitRuns<'a> {
+    words: &'a [u64],
+    /// The word being scanned.
+    index: usize,
+    /// Its bits not yet reported.
+    word: u64,
+}
+
+impl<'a> BitRuns<'a> {
+    fn new(words: &'a [u64]) -> Self {
+        BitRuns { words, index: 0, word: words.first().copied().unwrap_or(0) }
+    }
+}
+
+impl Iterator for BitRuns<'_> {
+    type Item = (u64, u64);
+
+    fn next(&mut self) -> Option<(u64, u64)> {
+        while self.word == 0 {
+            self.index += 1;
+            self.word = *self.words.get(self.index)?;
+        }
+        let offset = self.word.trailing_zeros();
+        let start = self.index as u64 * 64 + u64::from(offset);
+        let ones = (self.word >> offset).trailing_ones();
+        let mut len = u64::from(ones);
+        if offset + ones < 64 {
+            self.word &= !(((1u64 << ones) - 1) << offset);
+            return Some((start, len));
+        }
+        // The run reaches the word's top bit: it continues through the
+        // leading ones of the following words.
+        loop {
+            self.index += 1;
+            let Some(&next) = self.words.get(self.index) else {
+                self.word = 0;
+                return Some((start, len));
+            };
+            let ones = next.trailing_ones();
+            len += u64::from(ones);
+            if ones < 64 {
+                self.word = next & !((1u64 << ones) - 1);
+                return Some((start, len));
             }
-            if start + len >= 64 {
-                break;
-            }
-            w &= !(((1u64 << len) - 1) << start);
         }
     }
-    runs
 }
 
 /// Sets bits `start..end` in `row`, whole words at a time.
@@ -628,13 +673,15 @@ pub fn put_u64_row(out: &mut Vec<u8>, words: &[u64]) -> u8 {
             indexed_body += varu_len(index as u64) + 8;
         }
     }
-    let runs = bit_runs(words);
-    let mut runs_size = 1 + varu_len(runs.len() as u64);
+    let mut runs = 0usize;
+    let mut runs_body = 0usize;
     let mut prev_end = 0u64;
-    for &(start, len) in &runs {
-        runs_size += varu_len(start - prev_end) + varu_len(len);
+    for (start, len) in BitRuns::new(words) {
+        runs += 1;
+        runs_body += varu_len(start - prev_end) + varu_len(len);
         prev_end = start + len;
     }
+    let runs_size = 1 + varu_len(runs as u64) + runs_body;
     let dense_size = 1 + 8 * words.len();
     let indexed_size = 1 + varu_len(nonzero as u64) + indexed_body;
 
@@ -656,9 +703,9 @@ pub fn put_u64_row(out: &mut Vec<u8>, words: &[u64]) -> u8 {
         U64_ROW_INDEXED
     } else {
         out.push(U64_ROW_RUNS);
-        put_varu(out, runs.len() as u64);
+        put_varu(out, runs as u64);
         let mut prev_end = 0u64;
-        for &(start, len) in &runs {
+        for (start, len) in BitRuns::new(words) {
             put_varu(out, start - prev_end);
             put_varu(out, len);
             prev_end = start + len;
@@ -825,12 +872,24 @@ pub fn put_f64_row(out: &mut Vec<u8>, values: &[f64]) -> u8 {
         None
     } else {
         // The mode by bit pattern: sort a copy, scan for the longest group
-        // (smallest pattern on ties, keeping the choice deterministic).
-        let mut bits: Vec<u64> = values.iter().map(|value| value.to_bits()).collect();
+        // (smallest pattern on ties, keeping the choice deterministic). The
+        // copy lives on the stack for rows of up to 64 values, so encoding
+        // per-user sensitivity rows allocates nothing.
+        let mut stack = [0u64; 64];
+        let mut heap = Vec::new();
+        let bits: &mut [u64] = if values.len() <= stack.len() {
+            &mut stack[..values.len()]
+        } else {
+            heap.resize(values.len(), 0);
+            &mut heap
+        };
+        for (bit, value) in bits.iter_mut().zip(values) {
+            *bit = value.to_bits();
+        }
         bits.sort_unstable();
         let mut best = (bits[0], 0usize);
         let mut current = (bits[0], 0usize);
-        for &b in &bits {
+        for &b in bits.iter() {
             if b == current.0 {
                 current.1 += 1;
             } else {
@@ -1302,6 +1361,37 @@ mod tests {
         u64_row_round_trip(&[u64::MAX; 64], U64_ROW_RUNS);
         // Single low bit.
         u64_row_round_trip(&[1], U64_ROW_RUNS);
+    }
+
+    #[test]
+    fn bit_runs_are_the_maximal_runs_bit_by_bit() {
+        let naive = |words: &[u64]| {
+            let mut runs: Vec<(u64, u64)> = Vec::new();
+            for bit in 0..words.len() as u64 * 64 {
+                if (words[(bit / 64) as usize] >> (bit % 64)) & 1 == 0 {
+                    continue;
+                }
+                match runs.last_mut() {
+                    Some((start, len)) if *start + *len == bit => *len += 1,
+                    _ => runs.push((bit, 1)),
+                }
+            }
+            runs
+        };
+        let patterns = [
+            vec![],
+            vec![0],
+            vec![1],
+            vec![u64::MAX],
+            vec![1 << 63, 1],
+            vec![u64::MAX, u64::MAX, 0b1011],
+            vec![0, u64::MAX << 60, u64::MAX, 0, 0x8000_0000_0000_0001],
+            vec![0x9E37_79B9_7F4A_7C15, 0xDEAD_BEEF_CAFE_F00D, 0x0123_4567_89AB_CDEF],
+            vec![0, 0, 1 << 63],
+        ];
+        for words in &patterns {
+            assert_eq!(BitRuns::new(words).collect::<Vec<_>>(), naive(words), "{words:x?}");
+        }
     }
 
     #[test]

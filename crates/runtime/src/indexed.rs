@@ -29,7 +29,7 @@
 
 use crate::event::{Event, EventLog};
 use crate::monitor::Alert;
-use crate::snapshot::{MonitorSnapshot, ShardSnapshot, SnapshotError, UserRow};
+use crate::snapshot::{self, MonitorSnapshot, ShardSnapshot, SnapshotError};
 use privacy_access::{AccessPolicy, Permission};
 use privacy_lts::space::VarKind;
 use privacy_lts::{ActionKind, FxHashMap, FxHasher, LtsIndex, PrivacyState};
@@ -37,7 +37,7 @@ use privacy_model::{Catalog, DatastoreId, Interner, RiskLevel, Sensitivity, User
 use privacy_risk::{LikelihoodModel, RiskMatrix, SensitivityModel};
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Number of user-state shards. Fixed (rather than derived from the thread
 /// count) so users never migrate between shards when the ingestion
@@ -53,54 +53,284 @@ const SHARDS: usize = SHARD_COUNT;
 /// This is the unit of distribution — an event is routed wherever
 /// `shard_of_user(event.user())` lives.
 pub fn shard_of_user(user: &UserId) -> u32 {
-    shard_of(user) as u32
+    shard_of(user.as_str()) as u32
 }
 
-fn shard_of(user: &UserId) -> usize {
+/// [`shard_of_user`] over the id's text (a `UserId` hashes as its string),
+/// so a snapshot row routes without building a `UserId` first.
+fn shard_of(user: &str) -> usize {
     let mut hasher = FxHasher::default();
     user.hash(&mut hasher);
     (hasher.finish() as usize) % SHARDS
 }
 
+/// Where the three rows of a [`UserSlot`] sit in its one allocation, in
+/// `u64` words: the packed privacy state, then the allowed-actor bitset,
+/// then one word per field sensitivity.
+#[derive(Debug, Clone, Copy)]
+struct SlotLayout {
+    state_words: usize,
+    allowed_words: usize,
+    field_count: usize,
+}
+
+impl SlotLayout {
+    fn of(index: &LtsIndex) -> Self {
+        let space = index.space();
+        SlotLayout {
+            state_words: space.variable_count().div_ceil(64),
+            allowed_words: space.actor_count().div_ceil(64),
+            field_count: space.field_count(),
+        }
+    }
+
+    fn len(self) -> usize {
+        self.state_words + self.allowed_words + self.field_count
+    }
+}
+
 /// One registered user's monitor state: the packed privacy-state words plus
-/// the per-user alert inputs, all resolved to dense indices at registration.
+/// the per-user alert inputs, all resolved to dense indices at registration
+/// and held in one allocation laid out by [`SlotLayout`] — one pointer to
+/// chase per user, whether an event updates the state or a capture encodes
+/// it.
 #[derive(Debug, Clone)]
 struct UserSlot {
     /// Packed privacy-state bits in [`VarSpace`](privacy_lts::VarSpace)
-    /// layout.
-    words: Vec<u64>,
-    /// Bitset over space actor indices: the user's allowed actors.
-    allowed: Vec<u64>,
-    /// Per space field index: the user's raw sensitivity `σ(d)`.
-    sensitivities: Vec<Sensitivity>,
+    /// layout; a bitset over space actor indices of the user's allowed
+    /// actors; per space field index, the bits of the user's raw
+    /// sensitivity `σ(d)`.
+    data: Box<[u64]>,
+    /// The [`RowCache::generation`] in which this row last changed.
+    changed_in: u64,
 }
 
 impl UserSlot {
+    /// A slot with an all-clear state; `allowed` and `sensitivities` fill
+    /// the rest of the layout.
+    fn new(layout: SlotLayout, allowed: &[u64], sensitivities: impl Iterator<Item = f64>) -> Self {
+        let mut data = Vec::with_capacity(layout.len());
+        data.resize(layout.state_words, 0);
+        data.extend_from_slice(allowed);
+        data.extend(sensitivities.map(f64::to_bits));
+        debug_assert_eq!(data.len(), layout.len());
+        UserSlot { data: data.into_boxed_slice(), changed_in: 0 }
+    }
+
+    /// State bits come first in `data`, so a state bit index addresses it
+    /// directly.
     #[inline]
     fn get_bit(&self, bit: usize) -> bool {
-        (self.words[bit / 64] >> (bit % 64)) & 1 == 1
+        (self.data[bit / 64] >> (bit % 64)) & 1 == 1
+    }
+
+    /// Sets a state bit, returning whether it flipped.
+    #[inline]
+    fn set_bit(&mut self, bit: usize) -> bool {
+        let word = &mut self.data[bit / 64];
+        let before = *word;
+        *word |= 1u64 << (bit % 64);
+        *word != before
+    }
+
+    /// Clears a state bit, returning whether it flipped.
+    #[inline]
+    fn clear_bit(&mut self, bit: usize) -> bool {
+        let word = &mut self.data[bit / 64];
+        let before = *word;
+        *word &= !(1u64 << (bit % 64));
+        *word != before
+    }
+
+    fn words(&self, layout: SlotLayout) -> &[u64] {
+        &self.data[..layout.state_words]
+    }
+
+    fn allowed(&self, layout: SlotLayout) -> &[u64] {
+        &self.data[layout.state_words..layout.state_words + layout.allowed_words]
+    }
+
+    fn sensitivities(&self, layout: SlotLayout) -> impl Iterator<Item = f64> + '_ {
+        self.data[layout.state_words + layout.allowed_words..]
+            .iter()
+            .map(|&bits| f64::from_bits(bits))
     }
 
     #[inline]
-    fn set_bit(&mut self, bit: usize) {
-        self.words[bit / 64] |= 1u64 << (bit % 64);
+    fn actor_allowed(&self, layout: SlotLayout, actor: usize) -> bool {
+        (self.data[layout.state_words + actor / 64] >> (actor % 64)) & 1 == 1
     }
 
     #[inline]
-    fn clear_bit(&mut self, bit: usize) {
-        self.words[bit / 64] &= !(1u64 << (bit % 64));
+    fn sensitivity(&self, layout: SlotLayout, field: usize) -> Sensitivity {
+        // Stored from a valid `Sensitivity` (or a snapshot row validated to
+        // [0, 1]), so clamping never changes the value.
+        Sensitivity::clamped(f64::from_bits(
+            self.data[layout.state_words + layout.allowed_words + field],
+        ))
     }
+}
 
-    #[inline]
-    fn actor_allowed(&self, actor: usize) -> bool {
-        (self.allowed[actor / 64] >> (actor % 64)) & 1 == 1
+/// A shard's snapshot body as last captured, and which rows have changed
+/// since — what lets a capture re-encode only those rows and copy the rest.
+#[derive(Debug, Clone, Default)]
+struct RowCache {
+    /// The body of the previous capture (users sorted by id, v3 wire
+    /// layout). `None` until the first capture and after the shard is
+    /// emptied; the next capture then encodes every row, so a monitor that
+    /// is never captured pays nothing.
+    body: Option<Arc<Vec<u8>>>,
+    /// Bumped by every capture. A slot whose `changed_in` equals it may
+    /// differ from `body`: a state bit flipped, or the user was
+    /// (re-)registered or absorbed, since the previous capture.
+    generation: u64,
+    /// Whether any row changed since the previous capture.
+    dirty: bool,
+}
+
+impl RowCache {
+    /// Records that `slot`'s row may differ from `body`.
+    fn mark(&mut self, slot: &mut UserSlot) {
+        slot.changed_in = self.generation;
+        self.dirty = true;
     }
 }
 
 /// One hash shard of the per-user state table.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct Shard {
     users: FxHashMap<UserId, UserSlot>,
+    /// Behind a lock so [`IndexedMonitor::snapshot`] can refresh it through
+    /// `&self`; the mutating paths reach it with `Mutex::get_mut`, which
+    /// never locks.
+    rows: Mutex<RowCache>,
+}
+
+impl Clone for Shard {
+    fn clone(&self) -> Self {
+        Shard {
+            users: self.users.clone(),
+            rows: Mutex::new(self.rows.lock().unwrap_or_else(PoisonError::into_inner).clone()),
+        }
+    }
+}
+
+/// Reusable buffers for encoding rows during one capture.
+#[derive(Default)]
+struct RowScratch {
+    sensitivities: Vec<f64>,
+    row: Vec<u8>,
+    /// The re-encoded entries of the shard being captured, back to back in
+    /// the order their slots were visited.
+    entries: Vec<u8>,
+}
+
+/// One re-encoded entry in [`RowScratch::entries`]: the user id and the
+/// entry's byte range.
+type FreshEntry<'a> = (&'a str, usize, usize);
+
+impl Shard {
+    /// The row cache of a shard being mutated. Poisoning is recovered
+    /// from here and in [`Shard::capture`]: a capture writes the cache only
+    /// after its new body exists, so a panic mid-capture leaves the
+    /// previous, consistent cache.
+    fn rows_mut(&mut self) -> &mut RowCache {
+        self.rows.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Inserts (or replaces) a user's slot, marking the row changed.
+    fn insert(&mut self, user: UserId, mut slot: UserSlot) {
+        self.rows_mut().mark(&mut slot);
+        self.users.insert(user, slot);
+    }
+
+    /// The shard's snapshot body: the previous capture's body with the
+    /// changed rows re-encoded and spliced in, or every row encoded when
+    /// there is no previous body. Either way it is byte-identical to
+    /// encoding every row afresh; no allocation is made per user.
+    fn capture(&self, layout: SlotLayout, scratch: &mut RowScratch) -> Arc<Vec<u8>> {
+        let mut guard = self.rows.lock().unwrap_or_else(PoisonError::into_inner);
+        let cache = &mut *guard;
+        let body = match &cache.body {
+            Some(body) if !cache.dirty => Arc::clone(body),
+            Some(previous) => {
+                let generation = cache.generation;
+                let changed = self.users.iter().filter(|(_, slot)| slot.changed_in == generation);
+                let fresh = encode_sorted(changed, layout, scratch);
+                Arc::new(splice(previous, &fresh, &scratch.entries))
+            }
+            None => {
+                let fresh = encode_sorted(self.users.iter(), layout, scratch);
+                Arc::new(splice(&[], &fresh, &scratch.entries))
+            }
+        };
+        cache.dirty = false;
+        cache.generation += 1;
+        cache.body = Some(Arc::clone(&body));
+        body
+    }
+}
+
+/// Encodes the rows of `users` into `scratch.entries` in the order given —
+/// visiting slots in table order, not id order — and returns the entries
+/// sorted by user id.
+fn encode_sorted<'a>(
+    users: impl Iterator<Item = (&'a UserId, &'a UserSlot)>,
+    layout: SlotLayout,
+    scratch: &mut RowScratch,
+) -> Vec<FreshEntry<'a>> {
+    let RowScratch { sensitivities, row, entries } = scratch;
+    entries.clear();
+    let mut fresh: Vec<FreshEntry<'a>> = users
+        .map(|(user, slot)| {
+            let start = entries.len();
+            sensitivities.clear();
+            sensitivities.extend(slot.sensitivities(layout));
+            snapshot::put_entry(
+                entries,
+                row,
+                user.as_str(),
+                slot.words(layout),
+                slot.allowed(layout),
+                sensitivities,
+            );
+            (user.as_str(), start, entries.len())
+        })
+        .collect();
+    fresh.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    fresh
+}
+
+/// Merges `fresh` entries (sorted by user, unique, their bytes in
+/// `entries`) into a previous shard body (sorted by user): a fresh entry
+/// replaces the previous entry of the same user, every other previous entry
+/// is copied verbatim in runs.
+fn splice(previous: &[u8], fresh: &[FreshEntry<'_>], entries: &[u8]) -> Vec<u8> {
+    let fresh_len: usize = fresh.iter().map(|&(_, start, end)| end - start).sum();
+    let mut body = Vec::with_capacity(previous.len() + fresh_len);
+    let mut fresh = fresh.iter().peekable();
+    // `previous[..copied]` is already in `body` or replaced.
+    let mut copied = 0;
+    let mut offset = 0;
+    while offset < previous.len() && fresh.peek().is_some() {
+        let start = offset;
+        let user = snapshot::skip_entry(previous, &mut offset);
+        while let Some(&(_, from, to)) = fresh.next_if(|entry| entry.0.as_bytes() < user) {
+            body.extend_from_slice(&previous[copied..start]);
+            copied = start;
+            body.extend_from_slice(&entries[from..to]);
+        }
+        if let Some(&(_, from, to)) = fresh.next_if(|entry| entry.0.as_bytes() == user) {
+            body.extend_from_slice(&previous[copied..start]);
+            copied = offset;
+            body.extend_from_slice(&entries[from..to]);
+        }
+    }
+    body.extend_from_slice(&previous[copied..]);
+    for &(_, from, to) in fresh {
+        body.extend_from_slice(&entries[from..to]);
+    }
+    body
 }
 
 /// The read-only context a batch's worker threads share.
@@ -114,6 +344,7 @@ struct Ctx<'a> {
     threshold: RiskLevel,
     actor_count: usize,
     field_count: usize,
+    layout: SlotLayout,
 }
 
 /// The index-backed streaming runtime monitor. See the module docs; the
@@ -153,6 +384,7 @@ pub struct IndexedMonitor {
     /// read access — the policy question the `create`/`anon`/`delete` rules
     /// ask, resolved once instead of once per event.
     readers: Vec<Vec<u32>>,
+    layout: SlotLayout,
     shards: Vec<Shard>,
     alerts: Vec<Alert>,
 }
@@ -179,6 +411,7 @@ impl IndexedMonitor {
                 );
             }
         }
+        let layout = SlotLayout::of(&index);
         IndexedMonitor {
             index,
             catalog,
@@ -189,6 +422,7 @@ impl IndexedMonitor {
             threads: None,
             stores,
             readers,
+            layout,
             shards: vec![Shard::default(); SHARDS],
             alerts: Vec::new(),
         }
@@ -238,22 +472,19 @@ impl IndexedMonitor {
                 allowed[a / 64] |= 1u64 << (a % 64);
             }
         }
-        let slot = UserSlot {
-            words: vec![0u64; space.variable_count().div_ceil(64)],
-            allowed,
-            sensitivities: space
-                .fields()
-                .iter()
-                .map(|field| sensitivity.field_sensitivity(field))
-                .collect(),
-        };
-        self.shards[shard_of(profile.id())].users.insert(profile.id().clone(), slot);
+        let sensitivities =
+            space.fields().iter().map(|field| sensitivity.field_sensitivity(field).value());
+        let slot = UserSlot::new(self.layout, &allowed, sensitivities);
+        self.shards[shard_of(profile.id().as_str())].insert(profile.id().clone(), slot);
     }
 
     /// The current privacy state of a registered user.
     pub fn state_of(&self, user: &UserId) -> Option<PrivacyState> {
-        self.shards[shard_of(user)].users.get(user).map(|slot| {
-            PrivacyState::from_words(slot.words.clone(), self.index.space().variable_count())
+        self.shards[shard_of(user.as_str())].users.get(user).map(|slot| {
+            PrivacyState::from_words(
+                slot.words(self.layout).to_vec(),
+                self.index.space().variable_count(),
+            )
         })
     }
 
@@ -284,26 +515,24 @@ impl IndexedMonitor {
     /// [`MonitorSnapshot`] keyed on the index's fingerprint. Users are
     /// grouped by shard and sorted by id within each shard, so the snapshot
     /// is identical whatever thread count produced the state.
+    ///
+    /// Capture is incremental: each shard keeps the body it last captured,
+    /// and ingestion marks the rows whose state bits actually flip, so a
+    /// capture re-encodes only those rows and copies every other row's
+    /// bytes (an unchanged shard is shared, not even copied). The first
+    /// capture encodes every row. The bytes are the same either way.
     pub fn snapshot(&self) -> MonitorSnapshot {
         let space = self.index.space();
-        let mut sens_scratch: Vec<f64> = Vec::new();
+        let mut scratch = RowScratch::default();
         let shards = self
             .shards
             .iter()
             .enumerate()
             .filter(|(_, shard)| !shard.users.is_empty())
-            .map(|(i, shard)| {
-                let mut users: Vec<UserRow> = shard
-                    .users
-                    .iter()
-                    .map(|(user, slot)| {
-                        sens_scratch.clear();
-                        sens_scratch.extend(slot.sensitivities.iter().map(|s| s.value()));
-                        UserRow::from_state(user.clone(), &slot.words, &slot.allowed, &sens_scratch)
-                    })
-                    .collect();
-                users.sort_by(|a, b| a.user.cmp(&b.user));
-                ShardSnapshot { shard: i as u32, users }
+            .map(|(i, shard)| ShardSnapshot {
+                shard: i as u32,
+                users: shard.users.len(),
+                body: shard.capture(self.layout, &mut scratch),
             })
             .collect();
         MonitorSnapshot {
@@ -381,22 +610,19 @@ impl IndexedMonitor {
     }
 
     /// Inserts every user row of the snapshot, re-deriving shards from ids
-    /// and decoding each sparse row back into its dense in-memory slot.
+    /// and decoding each sparse row, straight from the snapshot's shard
+    /// bodies, into its dense in-memory slot.
     fn restore_rows(&mut self, snapshot: &MonitorSnapshot) -> Result<usize, SnapshotError> {
         let dims = (snapshot.state_words, snapshot.allowed_words, snapshot.field_count);
+        let (mut words, mut allowed, mut sensitivities) = (Vec::new(), Vec::new(), Vec::new());
         let mut restored = 0usize;
         for shard in &snapshot.shards {
-            for row in &shard.users {
-                let (words, allowed, sens_values) = row.decode(dims)?;
-                let sensitivities = sens_values
-                    .iter()
-                    .map(|&value| Sensitivity::new(value))
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(|error| SnapshotError::Malformed {
-                        detail: format!("user `{}`: {error}", row.user),
-                    })?;
-                let slot = UserSlot { words, allowed, sensitivities };
-                self.shards[shard_of(&row.user)].users.insert(row.user.clone(), slot);
+            for row in shard.rows() {
+                // Decoding validates every sensitivity to [0, 1].
+                row.decode_into(dims, &mut words, &mut allowed, &mut sensitivities)?;
+                let mut slot = UserSlot::new(self.layout, &allowed, sensitivities.iter().copied());
+                slot.data[..words.len()].copy_from_slice(&words);
+                self.shards[shard_of(row.user)].insert(UserId::new(row.user), slot);
                 restored += 1;
             }
         }
@@ -405,7 +631,7 @@ impl IndexedMonitor {
 
     /// Whether a user is currently registered (tracked) by this monitor.
     pub fn is_registered(&self, user: &UserId) -> bool {
-        self.shards[shard_of(user)].users.contains_key(user)
+        self.shards[shard_of(user.as_str())].users.contains_key(user)
     }
 
     /// Drops every user whose id hashes to the given shard, returning how
@@ -418,6 +644,7 @@ impl IndexedMonitor {
             Some(slot) => {
                 let removed = slot.users.len();
                 slot.users.clear();
+                slot.rows_mut().body = None;
                 removed
             }
             None => 0,
@@ -434,7 +661,7 @@ impl IndexedMonitor {
         }
         let (ctx, shards) = self.split_context();
         let mut tagged = Vec::new();
-        process_event(&ctx, &mut shards[shard_of(event.user())], 0, event, &mut tagged);
+        process_event(&ctx, &mut shards[shard_of(event.user().as_str())], 0, event, &mut tagged);
         let raised: Vec<Alert> = tagged.into_iter().map(|(_, alert)| alert).collect();
         self.alerts.extend(raised.iter().cloned());
         raised
@@ -461,6 +688,7 @@ impl IndexedMonitor {
                 threshold: self.alert_threshold,
                 actor_count: space.actor_count(),
                 field_count: space.field_count(),
+                layout: self.layout,
             },
             &mut self.shards,
         )
@@ -482,7 +710,7 @@ impl IndexedMonitor {
         let mut busy_shards = 0usize;
         for (pos, event) in events.iter().enumerate() {
             if event.permitted() {
-                let bucket = &mut buckets[shard_of(event.user())];
+                let bucket = &mut buckets[shard_of(event.user().as_str())];
                 busy_shards += usize::from(bucket.is_empty());
                 bucket.push((pos as u32, event));
             }
@@ -589,7 +817,8 @@ fn check_snapshot_compat(
 }
 
 /// Applies one permitted event to its user's slot, pushing any raised alerts
-/// tagged with the event's batch position.
+/// tagged with the event's batch position, and queues the user's row for
+/// the next capture if a state bit flipped.
 fn process_event(
     ctx: &Ctx<'_>,
     shard: &mut Shard,
@@ -600,12 +829,26 @@ fn process_event(
     let Some(slot) = shard.users.get_mut(event.user()) else {
         return;
     };
+    if apply_event(ctx, slot, pos, event, out) {
+        shard.rows.get_mut().unwrap_or_else(PoisonError::into_inner).mark(slot);
+    }
+}
+
+/// [`process_event`] on a resolved slot; returns whether any state bit
+/// flipped.
+fn apply_event(
+    ctx: &Ctx<'_>,
+    slot: &mut UserSlot,
+    pos: u32,
+    event: &Event,
+    out: &mut Vec<(u32, Alert)>,
+) -> bool {
     match event.action() {
         ActionKind::Collect | ActionKind::Disclose | ActionKind::Read => {
             let Some(actor) =
                 ctx.index.actor_index(event.actor()).filter(|&a| (a as usize) < ctx.actor_count)
             else {
-                return;
+                return false;
             };
             let mut pairs: Vec<(u32, u32)> = event
                 .fields()
@@ -615,30 +858,32 @@ fn process_event(
                 .map(|f| (actor, f))
                 .collect();
             pairs.sort_unstable();
-            expose(ctx, slot, pos, event, &pairs, VarKind::Has, out);
+            expose(ctx, slot, pos, event, &pairs, VarKind::Has, out)
         }
         ActionKind::Create | ActionKind::Anon => {
             let Some(store) = event.datastore() else {
-                return;
+                return false;
             };
             let mut pairs = reader_pairs(ctx, store, event);
             pairs.sort_unstable();
             pairs.dedup();
-            expose(ctx, slot, pos, event, &pairs, VarKind::Could, out);
+            expose(ctx, slot, pos, event, &pairs, VarKind::Could, out)
         }
         ActionKind::Delete => {
             let Some(store) = event.datastore() else {
-                return;
+                return false;
             };
+            let mut flipped = false;
             for (a, f) in reader_pairs(ctx, store, event) {
                 if let Some(has_bit) = ctx.index.bit_index_of(a, f, VarKind::Has) {
-                    slot.clear_bit(has_bit + 1); // the paired `could` bit
+                    flipped |= slot.clear_bit(has_bit + 1); // the paired `could` bit
                 }
             }
+            flipped
         }
         // Future action kinds added to the (non-exhaustive) enum do not
         // change the tracked privacy state until modelled explicitly.
-        _ => {}
+        _ => false,
     }
 }
 
@@ -679,6 +924,7 @@ fn reader_pairs(ctx: &Ctx<'_>, store: &DatastoreId, event: &Event) -> Vec<(u32, 
 /// variable space's pair order) and raises an alert for each pair that
 /// becomes newly exposed to a non-allowed actor, exactly the scan monitor's
 /// "newly exposed pairs" sweep restricted to the bits this event can touch.
+/// Returns whether any bit flipped.
 fn expose(
     ctx: &Ctx<'_>,
     slot: &mut UserSlot,
@@ -687,21 +933,22 @@ fn expose(
     pairs: &[(u32, u32)],
     kind: VarKind,
     out: &mut Vec<(u32, Alert)>,
-) {
+) -> bool {
+    let mut flipped = false;
     for &(a, f) in pairs {
         let Some(has_bit) = ctx.index.bit_index_of(a, f, VarKind::Has) else {
             continue;
         };
         let could_bit = has_bit + 1;
         let was_exposed = slot.get_bit(has_bit) || slot.get_bit(could_bit);
-        match kind {
+        flipped |= match kind {
             VarKind::Has => slot.set_bit(has_bit),
             VarKind::Could => slot.set_bit(could_bit),
-        }
-        if was_exposed || slot.actor_allowed(a as usize) {
+        };
+        if was_exposed || slot.actor_allowed(ctx.layout, a as usize) {
             continue;
         }
-        let impact = slot.sensitivities[f as usize];
+        let impact = slot.sensitivity(ctx.layout, f as usize);
         let actor = &ctx.index.actors()[a as usize];
         let probability = if slot.get_bit(has_bit) {
             // Direct identification has certainty rather than scenario-based
@@ -733,4 +980,5 @@ fn expose(
             ));
         }
     }
+    flipped
 }

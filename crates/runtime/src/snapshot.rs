@@ -42,11 +42,16 @@
 //! pairs, or bit-run lists — see [`binary::put_u64_row`]). At
 //! population scale most users have touched at most a handful of fields, so
 //! their rows collapse from hundreds of dense bytes to a couple of dozen.
-//! Rows stay in their encoded byte form inside [`MonitorSnapshot`]:
+//! Each shard stays in its encoded byte form inside [`MonitorSnapshot`]: one
+//! contiguous body per shard in the exact wire layout.
+//! [`MonitorSnapshot::to_bytes`] copies bodies, and
 //! [`MonitorSnapshot::split`], [`merge`](MonitorSnapshot::merge) and the
-//! shard-handoff extract/retain operations *move* row bytes without a
+//! shard-handoff extract/retain operations share them without a
 //! decode/encode round trip, which is what keeps re-grouped snapshot bytes
-//! byte-identical to the original. Version-2 (dense) frames still decode.
+//! byte-identical to the original. Capture itself re-encodes only the rows
+//! that changed since the monitor's previous capture (see
+//! [`IndexedMonitor::snapshot`](crate::IndexedMonitor::snapshot)).
+//! Version-2 (dense) frames still decode.
 
 use crate::monitor::Alert;
 use privacy_interchange::binary::{
@@ -55,6 +60,7 @@ use privacy_interchange::binary::{
 use privacy_model::{RiskLevel, UserId};
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// The artefact kind tag of a monitor snapshot frame ("Privacy Monitor
 /// SNapshot").
@@ -79,23 +85,20 @@ pub const SNAPSHOT_VERSION_V2: u32 = 2;
 /// real model.
 const MAX_DIM: u32 = 1 << 22;
 
-/// One registered user's persisted monitor state: the packed privacy-state
-/// words plus the registration-time resolved alert inputs, so resuming does
-/// not need the original [`UserProfile`](privacy_model::UserProfile)s.
-///
-/// The row is held in its *encoded* sparse byte form — three back-to-back
-/// row encodings (state words, allowed bitset, sensitivities) — so snapshot
-/// re-grouping moves bytes instead of re-encoding state. Rows are validated
-/// structurally when they enter a snapshot (at [`UserRow::from_state`] by
-/// construction, at [`MonitorSnapshot::from_bytes`] by decode), so decoding
-/// an in-memory row cannot fail.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct UserRow {
-    pub(crate) user: UserId,
+/// One persisted row, borrowed from its shard body: the user id and the
+/// row's *encoded* sparse byte form — three back-to-back row encodings
+/// (state words, allowed bitset, sensitivities) — so snapshot re-grouping
+/// moves bytes instead of re-encoding state. Bodies are validated when they
+/// enter a snapshot (at capture by construction, at
+/// [`MonitorSnapshot::from_bytes`] by decode), so decoding a stored row
+/// cannot fail.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowView<'a> {
+    pub(crate) user: &'a str,
     /// The sparse-encoded row bytes: `u64` row of packed privacy-state bits
     /// in the index's [`VarSpace`](privacy_lts::VarSpace) layout, `u64` row
     /// of the allowed-actor bitset, `f64` row of per-field sensitivities.
-    pub(crate) encoded: Vec<u8>,
+    pub(crate) encoded: &'a [u8],
 }
 
 /// The dimensions every row of a snapshot must decode against: state words,
@@ -106,22 +109,7 @@ type RowDims = (u32, u32, u32);
 /// sensitivities.
 type DecodedRow = (Vec<u64>, Vec<u64>, Vec<f64>);
 
-impl UserRow {
-    /// Encodes a user's state into its sparse row form, choosing the
-    /// smallest encoding per row.
-    pub(crate) fn from_state(
-        user: UserId,
-        words: &[u64],
-        allowed: &[u64],
-        sensitivities: &[f64],
-    ) -> UserRow {
-        let mut encoded = Vec::with_capacity(8);
-        binary::put_u64_row(&mut encoded, words);
-        binary::put_u64_row(&mut encoded, allowed);
-        binary::put_f64_row(&mut encoded, sensitivities);
-        UserRow { user, encoded }
-    }
-
+impl RowView<'_> {
     /// Decodes the row back into dense state against the snapshot's declared
     /// dimensions.
     ///
@@ -138,10 +126,9 @@ impl UserRow {
         Ok((words, allowed, sensitivities))
     }
 
-    /// [`UserRow::decode`] into caller-owned scratch buffers, returning the
-    /// three encoding tags — the allocation-free validation walk
-    /// `from_bytes` runs over every row, and the source of the encoding
-    /// histogram.
+    /// [`RowView::decode`] into caller-owned buffers, returning the three
+    /// encoding tags — the allocation-free validation walk `from_bytes` runs
+    /// over every row, and the source of the encoding histogram.
     pub(crate) fn decode_into(
         &self,
         (state_words, allowed_words, field_count): RowDims,
@@ -153,14 +140,13 @@ impl UserRow {
             detail: format!("user `{}` row: {detail}", self.user),
         };
         let mut offset = 0;
-        let words_tag =
-            binary::get_u64_row(&self.encoded, &mut offset, state_words as usize, words)
-                .map_err(|error| row_error(error.to_string()))?;
+        let words_tag = binary::get_u64_row(self.encoded, &mut offset, state_words as usize, words)
+            .map_err(|error| row_error(error.to_string()))?;
         let allowed_tag =
-            binary::get_u64_row(&self.encoded, &mut offset, allowed_words as usize, allowed)
+            binary::get_u64_row(self.encoded, &mut offset, allowed_words as usize, allowed)
                 .map_err(|error| row_error(error.to_string()))?;
         let sens_tag =
-            binary::get_f64_row(&self.encoded, &mut offset, field_count as usize, sensitivities)
+            binary::get_f64_row(self.encoded, &mut offset, field_count as usize, sensitivities)
                 .map_err(|error| row_error(error.to_string()))?;
         if offset != self.encoded.len() {
             return Err(row_error(format!(
@@ -182,11 +168,74 @@ impl UserRow {
     }
 }
 
-/// The persisted users of one monitor shard, sorted by user id.
+/// Reads the varint length prefix at `*offset` and the bytes it covers.
+fn take_prefixed<'a>(bytes: &'a [u8], offset: &mut usize) -> Result<&'a [u8], CodecError> {
+    let len = binary::get_varu(bytes, offset)?;
+    let available = bytes.len() - *offset;
+    match usize::try_from(len) {
+        Ok(len) if len <= available => {
+            let slice = &bytes[*offset..*offset + len];
+            *offset += len;
+            Ok(slice)
+        }
+        _ => Err(CodecError::Truncated {
+            needed: usize::try_from(len).unwrap_or(usize::MAX),
+            available,
+        }),
+    }
+}
+
+/// Reads the shard-body entry at `*offset` — `str_var(user)`,
+/// `varu(len)`, row — advancing past it. The row bytes are not decoded.
+pub(crate) fn read_entry<'a>(
+    body: &'a [u8],
+    offset: &mut usize,
+) -> Result<RowView<'a>, CodecError> {
+    let user = std::str::from_utf8(take_prefixed(body, offset)?)
+        .map_err(|error| CodecError::Malformed { what: "string", detail: error.to_string() })?;
+    let encoded = take_prefixed(body, offset)?;
+    Ok(RowView { user, encoded })
+}
+
+/// The user-id bytes of the entry at `*offset` of a validated shard body,
+/// advancing past the entry — the cheap walk capture splices changed rows
+/// into.
+pub(crate) fn skip_entry<'a>(body: &'a [u8], offset: &mut usize) -> &'a [u8] {
+    let user = take_prefixed(body, offset).expect("shard bodies hold validated entries");
+    take_prefixed(body, offset).expect("shard bodies hold validated entries");
+    user
+}
+
+/// Appends one shard-body entry encoding a user's state, each row under
+/// its smallest encoding. `row` is caller-owned scratch, so appending makes
+/// no allocation of its own once the buffers have grown.
+pub(crate) fn put_entry(
+    body: &mut Vec<u8>,
+    row: &mut Vec<u8>,
+    user: &str,
+    words: &[u64],
+    allowed: &[u64],
+    sensitivities: &[f64],
+) {
+    row.clear();
+    binary::put_u64_row(row, words);
+    binary::put_u64_row(row, allowed);
+    binary::put_f64_row(row, sensitivities);
+    binary::put_varu(body, user.len() as u64);
+    body.extend_from_slice(user.as_bytes());
+    binary::put_varu(body, row.len() as u64);
+    body.extend_from_slice(row);
+}
+
+/// The persisted users of one monitor shard, sorted by user id, held as
+/// one contiguous body in the exact v3 wire layout — per user
+/// `str_var(user)`, `varu(len)`, row — so serializing a shard is a copy and
+/// re-grouping shards shares bodies instead of re-encoding them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardSnapshot {
     pub(crate) shard: u32,
-    pub(crate) users: Vec<UserRow>,
+    pub(crate) users: usize,
+    pub(crate) body: Arc<Vec<u8>>,
 }
 
 impl ShardSnapshot {
@@ -198,7 +247,18 @@ impl ShardSnapshot {
 
     /// Number of users persisted in this shard.
     pub fn user_count(&self) -> usize {
-        self.users.len()
+        self.users
+    }
+
+    /// The shard's rows, in stored (user id) order, borrowed from the body.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = RowView<'_>> {
+        let body = self.body.as_slice();
+        let mut offset = 0;
+        std::iter::from_fn(move || {
+            (offset < body.len()).then(|| {
+                read_entry(body, &mut offset).expect("shard bodies hold validated entries")
+            })
+        })
     }
 }
 
@@ -370,11 +430,8 @@ impl MonitorSnapshot {
                 detail: "a shard appears in more than one snapshot part".into(),
             });
         }
-        let mut users: Vec<&UserId> = merged
-            .shards
-            .iter()
-            .flat_map(|shard| shard.users.iter().map(|row| &row.user))
-            .collect();
+        let mut users: Vec<&str> =
+            merged.shards.iter().flat_map(|shard| shard.rows().map(|row| row.user)).collect();
         users.sort_unstable();
         if let Some(pair) = users.windows(2).find(|pair| pair[0] == pair[1]) {
             return Err(SnapshotError::Malformed {
@@ -387,11 +444,15 @@ impl MonitorSnapshot {
     /// Serializes the snapshot through the framed
     /// [`binary`] codec (kind
     /// [`SNAPSHOT_KIND`], version [`SNAPSHOT_VERSION`], trailing checksum).
-    /// Rows are written in their stored sparse form — serialization never
+    /// Each shard body is copied as stored — serialization never
     /// re-encodes a row, so snapshots that were split, merged or
     /// shard-filtered serialize byte-identically to the original grouping.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut encoder = Encoder::new(SNAPSHOT_KIND, SNAPSHOT_VERSION);
+        // Fixed header, then at most 20 varint bytes of shard framing per
+        // shard; pending alerts are rare and may regrow the buffer.
+        let bodies: usize = self.shards.iter().map(|shard| shard.body.len() + 20).sum();
+        encoder.reserve(32 + bodies);
         encoder.u64(self.fingerprint);
         encoder.u32(self.state_words);
         encoder.u32(self.allowed_words);
@@ -399,12 +460,8 @@ impl MonitorSnapshot {
         encoder.varu(self.shards.len() as u64);
         for shard in &self.shards {
             encoder.varu(u64::from(shard.shard));
-            encoder.varu(shard.users.len() as u64);
-            for row in &shard.users {
-                encoder.str_var(row.user.as_str());
-                encoder.varu(row.encoded.len() as u64);
-                encoder.raw(&row.encoded);
-            }
+            encoder.varu(shard.users as u64);
+            encoder.raw(&shard.body);
         }
         encoder.varu(self.pending_alerts.len() as u64);
         for alert in &self.pending_alerts {
@@ -444,11 +501,11 @@ impl MonitorSnapshot {
         encoder.u32(self.shards.len() as u32);
         for shard in &self.shards {
             encoder.u32(shard.shard);
-            encoder.u32(shard.users.len() as u32);
-            for row in &shard.users {
+            encoder.u32(shard.users as u32);
+            for row in shard.rows() {
                 let (words, allowed, sensitivities) =
                     row.decode(dims).expect("validated row decodes");
-                encoder.str(row.user.as_str());
+                encoder.str(row.user);
                 encoder.u64_slice(&words);
                 encoder.u64_slice(&allowed);
                 encoder.u32(sensitivities.len() as u32);
@@ -508,17 +565,17 @@ impl MonitorSnapshot {
             let shard = u32::try_from(decoder.varu()?).map_err(|_| SnapshotError::Malformed {
                 detail: "shard index does not fit in 32 bits".into(),
             })?;
-            let user_count = decoder.varu()? as usize;
-            let mut users = Vec::new();
-            for _ in 0..user_count {
-                let user = UserId::new(decoder.string_var()?);
-                let row_len = decoder.varu()? as usize;
-                let encoded = decoder.raw(row_len)?.to_vec();
-                let row = UserRow { user, encoded };
+            let users = decoder.varu()? as usize;
+            // Validate the shard's entries in place, then take them as one
+            // body.
+            let rest = decoder.remaining();
+            let mut body_len = 0;
+            for _ in 0..users {
+                let row = read_entry(rest, &mut body_len)?;
                 row.decode_into(dims, &mut words_scratch, &mut allowed_scratch, &mut sens_scratch)?;
-                users.push(row);
             }
-            shards.push(ShardSnapshot { shard, users });
+            let body = Arc::new(decoder.raw(body_len)?.to_vec());
+            shards.push(ShardSnapshot { shard, users, body });
         }
         let alert_count = decoder.varu()? as usize;
         let mut pending_alerts = Vec::new();
@@ -534,7 +591,7 @@ impl MonitorSnapshot {
             pending_alerts.push(Alert::raise(sequence, user, level, message));
         }
         decoder.finish()?;
-        Self::check_unique_users(&shards)?;
+        check_unique_users(&shards)?;
         Ok(MonitorSnapshot {
             fingerprint,
             state_words,
@@ -555,12 +612,13 @@ impl MonitorSnapshot {
         Self::check_dims(state_words, allowed_words, field_count)?;
         let shard_count = decoder.u32()? as usize;
         let mut shards = Vec::new();
+        let mut row = Vec::new();
         for _ in 0..shard_count {
             let shard = decoder.u32()?;
-            let user_count = decoder.u32()? as usize;
-            let mut users = Vec::new();
-            for _ in 0..user_count {
-                let user = UserId::new(decoder.string()?);
+            let users = decoder.u32()? as usize;
+            let mut body = Vec::new();
+            for _ in 0..users {
+                let user = decoder.string()?;
                 let words = decoder.u64_slice()?;
                 let allowed = decoder.u64_slice()?;
                 let sensitivity_count = decoder.u32()? as usize;
@@ -591,9 +649,9 @@ impl MonitorSnapshot {
                         ),
                     });
                 }
-                users.push(UserRow::from_state(user, &words, &allowed, &sensitivities));
+                put_entry(&mut body, &mut row, &user, &words, &allowed, &sensitivities);
             }
-            shards.push(ShardSnapshot { shard, users });
+            shards.push(ShardSnapshot { shard, users, body: Arc::new(body) });
         }
         let alert_count = decoder.u32()? as usize;
         let mut pending_alerts = Vec::new();
@@ -609,7 +667,7 @@ impl MonitorSnapshot {
             pending_alerts.push(Alert::raise(sequence, user, level, message));
         }
         decoder.finish()?;
-        Self::check_unique_users(&shards)?;
+        check_unique_users(&shards)?;
         Ok(MonitorSnapshot {
             fingerprint,
             state_words,
@@ -639,18 +697,6 @@ impl MonitorSnapshot {
         Ok(())
     }
 
-    fn check_unique_users(shards: &[ShardSnapshot]) -> Result<(), SnapshotError> {
-        let mut seen: Vec<&UserId> =
-            shards.iter().flat_map(|shard| shard.users.iter().map(|row| &row.user)).collect();
-        seen.sort_unstable();
-        if seen.windows(2).any(|pair| pair[0] == pair[1]) {
-            return Err(SnapshotError::Malformed {
-                detail: "a user is persisted more than once".into(),
-            });
-        }
-        Ok(())
-    }
-
     /// Counts, per constituent row kind, which sparse encoding each stored
     /// row chose — the footprint-analysis view behind the benchmark and
     /// `PERFORMANCE.md` histogram tables.
@@ -662,7 +708,7 @@ impl MonitorSnapshot {
         let mut allowed = Vec::new();
         let mut sensitivities = Vec::new();
         for shard in &self.shards {
-            for row in &shard.users {
+            for row in shard.rows() {
                 let (words_tag, allowed_tag, sens_tag) = row
                     .decode_into(dims, &mut words, &mut allowed, &mut sensitivities)
                     .expect("validated row decodes");
@@ -676,6 +722,19 @@ impl MonitorSnapshot {
         }
         histogram
     }
+}
+
+/// Rejects a decoded snapshot that persists some user more than once.
+fn check_unique_users(shards: &[ShardSnapshot]) -> Result<(), SnapshotError> {
+    let mut users: Vec<&str> =
+        shards.iter().flat_map(|shard| shard.rows().map(|row| row.user)).collect();
+    users.sort_unstable();
+    if users.windows(2).any(|pair| pair[0] == pair[1]) {
+        return Err(SnapshotError::Malformed {
+            detail: "a user is persisted more than once".into(),
+        });
+    }
+    Ok(())
 }
 
 /// How many stored rows chose each sparse encoding, across one snapshot.

@@ -13,7 +13,9 @@ use privacy_interchange::binary::{CodecError, Encoder};
 use privacy_lts::{generate_lts, ActionKind, GeneratorConfig, LtsIndex};
 use privacy_model::{DatastoreId, FieldId, Record, UserId};
 use privacy_runtime::snapshot::{SNAPSHOT_KIND, SNAPSHOT_VERSION, SNAPSHOT_VERSION_V2};
-use privacy_runtime::{Event, IndexedMonitor, MonitorSnapshot, ServiceEngine, SnapshotError};
+use privacy_runtime::{
+    shard_of_user, Event, IndexedMonitor, MonitorSnapshot, ServiceEngine, SnapshotError,
+};
 use privacy_synth::{
     random_model, random_profiles, random_workload, ModelGeneratorConfig, ProfileGeneratorConfig,
     WorkloadConfig,
@@ -40,6 +42,17 @@ struct Fixture {
 /// synthetic tail (the `indexed_monitor_differential` fixture shape), and a
 /// user population of which all but the last member is registered.
 fn fixture(seed: u64, actors: usize, fields: usize, raw_events: usize) -> Fixture {
+    fixture_sized(seed, actors, fields, raw_events, 6)
+}
+
+/// [`fixture`] with `user_count` users in the population.
+fn fixture_sized(
+    seed: u64,
+    actors: usize,
+    fields: usize,
+    raw_events: usize,
+    user_count: usize,
+) -> Fixture {
     let config = ModelGeneratorConfig { actors, fields, seed, ..ModelGeneratorConfig::default() };
     let (catalog, dataflows, policy) = random_model(&config).expect("generated model is valid");
     let lts = generate_lts(
@@ -54,7 +67,7 @@ fn fixture(seed: u64, actors: usize, fields: usize, raw_events: usize) -> Fixtur
     let services: Vec<_> = catalog.services().map(|s| s.id().clone()).collect();
     let field_ids: Vec<FieldId> = catalog.fields().map(|f| f.id().clone()).collect();
     let users = random_profiles(&ProfileGeneratorConfig {
-        count: 6,
+        count: user_count,
         seed,
         services: services.clone(),
         consent_probability: 0.5,
@@ -480,4 +493,320 @@ fn merge_rejects_mixed_fingerprints_and_duplicate_shards() {
     assert!(matches!(MonitorSnapshot::merge(&[]), Err(SnapshotError::Malformed { .. })));
 
     let _ = fixture_a;
+}
+
+/// The healthcare case study with a population and event stream built from
+/// arithmetic alone — no RNG, no generator crates — so every build derives
+/// the same inputs: users with a mix of consents and sensitivities, and
+/// events of every action kind (some denied, some for an unregistered
+/// user, some naming fields or stores outside the model).
+fn healthcare_population(users: usize, events: usize) -> Fixture {
+    use privacy_model::{Sensitivity, UserProfile};
+    let system = privacy_core::casestudy::healthcare().expect("case study builds");
+    let index = Arc::new(LtsIndex::build(&system.generate_lts().expect("case study generates")));
+    let catalog = system.catalog().clone();
+    let services: Vec<_> = catalog.services().map(|s| s.id().clone()).collect();
+    let mut fields: Vec<FieldId> = catalog.fields().map(|f| f.id().clone()).collect();
+    let mut stores: Vec<DatastoreId> = catalog.datastores().map(|d| d.id().clone()).collect();
+    let palette = [0.25, 0.5, 0.75, 1.0];
+    let profiles: Vec<UserProfile> = (0..users)
+        .map(|u| {
+            let mut profile = UserProfile::new(format!("patient-{u:05}"));
+            for (s, service) in services.iter().enumerate() {
+                if (u >> s) & 1 == 1 {
+                    profile = profile.consents_to(service.clone());
+                }
+            }
+            for (f, field) in fields.iter().enumerate() {
+                if (u + f) % 3 == 0 {
+                    let value = palette[(u * 7 + f) % palette.len()];
+                    profile = profile.with_sensitivity(
+                        field.clone(),
+                        Sensitivity::new(value).expect("in range"),
+                    );
+                }
+            }
+            profile
+        })
+        .collect();
+    let actors: Vec<String> = index.actors().iter().map(|a| a.as_str().to_owned()).collect();
+    fields.push(FieldId::new("GhostField"));
+    stores.push(DatastoreId::new("GhostStore"));
+    let actions = [
+        ActionKind::Collect,
+        ActionKind::Create,
+        ActionKind::Read,
+        ActionKind::Disclose,
+        ActionKind::Anon,
+        ActionKind::Delete,
+    ];
+    let stream = (0..events)
+        .map(|i| {
+            let user = if i % 97 == 0 {
+                UserId::new("unregistered-user")
+            } else {
+                profiles[(i * 7919) % users].id().clone()
+            };
+            let picked: Vec<FieldId> =
+                (0..1 + i % 3).map(|k| fields[(i * 5 + k * 3) % fields.len()].clone()).collect();
+            Event::new(
+                i as u64,
+                user,
+                "HealthcareService",
+                actors[(i * 3) % actors.len()].as_str(),
+                actions[(i / 2) % actions.len()],
+                picked,
+                (i % 5 != 0).then(|| stores[i % stores.len()].clone()),
+                i % 11 != 0,
+            )
+        })
+        .collect();
+    Fixture { catalog, policy: system.policy().clone(), index, users: profiles, events: stream }
+}
+
+/// The population's registered monitor, all users registered.
+fn population_monitor(population: &Fixture) -> IndexedMonitor {
+    let mut monitor = IndexedMonitor::new(
+        population.catalog.clone(),
+        population.policy.clone(),
+        Arc::clone(&population.index),
+    );
+    for user in &population.users {
+        monitor.register_user(user);
+    }
+    monitor
+}
+
+/// The fixture's shape: 300 users and 2,000 events; alerts are drained
+/// after the first 1,450 events and the snapshot is taken after 1,500, so
+/// the alerts of the last 50 are pending in it.
+const FIXTURE_USERS: usize = 300;
+const FIXTURE_EVENTS: usize = 2_000;
+const FIXTURE_DRAINED: usize = 1_450;
+const FIXTURE_CUT: usize = 1_500;
+
+/// The population's monitor at the fixture's cut. With `warm`, a snapshot
+/// is taken before each of its three batches, so the final capture splices
+/// into a cached body.
+fn fixture_monitor(population: &Fixture, warm: bool) -> IndexedMonitor {
+    let mut monitor = population_monitor(population);
+    let bounds = [0, FIXTURE_DRAINED / 3, FIXTURE_DRAINED, FIXTURE_CUT];
+    for pair in bounds.windows(2) {
+        if warm {
+            let _ = monitor.snapshot();
+        }
+        let _ = monitor.ingest_batch(&population.events[pair[0]..pair[1]]);
+        if pair[1] == FIXTURE_DRAINED {
+            let _ = monitor.drain_alerts();
+        }
+    }
+    monitor
+}
+
+/// A v3 snapshot written by the from-scratch capture path that predates
+/// incremental capture (commit `1cde5c6`), for `fixture_monitor(&
+/// healthcare_population(300, 2_000), false)`.
+const SNAPSHOT_V3_FIXTURE: &[u8] = include_bytes!("fixtures/snapshot_v3_healthcare.bin");
+
+/// Cross-build compatibility: a checkpoint written before incremental
+/// capture decodes, re-serializes to the same bytes and resumes into the
+/// uninterrupted run; and this build, replaying the same operations,
+/// writes exactly those bytes — cold, warm, and after a resume — so
+/// checkpoints cross the change in both directions.
+#[test]
+fn snapshot_v3_fixture_from_before_incremental_capture_round_trips_byte_identically() {
+    let population = healthcare_population(FIXTURE_USERS, FIXTURE_EVENTS);
+    let decoded = MonitorSnapshot::from_bytes(SNAPSHOT_V3_FIXTURE).expect("fixture decodes");
+    assert_eq!(decoded.user_count(), FIXTURE_USERS);
+    assert!(decoded.shards().len() > 1, "the fixture spans several shards");
+    assert!(!decoded.pending_alerts().is_empty(), "the fixture carries pending alerts");
+    assert_eq!(decoded.to_bytes(), SNAPSHOT_V3_FIXTURE, "re-serialization is byte-identical");
+
+    // This build writes the same bytes for the same state: a cold first
+    // capture, and a warm capture after an earlier one.
+    let cold = fixture_monitor(&population, false);
+    assert_eq!(cold.snapshot().to_bytes(), SNAPSHOT_V3_FIXTURE, "cold capture differs");
+    let warm = fixture_monitor(&population, true);
+    assert_eq!(warm.snapshot().to_bytes(), SNAPSHOT_V3_FIXTURE, "warm capture differs");
+
+    // The fixture resumes, captures itself back, and continues exactly
+    // where the uninterrupted run goes.
+    let mut resumed = IndexedMonitor::resume_from(
+        population.catalog.clone(),
+        population.policy.clone(),
+        Arc::clone(&population.index),
+        &decoded,
+    )
+    .expect("fixture resumes");
+    assert_eq!(resumed.snapshot().to_bytes(), SNAPSHOT_V3_FIXTURE, "resumed capture differs");
+    let mut uninterrupted = population_monitor(&population);
+    let full_alerts = uninterrupted.ingest_batch(&population.events);
+    let tail_alerts = resumed.ingest_batch(&population.events[FIXTURE_CUT..]);
+    let mut recovered = decoded.pending_alerts().to_vec();
+    recovered.extend(tail_alerts);
+    let pending_from = full_alerts
+        .iter()
+        .position(|alert| alert.sequence() >= FIXTURE_DRAINED as u64)
+        .unwrap_or(full_alerts.len());
+    assert_eq!(recovered, full_alerts[pending_from..], "resume from the fixture diverges");
+    for user in &population.users {
+        assert_eq!(resumed.state_of(user.id()), uninterrupted.state_of(user.id()));
+    }
+    // Pending alerts differ (the fixture's were drained once), the user
+    // rows do not.
+    assert_eq!(resumed.snapshot().shards(), uninterrupted.snapshot().shards());
+}
+
+/// One step of the warm-vs-cold capture differential.
+#[derive(Debug, Clone)]
+enum Op {
+    /// Register (or re-register, resetting) the fixture user at this index.
+    Register(usize),
+    /// `observe` the event at this index.
+    Observe(usize),
+    /// `ingest_batch` of an event range at a thread count.
+    Batch(usize, usize, usize),
+    /// `absorb` these shards of the donor's snapshot.
+    Absorb(Vec<u32>),
+    /// `remove_shard_users` of one shard.
+    RemoveShard(u32),
+    /// Serialize, deserialize and resume (the warm side only: a resume
+    /// leaves the state as it was, so the cold replay skips it).
+    Resume,
+    /// Compare the warm capture against a cold replay.
+    Cut,
+}
+
+/// A seeded random operation sequence over the fixture's users and
+/// events, always ending in a cut. Shard operations pick shards some user
+/// lives on, so they touch state.
+fn random_ops(seed: u64, fixture: &Fixture, len: usize) -> Vec<Op> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed_0f0b5);
+    let (users, events) = (fixture.users.len(), fixture.events.len());
+    let user_shard = |rng: &mut StdRng| shard_of_user(pick(rng, &fixture.users).id());
+    let mut ops: Vec<Op> = (0..len)
+        .map(|_| match rng.gen_range(0..16u32) {
+            0 | 1 => Op::Register(rng.gen_range(0..users)),
+            2 | 3 if events > 0 => Op::Observe(rng.gen_range(0..events)),
+            4..=7 if events > 0 => {
+                let start = rng.gen_range(0..events);
+                let end = rng.gen_range(start..=events);
+                Op::Batch(start, end, if rng.gen_bool(0.5) { 1 } else { 4 })
+            }
+            8 => Op::Absorb((0..rng.gen_range(1..4)).map(|_| user_shard(&mut rng)).collect()),
+            9 => Op::RemoveShard(user_shard(&mut rng)),
+            10 => Op::Resume,
+            _ => Op::Cut,
+        })
+        .collect();
+    ops.push(Op::Cut);
+    ops
+}
+
+/// Applies every state-changing operation (everything but `Resume` and
+/// `Cut`) to `monitor`.
+fn apply(
+    mut monitor: IndexedMonitor,
+    op: &Op,
+    fixture: &Fixture,
+    donor: &MonitorSnapshot,
+) -> IndexedMonitor {
+    match op {
+        Op::Register(user) => monitor.register_user(&fixture.users[*user]),
+        Op::Observe(event) => {
+            let _ = monitor.observe(&fixture.events[*event]);
+        }
+        Op::Batch(start, end, threads) => {
+            monitor = monitor.with_threads(Some(*threads));
+            let _ = monitor.ingest_batch(&fixture.events[*start..*end]);
+        }
+        Op::Absorb(shards) => {
+            monitor.absorb(&donor.extract_shards(shards)).expect("same index absorbs");
+        }
+        Op::RemoveShard(shard) => {
+            let _ = monitor.remove_shard_users(*shard);
+        }
+        Op::Resume | Op::Cut => {}
+    }
+    monitor
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Incremental capture is a pure optimisation: at every cut of a random
+    /// mix of registration, `observe`, `ingest_batch` at 1 and 4 threads,
+    /// `absorb`, `remove_shard_users` and resume, a long-lived monitor
+    /// (its capture cache warm from every earlier cut) serializes exactly
+    /// the bytes of a monitor that replayed the same operations and
+    /// captures for the first time. Split→merge and per-shard extract of
+    /// the warm snapshot reproduce the same shard bodies and bytes.
+    #[test]
+    fn warm_capture_equals_cold_capture_at_every_cut(
+        seed in 0u64..1_000_000,
+        actors in 1usize..5,
+        fields in 1usize..5,
+        raw_events in 0usize..120,
+        users in 8usize..48,
+        len in 1usize..40,
+    ) {
+        let fixture = fixture_sized(seed, actors, fields, raw_events, users);
+        let ops = random_ops(seed, &fixture, len);
+        let mut donor = IndexedMonitor::new(
+            fixture.catalog.clone(),
+            fixture.policy.clone(),
+            Arc::clone(&fixture.index),
+        );
+        for user in fixture.users.iter().rev().step_by(2) {
+            donor.register_user(user);
+        }
+        let _ = donor.ingest_batch(&fixture.events[fixture.events.len() / 2..]);
+        let donor = donor.snapshot();
+
+        let mut warm = monitor_over(&fixture);
+        for (at, op) in ops.iter().enumerate() {
+            match op {
+                Op::Resume => {
+                    let bytes = warm.snapshot().to_bytes();
+                    warm = IndexedMonitor::resume_from(
+                        fixture.catalog.clone(),
+                        fixture.policy.clone(),
+                        Arc::clone(&fixture.index),
+                        &MonitorSnapshot::from_bytes(&bytes).expect("own bytes decode"),
+                    )
+                    .expect("own snapshot resumes");
+                }
+                Op::Cut => {
+                    let snapshot = warm.snapshot();
+                    let warm_bytes = snapshot.to_bytes();
+                    let cold = ops[..at]
+                        .iter()
+                        .fold(monitor_over(&fixture), |cold, op| apply(cold, op, &fixture, &donor));
+                    let cold_bytes = cold.snapshot().to_bytes();
+                    prop_assert!(warm_bytes == cold_bytes, "warm capture diverged at op {at} of {ops:?}");
+
+                    for parts in [2, 5] {
+                        let merged = MonitorSnapshot::merge(&snapshot.split(parts))
+                            .expect("own parts merge");
+                        prop_assert_eq!(&merged.to_bytes(), &warm_bytes);
+                    }
+                    let extracted: Vec<MonitorSnapshot> = snapshot
+                        .shards()
+                        .iter()
+                        .map(|shard| snapshot.extract_shards(&[shard.shard()]))
+                        .collect();
+                    for part in &extracted {
+                        let round_trip = MonitorSnapshot::from_bytes(&part.to_bytes())
+                            .expect("extracted part decodes");
+                        prop_assert_eq!(&round_trip, part);
+                    }
+                    if !extracted.is_empty() {
+                        let merged = MonitorSnapshot::merge(&extracted).expect("extracts merge");
+                        prop_assert_eq!(merged.shards(), snapshot.shards());
+                    }
+                }
+                op => warm = apply(warm, op, &fixture, &donor),
+            }
+        }
+    }
 }

@@ -77,6 +77,10 @@ fn pipeline_config(dir: &Path) -> PipelineConfig {
     config
 }
 
+/// What one live run produced: the pipeline's outcome, the alerts it
+/// passed to `on_alert` (rendered), and the bytes the script wrote.
+type LiveRun = (Result<PipelineReport, PipelineError>, Vec<String>, Vec<u8>);
+
 /// Runs `script` against a tailing pipeline over a fresh indexed sink,
 /// requesting a graceful drain once the script completes.
 fn run_live(
@@ -84,14 +88,16 @@ fn run_live(
     dir: &Path,
     log: &Path,
     script: &ChaosScript,
-) -> Result<(Result<PipelineReport, PipelineError>, Vec<u8>), String> {
+) -> Result<LiveRun, String> {
     let runner = PipelineRunner::new(pipeline_config(dir));
     let progress = runner.progress();
     let stop = runner.stop_handle();
     let mut sink = context.indexed_sink(false);
     let source = LiveSource::tail(log, pipeline_config(dir).follow);
-    std::thread::scope(|scope| {
-        let pipeline = scope.spawn(|| runner.run(source, &mut sink, |_| {}));
+    let mut live_alerts = Vec::new();
+    let (outcome, observed) = std::thread::scope(|scope| {
+        let pipeline = scope
+            .spawn(|| runner.run(source, &mut sink, |alert| live_alerts.push(alert.to_string())));
         // Raise the stop flag before inspecting the script outcome: an
         // early return here would leave the scope joining a tail that
         // never learns it should drain.
@@ -99,23 +105,31 @@ fn run_live(
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
         let outcome = pipeline.join().expect("pipeline thread");
         let observed = observed.map_err(|error| format!("chaos script: {error}"))?;
-        Ok((outcome, observed))
-    })
+        Ok::<_, String>((outcome, observed))
+    })?;
+    Ok((outcome, live_alerts, observed))
 }
 
 /// The differential contract between a completed live run and the
 /// offline oracle over the observed bytes.
 fn check_differential(
     report: &PipelineReport,
+    live_alerts: &[String],
     dead_letter: &Path,
     offline: &OfflineRun,
 ) -> Result<(), String> {
-    let live_alerts: Vec<String> = report.alerts.iter().map(ToString::to_string).collect();
-    if sorted(&live_alerts) != sorted(&offline.alerts) {
+    if sorted(live_alerts) != sorted(&offline.alerts) {
         return Err(format!(
             "live alert stream diverged from the offline run ({} live vs {} offline)",
             live_alerts.len(),
             offline.alerts.len()
+        ));
+    }
+    if report.alerts != live_alerts.len() as u64 {
+        return Err(format!(
+            "the report counts {} alerts, on_alert saw {}",
+            report.alerts,
+            live_alerts.len()
         ));
     }
     if report.events != offline.report.stats.events {
@@ -179,17 +193,17 @@ fn completed_scenario(
         let dir = scenario_dir(name)?;
         let log = dir.join("app.log");
         let script = ChaosScript::new(&log, steps);
-        let (outcome, observed) = run_live(context, &dir, &log, &script)?;
+        let (outcome, live_alerts, observed) = run_live(context, &dir, &log, &script)?;
         let report = outcome.map_err(|error| format!("pipeline failed: {error}"))?;
         row.bytes = report.bytes;
         row.events = report.events;
         row.skipped = report.skipped;
-        row.alerts = report.alerts.len();
+        row.alerts = live_alerts.len();
         row.rotations = report.rotations;
         row.truncations = report.truncations;
         let offline = offline_reference(context, &observed, &FieldMapping::canonical(), 64)?;
         row.dead_letters = offline.report.diagnostics.len();
-        check_differential(&report, &dir.join("dead.ndjson"), &offline)?;
+        check_differential(&report, &live_alerts, &dir.join("dead.ndjson"), &offline)?;
         extra(&report)?;
         let _ = std::fs::remove_dir_all(&dir);
         Ok(())
@@ -279,7 +293,7 @@ fn gzip_scenario(context: &MonitorContext, corpus: &str) -> ScenarioRow {
         let cut = archive.len() / 2;
         let steps = torn_appends(&archive, &[cut], Duration::from_millis(5));
         let script = ChaosScript::new(&log, steps);
-        let (outcome, observed) = run_live(context, &dir, &log, &script)?;
+        let (outcome, _, observed) = run_live(context, &dir, &log, &script)?;
         row.bytes = observed.len() as u64;
         match outcome {
             Err(PipelineError::Ingest(IngestError::Gzip(_))) => {}

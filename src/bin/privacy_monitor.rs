@@ -347,7 +347,7 @@ fn run_follow(options: &Options) -> Result<(), CliError> {
         report.rotations,
         report.truncations,
         report.checkpoints,
-        report.alerts.len(),
+        report.alerts,
         report.offset,
     );
     Ok(())

@@ -172,6 +172,8 @@ impl PipelineCheckpoint {
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut encoder = Encoder::new(PIPELINE_CHECKPOINT_KIND, PIPELINE_CHECKPOINT_VERSION);
+        // Five counters, the format tag, the snapshot and its length.
+        encoder.reserve(5 * 8 + 1 + 4 + self.snapshot.len());
         encoder.u64(self.offset);
         encoder.u64(self.lines);
         encoder.u64(self.next_sequence);
@@ -418,8 +420,10 @@ impl PipelineConfig {
 /// What one pipeline run did.
 #[derive(Debug, Default)]
 pub struct PipelineReport {
-    /// Every alert raised, in order.
-    pub alerts: Vec<Alert>,
+    /// Alerts raised this run. Each was passed to `on_alert` as it was
+    /// raised; the report keeps only the count, so a run that never ends
+    /// holds no per-alert memory.
+    pub alerts: u64,
     /// Raw bytes observed from the source this run.
     pub bytes: u64,
     /// Physical lines consumed (cumulative across resume).
@@ -498,8 +502,7 @@ impl PipelineRunner {
 
     /// Runs the pipeline to completion: until the source reports EOF, the
     /// stop handle or stop file fires, or a fatal error. `on_alert` sees
-    /// every alert as it is raised (they are also collected in the
-    /// report).
+    /// every alert as it is raised; the report only counts them.
     ///
     /// # Errors
     ///
@@ -786,9 +789,9 @@ impl PipelineRunner {
                     let alerts = sink.ingest(&events)?;
                     PipelineProgress::add(&self.progress.ingested, events.len() as u64);
                     PipelineProgress::add(&self.progress.alerts, alerts.len() as u64);
-                    for alert in alerts {
-                        on_alert(&alert);
-                        report.alerts.push(alert);
+                    report.alerts += alerts.len() as u64;
+                    for alert in &alerts {
+                        on_alert(alert);
                     }
                     since_checkpoint += events.len() as u64;
                     if self.config.checkpoint_every_events > 0
@@ -822,9 +825,9 @@ impl PipelineRunner {
         // Graceful drain: flush late alerts, then the final checkpoint.
         let flushed = sink.flush()?;
         PipelineProgress::add(&self.progress.alerts, flushed.len() as u64);
-        for alert in flushed {
-            on_alert(&alert);
-            report.alerts.push(alert);
+        report.alerts += flushed.len() as u64;
+        for alert in &flushed {
+            on_alert(alert);
         }
         if let Some(meta) = &last_meta {
             report.offset = meta.offset;

@@ -62,18 +62,22 @@ fn config(dir: &Path) -> PipelineConfig {
 }
 
 /// Runs `script` against a tailing pipeline over `sink`, requesting a
-/// graceful drain once the script completes.
+/// graceful drain once the script completes. Returns the run's outcome,
+/// the alerts it passed to `on_alert` (rendered), and the bytes the script
+/// wrote.
 fn run_live<S: MonitorSink + Send>(
     runner: &PipelineRunner,
     log: &Path,
     script: ChaosScript,
     sink: &mut S,
-) -> (Result<PipelineReport, PipelineError>, Vec<u8>) {
+) -> (Result<PipelineReport, PipelineError>, Vec<String>, Vec<u8>) {
     let progress = runner.progress();
     let stop = runner.stop_handle();
     let source = LiveSource::tail(log, runner_follow(runner));
-    std::thread::scope(|scope| {
-        let pipeline = scope.spawn(|| runner.run(source, sink, |_| {}));
+    let mut live_alerts = Vec::new();
+    let outcome = std::thread::scope(|scope| {
+        let pipeline =
+            scope.spawn(|| runner.run(source, sink, |alert| live_alerts.push(alert.to_string())));
         // Stop the pipeline *before* asserting on the script outcome — a
         // panic here would otherwise leave the scope joining a tail that
         // never learns it should drain.
@@ -85,7 +89,8 @@ fn run_live<S: MonitorSink + Send>(
             Err(error) => panic!("chaos script: {error}; pipeline outcome: {outcome:?}"),
         };
         (outcome, observed)
-    })
+    });
+    (outcome.0, live_alerts, outcome.1)
 }
 
 /// The runner's follow config (tests tweak `start_offset` for resume).
@@ -106,6 +111,7 @@ fn assert_differential(
         sorted(&offline.alerts),
         "live alert stream diverged from the offline run"
     );
+    assert_eq!(report.alerts, live_alerts.len() as u64, "the report counts every alert");
     assert_eq!(report.events, offline.report.stats.events, "event counts diverged");
     assert_eq!(report.skipped, offline.report.stats.skipped, "skip counts diverged");
 
@@ -143,13 +149,12 @@ fn torn_writes_and_stalls_lose_nothing() {
 
     let runner = PipelineRunner::new(config(&dir));
     let mut sink = context().indexed_sink(false);
-    let (outcome, observed) = run_live(&runner, &log, script, &mut sink);
+    let (outcome, live_alerts, observed) = run_live(&runner, &log, script, &mut sink);
     let report = outcome.expect("pipeline run");
     assert_eq!(observed, corpus, "torn appends reassemble the corpus verbatim");
 
     let offline = offline_reference(context(), &observed, &FieldMapping::canonical(), 64)
         .expect("offline reference");
-    let live_alerts: Vec<String> = report.alerts.iter().map(ToString::to_string).collect();
     assert_differential(&report, &live_alerts, &dir.join("dead.ndjson"), &offline);
     assert_eq!(report.skipped, 0, "clean torn writes quarantine nothing");
     assert!(report.checkpoints > 0, "periodic checkpoints were written");
@@ -196,13 +201,12 @@ fn rotation_mid_record_and_poison_lines_are_quarantined_exactly() {
 
     let runner = PipelineRunner::new(config(&dir));
     let mut sink = context().indexed_sink(false);
-    let (outcome, observed) = run_live(&runner, &log, script, &mut sink);
+    let (outcome, live_alerts, observed) = run_live(&runner, &log, script, &mut sink);
     let report = outcome.expect("pipeline run");
     assert!(report.rotations >= 1, "the rotation was observed");
 
     let offline = offline_reference(context(), &observed, &FieldMapping::canonical(), 64)
         .expect("offline reference");
-    let live_alerts: Vec<String> = report.alerts.iter().map(ToString::to_string).collect();
     assert_differential(&report, &live_alerts, &dir.join("dead.ndjson"), &offline);
 
     // The injected corruptions are all present in the quarantine, each
@@ -240,14 +244,13 @@ fn truncation_replays_the_rewritten_file() {
 
     let runner = PipelineRunner::new(config(&dir));
     let mut sink = context().indexed_sink(false);
-    let (outcome, observed) = run_live(&runner, &log, script, &mut sink);
+    let (outcome, live_alerts, observed) = run_live(&runner, &log, script, &mut sink);
     let report = outcome.expect("pipeline run");
     assert_eq!(report.truncations, 1, "the truncation was observed");
     assert_eq!(observed.len(), head.len() + replacement.len());
 
     let offline = offline_reference(context(), &observed, &FieldMapping::canonical(), 64)
         .expect("offline reference");
-    let live_alerts: Vec<String> = report.alerts.iter().map(ToString::to_string).collect();
     assert_differential(&report, &live_alerts, &dir.join("dead.ndjson"), &offline);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -262,7 +265,7 @@ fn corrupt_gzip_is_a_stream_level_dead_letter_matching_offline() {
     let script = ChaosScript::new(&log, vec![ChaosStep::Append(archive.clone())]);
     let runner = PipelineRunner::new(config(&dir));
     let mut sink = context().indexed_sink(false);
-    let (outcome, observed) = run_live(&runner, &log, script, &mut sink);
+    let (outcome, _, observed) = run_live(&runner, &log, script, &mut sink);
 
     // Live fails the stream, like the offline run on the same bytes.
     let error = outcome.expect_err("corrupt gzip must fail the run");
@@ -299,9 +302,11 @@ fn graceful_drain_then_resume_completes_the_identical_stream() {
     let runner1 = PipelineRunner::new(config1);
     let mut sink1 = context().indexed_sink(false);
     let progress1 = runner1.progress();
+    let mut live_alerts = Vec::new();
     let report1 = std::thread::scope(|scope| {
         let source = LiveSource::tail(&log, fast_follow());
-        let pipeline = scope.spawn(|| runner1.run(source, &mut sink1, |_| {}));
+        let pipeline = scope
+            .spawn(|| runner1.run(source, &mut sink1, |alert| live_alerts.push(alert.to_string())));
         let script = ChaosScript::new(&log, vec![ChaosStep::Append(first.clone().into_bytes())]);
         let scripted = script.run(&progress1);
         std::fs::write(&stop_file, b"drain").expect("stop file");
@@ -341,7 +346,8 @@ fn graceful_drain_then_resume_completes_the_identical_stream() {
             &log,
             FollowConfig { start_offset: first.len() as u64, ..fast_follow() },
         );
-        let pipeline = scope.spawn(|| runner2.run(source, &mut sink2, |_| {}));
+        let pipeline = scope
+            .spawn(|| runner2.run(source, &mut sink2, |alert| live_alerts.push(alert.to_string())));
         let script = ChaosScript::new(&log, vec![ChaosStep::Append(second.clone().into_bytes())]);
         // Run 2 only observes the second half: offsets continue, bytes
         // observed this run start at zero.
@@ -356,8 +362,6 @@ fn graceful_drain_then_resume_completes_the_identical_stream() {
     let whole = format!("{first}{second}");
     let offline = offline_reference(context(), whole.as_bytes(), &FieldMapping::canonical(), 64)
         .expect("offline reference");
-    let mut live_alerts: Vec<String> = report1.alerts.iter().map(ToString::to_string).collect();
-    live_alerts.extend(report2.alerts.iter().map(ToString::to_string));
     assert_eq!(sorted(&live_alerts), sorted(&offline.alerts), "resumed stream diverged");
     assert_eq!(report2.events, offline.report.stats.events, "cumulative event count diverged");
     let _ = std::fs::remove_dir_all(&dir);
@@ -397,11 +401,13 @@ fn pipe_source_drains_on_eof_and_matches_offline() {
     let runner = PipelineRunner::new(config);
     let mut sink = context().indexed_sink(false);
     let source = LiveSource::pipe(Box::new(reader), fast_follow());
-    let report = runner.run(source, &mut sink, |_| {}).expect("pipe run");
+    let mut live_alerts = Vec::new();
+    let report = runner
+        .run(source, &mut sink, |alert| live_alerts.push(alert.to_string()))
+        .expect("pipe run");
 
     let offline = offline_reference(context(), &corpus, &FieldMapping::canonical(), 64)
         .expect("offline reference");
-    let live_alerts: Vec<String> = report.alerts.iter().map(ToString::to_string).collect();
     assert_differential(&report, &live_alerts, &dir.join("dead.ndjson"), &offline);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -457,15 +463,15 @@ fn distributed_sink_with_fault_plan_survives_composed_chaos() {
     config.checkpoint = None; // the supervisor checkpoints its workers
     config.batch = 16;
     let runner = PipelineRunner::new(config);
-    let (outcome, observed) = run_live(&runner, &log, script, &mut sink);
+    let (outcome, mut live_alerts, observed) = run_live(&runner, &log, script, &mut sink);
     let report = outcome.expect("pipeline run over the distributed sink");
+    assert_eq!(report.alerts, live_alerts.len() as u64, "the report counts every alert");
     let mut monitor = sink.into_monitor();
     let (late, stats) = monitor.shutdown().expect("shutdown");
     assert!(!stats.recoveries.is_empty(), "the injected kill forced a recovery");
 
     let offline = offline_reference(context(), &observed, &FieldMapping::canonical(), 16)
         .expect("offline reference");
-    let mut live_alerts: Vec<String> = report.alerts.iter().map(ToString::to_string).collect();
     live_alerts.extend(late.iter().map(ToString::to_string));
     assert_eq!(
         sorted(&live_alerts),
