@@ -5,10 +5,15 @@
 //! later record must match its arity. Quoted cells use doubled `""` quotes;
 //! embedded newlines inside quoted cells are handled upstream by the reader,
 //! which joins physical lines until quotes balance before calling in here.
+//!
+//! A data record borrows its keys from the parser's header and its cells
+//! from the line; only a quoted cell with a doubled `""` is decoded into an
+//! owned string.
 
 use crate::error::{snippet, IngestError};
 use crate::reader::Format;
-use crate::record::{RawRecord, RawValue};
+use crate::record::{scanned_text, RawRecord, RawValue};
+use std::borrow::Cow;
 
 /// Stateful CSV record parser (header-first).
 #[derive(Debug, Default)]
@@ -23,20 +28,24 @@ impl CsvParser {
 
     /// Feeds one logical record (physical lines already joined). Returns
     /// `None` for the header record, `Some(record)` for data records.
-    pub(crate) fn parse_record(
-        &mut self,
+    pub(crate) fn parse_record<'a>(
+        &'a mut self,
         line_no: u64,
-        line: &str,
-    ) -> Result<Option<RawRecord>, IngestError> {
+        line: &'a str,
+    ) -> Result<Option<RawRecord<'a>>, IngestError> {
         let cells = split_cells(line_no, line)?;
-        match &self.header {
+        match self.header {
             None => {
-                let mut names = Vec::with_capacity(cells.len());
+                let mut names: Vec<String> = Vec::with_capacity(cells.len());
                 for (name, column) in cells {
-                    if names.contains(&name) {
-                        return Err(IngestError::DuplicateKey { line: line_no, column, key: name });
+                    if names.iter().any(|seen| *seen == name) {
+                        return Err(IngestError::DuplicateKey {
+                            line: line_no,
+                            column,
+                            key: name.into_owned(),
+                        });
                     }
-                    names.push(name);
+                    names.push(name.into_owned());
                 }
                 if names.iter().all(|name| name.is_empty()) {
                     return Err(IngestError::Syntax {
@@ -49,7 +58,7 @@ impl CsvParser {
                 self.header = Some(names);
                 Ok(None)
             }
-            Some(header) => {
+            Some(ref header) => {
                 if cells.len() != header.len() {
                     return Err(IngestError::Syntax {
                         line: line_no,
@@ -64,7 +73,7 @@ impl CsvParser {
                 }
                 let mut record = RawRecord::new(line_no);
                 for (name, (value, _)) in header.iter().zip(cells) {
-                    record.push(name.clone(), RawValue::Str(value));
+                    record.push(name.as_str(), RawValue::Str(value));
                 }
                 Ok(Some(record))
             }
@@ -73,7 +82,7 @@ impl CsvParser {
 }
 
 /// Splits one logical CSV record into `(cell, 1-based start column)` pairs.
-fn split_cells(line_no: u64, line: &str) -> Result<Vec<(String, u32)>, IngestError> {
+fn split_cells(line_no: u64, line: &str) -> Result<Vec<(Cow<'_, str>, u32)>, IngestError> {
     let error = |pos: usize, message: &str| IngestError::Syntax {
         line: line_no,
         column: pos as u32 + 1,
@@ -87,36 +96,33 @@ fn split_cells(line_no: u64, line: &str) -> Result<Vec<(String, u32)>, IngestErr
         let start = pos;
         let cell = if bytes.get(pos) == Some(&b'"') {
             pos += 1;
-            let mut out = String::new();
-            loop {
-                match bytes.get(pos) {
-                    None => return Err(error(start, "unterminated quoted cell")),
-                    Some(b'"') => {
-                        if bytes.get(pos + 1) == Some(&b'"') {
-                            out.push('"');
-                            pos += 2;
-                        } else {
-                            pos += 1;
-                            break;
-                        }
-                    }
-                    Some(_) => {
-                        let ch = line[pos..]
-                            .chars()
-                            .next()
-                            .ok_or_else(|| error(pos, "invalid UTF-8 in quoted cell"))?;
-                        out.push(ch);
-                        pos += ch.len_utf8();
-                    }
+            // The cell stays a slice of the line until a doubled quote
+            // forces a copy.
+            let mut decoded: Option<String> = None;
+            let mut run_start = pos;
+            let cell = loop {
+                pos +=
+                    bytes[pos..].iter().position(|&byte| byte == b'"').unwrap_or(bytes.len() - pos);
+                if pos == bytes.len() {
+                    return Err(error(start, "unterminated quoted cell"));
                 }
-            }
+                if bytes.get(pos + 1) == Some(&b'"') {
+                    // Keep the first quote of the pair, skip the second.
+                    decoded.get_or_insert_with(String::new).push_str(&line[run_start..=pos]);
+                    pos += 2;
+                    run_start = pos;
+                } else {
+                    pos += 1;
+                    break scanned_text(decoded, &line[run_start..pos - 1]);
+                }
+            };
             match bytes.get(pos) {
                 None | Some(b',') => {}
                 Some(_) => {
                     return Err(error(pos, "content after the closing quote of a cell"));
                 }
             }
-            out
+            cell
         } else {
             let cell_start = pos;
             while let Some(&byte) = bytes.get(pos) {
@@ -128,7 +134,7 @@ fn split_cells(line_no: u64, line: &str) -> Result<Vec<(String, u32)>, IngestErr
                 }
                 pos += 1;
             }
-            line[cell_start..pos].to_owned()
+            Cow::Borrowed(&line[cell_start..pos])
         };
         if cell.len() > u32::MAX as usize {
             // Unreachable in practice (line limits bound cells first), but
@@ -154,15 +160,17 @@ pub(crate) fn quote_count(line: &str) -> usize {
 mod tests {
     use super::*;
 
-    fn header_then(line: &str) -> Result<Option<RawRecord>, IngestError> {
+    /// A parser that has read an `a,b,c` header.
+    fn primed() -> CsvParser {
         let mut parser = CsvParser::new();
-        parser.parse_record(1, "a,b,c")?;
-        parser.parse_record(2, line)
+        assert_eq!(parser.parse_record(1, "a,b,c"), Ok(None));
+        parser
     }
 
     #[test]
     fn header_then_records_map_by_column_name() {
-        let record = header_then("1,two,\"th,ree\"").unwrap().unwrap();
+        let mut parser = primed();
+        let record = parser.parse_record(2, "1,two,\"th,ree\"").unwrap().unwrap();
         assert_eq!(record.get("a"), Some(&RawValue::Str("1".into())));
         assert_eq!(record.get("b"), Some(&RawValue::Str("two".into())));
         assert_eq!(record.get("c"), Some(&RawValue::Str("th,ree".into())));
@@ -171,15 +179,26 @@ mod tests {
 
     #[test]
     fn doubled_quotes_and_embedded_newlines_decode() {
-        let record = header_then("\"he said \"\"hi\"\"\",\"line1\nline2\",z").unwrap().unwrap();
-        assert_eq!(record.get("a"), Some(&RawValue::Str("he said \"hi\"".into())));
-        assert_eq!(record.get("b"), Some(&RawValue::Str("line1\nline2".into())));
+        let mut parser = primed();
+        let record =
+            parser.parse_record(2, "\"he said \"\"hi\"\"\",\"line1\nline2\",z").unwrap().unwrap();
+        assert!(
+            matches!(record.get("a"), Some(RawValue::Str(Cow::Owned(a))) if a == "he said \"hi\"")
+        );
+        assert!(matches!(record.get("b"), Some(RawValue::Str(Cow::Borrowed("line1\nline2")))));
+        assert!(matches!(record.get("c"), Some(RawValue::Str(Cow::Borrowed("z")))));
     }
 
     #[test]
     fn arity_mismatches_are_typed() {
-        assert!(matches!(header_then("1,2"), Err(IngestError::Syntax { line: 2, .. })));
-        assert!(matches!(header_then("1,2,3,4"), Err(IngestError::Syntax { line: 2, .. })));
+        assert!(matches!(
+            primed().parse_record(2, "1,2"),
+            Err(IngestError::Syntax { line: 2, .. })
+        ));
+        assert!(matches!(
+            primed().parse_record(2, "1,2,3,4"),
+            Err(IngestError::Syntax { line: 2, .. })
+        ));
     }
 
     #[test]
@@ -189,16 +208,17 @@ mod tests {
             parser.parse_record(1, "a,b,a"),
             Err(IngestError::DuplicateKey { column: 5, .. })
         ));
-        assert!(matches!(header_then("\"open,2,3"), Err(IngestError::Syntax { .. })));
-        assert!(matches!(header_then("\"x\"y,2,3"), Err(IngestError::Syntax { .. })));
-        assert!(matches!(header_then("ab\"cd,2,3"), Err(IngestError::Syntax { .. })));
+        assert!(matches!(primed().parse_record(2, "\"open,2,3"), Err(IngestError::Syntax { .. })));
+        assert!(matches!(primed().parse_record(2, "\"x\"y,2,3"), Err(IngestError::Syntax { .. })));
+        assert!(matches!(primed().parse_record(2, "ab\"cd,2,3"), Err(IngestError::Syntax { .. })));
     }
 
     #[test]
     fn empty_cells_and_trailing_commas_are_positional() {
-        let record = header_then(",,").unwrap().unwrap();
-        assert_eq!(record.get("a"), Some(&RawValue::Str(String::new())));
-        assert_eq!(record.get("c"), Some(&RawValue::Str(String::new())));
+        let mut parser = primed();
+        let record = parser.parse_record(2, ",,").unwrap().unwrap();
+        assert_eq!(record.get("a"), Some(&RawValue::Str("".into())));
+        assert_eq!(record.get("c"), Some(&RawValue::Str("".into())));
     }
 
     #[test]

@@ -7,13 +7,18 @@
 //! arrays of strings. Anything deeper parses (it must, to find the end of
 //! the value) but surfaces as [`RawValue::Complex`] so the mapping layer can
 //! report a typed error instead of silently stringifying structure.
+//!
+//! Strings borrow from the line: a string is scanned a run of plain bytes
+//! at a time, and one with no escape is a slice of the line. Only an
+//! escaped string is decoded into an owned copy.
 
 use crate::error::{snippet, IngestError};
 use crate::reader::Format;
-use crate::record::{RawRecord, RawValue};
+use crate::record::{scanned_text, RawRecord, RawValue};
+use std::borrow::Cow;
 
-/// Parses one NDJSON object line into a record.
-pub(crate) fn parse_line(line_no: u64, line: &str) -> Result<RawRecord, IngestError> {
+/// Parses one NDJSON object line into a record borrowing from `line`.
+pub(crate) fn parse_line(line_no: u64, line: &str) -> Result<RawRecord<'_>, IngestError> {
     let mut parser = Parser { line_no, bytes: line.as_bytes(), text: line, pos: 0 };
     parser.skip_ws();
     let record = parser.object()?;
@@ -60,7 +65,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<RawRecord, IngestError> {
+    fn object(&mut self) -> Result<RawRecord<'a>, IngestError> {
         self.expect(b'{', "`{` opening the record object")?;
         let mut record = RawRecord::new(self.line_no);
         self.skip_ws();
@@ -76,7 +81,7 @@ impl<'a> Parser<'a> {
                 return Err(IngestError::DuplicateKey {
                     line: self.line_no,
                     column: key_at as u32 + 1,
-                    key,
+                    key: key.into_owned(),
                 });
             }
             self.skip_ws();
@@ -96,7 +101,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<RawValue, IngestError> {
+    fn value(&mut self) -> Result<RawValue<'a>, IngestError> {
         match self.peek() {
             Some(b'"') => Ok(RawValue::Str(self.string()?)),
             Some(b'[') => self.array(),
@@ -113,7 +118,11 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &'static str, value: RawValue) -> Result<RawValue, IngestError> {
+    fn literal(
+        &mut self,
+        word: &'static str,
+        value: RawValue<'a>,
+    ) -> Result<RawValue<'a>, IngestError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
@@ -122,7 +131,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<RawValue, IngestError> {
+    fn number(&mut self) -> Result<RawValue<'a>, IngestError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -157,10 +166,10 @@ impl<'a> Parser<'a> {
                 return Err(self.error("expected digits in the exponent"));
             }
         }
-        Ok(RawValue::Number(self.text[start..self.pos].to_owned()))
+        Ok(RawValue::Number(&self.text[start..self.pos]))
     }
 
-    fn array(&mut self) -> Result<RawValue, IngestError> {
+    fn array(&mut self) -> Result<RawValue<'a>, IngestError> {
         self.expect(b'[', "`[`")?;
         self.skip_ws();
         if self.peek() == Some(b']') {
@@ -187,84 +196,84 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<String, IngestError> {
+    fn string(&mut self) -> Result<Cow<'a, str>, IngestError> {
         self.expect(b'"', "`\"` opening a string")?;
-        let mut out = String::new();
+        // The string stays a slice of the line until an escape forces a
+        // copy; each run of plain bytes is then appended whole.
+        let mut decoded: Option<String> = None;
+        let mut run_start = self.pos;
         loop {
-            let at = self.pos;
+            self.pos += self.bytes[self.pos..]
+                .iter()
+                .position(|&byte| byte == b'"' || byte == b'\\' || byte < 0x20)
+                .unwrap_or(self.bytes.len() - self.pos);
+            let run = &self.text[run_start..self.pos];
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(scanned_text(decoded, run));
                 }
                 Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let unit = self.hex4()?;
-                            let ch = if (0xd800..0xdc00).contains(&unit) {
-                                // High surrogate: require the paired escape.
-                                if self.peek() == Some(b'\\') {
-                                    self.pos += 1;
-                                } else {
-                                    self.pos = at;
-                                    return Err(self.error("unpaired surrogate escape"));
-                                }
-                                if self.peek() == Some(b'u') {
-                                    self.pos += 1;
-                                } else {
-                                    self.pos = at;
-                                    return Err(self.error("unpaired surrogate escape"));
-                                }
-                                let low = self.hex4()?;
-                                if !(0xdc00..0xe000).contains(&low) {
-                                    self.pos = at;
-                                    return Err(self.error("unpaired surrogate escape"));
-                                }
-                                let scalar = 0x10000
-                                    + ((u32::from(unit) - 0xd800) << 10)
-                                    + (u32::from(low) - 0xdc00);
-                                char::from_u32(scalar)
-                                    .ok_or_else(|| self.error("invalid surrogate pair"))?
-                            } else if (0xdc00..0xe000).contains(&unit) {
-                                self.pos = at;
-                                return Err(self.error("unpaired surrogate escape"));
-                            } else {
-                                char::from_u32(u32::from(unit))
-                                    .ok_or_else(|| self.error("invalid \\u escape"))?
-                            };
-                            out.push(ch);
-                            continue;
-                        }
-                        _ => return Err(self.error("invalid escape sequence")),
-                    }
-                    self.pos += 1;
+                    let out = decoded.get_or_insert_with(String::new);
+                    out.push_str(run);
+                    out.push(self.escape()?);
+                    run_start = self.pos;
                 }
-                Some(byte) if byte < 0x20 => {
-                    return Err(self.error("unescaped control character in string"))
-                }
-                Some(_) => {
-                    // Consume one whole UTF-8 character (input is validated
-                    // UTF-8 before parsing, so char boundaries are sound).
-                    let ch = self.text[self.pos..]
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.error("invalid UTF-8 in string"))?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                Some(_) => return Err(self.error("unescaped control character in string")),
             }
         }
+    }
+
+    /// Decodes the escape sequence starting at the `\\` under the cursor.
+    fn escape(&mut self) -> Result<char, IngestError> {
+        let at = self.pos;
+        self.pos += 1;
+        let ch = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                let unit = self.hex4()?;
+                return if (0xd800..0xdc00).contains(&unit) {
+                    // High surrogate: require the paired escape.
+                    if self.peek() == Some(b'\\') {
+                        self.pos += 1;
+                    } else {
+                        self.pos = at;
+                        return Err(self.error("unpaired surrogate escape"));
+                    }
+                    if self.peek() == Some(b'u') {
+                        self.pos += 1;
+                    } else {
+                        self.pos = at;
+                        return Err(self.error("unpaired surrogate escape"));
+                    }
+                    let low = self.hex4()?;
+                    if !(0xdc00..0xe000).contains(&low) {
+                        self.pos = at;
+                        return Err(self.error("unpaired surrogate escape"));
+                    }
+                    let scalar =
+                        0x10000 + ((u32::from(unit) - 0xd800) << 10) + (u32::from(low) - 0xdc00);
+                    char::from_u32(scalar).ok_or_else(|| self.error("invalid surrogate pair"))
+                } else if (0xdc00..0xe000).contains(&unit) {
+                    self.pos = at;
+                    Err(self.error("unpaired surrogate escape"))
+                } else {
+                    char::from_u32(u32::from(unit)).ok_or_else(|| self.error("invalid \\u escape"))
+                };
+            }
+            _ => return Err(self.error("invalid escape sequence")),
+        };
+        self.pos += 1;
+        Ok(ch)
     }
 
     fn hex4(&mut self) -> Result<u16, IngestError> {
@@ -272,9 +281,18 @@ impl<'a> Parser<'a> {
         if end > self.bytes.len() {
             return Err(self.error("truncated \\u escape"));
         }
-        let hex = &self.text[self.pos..end];
-        let unit = u16::from_str_radix(hex, 16)
-            .map_err(|_| self.error(format!("invalid \\u escape `{}`", snippet(hex))))?;
+        // Check the bytes first: a multi-byte character among them would
+        // put `end` inside it, and `from_str_radix` alone would accept `+`.
+        let digits = &self.bytes[self.pos..end];
+        let unit = if digits.iter().all(u8::is_ascii_hexdigit) {
+            u16::from_str_radix(&self.text[self.pos..end], 16).ok()
+        } else {
+            None
+        };
+        let unit = unit.ok_or_else(|| {
+            let shown = String::from_utf8_lossy(digits);
+            self.error(format!("invalid \\u escape `{}`", snippet(&shown)))
+        })?;
         self.pos = end;
         Ok(unit)
     }
@@ -284,7 +302,7 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
 
-    fn parse(line: &str) -> Result<RawRecord, IngestError> {
+    fn parse(line: &str) -> Result<RawRecord<'_>, IngestError> {
         parse_line(1, line)
     }
 
@@ -294,11 +312,25 @@ mod tests {
             r#"{"seq": 3, "user": "u-1", "fields": ["name", "dob"], "permitted": true, "store": null}"#,
         )
         .unwrap();
-        assert_eq!(record.get("seq"), Some(&RawValue::Number("3".into())));
+        assert_eq!(record.get("seq"), Some(&RawValue::Number("3")));
         assert_eq!(record.get("user"), Some(&RawValue::Str("u-1".into())));
         assert_eq!(record.get("fields"), Some(&RawValue::List(vec!["name".into(), "dob".into()])));
         assert_eq!(record.get("permitted"), Some(&RawValue::Bool(true)));
         assert_eq!(record.get("store"), Some(&RawValue::Null));
+    }
+
+    #[test]
+    fn plain_strings_borrow_and_escaped_strings_decode() {
+        let record =
+            parse(r#"{"plain": "u-1", "esc\u0061ped": "tab\there", "n": -1.5e3}"#).unwrap();
+        let [(plain_key, plain), (escaped_key, escaped), (_, number)] = record.pairs() else {
+            panic!("expected three pairs, got {record:?}");
+        };
+        assert!(matches!(plain_key, Cow::Borrowed("plain")));
+        assert!(matches!(plain, RawValue::Str(Cow::Borrowed("u-1"))));
+        assert!(matches!(escaped_key, Cow::Owned(key) if key == "escaped"));
+        assert!(matches!(escaped, RawValue::Str(Cow::Owned(text)) if text == "tab\there"));
+        assert_eq!(number, &RawValue::Number("-1.5e3"));
     }
 
     #[test]
@@ -338,6 +370,21 @@ mod tests {
             (r#"{"a": 1.}"#, 9),
             (r#"{"a": "\q"}"#, 9),
             (r#"{"a": "\ud800x"}"#, 8),
+            // The borrowing scan hands over to the decoder mid-string:
+            // an escape, a control byte or the end of the line after a
+            // plain prefix reports the column the decoder always did.
+            (r#"{"a": "plainplainplain\q"}"#, 24),
+            ("{\"a\": \"plain\u{1}x\"}", 13),
+            (r#"{"a": "plain\nrest"#, 19),
+            (r#"{"plainplainplain\q": 1}"#, 19),
+            // Content right after a borrowed closing quote.
+            (r#"{"a": "plain"x}"#, 14),
+            (r#"{"a": "plain""}"#, 14),
+            // A multi-byte character among the four `\u` digits.
+            (r#"{"a": "\u000é"}"#, 10),
+            (r#"{"a": "ok\u00é0"}"#, 12),
+            (r#"{"a": "\ud83d\ude0é"}"#, 16),
+            (r#"{"a": "\u+123"}"#, 10),
         ] {
             let error = parse(line).unwrap_err();
             match error {

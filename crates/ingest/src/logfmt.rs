@@ -4,13 +4,17 @@
 //! separated by runs of spaces; a value is either a bare token (no spaces or
 //! quotes) or a double-quoted string with `\"`, `\\`, `\n`, `\r`, `\t`
 //! escapes; a bare key with no `=` is boolean `true`.
+//!
+//! Keys and bare values are slices of the line, and so is a quoted value
+//! with no escape; only an escaped value is decoded into an owned string.
 
 use crate::error::IngestError;
 use crate::reader::Format;
-use crate::record::{RawRecord, RawValue};
+use crate::record::{scanned_text, RawRecord, RawValue};
+use std::borrow::Cow;
 
-/// Parses one logfmt line into a record.
-pub(crate) fn parse_line(line_no: u64, line: &str) -> Result<RawRecord, IngestError> {
+/// Parses one logfmt line into a record borrowing from `line`.
+pub(crate) fn parse_line(line_no: u64, line: &str) -> Result<RawRecord<'_>, IngestError> {
     let mut parser = Parser { line_no, bytes: line.as_bytes(), text: line, pos: 0 };
     let mut record = RawRecord::new(line_no);
     loop {
@@ -20,11 +24,11 @@ pub(crate) fn parse_line(line_no: u64, line: &str) -> Result<RawRecord, IngestEr
         }
         let key_at = parser.pos;
         let key = parser.key()?;
-        if record.contains(&key) {
+        if record.contains(key) {
             return Err(IngestError::DuplicateKey {
                 line: line_no,
                 column: key_at as u32 + 1,
-                key,
+                key: key.to_owned(),
             });
         }
         let value = if parser.peek() == Some(b'=') {
@@ -65,7 +69,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn key(&mut self) -> Result<String, IngestError> {
+    fn key(&mut self) -> Result<&'a str, IngestError> {
         let start = self.pos;
         while let Some(byte) = self.peek() {
             if matches!(byte, b' ' | b'\t' | b'=') {
@@ -79,10 +83,10 @@ impl<'a> Parser<'a> {
         if self.pos == start {
             return Err(self.error("expected a key"));
         }
-        Ok(self.text[start..self.pos].to_owned())
+        Ok(&self.text[start..self.pos])
     }
 
-    fn value(&mut self) -> Result<RawValue, IngestError> {
+    fn value(&mut self) -> Result<RawValue<'a>, IngestError> {
         if self.peek() == Some(b'"') {
             self.quoted()
         } else {
@@ -98,14 +102,22 @@ impl<'a> Parser<'a> {
             }
             // `key=` (empty bare value) is an empty string, as Go logfmt
             // reads it.
-            Ok(RawValue::Str(self.text[start..self.pos].to_owned()))
+            Ok(RawValue::Str(Cow::Borrowed(&self.text[start..self.pos])))
         }
     }
 
-    fn quoted(&mut self) -> Result<RawValue, IngestError> {
+    fn quoted(&mut self) -> Result<RawValue<'a>, IngestError> {
         self.pos += 1; // opening quote
-        let mut out = String::new();
+                       // The value stays a slice of the line until an escape forces a
+                       // copy; each run of plain bytes is then appended whole.
+        let mut decoded: Option<String> = None;
+        let mut run_start = self.pos;
         loop {
+            self.pos += self.bytes[self.pos..]
+                .iter()
+                .position(|&byte| byte == b'"' || byte == b'\\')
+                .unwrap_or(self.bytes.len() - self.pos);
+            let run = &self.text[run_start..self.pos];
             match self.peek() {
                 None => return Err(self.error("unterminated quoted value")),
                 Some(b'"') => {
@@ -116,27 +128,24 @@ impl<'a> Parser<'a> {
                             return Err(self.error("content after the closing quote"));
                         }
                     }
-                    return Ok(RawValue::Str(out));
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        _ => return Err(self.error("invalid escape in quoted value")),
-                    }
-                    self.pos += 1;
+                    return Ok(RawValue::Str(scanned_text(decoded, run)));
                 }
                 Some(_) => {
-                    let ch = self.text[self.pos..]
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.error("invalid UTF-8 in quoted value"))?;
+                    // A backslash.
+                    self.pos += 1;
+                    let ch = match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        _ => return Err(self.error("invalid escape in quoted value")),
+                    };
+                    self.pos += 1;
+                    let out = decoded.get_or_insert_with(String::new);
+                    out.push_str(run);
                     out.push(ch);
-                    self.pos += ch.len_utf8();
+                    run_start = self.pos;
                 }
             }
         }
@@ -147,7 +156,7 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
 
-    fn parse(line: &str) -> Result<RawRecord, IngestError> {
+    fn parse(line: &str) -> Result<RawRecord<'_>, IngestError> {
         parse_line(1, line)
     }
 
@@ -159,7 +168,7 @@ mod tests {
         assert_eq!(record.get("seq"), Some(&RawValue::Str("9".into())));
         assert_eq!(record.get("msg"), Some(&RawValue::Str("hello world".into())));
         assert_eq!(record.get("note"), Some(&RawValue::Str("a=\"b\" \\ end".into())));
-        assert_eq!(record.get("empty"), Some(&RawValue::Str(String::new())));
+        assert_eq!(record.get("empty"), Some(&RawValue::Str("".into())));
         assert_eq!(record.get("verbose"), Some(&RawValue::Bool(true)));
     }
 
@@ -178,6 +187,35 @@ mod tests {
         assert!(matches!(parse(r#"a=b"c"#), Err(IngestError::Syntax { .. })));
         assert!(matches!(parse(r#"a="\q""#), Err(IngestError::Syntax { .. })));
         assert!(matches!(parse(r#"="v""#), Err(IngestError::Syntax { .. })));
+        // The borrowing scan hands over to the decoder mid-value, and a
+        // borrowed value ends its token, at the decoder's columns.
+        for (line, bad_col) in [
+            (r#"a="x"y"#, 6),
+            (r#"a=b"c"#, 4),
+            (r#"a="\q""#, 5),
+            (r#"a="plainplainplain\q""#, 20),
+            (r#"a="plain\"rest"#, 15),
+            (r#"a="plain" b="plain"x"#, 20),
+            (r#"a="plain"""#, 10),
+            (r#"a="unterminated"#, 16),
+        ] {
+            match parse(line) {
+                Err(IngestError::Syntax { column, .. }) => {
+                    assert_eq!(column, bad_col, "line {line:?}")
+                }
+                other => panic!("line {line:?}: unexpected {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn plain_values_borrow_and_escaped_values_decode() {
+        let record = parse(r#"user=u-1 msg="hello world" note="a\"b""#).unwrap();
+        assert!(matches!(record.get("user"), Some(RawValue::Str(Cow::Borrowed("u-1")))));
+        assert!(matches!(record.get("msg"), Some(RawValue::Str(Cow::Borrowed("hello world")))));
+        assert!(
+            matches!(record.get("note"), Some(RawValue::Str(Cow::Owned(note))) if note == "a\"b")
+        );
     }
 
     #[test]

@@ -4,20 +4,27 @@
 //! list of `(key, value)` pairs with the line's provenance attached. The
 //! [`crate::resolve`] layer then maps records onto
 //! [`privacy_runtime::Event`]s through a [`crate::FieldMapping`].
+//!
+//! A record borrows from the line it was parsed from: keys, strings, list
+//! items and number lexemes are slices of the line, and only text that an
+//! escape sequence changes (a JSON `\n`, a logfmt `\"`, a CSV `""`) is
+//! decoded into an owned string. Parsing an escape-free line therefore
+//! allocates the pair list, plus one item list per JSON array, and no text.
 
+use std::borrow::Cow;
 use std::fmt;
 
-/// One parsed value of a record column.
+/// One parsed value of a record column, borrowing from the line.
 #[derive(Debug, Clone, PartialEq)]
-pub enum RawValue {
+pub enum RawValue<'a> {
     /// A textual value (logfmt and CSV cells, JSON strings).
-    Str(String),
+    Str(Cow<'a, str>),
     /// A list of strings (a JSON array of strings).
-    List(Vec<String>),
+    List(Vec<Cow<'a, str>>),
     /// A JSON boolean.
     Bool(bool),
     /// A JSON number, kept as its lexeme so integers survive exactly.
-    Number(String),
+    Number(&'a str),
     /// A JSON `null`.
     Null,
     /// A structured JSON value (nested object, mixed array) the mapping
@@ -25,11 +32,12 @@ pub enum RawValue {
     Complex,
 }
 
-impl RawValue {
+impl<'a> RawValue<'a> {
     /// The value as text, when it has a canonical textual form.
     pub fn as_text(&self) -> Option<&str> {
         match self {
-            RawValue::Str(text) | RawValue::Number(text) => Some(text),
+            RawValue::Str(text) => Some(text),
+            RawValue::Number(text) => Some(text),
             _ => None,
         }
     }
@@ -47,10 +55,11 @@ impl RawValue {
     }
 }
 
-impl fmt::Display for RawValue {
+impl fmt::Display for RawValue<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RawValue::Str(text) | RawValue::Number(text) => f.write_str(text),
+            RawValue::Str(text) => f.write_str(text),
+            RawValue::Number(text) => f.write_str(text),
             RawValue::List(items) => write!(f, "[{}]", items.join(", ")),
             RawValue::Bool(value) => write!(f, "{value}"),
             RawValue::Null => f.write_str("null"),
@@ -65,15 +74,19 @@ impl fmt::Display for RawValue {
 /// [`crate::IngestError::DuplicateKey`] at parse time), so lookup by key is
 /// unambiguous.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RawRecord {
+pub struct RawRecord<'a> {
     line: u64,
-    pairs: Vec<(String, RawValue)>,
+    pairs: Vec<(Cow<'a, str>, RawValue<'a>)>,
 }
 
-impl RawRecord {
+impl<'a> RawRecord<'a> {
+    /// Pairs reserved up front: the canonical schema has eight columns, so
+    /// a canonical record's pair list is allocated once.
+    const TYPICAL_PAIRS: usize = 8;
+
     /// Creates a record anchored at 1-based `line`.
     pub fn new(line: u64) -> Self {
-        RawRecord { line, pairs: Vec::new() }
+        RawRecord { line, pairs: Vec::with_capacity(Self::TYPICAL_PAIRS) }
     }
 
     /// The 1-based line the record was parsed from.
@@ -83,12 +96,12 @@ impl RawRecord {
 
     /// Appends a pair. The caller (a format parser) has already rejected
     /// duplicates.
-    pub fn push(&mut self, key: String, value: RawValue) {
-        self.pairs.push((key, value));
+    pub fn push(&mut self, key: impl Into<Cow<'a, str>>, value: RawValue<'a>) {
+        self.pairs.push((key.into(), value));
     }
 
     /// Looks a key up.
-    pub fn get(&self, key: &str) -> Option<&RawValue> {
+    pub fn get(&self, key: &str) -> Option<&RawValue<'a>> {
         self.pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
@@ -98,7 +111,7 @@ impl RawRecord {
     }
 
     /// The pairs in parse order.
-    pub fn pairs(&self) -> &[(String, RawValue)] {
+    pub fn pairs(&self) -> &[(Cow<'a, str>, RawValue<'a>)] {
         &self.pairs
     }
 
@@ -113,6 +126,18 @@ impl RawRecord {
     }
 }
 
+/// The text of a string a parser scanned in runs: the last `run` itself
+/// when nothing was `decoded` before it, else the decoded text plus `run`.
+pub(crate) fn scanned_text(decoded: Option<String>, run: &str) -> Cow<'_, str> {
+    match decoded {
+        None => Cow::Borrowed(run),
+        Some(mut text) => {
+            text.push_str(run);
+            Cow::Owned(text)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,8 +145,8 @@ mod tests {
     #[test]
     fn records_preserve_order_and_look_up_by_key() {
         let mut record = RawRecord::new(3);
-        record.push("user".to_owned(), RawValue::Str("alice".to_owned()));
-        record.push("seq".to_owned(), RawValue::Number("7".to_owned()));
+        record.push("user", RawValue::Str("alice".into()));
+        record.push("seq".to_owned(), RawValue::Number("7"));
         assert_eq!(record.line(), 3);
         assert_eq!(record.len(), 2);
         assert!(!record.is_empty());

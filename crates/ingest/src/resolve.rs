@@ -6,12 +6,51 @@
 //! sequence key, mapped values must strictly increase (a regression is a
 //! typed [`IngestError::NonMonotoneSequence`]); without one, the resolver
 //! assigns its own counter.
+//!
+//! Service, actor, field and datastore ids come from small catalogs and
+//! repeat on nearly every line, so the resolver interns them: each role has
+//! a bounded `&str → id` map, and a repeated name resolves to a clone of
+//! the id it resolved to before (a reference-count bump, not a copy).
+//! User ids are high-cardinality and are not interned.
 
 use crate::error::{snippet, IngestError, Role};
 use crate::mapping::FieldMapping;
 use crate::record::{RawRecord, RawValue};
-use privacy_model::FieldId;
+use privacy_model::{ActorId, DatastoreId, FieldId, ServiceId, UserId};
 use privacy_runtime::Event;
+use std::borrow::{Borrow, Cow};
+use std::collections::HashSet;
+use std::hash::Hash;
+
+/// Entries one intern map holds before it is cleared. Real catalogs have a
+/// few dozen names per role; the bound only stops hostile input (a fresh
+/// actor name on every line) from growing the maps without limit.
+const INTERN_LIMIT: usize = 4096;
+
+/// A bounded set of ids of one role, looked up by their text.
+#[derive(Debug, Clone, Default)]
+struct Interner<T> {
+    ids: HashSet<T>,
+}
+
+impl<T> Interner<T>
+where
+    T: Borrow<str> + Clone + Eq + Hash + for<'s> From<&'s str>,
+{
+    /// The id spelled `text`: a clone of the interned one when present,
+    /// else a new id, interned (after clearing the map if it is full).
+    fn intern(&mut self, text: &str) -> T {
+        if let Some(id) = self.ids.get(text) {
+            return id.clone();
+        }
+        if self.ids.len() >= INTERN_LIMIT {
+            self.ids.clear();
+        }
+        let id = T::from(text);
+        self.ids.insert(id.clone());
+        id
+    }
+}
 
 /// Applies a [`FieldMapping`] to a stream of records.
 #[derive(Debug, Clone)]
@@ -21,12 +60,24 @@ pub struct Resolver {
     next_sequence: u64,
     /// The last accepted mapped sequence, for monotonicity enforcement.
     last_sequence: Option<u64>,
+    services: Interner<ServiceId>,
+    actors: Interner<ActorId>,
+    fields: Interner<FieldId>,
+    datastores: Interner<DatastoreId>,
 }
 
 impl Resolver {
     /// Creates a resolver over `mapping`; auto-assigned sequences start at 1.
     pub fn new(mapping: FieldMapping) -> Self {
-        Resolver { mapping, next_sequence: 1, last_sequence: None }
+        Resolver {
+            mapping,
+            next_sequence: 1,
+            last_sequence: None,
+            services: Interner::default(),
+            actors: Interner::default(),
+            fields: Interner::default(),
+            datastores: Interner::default(),
+        }
     }
 
     /// The mapping the resolver applies.
@@ -55,7 +106,7 @@ impl Resolver {
     /// is missing without a default, a value cannot be converted, or a
     /// mapped sequence fails to increase. A failed record does not advance
     /// the sequence state, so skipping it is sound.
-    pub fn resolve(&mut self, record: &RawRecord) -> Result<Event, IngestError> {
+    pub fn resolve(&mut self, record: &RawRecord<'_>) -> Result<Event, IngestError> {
         let line = record.line();
         let mapping = &self.mapping;
 
@@ -111,26 +162,22 @@ impl Resolver {
             ),
         })?;
 
-        let fields: Vec<FieldId> = match &mapping.fields_key {
-            None => Vec::new(),
+        let fields = match &mapping.fields_key {
+            None => ListItems::none(),
             Some(key) => match record.get(key) {
-                None | Some(RawValue::Null) => Vec::new(),
-                Some(RawValue::List(items)) => {
-                    items.iter().map(|item| FieldId::from(item.as_str())).collect()
-                }
+                None | Some(RawValue::Null) => ListItems::none(),
+                Some(RawValue::List(items)) => ListItems::Items(items.iter()),
                 Some(value) => {
                     let text = text_of(value, line, Role::Fields, key)?;
-                    split_list(text, mapping.list_separator)
-                        .map_err(|message| IngestError::BadValue {
+                    split_list(text, mapping.list_separator).map_err(|message| {
+                        IngestError::BadValue {
                             line,
                             role: Role::Fields,
                             key: key.clone(),
                             value: snippet(text),
                             message,
-                        })?
-                        .into_iter()
-                        .map(FieldId::from)
-                        .collect()
+                        }
+                    })?
                 }
             },
         };
@@ -141,11 +188,7 @@ impl Resolver {
                 None | Some(RawValue::Null) => None,
                 Some(value) => {
                     let text = text_of(value, line, Role::Datastore, key)?;
-                    if text.is_empty() {
-                        None
-                    } else {
-                        Some(text.into())
-                    }
+                    (!text.is_empty()).then_some(text)
                 }
             },
         };
@@ -192,28 +235,38 @@ impl Resolver {
             }
         };
 
-        Ok(Event::new(sequence, user, service, actor, action, fields, datastore, permitted))
+        let interned_fields = &mut self.fields;
+        Ok(Event::new(
+            sequence,
+            UserId::from(user),
+            self.services.intern(service),
+            self.actors.intern(actor),
+            action,
+            fields.map(|field| interned_fields.intern(&field)),
+            datastore.map(|store| self.datastores.intern(store)),
+            permitted,
+        ))
     }
 }
 
 /// A required textual id: mapped key, else default, else `MissingColumn`.
-fn required_id(
-    record: &RawRecord,
+fn required_id<'r>(
+    record: &'r RawRecord<'_>,
     line: u64,
     role: Role,
     key: &str,
-    default: Option<&str>,
-) -> Result<String, IngestError> {
+    default: Option<&'r str>,
+) -> Result<&'r str, IngestError> {
     match record.get(key) {
         None | Some(RawValue::Null) => match default {
-            Some(default) => Ok(default.to_owned()),
+            Some(default) => Ok(default),
             None => Err(IngestError::MissingColumn { line, role, key: key.to_owned() }),
         },
         Some(value) => {
             let text = text_of(value, line, role, key)?;
             if text.is_empty() {
                 match default {
-                    Some(default) => Ok(default.to_owned()),
+                    Some(default) => Ok(default),
                     None => Err(IngestError::BadValue {
                         line,
                         role,
@@ -223,14 +276,14 @@ fn required_id(
                     }),
                 }
             } else {
-                Ok(text.to_owned())
+                Ok(text)
             }
         }
     }
 }
 
 fn text_of<'v>(
-    value: &'v RawValue,
+    value: &'v RawValue<'_>,
     line: u64,
     role: Role,
     key: &str,
@@ -244,11 +297,43 @@ fn text_of<'v>(
     })
 }
 
+/// The items of a list column: borrowed from the record, unless a `\`
+/// escape in a separator-joined list had to be decoded.
+#[derive(Debug)]
+enum ListItems<'r> {
+    Items(std::slice::Iter<'r, Cow<'r, str>>),
+    Split(std::str::Split<'r, char>),
+    Decoded(std::vec::IntoIter<String>),
+}
+
+impl ListItems<'_> {
+    /// The empty list.
+    fn none() -> Self {
+        ListItems::Items([].iter())
+    }
+}
+
+impl<'r> Iterator for ListItems<'r> {
+    type Item = Cow<'r, str>;
+
+    fn next(&mut self) -> Option<Cow<'r, str>> {
+        match self {
+            ListItems::Items(items) => items.next().map(|item| Cow::Borrowed(item.as_ref())),
+            ListItems::Split(items) => items.next().map(Cow::Borrowed),
+            ListItems::Decoded(items) => items.next().map(Cow::Owned),
+        }
+    }
+}
+
 /// Splits a separator-joined list, honouring `\<sep>` and `\\` escapes (the
-/// emitter's inverse). An empty string is the empty list.
-fn split_list(text: &str, separator: char) -> Result<Vec<String>, String> {
+/// emitter's inverse). An empty string is the empty list. Items borrow from
+/// `text` unless it holds a `\`, which only an escaped list does.
+fn split_list(text: &str, separator: char) -> Result<ListItems<'_>, String> {
     if text.is_empty() {
-        return Ok(Vec::new());
+        return Ok(ListItems::none());
+    }
+    if !text.contains('\\') {
+        return Ok(ListItems::Split(text.split(separator)));
     }
     let mut items = Vec::new();
     let mut current = String::new();
@@ -267,14 +352,18 @@ fn split_list(text: &str, separator: char) -> Result<Vec<String>, String> {
         }
     }
     items.push(current);
-    Ok(items)
+    Ok(ListItems::Decoded(items.into_iter()))
 }
 
 fn parse_bool(text: &str) -> Option<bool> {
-    match text.trim().to_ascii_lowercase().as_str() {
-        "true" | "1" | "yes" => Some(true),
-        "false" | "0" | "no" => Some(false),
-        _ => None,
+    let text = text.trim();
+    let is = |words: [&str; 3]| words.iter().any(|word| text.eq_ignore_ascii_case(word));
+    if is(["true", "1", "yes"]) {
+        Some(true)
+    } else if is(["false", "0", "no"]) {
+        Some(false)
+    } else {
+        None
     }
 }
 
@@ -283,22 +372,22 @@ mod tests {
     use super::*;
     use privacy_lts::ActionKind;
 
-    fn record(pairs: &[(&str, RawValue)]) -> RawRecord {
+    fn record<'a>(pairs: &[(&'a str, RawValue<'a>)]) -> RawRecord<'a> {
         let mut record = RawRecord::new(7);
         for (key, value) in pairs {
-            record.push((*key).to_owned(), value.clone());
+            record.push(*key, value.clone());
         }
         record
     }
 
-    fn canonical(pairs: &[(&str, RawValue)]) -> Result<Event, IngestError> {
+    fn canonical(pairs: &[(&str, RawValue<'_>)]) -> Result<Event, IngestError> {
         Resolver::new(FieldMapping::canonical()).resolve(&record(pairs))
     }
 
     #[test]
     fn a_full_record_resolves_to_an_event() {
         let event = canonical(&[
-            ("seq", RawValue::Number("42".into())),
+            ("seq", RawValue::Number("42")),
             ("user", RawValue::Str("u-1".into())),
             ("service", RawValue::Str("portal".into())),
             ("actor", RawValue::Str("nurse".into())),
@@ -333,7 +422,7 @@ mod tests {
     #[test]
     fn auto_sequences_count_up_and_mapped_sequences_must_increase() {
         let mut resolver = Resolver::new(FieldMapping::canonical());
-        let base = |seq: Option<&str>| {
+        let base = |seq: Option<&'static str>| {
             let mut pairs = vec![
                 ("user", RawValue::Str("u".into())),
                 ("service", RawValue::Str("s".into())),
@@ -341,7 +430,7 @@ mod tests {
                 ("action", RawValue::Str("read".into())),
             ];
             if let Some(seq) = seq {
-                pairs.push(("seq", RawValue::Number(seq.into())));
+                pairs.push(("seq", RawValue::Number(seq)));
             }
             record(&pairs)
         };
@@ -442,10 +531,73 @@ mod tests {
             ("service", RawValue::Str("s".into())),
             ("actor", RawValue::Str("a".into())),
             ("action", RawValue::Str("anon".into())),
-            ("store", RawValue::Str(String::new())),
+            ("store", RawValue::Str("".into())),
         ])
         .unwrap();
         assert_eq!(event.datastore(), None);
         assert!(event.fields().is_empty());
+    }
+
+    #[test]
+    fn repeated_names_share_one_interned_id() {
+        let mut resolver = Resolver::new(FieldMapping::canonical());
+        let line = |user: &'static str| {
+            record(&[
+                ("user", RawValue::Str(user.into())),
+                ("service", RawValue::Str("portal".into())),
+                ("actor", RawValue::Str("nurse".into())),
+                ("action", RawValue::Str("read".into())),
+                ("fields", RawValue::Str("name;dob".into())),
+                ("store", RawValue::Str("records".into())),
+            ])
+        };
+        let first = resolver.resolve(&line("u-1")).unwrap();
+        let second = resolver.resolve(&line("u-2")).unwrap();
+        let shared = |a: &str, b: &str| std::ptr::eq(a, b);
+        assert!(shared(first.service().as_str(), second.service().as_str()));
+        assert!(shared(first.actor().as_str(), second.actor().as_str()));
+        assert!(shared(first.datastore().unwrap().as_str(), second.datastore().unwrap().as_str()));
+        for (a, b) in first.fields().iter().zip(second.fields()) {
+            assert!(shared(a.as_str(), b.as_str()));
+        }
+        assert!(!shared(first.user().as_str(), second.user().as_str()));
+    }
+
+    #[test]
+    fn more_names_than_the_intern_bound_resolve_exactly_and_stay_bounded() {
+        let mut resolver = Resolver::new(FieldMapping::canonical());
+        let names = 2 * INTERN_LIMIT + 7;
+        for i in 0..names {
+            // Every actor is new; fields mix new names with a recurring one,
+            // so hits and evictions interleave.
+            let actor = format!("actor-{i}");
+            let fields = format!("field-{i};shared;field-{}", i / 2);
+            let store = format!("store-{}", i % 3);
+            let event = resolver
+                .resolve(&record(&[
+                    ("user", RawValue::Str(format!("u-{i}").into())),
+                    ("service", RawValue::Str("portal".into())),
+                    ("actor", RawValue::Str(actor.as_str().into())),
+                    ("action", RawValue::Str("read".into())),
+                    ("fields", RawValue::Str(fields.as_str().into())),
+                    ("store", RawValue::Str(store.as_str().into())),
+                ]))
+                .unwrap();
+            let expected = Event::new(
+                i as u64 + 1,
+                format!("u-{i}"),
+                "portal",
+                actor.as_str(),
+                ActionKind::Read,
+                fields.split(';').map(FieldId::from),
+                Some(DatastoreId::from(store.as_str())),
+                true,
+            );
+            assert_eq!(event, expected);
+            assert!(resolver.actors.ids.len() <= INTERN_LIMIT);
+            assert!(resolver.fields.ids.len() <= INTERN_LIMIT);
+        }
+        assert_eq!(resolver.services.ids.len(), 1);
+        assert_eq!(resolver.datastores.ids.len(), 3);
     }
 }

@@ -16,6 +16,7 @@ use crate::reader::Format;
 use crate::resolve::Resolver;
 use crate::{json, logfmt};
 use privacy_runtime::Event;
+use std::borrow::Cow;
 
 /// How many raw bytes of a quarantined line are preserved verbatim in its
 /// dead-letter record (a hostile megabyte line must not balloon the file).
@@ -239,6 +240,8 @@ impl LineIngestor {
             }
         };
 
+        // The text of a CSV record, which the record parsed from it borrows.
+        let csv_text: Cow<'_, str>;
         let (record_offset, record) = match format {
             Format::Json => (start_offset, json::parse_line(line_no, line)),
             Format::Logfmt => (start_offset, logfmt::parse_line(line_no, line)),
@@ -248,9 +251,9 @@ impl LineIngestor {
                     Some((start_line, record_offset, mut text)) => {
                         text.push('\n');
                         text.push_str(line);
-                        (start_line, record_offset, text)
+                        (start_line, record_offset, Cow::Owned(text))
                     }
-                    None => (line_no, start_offset, line.to_owned()),
+                    None => (line_no, start_offset, Cow::Borrowed(line)),
                 };
                 if quote_count(&text) % 2 == 1 {
                     if text.len() > self.max_line_bytes {
@@ -262,10 +265,11 @@ impl LineIngestor {
                         };
                         return self.refuse(error, record_offset, end_offset, text.as_bytes());
                     }
-                    self.csv_pending = Some((start_line, record_offset, text));
+                    self.csv_pending = Some((start_line, record_offset, text.into_owned()));
                     return Ok(LinePush::Pending);
                 }
-                match self.csv.parse_record(start_line, &text) {
+                csv_text = text;
+                match self.csv.parse_record(start_line, &csv_text) {
                     Ok(None) => {
                         // Header row.
                         self.consumed_through = end_offset;

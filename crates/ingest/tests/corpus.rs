@@ -66,6 +66,22 @@ fn mixed_formats_fail_line_by_line_after_detection() {
 }
 
 #[test]
+fn a_multibyte_character_among_unicode_escape_digits_is_a_syntax_error() {
+    // `\u000é` and `\ude0é`: the fourth "hex digit" is the first byte of
+    // `é`, so reading the digits as text would cut the character in two.
+    let bytes = include_bytes!("corpus/split_unicode_escape.json");
+    match fail_fast_error(bytes) {
+        IngestError::Syntax { line, column, message, .. } => {
+            assert_eq!((line, column), (2, 23));
+            assert!(message.contains("invalid \\u escape"), "{message}");
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+    // Skip mode keeps lines 1 and 3 and quarantines lines 2 and 4.
+    assert_eq!(skip_outcome(bytes).unwrap(), (2, 2));
+}
+
+#[test]
 fn duplicate_json_keys_are_rejected_with_the_key_named() {
     let bytes = include_bytes!("corpus/duplicate_keys.json");
     match fail_fast_error(bytes) {
@@ -158,9 +174,9 @@ fn undetectable_formats_are_stream_fatal_under_both_policies() {
 #[test]
 fn the_whole_corpus_never_panics_under_any_declared_format() {
     // Sweep every corpus file through every (declared format, policy)
-    // combination — 8 files × 4 formats × 2 policies. Outcomes vary; what
+    // combination — 12 files × 4 formats × 2 policies. Outcomes vary; what
     // is pinned is totality: a typed result every time.
-    let corpus: [(&str, &[u8]); 11] = [
+    let corpus: [(&str, &[u8]); 12] = [
         ("truncated.json", include_bytes!("corpus/truncated.json")),
         ("invalid_utf8.logfmt", include_bytes!("corpus/invalid_utf8.logfmt")),
         ("mixed_formats.log", include_bytes!("corpus/mixed_formats.log")),
@@ -172,6 +188,7 @@ fn the_whole_corpus_never_panics_under_any_declared_format() {
         ("truncated.gz", include_bytes!("corpus/truncated.gz")),
         ("unterminated_quote.csv", include_bytes!("corpus/unterminated_quote.csv")),
         ("unknown_format.log", include_bytes!("corpus/unknown_format.log")),
+        ("split_unicode_escape.json", include_bytes!("corpus/split_unicode_escape.json")),
     ];
     use privacy_ingest::Format;
     let formats = [None, Some(Format::Json), Some(Format::Logfmt), Some(Format::Csv)];

@@ -5,21 +5,28 @@
 //! identifier being used where a field identifier is expected — a class of
 //! bug that is easy to hit when generating large formal models from design
 //! artefacts.
+//!
+//! An identifier holds its text as a shared, immutable `Arc<str>`: cloning
+//! one (which events, snapshots, indexes and alerts do constantly) bumps a
+//! reference count instead of copying the string, and dropping a clone on
+//! another thread only decrements it. Equality, ordering, hashing and
+//! formatting are those of the text, exactly as for a `String`.
 
 use std::borrow::Borrow;
 use std::fmt;
+use std::sync::Arc;
 
 /// Declares a string-backed identifier newtype with the common trait set.
 macro_rules! string_id {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
         #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-        pub struct $name(String);
+        pub struct $name(Arc<str>);
 
         impl $name {
             /// Creates a new identifier from anything convertible to a string.
             pub fn new(id: impl Into<String>) -> Self {
-                Self(id.into())
+                Self(id.into().into())
             }
 
             /// Returns the identifier as a string slice.
@@ -32,9 +39,9 @@ macro_rules! string_id {
                 self.0.is_empty()
             }
 
-            /// Consumes the identifier, returning the underlying `String`.
+            /// Consumes the identifier, returning its text as a new `String`.
             pub fn into_string(self) -> String {
-                self.0
+                self.0.as_ref().to_owned()
             }
         }
 
@@ -46,13 +53,13 @@ macro_rules! string_id {
 
         impl From<&str> for $name {
             fn from(value: &str) -> Self {
-                Self(value.to_owned())
+                Self(value.into())
             }
         }
 
         impl From<String> for $name {
             fn from(value: String) -> Self {
-                Self(value)
+                Self(value.into())
             }
         }
 
@@ -137,7 +144,7 @@ impl FieldId {
     /// assert_eq!(FieldId::new("Weight").original(), None);
     /// ```
     pub fn original(&self) -> Option<FieldId> {
-        self.0.strip_suffix(Self::ANON_SUFFIX).map(|base| FieldId::new(base.to_owned()))
+        self.0.strip_suffix(Self::ANON_SUFFIX).map(FieldId::from)
     }
 }
 
@@ -192,6 +199,14 @@ mod tests {
         let mut map = HashMap::new();
         map.insert(DatastoreId::new("EHR"), 1usize);
         assert_eq!(map.get("EHR"), Some(&1));
+    }
+
+    #[test]
+    fn clones_share_their_text() {
+        let user = UserId::new("alice");
+        let copy = user.clone();
+        assert!(std::ptr::eq(user.as_str(), copy.as_str()));
+        assert_eq!(format!("{copy:?}"), "UserId(\"alice\")");
     }
 
     #[test]

@@ -31,13 +31,17 @@ impl Event {
         datastore: Option<DatastoreId>,
         permitted: bool,
     ) -> Self {
+        // Inserted one by one: collecting a `BTreeSet` buffers and sorts
+        // the items in a temporary `Vec` first, an allocation per event.
+        let mut field_set = BTreeSet::new();
+        field_set.extend(fields);
         Event {
             sequence,
             user: user.into(),
             service: service.into(),
             actor: actor.into(),
             action,
-            fields: fields.into_iter().collect(),
+            fields: field_set,
             datastore,
             permitted,
         }
