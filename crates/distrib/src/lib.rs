@@ -15,16 +15,17 @@
 //!   version, length, checksum) carried over the worker's stdin/stdout
 //!   pipes, so a torn or corrupted pipe read is a typed error, never a
 //!   misparse. Models travel as `.psm` text; events, profiles and alerts as
-//!   binary payloads. Protocol version 2 adds the coalesced data plane —
-//!   many sub-batches per [`Message::IngestBatch`] frame, answered by
-//!   cumulative [`Message::AckThrough`] replies — while still decoding
-//!   every v1 frame; a v2-only tag inside a v1 frame is a typed rejection.
+//!   binary payloads. The data plane is coalesced — many sub-batches per
+//!   [`Message::IngestBatch`] frame, answered by cumulative
+//!   [`Message::AckThrough`] replies — and a frame of any protocol version
+//!   but the current one is a typed rejection.
 //! * [`worker`] — the `privacy-shardd` process: owns a contiguous range of
 //!   the monitor's [`SHARD_COUNT`](privacy_runtime::SHARD_COUNT) stable
 //!   `UserId`-hash shards, rebuilds the design-time index from the shipped
 //!   model (verifying the index fingerprint), ingests event sub-batches in
-//!   stream order and acks each with its alerts, checkpoints atomically on
-//!   request, and exports/imports shards for live handoff.
+//!   stream order and acks them cumulatively with their alerts,
+//!   checkpoints atomically on request, and exports/imports shards for
+//!   live handoff.
 //! * [`supervisor`] — [`DistributedMonitor`]: spawns and supervises the
 //!   workers, routes events by shard owner through **bounded in-flight
 //!   windows with backpressure**, merges per-worker alert streams back into

@@ -26,27 +26,24 @@
 //!   re-sorted into exactly the order the in-process
 //!   [`IndexedMonitor`](privacy_runtime::IndexedMonitor) would emit.
 //!
-//! # Protocol versions
+//! # The data plane
 //!
-//! Version 2 (current) adds the coalesced data plane:
+//! Protocol version 2 is the only version spoken; the supervisor and
+//! `privacy-shardd` ship in one build.
 //!
 //! * [`IngestBatch`](Message::IngestBatch) carries **many** sub-batches in
-//!   one frame — one length, one checksum, one pipe write — instead of a
-//!   frame per sub-batch. It piggybacks the supervisor's acknowledged
-//!   high-water mark so the worker can prune its retained alert buffer
-//!   without any extra control frame.
+//!   one frame — one length, one checksum, one pipe write. It piggybacks
+//!   the supervisor's acknowledged high-water mark so the worker can prune
+//!   its retained alert buffer without any extra control frame.
 //! * [`AckThrough`](Message::AckThrough) acknowledges **cumulatively**: one
 //!   ack covers every sub-batch up to `through`, carrying the retained
 //!   alerts of all batches the supervisor has not yet confirmed. A single
 //!   lost ack therefore self-heals on the next one instead of forcing a
 //!   restart.
 //!
-//! Version 1 frames are still decoded (a v1 peer's `Ingest`/`Ack` traffic
-//! remains readable), but the v2-only tags are rejected with a typed
-//! [`CodecError::Malformed`] when they arrive in a v1 frame, and frames of
-//! any *other* version are rejected with
-//! [`CodecError::UnsupportedVersion`] — a v1↔v2 mismatch can never be
-//! silently misparsed.
+//! A frame of any other version is rejected with
+//! [`CodecError::UnsupportedVersion`], so a version-skewed peer can never
+//! be silently misparsed.
 
 use privacy_interchange::binary::{CodecError, Decoder, Encoder};
 use privacy_lts::ActionKind;
@@ -60,8 +57,6 @@ use privacy_runtime::{Alert, Event};
 pub const MESSAGE_KIND: [u8; 4] = *b"PDMG";
 /// Current message protocol version (coalesced frames, cumulative acks).
 pub const MESSAGE_VERSION: u32 = 2;
-/// The previous protocol version, still accepted on decode.
-pub const MESSAGE_VERSION_V1: u32 = 1;
 /// Artefact kind of the worker checkpoint file.
 pub const CHECKPOINT_KIND: [u8; 4] = *b"PDCP";
 /// Current checkpoint file version. Version 3 carries sparse version-3
@@ -79,11 +74,11 @@ pub const CHECKPOINT_VERSION_V2: u32 = 2;
 /// One protocol message, in either direction.
 ///
 /// Supervisor → worker: [`Init`](Message::Init), [`Register`](Message::Register),
-/// [`Ingest`](Message::Ingest), [`Checkpoint`](Message::Checkpoint),
+/// [`IngestBatch`](Message::IngestBatch), [`Checkpoint`](Message::Checkpoint),
 /// [`ExportShards`](Message::ExportShards), [`ImportShards`](Message::ImportShards),
 /// [`Shutdown`](Message::Shutdown).
 ///
-/// Worker → supervisor: [`Ready`](Message::Ready), [`Ack`](Message::Ack),
+/// Worker → supervisor: [`Ready`](Message::Ready), [`AckThrough`](Message::AckThrough),
 /// [`CheckpointDone`](Message::CheckpointDone), [`ShardExport`](Message::ShardExport),
 /// [`Imported`](Message::Imported), [`Fatal`](Message::Fatal).
 #[derive(Debug, Clone, PartialEq)]
@@ -121,16 +116,8 @@ pub enum Message {
         /// The profile to track.
         profile: UserProfile,
     },
-    /// One sub-batch of a super-batch, in stream order (v1 data plane; v2
-    /// peers still accept it, one batch per frame).
-    Ingest {
-        /// Super-batch id (1-based, strictly increasing).
-        batch: u64,
-        /// Events with their positions within the super-batch.
-        events: Vec<(u32, Event)>,
-    },
-    /// Several sub-batches coalesced into one frame (v2 data plane): one
-    /// length, one checksum, one pipe write for many batches. The worker
+    /// Sub-batches of super-batches coalesced into one frame: one length,
+    /// one checksum, one pipe write for many batches. The worker
     /// processes the parts in order and replies with a single cumulative
     /// [`AckThrough`](Message::AckThrough).
     IngestBatch {
@@ -138,8 +125,9 @@ pub enum Message {
         /// every batch id `<= acked_through` has been received and merged,
         /// so the worker may prune retained alerts up to it.
         acked_through: u64,
-        /// `(super-batch id, events)` in stream order; ids are strictly
-        /// increasing within a frame.
+        /// `(super-batch id, events)` in stream order; ids are 1-based and
+        /// strictly increasing, and each event carries its position within
+        /// its super-batch.
         parts: Vec<(u64, Vec<(u32, Event)>)>,
     },
     /// Asks the worker to checkpoint its state atomically.
@@ -164,16 +152,7 @@ pub enum Message {
         /// How many users the resume snapshot restored.
         resumed_users: u64,
     },
-    /// Acknowledges one ingest: the batch is durable in worker memory and
-    /// these are the alerts it raised (v1 data plane).
-    Ack {
-        /// The super-batch id being acknowledged.
-        batch: u64,
-        /// Alerts raised by this sub-batch, tagged with the super-batch
-        /// positions of the events that raised them.
-        alerts: Vec<(u32, Alert)>,
-    },
-    /// Cumulative acknowledgement (v2 data plane): every sub-batch with id
+    /// Cumulative acknowledgement: every sub-batch with id
     /// `<= through` has been processed. Carries the worker's whole retained
     /// alert buffer — every alert the supervisor has not yet confirmed via
     /// [`IngestBatch::acked_through`](Message::IngestBatch) — so a lost ack
@@ -215,19 +194,17 @@ pub enum Message {
 
 const TAG_INIT: u8 = 1;
 const TAG_REGISTER: u8 = 2;
-const TAG_INGEST: u8 = 3;
 const TAG_CHECKPOINT: u8 = 4;
 const TAG_EXPORT_SHARDS: u8 = 5;
 const TAG_IMPORT_SHARDS: u8 = 6;
 const TAG_SHUTDOWN: u8 = 7;
-const TAG_INGEST_BATCH: u8 = 8; // v2-only
+const TAG_INGEST_BATCH: u8 = 8;
 const TAG_READY: u8 = 16;
-const TAG_ACK: u8 = 17;
 const TAG_CHECKPOINT_DONE: u8 = 18;
 const TAG_SHARD_EXPORT: u8 = 19;
 const TAG_IMPORTED: u8 = 20;
 const TAG_FATAL: u8 = 21;
-const TAG_ACK_THROUGH: u8 = 22; // v2-only
+const TAG_ACK_THROUGH: u8 = 22;
 
 fn put_u32_list(encoder: &mut Encoder, values: &[u32]) {
     encoder.u32(values.len() as u32);
@@ -367,11 +344,8 @@ impl Message {
     }
 
     /// Seals the message into a frame stamped with an explicit protocol
-    /// `version` — the compatibility seam: v1 frames written by an old peer
-    /// are reproduced by `encode_at(MESSAGE_VERSION_V1)` in tests, and a
-    /// v2-only message encoded at v1 yields exactly the mismatched frame a
-    /// v1↔v2 deployment skew would produce (which [`Message::decode`]
-    /// rejects with a typed error).
+    /// `version` — the frame a version-skewed peer would send, which
+    /// [`Message::decode`] rejects with a typed error. Tests use it.
     #[must_use]
     pub fn encode_at(&self, version: u32) -> Vec<u8> {
         let mut encoder = Encoder::new(MESSAGE_KIND, version);
@@ -406,15 +380,6 @@ impl Message {
                 encoder.u8(TAG_REGISTER);
                 put_profile(&mut encoder, profile);
             }
-            Message::Ingest { batch, events } => {
-                encoder.u8(TAG_INGEST);
-                encoder.u64(*batch);
-                encoder.u32(events.len() as u32);
-                for (position, event) in events {
-                    encoder.u32(*position);
-                    put_event(&mut encoder, event);
-                }
-            }
             Message::IngestBatch { acked_through, parts } => {
                 encoder.u8(TAG_INGEST_BATCH);
                 encoder.u64(*acked_through);
@@ -442,15 +407,6 @@ impl Message {
                 encoder.u8(TAG_READY);
                 encoder.u64(*fingerprint);
                 encoder.u64(*resumed_users);
-            }
-            Message::Ack { batch, alerts } => {
-                encoder.u8(TAG_ACK);
-                encoder.u64(*batch);
-                encoder.u32(alerts.len() as u32);
-                for (position, alert) in alerts {
-                    encoder.u32(*position);
-                    put_alert(&mut encoder, alert);
-                }
             }
             Message::AckThrough { through, alerts } => {
                 encoder.u8(TAG_ACK_THROUGH);
@@ -484,36 +440,16 @@ impl Message {
         encoder.finish()
     }
 
-    /// Opens and decodes one wire frame, accepting the current protocol
-    /// version and [`MESSAGE_VERSION_V1`].
+    /// Opens and decodes one wire frame at the current protocol version.
     ///
     /// # Errors
     ///
-    /// Returns the typed [`CodecError`] for a frame of the wrong kind,
-    /// a version that is neither 1 nor 2, corruption anywhere, an unknown
-    /// message tag, a v2-only tag inside a v1 frame, or any field that
-    /// decodes to an impossible value.
+    /// Returns the typed [`CodecError`] for a frame of the wrong kind or
+    /// version, corruption anywhere, an unknown message tag, or any field
+    /// that decodes to an impossible value.
     pub fn decode(frame: &[u8]) -> Result<Message, CodecError> {
-        let (mut decoder, version) = match Decoder::new(frame, MESSAGE_KIND, MESSAGE_VERSION) {
-            Ok(decoder) => (decoder, MESSAGE_VERSION),
-            Err(CodecError::UnsupportedVersion { found, .. }) if found == MESSAGE_VERSION_V1 => {
-                (Decoder::new(frame, MESSAGE_KIND, MESSAGE_VERSION_V1)?, MESSAGE_VERSION_V1)
-            }
-            Err(error) => return Err(error),
-        };
-        let tag = decoder.u8()?;
-        if version < MESSAGE_VERSION && matches!(tag, TAG_INGEST_BATCH | TAG_ACK_THROUGH) {
-            // A v1 peer can never have *sent* these; a v1-stamped frame
-            // carrying them is a version-skewed (or corrupted) sender.
-            return Err(CodecError::Malformed {
-                what: "message tag",
-                detail: format!(
-                    "message tag {tag} (coalesced data plane) requires protocol version \
-                     {MESSAGE_VERSION}, but the frame is version {version}"
-                ),
-            });
-        }
-        let message = match tag {
+        let mut decoder = Decoder::new(frame, MESSAGE_KIND, MESSAGE_VERSION)?;
+        let message = match decoder.u8()? {
             TAG_INIT => {
                 let worker_index = decoder.u32()?;
                 let owned_shards = get_u32_list(&mut decoder)?;
@@ -535,16 +471,6 @@ impl Message {
                 }
             }
             TAG_REGISTER => Message::Register { profile: get_profile(&mut decoder)? },
-            TAG_INGEST => {
-                let batch = decoder.u64()?;
-                let count = decoder.u32()? as usize;
-                let mut events = Vec::with_capacity(count.min(65_536));
-                for _ in 0..count {
-                    let position = decoder.u32()?;
-                    events.push((position, get_event(&mut decoder)?));
-                }
-                Message::Ingest { batch, events }
-            }
             TAG_INGEST_BATCH => {
                 let acked_through = decoder.u64()?;
                 let part_count = decoder.u32()? as usize;
@@ -567,16 +493,6 @@ impl Message {
             TAG_SHUTDOWN => Message::Shutdown,
             TAG_READY => {
                 Message::Ready { fingerprint: decoder.u64()?, resumed_users: decoder.u64()? }
-            }
-            TAG_ACK => {
-                let batch = decoder.u64()?;
-                let count = decoder.u32()? as usize;
-                let mut alerts = Vec::with_capacity(count.min(65_536));
-                for _ in 0..count {
-                    let position = decoder.u32()?;
-                    alerts.push((position, get_alert(&mut decoder)?));
-                }
-                Message::Ack { batch, alerts }
             }
             TAG_ACK_THROUGH => {
                 let through = decoder.u64()?;
@@ -749,10 +665,6 @@ mod tests {
                 resume_imports: 0,
             },
             Message::Register { profile: sample_profile() },
-            Message::Ingest {
-                batch: 9,
-                events: (0..5).map(|i| sample_event(100 + i, i as u32 * 2)).collect(),
-            },
             Message::IngestBatch {
                 acked_through: 7,
                 parts: vec![
@@ -767,7 +679,6 @@ mod tests {
             Message::ImportShards { snapshot: vec![9; 64] },
             Message::Shutdown,
             Message::Ready { fingerprint: 42, resumed_users: 7 },
-            Message::Ack { batch: 9, alerts: (0..3).map(sample_alert).collect() },
             Message::AckThrough {
                 through: 10,
                 alerts: (0..3)
@@ -791,37 +702,18 @@ mod tests {
     }
 
     #[test]
-    fn version_1_frames_still_decode() {
-        // Everything a v1 peer can say must remain readable after the bump.
-        let legacy = vec![
-            Message::Register { profile: sample_profile() },
-            Message::Ingest { batch: 3, events: vec![sample_event(7, 0)] },
-            Message::Checkpoint,
-            Message::Shutdown,
-            Message::Ready { fingerprint: 42, resumed_users: 7 },
-            Message::Ack { batch: 3, alerts: vec![sample_alert(1)] },
-            Message::CheckpointDone { through_batch: 3, imports: 0 },
-            Message::Fatal { code: 12, message: "pipe".to_owned() },
-        ];
-        for message in legacy {
-            let frame = message.encode_at(MESSAGE_VERSION_V1);
-            assert_eq!(Message::decode(&frame).expect("v1 frame decodes"), message);
-        }
-    }
-
-    #[test]
-    fn v2_only_tags_in_v1_frames_are_rejected_with_a_typed_error() {
+    fn version_1_frames_are_typed_unsupported() {
         for message in [
             Message::IngestBatch { acked_through: 1, parts: vec![(2, vec![sample_event(9, 0)])] },
             Message::AckThrough { through: 2, alerts: Vec::new() },
+            Message::Checkpoint,
         ] {
-            let skewed = message.encode_at(MESSAGE_VERSION_V1);
-            let error = Message::decode(&skewed).expect_err("v1 frame with v2 tag must refuse");
+            let skewed = message.encode_at(1);
+            let error = Message::decode(&skewed).expect_err("a v1 frame must refuse");
             assert!(
-                matches!(&error, CodecError::Malformed { what: "message tag", .. }),
-                "expected a typed tag rejection, got {error:?}"
+                matches!(&error, CodecError::UnsupportedVersion { found: 1, .. }),
+                "expected a typed version rejection, got {error:?}"
             );
-            assert!(error.to_string().contains("requires protocol version"));
         }
     }
 
@@ -865,16 +757,17 @@ mod tests {
             Err(CodecError::Malformed { what: "message tag", .. })
         ));
 
-        // An event whose action index is out of range.
-        let (pos, event) = sample_event(1, 0);
-        let frame = Message::Ingest { batch: 1, events: vec![(pos, event)] }.encode();
+        let frame =
+            Message::IngestBatch { acked_through: 0, parts: vec![(1, vec![sample_event(1, 0)])] }
+                .encode();
         // Corrupting payload bytes trips the checksum first, which is the
         // point of the envelope; a *well-formed* frame with a bad index can
-        // only come from an encoder bug, which get_event still types:
+        // only come from an encoder bug, which get_alert still types:
         let mut encoder = Encoder::new(MESSAGE_KIND, MESSAGE_VERSION);
-        encoder.u8(super::TAG_ACK);
+        encoder.u8(super::TAG_ACK_THROUGH);
         encoder.u64(1);
         encoder.u32(1);
+        encoder.u64(1);
         encoder.u32(0);
         encoder.u64(5);
         encoder.str("alice");

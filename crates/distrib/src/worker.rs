@@ -8,18 +8,16 @@
 //!    supervisor's (a mismatch is a terminal, typed death: restarting cannot
 //!    help), and resume from the carried snapshot if there is one, keeping
 //!    only the owned shards.
-//! 2. [`IngestBatch`](Message::IngestBatch) — the v2 coalesced data plane:
+//! 2. [`IngestBatch`](Message::IngestBatch) — the coalesced data plane:
 //!    many super-batch parts in one frame, answered with a single cumulative
 //!    [`AckThrough`](Message::AckThrough) that carries *every* alert the
 //!    supervisor has not yet confirmed (the frame's piggybacked
 //!    `acked_through` prunes that retained buffer). Because the reply repeats
 //!    unconfirmed alerts, a single swallowed ack self-heals on the next
-//!    frame instead of forcing a restart. The v1 per-batch
-//!    [`Ingest`](Message::Ingest)/[`Ack`](Message::Ack) pair is still served
-//!    for old supervisors. Events for users the worker does not track are
-//!    ignored, exactly as the in-process `IndexedMonitor` ignores
-//!    unregistered users — this also makes replayed pre-handoff batches
-//!    harmless after a shard has moved away.
+//!    frame instead of forcing a restart. Events for users the worker does
+//!    not track are ignored, exactly as the in-process `IndexedMonitor`
+//!    ignores unregistered users — this also makes replayed pre-handoff
+//!    batches harmless after a shard has moved away.
 //! 3. [`Checkpoint`](Message::Checkpoint) — encode the monitor snapshot plus
 //!    bookkeeping (covered super-batch, absorbed-import count) **inline**, at
 //!    the exact point in stream order the supervisor requested, then hand the
@@ -313,7 +311,6 @@ fn serve_loop<O: Write + Send>(
                     state.monitor.register_user(&profile);
                 }
             }
-            Message::Ingest { batch, events } => handle_ingest(state, output, batch, events)?,
             Message::IngestBatch { acked_through, parts } => {
                 handle_ingest_batch(state, output, acked_through, parts)?;
             }
@@ -349,9 +346,8 @@ fn serve_loop<O: Write + Send>(
 
 /// Processes the events of one super-batch part, with the injected faults
 /// fired at **event granularity** — a kill or per-event sleep lands on the
-/// same event whether the part arrived alone (v1 `Ingest`) or coalesced
-/// into a v2 `IngestBatch` frame. Returns `true` when this part's ack (for
-/// v2: the whole frame's ack) must be swallowed by an armed `drop-ack`.
+/// same event however the parts were coalesced into frames. Returns `true`
+/// when the frame's ack must be swallowed by an armed `drop-ack`.
 fn ingest_part(
     state: &mut WorkerState,
     batch: u64,
@@ -385,19 +381,6 @@ fn ingest_part(
         }
     }
     state.faults.drop_ack == Some(state.ingests_seen)
-}
-
-fn handle_ingest<O: Write>(
-    state: &mut WorkerState,
-    output: &Mutex<&mut O>,
-    batch: u64,
-    events: Vec<(u32, privacy_runtime::Event)>,
-) -> Result<(), WorkerFailure> {
-    let mut alerts: Vec<(u32, Alert)> = Vec::new();
-    if ingest_part(state, batch, &events, &mut alerts) {
-        return Ok(()); // injected lost ack: the batch was processed silently
-    }
-    send(output, &Message::Ack { batch, alerts })
 }
 
 fn handle_ingest_batch<O: Write>(
@@ -593,13 +576,13 @@ mod tests {
         let replies = run_script(vec![
             init_message(&name, &system),
             Message::Register { profile },
-            Message::Ingest { batch: 1, events: vec![(0, event)] },
+            Message::IngestBatch { acked_through: 0, parts: vec![(1, vec![(0, event)])] },
             Message::Shutdown,
         ])
         .expect("worker runs cleanly");
         assert!(matches!(replies[0], Message::Ready { resumed_users: 0, .. }));
-        let Message::Ack { batch: 1, .. } = &replies[1] else {
-            panic!("expected an ack, got {:?}", replies[1]);
+        let Message::AckThrough { through: 1, .. } = &replies[1] else {
+            panic!("expected an ack through batch 1, got {:?}", replies[1]);
         };
     }
 

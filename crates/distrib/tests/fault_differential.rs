@@ -13,7 +13,6 @@
 //! state, and live shard handoff is invisible downstream.
 
 use privacy_core::PrivacySystem;
-use privacy_distrib::wire::MESSAGE_VERSION_V1;
 use privacy_distrib::{
     exit, DistribError, DistribStats, DistributedMonitor, FaultPlan, Message, SupervisorConfig,
 };
@@ -333,12 +332,12 @@ fn protocol_version_skew_is_rejected_with_a_typed_fatal() {
 
     let event = fixture().batches[0][0].clone();
     let cases: Vec<(Vec<u8>, &str)> = vec![
-        // A v2-only coalesced frame downgraded to a v1 envelope: the tag is
-        // meaningless at that version and must be named in the diagnostic.
+        // A data-plane frame in a version-1 envelope: no longer spoken,
+        // and the diagnostic must name the unsupported version.
         (
             Message::IngestBatch { acked_through: 0, parts: vec![(1, vec![(0, event)])] }
-                .encode_at(MESSAGE_VERSION_V1),
-            "requires protocol version",
+                .encode_at(1),
+            "unsupported format version 1",
         ),
         // A frame from the future: unsupported version, typed as such.
         (Message::Checkpoint.encode_at(MESSAGE_VERSION + 1), "version"),

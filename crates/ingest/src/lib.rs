@@ -13,10 +13,10 @@
 //!   permitted), with per-field defaults and a verb-alias table;
 //! * **a [`Resolver`]** turns mapped records into monitor-ready
 //!   [`privacy_runtime::Event`]s with monotone sequence numbers;
-//! * **[`ingest_bytes`] / [`ingest_reader`]** run the whole pipeline —
-//!   gzip auto-detection ([`gzip`] is a dependency-free RFC 1952/1951
-//!   codec), line splitting, format auto-detection — under a
-//!   skip-with-diagnostics or fail-fast [`ErrorPolicy`].
+//! * **[`ingest_bytes`]** runs the whole pipeline — gzip auto-detection
+//!   ([`gzip`] is a dependency-free RFC 1952/1951 codec), line splitting,
+//!   format auto-detection — under a skip-with-diagnostics or fail-fast
+//!   [`ErrorPolicy`].
 //!
 //! The contract throughout: malformed input yields a typed
 //! [`IngestError`], never a panic. The crate's corpus and property tests
@@ -40,9 +40,7 @@ pub use error::{ErrorPolicy, IngestError, Role};
 pub use gzip::{gunzip, gzip_compress_stored, is_gzip, GzipError};
 pub use live::{FollowConfig, LiveSource, SourceEvent};
 pub use mapping::FieldMapping;
-pub use reader::{
-    ingest_bytes, ingest_reader, Diagnostic, Format, IngestOptions, IngestReport, IngestStats,
-};
+pub use reader::{ingest_bytes, Diagnostic, Format, IngestOptions, IngestReport, IngestStats};
 pub use record::{RawRecord, RawValue};
 pub use resolve::Resolver;
 pub use stream::{LineIngestor, LinePush, QuarantinedLine};
@@ -55,7 +53,7 @@ pub mod prelude {
     pub use crate::live::{FollowConfig, LiveSource, SourceEvent};
     pub use crate::mapping::FieldMapping;
     pub use crate::reader::{
-        ingest_bytes, ingest_reader, Diagnostic, Format, IngestOptions, IngestReport, IngestStats,
+        ingest_bytes, Diagnostic, Format, IngestOptions, IngestReport, IngestStats,
     };
     pub use crate::record::{RawRecord, RawValue};
     pub use crate::resolve::Resolver;

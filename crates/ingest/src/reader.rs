@@ -1,10 +1,9 @@
 //! The streaming front door: bytes → lines → records → events.
 //!
-//! [`ingest_bytes`] (and [`ingest_reader`] over any [`std::io::Read`]) runs
-//! the whole pipeline: gzip auto-detection and decompression, line
-//! splitting with CRLF tolerance and a line-length limit, format
-//! auto-detection from the first non-blank line, per-format parsing, and
-//! mapping-driven resolution — under either error policy.
+//! [`ingest_bytes`] runs the whole pipeline: gzip auto-detection and
+//! decompression, line splitting with CRLF tolerance and a line-length
+//! limit, format auto-detection from the first non-blank line, per-format
+//! parsing, and mapping-driven resolution — under either error policy.
 
 use crate::error::{ErrorPolicy, IngestError};
 use crate::gzip::{gunzip, is_gzip};
@@ -12,7 +11,6 @@ use crate::mapping::FieldMapping;
 use crate::stream::{LineIngestor, LinePush};
 use privacy_runtime::Event;
 use std::fmt;
-use std::io::Read;
 
 /// A supported log line format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,24 +143,6 @@ pub fn ingest_bytes(
         bytes
     };
     ingest_payload(payload, mapping, options)
-}
-
-/// Ingests from any reader (a file, stdin, a socket). The stream is read to
-/// the end first — gzip members cannot be validated incrementally anyway.
-///
-/// # Errors
-///
-/// As [`ingest_bytes`], plus [`IngestError::Io`] when the reader fails.
-pub fn ingest_reader(
-    mut reader: impl Read,
-    mapping: &FieldMapping,
-    options: &IngestOptions,
-) -> Result<IngestReport, IngestError> {
-    let mut bytes = Vec::new();
-    reader
-        .read_to_end(&mut bytes)
-        .map_err(|error| IngestError::Io { message: error.to_string() })?;
-    ingest_bytes(&bytes, mapping, options)
 }
 
 fn ingest_payload(

@@ -201,7 +201,7 @@ fn completed_scenario(
         row.alerts = live_alerts.len();
         row.rotations = report.rotations;
         row.truncations = report.truncations;
-        let offline = offline_reference(context, &observed, &FieldMapping::canonical(), 64)?;
+        let offline = offline_reference(context, &observed, &FieldMapping::canonical(), 64, false)?;
         row.dead_letters = offline.report.diagnostics.len();
         check_differential(&report, &live_alerts, &dir.join("dead.ndjson"), &offline)?;
         extra(&report)?;
@@ -305,7 +305,7 @@ fn gzip_scenario(context: &MonitorContext, corpus: &str) -> ScenarioRow {
                 ))
             }
         }
-        if offline_reference(context, &observed, &FieldMapping::canonical(), 64).is_ok() {
+        if offline_reference(context, &observed, &FieldMapping::canonical(), 64, false).is_ok() {
             return Err("the offline run accepted the corrupt archive".to_owned());
         }
         let dead = read_dead_letters(&dir.join("dead.ndjson"))

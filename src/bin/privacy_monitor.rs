@@ -4,13 +4,6 @@
 //! in JSON lines / logfmt / CSV — gzip-compressed or plain — is parsed
 //! through a [`FieldMapping`], resolved into events, and batch-ingested
 //! into an [`IndexedMonitor`] over the paper's healthcare case-study model.
-//! Alerts print live as batches complete; `--checkpoint` persists a
-//! [`MonitorSnapshot`] after every batch — written atomically through
-//! [`CheckpointStore`] (temp file + fsync + rename, with the previous
-//! generation kept as `<path>.prev`) so a crash mid-write can never leave a
-//! torn checkpoint. `--resume` loads the newest generation that decodes,
-//! falling back to `.prev` with a typed warning when the live file is
-//! corrupt.
 //!
 //! ```text
 //! privacy-monitor [FILE|-] [--format auto|json|logfmt|csv]
@@ -21,18 +14,28 @@
 //!                 [--stop-file PATH]
 //! ```
 //!
-//! `--follow` switches from the one-shot offline run to the live pipeline
-//! ([`privacy_mde::pipeline::PipelineRunner`]): the input file is tailed as
-//! it grows (rotation and truncation are handled; stdin becomes a
-//! long-lived pipe), poison records are quarantined to the `--dead-letter`
-//! NDJSON file with their byte offsets, and creating `--stop-file` requests
-//! a graceful drain — alerts flushed, one final resumable checkpoint
-//! written. A later `--follow --resume PATH` run continues the identical
-//! stream from that checkpoint.
+//! Every run goes through the one live pipeline
+//! ([`privacy_mde::pipeline::PipelineRunner`]). `FILE` and `-` (stdin) are
+//! read to EOF, which drains the run; `--follow` tails `FILE` as it grows
+//! instead (rotation and truncation are handled) until `--stop-file`
+//! appears. Alerts print as batches complete. Records the ingest refuses
+//! under `--error-policy skip` go to the `--dead-letter` NDJSON file with
+//! their byte offsets.
+//!
+//! `--checkpoint` writes a resumable pipeline checkpoint (stream offset,
+//! counters, embedded [`MonitorSnapshot`]) every 1,024 resolved events and
+//! once at drain, atomically through [`CheckpointStore`] (temp file,
+//! fsync, rename; the previous generation is kept as `<path>.prev`), so a
+//! crash mid-write never leaves a torn checkpoint. `--resume` loads the
+//! newest generation that decodes, falling back to `.prev` with a warning,
+//! and continues the same stream from the checkpoint's offset: a file is
+//! read from that offset, and stdin is expected to carry the rest of the
+//! stream.
 //!
 //! Unknown users are registered on first sight — consenting to every
 //! catalog service by default (so alerts reflect risky *actions*, not a
 //! blanket absence of consent), or with empty consent under `--no-consent`.
+//! Users restored by `--resume` keep their state.
 //!
 //! Exit codes follow the [`privacy_distrib::exit`] taxonomy: 0 ok, 2 usage,
 //! 10 ingestion failed, 11 snapshot/model state failed, 12 I/O failed — see
@@ -40,15 +43,15 @@
 
 use privacy_core::{casestudy, PrivacySystem};
 use privacy_distrib::{exit, CheckpointStore};
-use privacy_ingest::{ingest_bytes, ErrorPolicy, FieldMapping, Format, IngestOptions, LiveSource};
+use privacy_ingest::{is_gzip, ErrorPolicy, FieldMapping, Format, LiveSource};
 use privacy_lts::LtsIndex;
 use privacy_mde::pipeline::{
     IndexedSink, PipelineCheckpoint, PipelineConfig, PipelineError, PipelineRunner,
 };
-use privacy_model::{ServiceId, UserId, UserProfile};
-use privacy_runtime::{Event, IndexedMonitor, MonitorSnapshot};
-use std::collections::BTreeSet;
-use std::io::Read;
+use privacy_model::ServiceId;
+use privacy_runtime::{IndexedMonitor, MonitorSnapshot};
+use std::fs::File;
+use std::io::{Read, Seek, SeekFrom};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -77,25 +80,26 @@ const USAGE: &str = "usage: privacy-monitor [FILE|-] [--format auto|json|logfmt|
                      [--follow] [--poll-ms N] [--dead-letter PATH] [--stop-file PATH]";
 
 const HELP_EXIT_CODES: &str = "\
-Checkpointing:
-  --checkpoint PATH   after every batch, atomically replace PATH (temp file +
-                      fsync + rename); the prior generation is kept at
-                      PATH.prev
-  --resume PATH       resume from the newest generation of PATH that decodes,
-                      falling back to PATH.prev with a warning if the live
-                      file is corrupt
-
-Live operation:
-  --follow            tail FILE as it grows (rotation and truncation are
-                      handled) or treat stdin as a long-lived pipe, instead
-                      of the one-shot offline run; checkpoints become
-                      resumable pipeline checkpoints (offset + monitor state)
-  --poll-ms N         tail poll interval in milliseconds (default 25)
+Input:
+  FILE                read FILE to its end (plain or gzip)
+  -                   read stdin until it closes (the default)
+  --follow            tail FILE as it grows instead of stopping at its end
+                      (rotation and truncation are handled)
+  --poll-ms N         poll interval in milliseconds (default 25)
+  --stop-file PATH    request a graceful drain when PATH appears: pending
+                      alerts are flushed and a final checkpoint is written
   --dead-letter PATH  append quarantined records to PATH as NDJSON, each with
                       its byte offset and error kind
-  --stop-file PATH    request a graceful drain when PATH appears: pending
-                      alerts are flushed and a final resumable checkpoint is
-                      written
+
+Checkpointing:
+  --checkpoint PATH   every 1024 resolved events and once at drain,
+                      atomically replace PATH (temp file + fsync + rename)
+                      with the stream offset and monitor state; the prior
+                      generation is kept at PATH.prev
+  --resume PATH       resume from the newest generation of PATH that decodes,
+                      falling back to PATH.prev with a warning if the live
+                      file is corrupt, and continue the stream from its
+                      offset (FILE must be at least that long)
 
 Exit codes:
   0    ok
@@ -223,34 +227,10 @@ fn parse_options() -> Result<Options, String> {
     Ok(options)
 }
 
-fn read_input(input: &str) -> Result<Vec<u8>, CliError> {
-    let mut bytes = Vec::new();
-    if input == "-" {
-        std::io::stdin()
-            .lock()
-            .read_to_end(&mut bytes)
-            .map_err(|e| CliError::Ingest(format!("reading stdin: {e}")))?;
-    } else {
-        bytes =
-            std::fs::read(input).map_err(|e| CliError::Ingest(format!("reading {input}: {e}")))?;
-    }
-    Ok(bytes)
-}
-
-/// A profile for a user seen in the log but not registered yet.
-fn profile_for(user: &UserId, services: &[ServiceId], no_consent: bool) -> UserProfile {
-    let mut profile = UserProfile::new(user.clone());
-    if !no_consent {
-        for service in services {
-            profile = profile.consents_to(service.clone());
-        }
-    }
-    profile
-}
-
-/// The live pipeline behind `--follow`: tail (or pipe) → parse → monitor,
-/// with quarantine, periodic checkpoints and graceful drain.
-fn run_follow(options: &Options) -> Result<(), CliError> {
+/// Every run: tail, pipe or finite file → parse → monitor, with
+/// quarantine, periodic checkpoints and a graceful drain.
+fn run(options: &Options) -> Result<(), CliError> {
+    // The paper's healthcare case study is the monitored system.
     let system: PrivacySystem = casestudy::healthcare()
         .map_err(|e| CliError::State(format!("building the healthcare model: {e}")))?;
     let lts =
@@ -260,8 +240,8 @@ fn run_follow(options: &Options) -> Result<(), CliError> {
     let policy = system.policy().clone();
     let services: Vec<ServiceId> = catalog.services().map(|s| s.id().clone()).collect();
 
-    // In follow mode a checkpoint is a pipeline checkpoint: the stream
-    // offset and counters plus the embedded monitor snapshot.
+    // A checkpoint is a pipeline checkpoint: the stream offset and
+    // counters plus the embedded monitor snapshot.
     let resume: Option<PipelineCheckpoint> = match &options.resume {
         Some(path) => {
             let store = CheckpointStore::new(path);
@@ -309,15 +289,20 @@ fn run_follow(options: &Options) -> Result<(), CliError> {
     config.dead_letter = options.dead_letter.clone();
     config.stop_file = options.stop_file.clone();
     config.follow.poll_interval = Duration::from_millis(options.poll_ms);
-    if let Some(checkpoint) = &resume {
-        config.follow.start_offset = checkpoint.offset;
-    }
+    let offset = resume.as_ref().map_or(0, |checkpoint| checkpoint.offset);
+    config.follow.start_offset = offset;
     config.resume = resume;
 
+    // A pipe and a finite file end at EOF, which drains the run; a tail
+    // never ends on its own. Resume continues the stream at the
+    // checkpoint's offset: a tail seeks itself, a finite file is seeked
+    // here, and a pipe is expected to carry the rest of the stream.
     let source = if options.input == "-" {
         LiveSource::pipe(Box::new(std::io::stdin()), config.follow.clone())
-    } else {
+    } else if options.follow {
         LiveSource::tail(&options.input, config.follow.clone())
+    } else {
+        LiveSource::pipe(Box::new(open_at(&options.input, offset)?), config.follow.clone())
     };
 
     let runner = PipelineRunner::new(config);
@@ -330,7 +315,7 @@ fn run_follow(options: &Options) -> Result<(), CliError> {
         })
         .map_err(|error| match error {
             PipelineError::Ingest(e) => {
-                CliError::Ingest(format!("following {}: {e}", options.input))
+                CliError::Ingest(format!("ingesting {}: {e}", options.input))
             }
             PipelineError::Monitor(e) => CliError::State(e),
             PipelineError::Io(e) => CliError::Io(e),
@@ -353,99 +338,31 @@ fn run_follow(options: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
-fn run(options: &Options) -> Result<(), CliError> {
-    // The paper's healthcare case study is the monitored system.
-    let system: PrivacySystem = casestudy::healthcare()
-        .map_err(|e| CliError::State(format!("building the healthcare model: {e}")))?;
-    let lts =
-        system.generate_lts().map_err(|e| CliError::State(format!("generating the LTS: {e}")))?;
-    let index = Arc::new(LtsIndex::build(&lts));
-    let catalog = system.catalog().clone();
-    let policy = system.policy().clone();
-    let services: Vec<ServiceId> = catalog.services().map(|s| s.id().clone()).collect();
-
-    let mut monitor = match &options.resume {
-        Some(path) => {
-            // Load the newest generation that decodes; a corrupt live file
-            // falls back to `.prev` with a warning instead of failing.
-            let store = CheckpointStore::new(path);
-            let (loaded, warnings) = store.load_latest(|bytes| {
-                MonitorSnapshot::from_bytes(bytes).map(|_| ()).map_err(|e| e.to_string())
-            });
-            for warning in &warnings {
-                eprintln!("privacy-monitor: warning: {warning}");
-            }
-            let (bytes, generation) = loaded.ok_or_else(|| {
-                CliError::State(format!("no usable checkpoint generation at {path}"))
-            })?;
-            let snapshot = MonitorSnapshot::from_bytes(&bytes)
-                .map_err(|e| CliError::State(format!("decoding snapshot {path}: {e}")))?;
-            let monitor =
-                IndexedMonitor::resume_from(catalog, policy, Arc::clone(&index), &snapshot)
-                    .map_err(|e| CliError::State(format!("resuming from {path}: {e}")))?;
-            eprintln!(
-                "resumed {} users from {path} ({generation} generation)",
-                monitor.user_count()
-            );
-            monitor
-        }
-        None => IndexedMonitor::new(catalog, policy, Arc::clone(&index)),
+/// Opens the finite input file positioned at a resumed stream `offset`.
+/// A file shorter than the offset, or a gzip file resumed past its start
+/// (checkpoint offsets count decompressed bytes), cannot continue the
+/// checkpointed stream and is refused rather than silently re-read.
+fn open_at(path: &str, offset: u64) -> Result<File, CliError> {
+    let unreadable = |e: std::io::Error| CliError::Ingest(format!("reading {path}: {e}"));
+    let mut file = File::open(path).map_err(unreadable)?;
+    if offset == 0 {
+        return Ok(file);
     }
-    .with_threads(options.threads);
-
-    let mapping = if options.aliases {
-        FieldMapping::with_common_aliases()
-    } else {
-        FieldMapping::canonical()
-    };
-    let ingest_options = IngestOptions {
-        format: options.format,
-        policy: options.policy,
-        ..IngestOptions::default()
-    };
-
-    let bytes = read_input(&options.input)?;
-    let report = ingest_bytes(&bytes, &mapping, &ingest_options)
-        .map_err(|e| CliError::Ingest(format!("ingesting {}: {e}", options.input)))?;
-    for diagnostic in &report.diagnostics {
-        eprintln!("{diagnostic}");
+    let len = file.metadata().map_err(unreadable)?.len();
+    if len < offset {
+        return Err(CliError::State(format!(
+            "{path} is {len} bytes, shorter than the checkpoint offset {offset}"
+        )));
     }
-
-    let mut known: BTreeSet<UserId> = BTreeSet::new();
-    let mut alert_count = 0usize;
-    for batch in report.events.chunks(options.batch) {
-        for event in batch {
-            if known.insert(event.user().clone()) {
-                monitor.register_user(&profile_for(event.user(), &services, options.no_consent));
-            }
-        }
-        let alerts = monitor.ingest_batch(batch);
-        alert_count += alerts.len();
-        if !options.quiet {
-            for alert in &alerts {
-                println!("{alert}");
-            }
-        }
-        if let Some(path) = &options.checkpoint {
-            // Atomic replace with a retained `.prev` generation: a crash
-            // here leaves either the old checkpoint or the new one intact.
-            let snapshot = monitor.snapshot();
-            CheckpointStore::new(path)
-                .write(&snapshot.to_bytes())
-                .map_err(|e| CliError::Io(format!("writing checkpoint {path}: {e}")))?;
-        }
+    let mut magic = [0u8; 2];
+    let head = file.read(&mut magic).map_err(unreadable)?;
+    if is_gzip(&magic[..head]) {
+        return Err(CliError::State(format!(
+            "{path} is gzip-compressed; a checkpoint cannot resume inside a gzip stream"
+        )));
     }
-    let last = report.events.last().map(Event::sequence).unwrap_or(0);
-    eprintln!(
-        "{} format, {} lines, {} events (last sequence {last}), {} skipped, {} users, {} alerts",
-        report.format,
-        report.stats.lines,
-        report.stats.events,
-        report.stats.skipped,
-        known.len(),
-        alert_count,
-    );
-    Ok(())
+    file.seek(SeekFrom::Start(offset)).map_err(unreadable)?;
+    Ok(file)
 }
 
 fn main() -> ExitCode {
@@ -456,8 +373,7 @@ fn main() -> ExitCode {
             return ExitCode::from(exit::USAGE as u8);
         }
     };
-    let outcome = if options.follow { run_follow(&options) } else { run(&options) };
-    match outcome {
+    match run(&options) {
         Ok(()) => ExitCode::SUCCESS,
         Err(error) => {
             eprintln!("privacy-monitor: {}", error.message());

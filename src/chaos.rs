@@ -286,7 +286,8 @@ pub struct OfflineRun {
 
 /// Runs the observed bytes through the offline single-process path:
 /// [`ingest_bytes`] under [`ErrorPolicy::Skip`], then one fresh indexed
-/// monitor with the pipeline's first-sight registration.
+/// monitor with the pipeline's first-sight registration (empty consent
+/// under `no_consent`).
 ///
 /// # Errors
 ///
@@ -297,11 +298,12 @@ pub fn offline_reference(
     bytes: &[u8],
     mapping: &FieldMapping,
     batch: usize,
+    no_consent: bool,
 ) -> Result<OfflineRun, String> {
     let options = IngestOptions { policy: ErrorPolicy::Skip, ..IngestOptions::default() };
     let report =
         ingest_bytes(bytes, mapping, &options).map_err(|error| format!("offline: {error}"))?;
-    let mut sink = context.indexed_sink(false);
+    let mut sink = context.indexed_sink(no_consent);
     let mut alerts = Vec::new();
     for batch in report.events.chunks(batch.max(1)) {
         let raised = sink.ingest(batch).map_err(|error| error.to_string())?;

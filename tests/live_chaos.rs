@@ -153,7 +153,7 @@ fn torn_writes_and_stalls_lose_nothing() {
     let report = outcome.expect("pipeline run");
     assert_eq!(observed, corpus, "torn appends reassemble the corpus verbatim");
 
-    let offline = offline_reference(context(), &observed, &FieldMapping::canonical(), 64)
+    let offline = offline_reference(context(), &observed, &FieldMapping::canonical(), 64, false)
         .expect("offline reference");
     assert_differential(&report, &live_alerts, &dir.join("dead.ndjson"), &offline);
     assert_eq!(report.skipped, 0, "clean torn writes quarantine nothing");
@@ -205,7 +205,7 @@ fn rotation_mid_record_and_poison_lines_are_quarantined_exactly() {
     let report = outcome.expect("pipeline run");
     assert!(report.rotations >= 1, "the rotation was observed");
 
-    let offline = offline_reference(context(), &observed, &FieldMapping::canonical(), 64)
+    let offline = offline_reference(context(), &observed, &FieldMapping::canonical(), 64, false)
         .expect("offline reference");
     assert_differential(&report, &live_alerts, &dir.join("dead.ndjson"), &offline);
 
@@ -249,7 +249,7 @@ fn truncation_replays_the_rewritten_file() {
     assert_eq!(report.truncations, 1, "the truncation was observed");
     assert_eq!(observed.len(), head.len() + replacement.len());
 
-    let offline = offline_reference(context(), &observed, &FieldMapping::canonical(), 64)
+    let offline = offline_reference(context(), &observed, &FieldMapping::canonical(), 64, false)
         .expect("offline reference");
     assert_differential(&report, &live_alerts, &dir.join("dead.ndjson"), &offline);
     let _ = std::fs::remove_dir_all(&dir);
@@ -273,7 +273,7 @@ fn corrupt_gzip_is_a_stream_level_dead_letter_matching_offline() {
         matches!(&error, PipelineError::Ingest(IngestError::Gzip(_))),
         "unexpected error: {error}"
     );
-    let offline = offline_reference(context(), &observed, &FieldMapping::canonical(), 64);
+    let offline = offline_reference(context(), &observed, &FieldMapping::canonical(), 64, false);
     assert!(offline.is_err(), "offline must also refuse the archive");
 
     // ... and the failure is accounted for, not silent.
@@ -360,8 +360,9 @@ fn graceful_drain_then_resume_completes_the_identical_stream() {
 
     // The two runs together equal one offline pass over the whole stream.
     let whole = format!("{first}{second}");
-    let offline = offline_reference(context(), whole.as_bytes(), &FieldMapping::canonical(), 64)
-        .expect("offline reference");
+    let offline =
+        offline_reference(context(), whole.as_bytes(), &FieldMapping::canonical(), 64, false)
+            .expect("offline reference");
     assert_eq!(sorted(&live_alerts), sorted(&offline.alerts), "resumed stream diverged");
     assert_eq!(report2.events, offline.report.stats.events, "cumulative event count diverged");
     let _ = std::fs::remove_dir_all(&dir);
@@ -406,7 +407,7 @@ fn pipe_source_drains_on_eof_and_matches_offline() {
         .run(source, &mut sink, |alert| live_alerts.push(alert.to_string()))
         .expect("pipe run");
 
-    let offline = offline_reference(context(), &corpus, &FieldMapping::canonical(), 64)
+    let offline = offline_reference(context(), &corpus, &FieldMapping::canonical(), 64, false)
         .expect("offline reference");
     assert_differential(&report, &live_alerts, &dir.join("dead.ndjson"), &offline);
     let _ = std::fs::remove_dir_all(&dir);
@@ -470,7 +471,7 @@ fn distributed_sink_with_fault_plan_survives_composed_chaos() {
     let (late, stats) = monitor.shutdown().expect("shutdown");
     assert!(!stats.recoveries.is_empty(), "the injected kill forced a recovery");
 
-    let offline = offline_reference(context(), &observed, &FieldMapping::canonical(), 16)
+    let offline = offline_reference(context(), &observed, &FieldMapping::canonical(), 16, false)
         .expect("offline reference");
     live_alerts.extend(late.iter().map(ToString::to_string));
     assert_eq!(
