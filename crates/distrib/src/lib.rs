@@ -35,7 +35,9 @@
 //!   last good checkpoint and replaying only the unacknowledged suffix.
 //! * [`checkpoint`] — [`CheckpointStore`]: atomic write-to-temp-then-rename
 //!   checkpoint files with a `.prev` generation, and a loader that falls
-//!   back past a torn or corrupted generation with typed warnings.
+//!   back past a torn or corrupted generation with typed warnings; and
+//!   [`CheckpointWriter`], the one background thread that encodes and
+//!   writes checkpoints for the worker and the live pipeline alike.
 //! * [`fault`] — [`FaultPlan`]: the failure-injection harness. Kill-at-event,
 //!   stall, drop-ack, sleep-per-event (armed in the worker via `--fault`
 //!   arguments) and corrupt-checkpoint (applied by the supervisor to the
@@ -57,7 +59,10 @@ pub mod supervisor;
 pub mod wire;
 pub mod worker;
 
-pub use checkpoint::{CheckpointStore, CheckpointWarning, Generation};
+pub use checkpoint::{
+    CheckpointJob, CheckpointStore, CheckpointWarning, CheckpointWriteError, CheckpointWriter,
+    Generation,
+};
 pub use fault::{Fault, FaultPlan, WorkerFaults};
 pub use supervisor::{
     DistribError, DistribStats, DistributedMonitor, Recovery, RestartPolicy, SupervisorConfig,
@@ -66,7 +71,10 @@ pub use wire::Message;
 
 /// Convenience re-export of the most commonly used items.
 pub mod prelude {
-    pub use crate::checkpoint::{CheckpointStore, CheckpointWarning, Generation};
+    pub use crate::checkpoint::{
+        CheckpointJob, CheckpointStore, CheckpointWarning, CheckpointWriteError, CheckpointWriter,
+        Generation,
+    };
     pub use crate::fault::{Fault, FaultPlan};
     pub use crate::supervisor::{
         DistribError, DistribStats, DistributedMonitor, Recovery, RestartPolicy, SupervisorConfig,

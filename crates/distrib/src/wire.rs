@@ -16,9 +16,8 @@
 //!   the **index fingerprint** against the supervisor's. The model is the
 //!   contract; shipping the source text reuses the round-trip-tested
 //!   interchange format instead of inventing a second model codec.
-//! * **Snapshots travel as opaque blobs.** A
-//!   [`MonitorSnapshot`](privacy_runtime::MonitorSnapshot) already has
-//!   its own sealed frame; resume payloads, shard exports and checkpoint
+//! * **Snapshots travel as opaque blobs.** A [`MonitorSnapshot`] already
+//!   has its own sealed frame; resume payloads, shard exports and checkpoint
 //!   files nest those bytes whole (the outer checksum covers them again).
 //! * **Events carry explicit batch positions.** The supervisor splits each
 //!   super-batch across owners; the position (`u32` index within the
@@ -51,7 +50,7 @@ use privacy_model::{
     Consent, DatastoreId, FieldId, RiskLevel, Sensitivity, SensitivityProfile, ServiceId, UserId,
     UserProfile,
 };
-use privacy_runtime::{Alert, Event};
+use privacy_runtime::{Alert, Event, MonitorSnapshot};
 
 /// Artefact kind of every supervisor ⇄ worker message frame.
 pub const MESSAGE_KIND: [u8; 4] = *b"PDMG";
@@ -523,22 +522,32 @@ impl Message {
     }
 }
 
-/// Seals a worker checkpoint file: worker index, the super-batch the state
-/// covers through, the number of shard-handoff imports it contains, and the
-/// monitor snapshot as an opaque nested frame.
-#[must_use]
+/// Seals a worker checkpoint file into `out`, replacing its contents and
+/// reusing its allocation: worker index, the super-batch the state covers
+/// through, the number of shard-handoff imports it contains, and the
+/// monitor snapshot as a nested frame. The snapshot is encoded in place,
+/// byte-identical to appending its encoded bytes as a blob, so it never
+/// takes a buffer of its own.
 pub fn encode_checkpoint(
+    out: &mut Vec<u8>,
     worker_index: u32,
     through_batch: u64,
     imports: u64,
-    snapshot: &[u8],
-) -> Vec<u8> {
-    encode_checkpoint_at(CHECKPOINT_VERSION, worker_index, through_batch, imports, snapshot)
+    snapshot: &MonitorSnapshot,
+) {
+    let mut encoder = Encoder::reusing(std::mem::take(out), CHECKPOINT_KIND, CHECKPOINT_VERSION);
+    encoder.u32(worker_index);
+    encoder.u64(through_batch);
+    encoder.u64(imports);
+    snapshot.encode_nested(&mut encoder);
+    *out = encoder.finish();
 }
 
-/// [`encode_checkpoint`] at an explicit file version — the compatibility
-/// seam: tests use it to produce old-version checkpoint files and prove
-/// current readers still accept them. The bookkeeping layout is identical
+/// A worker checkpoint file at an explicit file version, around an
+/// already-encoded snapshot — the compatibility seam: tests use it to
+/// produce checkpoint files of any version (at [`CHECKPOINT_VERSION`], the
+/// bytes of [`encode_checkpoint`]) and prove current readers still accept
+/// the old ones. The bookkeeping layout is identical
 /// across v2/v3; only the version stamp (and the snapshot format the nested
 /// blob is expected to carry) differs.
 #[must_use]
@@ -781,9 +790,28 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_checkpoints_encode_in_place_byte_identically() {
+        let system = privacy_core::casestudy::healthcare().unwrap();
+        let index = privacy_lts::LtsIndex::build(&system.generate_lts().unwrap());
+        let mut monitor = privacy_runtime::IndexedMonitor::new(
+            system.catalog().clone(),
+            system.policy().clone(),
+            std::sync::Arc::new(index),
+        );
+        monitor.register_user(&privacy_core::casestudy::case_a_user());
+        let snapshot = monitor.snapshot();
+        let mut reused = vec![0xEE; 16];
+        encode_checkpoint(&mut reused, 4, 99, 3, &snapshot);
+        assert_eq!(
+            reused,
+            encode_checkpoint_at(CHECKPOINT_VERSION, 4, 99, 3, &snapshot.to_bytes())
+        );
+    }
+
+    #[test]
     fn checkpoint_file_round_trips_and_detects_corruption() {
         let snapshot = vec![7u8; 100];
-        let bytes = encode_checkpoint(4, 99, 3, &snapshot);
+        let bytes = encode_checkpoint_at(CHECKPOINT_VERSION, 4, 99, 3, &snapshot);
         let file = decode_checkpoint(&bytes).unwrap();
         assert_eq!((file.worker_index, file.through_batch, file.imports), (4, 99, 3));
         assert_eq!(file.snapshot, snapshot);

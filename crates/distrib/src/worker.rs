@@ -18,15 +18,19 @@
 //!    not track are ignored, exactly as the in-process `IndexedMonitor`
 //!    ignores unregistered users — this also makes replayed pre-handoff
 //!    batches harmless after a shard has moved away.
-//! 3. [`Checkpoint`](Message::Checkpoint) — encode the monitor snapshot plus
-//!    bookkeeping (covered super-batch, absorbed-import count) **inline**, at
-//!    the exact point in stream order the supervisor requested, then hand the
-//!    bytes to a dedicated checkpoint thread that writes them atomically
-//!    through the [`CheckpointStore`] and sends
+//! 3. [`Checkpoint`](Message::Checkpoint) — capture the monitor snapshot
+//!    at the exact point in stream order the supervisor requested (a cheap
+//!    capture that shares the monitor's cached shard bodies) and submit it,
+//!    with the bookkeeping (covered super-batch, absorbed-import count), to
+//!    the shared [`CheckpointWriter`]. Its thread encodes the snapshot and
+//!    the checkpoint file, writes it atomically through the
+//!    [`CheckpointStore`], and sends
 //!    [`CheckpointDone`](Message::CheckpointDone) once the fsync lands. The
-//!    ingest loop keeps evaluating the next coalesced frames while the disk
-//!    works — on a durable duty cycle this is what lets a worker fleet hide
-//!    checkpoint latency that an in-process monitor must pay inline.
+//!    ingest loop keeps evaluating the next coalesced frames while the
+//!    encoder and the disk work; at most one checkpoint waits behind the
+//!    one being written, so a slow disk blocks the loop instead of piling
+//!    captures up. A failed write sends [`Fatal`](Message::Fatal) at once
+//!    and ends the worker with the I/O exit code.
 //! 4. [`ExportShards`](Message::ExportShards) /
 //!    [`ImportShards`](Message::ImportShards) — the two halves of a live
 //!    shard handoff.
@@ -36,7 +40,7 @@
 //! swallowed ack, a sleep after every event. Crude is the point — they model
 //! the failure, not a polite simulation of it.
 
-use crate::checkpoint::CheckpointStore;
+use crate::checkpoint::{CheckpointJob, CheckpointStore, CheckpointWriteError, CheckpointWriter};
 use crate::exit;
 use crate::fault::WorkerFaults;
 use crate::wire::{encode_checkpoint, Message};
@@ -45,7 +49,6 @@ use privacy_lts::LtsIndex;
 use privacy_runtime::{Alert, IndexedMonitor, MonitorSnapshot};
 use std::fmt;
 use std::io::{Read, Write};
-use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 
 /// A typed worker failure, mapped onto the [`crate::exit`] taxonomy.
@@ -85,18 +88,29 @@ impl fmt::Display for WorkerFailure {
 
 impl std::error::Error for WorkerFailure {}
 
-/// In-flight checkpoint writes the ingest loop may run ahead of before it
-/// blocks — bounded, so a slow disk exerts backpressure on the whole lane
-/// instead of piling encoded snapshots up in worker memory.
-const CHECKPOINT_QUEUE: usize = 2;
-
-/// One encoded checkpoint handed from the ingest loop to the checkpoint
-/// thread. The snapshot is taken (and encoded) inline at the requested point
-/// in stream order; only the write + fsync happens off-thread.
-struct CheckpointJob {
-    file: Vec<u8>,
+/// One worker checkpoint: the bookkeeping plus the monitor's capture,
+/// taken at the requested stream point and encoded by the writer thread.
+struct WorkerCheckpoint {
+    worker_index: u32,
     through_batch: u64,
     imports: u64,
+    snapshot: MonitorSnapshot,
+}
+
+impl CheckpointJob for WorkerCheckpoint {
+    /// The [`Message::CheckpointDone`] to send once the file is durable.
+    type Done = Message;
+
+    fn encode(self, file: &mut Vec<u8>) -> Message {
+        encode_checkpoint(
+            file,
+            self.worker_index,
+            self.through_batch,
+            self.imports,
+            &self.snapshot,
+        );
+        Message::CheckpointDone { through_batch: self.through_batch, imports: self.imports }
+    }
 }
 
 struct WorkerState {
@@ -132,7 +146,7 @@ fn next_message(input: &mut impl Read) -> Result<Option<Message>, WorkerFailure>
 }
 
 /// Writes one reply frame through the shared output. The mutex is held only
-/// for the frame write, so the ingest loop and the checkpoint thread
+/// for the frame write, so the ingest loop and the checkpoint writer
 /// interleave whole frames, never bytes. `write_frame` flushes, so a reply
 /// never sits in a stdout buffer while the worker blocks on its next command
 /// (which would deadlock the supervisor waiting for exactly that reply).
@@ -142,36 +156,25 @@ fn send<O: Write>(output: &Mutex<&mut O>, message: &Message) -> Result<(), Worke
         .map_err(|error| WorkerFailure::Io(format!("writing reply pipe: {error}")))
 }
 
-/// The checkpoint thread: drains [`CheckpointJob`]s in order (generations on
-/// disk stay ordered), fsyncs each through the [`CheckpointStore`], and only
-/// then sends [`Message::CheckpointDone`] — the supervisor's coverage never
-/// advances past bytes that are not actually durable. A write failure is
-/// reported as a best-effort [`Message::Fatal`] and parked in `failed` for
-/// the ingest loop to surface as the worker's exit.
-fn checkpoint_thread<O: Write>(
-    store: &CheckpointStore,
-    jobs: Receiver<CheckpointJob>,
+/// The checkpoint writer's on-durable hook: [`Message::CheckpointDone`]
+/// only once the file is durable — the supervisor's coverage never advances
+/// past bytes that are not — or, for a failed write, a best-effort
+/// [`Message::Fatal`] at once. The ingest loop then surfaces the same error
+/// as the worker's exit. A reply that cannot be sent is dropped: the
+/// supervisor is gone, and the ingest loop will see EOF.
+fn checkpoint_reply<O: Write>(
     output: &Mutex<&mut O>,
-    failed: &Mutex<Option<WorkerFailure>>,
+    done: Result<Message, &CheckpointWriteError>,
 ) {
-    for job in jobs {
-        if let Err(error) = store.write(&job.file) {
-            let failure = WorkerFailure::Io(format!(
-                "checkpoint write to `{}` failed: {error}",
-                store.path().display()
-            ));
-            let fatal =
-                Message::Fatal { code: failure.exit_code() as u32, message: failure.to_string() };
-            let _ = send(output, &fatal);
-            *failed.lock().expect("checkpoint failure mutex poisoned") = Some(failure);
-            return;
-        }
-        let done =
-            Message::CheckpointDone { through_batch: job.through_batch, imports: job.imports };
-        if send(output, &done).is_err() {
-            return; // the supervisor is gone; the ingest loop will see EOF
-        }
-    }
+    let reply = done.unwrap_or_else(|error| {
+        let failure = checkpoint_failure(error);
+        Message::Fatal { code: failure.exit_code() as u32, message: failure.to_string() }
+    });
+    let _ = send(output, &reply);
+}
+
+fn checkpoint_failure(error: &CheckpointWriteError) -> WorkerFailure {
+    WorkerFailure::Io(error.to_string())
 }
 
 /// Runs the worker protocol over the given pipes until the supervisor sends
@@ -269,37 +272,25 @@ fn serve(
     };
     let store = checkpoint_path.map(CheckpointStore::new);
     let output = Mutex::new(output);
-    let ckpt_failure: Mutex<Option<WorkerFailure>> = Mutex::new(None);
 
     std::thread::scope(|scope| {
         send(&output, &Message::Ready { fingerprint, resumed_users })?;
-        let mut ckpt_tx = None;
-        let mut ckpt_thread = None;
-        if let Some(store) = &store {
-            let (tx, rx) = std::sync::mpsc::sync_channel(CHECKPOINT_QUEUE);
-            let (out, failed) = (&output, &ckpt_failure);
-            ckpt_thread = Some(scope.spawn(move || checkpoint_thread(store, rx, out, failed)));
-            ckpt_tx = Some(tx);
-        }
-        // `serve_loop` consumes the sender, so the checkpoint thread sees a
-        // closed channel — and drains its queue — as soon as the loop ends.
-        let result = serve_loop(input, &output, ckpt_tx, &mut state);
-        if let Some(thread) = ckpt_thread {
-            let _ = thread.join();
-        }
-        if result.is_ok() {
-            if let Some(failure) = ckpt_failure.lock().expect("failure mutex").take() {
-                return Err(failure);
-            }
-        }
-        result
+        let output = &output;
+        let writer = store.map(|store| {
+            CheckpointWriter::spawn(scope, store, move |done| checkpoint_reply(output, done))
+        });
+        let result = serve_loop(input, output, writer.as_ref(), &mut state);
+        // Everything submitted is durable (or has failed) once this returns.
+        let closed = writer.map_or(Ok(()), CheckpointWriter::close);
+        result?;
+        closed.map_err(|error| checkpoint_failure(&error))
     })
 }
 
 fn serve_loop<O: Write + Send>(
     input: &mut impl Read,
     output: &Mutex<&mut O>,
-    ckpt_tx: Option<SyncSender<CheckpointJob>>,
+    writer: Option<&CheckpointWriter<'_, WorkerCheckpoint>>,
     state: &mut WorkerState,
 ) -> Result<(), WorkerFailure> {
     while let Some(message) = next_message(input)? {
@@ -314,7 +305,7 @@ fn serve_loop<O: Write + Send>(
             Message::IngestBatch { acked_through, parts } => {
                 handle_ingest_batch(state, output, acked_through, parts)?;
             }
-            Message::Checkpoint => handle_checkpoint(state, output, ckpt_tx.as_ref())?,
+            Message::Checkpoint => handle_checkpoint(state, output, writer)?,
             Message::ExportShards { shards } => {
                 let exported = state.monitor.snapshot().extract_shards(&shards);
                 for &shard in &shards {
@@ -415,9 +406,9 @@ fn handle_ingest_batch<O: Write>(
 fn handle_checkpoint<O: Write>(
     state: &mut WorkerState,
     output: &Mutex<&mut O>,
-    ckpt_tx: Option<&SyncSender<CheckpointJob>>,
+    writer: Option<&CheckpointWriter<'_, WorkerCheckpoint>>,
 ) -> Result<(), WorkerFailure> {
-    let Some(tx) = ckpt_tx else {
+    let Some(writer) = writer else {
         // No store configured: durability is a no-op, reply immediately.
         return send(
             output,
@@ -427,23 +418,17 @@ fn handle_checkpoint<O: Write>(
             },
         );
     };
-    // The snapshot is taken and encoded here, at the exact point in stream
-    // order the supervisor asked for; only the write + fsync is off-thread.
-    // The checkpoint thread sends the `CheckpointDone` once the file is
-    // durable, while this loop moves on to the next coalesced frame.
-    let snapshot = state.monitor.snapshot().to_bytes();
-    let file = encode_checkpoint(
-        state.worker_index,
-        state.through_batch,
-        state.imports_absorbed,
-        &snapshot,
-    );
-    tx.send(CheckpointJob {
-        file,
-        through_batch: state.through_batch,
-        imports: state.imports_absorbed,
-    })
-    .map_err(|_| WorkerFailure::Io("checkpoint thread exited".to_owned()))
+    // The capture is taken here, at the exact point in stream order the
+    // supervisor asked for; encoding, the write and the fsync happen on the
+    // writer thread, which sends the `CheckpointDone`.
+    writer
+        .submit(WorkerCheckpoint {
+            worker_index: state.worker_index,
+            through_batch: state.through_batch,
+            imports: state.imports_absorbed,
+            snapshot: state.monitor.snapshot(),
+        })
+        .map_err(|error| checkpoint_failure(&error))
 }
 
 /// The `privacy-shardd` entry point: parses `--fault` switches, runs the
@@ -484,7 +469,7 @@ pub fn shardd_main(args: impl Iterator<Item = String>) -> i32 {
     }
     let stdin = std::io::stdin();
     let mut input = std::io::BufReader::new(stdin.lock());
-    // `Stdout` (unlike `StdoutLock`) is `Send`, which the checkpoint thread
+    // `Stdout` (unlike `StdoutLock`) is `Send`, which the checkpoint writer
     // needs; per-frame locking already happens at the worker's reply mutex.
     let mut output = std::io::stdout();
     match run_worker(&mut input, &mut output, faults) {
@@ -765,5 +750,53 @@ mod tests {
         };
         assert_eq!(code, failure.exit_code() as u32);
         assert!(message.contains("protocol"));
+    }
+
+    #[test]
+    fn checkpoint_write_failure_sends_fatal_and_exits_io_fatal() {
+        let (name, system) = tiny_system();
+        let dir = std::env::temp_dir().join(format!("shardd-ckpt-fail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // The checkpoint's parent directory is a regular file.
+        let blocker = dir.join("not-a-directory");
+        std::fs::write(&blocker, b"").unwrap();
+        let checkpoint = blocker.join("worker-0.ckpt");
+        let Message::Init { model_psm, fingerprint, .. } = init_message(&name, &system) else {
+            unreachable!()
+        };
+        let init = Message::Init {
+            worker_index: 0,
+            owned_shards: (0..privacy_runtime::SHARD_COUNT as u32).collect(),
+            model_psm,
+            fingerprint,
+            checkpoint_path: Some(checkpoint.to_str().unwrap().to_owned()),
+            resume: None,
+            resume_through_batch: 0,
+            resume_imports: 0,
+        };
+        let mut input = Vec::new();
+        for message in [init, Message::Checkpoint, Message::Shutdown] {
+            privacy_interchange::write_frame(&mut input, &message.encode()).unwrap();
+        }
+        let mut output = Vec::new();
+        let failure =
+            run_worker(&mut &input[..], &mut output, WorkerFaults::default()).unwrap_err();
+        assert!(matches!(failure, WorkerFailure::Io(_)), "{failure}");
+        assert_eq!(failure.exit_code(), exit::IO_FATAL);
+        assert!(failure.to_string().contains("worker-0.ckpt"), "{failure}");
+        let mut reader = &output[..];
+        let mut replies = Vec::new();
+        while let Some(frame) = read_frame(&mut reader).unwrap() {
+            replies.push(Message::decode(&frame).unwrap());
+        }
+        assert!(matches!(replies[0], Message::Ready { .. }), "{replies:?}");
+        assert!(
+            replies[1..].iter().all(|reply| matches!(reply,
+                Message::Fatal { code, .. } if *code == exit::IO_FATAL as u32)),
+            "no CheckpointDone, only Fatal: {replies:?}"
+        );
+        assert!(replies.len() > 1, "the failure must be reported: {replies:?}");
+        let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -179,17 +179,50 @@ pub struct Encoder {
     /// the length and appends the checksum in place, so a frame is never
     /// copied to prepend its header.
     frame: Vec<u8>,
+    /// Where this frame's header starts in `frame`: 0, or just past the
+    /// outer frame's bytes for a frame written by [`Encoder::nested`].
+    start: usize,
 }
 
 impl Encoder {
     /// Starts a frame of the given artefact kind and format version.
     pub fn new(kind: [u8; 4], version: u32) -> Encoder {
-        let mut frame = Vec::with_capacity(HEADER_LEN);
+        Encoder::reusing(Vec::with_capacity(HEADER_LEN), kind, version)
+    }
+
+    /// [`Encoder::new`] in a caller's buffer: its contents are discarded
+    /// and its allocation reused, so a caller that seals frames of similar
+    /// size over and over (a checkpoint writer) stops allocating once the
+    /// buffer has grown. [`Encoder::finish`] hands the buffer back.
+    pub fn reusing(mut frame: Vec<u8>, kind: [u8; 4], version: u32) -> Encoder {
+        frame.clear();
+        Encoder::append_to(frame, kind, version)
+    }
+
+    /// Starts a frame after the bytes `frame` already holds.
+    fn append_to(mut frame: Vec<u8>, kind: [u8; 4], version: u32) -> Encoder {
+        let start = frame.len();
         frame.extend_from_slice(&MAGIC);
         frame.extend_from_slice(&kind);
         frame.extend_from_slice(&version.to_le_bytes());
         frame.extend_from_slice(&0u64.to_le_bytes());
-        Encoder { frame }
+        Encoder { frame, start }
+    }
+
+    /// Appends a whole inner frame as a length-prefixed blob, exactly as
+    /// [`Encoder::bytes`] would append the sealed inner frame, but written
+    /// in place: `write` fills the inner frame's payload, and the inner
+    /// frame is sealed where it stands instead of being encoded into a
+    /// buffer of its own and copied.
+    pub fn nested(&mut self, kind: [u8; 4], version: u32, write: impl FnOnce(&mut Encoder)) {
+        let length_at = self.frame.len();
+        self.u32(0);
+        let mut inner = Encoder::append_to(std::mem::take(&mut self.frame), kind, version);
+        let start = inner.start;
+        write(&mut inner);
+        self.frame = inner.finish();
+        let length = (self.frame.len() - start) as u32;
+        self.frame[length_at..start].copy_from_slice(&length.to_le_bytes());
     }
 
     /// Reserves room for at least `additional` more payload bytes plus the
@@ -286,10 +319,10 @@ impl Encoder {
     /// Seals the frame in place: patches the payload length into the
     /// header and appends the trailing checksum.
     pub fn finish(self) -> Vec<u8> {
-        let mut out = self.frame;
-        let payload_len = (out.len() - HEADER_LEN) as u64;
-        out[12..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
-        let checksum = fnv1a(&out);
+        let (mut out, start) = (self.frame, self.start);
+        let payload_len = (out.len() - start - HEADER_LEN) as u64;
+        out[start + 12..start + HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
+        let checksum = fnv1a(&out[start..]);
         out.extend_from_slice(&checksum.to_le_bytes());
         out
     }
@@ -1143,6 +1176,32 @@ mod tests {
         encoder.str("snapshot");
         encoder.u64_slice(&[1, 2, 3]);
         encoder.finish()
+    }
+
+    #[test]
+    fn nested_frames_equal_sealed_blobs() {
+        let inner = sample_frame();
+        let mut outer = Encoder::new(*b"OUTR", 1);
+        outer.u64(9);
+        outer.bytes(&inner);
+        outer.u8(1);
+        let copied = outer.finish();
+
+        let mut reused = vec![0xAA; 64];
+        reused.clear();
+        let mut outer = Encoder::reusing(reused, *b"OUTR", 1);
+        outer.u64(9);
+        outer.nested(KIND, 3, |encoder| {
+            encoder.u8(7);
+            encoder.bool(true);
+            encoder.u32(123_456);
+            encoder.u64(u64::MAX - 1);
+            encoder.f64(0.75);
+            encoder.str("snapshot");
+            encoder.u64_slice(&[1, 2, 3]);
+        });
+        outer.u8(1);
+        assert_eq!(outer.finish(), copied);
     }
 
     #[test]

@@ -35,6 +35,7 @@ use privacy_lts::space::VarKind;
 use privacy_lts::{ActionKind, FxHashMap, FxHasher, LtsIndex, PrivacyState};
 use privacy_model::{Catalog, DatastoreId, Interner, RiskLevel, Sensitivity, UserId, UserProfile};
 use privacy_risk::{LikelihoodModel, RiskMatrix, SensitivityModel};
+use std::collections::hash_map::Entry;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -101,9 +102,13 @@ struct UserSlot {
     /// actors; per space field index, the bits of the user's raw
     /// sensitivity `σ(d)`.
     data: Box<[u64]>,
-    /// The [`RowCache::generation`] in which this row last changed.
+    /// The [`RowCache::generation`] in which this row was last marked
+    /// changed; [`UNMARKED`] for a slot never marked.
     changed_in: u64,
 }
+
+/// The `changed_in` of a slot that no capture generation has marked.
+const UNMARKED: u64 = u64::MAX;
 
 impl UserSlot {
     /// A slot with an all-clear state; `allowed` and `sensitivities` fill
@@ -114,7 +119,7 @@ impl UserSlot {
         data.extend_from_slice(allowed);
         data.extend(sensitivities.map(f64::to_bits));
         debug_assert_eq!(data.len(), layout.len());
-        UserSlot { data: data.into_boxed_slice(), changed_in: 0 }
+        UserSlot { data: data.into_boxed_slice(), changed_in: UNMARKED }
     }
 
     /// State bits come first in `data`, so a state bit index addresses it
@@ -180,19 +185,26 @@ struct RowCache {
     /// emptied; the next capture then encodes every row, so a monitor that
     /// is never captured pays nothing.
     body: Option<Arc<Vec<u8>>>,
-    /// Bumped by every capture. A slot whose `changed_in` equals it may
-    /// differ from `body`: a state bit flipped, or the user was
-    /// (re-)registered or absorbed, since the previous capture.
+    /// Where each entry of `body` starts, in body (user id) order: the
+    /// index a capture binary-searches to find a changed user's entry.
+    offsets: Vec<u32>,
+    /// The users whose rows may differ from `body`, each listed once: a
+    /// state bit flipped, or the user was (re-)registered or absorbed,
+    /// since the previous capture. Kept only while there is a `body`.
+    marked: Vec<UserId>,
+    /// Bumped by every capture. A slot whose `changed_in` equals it is
+    /// already in `marked`.
     generation: u64,
-    /// Whether any row changed since the previous capture.
-    dirty: bool,
 }
 
 impl RowCache {
-    /// Records that `slot`'s row may differ from `body`.
-    fn mark(&mut self, slot: &mut UserSlot) {
-        slot.changed_in = self.generation;
-        self.dirty = true;
+    /// Records that `user`'s row may differ from `body`. Without a body
+    /// the next capture encodes every row anyway, so nothing is recorded.
+    fn mark(&mut self, user: &UserId, slot: &mut UserSlot) {
+        if self.body.is_some() && slot.changed_in != self.generation {
+            slot.changed_in = self.generation;
+            self.marked.push(user.clone());
+        }
     }
 }
 
@@ -240,31 +252,50 @@ impl Shard {
 
     /// Inserts (or replaces) a user's slot, marking the row changed.
     fn insert(&mut self, user: UserId, mut slot: UserSlot) {
-        self.rows_mut().mark(&mut slot);
-        self.users.insert(user, slot);
+        let rows = self.rows.get_mut().unwrap_or_else(PoisonError::into_inner);
+        match self.users.entry(user) {
+            Entry::Occupied(mut entry) => {
+                // A replaced row already marked this generation stays
+                // listed once.
+                slot.changed_in = entry.get().changed_in;
+                rows.mark(entry.key(), &mut slot);
+                entry.insert(slot);
+            }
+            Entry::Vacant(entry) => {
+                rows.mark(entry.key(), &mut slot);
+                entry.insert(slot);
+            }
+        }
     }
 
     /// The shard's snapshot body: the previous capture's body with the
-    /// changed rows re-encoded and spliced in, or every row encoded when
+    /// marked rows re-encoded and spliced in, or every row encoded when
     /// there is no previous body. Either way it is byte-identical to
-    /// encoding every row afresh; no allocation is made per user.
+    /// encoding every row afresh; no allocation is made per user, and
+    /// with a previous body only the marked rows are visited.
     fn capture(&self, layout: SlotLayout, scratch: &mut RowScratch) -> Arc<Vec<u8>> {
         let mut guard = self.rows.lock().unwrap_or_else(PoisonError::into_inner);
         let cache = &mut *guard;
         let body = match &cache.body {
-            Some(body) if !cache.dirty => Arc::clone(body),
+            Some(body) if cache.marked.is_empty() => Arc::clone(body),
             Some(previous) => {
-                let generation = cache.generation;
-                let changed = self.users.iter().filter(|(_, slot)| slot.changed_in == generation);
+                let changed = cache
+                    .marked
+                    .iter()
+                    .map(|user| (user, self.users.get(user).expect("marked users are registered")));
                 let fresh = encode_sorted(changed, layout, scratch);
-                Arc::new(splice(previous, &fresh, &scratch.entries))
+                let (body, offsets) = splice(previous, &cache.offsets, &fresh, &scratch.entries);
+                cache.offsets = offsets;
+                Arc::new(body)
             }
             None => {
                 let fresh = encode_sorted(self.users.iter(), layout, scratch);
-                Arc::new(splice(&[], &fresh, &scratch.entries))
+                let (body, offsets) = splice(&[], &[], &fresh, &scratch.entries);
+                cache.offsets = offsets;
+                Arc::new(body)
             }
         };
-        cache.dirty = false;
+        cache.marked.clear();
         cache.generation += 1;
         cache.body = Some(Arc::clone(&body));
         body
@@ -302,35 +333,55 @@ fn encode_sorted<'a>(
 }
 
 /// Merges `fresh` entries (sorted by user, unique, their bytes in
-/// `entries`) into a previous shard body (sorted by user): a fresh entry
-/// replaces the previous entry of the same user, every other previous entry
-/// is copied verbatim in runs.
-fn splice(previous: &[u8], fresh: &[FreshEntry<'_>], entries: &[u8]) -> Vec<u8> {
+/// `entries`) into a previous shard body (sorted by user, entry `i`
+/// starting at `offsets[i]`): a fresh entry replaces the previous entry of
+/// the same user, and the previous entries between two fresh ones are
+/// copied as one run. Each fresh user's position is found by binary search
+/// over `offsets`, so the work beyond the bulk copies is logarithmic per
+/// fresh entry plus one shifted offset per copied entry. Returns the new
+/// body and its offset index.
+fn splice(
+    previous: &[u8],
+    offsets: &[u32],
+    fresh: &[FreshEntry<'_>],
+    entries: &[u8],
+) -> (Vec<u8>, Vec<u32>) {
     let fresh_len: usize = fresh.iter().map(|&(_, start, end)| end - start).sum();
     let mut body = Vec::with_capacity(previous.len() + fresh_len);
-    let mut fresh = fresh.iter().peekable();
-    // `previous[..copied]` is already in `body` or replaced.
-    let mut copied = 0;
-    let mut offset = 0;
-    while offset < previous.len() && fresh.peek().is_some() {
-        let start = offset;
-        let user = snapshot::skip_entry(previous, &mut offset);
-        while let Some(&(_, from, to)) = fresh.next_if(|entry| entry.0.as_bytes() < user) {
-            body.extend_from_slice(&previous[copied..start]);
-            copied = start;
-            body.extend_from_slice(&entries[from..to]);
+    let mut index = Vec::with_capacity(offsets.len() + fresh.len());
+    let user_at = |offset: u32| snapshot::entry_user(previous, offset as usize);
+    // Copies previous entries `from..to` verbatim, shifting their offsets.
+    let copy_run = |from: usize, to: usize, body: &mut Vec<u8>, index: &mut Vec<u32>| {
+        if from == to {
+            return;
         }
-        if let Some(&(_, from, to)) = fresh.next_if(|entry| entry.0.as_bytes() == user) {
-            body.extend_from_slice(&previous[copied..start]);
-            copied = offset;
-            body.extend_from_slice(&entries[from..to]);
-        }
-    }
-    body.extend_from_slice(&previous[copied..]);
-    for &(_, from, to) in fresh {
+        let start = offsets[from];
+        let end = offsets.get(to).map_or(previous.len(), |&end| end as usize);
+        let base = body_offset(body.len());
+        index.extend(offsets[from..to].iter().map(|&offset| offset - start + base));
+        body.extend_from_slice(&previous[start as usize..end]);
+    };
+    // Previous entries before `next` are already in `body` or replaced.
+    let mut next = 0;
+    for &(user, from, to) in fresh {
+        let user = user.as_bytes();
+        let at = next + offsets[next..].partition_point(|&offset| user_at(offset) < user);
+        copy_run(next, at, &mut body, &mut index);
+        index.push(body_offset(body.len()));
         body.extend_from_slice(&entries[from..to]);
+        next = if offsets.get(at).is_some_and(|&offset| user_at(offset) == user) {
+            at + 1
+        } else {
+            at
+        };
     }
-    body
+    copy_run(next, offsets.len(), &mut body, &mut index);
+    (body, index)
+}
+
+/// A shard-body position as [`RowCache::offsets`] stores it.
+fn body_offset(position: usize) -> u32 {
+    u32::try_from(position).expect("a shard body stays under 4 GiB")
 }
 
 /// The read-only context a batch's worker threads share.
@@ -516,11 +567,18 @@ impl IndexedMonitor {
     /// grouped by shard and sorted by id within each shard, so the snapshot
     /// is identical whatever thread count produced the state.
     ///
-    /// Capture is incremental: each shard keeps the body it last captured,
-    /// and ingestion marks the rows whose state bits actually flip, so a
-    /// capture re-encodes only those rows and copies every other row's
-    /// bytes (an unchanged shard is shared, not even copied). The first
-    /// capture encodes every row. The bytes are the same either way.
+    /// Capture is incremental: each shard keeps the body it last captured
+    /// and an index of where each entry starts, and ingestion lists the
+    /// users whose state bits actually flip. A capture visits and
+    /// re-encodes only those rows, finds each one's place in the cached
+    /// body by binary search, and copies the runs between them in bulk (an
+    /// unchanged shard is shared, not even copied). The first capture
+    /// encodes every row. The bytes are the same either way.
+    ///
+    /// The snapshot shares its shard bodies with the monitor through `Arc`s
+    /// that later captures replace rather than modify, so it never changes
+    /// after it is taken: it can be encoded on another thread while the
+    /// monitor keeps ingesting.
     pub fn snapshot(&self) -> MonitorSnapshot {
         let space = self.index.space();
         let mut scratch = RowScratch::default();
@@ -644,7 +702,7 @@ impl IndexedMonitor {
             Some(slot) => {
                 let removed = slot.users.len();
                 slot.users.clear();
-                slot.rows_mut().body = None;
+                *slot.rows_mut() = RowCache::default();
                 removed
             }
             None => 0,
@@ -723,36 +781,25 @@ impl IndexedMonitor {
         let (ctx, shards) = self.split_context();
         let chunk = SHARDS.div_ceil(threads);
 
+        // The calling thread replays the first chunk of shards itself and
+        // spawns a worker for each other chunk only.
+        let mut chunks = shards.chunks_mut(chunk).zip(buckets.chunks(chunk));
+        let (first_shards, first_buckets) = chunks.next().expect("at least one shard chunk");
         let mut tagged: Vec<(u32, Alert)> = if threads == 1 {
-            let mut out = Vec::new();
-            for (shard, bucket) in shards.iter_mut().zip(&buckets) {
-                for &(pos, event) in bucket {
-                    process_event(&ctx, shard, pos, event, &mut out);
-                }
-            }
-            out
+            replay_chunk(&ctx, first_shards, first_buckets)
         } else {
             crossbeam::thread::scope(|scope| {
                 let ctx = &ctx;
-                let handles: Vec<_> = shards
-                    .chunks_mut(chunk)
-                    .zip(buckets.chunks(chunk))
+                let handles: Vec<_> = chunks
                     .map(|(shard_chunk, bucket_chunk)| {
-                        scope.spawn(move |_| {
-                            let mut out = Vec::new();
-                            for (shard, bucket) in shard_chunk.iter_mut().zip(bucket_chunk) {
-                                for &(pos, event) in bucket {
-                                    process_event(ctx, shard, pos, event, &mut out);
-                                }
-                            }
-                            out
-                        })
+                        scope.spawn(move |_| replay_chunk(ctx, shard_chunk, bucket_chunk))
                     })
                     .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|handle| handle.join().expect("monitor shard worker panicked"))
-                    .collect()
+                let mut out = replay_chunk(ctx, first_shards, first_buckets);
+                for handle in handles {
+                    out.extend(handle.join().expect("monitor shard worker panicked"));
+                }
+                out
             })
             .expect("monitor ingestion scope panicked")
         };
@@ -816,6 +863,22 @@ fn check_snapshot_compat(
     Ok(())
 }
 
+/// Replays each shard's bucket of a batch in stream order, returning the
+/// raised alerts tagged with their batch positions.
+fn replay_chunk(
+    ctx: &Ctx<'_>,
+    shards: &mut [Shard],
+    buckets: &[Vec<(u32, &Event)>],
+) -> Vec<(u32, Alert)> {
+    let mut out = Vec::new();
+    for (shard, bucket) in shards.iter_mut().zip(buckets) {
+        for &(pos, event) in bucket {
+            process_event(ctx, shard, pos, event, &mut out);
+        }
+    }
+    out
+}
+
 /// Applies one permitted event to its user's slot, pushing any raised alerts
 /// tagged with the event's batch position, and queues the user's row for
 /// the next capture if a state bit flipped.
@@ -830,7 +893,7 @@ fn process_event(
         return;
     };
     if apply_event(ctx, slot, pos, event, out) {
-        shard.rows.get_mut().unwrap_or_else(PoisonError::into_inner).mark(slot);
+        shard.rows.get_mut().unwrap_or_else(PoisonError::into_inner).mark(event.user(), slot);
     }
 }
 

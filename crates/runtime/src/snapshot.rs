@@ -197,13 +197,10 @@ pub(crate) fn read_entry<'a>(
     Ok(RowView { user, encoded })
 }
 
-/// The user-id bytes of the entry at `*offset` of a validated shard body,
-/// advancing past the entry — the cheap walk capture splices changed rows
-/// into.
-pub(crate) fn skip_entry<'a>(body: &'a [u8], offset: &mut usize) -> &'a [u8] {
-    let user = take_prefixed(body, offset).expect("shard bodies hold validated entries");
-    take_prefixed(body, offset).expect("shard bodies hold validated entries");
-    user
+/// The user-id bytes of the entry starting at `offset` of a validated
+/// shard body — the key capture binary-searches its cached body by.
+pub(crate) fn entry_user(body: &[u8], mut offset: usize) -> &[u8] {
+    take_prefixed(body, &mut offset).expect("shard bodies hold validated entries")
 }
 
 /// Appends one shard-body entry encoding a user's state, each row under
@@ -448,7 +445,27 @@ impl MonitorSnapshot {
     /// re-encodes a row, so snapshots that were split, merged or
     /// shard-filtered serialize byte-identically to the original grouping.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut encoder = Encoder::new(SNAPSHOT_KIND, SNAPSHOT_VERSION);
+        let mut bytes = Vec::new();
+        self.encode_into(&mut bytes);
+        bytes
+    }
+
+    /// [`MonitorSnapshot::to_bytes`] into `out`, replacing its contents and
+    /// reusing its allocation.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let mut encoder = Encoder::reusing(std::mem::take(out), SNAPSHOT_KIND, SNAPSHOT_VERSION);
+        self.write_payload(&mut encoder);
+        *out = encoder.finish();
+    }
+
+    /// Appends the snapshot to an enclosing frame (a checkpoint file) as a
+    /// nested blob: the bytes of `outer.bytes(&self.to_bytes())`, encoded
+    /// in place without a buffer of their own.
+    pub fn encode_nested(&self, outer: &mut Encoder) {
+        outer.nested(SNAPSHOT_KIND, SNAPSHOT_VERSION, |encoder| self.write_payload(encoder));
+    }
+
+    fn write_payload(&self, encoder: &mut Encoder) {
         // Fixed header, then at most 20 varint bytes of shard framing per
         // shard; pending alerts are rare and may regrow the buffer.
         let bodies: usize = self.shards.iter().map(|shard| shard.body.len() + 20).sum();
@@ -470,7 +487,6 @@ impl MonitorSnapshot {
             encoder.u8(alert.level().index() as u8);
             encoder.str_var(alert.message());
         }
-        encoder.finish()
     }
 
     /// [`MonitorSnapshot::to_bytes`] at an explicit format version — the

@@ -764,6 +764,10 @@ proptest! {
         let donor = donor.snapshot();
 
         let mut warm = monitor_over(&fixture);
+        // The previous cut's capture and its bytes at the time: a capture
+        // must stay immutable while the monitor moves on, because the
+        // checkpoint writer encodes it on another thread.
+        let mut held: Option<(MonitorSnapshot, Vec<u8>)> = None;
         for (at, op) in ops.iter().enumerate() {
             match op {
                 Op::Resume => {
@@ -779,6 +783,12 @@ proptest! {
                 Op::Cut => {
                     let snapshot = warm.snapshot();
                     let warm_bytes = snapshot.to_bytes();
+                    if let Some((earlier, earlier_bytes)) = held.take() {
+                        prop_assert!(
+                            earlier.to_bytes() == earlier_bytes,
+                            "a capture held across ops changed before cut {at} of {ops:?}"
+                        );
+                    }
                     let cold = ops[..at]
                         .iter()
                         .fold(monitor_over(&fixture), |cold, op| apply(cold, op, &fixture, &donor));
@@ -804,6 +814,7 @@ proptest! {
                         let merged = MonitorSnapshot::merge(&extracted).expect("extracts merge");
                         prop_assert_eq!(merged.shards(), snapshot.shards());
                     }
+                    held = Some((snapshot, warm_bytes));
                 }
                 op => warm = apply(warm, op, &fixture, &donor),
             }

@@ -29,8 +29,12 @@
 //! crash mid-write never leaves a torn checkpoint. `--resume` loads the
 //! newest generation that decodes, falling back to `.prev` with a warning,
 //! and continues the same stream from the checkpoint's offset: a file is
-//! read from that offset, and stdin is expected to carry the rest of the
-//! stream.
+//! read (or tailed) from that offset, and stdin is expected to carry the
+//! rest of the stream. A gzip file is refused with exit 11 either way:
+//! checkpoint offsets count decompressed bytes, so there is no place to
+//! seek to inside a gzip stream. A finite file shorter than the offset is
+//! refused too; a tail counts its offset across rotations, so it takes a
+//! shorter file as truncated and reads it from the start.
 //!
 //! Unknown users are registered on first sight — consenting to every
 //! catalog service by default (so alerts reflect risky *actions*, not a
@@ -52,7 +56,7 @@ use privacy_model::ServiceId;
 use privacy_runtime::{IndexedMonitor, MonitorSnapshot};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -99,7 +103,10 @@ Checkpointing:
   --resume PATH       resume from the newest generation of PATH that decodes,
                       falling back to PATH.prev with a warning if the live
                       file is corrupt, and continue the stream from its
-                      offset (FILE must be at least that long)
+                      offset (FILE must not be gzip; without --follow it
+                      must be at least that long, and a --follow tail
+                      takes a shorter FILE as truncated and reads it
+                      from the start)
 
 Exit codes:
   0    ok
@@ -300,6 +307,11 @@ fn run(options: &Options) -> Result<(), CliError> {
     let source = if options.input == "-" {
         LiveSource::pipe(Box::new(std::io::stdin()), config.follow.clone())
     } else if options.follow {
+        // A tail may start before its file exists; one that does exist
+        // must not be gzip.
+        if offset > 0 && Path::new(&options.input).exists() {
+            open_resumable(&options.input, offset)?;
+        }
         LiveSource::tail(&options.input, config.follow.clone())
     } else {
         LiveSource::pipe(Box::new(open_at(&options.input, offset)?), config.follow.clone())
@@ -339,20 +351,36 @@ fn run(options: &Options) -> Result<(), CliError> {
 }
 
 /// Opens the finite input file positioned at a resumed stream `offset`.
-/// A file shorter than the offset, or a gzip file resumed past its start
-/// (checkpoint offsets count decompressed bytes), cannot continue the
-/// checkpointed stream and is refused rather than silently re-read.
+/// A file shorter than the offset cannot continue the checkpointed stream
+/// and is refused rather than silently re-read.
 fn open_at(path: &str, offset: u64) -> Result<File, CliError> {
+    let unreadable = |e: std::io::Error| CliError::Ingest(format!("reading {path}: {e}"));
+    let mut file = open_resumable(path, offset)?;
+    if offset > 0 {
+        let len = file.metadata().map_err(unreadable)?.len();
+        if len < offset {
+            return Err(CliError::State(format!(
+                "{path} is {len} bytes, shorter than the checkpoint offset {offset}"
+            )));
+        }
+        file.seek(SeekFrom::Start(offset)).map_err(unreadable)?;
+    }
+    Ok(file)
+}
+
+/// Opens the input file a run resumes at stream `offset`, finite or
+/// tailed, refusing a gzip file resumed past its start: checkpoint offsets
+/// count decompressed bytes, so any seek would land inside the compressed
+/// stream. With `offset` 0 nothing is read.
+///
+/// Only this check is shared. A tail's offsets count its logical stream
+/// across rotations, so a current file shorter than the offset is the
+/// tail's own case: it reports a truncation and restarts at 0.
+fn open_resumable(path: &str, offset: u64) -> Result<File, CliError> {
     let unreadable = |e: std::io::Error| CliError::Ingest(format!("reading {path}: {e}"));
     let mut file = File::open(path).map_err(unreadable)?;
     if offset == 0 {
         return Ok(file);
-    }
-    let len = file.metadata().map_err(unreadable)?.len();
-    if len < offset {
-        return Err(CliError::State(format!(
-            "{path} is {len} bytes, shorter than the checkpoint offset {offset}"
-        )));
     }
     let mut magic = [0u8; 2];
     let head = file.read(&mut magic).map_err(unreadable)?;
@@ -361,7 +389,6 @@ fn open_at(path: &str, offset: u64) -> Result<File, CliError> {
             "{path} is gzip-compressed; a checkpoint cannot resume inside a gzip stream"
         )));
     }
-    file.seek(SeekFrom::Start(offset)).map_err(unreadable)?;
     Ok(file)
 }
 

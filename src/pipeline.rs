@@ -17,15 +17,27 @@
 //!   silently dropped: the chaos harness (`tests/live_chaos.rs`) asserts
 //!   the dead-letter file accounts for every record the offline run
 //!   refuses.
-//! * **Resumable checkpoints.** Every `checkpoint_every_events` resolved
-//!   events, a [`PipelineCheckpoint`] — stream offset, line count,
-//!   sequence counter, pinned format, and (for the indexed sink) the
-//!   embedded [`MonitorSnapshot`](privacy_runtime::MonitorSnapshot) — is
-//!   written atomically through [`CheckpointStore`].
+//! * **Resumable checkpoints, off the monitor thread.** Every
+//!   `checkpoint_every_events` resolved events, the monitor loop captures
+//!   the sink's state at the batch's exact stream point — for the indexed
+//!   sink an immutable [`MonitorSnapshot`] that shares the monitor's cached
+//!   shard bodies — and submits it with the stream position (offset, line
+//!   count, sequence counter, pinned format) to a [`CheckpointWriter`]. The
+//!   writer's thread encodes the [`PipelineCheckpoint`] and writes it
+//!   atomically through [`CheckpointStore`] while the monitor keeps
+//!   ingesting. At most one checkpoint waits behind the one being written,
+//!   and a further submit blocks, so a periodic checkpoint is durable
+//!   within one checkpoint interval of its capture while the disk keeps
+//!   up, and before the monitor loop gets past the checkpoint after next
+//!   when it does not. [`PipelineProgress::checkpoints`] and
+//!   [`PipelineReport::checkpoints`] count durable checkpoints only. A
+//!   failed write surfaces as [`PipelineError::Io`] at the next checkpoint
+//!   or at drain.
 //! * **Graceful drain.** On a stop signal (the [`PipelineRunner::stop_handle`]
 //!   handle, a `--stop-file`, or pipe EOF) the parser finishes the
 //!   partial line it is carrying, the queue drains, pending alerts flush,
-//!   and a final checkpoint is written — a subsequent run with
+//!   and a final checkpoint is written — durable before
+//!   [`PipelineRunner::run`] returns — so a subsequent run with
 //!   [`PipelineConfig::resume`] continues the identical stream.
 //!
 //! Live-vs-offline equivalence is structural, not aspirational: both this
@@ -40,14 +52,16 @@
 //! decompressed at drain; a corrupt archive becomes a stream-level
 //! dead-letter entry and a fatal error, exactly like the offline path.
 
-use privacy_distrib::{CheckpointStore, DistributedMonitor};
+use privacy_distrib::{
+    CheckpointJob, CheckpointStore, CheckpointWriteError, CheckpointWriter, DistributedMonitor,
+};
 use privacy_ingest::deadletter::{read_dead_letters, DeadLetterRecord, DeadLetterWriter};
 use privacy_ingest::live::{FollowConfig, LineAssembler, LiveSource, SourceEvent};
 use privacy_ingest::stream::{LineIngestor, LinePush, QuarantinedLine};
 use privacy_ingest::{gunzip, is_gzip, ErrorPolicy, FieldMapping, Format, IngestError};
 use privacy_interchange::binary::{CodecError, Decoder, Encoder};
 use privacy_model::{ServiceId, UserId, UserProfile};
-use privacy_runtime::{Alert, Event, IndexedMonitor};
+use privacy_runtime::{Alert, Event, IndexedMonitor, MonitorSnapshot};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::path::PathBuf;
@@ -104,7 +118,7 @@ pub struct PipelineProgress {
     pub alerts: AtomicU64,
     /// Records quarantined to the dead-letter file.
     pub quarantined: AtomicU64,
-    /// Checkpoints written.
+    /// Checkpoints made durable.
     pub checkpoints: AtomicU64,
     /// Source rotations observed.
     pub rotations: AtomicU64,
@@ -140,7 +154,7 @@ pub struct PipelineCheckpoint {
     pub skipped: u64,
     /// The pinned format (detection must not flip on resume).
     pub format: Option<Format>,
-    /// The embedded [`MonitorSnapshot`](privacy_runtime::MonitorSnapshot) bytes (empty for sinks that
+    /// The embedded [`MonitorSnapshot`] bytes (empty for sinks that
     /// checkpoint themselves, like the distributed monitor).
     pub snapshot: Vec<u8>,
 }
@@ -171,15 +185,15 @@ impl PipelineCheckpoint {
     /// Serialises the checkpoint as one framed, checksummed blob.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut encoder = Encoder::new(PIPELINE_CHECKPOINT_KIND, PIPELINE_CHECKPOINT_VERSION);
-        // Five counters, the format tag, the snapshot and its length.
-        encoder.reserve(5 * 8 + 1 + 4 + self.snapshot.len());
-        encoder.u64(self.offset);
-        encoder.u64(self.lines);
-        encoder.u64(self.next_sequence);
-        encoder.u64(self.events);
-        encoder.u64(self.skipped);
-        encoder.u8(format_tag(self.format));
+        let position = StreamMeta {
+            offset: self.offset,
+            lines: self.lines,
+            next_sequence: self.next_sequence,
+            events: self.events,
+            skipped: self.skipped,
+            format: self.format,
+        };
+        let mut encoder = position.checkpoint_encoder(Vec::new(), self.snapshot.len());
         encoder.bytes(&self.snapshot);
         encoder.finish()
     }
@@ -232,6 +246,29 @@ pub trait MonitorSink {
     ///
     /// [`PipelineError::Monitor`] when state capture fails.
     fn snapshot(&mut self) -> Result<Vec<u8>, PipelineError>;
+
+    /// The state for the next checkpoint, captured now and encoded later
+    /// on the checkpoint writer's thread. The default encodes
+    /// [`MonitorSink::snapshot`] right here; a sink that can hand over an
+    /// immutable capture instead, as [`IndexedSink`] does, moves the encode
+    /// off the monitor thread.
+    ///
+    /// # Errors
+    ///
+    /// [`PipelineError::Monitor`] when state capture fails.
+    fn capture(&mut self) -> Result<SinkCapture, PipelineError> {
+        self.snapshot().map(SinkCapture::Encoded)
+    }
+}
+
+/// A sink's state at a checkpoint, as [`MonitorSink::capture`] returns it.
+#[derive(Debug)]
+pub enum SinkCapture {
+    /// Already encoded: [`MonitorSnapshot`] bytes, or empty for a sink that
+    /// persists its own state.
+    Encoded(Vec<u8>),
+    /// A snapshot the checkpoint writer still has to encode.
+    Snapshot(MonitorSnapshot),
 }
 
 /// A profile for a user first seen in the log.
@@ -302,6 +339,10 @@ impl MonitorSink for IndexedSink {
 
     fn snapshot(&mut self) -> Result<Vec<u8>, PipelineError> {
         Ok(self.monitor.snapshot().to_bytes())
+    }
+
+    fn capture(&mut self) -> Result<SinkCapture, PipelineError> {
+        Ok(SinkCapture::Snapshot(self.monitor.snapshot()))
     }
 }
 
@@ -440,7 +481,7 @@ pub struct PipelineReport {
     pub rotations: u64,
     /// Truncations observed this run.
     pub truncations: u64,
-    /// Checkpoints written this run.
+    /// Checkpoints made durable this run.
     pub checkpoints: u64,
     /// Logical stream offset consumed through.
     pub offset: u64,
@@ -457,6 +498,51 @@ struct StreamMeta {
     events: u64,
     skipped: u64,
     format: Option<Format>,
+}
+
+impl StreamMeta {
+    /// A `PPLC` checkpoint frame of this position in `buffer`'s allocation,
+    /// up to the snapshot blob the caller appends before sealing it. Room is
+    /// reserved for a snapshot of `snapshot_len` bytes.
+    fn checkpoint_encoder(&self, buffer: Vec<u8>, snapshot_len: usize) -> Encoder {
+        let mut encoder =
+            Encoder::reusing(buffer, PIPELINE_CHECKPOINT_KIND, PIPELINE_CHECKPOINT_VERSION);
+        // Five counters, the format tag, the snapshot and its length.
+        encoder.reserve(5 * 8 + 1 + 4 + snapshot_len);
+        encoder.u64(self.offset);
+        encoder.u64(self.lines);
+        encoder.u64(self.next_sequence);
+        encoder.u64(self.events);
+        encoder.u64(self.skipped);
+        encoder.u8(format_tag(self.format));
+        encoder
+    }
+}
+
+/// A checkpoint on its way to the [`CheckpointWriter`]: the stream
+/// position and the sink's capture at that position.
+struct PipelineJob {
+    meta: StreamMeta,
+    capture: SinkCapture,
+}
+
+impl CheckpointJob for PipelineJob {
+    type Done = ();
+
+    fn encode(self, file: &mut Vec<u8>) {
+        let mut encoder = self.meta.checkpoint_encoder(std::mem::take(file), 0);
+        match &self.capture {
+            SinkCapture::Encoded(bytes) => encoder.bytes(bytes),
+            // In place: the buffer already holds the previous checkpoint's
+            // capacity, so the snapshot never takes a buffer of its own.
+            SinkCapture::Snapshot(snapshot) => snapshot.encode_nested(&mut encoder),
+        }
+        *file = encoder.finish();
+    }
+}
+
+fn checkpoint_error(error: CheckpointWriteError) -> PipelineError {
+    PipelineError::Io(error.to_string())
 }
 
 enum WorkItem {
@@ -504,6 +590,9 @@ impl PipelineRunner {
     /// stop handle or stop file fires, or a fatal error. `on_alert` sees
     /// every alert as it is raised; the report only counts them.
     ///
+    /// Every checkpoint submitted during the run, the final one included,
+    /// is durable (or has failed) when `run` returns.
+    ///
     /// # Errors
     ///
     /// [`PipelineError`] on a fatal ingest, monitor, or IO failure. A
@@ -517,14 +606,28 @@ impl PipelineRunner {
     ) -> Result<PipelineReport, PipelineError> {
         let (sender, receiver) = sync_channel::<WorkItem>(self.config.queue_batches.max(1));
         let mut report = PipelineReport::default();
+        let durable = AtomicU64::new(0);
 
         let outcome = std::thread::scope(|scope| {
+            let (progress, durable) = (&self.progress, &durable);
+            let writer = self.config.checkpoint.as_ref().map(|path| {
+                CheckpointWriter::<PipelineJob>::spawn(
+                    scope,
+                    CheckpointStore::new(path),
+                    move |done| {
+                        if done.is_ok() {
+                            PipelineProgress::add(&progress.checkpoints, 1);
+                            durable.fetch_add(1, Ordering::Relaxed);
+                        }
+                    },
+                )
+            });
             // The sender moves into the parser thread so the channel
             // closes (and the monitor loop's `recv` unblocks) the moment
             // the parser finishes.
             let source_ref = &mut source;
             let parser = scope.spawn(move || self.parse_loop(source_ref, &sender));
-            let consumed = self.monitor_loop(&receiver, sink, &mut report, &mut on_alert);
+            let consumed = self.monitor_loop(&receiver, sink, writer, &mut report, &mut on_alert);
             // A consumer error must unblock a parser waiting on the full
             // queue: drop the receiver end and raise the stop flag.
             if consumed.is_err() {
@@ -540,6 +643,7 @@ impl PipelineRunner {
             report.truncations = tail.truncations();
         }
         report.bytes = PipelineProgress::get(&self.progress.bytes);
+        report.checkpoints = durable.into_inner();
         outcome.map(|()| report)
     }
 
@@ -712,16 +816,17 @@ impl PipelineRunner {
         self.config.stop_file.as_deref().is_some_and(|path| path.exists())
     }
 
-    /// The monitor side: ingests batches, appends dead letters, writes
-    /// periodic and final checkpoints, and flushes the sink at drain.
+    /// The monitor side: ingests batches, appends dead letters, submits
+    /// periodic and final checkpoints to `writer`, flushes the sink at
+    /// drain, and closes the writer.
     fn monitor_loop(
         &self,
         receiver: &Receiver<WorkItem>,
         sink: &mut dyn MonitorSink,
+        writer: Option<CheckpointWriter<'_, PipelineJob>>,
         report: &mut PipelineReport,
         on_alert: &mut dyn FnMut(&Alert),
     ) -> Result<(), PipelineError> {
-        let store = self.config.checkpoint.as_ref().map(CheckpointStore::new);
         let mut dead_letters = match &self.config.dead_letter {
             Some(path) => {
                 // Offsets already on file (a previous run's parser may
@@ -761,27 +866,14 @@ impl PipelineRunner {
         let mut since_checkpoint = 0u64;
         let mut fatal: Option<PipelineError> = None;
 
-        let write_checkpoint = |meta: &StreamMeta,
-                                sink: &mut dyn MonitorSink,
-                                report: &mut PipelineReport|
-         -> Result<(), PipelineError> {
-            let Some(store) = &store else { return Ok(()) };
-            let checkpoint = PipelineCheckpoint {
-                offset: meta.offset,
-                lines: meta.lines,
-                next_sequence: meta.next_sequence,
-                events: meta.events,
-                skipped: meta.skipped,
-                format: meta.format,
-                snapshot: sink.snapshot()?,
+        // Captures the sink at `meta` and hands the capture to the writer,
+        // which counts the checkpoint once it is durable.
+        let submit_checkpoint =
+            |meta: &StreamMeta, sink: &mut dyn MonitorSink| -> Result<(), PipelineError> {
+                let Some(writer) = &writer else { return Ok(()) };
+                let capture = sink.capture()?;
+                writer.submit(PipelineJob { meta: *meta, capture }).map_err(checkpoint_error)
             };
-            store.write(&checkpoint.to_bytes()).map_err(|error| {
-                PipelineError::Io(format!("checkpoint {}: {error}", store.path().display()))
-            })?;
-            PipelineProgress::add(&self.progress.checkpoints, 1);
-            report.checkpoints += 1;
-            Ok(())
-        };
 
         while let Ok(item) = receiver.recv() {
             match item {
@@ -797,7 +889,7 @@ impl PipelineRunner {
                     if self.config.checkpoint_every_events > 0
                         && since_checkpoint >= self.config.checkpoint_every_events
                     {
-                        write_checkpoint(&meta, sink, report)?;
+                        submit_checkpoint(&meta, sink)?;
                         since_checkpoint = 0;
                     }
                     last_meta = Some(meta);
@@ -836,12 +928,13 @@ impl PipelineRunner {
             report.skipped = meta.skipped;
             report.format = meta.format;
             if fatal.is_none() {
-                write_checkpoint(meta, sink, report)?;
+                submit_checkpoint(meta, sink)?;
             }
         }
+        let closed = writer.map_or(Ok(()), CheckpointWriter::close);
         match fatal {
             Some(error) => Err(error),
-            None => Ok(()),
+            None => closed.map_err(checkpoint_error),
         }
     }
 }
@@ -891,6 +984,129 @@ mod tests {
             assert_eq!(tag_format(format_tag(format)).expect("tag"), format);
         }
         assert!(tag_format(9).is_err());
+    }
+
+    /// A fresh healthcare sink and a JSON log of `length` requests by users
+    /// the sink meets first in the log.
+    fn healthcare_sink_and_log(length: usize) -> (IndexedSink, Vec<u8>) {
+        use privacy_synth::{random_workload, render_events, LogFormat, WorkloadConfig};
+
+        let system = privacy_core::casestudy::healthcare().expect("healthcare model");
+        let services: Vec<ServiceId> =
+            system.catalog().services().map(|s| s.id().clone()).collect();
+        let fields: Vec<_> = system.catalog().fields().map(|f| f.id().clone()).collect();
+        let mut engine = privacy_runtime::ServiceEngine::new(
+            system.catalog().clone(),
+            system.dataflows().clone(),
+            system.policy().clone(),
+        );
+        let workload = random_workload(&WorkloadConfig {
+            length,
+            seed: 23,
+            users: (0..64).map(|i| UserId::new(format!("patient-{i:03}"))).collect(),
+            services: services.iter().map(|s| (s.clone(), 1.0)).collect(),
+        });
+        for request in &workload {
+            let record = fields.iter().fold(privacy_model::Record::new(), |record, field| {
+                record.with(field.clone(), format!("v-{field}"))
+            });
+            let _ = engine.execute(request.user(), request.service(), &record);
+        }
+        let log = render_events(engine.log().events(), LogFormat::Json).into_bytes();
+        let lts = system.generate_lts().expect("lts");
+        let index = Arc::new(privacy_lts::LtsIndex::build(&lts));
+        let monitor = IndexedMonitor::new(system.catalog().clone(), system.policy().clone(), index);
+        (IndexedSink::new(monitor, services, false), log)
+    }
+
+    /// The writer's in-place encoding of a captured snapshot is the
+    /// `PipelineCheckpoint` of its encoded bytes.
+    #[test]
+    fn pipeline_jobs_encode_the_checkpoint_bytes() {
+        let (mut sink, log) = healthcare_sink_and_log(40);
+        let mapping = FieldMapping::canonical();
+        let events: Vec<Event> = privacy_ingest::ingest_bytes(&log, &mapping, &Default::default())
+            .expect("clean log")
+            .events;
+        let _ = sink.ingest(&events).expect("ingest");
+        let meta = StreamMeta {
+            offset: log.len() as u64,
+            lines: events.len() as u64,
+            next_sequence: 77,
+            events: events.len() as u64,
+            skipped: 0,
+            format: Some(Format::Json),
+        };
+        let expected = PipelineCheckpoint {
+            offset: meta.offset,
+            lines: meta.lines,
+            next_sequence: meta.next_sequence,
+            events: meta.events,
+            skipped: meta.skipped,
+            format: meta.format,
+            snapshot: sink.snapshot().expect("snapshot"),
+        }
+        .to_bytes();
+        let mut file = vec![0xEE; 16];
+        let capture = sink.capture().expect("capture");
+        assert!(matches!(capture, SinkCapture::Snapshot(_)));
+        PipelineJob { meta, capture }.encode(&mut file);
+        assert_eq!(file, expected);
+    }
+
+    /// A checkpoint that cannot be written fails the run with
+    /// `PipelineError::Io` naming the path — whether the first failure is a
+    /// periodic checkpoint or the final one — and `run` returns even though
+    /// the parser still has far more of the log to ship than the queue
+    /// holds.
+    #[test]
+    fn unwritable_checkpoint_fails_the_run_with_a_typed_io_error() {
+        let dir = std::env::temp_dir().join(format!("pipeline-ckpt-fail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let blocker = dir.join("not-a-directory");
+        std::fs::write(&blocker, b"").expect("blocker file");
+        let checkpoint = blocker.join("pipeline.ckpt");
+
+        for every in [16, 0] {
+            let (mut sink, log) = healthcare_sink_and_log(3_000);
+            let lines = log.iter().filter(|&&byte| byte == b'\n').count() as u64;
+            let mut config = PipelineConfig::new(FieldMapping::canonical());
+            config.batch = 8;
+            config.queue_batches = 2;
+            config.checkpoint = Some(checkpoint.clone());
+            config.checkpoint_every_events = every;
+            let follow = config.follow.clone();
+            let runner = PipelineRunner::new(config);
+            let (done, finished) = std::sync::mpsc::channel();
+            std::thread::scope(|scope| {
+                let watchdog = scope.spawn(move || {
+                    finished.recv_timeout(std::time::Duration::from_secs(120)).is_ok()
+                });
+                let source = LiveSource::pipe(Box::new(std::io::Cursor::new(log)), follow);
+                let outcome = runner.run(source, &mut sink, |_| {});
+                done.send(()).expect("the watchdog waits");
+                assert!(watchdog.join().expect("watchdog"), "run did not return in time");
+                match outcome {
+                    Err(PipelineError::Io(message)) => assert!(
+                        message.contains(checkpoint.to_str().expect("utf-8 path")),
+                        "every {every}: {message}"
+                    ),
+                    other => panic!("every {every}: expected an Io error, got {other:?}"),
+                }
+            });
+            let progress = runner.progress();
+            assert_eq!(PipelineProgress::get(&progress.checkpoints), 0, "every {every}");
+            if every > 0 {
+                // A periodic failure stops the run well before the end.
+                let ingested = PipelineProgress::get(&progress.ingested);
+                assert!(
+                    ingested < lines,
+                    "every {every}: {ingested} of {lines} events ingested past the failed checkpoint"
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     /// `ingest_batch` queues raised alerts on the monitor as well as

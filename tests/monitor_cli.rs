@@ -202,6 +202,29 @@ fn failures_map_to_typed_exit_codes() {
     let output = monitor(&[log_arg, "--resume", checkpoint_arg], b"");
     assert_eq!(output.status.code(), state_fatal, "{}", stderr(&output));
     assert!(output.stdout.is_empty());
+    // A tail counts its offset across rotations, so it takes a shorter
+    // file (here a rotated one, holding the next 1,000 lines of the stream)
+    // as truncated and reads it from the start. The stop file, made once
+    // the tail has polled, drains it.
+    let rotated = dir.join("rotated.ckpt");
+    let _ = alerts(&[log_arg, "--checkpoint", str_of(&rotated)]);
+    write(&log, &healthcare_log()[SPLIT..SPLIT + 1_000]);
+    let stop = dir.join("stop");
+    let stopper = {
+        let stop = stop.clone();
+        std::thread::spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(500));
+            std::fs::write(stop, b"").expect("write stop file");
+        })
+    };
+    let output = monitor(
+        &[log_arg, "--follow", "--stop-file", str_of(&stop), "--resume", str_of(&rotated)],
+        b"",
+    );
+    stopper.join().expect("stop file written");
+    assert!(output.status.success(), "{}", stderr(&output));
+    assert!(stderr(&output).contains(" 1 truncations"), "{}", stderr(&output));
+    write(&log, &healthcare_log()[..SPLIT]);
 
     // Neither can a checkpoint inside a gzip stream.
     let gzipped = dir.join("access.log.gz");
@@ -209,6 +232,21 @@ fn failures_map_to_typed_exit_codes() {
         .expect("write gzip");
     let output = monitor(&[str_of(&gzipped), "--resume", checkpoint_arg], b"");
     assert_eq!(output.status.code(), state_fatal, "{}", stderr(&output));
+    // Not even as a tail, which would otherwise seek into the compressed
+    // bytes. The stop file drains a tail that wrongly started at once.
+    let output = monitor(
+        &[str_of(&gzipped), "--follow", "--stop-file", str_of(&stop), "--resume", checkpoint_arg],
+        b"",
+    );
+    assert_eq!(output.status.code(), state_fatal, "{}", stderr(&output));
+    assert!(stderr(&output).contains("gzip"), "{}", stderr(&output));
+
+    // A checkpoint that cannot be written is an I/O failure: here its
+    // parent directory is a regular file.
+    let blocked = log.join("state.ckpt");
+    let output = monitor(&[log_arg, "--checkpoint", str_of(&blocked)], b"");
+    assert_eq!(output.status.code(), Some(exit::IO_FATAL), "{}", stderr(&output));
+    assert!(stderr(&output).contains(str_of(&blocked)), "{}", stderr(&output));
 
     // A malformed line: fatal under the default fail-fast policy, after
     // printing the alerts of every line before it.
