@@ -19,7 +19,9 @@
 //!   which regime a baseline was recorded in.)
 //! * **Disclosure risk** — a seeded user population assessed per user via
 //!   the scan path (`assess_scan`) against the batch API
-//!   (`analyse_users_batch`) over one index, swept over thread counts.
+//!   (`analyse_users_batch`) over one index, swept over thread counts. The
+//!   batch rows time a warm index: the differential check has already
+//!   filled its shared per-(actor, field) read lists.
 //!
 //! Every scenario first cross-checks that the indexed results equal the
 //! scan-path results (reports compare structurally), so the benchmark
@@ -353,6 +355,8 @@ fn run(options: &Options) -> Result<Vec<Row>, String> {
             .collect();
 
         // Disclosure: per-user scan path vs the batch API over one index.
+        // The differential check above already filled the index's
+        // per-(actor, field) read lists, so the batch rows time a warm index.
         let (scan_users_secs, _) = time_runs(target, || {
             users.iter().map(|user| analysis.assess_scan(&lts, user)).collect::<Vec<_>>()
         });

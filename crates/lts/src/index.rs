@@ -30,6 +30,9 @@
 //!   that same order) in which the variable is true. "Every reachable state
 //!   where the Researcher *could identify* `Diagnosis`" becomes a slice
 //!   lookup.
+//! * **Per-pair read lists** — per interned (actor, field) pair, the actor's
+//!   `read` transitions involving the field, filled on first request and
+//!   handed out as one shared `Arc` ([`LtsIndex::reads_involving`]).
 //!
 //! The index is a snapshot: it describes the LTS at build time and is not
 //! updated when the LTS is mutated afterwards (the disclosure analysis
@@ -40,6 +43,7 @@ use crate::label::ActionKind;
 use crate::lts::{Lts, StateId, TransitionId};
 use crate::space::{VarKind, VarSpace};
 use privacy_model::{ActorId, FieldId, Interner, Purpose};
+use std::sync::{Arc, OnceLock};
 
 /// Number of distinct [`ActionKind`]s (the width of the per-action tables).
 const ACTIONS: usize = ActionKind::ALL.len();
@@ -172,7 +176,11 @@ pub struct LtsIndex {
     /// Per Boolean state variable: the reachable states in which it is true,
     /// in reachable (BFS) order — materialised lazily on first request,
     /// since most analyses probe only a fraction of the variables.
-    bit_lists: Vec<std::sync::OnceLock<Vec<StateId>>>,
+    bit_lists: Vec<OnceLock<Vec<StateId>>>,
+    /// Per interned (actor, field) pair, laid out `actor * fields + field`:
+    /// the actor's `read` transitions involving the field, ascending —
+    /// materialised lazily on first request and shared by every caller.
+    reads_by_pair: Vec<OnceLock<Arc<[TransitionId]>>>,
 }
 
 impl LtsIndex {
@@ -412,7 +420,8 @@ impl LtsIndex {
                 }
             }
         }
-        let bit_lists = (0..variable_count).map(|_| std::sync::OnceLock::new()).collect();
+        let bit_lists = (0..variable_count).map(|_| OnceLock::new()).collect();
+        let reads_by_pair = (0..actor_slots * field_slots).map(|_| OnceLock::new()).collect();
 
         LtsIndex {
             transition_count,
@@ -437,6 +446,7 @@ impl LtsIndex {
             state_words,
             bit_counts,
             bit_lists,
+            reads_by_pair,
         }
     }
 
@@ -606,6 +616,26 @@ impl LtsIndex {
             }
             None => false,
         }
+    }
+
+    /// Ascending ids of the `read` transitions by `actor` whose label
+    /// involves `field`: the actor's read posting list filtered by the
+    /// field's bit. The list depends only on the pair and the snapshot, so
+    /// it is materialised on first request, memoised per interned pair, and
+    /// every caller shares that one allocation. Empty for an actor or field
+    /// the index never saw.
+    pub fn reads_involving(&self, actor: &ActorId, field: &FieldId) -> Arc<[TransitionId]> {
+        let (Some(actor), Some(field)) = (self.actors.get(actor), self.fields.get(field)) else {
+            return Arc::from([]);
+        };
+        let pair = actor as usize * self.fields.len() + field as usize;
+        Arc::clone(self.reads_by_pair[pair].get_or_init(|| {
+            self.by_actor_action[actor as usize * ACTIONS + action_index(ActionKind::Read)]
+                .iter()
+                .filter(|&&tx| self.involves_field(tx, field))
+                .map(|&tx| TransitionId(tx as usize))
+                .collect()
+        }))
     }
 
     /// The outgoing transition ids of a state (CSR probe).
@@ -787,6 +817,22 @@ mod tests {
         assert_eq!(index.transitions_by_actor_of_kind(&doctor(), ActionKind::Create), &[1]);
         assert_eq!(index.transitions_involving_field(&diagnosis()), &[1, 2]);
         assert_eq!(index.transitions_involving_field(&FieldId::new("Ghost")), EMPTY_TRANSITIONS);
+    }
+
+    #[test]
+    fn read_lists_are_memoised_and_shared_per_pair() {
+        let lts = sample_lts();
+        let index = LtsIndex::build(&lts);
+        assert_eq!(&*index.reads_involving(&admin(), &diagnosis()), &[TransitionId(2)]);
+        assert!(index.reads_involving(&admin(), &name()).is_empty());
+        // The doctor only collects and creates: no reads.
+        assert!(index.reads_involving(&doctor(), &diagnosis()).is_empty());
+        assert!(index.reads_involving(&ActorId::new("Ghost"), &diagnosis()).is_empty());
+        assert!(index.reads_involving(&admin(), &FieldId::new("Ghost")).is_empty());
+        // Every caller, and every clone of the index, shares one allocation.
+        let first = index.reads_involving(&admin(), &diagnosis());
+        assert!(Arc::ptr_eq(&first, &index.reads_involving(&admin(), &diagnosis())));
+        assert!(Arc::ptr_eq(&first, &index.clone().reads_involving(&admin(), &diagnosis())));
     }
 
     #[test]

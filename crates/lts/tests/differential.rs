@@ -10,8 +10,9 @@
 
 use privacy_lts::space::VarKind;
 use privacy_lts::{
-    generate_lts, generate_lts_reference, ActionKind, GeneratorConfig, Lts, LtsIndex,
+    generate_lts, generate_lts_reference, ActionKind, GeneratorConfig, Lts, LtsIndex, TransitionId,
 };
+use privacy_model::{ActorId, FieldId};
 use privacy_synth::{random_model, ModelGeneratorConfig};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -245,5 +246,74 @@ proptest! {
         assert_index_equivalent(&sequential, &sharded);
         // The default (auto-threaded) build resolves to the same index too.
         assert_index_equivalent(&sequential, &LtsIndex::build(&lts));
+    }
+}
+
+/// The label-scan oracle of [`LtsIndex::reads_involving`]: every `read`
+/// transition by `actor` whose label involves `field`, ascending.
+fn scanned_reads(lts: &Lts, actor: &ActorId, field: &FieldId) -> Vec<TransitionId> {
+    lts.transitions()
+        .filter(|(_, t)| {
+            t.label().action() == ActionKind::Read
+                && t.label().actor() == actor
+                && t.label().involves_field(field)
+        })
+        .map(|(id, _)| id)
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The per-(actor, field) read memo equals a label scan for every pair
+    /// of the vocabulary, is empty for identifiers the index never saw, and
+    /// reads the same on a clone and on an index built with any shard count.
+    #[test]
+    fn memoised_read_lists_equal_a_label_scan_on_random_models(
+        actors in 1usize..5,
+        fields in 1usize..5,
+        seed in 0u64..1_000_000,
+        potential_reads in proptest::bool::ANY,
+        threads in 1usize..5,
+    ) {
+        let model_config = ModelGeneratorConfig {
+            actors,
+            fields,
+            seed,
+            ..ModelGeneratorConfig::default()
+        };
+        let (catalog, system, policy) =
+            random_model(&model_config).expect("generated model is valid");
+        let mut config = GeneratorConfig::default().with_max_states(20_000);
+        config.explore_potential_reads = potential_reads;
+        let lts = generate_lts(&catalog, &system, &policy, &config)
+            .expect("generation in bounds");
+
+        let index = LtsIndex::build(&lts);
+        // A clone taken cold fills its own memo; one taken warm shares the
+        // lists already filled.
+        let cold_clone = index.clone();
+        let sharded = LtsIndex::build_with_threads(&lts, Some(threads));
+        for actor in index.actors().to_vec() {
+            for field in index.fields().to_vec() {
+                let expected = scanned_reads(&lts, &actor, &field);
+                prop_assert_eq!(&*index.reads_involving(&actor, &field), expected.as_slice());
+                prop_assert_eq!(&*cold_clone.reads_involving(&actor, &field), expected.as_slice());
+                prop_assert_eq!(&*sharded.reads_involving(&actor, &field), expected.as_slice());
+            }
+        }
+        let warm_clone = index.clone();
+        for actor in index.actors().to_vec() {
+            for field in index.fields().to_vec() {
+                prop_assert_eq!(
+                    warm_clone.reads_involving(&actor, &field),
+                    index.reads_involving(&actor, &field)
+                );
+            }
+            prop_assert!(index.reads_involving(&actor, &FieldId::new("Unknown")).is_empty());
+        }
+        for field in index.fields().to_vec() {
+            prop_assert!(index.reads_involving(&ActorId::new("Unknown"), &field).is_empty());
+        }
     }
 }

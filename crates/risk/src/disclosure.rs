@@ -15,14 +15,21 @@
 //! * **Index probes** ([`DisclosureAnalysis::analyse`],
 //!   [`DisclosureAnalysis::assess`], [`DisclosureAnalysis::analyse_users_batch`])
 //!   — the default. The exposed-state set of each (actor, field) pair is a
-//!   posting-list lookup in a columnar [`LtsIndex`] and the existing-read
-//!   probe is a per-(actor, action) posting list filtered by a field bitset,
-//!   instead of one walk over all reachable states / all transitions per
-//!   pair. One index build is amortised over every (datastore, field, actor)
-//!   triple — and, with the batch API, over every user of a population.
+//!   posting-list lookup in a columnar [`LtsIndex`], and the existing reads
+//!   are [`LtsIndex::reads_involving`]: a per-(actor, field) list the index
+//!   fills on first request and then shares. The list depends only on the
+//!   pair, never on the user, so every report over one index holds the same
+//!   allocation — an assessment costs O(findings), not O(listed
+//!   transitions), and only the first assessment on a fresh index pays for
+//!   the fill. The memo is bounded by Σ over `read` transitions of their
+//!   field count, 8 B per entry. One index build is amortised over every
+//!   (datastore, field, actor) triple — and, with the batch API, over every
+//!   user of a population.
 //! * **Label scans** ([`DisclosureAnalysis::analyse_scan`],
 //!   [`DisclosureAnalysis::assess_scan`]) — the original implementation,
-//!   retained verbatim for differential testing. Both strategies produce
+//!   retained for differential testing. It walks reachable states and
+//!   transition labels per triple and shares with the index path only the
+//!   triple enumeration and the risk arithmetic. Both strategies produce
 //!   identical reports (and, for the mutating entry points, identical
 //!   annotated LTSs); the property tests in `tests/index_differential.rs`
 //!   pin that equivalence over random models.
@@ -33,10 +40,12 @@ use crate::sensitivity::SensitivityModel;
 use privacy_access::{AccessPolicy, Permission};
 use privacy_lts::{ActionKind, Lts, LtsIndex, RiskAnnotation, TransitionId, TransitionLabel};
 use privacy_model::{
-    ActorId, Catalog, DatastoreId, FieldId, Likelihood, RiskLevel, Severity, UserProfile,
+    ActorId, Catalog, DatastoreDecl, DatastoreId, FieldId, Likelihood, RiskLevel, Severity,
+    UserProfile,
 };
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// One unwanted-disclosure finding: a non-allowed actor that can identify a
 /// field of a datastore the user's data reaches.
@@ -49,7 +58,8 @@ pub struct DisclosureFinding {
     likelihood: Likelihood,
     probability: f64,
     level: RiskLevel,
-    annotated_transitions: Vec<TransitionId>,
+    /// Shared with the index's per-pair memo on the read-only paths.
+    annotated_transitions: Arc<[TransitionId]>,
     exposed_states: usize,
 }
 
@@ -216,7 +226,38 @@ struct TripleRisk {
     likelihood: Likelihood,
     probability: f64,
     level: RiskLevel,
-    annotation: RiskAnnotation,
+    /// The annotation score: the larger of impact and probability.
+    score: f64,
+}
+
+impl TripleRisk {
+    /// The risk label the mutating paths attach to transitions. The
+    /// read-only paths attach nothing, so they never build it.
+    fn annotation(&self, field: &FieldId, actor: &ActorId) -> RiskAnnotation {
+        RiskAnnotation::dimensions(self.severity, self.likelihood, self.level)
+            .with_score(self.score)
+            .with_note(format!("unwanted disclosure of {field} to non-allowed actor {actor}"))
+    }
+
+    /// The finding this risk makes for the triple.
+    fn finding(
+        &self,
+        (datastore, field, actor): (&DatastoreDecl, &FieldId, &ActorId),
+        annotated_transitions: Arc<[TransitionId]>,
+        exposed_states: usize,
+    ) -> DisclosureFinding {
+        DisclosureFinding {
+            actor: actor.clone(),
+            field: field.clone(),
+            datastore: datastore.id().clone(),
+            severity: self.severity,
+            likelihood: self.likelihood,
+            probability: self.probability,
+            level: self.level,
+            annotated_transitions,
+            exposed_states,
+        }
+    }
 }
 
 impl<'a> DisclosureAnalysis<'a> {
@@ -258,24 +299,48 @@ impl<'a> DisclosureAnalysis<'a> {
         (allowed, non_allowed)
     }
 
-    /// Computes the impact/likelihood dimensions and the annotation of one
-    /// (datastore, field, actor) triple.
+    /// Every (datastore, field, non-allowed actor) triple the access policy
+    /// lets the actor read, in the order every strategy visits them.
+    fn readable_triples<'s>(
+        &'s self,
+        non_allowed: &'s BTreeSet<ActorId>,
+    ) -> impl Iterator<Item = (&'s DatastoreDecl, &'s FieldId, &'s ActorId)> + 's {
+        self.catalog
+            .datastores()
+            .filter_map(|datastore| {
+                self.catalog.schema(datastore.schema()).map(|schema| (datastore, schema))
+            })
+            .flat_map(move |(datastore, schema)| {
+                schema.fields().iter().flat_map(move |field| {
+                    non_allowed
+                        .iter()
+                        .filter(move |actor| {
+                            self.policy.can(actor, Permission::Read, datastore.id(), field)
+                        })
+                        .map(move |actor| (datastore, field, actor))
+                })
+            })
+    }
+
+    /// Computes the impact/likelihood dimensions of one (datastore, field,
+    /// actor) triple.
     fn triple_risk(
         &self,
         sensitivity: &SensitivityModel,
-        datastore: &DatastoreId,
-        field: &FieldId,
-        actor: &ActorId,
+        (datastore, field, actor): (&DatastoreDecl, &FieldId, &ActorId),
     ) -> TripleRisk {
         let impact = sensitivity.relative_sensitivity(field, actor);
-        let probability = self.likelihood.probability(actor, datastore);
+        let probability = self.likelihood.probability(actor, datastore.id());
         let severity = self.matrix.categorise_impact(impact);
-        let likelihood_cat = self.matrix.categorise_likelihood(probability);
-        let level = self.matrix.level(severity, likelihood_cat);
-        let annotation = RiskAnnotation::dimensions(severity, likelihood_cat, level)
-            .with_score(impact.value().max(probability))
-            .with_note(format!("unwanted disclosure of {field} to non-allowed actor {actor}"));
-        TripleRisk { severity, likelihood: likelihood_cat, probability, level, annotation }
+        let likelihood = self.matrix.categorise_likelihood(probability);
+        let level = self.matrix.level(severity, likelihood);
+        TripleRisk {
+            severity,
+            likelihood,
+            probability,
+            level,
+            score: impact.value().max(probability),
+        }
     }
 
     /// Runs the analysis for one user, annotating the LTS in place. Builds a
@@ -308,80 +373,54 @@ impl<'a> DisclosureAnalysis<'a> {
         // per-triple transition scans, so the index path must too.
         let mut delta: Vec<(ActorId, FieldId, TransitionId)> = Vec::new();
 
-        for datastore in self.catalog.datastores() {
-            let schema = match self.catalog.schema(datastore.schema()) {
-                Some(schema) => schema,
-                None => continue,
-            };
-            for field in schema.fields() {
-                for actor in &non_allowed {
-                    if !self.policy.can(actor, Permission::Read, datastore.id(), field) {
-                        continue;
-                    }
-                    // Which reachable states expose the field to this actor?
-                    // (Index probe over the build-time snapshot — the scan
-                    // path equally snapshots `reachable()` up front.)
-                    let exposed = index.states_where_could(actor, field);
-                    if exposed.is_empty() {
-                        continue;
-                    }
-
-                    let risk = self.triple_risk(&sensitivity, datastore.id(), field, actor);
-                    let mut annotated = Vec::new();
-
-                    // Annotate existing read transitions by this actor on
-                    // this field: the snapshot's posting list, then any risk
-                    // transition this analysis already added for the pair.
-                    let existing: Vec<TransitionId> = existing_reads(index, actor, field)
-                        .into_iter()
-                        .chain(
-                            delta
-                                .iter()
-                                .filter_map(|(a, f, id)| (a == actor && f == field).then_some(*id)),
-                        )
-                        .collect();
-                    for id in existing {
-                        lts.annotate(id, risk.annotation.clone());
-                        annotated.push(id);
-                    }
-
-                    // Add potential-read risk transitions from every exposed
-                    // state where the actor has not yet identified the field.
-                    for state_id in exposed {
-                        let state = lts.state(*state_id).clone();
-                        if state.has(&space, actor, field) {
-                            continue;
-                        }
-                        let target = state.with_has(&space, actor, field);
-                        let target_id = lts.intern(target);
-                        let label = TransitionLabel::new(
-                            ActionKind::Read,
-                            actor.clone(),
-                            [field.clone()],
-                            Some(datastore.schema().clone()),
-                        )
-                        .with_risk(risk.annotation.clone());
-                        let before = lts.transition_count();
-                        let tid = lts.add_risk_transition(*state_id, target_id, label);
-                        if lts.transition_count() > before {
-                            delta.push((actor.clone(), field.clone(), tid));
-                        }
-                        annotated.push(tid);
-                    }
-
-                    findings.push(DisclosureFinding {
-                        actor: actor.clone(),
-                        field: field.clone(),
-                        datastore: datastore.id().clone(),
-                        severity: risk.severity,
-                        likelihood: risk.likelihood,
-                        probability: risk.probability,
-                        level: risk.level,
-                        annotated_transitions: annotated,
-                        exposed_states: exposed.len(),
-                    });
-                }
+        for triple @ (datastore, field, actor) in self.readable_triples(&non_allowed) {
+            // Which reachable states expose the field to this actor? (Index
+            // probe over the build-time snapshot — the scan path equally
+            // snapshots `reachable()` up front.)
+            let exposed = index.states_where_could(actor, field);
+            if exposed.is_empty() {
+                continue;
             }
+
+            let risk = self.triple_risk(&sensitivity, triple);
+            let annotation = risk.annotation(field, actor);
+            let mut annotated = Vec::new();
+
+            // Annotate existing read transitions by this actor on this
+            // field: the snapshot's shared list, then any risk transition
+            // this analysis already added for the pair.
+            let added =
+                delta.iter().filter_map(|(a, f, id)| (a == actor && f == field).then_some(*id));
+            for id in index.reads_involving(actor, field).iter().copied().chain(added) {
+                lts.annotate(id, annotation.clone());
+                annotated.push(id);
+            }
+
+            // Add potential-read risk transitions from every exposed state
+            // where the actor has not yet identified the field.
+            for state_id in exposed {
+                let state = lts.state(*state_id).clone();
+                if state.has(&space, actor, field) {
+                    continue;
+                }
+                let target = state.with_has(&space, actor, field);
+                let target_id = lts.intern(target);
+                let label = TransitionLabel::new(
+                    ActionKind::Read,
+                    actor.clone(),
+                    [field.clone()],
+                    Some(datastore.schema().clone()),
+                )
+                .with_risk(annotation.clone());
+                let before = lts.transition_count();
+                let tid = lts.add_risk_transition(*state_id, target_id, label);
+                if lts.transition_count() > before {
+                    delta.push((actor.clone(), field.clone(), tid));
+                }
+                annotated.push(tid);
+            }
+
+            findings.push(risk.finding(triple, annotated.into(), exposed.len()));
         }
 
         sort_findings(&mut findings);
@@ -394,47 +433,24 @@ impl<'a> DisclosureAnalysis<'a> {
     /// transitions are *listed* rather than annotated and no potential-read
     /// risk transitions are added. This is the per-user unit of the batch
     /// API, where many users share one immutable index — the snapshot
-    /// answers every probe, so no LTS reference is needed.
+    /// answers every probe, so no LTS reference is needed. Each finding's
+    /// list is the index's shared per-pair memo, so a report costs
+    /// O(findings) once the memo is warm.
     pub fn assess(&self, index: &LtsIndex, user: &UserProfile) -> DisclosureReport {
         let sensitivity = SensitivityModel::new(self.catalog, user);
         let (allowed, non_allowed) = self.actor_partition(&sensitivity);
 
         let mut findings = Vec::new();
-        for datastore in self.catalog.datastores() {
-            let schema = match self.catalog.schema(datastore.schema()) {
-                Some(schema) => schema,
-                None => continue,
-            };
-            for field in schema.fields() {
-                for actor in &non_allowed {
-                    if !self.policy.can(actor, Permission::Read, datastore.id(), field) {
-                        continue;
-                    }
-                    // Only the exposed-state *count* is reported, so the O(1)
-                    // per-variable counter suffices — no list materialises.
-                    let exposed = index.count_states_of_variable(
-                        actor,
-                        field,
-                        privacy_lts::space::VarKind::Could,
-                    );
-                    if exposed == 0 {
-                        continue;
-                    }
-                    let risk = self.triple_risk(&sensitivity, datastore.id(), field, actor);
-                    let annotated = existing_reads(index, actor, field);
-                    findings.push(DisclosureFinding {
-                        actor: actor.clone(),
-                        field: field.clone(),
-                        datastore: datastore.id().clone(),
-                        severity: risk.severity,
-                        likelihood: risk.likelihood,
-                        probability: risk.probability,
-                        level: risk.level,
-                        annotated_transitions: annotated,
-                        exposed_states: exposed,
-                    });
-                }
+        for triple @ (_, field, actor) in self.readable_triples(&non_allowed) {
+            // Only the exposed-state *count* is reported, so the O(1)
+            // per-variable counter suffices — no list materialises.
+            let exposed =
+                index.count_states_of_variable(actor, field, privacy_lts::space::VarKind::Could);
+            if exposed == 0 {
+                continue;
             }
+            let risk = self.triple_risk(&sensitivity, triple);
+            findings.push(risk.finding(triple, index.reads_involving(actor, field), exposed));
         }
 
         sort_findings(&mut findings);
@@ -452,47 +468,23 @@ impl<'a> DisclosureAnalysis<'a> {
         let space = lts.space().clone();
         let reachable = lts.reachable();
 
-        for datastore in self.catalog.datastores() {
-            let schema = match self.catalog.schema(datastore.schema()) {
-                Some(schema) => schema,
-                None => continue,
-            };
-            for field in schema.fields() {
-                for actor in &non_allowed {
-                    if !self.policy.can(actor, Permission::Read, datastore.id(), field) {
-                        continue;
-                    }
-                    let exposed: Vec<_> = reachable
-                        .iter()
-                        .copied()
-                        .filter(|id| lts.state(*id).could(&space, actor, field))
-                        .collect();
-                    if exposed.is_empty() {
-                        continue;
-                    }
-                    let risk = self.triple_risk(&sensitivity, datastore.id(), field, actor);
-                    let annotated: Vec<TransitionId> = lts
-                        .transitions()
-                        .filter(|(_, t)| {
-                            t.label().action() == ActionKind::Read
-                                && t.label().actor() == actor
-                                && t.label().involves_field(field)
-                        })
-                        .map(|(id, _)| id)
-                        .collect();
-                    findings.push(DisclosureFinding {
-                        actor: actor.clone(),
-                        field: field.clone(),
-                        datastore: datastore.id().clone(),
-                        severity: risk.severity,
-                        likelihood: risk.likelihood,
-                        probability: risk.probability,
-                        level: risk.level,
-                        annotated_transitions: annotated,
-                        exposed_states: exposed.len(),
-                    });
-                }
+        for triple @ (_, field, actor) in self.readable_triples(&non_allowed) {
+            let exposed =
+                reachable.iter().filter(|id| lts.state(**id).could(&space, actor, field)).count();
+            if exposed == 0 {
+                continue;
             }
+            let risk = self.triple_risk(&sensitivity, triple);
+            let annotated = lts
+                .transitions()
+                .filter(|(_, t)| {
+                    t.label().action() == ActionKind::Read
+                        && t.label().actor() == actor
+                        && t.label().involves_field(field)
+                })
+                .map(|(id, _)| id)
+                .collect();
+            findings.push(risk.finding(triple, annotated, exposed));
         }
 
         sort_findings(&mut findings);
@@ -524,101 +516,62 @@ impl<'a> DisclosureAnalysis<'a> {
         let space = lts.space().clone();
         let reachable = lts.reachable();
 
-        for datastore in self.catalog.datastores() {
-            let schema = match self.catalog.schema(datastore.schema()) {
-                Some(schema) => schema,
-                None => continue,
-            };
-            for field in schema.fields() {
-                for actor in &non_allowed {
-                    if !self.policy.can(actor, Permission::Read, datastore.id(), field) {
-                        continue;
-                    }
-                    // Which reachable states expose the field to this actor?
-                    let exposed: Vec<_> = reachable
-                        .iter()
-                        .copied()
-                        .filter(|id| lts.state(*id).could(&space, actor, field))
-                        .collect();
-                    if exposed.is_empty() {
-                        continue;
-                    }
-
-                    let risk = self.triple_risk(&sensitivity, datastore.id(), field, actor);
-                    let mut annotated = Vec::new();
-
-                    // Annotate existing read transitions by this actor on
-                    // this field.
-                    let existing: Vec<TransitionId> = lts
-                        .transitions()
-                        .filter(|(_, t)| {
-                            t.label().action() == ActionKind::Read
-                                && t.label().actor() == actor
-                                && t.label().involves_field(field)
-                        })
-                        .map(|(id, _)| id)
-                        .collect();
-                    for id in existing {
-                        lts.annotate(id, risk.annotation.clone());
-                        annotated.push(id);
-                    }
-
-                    // Add potential-read risk transitions from every exposed
-                    // state where the actor has not yet identified the field.
-                    for state_id in &exposed {
-                        let state = lts.state(*state_id).clone();
-                        if state.has(&space, actor, field) {
-                            continue;
-                        }
-                        let target = state.with_has(&space, actor, field);
-                        let target_id = lts.intern(target);
-                        let label = TransitionLabel::new(
-                            ActionKind::Read,
-                            actor.clone(),
-                            [field.clone()],
-                            Some(datastore.schema().clone()),
-                        )
-                        .with_risk(risk.annotation.clone());
-                        let tid = lts.add_risk_transition(*state_id, target_id, label);
-                        annotated.push(tid);
-                    }
-
-                    findings.push(DisclosureFinding {
-                        actor: actor.clone(),
-                        field: field.clone(),
-                        datastore: datastore.id().clone(),
-                        severity: risk.severity,
-                        likelihood: risk.likelihood,
-                        probability: risk.probability,
-                        level: risk.level,
-                        annotated_transitions: annotated,
-                        exposed_states: exposed.len(),
-                    });
-                }
+        for triple @ (datastore, field, actor) in self.readable_triples(&non_allowed) {
+            // Which reachable states expose the field to this actor?
+            let exposed: Vec<_> = reachable
+                .iter()
+                .copied()
+                .filter(|id| lts.state(*id).could(&space, actor, field))
+                .collect();
+            if exposed.is_empty() {
+                continue;
             }
+
+            let risk = self.triple_risk(&sensitivity, triple);
+            let annotation = risk.annotation(field, actor);
+            let mut annotated = Vec::new();
+
+            // Annotate existing read transitions by this actor on this field.
+            let existing: Vec<TransitionId> = lts
+                .transitions()
+                .filter(|(_, t)| {
+                    t.label().action() == ActionKind::Read
+                        && t.label().actor() == actor
+                        && t.label().involves_field(field)
+                })
+                .map(|(id, _)| id)
+                .collect();
+            for id in existing {
+                lts.annotate(id, annotation.clone());
+                annotated.push(id);
+            }
+
+            // Add potential-read risk transitions from every exposed state
+            // where the actor has not yet identified the field.
+            for state_id in &exposed {
+                let state = lts.state(*state_id).clone();
+                if state.has(&space, actor, field) {
+                    continue;
+                }
+                let target = state.with_has(&space, actor, field);
+                let target_id = lts.intern(target);
+                let label = TransitionLabel::new(
+                    ActionKind::Read,
+                    actor.clone(),
+                    [field.clone()],
+                    Some(datastore.schema().clone()),
+                )
+                .with_risk(annotation.clone());
+                let tid = lts.add_risk_transition(*state_id, target_id, label);
+                annotated.push(tid);
+            }
+
+            findings.push(risk.finding(triple, annotated.into(), exposed.len()));
         }
 
         sort_findings(&mut findings);
         DisclosureReport { user: user.clone(), allowed, non_allowed, findings }
     }
-}
-
-/// The snapshot's existing `read` transitions by `actor` involving `field`,
-/// ascending — the per-(actor, action) posting list filtered by the field's
-/// bitset bit. The field resolves through the interner once per call, not
-/// once per posting entry; an unknown field short-circuits to empty.
-fn existing_reads(index: &LtsIndex, actor: &ActorId, field: &FieldId) -> Vec<TransitionId> {
-    index
-        .field_index(field)
-        .map(|field_idx| {
-            index
-                .transitions_by_actor_of_kind(actor, ActionKind::Read)
-                .iter()
-                .filter(|&&tx| index.involves_field(tx, field_idx))
-                .map(|&tx| TransitionId(tx as usize))
-                .collect()
-        })
-        .unwrap_or_default()
 }
 
 fn sort_findings(findings: &mut [DisclosureFinding]) {

@@ -85,16 +85,22 @@ proptest! {
         }
     }
 
+    /// The batch API over one shared index equals the per-user scan path,
+    /// with or without potential reads. The batch runs first, so its 1–4
+    /// threads fill the index's per-(actor, field) read memo concurrently;
+    /// a second assessment on the now-warm index must repeat the cold one.
     #[test]
     fn batch_assessment_equals_per_user_scan_assessment(
         seed in 0u64..1_000_000,
         profile_seed in 0u64..1_000_000,
         threads in 1usize..5,
+        potential_reads in proptest::bool::ANY,
     ) {
         let (catalog, system, policy) =
             random_model(&ModelGeneratorConfig::default().with_seed(seed))
                 .expect("generated model is valid");
-        let config = GeneratorConfig::default().with_max_states(20_000);
+        let mut config = GeneratorConfig::default().with_max_states(20_000);
+        config.explore_potential_reads = potential_reads;
         let lts =
             generate_lts(&catalog, &system, &policy, &config).expect("generation in bounds");
         let index = privacy_lts::LtsIndex::build(&lts);
@@ -104,6 +110,9 @@ proptest! {
         let batch = analysis.analyse_users_batch(&index, &users, Some(threads));
         let expected: Vec<DisclosureReport> =
             users.iter().map(|user| analysis.assess_scan(&lts, user)).collect();
-        prop_assert_eq!(batch, expected);
+        prop_assert_eq!(&batch, &expected);
+        let warm: Vec<DisclosureReport> =
+            users.iter().map(|user| analysis.assess(&index, user)).collect();
+        prop_assert_eq!(warm, batch);
     }
 }
