@@ -5,24 +5,26 @@
 //! rules out. Two interchangeable strategies exist:
 //!
 //! * **Index probes** ([`check_lts`], [`check_lts_indexed`],
-//!   [`check_lts_batch`]) — the default. A columnar
+//!   [`check_lts_batch`]) — the fast path. A columnar
 //!   [`LtsIndex`] is built (or reused) and every statement resolves through
-//!   posting lists and packed bitsets: `O(statements × transitions)` label
-//!   scans become per-statement probes, and one index build is amortised
-//!   over all statements of a policy (or, with the batch API, over many
-//!   policies).
-//! * **Label scans** ([`check_lts_scan`]) — the original implementation,
-//!   retained verbatim for differential testing: for every statement it
-//!   walks the full transition relation (and, for exposure bounds, the
-//!   reachable states) comparing labels. Both strategies produce *identical*
-//!   [`ComplianceReport`]s — same outcomes, same violation order, same
-//!   messages — which the property tests in `tests/index_differential.rs`
-//!   pin over random models.
+//!   posting lists, packed bitsets and interned indices: `O(statements ×
+//!   transitions)` label scans become per-statement probes, and one index
+//!   build is amortised over all statements of a policy (or, with the batch
+//!   API, over many policies). A check allocates per report, not per
+//!   statement: the report shares the policy's statements, violations keep
+//!   structured facts and render on read, and the probes reuse a few scratch
+//!   buffers across the policy's statements.
+//! * **Label scans** ([`check_lts_scan`]) — the differential oracle: for
+//!   every statement it walks the full transition relation (and, for
+//!   exposure bounds, the reachable states) comparing labels. Both
+//!   strategies produce *equal* [`ComplianceReport`]s — same outcomes, same
+//!   violations in the same order, and so the same rendered text — which the
+//!   property tests in `tests/index_differential.rs` pin over random models.
 
 use crate::policy::PrivacyPolicy;
-use crate::report::{ComplianceReport, StatementOutcome, Violation};
+use crate::report::{check_each, ComplianceReport, Skip, Target, Violation};
 use crate::statement::{FieldMatcher, Statement, StatementKind};
-use privacy_lts::{ActionKind, Lts, LtsIndex, LtsQuery};
+use privacy_lts::{ActionKind, Lts, LtsIndex, LtsQuery, TransitionId};
 use privacy_model::FieldId;
 use std::collections::BTreeSet;
 
@@ -62,9 +64,8 @@ pub fn check_lts(lts: &Lts, policy: &PrivacyPolicy) -> ComplianceReport {
 /// reusing one index across many [`check_lts_indexed`] calls is how the
 /// batch path amortises the single build.
 pub fn check_lts_indexed(lts: &Lts, index: &LtsIndex, policy: &PrivacyPolicy) -> ComplianceReport {
-    let outcomes =
-        policy.iter().map(|statement| check_statement_indexed(lts, index, statement)).collect();
-    ComplianceReport::new(report_target(lts), outcomes)
+    let mut probes = Probes::new(lts, index);
+    check_each(policy, target(lts), |_, statement, violations| probes.check(statement, violations))
 }
 
 /// Checks many policies over **one** index build, evaluating policies in
@@ -96,165 +97,185 @@ pub fn check_lts_batch_indexed(
     })
 }
 
-/// The original full-scan checker, retained for differential testing and as
-/// the reference semantics of [`check_lts`].
+/// The full-scan checker: the reference semantics of [`check_lts`], kept as
+/// the differential oracle the indexed path is tested against — not a fast
+/// path.
 pub fn check_lts_scan(lts: &Lts, policy: &PrivacyPolicy) -> ComplianceReport {
-    let outcomes = policy.iter().map(|statement| check_statement_scan(lts, statement)).collect();
-    ComplianceReport::new(report_target(lts), outcomes)
+    check_each(policy, target(lts), |_, statement, violations| {
+        check_statement_scan(lts, statement, violations)
+    })
 }
 
-fn report_target(lts: &Lts) -> String {
-    format!("LTS ({} states, {} transitions)", lts.state_count(), lts.transition_count())
+fn target(lts: &Lts) -> Target {
+    Target::Lts { states: lts.state_count(), transitions: lts.transition_count() }
 }
 
-/// Checks one statement through index probes. Candidate transitions are
-/// always visited in ascending id order — the order the scan path reports
-/// violations in — so the two strategies render identical reports.
-fn check_statement_indexed(lts: &Lts, index: &LtsIndex, statement: &Statement) -> StatementOutcome {
-    let violations = match statement.kind() {
-        StatementKind::Forbid { actors, action, fields } => {
-            let field_mask = only_mask(index, fields);
-            let actor_accept: Vec<bool> =
-                index.actors().iter().map(|actor| actors.matches(actor)).collect();
-            // Every transition's actor is interned, so a matcher accepting
-            // no interned actor can never fire: skip the candidate walk.
-            if !actor_accept.iter().any(|&accepted| accepted) {
-                return StatementOutcome::Checked {
-                    statement: statement.clone(),
-                    violations: Vec::new(),
+/// One check's index probes. The scratch buffers are reused across the
+/// policy's statements, so a statement that holds allocates nothing.
+struct Probes<'a> {
+    lts: &'a Lts,
+    index: &'a LtsIndex,
+    /// Per interned actor: whether the current prohibition selects it.
+    actor_accept: Vec<bool>,
+    /// The current statement's field bitset, as [`LtsIndex::involves_any`]
+    /// reads it.
+    field_mask: Vec<u64>,
+    /// The current statement's candidate transitions.
+    candidates: Vec<u32>,
+    /// The current purpose limit's allowed purposes, interned.
+    purposes: Vec<u32>,
+    /// The interned fields some transition processes and no delete covers,
+    /// in `FieldId` order (the scan path's `BTreeSet` order); filled by the
+    /// first erasure statement.
+    unerasable: Option<Vec<u32>>,
+}
+
+impl<'a> Probes<'a> {
+    fn new(lts: &'a Lts, index: &'a LtsIndex) -> Self {
+        Probes {
+            lts,
+            index,
+            actor_accept: Vec::new(),
+            field_mask: Vec::new(),
+            candidates: Vec::new(),
+            purposes: Vec::new(),
+            unerasable: None,
+        }
+    }
+
+    /// Checks one statement. Candidate transitions are always visited in
+    /// ascending id order — the order the scan path reports violations in —
+    /// so the two strategies build equal reports.
+    fn check(&mut self, statement: &Statement, out: &mut Vec<Violation>) -> Result<(), Skip> {
+        let Probes { lts, index, actor_accept, field_mask, candidates, purposes, unerasable } =
+            self;
+        match statement.kind() {
+            StatementKind::Forbid { actors, action, fields } => {
+                if action.is_some_and(|action| index.transitions_of_kind(action).is_empty()) {
+                    return Ok(());
+                }
+                actor_accept.clear();
+                actor_accept.extend(index.actors().iter().map(|actor| actors.matches(actor)));
+                // Every transition's actor is interned, so a matcher accepting
+                // no interned actor can never fire: skip the candidate walk.
+                if !actor_accept.contains(&true) {
+                    return Ok(());
+                }
+                let mask = fill_mask(index, fields, field_mask);
+                let mut visit = |tx: u32| {
+                    if actor_accept[index.actor_index_of(tx) as usize]
+                        && matches_fields(index, tx, mask)
+                    {
+                        let id = TransitionId(tx as usize);
+                        out.push(Violation::forbidden_transition(id, lts.transition(id)));
+                    }
                 };
+                match action {
+                    Some(action) => {
+                        index.transitions_of_kind(*action).iter().for_each(|&tx| visit(tx))
+                    }
+                    None => (0..index.transition_count() as u32).for_each(visit),
+                }
             }
-            let matches = |tx: u32| {
-                actor_accept[index.actor_index_of(tx) as usize]
-                    && matches_fields(index, tx, field_mask.as_deref())
-            };
-            let mut violations = Vec::new();
-            let mut push = |tx: u32| {
-                let label = lts.transition(privacy_lts::TransitionId(tx as usize)).label();
-                violations.push(Violation::new(
-                    statement.id(),
-                    format!("transition #{tx}"),
-                    format!(
-                        "{:?} on {{{}}} by `{}` is forbidden by the policy",
-                        label.action(),
-                        join_fields(label.fields()),
-                        label.actor()
-                    ),
-                ));
-            };
-            match action {
-                Some(action) => {
-                    for &tx in index.transitions_of_kind(*action) {
-                        if matches(tx) {
-                            push(tx);
+            StatementKind::PurposeLimit { fields, allowed } => {
+                purposes.clear();
+                purposes.extend(allowed.iter().filter_map(|purpose| index.purpose_index(purpose)));
+                let mut visit = |tx: u32| {
+                    if !index
+                        .purpose_index_of(tx)
+                        .is_some_and(|purpose| purposes.contains(&purpose))
+                    {
+                        let id = TransitionId(tx as usize);
+                        out.push(Violation::undeclared_purpose(id, lts.transition(id)));
+                    }
+                };
+                match fields {
+                    // An empty field set never matches a matcher.
+                    FieldMatcher::Any => (0..index.transition_count() as u32)
+                        .filter(|&tx| index.has_fields(tx))
+                        .for_each(visit),
+                    FieldMatcher::Only(set) => {
+                        // The deduplicated union of the fields' posting lists.
+                        candidates.clear();
+                        for field in set {
+                            candidates.extend_from_slice(index.transitions_involving_field(field));
                         }
-                    }
-                }
-                None => {
-                    for tx in 0..index.transition_count() as u32 {
-                        if matches(tx) {
-                            push(tx);
-                        }
+                        candidates.sort_unstable();
+                        candidates.dedup();
+                        candidates.iter().for_each(|&tx| visit(tx));
                     }
                 }
             }
-            violations
-        }
-        StatementKind::PurposeLimit { fields, allowed } => {
-            let allowed_ids: BTreeSet<u32> =
-                allowed.iter().filter_map(|purpose| index.purpose_index(purpose)).collect();
-            let mut violations = Vec::new();
-            for tx in candidate_transitions(index, fields) {
-                match index.purpose_index_of(tx) {
-                    Some(purpose) if allowed_ids.contains(&purpose) => {}
-                    Some(_) => {
-                        let label = lts.transition(privacy_lts::TransitionId(tx as usize)).label();
-                        let purpose = label.purpose().expect("purpose column said Some");
-                        violations.push(Violation::new(
-                            statement.id(),
-                            format!("transition #{tx}"),
-                            format!(
-                                "purpose `{purpose}` is not among the declared purposes for {{{}}}",
-                                join_fields(label.fields())
-                            ),
-                        ));
+            StatementKind::ServiceLimit { .. } => return Err(Skip::NoServiceInLts),
+            StatementKind::RequireErasure { fields } => {
+                let fields_of = index.fields();
+                for &field in unerasable.get_or_insert_with(|| unerasable_fields(index)).iter() {
+                    let field = &fields_of[field as usize];
+                    if fields.matches(field) {
+                        out.push(Violation::unerasable_field(field));
                     }
-                    None => violations.push(Violation::new(
-                        statement.id(),
-                        format!("transition #{tx}"),
-                        "the transition states no purpose for purpose-limited fields".to_string(),
-                    )),
                 }
             }
-            violations
+            StatementKind::MaxExposure { field, max_actors } => {
+                // Interned indices below the space's counts are the space's
+                // own indices, so the space's actors probe by position.
+                let Some(field_index) = index.field_index(field) else {
+                    return Ok(());
+                };
+                let actors = index.space().actors();
+                let identifies =
+                    |actor: usize| index.can_actor_identify_indices(actor as u32, field_index);
+                if (0..actors.len()).filter(|&actor| identifies(actor)).count() > *max_actors {
+                    let exposed = (0..actors.len())
+                        .filter(|&actor| identifies(actor))
+                        .map(|actor| actors[actor].clone())
+                        .collect();
+                    out.push(Violation::identifiable(field, *max_actors, exposed));
+                }
+            }
+            // Future statement kinds default to skipped rather than silently passing.
+            #[allow(unreachable_patterns)]
+            _ => return Err(Skip::UnsupportedByLts),
         }
-        StatementKind::ServiceLimit { .. } => return skip_service_limit(statement),
-        StatementKind::RequireErasure { fields } => {
-            // The fields processed anywhere in the model, in `FieldId` order
-            // (the scan path's `BTreeSet` iteration order).
-            let mut processed: Vec<&FieldId> = index
-                .fields()
-                .iter()
-                .filter(|field| {
-                    fields.matches(field) && !index.transitions_involving_field(field).is_empty()
-                })
-                .collect();
-            processed.sort();
-            processed
-                .into_iter()
-                .filter(|field| !index.kind_covers_field(ActionKind::Delete, field))
-                .map(|field| {
-                    Violation::new(
-                        statement.id(),
-                        format!("field `{field}`"),
-                        "the model contains no delete action covering this field",
-                    )
-                })
-                .collect()
-        }
-        StatementKind::MaxExposure { field, max_actors } => {
-            let exposed: Vec<&privacy_model::ActorId> = lts
-                .space()
-                .actors()
-                .iter()
-                .filter(|actor| index.can_actor_identify(actor, field))
-                .collect();
-            max_exposure_violations(statement, field, *max_actors, exposed)
-        }
-        // Future statement kinds default to skipped rather than silently passing.
-        #[allow(unreachable_patterns)]
-        _ => return skip_unsupported(statement),
+        Ok(())
+    }
+}
+
+/// The interned fields some transition processes and no delete action
+/// covers, in `FieldId` order.
+fn unerasable_fields(index: &LtsIndex) -> Vec<u32> {
+    let fields = index.fields();
+    let mut unerasable: Vec<u32> = (0..fields.len() as u32)
+        .filter(|&field| {
+            let name = &fields[field as usize];
+            !index.transitions_involving_field(name).is_empty()
+                && !index.kind_covers_field(ActionKind::Delete, name)
+        })
+        .collect();
+    unerasable.sort_unstable_by(|&a, &b| fields[a as usize].cmp(&fields[b as usize]));
+    unerasable
+}
+
+/// Fills `mask` with the matcher's interned field bits; `None` means the
+/// matcher is [`FieldMatcher::Any`]. The mask stops at the highest matched
+/// field's word, which [`LtsIndex::involves_any`] reads as zeros beyond.
+fn fill_mask<'m>(
+    index: &LtsIndex,
+    fields: &FieldMatcher,
+    mask: &'m mut Vec<u64>,
+) -> Option<&'m [u64]> {
+    let FieldMatcher::Only(set) = fields else {
+        return None;
     };
-    StatementOutcome::Checked { statement: statement.clone(), violations }
-}
-
-/// The candidate transitions of a field matcher, ascending: for `Any`,
-/// every transition that carries at least one field (an empty field set
-/// never matches a matcher); for `Only`, the deduplicated union of the
-/// listed fields' posting lists.
-fn candidate_transitions(index: &LtsIndex, fields: &FieldMatcher) -> Vec<u32> {
-    match fields {
-        FieldMatcher::Any => {
-            (0..index.transition_count() as u32).filter(|&tx| index.has_fields(tx)).collect()
+    mask.clear();
+    for field in set.iter().filter_map(|field| index.field_index(field)) {
+        let word = field as usize / 64;
+        if mask.len() <= word {
+            mask.resize(word + 1, 0);
         }
-        FieldMatcher::Only(set) => {
-            let mut union: Vec<u32> = set
-                .iter()
-                .flat_map(|field| index.transitions_involving_field(field).iter().copied())
-                .collect();
-            union.sort_unstable();
-            union.dedup();
-            union
-        }
+        mask[word] |= 1u64 << (field % 64);
     }
-}
-
-/// `None` means the matcher is [`FieldMatcher::Any`].
-fn only_mask(index: &LtsIndex, fields: &FieldMatcher) -> Option<Vec<u64>> {
-    match fields {
-        FieldMatcher::Any => None,
-        FieldMatcher::Only(set) => Some(index.field_mask(set.iter())),
-    }
+    Some(mask)
 }
 
 fn matches_fields(index: &LtsIndex, tx: u32, mask: Option<&[u64]>) -> bool {
@@ -266,48 +287,15 @@ fn matches_fields(index: &LtsIndex, tx: u32, mask: Option<&[u64]>) -> bool {
     }
 }
 
-fn max_exposure_violations(
-    statement: &Statement,
-    field: &FieldId,
-    max_actors: usize,
-    exposed: Vec<&privacy_model::ActorId>,
-) -> Vec<Violation> {
-    if exposed.len() > max_actors {
-        vec![Violation::new(
-            statement.id(),
-            format!("field `{field}`"),
-            format!(
-                "{} actors can identify the field (limit {}): {}",
-                exposed.len(),
-                max_actors,
-                exposed.iter().map(|a| a.as_str()).collect::<Vec<_>>().join(", ")
-            ),
-        )]
-    } else {
-        Vec::new()
-    }
-}
-
-fn skip_service_limit(statement: &Statement) -> StatementOutcome {
-    StatementOutcome::Skipped {
-        statement: statement.clone(),
-        reason: "LTS transitions carry no service information; check the event log instead".into(),
-    }
-}
-
-fn skip_unsupported(statement: &Statement) -> StatementOutcome {
-    StatementOutcome::Skipped {
-        statement: statement.clone(),
-        reason: "statement kind is not supported by the LTS checker".into(),
-    }
-}
-
 /// Checks one statement by scanning the transition relation (the retained
 /// reference semantics).
-fn check_statement_scan(lts: &Lts, statement: &Statement) -> StatementOutcome {
-    let violations = match statement.kind() {
+fn check_statement_scan(
+    lts: &Lts,
+    statement: &Statement,
+    out: &mut Vec<Violation>,
+) -> Result<(), Skip> {
+    match statement.kind() {
         StatementKind::Forbid { actors, action, fields } => {
-            let mut violations = Vec::new();
             for (id, transition) in lts.transitions() {
                 let label = transition.label();
                 let action_matches = action.is_none_or(|a| a == label.action());
@@ -315,87 +303,54 @@ fn check_statement_scan(lts: &Lts, statement: &Statement) -> StatementOutcome {
                     && actors.matches(label.actor())
                     && fields.matches_any(label.fields())
                 {
-                    violations.push(Violation::new(
-                        statement.id(),
-                        format!("transition #{}", id.0),
-                        format!(
-                            "{:?} on {{{}}} by `{}` is forbidden by the policy",
-                            label.action(),
-                            join_fields(label.fields()),
-                            label.actor()
-                        ),
-                    ));
+                    out.push(Violation::forbidden_transition(id, transition));
                 }
             }
-            violations
         }
         StatementKind::PurposeLimit { fields, allowed } => {
-            let mut violations = Vec::new();
             for (id, transition) in lts.transitions() {
                 let label = transition.label();
-                if !fields.matches_any(label.fields()) {
-                    continue;
-                }
-                match label.purpose() {
-                    Some(purpose) if allowed.contains(purpose) => {}
-                    Some(purpose) => violations.push(Violation::new(
-                        statement.id(),
-                        format!("transition #{}", id.0),
-                        format!(
-                            "purpose `{purpose}` is not among the declared purposes for {{{}}}",
-                            join_fields(label.fields())
-                        ),
-                    )),
-                    None => violations.push(Violation::new(
-                        statement.id(),
-                        format!("transition #{}", id.0),
-                        "the transition states no purpose for purpose-limited fields".to_string(),
-                    )),
+                if fields.matches_any(label.fields())
+                    && !label.purpose().is_some_and(|purpose| allowed.contains(purpose))
+                {
+                    out.push(Violation::undeclared_purpose(id, transition));
                 }
             }
-            violations
         }
-        StatementKind::ServiceLimit { .. } => return skip_service_limit(statement),
+        StatementKind::ServiceLimit { .. } => return Err(Skip::NoServiceInLts),
         StatementKind::RequireErasure { fields } => {
             let processed: BTreeSet<&FieldId> = lts
                 .transitions()
                 .flat_map(|(_, t)| t.label().fields().iter())
                 .filter(|f| fields.matches(f))
                 .collect();
-            let mut violations = Vec::new();
             for field in processed {
                 let erasable = lts.transitions().any(|(_, t)| {
                     t.label().action() == ActionKind::Delete && t.label().involves_field(field)
                 });
                 if !erasable {
-                    violations.push(Violation::new(
-                        statement.id(),
-                        format!("field `{field}`"),
-                        "the model contains no delete action covering this field",
-                    ));
+                    out.push(Violation::unerasable_field(field));
                 }
             }
-            violations
         }
         StatementKind::MaxExposure { field, max_actors } => {
             let query = LtsQuery::new(lts);
-            let exposed: Vec<&privacy_model::ActorId> = lts
+            let exposed: Vec<privacy_model::ActorId> = lts
                 .space()
                 .actors()
                 .iter()
                 .filter(|actor| query.can_actor_identify(actor, field))
+                .cloned()
                 .collect();
-            max_exposure_violations(statement, field, *max_actors, exposed)
+            if exposed.len() > *max_actors {
+                out.push(Violation::identifiable(field, *max_actors, exposed));
+            }
         }
         // Future statement kinds default to skipped rather than silently passing.
         #[allow(unreachable_patterns)]
-        _ => return skip_unsupported(statement),
-    };
-    StatementOutcome::Checked { statement: statement.clone(), violations }
-}
-
-fn join_fields(fields: &BTreeSet<FieldId>) -> String {
-    fields.iter().map(|f| f.as_str()).collect::<Vec<_>>().join(", ")
+        _ => return Err(Skip::UnsupportedByLts),
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -450,6 +405,7 @@ mod tests {
         let indexed = check_lts(lts, policy);
         let scanned = check_lts_scan(lts, policy);
         assert_eq!(indexed, scanned, "index and scan reports diverge");
+        assert_eq!(indexed.render(), scanned.render());
         indexed
     }
 

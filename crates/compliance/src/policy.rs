@@ -3,13 +3,19 @@
 use crate::statement::{ActorMatcher, FieldMatcher, Statement, StatementKind};
 use privacy_model::{Catalog, FieldKind, Purpose};
 use std::fmt;
+use std::sync::Arc;
 
 /// A privacy policy: the promises a service makes about how personal data is
 /// handled, in machine-checkable form.
+///
+/// The statements sit behind one shared handle: every
+/// [`crate::ComplianceReport`] checked against the policy shares it, so a
+/// check copies no statement, and a cloned policy shares it until either
+/// copy is edited.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PrivacyPolicy {
     name: String,
-    statements: Vec<Statement>,
+    statements: Arc<Vec<Statement>>,
 }
 
 impl PrivacyPolicy {
@@ -25,18 +31,18 @@ impl PrivacyPolicy {
     /// assert_eq!(policy.len(), 1);
     /// ```
     pub fn new(name: impl Into<String>) -> Self {
-        PrivacyPolicy { name: name.into(), statements: Vec::new() }
+        PrivacyPolicy { name: name.into(), statements: Arc::default() }
     }
 
     /// Adds a statement (builder style).
     pub fn with_statement(mut self, statement: Statement) -> Self {
-        self.statements.push(statement);
+        self.add_statement(statement);
         self
     }
 
     /// Adds a statement in place.
     pub fn add_statement(&mut self, statement: Statement) -> &mut Self {
-        self.statements.push(statement);
+        Arc::make_mut(&mut self.statements).push(statement);
         self
     }
 
@@ -47,6 +53,11 @@ impl PrivacyPolicy {
 
     /// The statements in declaration order.
     pub fn statements(&self) -> &[Statement] {
+        &self.statements
+    }
+
+    /// The shared handle reports keep to the statements.
+    pub(crate) fn shared_statements(&self) -> &Arc<Vec<Statement>> {
         &self.statements
     }
 
@@ -73,20 +84,23 @@ impl PrivacyPolicy {
 
 impl FromIterator<Statement> for PrivacyPolicy {
     fn from_iter<T: IntoIterator<Item = Statement>>(iter: T) -> Self {
-        PrivacyPolicy { name: "privacy policy".into(), statements: iter.into_iter().collect() }
+        PrivacyPolicy {
+            name: "privacy policy".into(),
+            statements: Arc::new(iter.into_iter().collect()),
+        }
     }
 }
 
 impl Extend<Statement> for PrivacyPolicy {
     fn extend<T: IntoIterator<Item = Statement>>(&mut self, iter: T) {
-        self.statements.extend(iter);
+        Arc::make_mut(&mut self.statements).extend(iter);
     }
 }
 
 impl fmt::Display for PrivacyPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "privacy policy `{}` ({} statements)", self.name, self.statements.len())?;
-        for statement in &self.statements {
+        for statement in self.statements.iter() {
             writeln!(f, "  {statement}")?;
         }
         Ok(())

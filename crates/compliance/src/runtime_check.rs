@@ -32,11 +32,11 @@
 //! from-scratch [`check_log`] (and [`check_log_scan`]) over the whole log.
 
 use crate::policy::PrivacyPolicy;
-use crate::report::{ComplianceReport, StatementOutcome, Violation};
+use crate::report::{check_each, ComplianceReport, Skip, Target, Violation};
 use crate::statement::{FieldMatcher, Statement, StatementKind};
 use privacy_lts::ActionKind;
 use privacy_model::{ActorId, FieldId, UserId};
-use privacy_runtime::{Event, EventLog, EventLogIndex};
+use privacy_runtime::{EventLog, EventLogIndex};
 use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
@@ -70,9 +70,13 @@ pub fn check_log_indexed(
     index: &EventLogIndex,
     policy: &PrivacyPolicy,
 ) -> ComplianceReport {
-    let outcomes =
-        policy.iter().map(|statement| probe_statement(log, index, statement, 0)).collect();
-    ComplianceReport::new(format!("event log ({} events)", log.len()), outcomes)
+    check_each(policy, target(log), |_, statement, violations| {
+        probe_statement(log, index, statement, 0, violations)
+    })
+}
+
+fn target(log: &EventLog) -> Target {
+    Target::Log { events: log.len() }
 }
 
 /// The carried-over state of a periodic audit: how much of the append-only
@@ -278,46 +282,27 @@ pub fn check_log_checkpointed(
     };
 
     let mut prior_statements = checkpoint.map(|checkpoint| checkpoint.statements);
-    let mut outcomes = Vec::with_capacity(policy.len());
     let mut statements = Vec::with_capacity(policy.len());
-    for (position, statement) in policy.iter().enumerate() {
-        // Move the carried violations out of the consumed checkpoint — the
-        // accumulated list transfers between periods without re-copying.
-        let prior = prior_statements
-            .as_mut()
-            .map(|tracked| std::mem::take(&mut tracked[position].violations))
-            .unwrap_or_default();
-        let outcome = match probe_statement(log, index, statement, from as u32) {
-            StatementOutcome::Checked { statement, violations } => {
-                // Per-event kinds probed only the suffix: splice the carried
-                // prefix violations in front (both are in ascending event
-                // order, so the concatenation is the full-log order).
-                // Aggregate kinds recompute over the whole index and carry
-                // nothing. One copy is unavoidable — the report and the next
-                // checkpoint each own the list.
-                let mut all = prior;
-                all.extend(violations);
-                statements.push(StatementCheckpoint {
-                    id: statement.id().to_owned(),
-                    violations: if accumulates_per_event(&statement) {
-                        all.clone()
-                    } else {
-                        Vec::new()
-                    },
-                });
-                StatementOutcome::Checked { statement, violations: all }
-            }
-            skipped => {
-                statements.push(StatementCheckpoint {
-                    id: statement.id().to_owned(),
-                    violations: Vec::new(),
-                });
-                skipped
-            }
+    let report = check_each(policy, target(log), |position, statement, violations| {
+        // Per-event kinds probe only the suffix: the carried prefix
+        // violations go in front (both are in ascending event order, so the
+        // concatenation is the full-log order). Aggregate kinds recompute
+        // over the whole index and carry nothing.
+        let start = violations.len();
+        if let Some(tracked) = prior_statements.as_mut() {
+            violations.append(&mut tracked[position].violations);
+        }
+        let verdict = probe_statement(log, index, statement, from as u32, violations);
+        // One copy is unavoidable — the report and the next checkpoint each
+        // own the list.
+        let carried = if verdict.is_ok() && accumulates_per_event(statement) {
+            violations[start..].to_vec()
+        } else {
+            Vec::new()
         };
-        outcomes.push(outcome);
-    }
-    let report = ComplianceReport::new(format!("event log ({} events)", log.len()), outcomes);
+        statements.push(StatementCheckpoint { id: statement.id().to_owned(), violations: carried });
+        verdict
+    });
     Ok((report, AuditCheckpoint { events_checked: log.len(), statements }))
 }
 
@@ -332,8 +317,9 @@ fn accumulates_per_event(statement: &Statement) -> bool {
 /// Behaviourally identical to [`check_log`]; kept as the reference semantics
 /// for differential testing.
 pub fn check_log_scan(log: &EventLog, policy: &PrivacyPolicy) -> ComplianceReport {
-    let outcomes = policy.iter().map(|statement| scan_statement(log, statement)).collect();
-    ComplianceReport::new(format!("event log ({} events)", log.len()), outcomes)
+    check_each(policy, target(log), |_, statement, violations| {
+        scan_statement(log, statement, violations)
+    })
 }
 
 /// Checks one statement by probing the index's posting lists and aggregates.
@@ -345,11 +331,12 @@ fn probe_statement(
     index: &EventLogIndex,
     statement: &Statement,
     from: u32,
-) -> StatementOutcome {
+    out: &mut Vec<Violation>,
+) -> Result<(), Skip> {
     let events = log.events();
     // Posting lists are ascending, so each suffix past `from` is one
     // partition-point probe.
-    let violations = match statement.kind() {
+    match statement.kind() {
         StatementKind::Forbid { actors, action, fields } => {
             // Candidates: the action's permitted posting list (or every
             // permitted event for an unrestricted prohibition). The actor
@@ -365,17 +352,18 @@ fn probe_statement(
                 FieldMatcher::Any => None,
                 FieldMatcher::Only(set) => Some(index.field_mask(set.iter())),
             };
-            candidates
-                .iter()
-                .filter(|&&id| actor_ok[index.actor_index_of(id) as usize])
-                .filter(|&&id| match &field_mask {
-                    // `matches_any` over an `Any` matcher still requires the
-                    // event to carry at least one field.
-                    None => index.has_fields(id),
-                    Some(mask) => index.involves_any(id, mask),
-                })
-                .map(|&id| forbid_violation(statement, &events[id as usize]))
-                .collect()
+            out.extend(
+                candidates
+                    .iter()
+                    .filter(|&&id| actor_ok[index.actor_index_of(id) as usize])
+                    .filter(|&&id| match &field_mask {
+                        // `matches_any` over an `Any` matcher still requires
+                        // the event to carry at least one field.
+                        None => index.has_fields(id),
+                        Some(mask) => index.involves_any(id, mask),
+                    })
+                    .map(|&id| Violation::forbidden_event(&events[id as usize])),
+            );
         }
         StatementKind::ServiceLimit { fields, allowed } => {
             // The service matcher is evaluated once per distinct service;
@@ -393,68 +381,58 @@ fn probe_statement(
                 }
                 FieldMatcher::Only(set) => index.involving_any_field_from(set.iter(), from),
             };
-            candidates
-                .into_iter()
-                .filter(|&id| !service_ok[index.service_index_of(id) as usize])
-                .map(|id| service_violation(statement, &events[id as usize]))
-                .collect()
+            out.extend(
+                candidates
+                    .into_iter()
+                    .filter(|&id| !service_ok[index.service_index_of(id) as usize])
+                    .map(|id| Violation::outside_services(&events[id as usize])),
+            );
         }
-        StatementKind::PurposeLimit { .. } => {
-            return StatementOutcome::Skipped {
-                statement: statement.clone(),
-                reason: "runtime events record the service but not a per-action purpose".into(),
-            };
-        }
-        StatementKind::RequireErasure { fields } => index
-            .erasure_timelines()
-            .filter(|((_, field), _)| fields.matches(field))
-            .filter(|(_, timeline)| timeline.violates_erasure())
-            .map(|((user, field), _)| erasure_violation(statement, user, field))
-            .collect(),
+        StatementKind::PurposeLimit { .. } => return Err(Skip::NoPurposeInLog),
+        StatementKind::RequireErasure { fields } => out.extend(
+            index
+                .erasure_timelines()
+                .filter(|((_, field), _)| fields.matches(field))
+                .filter(|(_, timeline)| timeline.violates_erasure())
+                .map(|((user, field), _)| Violation::unerased(user, field)),
+        ),
         StatementKind::MaxExposure { field, max_actors } => {
             let exposed = index.observing_actors(field);
             if exposed.len() > *max_actors {
-                vec![exposure_violation(statement, field, *max_actors, exposed.into_iter())]
-            } else {
-                Vec::new()
+                let exposed = exposed.into_iter().cloned().collect();
+                out.push(Violation::observed(field, *max_actors, exposed));
             }
         }
         // Future statement kinds default to skipped rather than silently passing.
         #[allow(unreachable_patterns)]
-        _ => {
-            return StatementOutcome::Skipped {
-                statement: statement.clone(),
-                reason: "statement kind is not supported by the event-log checker".into(),
-            };
-        }
-    };
-    StatementOutcome::Checked { statement: statement.clone(), violations }
+        _ => return Err(Skip::UnsupportedByLog),
+    }
+    Ok(())
 }
 
 /// The original per-statement full scan, retained for differential testing.
-fn scan_statement(log: &EventLog, statement: &Statement) -> StatementOutcome {
-    let violations = match statement.kind() {
-        StatementKind::Forbid { actors, action, fields } => log
-            .iter()
-            .filter(|event| event.permitted())
-            .filter(|event| action.is_none_or(|a| a == event.action()))
-            .filter(|event| actors.matches(event.actor()))
-            .filter(|event| fields.matches_any(event.fields()))
-            .map(|event| forbid_violation(statement, event))
-            .collect(),
-        StatementKind::ServiceLimit { fields, allowed } => log
-            .iter()
-            .filter(|event| event.permitted())
-            .filter(|event| fields.matches_any(event.fields()))
-            .filter(|event| !allowed.contains(event.service()))
-            .map(|event| service_violation(statement, event))
-            .collect(),
-        StatementKind::PurposeLimit { .. } => {
-            return StatementOutcome::Skipped {
-                statement: statement.clone(),
-                reason: "runtime events record the service but not a per-action purpose".into(),
-            };
-        }
+fn scan_statement(
+    log: &EventLog,
+    statement: &Statement,
+    out: &mut Vec<Violation>,
+) -> Result<(), Skip> {
+    match statement.kind() {
+        StatementKind::Forbid { actors, action, fields } => out.extend(
+            log.iter()
+                .filter(|event| event.permitted())
+                .filter(|event| action.is_none_or(|a| a == event.action()))
+                .filter(|event| actors.matches(event.actor()))
+                .filter(|event| fields.matches_any(event.fields()))
+                .map(Violation::forbidden_event),
+        ),
+        StatementKind::ServiceLimit { fields, allowed } => out.extend(
+            log.iter()
+                .filter(|event| event.permitted())
+                .filter(|event| fields.matches_any(event.fields()))
+                .filter(|event| !allowed.contains(event.service()))
+                .map(Violation::outside_services),
+        ),
+        StatementKind::PurposeLimit { .. } => return Err(Skip::NoPurposeInLog),
         StatementKind::RequireErasure { fields } => {
             // For every user whose matched fields were stored (collect /
             // create / anon), a later delete covering the field must exist.
@@ -477,13 +455,14 @@ fn scan_statement(log: &EventLog, statement: &Statement) -> StatementOutcome {
                     }
                 }
             }
-            stored
-                .iter()
-                .filter(|(key, stored_at)| {
-                    deleted.get(key).is_none_or(|deleted_at| deleted_at < stored_at)
-                })
-                .map(|((user, field), _)| erasure_violation(statement, user, field))
-                .collect()
+            out.extend(
+                stored
+                    .iter()
+                    .filter(|(key, stored_at)| {
+                        deleted.get(key).is_none_or(|deleted_at| deleted_at < stored_at)
+                    })
+                    .map(|((user, field), _)| Violation::unerased(user, field)),
+            );
         }
         StatementKind::MaxExposure { field, max_actors } => {
             let exposed: BTreeSet<&ActorId> = log
@@ -499,83 +478,15 @@ fn scan_statement(log: &EventLog, statement: &Statement) -> StatementOutcome {
                 .map(|event| event.actor())
                 .collect();
             if exposed.len() > *max_actors {
-                vec![exposure_violation(statement, field, *max_actors, exposed.into_iter())]
-            } else {
-                Vec::new()
+                let exposed = exposed.into_iter().cloned().collect();
+                out.push(Violation::observed(field, *max_actors, exposed));
             }
         }
         // Future statement kinds default to skipped rather than silently passing.
         #[allow(unreachable_patterns)]
-        _ => {
-            return StatementOutcome::Skipped {
-                statement: statement.clone(),
-                reason: "statement kind is not supported by the event-log checker".into(),
-            };
-        }
-    };
-    StatementOutcome::Checked { statement: statement.clone(), violations }
-}
-
-/// One prohibition violation — shared by both strategies so the rendered
-/// messages cannot drift apart.
-fn forbid_violation(statement: &Statement, event: &Event) -> Violation {
-    Violation::new(
-        statement.id(),
-        format!("event #{}", event.sequence()),
-        format!(
-            "{:?} on {{{}}} by `{}` during `{}` is forbidden by the policy",
-            event.action(),
-            join_fields(event.fields()),
-            event.actor(),
-            event.service()
-        ),
-    )
-}
-
-/// One service-limit violation.
-fn service_violation(statement: &Statement, event: &Event) -> Violation {
-    Violation::new(
-        statement.id(),
-        format!("event #{}", event.sequence()),
-        format!(
-            "fields {{{}}} were processed by service `{}`, outside the allowed set",
-            join_fields(event.fields()),
-            event.service()
-        ),
-    )
-}
-
-/// One right-to-erasure violation.
-fn erasure_violation(statement: &Statement, user: &UserId, field: &FieldId) -> Violation {
-    Violation::new(
-        statement.id(),
-        format!("user `{user}`, field `{field}`"),
-        "the field was stored but never deleted in the observed execution",
-    )
-}
-
-/// One exposure-bound violation; `exposed` must arrive sorted by actor id.
-fn exposure_violation<'a>(
-    statement: &Statement,
-    field: &FieldId,
-    max_actors: usize,
-    exposed: impl ExactSizeIterator<Item = &'a ActorId>,
-) -> Violation {
-    let count = exposed.len();
-    Violation::new(
-        statement.id(),
-        format!("field `{field}`"),
-        format!(
-            "{} actors observed the field at runtime (limit {}): {}",
-            count,
-            max_actors,
-            exposed.map(|a| a.as_str()).collect::<Vec<_>>().join(", ")
-        ),
-    )
-}
-
-fn join_fields(fields: &BTreeSet<FieldId>) -> String {
-    fields.iter().map(|f| f.as_str()).collect::<Vec<_>>().join(", ")
+        _ => return Err(Skip::UnsupportedByLog),
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -636,6 +547,7 @@ mod tests {
         let probed = check_log(log, policy);
         let scanned = check_log_scan(log, policy);
         assert_eq!(probed, scanned, "indexed and scan log reports diverge");
+        assert_eq!(probed.render(), scanned.render());
         probed
     }
 

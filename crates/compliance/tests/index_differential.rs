@@ -3,16 +3,19 @@
 //! models.
 //!
 //! The indexed strategy must agree with the scan strategy on *everything*:
-//! the same statements checked/skipped, the same violations in the same
-//! order with the same rendered messages ([`ComplianceReport`] equality is
-//! structural). The policies exercised here cover every statement kind the
-//! LTS checker supports, with matchers that hit and miss on purpose.
+//! the same statements checked/skipped and the same violations in the same
+//! order. [`ComplianceReport`] equality compares that structure (violations
+//! keep their facts and render on read), so every comparison here also
+//! asserts the rendered texts are equal. The policies exercised here cover
+//! every statement kind the LTS checker supports, with matchers that hit
+//! and miss on purpose.
 
 use privacy_compliance::{
-    check_lts, check_lts_batch, check_lts_scan, ActorMatcher, ComplianceReport, FieldMatcher,
-    PrivacyPolicy, Statement,
+    check_lts, check_lts_batch, check_lts_batch_indexed, check_lts_scan, ActorMatcher,
+    ComplianceReport, FieldMatcher, PrivacyPolicy, Statement,
 };
-use privacy_lts::{generate_lts, ActionKind, GeneratorConfig, Lts};
+use privacy_core::casestudy;
+use privacy_lts::{generate_lts, ActionKind, GeneratorConfig, Lts, LtsIndex};
 use privacy_model::{ActorId, Catalog, FieldId, Purpose};
 use privacy_synth::{random_model, ModelGeneratorConfig};
 use proptest::prelude::*;
@@ -146,6 +149,7 @@ proptest! {
         let policy = exercise_policy(&catalog);
         let indexed = check_lts(&lts, &policy);
         let scanned = check_lts_scan(&lts, &policy);
+        prop_assert_eq!(indexed.render(), scanned.render());
         prop_assert_eq!(indexed, scanned);
     }
 
@@ -165,6 +169,37 @@ proptest! {
         let batch = check_lts_batch(&lts, &policies, Some(threads));
         let expected: Vec<ComplianceReport> =
             policies.iter().map(|policy| check_lts_scan(&lts, policy)).collect();
+        prop_assert_eq!(render_all(&batch), render_all(&expected));
         prop_assert_eq!(batch, expected);
+    }
+}
+
+fn render_all(reports: &[ComplianceReport]) -> Vec<String> {
+    reports.iter().map(ComplianceReport::render).collect()
+}
+
+/// The batch API over one shared index of the healthcare case study, at 1,
+/// 2 and 4 threads, equals per-policy scans: the full exercise policy (so a
+/// report carries every violation kind), one policy per statement, and the
+/// full policy again, whose reports share one statement handle across
+/// threads.
+#[test]
+fn healthcare_batch_reports_equal_per_policy_scans_at_every_thread_count() {
+    let system = casestudy::healthcare().unwrap();
+    let lts = system.generate_lts().unwrap();
+    let full = exercise_policy(system.catalog());
+    let mut policies = vec![full.clone()];
+    policies.extend(
+        full.iter().map(|statement| PrivacyPolicy::new("unit").with_statement(statement.clone())),
+    );
+    policies.extend(std::iter::repeat_n(full, 4));
+    let expected: Vec<ComplianceReport> =
+        policies.iter().map(|policy| check_lts_scan(&lts, policy)).collect();
+    assert!(expected[0].violation_count() > 0 && expected[0].skipped().count() == 1);
+    let index = LtsIndex::build(&lts);
+    for threads in [1, 2, 4] {
+        let batch = check_lts_batch_indexed(&lts, &index, &policies, Some(threads));
+        assert_eq!(render_all(&batch), render_all(&expected), "{threads} threads");
+        assert_eq!(batch, expected, "{threads} threads");
     }
 }

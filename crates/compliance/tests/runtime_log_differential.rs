@@ -4,9 +4,11 @@
 //!
 //! [`check_log`] (one columnar `EventLogIndex` build, posting-list probes
 //! per statement) must agree with [`check_log_scan`] (every statement
-//! re-walks the log) on everything: the same statements checked/skipped,
-//! the same violations in the same order with the same rendered messages
-//! ([`ComplianceReport`] equality is structural). The streams mix engine
+//! re-walks the log) on everything: the same statements checked/skipped
+//! and the same violations in the same order. Report equality compares
+//! that structure (violations keep their facts and render on read), so
+//! every comparison here also asserts the rendered texts are equal. The
+//! streams mix engine
 //! executions with raw synthetic events — deletes, denied attempts,
 //! fieldless events, ghost identifiers — and the policies cover every
 //! statement kind the log checker supports, with matchers that hit and
@@ -202,6 +204,7 @@ proptest! {
         let policy = exercise_policy(&catalog);
         let probed = check_log(&log, &policy);
         let scanned = check_log_scan(&log, &policy);
+        prop_assert_eq!(probed.render(), scanned.render());
         prop_assert_eq!(probed, scanned);
     }
 
@@ -214,10 +217,9 @@ proptest! {
         let index = EventLogIndex::build(&log);
         for statement in full.iter() {
             let unit = PrivacyPolicy::new("unit").with_statement(statement.clone());
-            prop_assert_eq!(
-                check_log_indexed(&log, &index, &unit),
-                check_log_scan(&log, &unit)
-            );
+            let (probed, scanned) = (check_log_indexed(&log, &index, &unit), check_log_scan(&log, &unit));
+            prop_assert_eq!(probed.render(), scanned.render());
+            prop_assert_eq!(probed, scanned);
         }
     }
 
@@ -278,7 +280,9 @@ proptest! {
             let (report, next) =
                 check_log_checkpointed(&prefix, &index, &policy, checkpoint.take())
                     .expect("audit invariants hold");
-            prop_assert_eq!(&report, &check_log_scan(&prefix, &policy));
+            let scanned = check_log_scan(&prefix, &policy);
+            prop_assert_eq!(report.render(), scanned.render());
+            prop_assert_eq!(&report, &scanned);
             prop_assert_eq!(next.events_checked(), bound);
             prop_assert_eq!(next.statement_count(), policy.len());
             checkpoint = Some(next);

@@ -62,6 +62,12 @@ impl Transition {
         &self.label
     }
 
+    /// The label's shared allocation, for holders that outlive a borrow of
+    /// the LTS (a compliance violation keeps its transition's label so).
+    pub fn shared_label(&self) -> &Arc<TransitionLabel> {
+        &self.label
+    }
+
     /// Mutable access to the label (used by risk annotation). If the label is
     /// shared with other transitions it is cloned first (copy-on-write).
     pub fn label_mut(&mut self) -> &mut TransitionLabel {
