@@ -1,15 +1,11 @@
 //! Ablation / scaling benches (not in the paper, but probing its core claim):
-//! how LTS generation scales with the number of actors and fields, how the
-//! potential-read exploration changes the cost, and how the runtime
-//! simulator's throughput scales with workload size.
+//! how LTS generation scales with the number of actors and fields, and how
+//! the potential-read exploration changes the cost. The runtime monitor's
+//! scaling is the `runtime_scaling` bin's subject.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use privacy_bench::scaled_system;
-use privacy_core::casestudy;
 use privacy_lts::GeneratorConfig;
-use privacy_model::{Record, SensitivityCategory, UserId, UserProfile};
-use privacy_runtime::{run_concurrent_workload, ConcurrentConfig, RuntimeMonitor, ServiceEngine};
-use privacy_synth::{random_workload, WorkloadConfig};
 use std::hint::black_box;
 
 fn bench_lts_scaling(c: &mut Criterion) {
@@ -35,61 +31,5 @@ fn bench_lts_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_runtime_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_runtime_scaling");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(300));
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.sample_size(10);
-    let system = casestudy::healthcare().expect("fixture builds");
-    for requests in [50usize, 200] {
-        group.bench_with_input(
-            BenchmarkId::new("concurrent_workload", requests),
-            &requests,
-            |b, &requests| {
-                b.iter(|| {
-                    let engine = ServiceEngine::new(
-                        system.catalog().clone(),
-                        system.dataflows().clone(),
-                        system.policy().clone(),
-                    );
-                    let mut monitor =
-                        RuntimeMonitor::new(system.catalog().clone(), system.policy().clone());
-                    let users: Vec<UserId> =
-                        (0..20).map(|i| UserId::new(format!("u{i}"))).collect();
-                    for user in &users {
-                        monitor.register_user(
-                            &UserProfile::new(user.as_str())
-                                .consents_to(casestudy::medical_service())
-                                .with_category_sensitivity(
-                                    casestudy::fields::diagnosis(),
-                                    SensitivityCategory::High,
-                                ),
-                        );
-                    }
-                    let workload = random_workload(&WorkloadConfig {
-                        length: requests,
-                        users,
-                        services: vec![
-                            (casestudy::medical_service(), 0.8),
-                            (casestudy::research_service(), 0.2),
-                        ],
-                        ..WorkloadConfig::default()
-                    });
-                    let outcome = run_concurrent_workload(
-                        engine,
-                        monitor,
-                        &workload,
-                        ConcurrentConfig { workers: 4 },
-                        |_| Record::new().with("Name", "x").with("Diagnosis", "d"),
-                    );
-                    black_box(outcome.alerts.len())
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_lts_scaling, bench_runtime_scaling);
+criterion_group!(benches, bench_lts_scaling);
 criterion_main!(benches);

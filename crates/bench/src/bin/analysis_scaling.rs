@@ -36,17 +36,19 @@
 //! row's `check_speedup` falls below `X`. `--threads N` pins the batch
 //! sweeps to one count. See `docs/PERFORMANCE.md`.
 
-use privacy_bench::{scaled_system, time_runs, write_report};
+use privacy_bench::{
+    bench_main, min_or_zero, population, scaled_system, thread_ladder, time_runs, BenchArgs,
+    Object, Report,
+};
 use privacy_compliance::{
     check_lts_batch_indexed, check_lts_indexed, check_lts_scan, ActorMatcher, FieldMatcher,
     PrivacyPolicy, Statement,
 };
 use privacy_core::{casestudy, PrivacySystem};
 use privacy_lts::{ActionKind, GeneratorConfig, Lts, LtsIndex};
-use privacy_model::{ActorId, Catalog, FieldId, ModelError, Purpose, ServiceId, UserProfile};
+use privacy_model::{ActorId, Catalog, FieldId, ModelError, Purpose};
 use privacy_risk::DisclosureAnalysis;
-use privacy_synth::{random_model, random_profiles, ModelGeneratorConfig, ProfileGeneratorConfig};
-use std::fmt::Write as _;
+use privacy_synth::{random_model, ModelGeneratorConfig};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -110,41 +112,19 @@ impl Row {
 }
 
 struct Options {
-    quick: bool,
+    args: BenchArgs,
     min_speedup: f64,
-    out: String,
-    threads: Option<usize>,
-    force_baseline: bool,
+    /// The batch sweeps' thread counts: `--threads N` alone, else the
+    /// shared ladder.
+    thread_counts: Vec<usize>,
 }
 
 fn parse_options() -> Result<Options, String> {
-    let mut options = Options {
-        quick: false,
-        min_speedup: 0.0,
-        out: "BENCH_analysis.json".to_owned(),
-        threads: None,
-        force_baseline: false,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => options.quick = true,
-            "--min-speedup" => {
-                let value = args.next().ok_or("--min-speedup needs a value")?;
-                options.min_speedup =
-                    value.parse().map_err(|_| format!("bad --min-speedup value `{value}`"))?;
-            }
-            "--out" => options.out = args.next().ok_or("--out needs a path")?,
-            "--force-baseline" => options.force_baseline = true,
-            "--threads" => {
-                let value = args.next().ok_or("--threads needs a value")?;
-                options.threads =
-                    Some(value.parse().map_err(|_| format!("bad --threads value `{value}`"))?);
-            }
-            other => return Err(format!("unknown argument `{other}` (see docs/PERFORMANCE.md)")),
-        }
-    }
-    Ok(options)
+    let mut args = BenchArgs::from_env("BENCH_analysis.json")?;
+    let min_speedup = args.value("--min-speedup")?.unwrap_or(0.0);
+    let thread_counts = args.value("--threads")?.map_or_else(thread_ladder, |n| vec![n]);
+    args.finish()?;
+    Ok(Options { args, min_speedup, thread_counts })
 }
 
 /// The benchmark scenarios. The healthcare case study with potential reads
@@ -265,45 +245,13 @@ fn analysis_policy(catalog: &Catalog, potential_reads: bool) -> PrivacyPolicy {
     policy
 }
 
-/// A seeded user population over the catalog's services and fields.
-fn population(catalog: &Catalog, count: usize) -> Vec<UserProfile> {
-    let services: Vec<ServiceId> = catalog.services().map(|s| s.id().clone()).collect();
-    let fields: Vec<FieldId> = catalog.fields().map(|f| f.id().clone()).collect();
-    random_profiles(&ProfileGeneratorConfig {
-        count,
-        seed: 7,
-        services,
-        consent_probability: 0.5,
-        fields,
-        sensitivity_probability: 0.6,
-    })
-}
-
-/// The worker-thread counts the batch APIs are swept over: a fixed 1/2/4
-/// ladder (so the recorded baseline always carries multi-thread rows, even
-/// when recorded on a small container) plus the machine's full parallelism.
-fn batch_thread_counts(options: &Options) -> Vec<usize> {
-    match options.threads {
-        Some(threads) => vec![threads],
-        None => {
-            let available = privacy_lts::batch::resolve_threads(None);
-            let mut counts = vec![1, 2, 4];
-            if !counts.contains(&available) {
-                counts.push(available);
-            }
-            counts.sort_unstable();
-            counts
-        }
-    }
-}
-
 fn run(options: &Options) -> Result<Vec<Row>, String> {
-    let target =
-        if options.quick { Duration::from_millis(150) } else { Duration::from_millis(500) };
-    let thread_counts = batch_thread_counts(options);
+    let quick = options.args.quick;
+    let target = if quick { Duration::from_millis(150) } else { Duration::from_millis(500) };
+    let thread_counts = &options.thread_counts;
     let mut rows = Vec::new();
 
-    for scenario in scenarios(options.quick).map_err(|e| format!("building scenarios: {e}"))? {
+    for scenario in scenarios(quick).map_err(|e| format!("building scenarios: {e}"))? {
         let mut config = GeneratorConfig::default().with_max_states(5_000_000);
         config.explore_potential_reads = scenario.potential_reads;
         let lts: Lts = scenario
@@ -312,7 +260,7 @@ fn run(options: &Options) -> Result<Vec<Row>, String> {
             .map_err(|e| format!("{}: generation failed: {e}", scenario.name))?;
         let catalog = scenario.system.catalog();
         let policy = analysis_policy(catalog, scenario.potential_reads);
-        let users = population(catalog, scenario.users);
+        let users = population(catalog, scenario.users, 7);
         let analysis = DisclosureAnalysis::new(catalog, scenario.system.policy());
 
         // Differential check before timing anything: a speedup over a
@@ -402,112 +350,63 @@ fn run(options: &Options) -> Result<Vec<Row>, String> {
     Ok(rows)
 }
 
-/// Minimum compliance check speedup over the guarded rows; 0.0 when no row
-/// is guarded (rendered finitely in the JSON — the guard in `main` refuses
-/// to pass vacuously instead).
-fn min_guarded_speedup(rows: &[Row]) -> f64 {
-    rows.iter().filter(|row| row.guarded()).map(Row::check_speedup).reduce(f64::min).unwrap_or(0.0)
-}
-
-fn render_batch(samples: &[BatchSample]) -> String {
-    let entries: Vec<String> = samples
+fn batch(samples: &[BatchSample]) -> Vec<Object> {
+    samples
         .iter()
-        .map(|s| format!("{{\"threads\": {}, \"per_sec\": {:.1}}}", s.threads, s.per_sec))
-        .collect();
-    format!("[{}]", entries.join(", "))
+        .map(|s| Object::new().with("threads", s.threads).fixed("per_sec", s.per_sec, 1))
+        .collect()
 }
 
-fn json_report(options: &Options, rows: &[Row], min_speedup: f64) -> String {
-    let unix_secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let threads_available =
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"analysis_scaling\",");
-    let _ = writeln!(out, "  \"quick\": {},", options.quick);
-    let _ = writeln!(out, "  \"threads_available\": {threads_available},");
-    let _ = writeln!(out, "  \"generated_unix\": {unix_secs},");
-    let _ = writeln!(out, "  \"guard_min_transitions\": {GUARD_MIN_TRANSITIONS},");
-    let _ = writeln!(out, "  \"min_check_speedup_observed\": {min_speedup:.3},");
-    out.push_str("  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str("    {");
-        let _ = write!(
-            out,
-            "\"name\": \"{}\", \"states\": {}, \"transitions\": {}, \"statements\": {}, \
-             \"index_build_ms\": {:.3}, \"scan_check_ms\": {:.3}, \"probe_check_ms\": {:.3}, \
-             \"probe_us_per_statement\": {:.3}, \"check_speedup\": {:.3}, \
-             \"batch_policies\": {}, \"batch\": {}, \
-             \"users\": {}, \"disclosure_scan_users_per_sec\": {:.2}, \
-             \"disclosure_batch\": {}, \"disclosure_speedup\": {:.3}, \"guarded\": {}",
-            row.scenario.name,
-            row.states,
-            row.transitions,
-            row.statements,
-            row.index_build_secs * 1e3,
-            row.scan_check_secs * 1e3,
-            row.probe_check_secs * 1e3,
-            row.probe_us_per_statement(),
-            row.check_speedup(),
-            row.batch_policies,
-            render_batch(&row.batch),
-            row.scenario.users,
-            row.disclosure_scan_users_per_sec,
-            render_batch(&row.disclosure_batch),
-            row.disclosure_speedup(),
-            row.guarded()
-        );
-        out.push_str(if i + 1 == rows.len() { "}\n" } else { "},\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+fn report(options: &Options, rows: &[Row], min_speedup: f64) -> Result<Report, String> {
+    Report::new("analysis_scaling", options.args.quick)
+        .with("guard_min_transitions", GUARD_MIN_TRANSITIONS)
+        .fixed("min_check_speedup_observed", min_speedup, 3)
+        .rows(
+            "rows",
+            rows.iter().map(|row| {
+                let fields = Object::new()
+                    .with("states", row.states)
+                    .with("transitions", row.transitions)
+                    .with("statements", row.statements)
+                    .fixed("index_build_ms", row.index_build_secs * 1e3, 3)
+                    .fixed("scan_check_ms", row.scan_check_secs * 1e3, 3)
+                    .fixed("probe_check_ms", row.probe_check_secs * 1e3, 3)
+                    .fixed("probe_us_per_statement", row.probe_us_per_statement(), 3)
+                    .fixed("check_speedup", row.check_speedup(), 3)
+                    .with("batch_policies", row.batch_policies)
+                    .with("batch", batch(&row.batch))
+                    .with("users", row.scenario.users)
+                    .fixed("disclosure_scan_users_per_sec", row.disclosure_scan_users_per_sec, 2)
+                    .with("disclosure_batch", batch(&row.disclosure_batch))
+                    .fixed("disclosure_speedup", row.disclosure_speedup(), 3)
+                    .with("guarded", row.guarded());
+                (row.scenario.name.clone(), fields)
+            }),
+        )
 }
 
 fn main() -> ExitCode {
-    let options = match parse_options() {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("analysis_scaling: {message}");
-            return ExitCode::FAILURE;
+    bench_main("analysis_scaling", || {
+        let options = parse_options()?;
+        let rows = run(&options)?;
+        let min_observed =
+            min_or_zero(rows.iter().filter(|row| row.guarded()).map(Row::check_speedup));
+        options.args.write(&report(&options, &rows, min_observed)?)?;
+
+        if options.min_speedup > 0.0 && !rows.iter().any(Row::guarded) {
+            return Err(format!(
+                "regression guard failed: no row reaches {GUARD_MIN_TRANSITIONS} transitions, \
+                 so --min-speedup {:.2} cannot be enforced",
+                options.min_speedup
+            ));
         }
-    };
-
-    let rows = match run(&options) {
-        Ok(rows) => rows,
-        Err(message) => {
-            eprintln!("analysis_scaling: {message}");
-            return ExitCode::FAILURE;
+        if min_observed < options.min_speedup {
+            return Err(format!(
+                "regression guard failed: minimum check speedup {min_observed:.2}x over rows \
+                 with >= {GUARD_MIN_TRANSITIONS} transitions is below the required {:.2}x",
+                options.min_speedup
+            ));
         }
-    };
-
-    let min_observed = min_guarded_speedup(&rows);
-    let report = json_report(&options, &rows, min_observed);
-    if let Err(message) = write_report(&options.out, &report, options.force_baseline) {
-        eprintln!("analysis_scaling: {message}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("analysis_scaling: wrote {}", options.out);
-
-    let has_guarded = rows.iter().any(Row::guarded);
-    if options.min_speedup > 0.0 && !has_guarded {
-        eprintln!(
-            "analysis_scaling: regression guard failed: no row reaches \
-             {GUARD_MIN_TRANSITIONS} transitions, so --min-speedup {:.2} cannot be enforced",
-            options.min_speedup
-        );
-        return ExitCode::FAILURE;
-    }
-    if min_observed < options.min_speedup {
-        eprintln!(
-            "analysis_scaling: regression guard failed: minimum check speedup \
-             {min_observed:.2}x over rows with >= {GUARD_MIN_TRANSITIONS} transitions is below \
-             the required {:.2}x",
-            options.min_speedup
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+        Ok(())
+    })
 }

@@ -35,25 +35,23 @@
 //!
 //! ```text
 //! distributed_scaling [--quick] [--workers LIST] [--min-workers N]
-//!                     [--min-events-per-sec X] [--require-crossover]
-//!                     [--worker PATH] [--out PATH] [--force-baseline]
+//!                     [--require-crossover] [--worker PATH] [--out PATH]
+//!                     [--force-baseline]
 //! ```
 //!
-//! See `docs/PERFORMANCE.md` for the recorded baseline.
+//! Rows are named by worker count (`w1`, `w2`, …) and crossover cells by
+//! `weight<W>/<duty>/w<N>`. See `docs/PERFORMANCE.md` for the recorded
+//! baseline.
 
-use privacy_bench::write_report;
+use privacy_bench::{bench_main, event_stream, population, BenchArgs, Object, Report};
 use privacy_core::{casestudy, PrivacySystem};
 use privacy_distrib::{
     CheckpointStore, DistribStats, DistributedMonitor, FaultPlan, SupervisorConfig,
 };
 use privacy_lts::LtsIndex;
-use privacy_model::{FieldId, ModelError, Record, ServiceId, UserProfile};
-use privacy_runtime::{Alert, Event, IndexedMonitor, ServiceEngine};
-use privacy_synth::{
-    random_model, random_profiles, random_workload, ModelGeneratorConfig, ProfileGeneratorConfig,
-    WorkloadConfig,
-};
-use std::fmt::Write as _;
+use privacy_model::{ModelError, UserProfile};
+use privacy_runtime::{Alert, Event, IndexedMonitor};
+use privacy_synth::{random_model, ModelGeneratorConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -66,63 +64,22 @@ const BATCH: usize = 256;
 const SWEEP_BATCH: usize = 512;
 
 struct Options {
-    quick: bool,
+    args: BenchArgs,
     workers: Vec<usize>,
     min_workers: usize,
-    min_events_per_sec: f64,
     require_crossover: bool,
     worker: Option<PathBuf>,
-    out: String,
-    force_baseline: bool,
 }
 
 fn parse_options() -> Result<Options, String> {
-    let mut options = Options {
-        quick: false,
-        workers: Vec::new(),
-        min_workers: 0,
-        min_events_per_sec: 0.0,
-        require_crossover: false,
-        worker: None,
-        out: "BENCH_distributed.json".to_owned(),
-        force_baseline: false,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => options.quick = true,
-            "--require-crossover" => options.require_crossover = true,
-            "--workers" => {
-                let value = args.next().ok_or("--workers needs a comma-separated list")?;
-                options.workers = value
-                    .split(',')
-                    .map(|part| part.trim().parse::<usize>())
-                    .collect::<Result<_, _>>()
-                    .map_err(|_| format!("bad --workers list `{value}`"))?;
-            }
-            "--min-workers" => {
-                let value = args.next().ok_or("--min-workers needs a value")?;
-                options.min_workers =
-                    value.parse().map_err(|_| format!("bad --min-workers value `{value}`"))?;
-            }
-            "--min-events-per-sec" => {
-                let value = args.next().ok_or("--min-events-per-sec needs a value")?;
-                options.min_events_per_sec = value
-                    .parse()
-                    .map_err(|_| format!("bad --min-events-per-sec value `{value}`"))?;
-            }
-            "--worker" => {
-                options.worker = Some(PathBuf::from(args.next().ok_or("--worker needs a path")?));
-            }
-            "--out" => options.out = args.next().ok_or("--out needs a path")?,
-            "--force-baseline" => options.force_baseline = true,
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    if options.workers.is_empty() {
-        options.workers = if options.quick { vec![1, 2] } else { vec![1, 2, 4] };
-    }
-    Ok(options)
+    let mut args = BenchArgs::from_env("BENCH_distributed.json")?;
+    let workers = args.list("--workers")?;
+    let min_workers = args.value("--min-workers")?.unwrap_or(0);
+    let require_crossover = args.flag("--require-crossover");
+    let worker = args.value("--worker")?;
+    args.finish()?;
+    let workers = workers.unwrap_or_else(|| if args.quick { vec![1, 2] } else { vec![1, 2, 4] });
+    Ok(Options { args, workers, min_workers, require_crossover, worker })
 }
 
 /// The `privacy-shardd` binary: explicit path, or the one built next to us.
@@ -153,7 +110,7 @@ struct Scenario {
 fn populate(
     name: &'static str,
     system: PrivacySystem,
-    population: usize,
+    population_size: usize,
     requests: usize,
     batch: usize,
 ) -> Result<Scenario, ModelError> {
@@ -161,34 +118,8 @@ fn populate(
     let index = Arc::new(LtsIndex::build(&lts));
     let fingerprint = index.fingerprint();
 
-    let services: Vec<ServiceId> = system.catalog().services().map(|s| s.id().clone()).collect();
-    let fields: Vec<FieldId> = system.catalog().fields().map(|f| f.id().clone()).collect();
-    let users = random_profiles(&ProfileGeneratorConfig {
-        count: population,
-        seed: 13,
-        services: services.clone(),
-        consent_probability: 0.5,
-        fields: fields.clone(),
-        sensitivity_probability: 0.6,
-    });
-    let mut engine = ServiceEngine::new(
-        system.catalog().clone(),
-        system.dataflows().clone(),
-        system.policy().clone(),
-    );
-    let workload = random_workload(&WorkloadConfig {
-        length: requests,
-        seed: 17,
-        users: users.iter().map(|u| u.id().clone()).collect(),
-        services: services.iter().map(|s| (s.clone(), 1.0)).collect(),
-    });
-    for request in &workload {
-        let record = fields
-            .iter()
-            .fold(Record::new(), |record, field| record.with(field.clone(), format!("v-{field}")));
-        let _ = engine.execute(request.user(), request.service(), &record);
-    }
-    let events = engine.log().events().to_vec();
+    let users = population(system.catalog(), population_size, 13);
+    let events = event_stream(&system, &users, requests);
     let batches = events.chunks(batch).map(<[Event]>::to_vec).collect();
     Ok(Scenario { name, system, fingerprint, index, users, batches })
 }
@@ -334,7 +265,7 @@ fn crossover_sweep(
     options: &Options,
     program: &std::path::Path,
 ) -> Result<Vec<CrossoverRow>, String> {
-    let weights: Vec<usize> = if options.quick { vec![3] } else { vec![1, 3] };
+    let weights: Vec<usize> = if options.args.quick { vec![3] } else { vec![1, 3] };
     let worker_counts: Vec<usize> = vec![1, 2];
     // (duty, fleet + comparator checkpoint cadence in batches; 0 = never)
     // Durable duty checkpoints after every super-batch — the densest
@@ -344,7 +275,7 @@ fn crossover_sweep(
     let duties: [(&'static str, u64); 2] = [("stream", 0), ("durable", 1)];
     let mut rows = Vec::new();
     for &weight in &weights {
-        let scenario = synth_scenario(weight, options.quick)
+        let scenario = synth_scenario(weight, options.args.quick)
             .map_err(|e| format!("building the weight-{weight} sweep scenario: {e}"))?;
         let events: usize = scenario.batches.iter().map(Vec::len).sum();
         for (duty, checkpoint_every) in duties {
@@ -401,7 +332,8 @@ struct RecoveryRow {
 
 fn run(options: &Options) -> Result<(Vec<Row>, RecoveryRow, Vec<CrossoverRow>), String> {
     let program = worker_program(options)?;
-    let scenario = scenario(options.quick).map_err(|e| format!("building the scenario: {e}"))?;
+    let scenario =
+        scenario(options.args.quick).map_err(|e| format!("building the scenario: {e}"))?;
     let events: usize = scenario.batches.iter().map(Vec::len).sum();
 
     // ── Correctness gate: the merged stream must equal the in-process run.
@@ -431,7 +363,7 @@ fn run(options: &Options) -> Result<(Vec<Row>, RecoveryRow, Vec<CrossoverRow>), 
     // ── Throughput vs worker count.
     let mut rows = Vec::new();
     for &workers in &options.workers {
-        let reps = if options.quick { 1 } else { 2 };
+        let reps = if options.args.quick { 1 } else { 2 };
         let mut best_secs = f64::INFINITY;
         let mut last = None;
         for rep in 0..reps {
@@ -490,122 +422,70 @@ fn run(options: &Options) -> Result<(Vec<Row>, RecoveryRow, Vec<CrossoverRow>), 
     Ok((rows, recovery, crossover))
 }
 
-fn json_report(
+fn report(
     options: &Options,
     rows: &[Row],
     recovery: &RecoveryRow,
     crossover: &[CrossoverRow],
-) -> String {
-    let unix_secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let threads_available =
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"distributed_scaling\",");
-    let _ = writeln!(out, "  \"quick\": {},", options.quick);
-    let _ = writeln!(out, "  \"threads_available\": {threads_available},");
-    let _ = writeln!(out, "  \"generated_unix\": {unix_secs},");
-    let _ = writeln!(out, "  \"batch\": {BATCH},");
-    let _ = writeln!(
-        out,
-        "  \"recovery\": {{\"workers\": {}, \"recoveries\": {}, \"latency_ms_mean\": {:.1}, \
-         \"resumed_from_batch\": {}}},",
-        recovery.workers,
-        recovery.recoveries,
-        recovery.latency_ms_mean,
-        recovery.resumed_from_batch,
-    );
-    out.push_str("  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str("    {");
-        let _ = write!(
-            out,
-            "\"workers\": {}, \"events\": {}, \"alerts\": {}, \"secs\": {:.3}, \
-             \"events_per_sec\": {:.0}",
-            row.workers,
-            row.events,
-            row.alerts,
-            row.secs,
-            row.events_per_sec(),
-        );
-        out.push_str(if i + 1 == rows.len() { "}\n" } else { "},\n" });
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"crossover\": [\n");
-    for (i, row) in crossover.iter().enumerate() {
-        out.push_str("    {");
-        let _ = write!(
-            out,
-            "\"weight\": {}, \"duty\": \"{}\", \"workers\": {}, \"events\": {}, \
-             \"inproc_secs\": {:.3}, \"fleet_secs\": {:.3}, \"speedup\": {:.2}",
-            row.weight,
-            row.duty,
-            row.workers,
-            row.events,
-            row.inproc_secs,
-            row.fleet_secs,
-            row.speedup(),
-        );
-        out.push_str(if i + 1 == crossover.len() { "}\n" } else { "},\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+) -> Result<Report, String> {
+    let recovery = Object::new()
+        .with("workers", recovery.workers)
+        .with("recoveries", recovery.recoveries)
+        .fixed("latency_ms_mean", recovery.latency_ms_mean, 1)
+        .with("resumed_from_batch", recovery.resumed_from_batch);
+    Report::new("distributed_scaling", options.args.quick)
+        .with("batch", BATCH)
+        .with("recovery", recovery)
+        .rows(
+            "rows",
+            rows.iter().map(|row| {
+                let fields = Object::new()
+                    .with("workers", row.workers)
+                    .with("events", row.events)
+                    .with("alerts", row.alerts)
+                    .fixed("secs", row.secs, 3)
+                    .fixed("events_per_sec", row.events_per_sec(), 0);
+                (format!("w{}", row.workers), fields)
+            }),
+        )?
+        .rows(
+            "crossover",
+            crossover.iter().map(|row| {
+                let fields = Object::new()
+                    .with("weight", row.weight)
+                    .with("duty", row.duty)
+                    .with("workers", row.workers)
+                    .with("events", row.events)
+                    .fixed("inproc_secs", row.inproc_secs, 3)
+                    .fixed("fleet_secs", row.fleet_secs, 3)
+                    .fixed("speedup", row.speedup(), 2);
+                (format!("weight{}/{}/w{}", row.weight, row.duty, row.workers), fields)
+            }),
+        )
 }
 
 fn main() -> ExitCode {
-    let options = match parse_options() {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("distributed_scaling: {message}");
-            return ExitCode::FAILURE;
+    bench_main("distributed_scaling", || {
+        let options = parse_options()?;
+        let (rows, recovery, crossover) = run(&options)?;
+        // CI floors: the fleet must actually scale to the demanded width.
+        if let Some(widest) = rows.iter().map(|row| row.workers).max() {
+            if widest < options.min_workers {
+                return Err(format!(
+                    "widest fleet ran {widest} workers, below the --min-workers {} floor",
+                    options.min_workers
+                ));
+            }
         }
-    };
-    let (rows, recovery, crossover) = match run(&options) {
-        Ok(result) => result,
-        Err(message) => {
-            eprintln!("distributed_scaling: {message}");
-            return ExitCode::FAILURE;
+        // The crossover gate: at least one swept cell where a 2+ worker fleet
+        // beats the in-process monitor under the same duty cycle.
+        if options.require_crossover
+            && !crossover.iter().any(|row| row.workers >= 2 && row.speedup() > 1.0)
+        {
+            return Err("--require-crossover failed — no swept cell with 2+ workers beat the \
+                        in-process run"
+                .to_owned());
         }
-    };
-    // CI floors: the fleet must actually scale to the demanded width, and
-    // throughput must not regress below the recorded floor.
-    if let Some(widest) = rows.iter().map(|row| row.workers).max() {
-        if widest < options.min_workers {
-            eprintln!(
-                "distributed_scaling: widest fleet ran {widest} workers, below the --min-workers \
-                 {} floor",
-                options.min_workers
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    let best = rows.iter().map(Row::events_per_sec).fold(0.0f64, f64::max);
-    if best < options.min_events_per_sec {
-        eprintln!(
-            "distributed_scaling: best throughput {best:.0} events/s is below the \
-             --min-events-per-sec {} floor",
-            options.min_events_per_sec
-        );
-        return ExitCode::FAILURE;
-    }
-    // The crossover gate: at least one swept cell where a 2+ worker fleet
-    // beats the in-process monitor under the same duty cycle.
-    if options.require_crossover
-        && !crossover.iter().any(|row| row.workers >= 2 && row.speedup() > 1.0)
-    {
-        eprintln!(
-            "distributed_scaling: --require-crossover failed — no swept cell with 2+ workers \
-             beat the in-process run"
-        );
-        return ExitCode::FAILURE;
-    }
-    let report = json_report(&options, &rows, &recovery, &crossover);
-    if let Err(message) = write_report(&options.out, &report, options.force_baseline) {
-        eprintln!("distributed_scaling: {message}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("distributed_scaling: wrote {}", options.out);
-    ExitCode::SUCCESS
+        options.args.write(&report(&options, &rows, &recovery, &crossover)?)
+    })
 }

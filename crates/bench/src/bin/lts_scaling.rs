@@ -24,12 +24,14 @@
 //! once), recording one row per count so the baseline captures multi-core
 //! scaling. See `docs/PERFORMANCE.md` for how to read the output.
 
-use privacy_bench::{scaled_multi_service_system, scaled_system, write_report};
+use privacy_bench::{
+    bench_main, min_or_zero, scaled_multi_service_system, scaled_system, threads_available,
+    time_runs, BenchArgs, Object, Report,
+};
 use privacy_core::{casestudy, PrivacySystem};
 use privacy_lts::{generate_lts_reference, GeneratorConfig, Lts};
-use privacy_model::{Catalog, ModelError};
+use privacy_model::ModelError;
 use privacy_synth::{random_model, ModelGeneratorConfig};
-use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -83,63 +85,29 @@ impl Row {
 }
 
 struct Options {
-    quick: bool,
+    args: BenchArgs,
     min_speedup: f64,
     /// Floor applied to every row (guarded or not): the engine must never
     /// fall below this fraction of the reference's throughput.
     min_row_speedup: f64,
-    out: String,
-    threads: Option<usize>,
-    /// Worker-thread counts to re-time the engine at, one row per count.
-    thread_sweep: Option<Vec<usize>>,
-    force_baseline: bool,
+    /// `--threads`, else every core.
+    threads: usize,
+    /// The engine's thread counts, one row per count (`--thread-sweep`,
+    /// else `threads`).
+    sweep: Vec<usize>,
 }
 
 fn parse_options() -> Result<Options, String> {
-    let mut options = Options {
-        quick: false,
-        min_speedup: 0.0,
-        min_row_speedup: 0.9,
-        out: "BENCH_lts.json".to_owned(),
-        threads: None,
-        thread_sweep: None,
-        force_baseline: false,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => options.quick = true,
-            "--min-speedup" => {
-                let value = args.next().ok_or("--min-speedup needs a value")?;
-                options.min_speedup =
-                    value.parse().map_err(|_| format!("bad --min-speedup value `{value}`"))?;
-            }
-            "--min-row-speedup" => {
-                let value = args.next().ok_or("--min-row-speedup needs a value")?;
-                options.min_row_speedup =
-                    value.parse().map_err(|_| format!("bad --min-row-speedup value `{value}`"))?;
-            }
-            "--out" => options.out = args.next().ok_or("--out needs a path")?,
-            "--force-baseline" => options.force_baseline = true,
-            "--threads" => {
-                let value = args.next().ok_or("--threads needs a value")?;
-                options.threads =
-                    Some(value.parse().map_err(|_| format!("bad --threads value `{value}`"))?);
-            }
-            "--thread-sweep" => {
-                let value = args.next().ok_or("--thread-sweep needs a comma-separated list")?;
-                let counts: Result<Vec<usize>, _> =
-                    value.split(',').map(str::parse::<usize>).collect();
-                let counts = counts.map_err(|_| format!("bad --thread-sweep value `{value}`"))?;
-                if counts.is_empty() || counts.contains(&0) {
-                    return Err(format!("bad --thread-sweep value `{value}`"));
-                }
-                options.thread_sweep = Some(counts);
-            }
-            other => return Err(format!("unknown argument `{other}` (see docs/PERFORMANCE.md)")),
-        }
+    let mut args = BenchArgs::from_env("BENCH_lts.json")?;
+    let min_speedup = args.value("--min-speedup")?.unwrap_or(0.0);
+    let min_row_speedup = args.value("--min-row-speedup")?.unwrap_or(0.9);
+    let threads = args.value("--threads")?.unwrap_or_else(threads_available);
+    let sweep = args.list::<usize>("--thread-sweep")?.unwrap_or_else(|| vec![threads]);
+    if sweep.contains(&0) {
+        return Err("bad --thread-sweep value: a thread count of 0".to_owned());
     }
-    Ok(options)
+    args.finish()?;
+    Ok(Options { args, min_speedup, min_row_speedup, threads, sweep })
 }
 
 /// The benchmark scenarios, from the structured fixtures, the random synth
@@ -220,7 +188,7 @@ fn scenarios(quick: bool) -> Result<Vec<Scenario>, ModelError> {
     let healthcare = casestudy::healthcare()?;
     scenarios.push(Scenario {
         name: if quick { "healthcare" } else { "healthcare_potential_reads" }.to_owned(),
-        actors: count_identifying_actors(healthcare.catalog()),
+        actors: healthcare.catalog().identifying_actors().count(),
         fields: healthcare.catalog().field_count(),
         services: 2,
         potential_reads: !quick,
@@ -230,11 +198,7 @@ fn scenarios(quick: bool) -> Result<Vec<Scenario>, ModelError> {
     Ok(scenarios)
 }
 
-fn count_identifying_actors(catalog: &Catalog) -> usize {
-    catalog.identifying_actors().count()
-}
-
-/// Times `generate` via the shared [`privacy_bench::time_runs`] loop,
+/// Times `generate` via the shared [`time_runs`] loop,
 /// returning the mean duration and the warm-up result. A generation error is
 /// deterministic (same model, same config); the timing loop cannot observe
 /// per-run results, so a failing generator is re-run for up to `target`
@@ -244,20 +208,17 @@ fn time_generation(
     target: Duration,
     generate: impl Fn() -> Result<Lts, ModelError>,
 ) -> Result<(f64, Lts), ModelError> {
-    let (secs, lts) = privacy_bench::time_runs(target, &generate);
+    let (secs, lts) = time_runs(target, &generate);
     Ok((secs, lts?))
 }
 
 fn run(options: &Options) -> Result<Vec<Row>, String> {
-    let target =
-        if options.quick { Duration::from_millis(200) } else { Duration::from_millis(1000) };
-    let default_threads = options.threads.unwrap_or_else(|| {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    });
-    let sweep = options.thread_sweep.clone().unwrap_or_else(|| vec![default_threads]);
+    let quick = options.args.quick;
+    let target = if quick { Duration::from_millis(200) } else { Duration::from_millis(1000) };
+    let sweep = &options.sweep;
 
     let mut rows = Vec::new();
-    for scenario in scenarios(options.quick).map_err(|e| format!("building scenarios: {e}"))? {
+    for scenario in scenarios(quick).map_err(|e| format!("building scenarios: {e}"))? {
         let mut config = GeneratorConfig::default().with_max_states(5_000_000);
         config.explore_potential_reads = scenario.potential_reads;
         let system = &scenario.system;
@@ -269,7 +230,7 @@ fn run(options: &Options) -> Result<Vec<Row>, String> {
         })
         .map_err(|e| format!("{}: reference failed: {e}", scenario.name))?;
 
-        for &threads in &sweep {
+        for &threads in sweep {
             config.threads = Some(threads);
             // Trivial rows run in microseconds, where one scheduler hiccup
             // can drop a deterministic workload below the per-row floor:
@@ -328,125 +289,72 @@ fn run(options: &Options) -> Result<Vec<Row>, String> {
     Ok(rows)
 }
 
-/// Minimum speedup over the guarded (throughput-scale) rows; 0.0 when no
-/// row is guarded (rendered finitely in the JSON — the guard in `main`
-/// refuses to pass vacuously instead).
-fn min_guarded_speedup(rows: &[Row]) -> f64 {
-    rows.iter().filter(|row| row.guarded()).map(Row::speedup).reduce(f64::min).unwrap_or(0.0)
-}
-
-fn json_report(options: &Options, rows: &[Row], min_speedup: f64) -> String {
-    let unix_secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let threads = options.threads.unwrap_or_else(|| {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    });
-
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"lts_scaling\",");
-    let _ = writeln!(out, "  \"quick\": {},", options.quick);
-    let _ = writeln!(out, "  \"threads\": {threads},");
-    let sweep = options.thread_sweep.clone().unwrap_or_else(|| vec![threads]);
-    let sweep: Vec<String> = sweep.iter().map(usize::to_string).collect();
-    let _ = writeln!(out, "  \"thread_sweep\": [{}],", sweep.join(", "));
-    let _ = writeln!(out, "  \"min_row_speedup\": {},", options.min_row_speedup);
-    let _ = writeln!(out, "  \"generated_unix\": {unix_secs},");
-    let _ = writeln!(out, "  \"guard_min_states\": {GUARD_MIN_STATES},");
-    let _ = writeln!(out, "  \"min_speedup_observed\": {min_speedup:.3},");
-    out.push_str("  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str("    {");
-        let _ = write!(
-            out,
-            "\"name\": \"{}\", \"actors\": {}, \"fields\": {}, \"services\": {}, \
-             \"potential_reads\": {}, \"threads\": {}, \"states\": {}, \"transitions\": {}, \
-             \"reference_ms\": {:.3}, \"engine_ms\": {:.3}, \
-             \"reference_states_per_sec\": {:.1}, \"engine_states_per_sec\": {:.1}, \
-             \"speedup\": {:.3}, \"guarded\": {}",
-            row.name,
-            row.actors,
-            row.fields,
-            row.services,
-            row.potential_reads,
-            row.threads,
-            row.states,
-            row.transitions,
-            row.reference_secs * 1e3,
-            row.engine_secs * 1e3,
-            row.reference_states_per_sec(),
-            row.engine_states_per_sec(),
-            row.speedup(),
-            row.guarded()
-        );
-        out.push_str(if i + 1 == rows.len() { "}\n" } else { "},\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+fn report(options: &Options, rows: &[Row], min_speedup: f64) -> Result<Report, String> {
+    Report::new("lts_scaling", options.args.quick)
+        .with("threads", options.threads)
+        .with("thread_sweep", options.sweep.clone())
+        .with("min_row_speedup", options.min_row_speedup)
+        .with("guard_min_states", GUARD_MIN_STATES)
+        .fixed("min_speedup_observed", min_speedup, 3)
+        .rows(
+            "rows",
+            rows.iter().map(|row| {
+                let fields = Object::new()
+                    .with("actors", row.actors)
+                    .with("fields", row.fields)
+                    .with("services", row.services)
+                    .with("potential_reads", row.potential_reads)
+                    .with("threads", row.threads)
+                    .with("states", row.states)
+                    .with("transitions", row.transitions)
+                    .fixed("reference_ms", row.reference_secs * 1e3, 3)
+                    .fixed("engine_ms", row.engine_secs * 1e3, 3)
+                    .fixed("reference_states_per_sec", row.reference_states_per_sec(), 1)
+                    .fixed("engine_states_per_sec", row.engine_states_per_sec(), 1)
+                    .fixed("speedup", row.speedup(), 3)
+                    .with("guarded", row.guarded());
+                (row.name.clone(), fields)
+            }),
+        )
 }
 
 fn main() -> ExitCode {
-    let options = match parse_options() {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("lts_scaling: {message}");
-            return ExitCode::FAILURE;
+    bench_main("lts_scaling", || {
+        let options = parse_options()?;
+        let rows = run(&options)?;
+        let min_observed = min_or_zero(rows.iter().filter(|row| row.guarded()).map(Row::speedup));
+        options.args.write(&report(&options, &rows, min_observed)?)?;
+
+        if options.min_speedup > 0.0 && !rows.iter().any(Row::guarded) {
+            return Err(format!(
+                "regression guard failed: no row reaches {GUARD_MIN_STATES} states, so \
+                 --min-speedup {:.2} cannot be enforced",
+                options.min_speedup
+            ));
         }
-    };
-
-    let rows = match run(&options) {
-        Ok(rows) => rows,
-        Err(message) => {
-            eprintln!("lts_scaling: {message}");
-            return ExitCode::FAILURE;
+        if min_observed < options.min_speedup {
+            return Err(format!(
+                "regression guard failed: minimum speedup {min_observed:.2}x over rows with >= \
+                 {GUARD_MIN_STATES} states is below the required {:.2}x",
+                options.min_speedup
+            ));
         }
-    };
 
-    let min_observed = min_guarded_speedup(&rows);
-    let report = json_report(&options, &rows, min_observed);
-    if let Err(message) = write_report(&options.out, &report, options.force_baseline) {
-        eprintln!("lts_scaling: {message}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("lts_scaling: wrote {}", options.out);
-
-    let has_guarded = rows.iter().any(Row::guarded);
-    if options.min_speedup > 0.0 && !has_guarded {
-        eprintln!(
-            "lts_scaling: regression guard failed: no row reaches {GUARD_MIN_STATES} states, so \
-             --min-speedup {:.2} cannot be enforced",
-            options.min_speedup
-        );
-        return ExitCode::FAILURE;
-    }
-    if min_observed < options.min_speedup {
-        eprintln!(
-            "lts_scaling: regression guard failed: minimum speedup {min_observed:.2}x over rows \
-             with >= {GUARD_MIN_STATES} states is below the required {:.2}x",
-            options.min_speedup
-        );
-        return ExitCode::FAILURE;
-    }
-
-    // The broader per-row floor: no row — however trivial — may regress
-    // below `min_row_speedup` of the reference. The engine's sequential
-    // small-model phase exists precisely to keep this floor.
-    let mut floored = false;
-    for row in &rows {
-        if row.speedup() < options.min_row_speedup {
-            eprintln!(
-                "lts_scaling: row regression: {} runs at {:.2}x the reference, below the \
-                 required {:.2}x floor",
-                row.name,
-                row.speedup(),
+        // The broader per-row floor: no row — however trivial — may regress
+        // below `min_row_speedup` of the reference. The engine's sequential
+        // small-model phase exists precisely to keep this floor.
+        let floored: Vec<String> = rows
+            .iter()
+            .filter(|row| row.speedup() < options.min_row_speedup)
+            .map(|row| format!("{} at {:.2}x", row.name, row.speedup()))
+            .collect();
+        if !floored.is_empty() {
+            return Err(format!(
+                "row regression: {} run below the required {:.2}x floor of the reference",
+                floored.join(", "),
                 options.min_row_speedup
-            );
-            floored = true;
+            ));
         }
-    }
-    if floored {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+        Ok(())
+    })
 }

@@ -34,46 +34,36 @@
 //! small engaged minority) over the healthcare model, reported as snapshot
 //! bytes per user, encode/resume throughput in users per second,
 //! steady-state RSS and the per-row encoding-choice histogram. The full
-//! run measures 1,000,000 users (`population_1m`); `--quick --population`
-//! scales down to 65,536 (`population_64k`). `--max-bytes-per-user` turns
-//! the footprint into a CI gate.
+//! run measures 1,000,000 users (`population_1m`); `--quick
+//! --population-only` measures only the population, scaled down to 65,536
+//! (`population_64k`). `--max-bytes-per-user` turns the footprint into a CI
+//! gate.
 //!
 //! ```text
 //! monitor_recovery [--quick] [--min-suffix-speedup X] [--out PATH]
 //!                  [--threads N] [--force-baseline]
-//!                  [--population] [--population-only] [--max-bytes-per-user X]
+//!                  [--population-only] [--max-bytes-per-user X]
 //! ```
 //!
 //! See `docs/PERFORMANCE.md` for the recorded baseline.
 
-use privacy_bench::{time_runs, write_report};
-use privacy_compliance::{
-    check_log, check_log_checkpointed, check_log_scan, ActorMatcher, AuditCheckpoint, FieldMatcher,
-    PrivacyPolicy, Statement,
+use privacy_bench::{
+    audit_policy, bench_main, event_stream, min_or_zero, population, replay_workload,
+    stream_scenarios, time_runs, BenchArgs, Object, Report, StreamScenario,
 };
-use privacy_core::{casestudy, Pipeline, PrivacySystem};
-use privacy_lts::ActionKind;
-use privacy_model::{ActorId, Catalog, FieldId, ModelError, Record, ServiceId, UserProfile};
+use privacy_compliance::{check_log, check_log_checkpointed, check_log_scan, AuditCheckpoint};
+use privacy_core::{casestudy, Pipeline};
+use privacy_lts::LtsIndex;
 use privacy_runtime::snapshot::SnapshotEncodingHistogram;
-use privacy_runtime::{
-    Event, EventLog, EventLogIndex, IndexedMonitor, MonitorSnapshot, ServiceEngine,
-};
-use std::fmt::Write as _;
+use privacy_runtime::{EventLog, EventLogIndex, IndexedMonitor, MonitorSnapshot};
+use privacy_synth::{skewed_population, SkewedPopulationConfig};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One benchmark scenario.
-struct Scenario {
-    name: String,
-    users: usize,
-    requests: usize,
-    system: PrivacySystem,
-}
-
 /// One measured row of the report.
 struct Row {
-    scenario: Scenario,
+    scenario: StreamScenario,
     events: usize,
     cut: usize,
     alerts: usize,
@@ -111,179 +101,23 @@ impl Row {
 }
 
 struct Options {
-    quick: bool,
+    args: BenchArgs,
     min_suffix_speedup: f64,
-    out: String,
     threads: Option<usize>,
-    force_baseline: bool,
-    population: bool,
+    /// Skip the standard scenarios and measure only the population row
+    /// (which a full run always measures).
     population_only: bool,
     max_bytes_per_user: f64,
 }
 
-impl Options {
-    /// Whether this invocation measures the population scenario: always in
-    /// the full run, opt-in (`--population` / `--population-only`) under
-    /// `--quick` so the existing quick CI leg's timing is untouched.
-    fn wants_population(&self) -> bool {
-        self.population_only || self.population || !self.quick
-    }
-}
-
 fn parse_options() -> Result<Options, String> {
-    let mut options = Options {
-        quick: false,
-        min_suffix_speedup: 0.0,
-        out: "BENCH_recovery.json".to_owned(),
-        threads: None,
-        force_baseline: false,
-        population: false,
-        population_only: false,
-        max_bytes_per_user: 0.0,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => options.quick = true,
-            "--min-suffix-speedup" => {
-                let value = args.next().ok_or("--min-suffix-speedup needs a value")?;
-                options.min_suffix_speedup = value
-                    .parse()
-                    .map_err(|_| format!("bad --min-suffix-speedup value `{value}`"))?;
-            }
-            "--out" => options.out = args.next().ok_or("--out needs a path")?,
-            "--threads" => {
-                let value = args.next().ok_or("--threads needs a value")?;
-                options.threads =
-                    Some(value.parse().map_err(|_| format!("bad --threads value `{value}`"))?);
-            }
-            "--force-baseline" => options.force_baseline = true,
-            "--population" => options.population = true,
-            "--population-only" => options.population_only = true,
-            "--max-bytes-per-user" => {
-                let value = args.next().ok_or("--max-bytes-per-user needs a value")?;
-                options.max_bytes_per_user = value
-                    .parse()
-                    .map_err(|_| format!("bad --max-bytes-per-user value `{value}`"))?;
-            }
-            other => return Err(format!("unknown argument `{other}` (see docs/PERFORMANCE.md)")),
-        }
-    }
-    Ok(options)
-}
-
-/// The benchmark scenarios: the paper's healthcare model plus a wider
-/// synthetic model (the same pair the runtime scaling bench uses, so the
-/// recovery numbers are comparable with the ingestion numbers).
-fn scenarios(quick: bool) -> Result<Vec<Scenario>, ModelError> {
-    use privacy_synth::{random_model, ModelGeneratorConfig};
-    let mut scenarios = Vec::new();
-    scenarios.push(Scenario {
-        name: "healthcare".to_owned(),
-        users: if quick { 128 } else { 256 },
-        requests: if quick { 1_500 } else { 6_000 },
-        system: casestudy::healthcare()?,
-    });
-
-    let config = ModelGeneratorConfig {
-        actors: 8,
-        fields: 10,
-        datastores: 3,
-        services: 3,
-        flows_per_service: 6,
-        grant_probability: 0.5,
-        seed: 11,
-        ..ModelGeneratorConfig::default()
-    };
-    let (catalog, dataflows, policy) = random_model(&config)?;
-    scenarios.push(Scenario {
-        name: "synth_8a_10f_3s".to_owned(),
-        users: if quick { 64 } else { 128 },
-        requests: if quick { 1_000 } else { 4_000 },
-        system: PrivacySystem::new(catalog, dataflows, policy),
-    });
-    Ok(scenarios)
-}
-
-/// A seeded user population over the catalog's services and fields.
-fn population(catalog: &Catalog, count: usize) -> Vec<UserProfile> {
-    use privacy_synth::{random_profiles, ProfileGeneratorConfig};
-    let services: Vec<ServiceId> = catalog.services().map(|s| s.id().clone()).collect();
-    let fields: Vec<FieldId> = catalog.fields().map(|f| f.id().clone()).collect();
-    random_profiles(&ProfileGeneratorConfig {
-        count,
-        seed: 13,
-        services,
-        consent_probability: 0.5,
-        fields,
-        sensitivity_probability: 0.6,
-    })
-}
-
-/// Replays a seeded workload through the service engine and returns the
-/// resulting event stream.
-fn event_stream(scenario: &Scenario, users: &[UserProfile]) -> Vec<Event> {
-    use privacy_synth::{random_workload, WorkloadConfig};
-    let catalog = scenario.system.catalog();
-    let fields: Vec<FieldId> = catalog.fields().map(|f| f.id().clone()).collect();
-    let services: Vec<(ServiceId, f64)> =
-        catalog.services().map(|s| (s.id().clone(), 1.0)).collect();
-    let mut engine = ServiceEngine::new(
-        catalog.clone(),
-        scenario.system.dataflows().clone(),
-        scenario.system.policy().clone(),
-    );
-    let workload = random_workload(&WorkloadConfig {
-        length: scenario.requests,
-        seed: 17,
-        users: users.iter().map(|u| u.id().clone()).collect(),
-        services,
-    });
-    for request in &workload {
-        let record = fields
-            .iter()
-            .fold(Record::new(), |record, field| record.with(field.clone(), format!("v-{field}")));
-        let _ = engine.execute(request.user(), request.service(), &record);
-    }
-    engine.log().events().to_vec()
-}
-
-/// The multi-statement runtime hygiene policy the audits check (the
-/// `runtime_scaling` policy shape).
-fn audit_policy(catalog: &Catalog) -> PrivacyPolicy {
-    let actors: Vec<ActorId> = catalog.identifying_actors().map(|a| a.id().clone()).collect();
-    let fields: Vec<FieldId> = catalog.fields().map(|f| f.id().clone()).collect();
-    let services: Vec<ServiceId> = catalog.services().map(|s| s.id().clone()).collect();
-    let mut policy = PrivacyPolicy::new("monitor-recovery hygiene policy");
-    for (i, actor) in actors.iter().enumerate() {
-        policy.add_statement(Statement::forbid(
-            format!("NO-DELETE-{i}"),
-            format!("{actor} never deletes records"),
-            ActorMatcher::only([actor.clone()]),
-            Some(ActionKind::Delete),
-            FieldMatcher::Any,
-        ));
-    }
-    for (i, field) in fields.iter().enumerate() {
-        policy.add_statement(Statement::require_erasure(
-            format!("ERASE-{i}"),
-            format!("{field} must be erasable on request"),
-            FieldMatcher::only([field.clone()]),
-        ));
-        policy.add_statement(Statement::max_exposure(
-            format!("EXPOSE-{i}"),
-            format!("at most two actors may observe {field}"),
-            field.clone(),
-            2,
-        ));
-        policy.add_statement(Statement::service_limit(
-            format!("SERVICE-{i}"),
-            format!("{field} stays in the declared services"),
-            FieldMatcher::only([field.clone()]),
-            services.iter().cloned(),
-        ));
-    }
-    policy
+    let mut args = BenchArgs::from_env("BENCH_recovery.json")?;
+    let min_suffix_speedup = args.value("--min-suffix-speedup")?.unwrap_or(0.0);
+    let threads = args.value("--threads")?;
+    let population_only = args.flag("--population-only");
+    let max_bytes_per_user = args.value("--max-bytes-per-user")?.unwrap_or(0.0);
+    args.finish()?;
+    Ok(Options { args, min_suffix_speedup, threads, population_only, max_bytes_per_user })
 }
 
 /// The audit period boundaries: `AUDIT_PERIODS` roughly equal increments
@@ -296,15 +130,15 @@ fn audit_bounds(events: usize) -> Vec<usize> {
 }
 
 fn run(options: &Options) -> Result<Vec<Row>, String> {
-    let target =
-        if options.quick { Duration::from_millis(200) } else { Duration::from_millis(700) };
+    let quick = options.args.quick;
+    let target = if quick { Duration::from_millis(200) } else { Duration::from_millis(700) };
     let snapshot_threads = options.threads.unwrap_or(4).max(1);
     let mut rows = Vec::new();
 
-    for scenario in scenarios(options.quick).map_err(|e| format!("building scenarios: {e}"))? {
+    for scenario in stream_scenarios(quick).map_err(|e| format!("building scenarios: {e}"))? {
         let catalog = scenario.system.catalog().clone();
         let policy = scenario.system.policy().clone();
-        let users = population(&catalog, scenario.users);
+        let users = population(&catalog, scenario.users, 13);
 
         // One design-time build serves the population analysis, every fresh
         // monitor and every resumed monitor.
@@ -313,7 +147,7 @@ fn run(options: &Options) -> Result<Vec<Row>, String> {
             .map_err(|e| format!("{}: population analysis failed: {e}", scenario.name))?;
         let index = outcome.shared_index();
 
-        let events = event_stream(&scenario, &users);
+        let events = event_stream(&scenario.system, &users, scenario.requests);
         let cut = events.len() / 2;
         let audit = audit_policy(&catalog);
 
@@ -525,18 +359,13 @@ fn rss_mb() -> f64 {
 /// mid-stream cut: prefix + post-resume alerts must equal the
 /// uninterrupted run, with per-user states equal on a deterministic sample
 /// of the population plus every engaged user.
-fn run_population(options: &Options) -> Result<PopulationRow, String> {
-    use privacy_lts::LtsIndex;
-    use privacy_synth::{
-        random_workload, skewed_population, SkewedPopulationConfig, WorkloadConfig,
-    };
-
-    let (name, count, requests) = if options.quick {
+fn run_population(quick: bool) -> Result<PopulationRow, String> {
+    let (name, count, requests) = if quick {
         ("population_64k", 65_536, 2_000)
     } else {
         ("population_1m", 1_000_000, 20_000)
     };
-    let target = if options.quick { Duration::from_millis(200) } else { Duration::from_secs(2) };
+    let target = if quick { Duration::from_millis(200) } else { Duration::from_secs(2) };
 
     let system = casestudy::healthcare().map_err(|e| format!("{name}: healthcare model: {e}"))?;
     let catalog = system.catalog().clone();
@@ -544,13 +373,11 @@ fn run_population(options: &Options) -> Result<PopulationRow, String> {
     let lts = system.generate_lts().map_err(|e| format!("{name}: LTS generation: {e}"))?;
     let index = Arc::new(LtsIndex::build(&lts));
 
-    let services: Vec<ServiceId> = catalog.services().map(|s| s.id().clone()).collect();
-    let fields: Vec<FieldId> = catalog.fields().map(|f| f.id().clone()).collect();
     let population = skewed_population(&SkewedPopulationConfig {
         count,
         seed: 41,
-        services: services.clone(),
-        fields: fields.clone(),
+        services: catalog.services().map(|s| s.id().clone()).collect(),
+        fields: catalog.fields().map(|f| f.id().clone()).collect(),
         ..SkewedPopulationConfig::default()
     });
     eprintln!("{name}: {count} users ({} engaged), registering…", population.engaged.len());
@@ -563,21 +390,7 @@ fn run_population(options: &Options) -> Result<PopulationRow, String> {
     // The event stream exercises the engaged minority only — cold users
     // exist to be *carried* (registered, snapshotted, resumed), which is
     // exactly the skew the sparse encoding exploits.
-    let workload = random_workload(&WorkloadConfig {
-        length: requests,
-        seed: 43,
-        users: population.engaged.clone(),
-        services: services.iter().map(|s| (s.clone(), 1.0)).collect(),
-    });
-    let mut engine =
-        ServiceEngine::new(catalog.clone(), system.dataflows().clone(), policy.clone());
-    for request in &workload {
-        let record = fields
-            .iter()
-            .fold(Record::new(), |record, field| record.with(field.clone(), format!("v-{field}")));
-        let _ = engine.execute(request.user(), request.service(), &record);
-    }
-    let events = engine.log().events().to_vec();
+    let events = replay_workload(&system, population.engaged.clone(), requests, 43);
     let cut = events.len() / 2;
 
     // ── Lossless-recovery gate at the cut point.
@@ -653,176 +466,110 @@ fn run_population(options: &Options) -> Result<PopulationRow, String> {
     Ok(row)
 }
 
-fn json_report(options: &Options, rows: &[Row], population_rows: &[PopulationRow]) -> String {
-    let unix_secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let threads_available =
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let min_suffix = rows
-        .iter()
-        .filter(|row| row.guarded())
-        .map(Row::suffix_speedup)
-        .fold(f64::INFINITY, f64::min);
-
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"monitor_recovery\",");
-    let _ = writeln!(out, "  \"quick\": {},", options.quick);
-    let _ = writeln!(out, "  \"threads_available\": {threads_available},");
-    let _ = writeln!(out, "  \"generated_unix\": {unix_secs},");
-    let _ = writeln!(out, "  \"guard_min_events\": {GUARD_MIN_EVENTS},");
-    let _ = writeln!(out, "  \"audit_periods\": {AUDIT_PERIODS},");
-    let _ = writeln!(
-        out,
-        "  \"min_suffix_speedup_observed\": {:.3},",
-        if min_suffix.is_finite() { min_suffix } else { 0.0 }
-    );
-    out.push_str("  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str("    {");
-        let _ = write!(
-            out,
-            "\"name\": \"{}\", \"users\": {}, \"events\": {}, \"cut\": {}, \"alerts\": {}, \
-             \"snapshot_bytes\": {}, \"snapshot_encode_ms\": {:.3}, \"resume_ms\": {:.3}, \
-             \"prefix_replay_ms\": {:.3}, \"restore_speedup\": {:.3}, \"audits\": {}, \
-             \"audit_statements\": {}, \"audit_scratch_ms\": {:.3}, \
-             \"audit_checkpoint_ms\": {:.3}, \"suffix_speedup\": {:.3}, \"guarded\": {}",
-            row.scenario.name,
-            row.scenario.users,
-            row.events,
-            row.cut,
-            row.alerts,
-            row.snapshot_bytes,
-            row.snapshot_encode_secs * 1e3,
-            row.resume_secs * 1e3,
-            row.prefix_replay_secs * 1e3,
-            row.restore_speedup(),
-            row.audits,
-            row.audit_statements,
-            row.audit_scratch_secs * 1e3,
-            row.audit_checkpoint_secs * 1e3,
-            row.suffix_speedup(),
-            row.guarded()
-        );
-        out.push_str(if i + 1 == rows.len() { "}\n" } else { "},\n" });
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"population_rows\": [\n");
-    for (i, row) in population_rows.iter().enumerate() {
-        out.push_str("    {");
-        let _ = write!(
-            out,
-            "\"name\": \"{}\", \"users\": {}, \"engaged\": {}, \"events\": {}, \"alerts\": {}, \
-             \"snapshot_bytes\": {}, \"bytes_per_user\": {:.3}, \"encode_users_per_sec\": {:.0}, \
-             \"resume_users_per_sec\": {:.0}, \"rss_mb\": {:.1}, \"words_dense\": {}, \
-             \"words_indexed\": {}, \"words_runs\": {}, \"sensitivities_dense\": {}, \
-             \"sensitivities_based\": {}",
-            row.name,
-            row.users,
-            row.engaged,
-            row.events,
-            row.alerts,
-            row.snapshot_bytes,
-            row.bytes_per_user(),
-            row.encode_users_per_sec(),
-            row.resume_users_per_sec(),
-            row.rss_mb,
-            row.histogram.words_dense,
-            row.histogram.words_indexed,
-            row.histogram.words_runs,
-            row.histogram.sensitivities_dense,
-            row.histogram.sensitivities_based,
-        );
-        out.push_str(if i + 1 == population_rows.len() { "}\n" } else { "},\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+fn report(rows: &[Row], population_rows: &[PopulationRow], quick: bool) -> Result<Report, String> {
+    let min_suffix = min_or_zero(rows.iter().filter(|row| row.guarded()).map(Row::suffix_speedup));
+    Report::new("monitor_recovery", quick)
+        .with("guard_min_events", GUARD_MIN_EVENTS)
+        .with("audit_periods", AUDIT_PERIODS)
+        .fixed("min_suffix_speedup_observed", min_suffix, 3)
+        .rows(
+            "rows",
+            rows.iter().map(|row| {
+                let fields = Object::new()
+                    .with("users", row.scenario.users)
+                    .with("events", row.events)
+                    .with("cut", row.cut)
+                    .with("alerts", row.alerts)
+                    .with("snapshot_bytes", row.snapshot_bytes)
+                    .fixed("snapshot_encode_ms", row.snapshot_encode_secs * 1e3, 3)
+                    .fixed("resume_ms", row.resume_secs * 1e3, 3)
+                    .fixed("prefix_replay_ms", row.prefix_replay_secs * 1e3, 3)
+                    .fixed("restore_speedup", row.restore_speedup(), 3)
+                    .with("audits", row.audits)
+                    .with("audit_statements", row.audit_statements)
+                    .fixed("audit_scratch_ms", row.audit_scratch_secs * 1e3, 3)
+                    .fixed("audit_checkpoint_ms", row.audit_checkpoint_secs * 1e3, 3)
+                    .fixed("suffix_speedup", row.suffix_speedup(), 3)
+                    .with("guarded", row.guarded());
+                (row.scenario.name.clone(), fields)
+            }),
+        )?
+        .rows(
+            "population_rows",
+            population_rows.iter().map(|row| {
+                let fields = Object::new()
+                    .with("users", row.users)
+                    .with("engaged", row.engaged)
+                    .with("events", row.events)
+                    .with("alerts", row.alerts)
+                    .with("snapshot_bytes", row.snapshot_bytes)
+                    .fixed("bytes_per_user", row.bytes_per_user(), 3)
+                    .fixed("encode_users_per_sec", row.encode_users_per_sec(), 0)
+                    .fixed("resume_users_per_sec", row.resume_users_per_sec(), 0)
+                    .fixed("rss_mb", row.rss_mb, 1)
+                    .with("words_dense", row.histogram.words_dense)
+                    .with("words_indexed", row.histogram.words_indexed)
+                    .with("words_runs", row.histogram.words_runs)
+                    .with("sensitivities_dense", row.histogram.sensitivities_dense)
+                    .with("sensitivities_based", row.histogram.sensitivities_based);
+                (row.name.clone(), fields)
+            }),
+        )
 }
 
 fn main() -> ExitCode {
-    let options = match parse_options() {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("monitor_recovery: {message}");
-            return ExitCode::FAILURE;
-        }
-    };
+    bench_main("monitor_recovery", || {
+        let options = parse_options()?;
+        let quick = options.args.quick;
+        let rows = if options.population_only { Vec::new() } else { run(&options)? };
+        // The full run always measures the population; under --quick only
+        // --population-only does, so the quick CI leg's timing is untouched.
+        let population_rows = if options.population_only || !quick {
+            vec![run_population(quick)?]
+        } else {
+            Vec::new()
+        };
+        options.args.write(&report(&rows, &population_rows, quick)?)?;
 
-    let rows = if options.population_only {
-        Vec::new()
-    } else {
-        match run(&options) {
-            Ok(rows) => rows,
-            Err(message) => {
-                eprintln!("monitor_recovery: {message}");
-                return ExitCode::FAILURE;
+        if options.max_bytes_per_user > 0.0 {
+            if population_rows.is_empty() {
+                return Err("regression guard failed: --max-bytes-per-user given but no \
+                            population row was measured (pass --population-only or drop --quick)"
+                    .to_owned());
+            }
+            for row in &population_rows {
+                if row.bytes_per_user() > options.max_bytes_per_user {
+                    return Err(format!(
+                        "regression guard failed: `{}` snapshot footprint {:.2} bytes/user \
+                         exceeds the allowed {:.2}",
+                        row.name,
+                        row.bytes_per_user(),
+                        options.max_bytes_per_user
+                    ));
+                }
             }
         }
-    };
 
-    let population_rows = if options.wants_population() {
-        match run_population(&options) {
-            Ok(row) => vec![row],
-            Err(message) => {
-                eprintln!("monitor_recovery: {message}");
-                return ExitCode::FAILURE;
+        if options.min_suffix_speedup > 0.0 {
+            let guarded: Vec<&Row> = rows.iter().filter(|row| row.guarded()).collect();
+            if guarded.is_empty() {
+                return Err(format!(
+                    "regression guard failed: no stream reaches {GUARD_MIN_EVENTS} events, so \
+                     the suffix-speedup floor cannot be enforced"
+                ));
+            }
+            for row in &guarded {
+                if row.suffix_speedup() < options.min_suffix_speedup {
+                    return Err(format!(
+                        "regression guard failed: `{}` checkpointed-audit speedup {:.2}x is \
+                         below the required {:.2}x",
+                        row.scenario.name,
+                        row.suffix_speedup(),
+                        options.min_suffix_speedup
+                    ));
+                }
             }
         }
-    } else {
-        Vec::new()
-    };
-
-    let report = json_report(&options, &rows, &population_rows);
-    if let Err(message) = write_report(&options.out, &report, options.force_baseline) {
-        eprintln!("monitor_recovery: {message}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("monitor_recovery: wrote {}", options.out);
-
-    if options.max_bytes_per_user > 0.0 {
-        if population_rows.is_empty() {
-            eprintln!(
-                "monitor_recovery: regression guard failed: --max-bytes-per-user given but no \
-                 population row was measured (pass --population or drop --quick)"
-            );
-            return ExitCode::FAILURE;
-        }
-        for row in &population_rows {
-            if row.bytes_per_user() > options.max_bytes_per_user {
-                eprintln!(
-                    "monitor_recovery: regression guard failed: `{}` snapshot footprint \
-                     {:.2} bytes/user exceeds the allowed {:.2}",
-                    row.name,
-                    row.bytes_per_user(),
-                    options.max_bytes_per_user
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    if options.min_suffix_speedup > 0.0 {
-        let guarded: Vec<&Row> = rows.iter().filter(|row| row.guarded()).collect();
-        if guarded.is_empty() {
-            eprintln!(
-                "monitor_recovery: regression guard failed: no stream reaches \
-                 {GUARD_MIN_EVENTS} events, so the suffix-speedup floor cannot be enforced"
-            );
-            return ExitCode::FAILURE;
-        }
-        for row in &guarded {
-            if row.suffix_speedup() < options.min_suffix_speedup {
-                eprintln!(
-                    "monitor_recovery: regression guard failed: `{}` checkpointed-audit speedup \
-                     {:.2}x is below the required {:.2}x",
-                    row.scenario.name,
-                    row.suffix_speedup(),
-                    options.min_suffix_speedup
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
+        Ok(())
+    })
 }

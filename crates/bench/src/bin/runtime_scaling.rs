@@ -38,30 +38,17 @@
 //! `--min-t1-speedup Y` (default 1.0) guards the single-thread indexed
 //! speedup the same way. See `docs/PERFORMANCE.md`.
 
-use privacy_bench::{time_runs, write_report};
-use privacy_compliance::{
-    check_log, check_log_scan, ActorMatcher, FieldMatcher, PrivacyPolicy, Statement,
+use privacy_bench::{
+    audit_policy, bench_main, event_stream, min_or_zero, population, stream_scenarios,
+    thread_ladder, time_runs, BenchArgs, Object, Report, StreamScenario,
 };
-use privacy_core::{casestudy, PrivacySystem};
-use privacy_lts::{ActionKind, LtsIndex};
-use privacy_model::{ActorId, Catalog, FieldId, ModelError, Record, ServiceId, UserProfile};
-use privacy_runtime::{Event, IndexedMonitor, RuntimeMonitor, ServiceEngine};
-use privacy_synth::{
-    random_model, random_profiles, random_workload, ModelGeneratorConfig, ProfileGeneratorConfig,
-    WorkloadConfig,
-};
-use std::fmt::Write as _;
+use privacy_compliance::{check_log, check_log_scan, ActorMatcher, FieldMatcher, Statement};
+use privacy_lts::LtsIndex;
+use privacy_model::ActorId;
+use privacy_runtime::{IndexedMonitor, RuntimeMonitor};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// One benchmark scenario.
-struct Scenario {
-    name: String,
-    users: usize,
-    requests: usize,
-    system: PrivacySystem,
-}
 
 /// One (threads, events/sec) sample of the ingestion sweep.
 struct IngestSample {
@@ -71,7 +58,7 @@ struct IngestSample {
 
 /// One measured row of the report.
 struct Row {
-    scenario: Scenario,
+    scenario: StreamScenario,
     events: usize,
     space_variables: usize,
     alerts: usize,
@@ -117,204 +104,34 @@ impl Row {
 }
 
 struct Options {
-    quick: bool,
+    args: BenchArgs,
     min_speedup: f64,
     min_t1_speedup: f64,
-    out: String,
-    threads: Option<usize>,
-    force_baseline: bool,
+    /// The ingestion sweep: `--threads N` gives 1 and N, else the shared
+    /// ladder.
+    thread_counts: Vec<usize>,
 }
 
 fn parse_options() -> Result<Options, String> {
-    let mut options = Options {
-        quick: false,
-        min_speedup: 0.0,
-        min_t1_speedup: 1.0,
-        out: "BENCH_runtime.json".to_owned(),
-        threads: None,
-        force_baseline: false,
+    let mut args = BenchArgs::from_env("BENCH_runtime.json")?;
+    let min_speedup = args.value("--min-speedup")?.unwrap_or(0.0);
+    let min_t1_speedup = args.value("--min-t1-speedup")?.unwrap_or(1.0);
+    let thread_counts = match args.value::<usize>("--threads")? {
+        Some(1) => vec![1],
+        Some(threads) => vec![1, threads],
+        None => thread_ladder(),
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => options.quick = true,
-            "--min-speedup" => {
-                let value = args.next().ok_or("--min-speedup needs a value")?;
-                options.min_speedup =
-                    value.parse().map_err(|_| format!("bad --min-speedup value `{value}`"))?;
-            }
-            "--min-t1-speedup" => {
-                let value = args.next().ok_or("--min-t1-speedup needs a value")?;
-                options.min_t1_speedup =
-                    value.parse().map_err(|_| format!("bad --min-t1-speedup value `{value}`"))?;
-            }
-            "--out" => options.out = args.next().ok_or("--out needs a path")?,
-            "--force-baseline" => options.force_baseline = true,
-            "--threads" => {
-                let value = args.next().ok_or("--threads needs a value")?;
-                options.threads =
-                    Some(value.parse().map_err(|_| format!("bad --threads value `{value}`"))?);
-            }
-            other => return Err(format!("unknown argument `{other}` (see docs/PERFORMANCE.md)")),
-        }
-    }
-    Ok(options)
-}
-
-/// The benchmark scenarios: the paper's healthcare model (the acceptance
-/// row) and a wider synthetic model whose larger variable space makes the
-/// scan monitor's per-event pair sweep proportionally more expensive.
-fn scenarios(quick: bool) -> Result<Vec<Scenario>, ModelError> {
-    let mut scenarios = Vec::new();
-    scenarios.push(Scenario {
-        name: "healthcare".to_owned(),
-        users: if quick { 128 } else { 256 },
-        requests: if quick { 1_500 } else { 6_000 },
-        system: casestudy::healthcare()?,
-    });
-
-    let config = ModelGeneratorConfig {
-        actors: 8,
-        fields: 10,
-        datastores: 3,
-        services: 3,
-        flows_per_service: 6,
-        grant_probability: 0.5,
-        seed: 11,
-        ..ModelGeneratorConfig::default()
-    };
-    let (catalog, dataflows, policy) = random_model(&config)?;
-    scenarios.push(Scenario {
-        name: "synth_8a_10f_3s".to_owned(),
-        users: if quick { 64 } else { 128 },
-        requests: if quick { 1_000 } else { 4_000 },
-        system: PrivacySystem::new(catalog, dataflows, policy),
-    });
-    Ok(scenarios)
-}
-
-/// A seeded user population over the catalog's services and fields.
-fn population(catalog: &Catalog, count: usize) -> Vec<UserProfile> {
-    let services: Vec<ServiceId> = catalog.services().map(|s| s.id().clone()).collect();
-    let fields: Vec<FieldId> = catalog.fields().map(|f| f.id().clone()).collect();
-    random_profiles(&ProfileGeneratorConfig {
-        count,
-        seed: 13,
-        services,
-        consent_probability: 0.5,
-        fields,
-        sensitivity_probability: 0.6,
-    })
-}
-
-/// Replays a seeded workload through the service engine and returns the
-/// resulting event stream.
-fn event_stream(scenario: &Scenario, users: &[UserProfile]) -> Vec<Event> {
-    let catalog = scenario.system.catalog();
-    let fields: Vec<FieldId> = catalog.fields().map(|f| f.id().clone()).collect();
-    let services: Vec<(ServiceId, f64)> =
-        catalog.services().map(|s| (s.id().clone(), 1.0)).collect();
-    let mut engine = ServiceEngine::new(
-        catalog.clone(),
-        scenario.system.dataflows().clone(),
-        scenario.system.policy().clone(),
-    );
-    let workload = random_workload(&WorkloadConfig {
-        length: scenario.requests,
-        seed: 17,
-        users: users.iter().map(|u| u.id().clone()).collect(),
-        services,
-    });
-    for request in &workload {
-        let record = fields
-            .iter()
-            .fold(Record::new(), |record, field| record.with(field.clone(), format!("v-{field}")));
-        let _ = engine.execute(request.user(), request.service(), &record);
-    }
-    engine.log().events().to_vec()
-}
-
-/// A multi-statement runtime hygiene policy over the catalog's vocabulary,
-/// mirroring the `analysis_scaling` policy shape for the log audit.
-fn audit_policy(catalog: &Catalog) -> PrivacyPolicy {
-    let actors: Vec<ActorId> = catalog.identifying_actors().map(|a| a.id().clone()).collect();
-    let fields: Vec<FieldId> = catalog.fields().map(|f| f.id().clone()).collect();
-    let services: Vec<ServiceId> = catalog.services().map(|s| s.id().clone()).collect();
-    let mut policy = PrivacyPolicy::new("runtime-scaling hygiene policy");
-    for (i, actor) in actors.iter().enumerate() {
-        policy.add_statement(Statement::forbid(
-            format!("NO-DELETE-{i}"),
-            format!("{actor} never deletes records"),
-            ActorMatcher::only([actor.clone()]),
-            Some(ActionKind::Delete),
-            FieldMatcher::Any,
-        ));
-    }
-    policy.add_statement(Statement::forbid(
-        "NO-AUDITOR",
-        "the external auditor never acts",
-        ActorMatcher::only([ActorId::new("ExternalAuditor")]),
-        None,
-        FieldMatcher::Any,
-    ));
-    policy.add_statement(Statement::require_erasure(
-        "ERASE-ALL",
-        "every processed field must be erasable",
-        FieldMatcher::Any,
-    ));
-    for (i, field) in fields.iter().enumerate() {
-        policy.add_statement(Statement::require_erasure(
-            format!("ERASE-{i}"),
-            format!("{field} must be erasable on request"),
-            FieldMatcher::only([field.clone()]),
-        ));
-        policy.add_statement(Statement::max_exposure(
-            format!("EXPOSE-{i}"),
-            format!("at most two actors may observe {field}"),
-            field.clone(),
-            2,
-        ));
-        policy.add_statement(Statement::service_limit(
-            format!("SERVICE-{i}"),
-            format!("{field} stays in the declared services"),
-            FieldMatcher::only([field.clone()]),
-            services.iter().cloned(),
-        ));
-    }
-    policy
-}
-
-/// The ingestion thread counts swept: a fixed 1/2/4 ladder (so the recorded
-/// baseline always carries multi-thread rows, even when recorded on a small
-/// container) plus the machine's full parallelism.
-fn thread_counts(options: &Options) -> Vec<usize> {
-    match options.threads {
-        Some(threads) => {
-            if threads == 1 {
-                vec![1]
-            } else {
-                vec![1, threads]
-            }
-        }
-        None => {
-            let available = privacy_lts::batch::resolve_threads(None);
-            let mut counts = vec![1, 2, 4];
-            if !counts.contains(&available) {
-                counts.push(available);
-            }
-            counts.sort_unstable();
-            counts
-        }
-    }
+    args.finish()?;
+    Ok(Options { args, min_speedup, min_t1_speedup, thread_counts })
 }
 
 fn run(options: &Options) -> Result<Vec<Row>, String> {
-    let target =
-        if options.quick { Duration::from_millis(200) } else { Duration::from_millis(700) };
-    let counts = thread_counts(options);
+    let quick = options.args.quick;
+    let target = if quick { Duration::from_millis(200) } else { Duration::from_millis(700) };
+    let counts = &options.thread_counts;
     let mut rows = Vec::new();
 
-    for scenario in scenarios(options.quick).map_err(|e| format!("building scenarios: {e}"))? {
+    for scenario in stream_scenarios(quick).map_err(|e| format!("building scenarios: {e}"))? {
         let lts = scenario
             .system
             .generate_lts()
@@ -322,14 +139,29 @@ fn run(options: &Options) -> Result<Vec<Row>, String> {
         let index = Arc::new(LtsIndex::build(&lts));
         let catalog = scenario.system.catalog();
         let policy = scenario.system.policy();
-        let users = population(catalog, scenario.users);
-        let events = event_stream(&scenario, &users);
+        let users = population(catalog, scenario.users, 13);
+        let events = event_stream(&scenario.system, &users, scenario.requests);
         let log = {
             let mut log = privacy_runtime::EventLog::new();
             log.extend(events.iter().cloned());
             log
         };
-        let audit = audit_policy(catalog);
+        // The shared runtime hygiene policy plus two statements of this
+        // bench's own: a prohibition on a role outside the model, and
+        // erasure of every processed field.
+        let mut audit = audit_policy(catalog);
+        audit.add_statement(Statement::forbid(
+            "NO-AUDITOR",
+            "the external auditor never acts",
+            ActorMatcher::only([ActorId::new("ExternalAuditor")]),
+            None,
+            FieldMatcher::Any,
+        ));
+        audit.add_statement(Statement::require_erasure(
+            "ERASE-ALL",
+            "every processed field must be erasable",
+            FieldMatcher::Any,
+        ));
 
         // Prototype monitors with every user registered; each timed run
         // clones the prototype so state evolution starts fresh.
@@ -345,7 +177,7 @@ fn run(options: &Options) -> Result<Vec<Row>, String> {
         // different alert stream would be meaningless.
         let mut scan_check = scan_proto.clone();
         let scan_alerts = scan_check.observe_all(&events);
-        for &threads in &counts {
+        for &threads in counts {
             let mut indexed_check = indexed_proto.clone().with_threads(Some(threads));
             let indexed_alerts = indexed_check.ingest_batch(&events);
             if indexed_alerts != scan_alerts {
@@ -412,139 +244,80 @@ fn run(options: &Options) -> Result<Vec<Row>, String> {
     Ok(rows)
 }
 
-fn render_sweep(samples: &[IngestSample], scan_events_per_sec: f64) -> String {
-    let entries: Vec<String> = samples
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"threads\": {}, \"events_per_sec\": {:.0}, \"speedup\": {:.3}}}",
-                s.threads,
-                s.events_per_sec,
-                s.events_per_sec / scan_events_per_sec
-            )
-        })
-        .collect();
-    format!("[{}]", entries.join(", "))
-}
-
-fn json_report(options: &Options, rows: &[Row]) -> String {
-    let unix_secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let threads_available =
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let min_best = rows
-        .iter()
-        .filter(|row| row.guarded())
-        .map(Row::best_speedup)
-        .fold(f64::INFINITY, f64::min);
-    let min_t1 =
-        rows.iter().filter(|row| row.guarded()).map(Row::t1_speedup).fold(f64::INFINITY, f64::min);
-
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"runtime_scaling\",");
-    let _ = writeln!(out, "  \"quick\": {},", options.quick);
-    let _ = writeln!(out, "  \"threads_available\": {threads_available},");
-    let _ = writeln!(out, "  \"generated_unix\": {unix_secs},");
-    let _ = writeln!(out, "  \"guard_min_events\": {GUARD_MIN_EVENTS},");
-    let _ = writeln!(
-        out,
-        "  \"min_best_speedup_observed\": {:.3},",
-        if min_best.is_finite() { min_best } else { 0.0 }
-    );
-    let _ = writeln!(
-        out,
-        "  \"min_t1_speedup_observed\": {:.3},",
-        if min_t1.is_finite() { min_t1 } else { 0.0 }
-    );
-    out.push_str("  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str("    {");
-        let _ = write!(
-            out,
-            "\"name\": \"{}\", \"users\": {}, \"events\": {}, \"space_variables\": {}, \
-             \"alerts\": {}, \"scan_events_per_sec\": {:.0}, \"indexed\": {}, \
-             \"t1_speedup\": {:.3}, \"best_speedup\": {:.3}, \
-             \"audit_statements\": {}, \"audit_scan_ms\": {:.3}, \"audit_probe_ms\": {:.3}, \
-             \"audit_speedup\": {:.3}, \"guarded\": {}",
-            row.scenario.name,
-            row.scenario.users,
-            row.events,
-            row.space_variables,
-            row.alerts,
-            row.scan_events_per_sec,
-            render_sweep(&row.indexed, row.scan_events_per_sec),
-            row.t1_speedup(),
-            row.best_speedup(),
-            row.audit_statements,
-            row.audit_scan_secs * 1e3,
-            row.audit_probe_secs * 1e3,
-            row.audit_speedup(),
-            row.guarded()
-        );
-        out.push_str(if i + 1 == rows.len() { "}\n" } else { "},\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+fn report(options: &Options, rows: &[Row]) -> Result<Report, String> {
+    let guarded = || rows.iter().filter(|row| row.guarded());
+    Report::new("runtime_scaling", options.args.quick)
+        .with("guard_min_events", GUARD_MIN_EVENTS)
+        .fixed("min_best_speedup_observed", min_or_zero(guarded().map(Row::best_speedup)), 3)
+        .fixed("min_t1_speedup_observed", min_or_zero(guarded().map(Row::t1_speedup)), 3)
+        .rows(
+            "rows",
+            rows.iter().map(|row| {
+                let indexed: Vec<Object> = row
+                    .indexed
+                    .iter()
+                    .map(|s| {
+                        Object::new()
+                            .with("threads", s.threads)
+                            .fixed("events_per_sec", s.events_per_sec, 0)
+                            .fixed("speedup", s.events_per_sec / row.scan_events_per_sec, 3)
+                    })
+                    .collect();
+                let fields = Object::new()
+                    .with("users", row.scenario.users)
+                    .with("events", row.events)
+                    .with("space_variables", row.space_variables)
+                    .with("alerts", row.alerts)
+                    .fixed("scan_events_per_sec", row.scan_events_per_sec, 0)
+                    .with("indexed", indexed)
+                    .fixed("t1_speedup", row.t1_speedup(), 3)
+                    .fixed("best_speedup", row.best_speedup(), 3)
+                    .with("audit_statements", row.audit_statements)
+                    .fixed("audit_scan_ms", row.audit_scan_secs * 1e3, 3)
+                    .fixed("audit_probe_ms", row.audit_probe_secs * 1e3, 3)
+                    .fixed("audit_speedup", row.audit_speedup(), 3)
+                    .with("guarded", row.guarded());
+                (row.scenario.name.clone(), fields)
+            }),
+        )
 }
 
 fn main() -> ExitCode {
-    let options = match parse_options() {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("runtime_scaling: {message}");
-            return ExitCode::FAILURE;
-        }
-    };
+    bench_main("runtime_scaling", || {
+        let options = parse_options()?;
+        let rows = run(&options)?;
+        options.args.write(&report(&options, &rows)?)?;
 
-    let rows = match run(&options) {
-        Ok(rows) => rows,
-        Err(message) => {
-            eprintln!("runtime_scaling: {message}");
-            return ExitCode::FAILURE;
+        let guarded: Vec<&Row> = rows.iter().filter(|row| row.guarded()).collect();
+        let enforcing = options.min_speedup > 0.0 || options.min_t1_speedup > 0.0;
+        if enforcing && guarded.is_empty() {
+            return Err(format!(
+                "regression guard failed: no stream reaches {GUARD_MIN_EVENTS} events, so the \
+                 speedup floors cannot be enforced"
+            ));
         }
-    };
-
-    let report = json_report(&options, &rows);
-    if let Err(message) = write_report(&options.out, &report, options.force_baseline) {
-        eprintln!("runtime_scaling: {message}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("runtime_scaling: wrote {}", options.out);
-
-    let guarded: Vec<&Row> = rows.iter().filter(|row| row.guarded()).collect();
-    let enforcing = options.min_speedup > 0.0 || options.min_t1_speedup > 0.0;
-    if enforcing && guarded.is_empty() {
-        eprintln!(
-            "runtime_scaling: regression guard failed: no stream reaches {GUARD_MIN_EVENTS} \
-             events, so the speedup floors cannot be enforced"
-        );
-        return ExitCode::FAILURE;
-    }
-    for row in &guarded {
-        if options.min_speedup > 0.0 && row.best_speedup() < options.min_speedup {
-            eprintln!(
-                "runtime_scaling: regression guard failed: `{}` best sharded ingestion speedup \
-                 {:.2}x is below the required {:.2}x",
-                row.scenario.name,
-                row.best_speedup(),
-                options.min_speedup
-            );
-            return ExitCode::FAILURE;
+        for row in &guarded {
+            if options.min_speedup > 0.0 && row.best_speedup() < options.min_speedup {
+                return Err(format!(
+                    "regression guard failed: `{}` best sharded ingestion speedup {:.2}x is \
+                     below the required {:.2}x",
+                    row.scenario.name,
+                    row.best_speedup(),
+                    options.min_speedup
+                ));
+            }
+            // The t1 floor (default 1.0: indexed must never lose to the scan
+            // monitor) is enforced independently of --min-speedup.
+            if options.min_t1_speedup > 0.0 && row.t1_speedup() < options.min_t1_speedup {
+                return Err(format!(
+                    "regression guard failed: `{}` single-thread indexed speedup {:.2}x is \
+                     below the required {:.2}x",
+                    row.scenario.name,
+                    row.t1_speedup(),
+                    options.min_t1_speedup
+                ));
+            }
         }
-        // The t1 floor (default 1.0: indexed must never lose to the scan
-        // monitor) is enforced independently of --min-speedup.
-        if options.min_t1_speedup > 0.0 && row.t1_speedup() < options.min_t1_speedup {
-            eprintln!(
-                "runtime_scaling: regression guard failed: `{}` single-thread indexed speedup \
-                 {:.2}x is below the required {:.2}x",
-                row.scenario.name,
-                row.t1_speedup(),
-                options.min_t1_speedup
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+        Ok(())
+    })
 }

@@ -1,18 +1,11 @@
 //! Offline stand-in for the `crossbeam` crate.
 //!
 //! The build environment has no access to a crate registry, so this vendored
-//! shim provides the subset of `crossbeam` the workspace uses:
-//!
-//! * [`channel`] — an unbounded multi-producer **multi-consumer** channel
-//!   (std's `mpsc` receiver is single-consumer, so the queue here is a
-//!   mutex-protected `VecDeque` with a condvar for blocking receives).
-//!   Senders and receivers are cloneable and the channel disconnects when
-//!   either side is fully dropped, exactly the behaviour
-//!   `run_concurrent_workload` relies on.
-//! * [`thread`] — crossbeam-style scoped threads (`thread::scope` returning a
-//!   `Result` instead of propagating panics), layered over
-//!   `std::thread::scope`. The parallel LTS generation engine fans its
-//!   frontier out over these.
+//! shim provides the subset of `crossbeam` the workspace uses: [`thread`],
+//! crossbeam-style scoped threads (`thread::scope` returning a `Result`
+//! instead of propagating panics), layered over `std::thread::scope`. The
+//! parallel LTS generation engine, the batch analyses and the sharded
+//! monitor fan their work out over these.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -110,197 +103,6 @@ pub mod thread {
                 s.spawn::<_, ()>(|_| panic!("worker exploded"));
             });
             assert!(result.is_err());
-        }
-    }
-}
-
-pub mod channel {
-    //! A crossbeam-channel–compatible unbounded MPMC channel.
-
-    use std::collections::VecDeque;
-    use std::fmt;
-    use std::sync::{Arc, Condvar, Mutex};
-
-    struct Shared<T> {
-        queue: Mutex<State<T>>,
-        ready: Condvar,
-    }
-
-    struct State<T> {
-        items: VecDeque<T>,
-        senders: usize,
-        receivers: usize,
-    }
-
-    /// Error returned by [`Sender::send`] when every receiver has been dropped.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct SendError<T>(pub T);
-
-    impl<T> fmt::Display for SendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("sending on a disconnected channel")
-        }
-    }
-
-    impl<T: fmt::Debug> std::error::Error for SendError<T> {}
-
-    /// Error returned by [`Receiver::recv`] when the channel is empty and
-    /// every sender has been dropped.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct RecvError;
-
-    impl fmt::Display for RecvError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("receiving on an empty and disconnected channel")
-        }
-    }
-
-    impl std::error::Error for RecvError {}
-
-    /// The sending half of a channel; cheap to clone.
-    pub struct Sender<T> {
-        shared: Arc<Shared<T>>,
-    }
-
-    /// The receiving half of a channel; cheap to clone (multi-consumer).
-    pub struct Receiver<T> {
-        shared: Arc<Shared<T>>,
-    }
-
-    /// Creates an unbounded channel, returning its two halves.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let shared = Arc::new(Shared {
-            queue: Mutex::new(State { items: VecDeque::new(), senders: 1, receivers: 1 }),
-            ready: Condvar::new(),
-        });
-        (Sender { shared: Arc::clone(&shared) }, Receiver { shared })
-    }
-
-    fn lock<T>(shared: &Shared<T>) -> std::sync::MutexGuard<'_, State<T>> {
-        shared.queue.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    impl<T> Sender<T> {
-        /// Enqueues `value`, failing only if every receiver has been dropped.
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            let mut state = lock(&self.shared);
-            if state.receivers == 0 {
-                return Err(SendError(value));
-            }
-            state.items.push_back(value);
-            drop(state);
-            self.shared.ready.notify_one();
-            Ok(())
-        }
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            lock(&self.shared).senders += 1;
-            Sender { shared: Arc::clone(&self.shared) }
-        }
-    }
-
-    impl<T> Drop for Sender<T> {
-        fn drop(&mut self) {
-            let remaining = {
-                let mut state = lock(&self.shared);
-                state.senders -= 1;
-                state.senders
-            };
-            if remaining == 0 {
-                self.shared.ready.notify_all();
-            }
-        }
-    }
-
-    impl<T> Receiver<T> {
-        /// Blocks until a value is available or the channel disconnects.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            let mut state = lock(&self.shared);
-            loop {
-                if let Some(value) = state.items.pop_front() {
-                    return Ok(value);
-                }
-                if state.senders == 0 {
-                    return Err(RecvError);
-                }
-                state =
-                    self.shared.ready.wait(state).unwrap_or_else(|poisoned| poisoned.into_inner());
-            }
-        }
-
-        /// Returns an iterator yielding values until the channel disconnects.
-        pub fn iter(&self) -> Iter<'_, T> {
-            Iter { receiver: self }
-        }
-    }
-
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Self {
-            lock(&self.shared).receivers += 1;
-            Receiver { shared: Arc::clone(&self.shared) }
-        }
-    }
-
-    impl<T> Drop for Receiver<T> {
-        fn drop(&mut self) {
-            lock(&self.shared).receivers -= 1;
-        }
-    }
-
-    /// Blocking iterator returned by [`Receiver::iter`].
-    pub struct Iter<'a, T> {
-        receiver: &'a Receiver<T>,
-    }
-
-    impl<T> Iterator for Iter<'_, T> {
-        type Item = T;
-
-        fn next(&mut self) -> Option<T> {
-            self.receiver.recv().ok()
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-        use std::thread;
-
-        #[test]
-        fn values_round_trip_in_order_single_threaded() {
-            let (tx, rx) = unbounded();
-            tx.send(1).unwrap();
-            tx.send(2).unwrap();
-            drop(tx);
-            assert_eq!(rx.iter().collect::<Vec<_>>(), vec![1, 2]);
-            assert_eq!(rx.recv(), Err(RecvError));
-        }
-
-        #[test]
-        fn cloned_receivers_share_the_queue_without_duplication() {
-            let (tx, rx) = unbounded();
-            for i in 0..100 {
-                tx.send(i).unwrap();
-            }
-            drop(tx);
-            let total: usize = thread::scope(|scope| {
-                let handles: Vec<_> = (0..4)
-                    .map(|_| {
-                        let rx = rx.clone();
-                        scope.spawn(move || rx.iter().count())
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).sum()
-            });
-            assert_eq!(total, 100);
-        }
-
-        #[test]
-        fn send_fails_once_all_receivers_are_gone() {
-            let (tx, rx) = unbounded();
-            drop(rx);
-            assert_eq!(tx.send(7), Err(SendError(7)));
         }
     }
 }

@@ -2,70 +2,16 @@
 //!
 //! The build environment has no access to a crate registry, so this tiny
 //! vendored shim provides the subset of `parking_lot` the workspace actually
-//! uses — a [`Mutex`] and an [`RwLock`] whose locking methods return guards
-//! directly (no poisoning `Result`) — implemented on top of their
-//! [`std::sync`] counterparts. Poisoned locks are recovered transparently,
-//! matching `parking_lot`'s "no poisoning" semantics.
+//! uses — an [`RwLock`] whose locking methods return guards directly (no
+//! poisoning `Result`) — implemented on top of its [`std::sync`]
+//! counterpart. Poisoned locks are recovered transparently, matching
+//! `parking_lot`'s "no poisoning" semantics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-
-/// A mutual-exclusion primitive with `parking_lot`-style ergonomics:
-/// `lock()` returns the guard directly and never exposes poisoning.
-#[derive(Default)]
-pub struct Mutex<T: ?Sized> {
-    inner: std::sync::Mutex<T>,
-}
-
-impl<T> Mutex<T> {
-    /// Creates a new mutex protecting `value`.
-    pub fn new(value: T) -> Self {
-        Mutex { inner: std::sync::Mutex::new(value) }
-    }
-
-    /// Consumes the mutex and returns the protected value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-}
-
-impl<T: ?Sized> Mutex<T> {
-    /// Acquires the mutex, blocking until it is available.
-    ///
-    /// Unlike [`std::sync::Mutex::lock`] this never returns a poisoning
-    /// error: if a previous holder panicked the value is handed out as-is.
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard { inner: self.inner.lock().unwrap_or_else(|poisoned| poisoned.into_inner()) }
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.inner.fmt(f)
-    }
-}
-
-/// RAII guard returned by [`Mutex::lock`]; releases the lock on drop.
-pub struct MutexGuard<'a, T: ?Sized> {
-    inner: std::sync::MutexGuard<'a, T>,
-}
-
-impl<T: ?Sized> Deref for MutexGuard<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
 
 /// A reader-writer lock with `parking_lot`-style ergonomics: `read()` /
 /// `write()` return guards directly and never expose poisoning.
@@ -172,28 +118,5 @@ mod tests {
             }
         });
         assert_eq!(*counter.read(), 200);
-    }
-
-    #[test]
-    fn lock_and_into_inner_round_trip() {
-        let mutex = Mutex::new(1usize);
-        *mutex.lock() += 41;
-        assert_eq!(mutex.into_inner(), 42);
-    }
-
-    #[test]
-    fn contended_increments_are_not_lost() {
-        let counter = Arc::new(Mutex::new(0usize));
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                let counter = Arc::clone(&counter);
-                scope.spawn(move || {
-                    for _ in 0..100 {
-                        *counter.lock() += 1;
-                    }
-                });
-            }
-        });
-        assert_eq!(*counter.lock(), 800);
     }
 }

@@ -17,8 +17,8 @@ use std::fmt;
 
 /// One request: a user asks for one execution of a service.
 ///
-/// Requests are what workload drivers (the synthetic generator in
-/// `privacy-synth`, the [`crate::concurrent`] driver) hand to the engine;
+/// Requests are what workload drivers (such as the synthetic generator in
+/// `privacy-synth`) hand to the engine;
 /// the type lives here so producers and consumers of workloads agree on it
 /// without the generator crate having to sit below the runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -8,9 +8,8 @@
 //! OPERANDO deployment is not available, so this crate provides the closest
 //! substitute: an in-process service runtime that executes the modelled
 //! data flows as discrete events against in-memory datastores (with access
-//! control enforced), an append-only event log, a runtime monitor that walks
-//! each user's privacy state as the events arrive, and a multi-threaded
-//! driver that replays synthetic workloads concurrently.
+//! control enforced), an append-only event log, and runtime monitors that
+//! walk each user's privacy state as the events arrive.
 //!
 //! * [`event`] — privacy events and the event log;
 //! * [`store`] — in-memory, access-controlled datastores;
@@ -25,13 +24,11 @@
 //!   append-aware so periodic audits over the (append-only) log pay only for
 //!   the new suffix;
 //! * [`snapshot`] — versioned, checksummed [`MonitorSnapshot`]s so a monitor
-//!   can restart mid-stream and resume exactly where it left off;
-//! * [`concurrent`] — a crossbeam-based concurrent workload driver.
+//!   can restart mid-stream and resume exactly where it left off.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod concurrent;
 pub mod engine;
 pub mod event;
 pub mod indexed;
@@ -40,7 +37,6 @@ pub mod monitor;
 pub mod snapshot;
 pub mod store;
 
-pub use concurrent::{run_concurrent_workload, ConcurrentConfig};
 pub use engine::{ExecutionOutcome, ServiceEngine, ServiceRequest};
 pub use event::{Event, EventLog};
 pub use indexed::{shard_of_user, IndexedMonitor, SHARD_COUNT};
@@ -51,7 +47,6 @@ pub use store::DatastoreState;
 
 /// Convenience re-export of the most commonly used items.
 pub mod prelude {
-    pub use crate::concurrent::{run_concurrent_workload, ConcurrentConfig};
     pub use crate::engine::{ExecutionOutcome, ServiceEngine, ServiceRequest};
     pub use crate::event::{Event, EventLog};
     pub use crate::indexed::{shard_of_user, IndexedMonitor, SHARD_COUNT};

@@ -4,7 +4,7 @@
 //! the service" scenario.
 //!
 //! Two monitors consume the same stream: the scan-path [`RuntimeMonitor`]
-//! streaming event-by-event off the concurrent driver, and the
+//! observing each request's events as the engine executes it, and the
 //! [`IndexedMonitor`] replaying the log as one sharded batch over the same
 //! columnar [`LtsIndex`] the design-time analyses probe. Their alert streams
 //! are identical — the index only changes how fast the answer arrives.
@@ -14,15 +14,13 @@
 use privacy_mde::core::casestudy;
 use privacy_mde::lts::LtsIndex;
 use privacy_mde::model::{Record, SensitivityCategory, UserId, UserProfile};
-use privacy_mde::runtime::{
-    run_concurrent_workload, ConcurrentConfig, IndexedMonitor, RuntimeMonitor, ServiceEngine,
-};
+use privacy_mde::runtime::{IndexedMonitor, RuntimeMonitor, ServiceEngine};
 use privacy_mde::synth::{random_workload, WorkloadConfig};
 use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let system = casestudy::healthcare()?;
-    let engine = ServiceEngine::new(
+    let mut engine = ServiceEngine::new(
         system.catalog().clone(),
         system.dataflows().clone(),
         system.policy().clone(),
@@ -53,47 +51,46 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         users: users.clone(),
         services: vec![(casestudy::medical_service(), 0.8), (casestudy::research_service(), 0.2)],
     });
-    println!("replaying {} service requests over 4 worker threads...", workload.len());
+    println!("replaying {} service requests...", workload.len());
 
-    let outcome = run_concurrent_workload(
-        engine,
-        monitor,
-        &workload,
-        ConcurrentConfig { workers: 4 },
-        |user| {
-            Record::new()
-                .with("Name", user.as_str())
-                .with("Medical Issues", "chest pain")
-                .with("Diagnosis", "hypertension")
-                .with("Treatment Information", "medication")
-        },
-    );
+    // Execute each request and let the scan monitor observe its events as
+    // they happen; a request for an unknown service fails without events.
+    let mut alerts = Vec::new();
+    for request in &workload {
+        let record = Record::new()
+            .with("Name", request.user().as_str())
+            .with("Medical Issues", "chest pain")
+            .with("Diagnosis", "hypertension")
+            .with("Treatment Information", "medication");
+        if let Ok(outcome) = engine.execute(request.user(), request.service(), &record) {
+            for event in outcome.events() {
+                alerts.extend(monitor.observe(event));
+            }
+        }
+    }
 
-    println!(
-        "event log: {} events ({} denied)",
-        outcome.engine.log().len(),
-        outcome.engine.log().denied().len()
-    );
-    println!("alerts raised: {}", outcome.alerts.len());
-    for alert in outcome.alerts.iter().take(5) {
+    println!("event log: {} events ({} denied)", engine.log().len(), engine.log().denied().len());
+    println!("alerts raised: {}", alerts.len());
+    for alert in alerts.iter().take(5) {
         println!("  {alert}");
     }
-    if outcome.alerts.len() > 5 {
-        println!("  ... and {} more", outcome.alerts.len() - 5);
+    if alerts.len() > 5 {
+        println!("  ... and {} more", alerts.len() - 5);
     }
     println!(
         "EHR now holds {} patient records",
-        outcome.engine.stores().record_count(&privacy_mde::model::DatastoreId::new("EHR"))
+        engine.stores().record_count(&privacy_mde::model::DatastoreId::new("EHR"))
     );
-    println!("{}", outcome.monitor);
+    println!("{monitor}");
 
     // Replay the same log through the index-backed monitor: events resolve
     // once through the shared index's interners, per-user state shards over
     // four worker threads, and the alert stream comes out identical.
-    let batch_alerts = indexed.ingest_batch(outcome.engine.log().events());
+    let batch_alerts = indexed.ingest_batch(engine.log().events());
     println!("{indexed}");
-    assert_eq!(batch_alerts.len(), outcome.monitor.alerts().len());
-    for (streamed, batched) in outcome.monitor.alerts().iter().zip(&batch_alerts) {
+    assert_eq!(batch_alerts.len(), monitor.alerts().len());
+    assert_eq!(batch_alerts.len(), alerts.len());
+    for (streamed, batched) in monitor.alerts().iter().zip(&batch_alerts) {
         assert_eq!(streamed.level(), batched.level());
         assert_eq!(streamed.message(), batched.message());
     }
