@@ -45,7 +45,8 @@ use privacy_bench::{
 use privacy_compliance::{check_log, check_log_scan, ActorMatcher, FieldMatcher, Statement};
 use privacy_lts::LtsIndex;
 use privacy_model::ActorId;
-use privacy_runtime::{IndexedMonitor, RuntimeMonitor};
+use privacy_runtime::monitor::RuntimeMonitor;
+use privacy_runtime::IndexedMonitor;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;

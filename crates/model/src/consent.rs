@@ -22,7 +22,7 @@ use std::fmt;
 /// assert!(consent.includes(&ServiceId::new("MedicalService")));
 /// assert!(!consent.includes(&ServiceId::new("MedicalResearchService")));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Consent {
     services: BTreeSet<ServiceId>,
 }

@@ -14,7 +14,9 @@
 //! * [`event`] — privacy events and the event log;
 //! * [`store`] — in-memory, access-controlled datastores;
 //! * [`engine`] — the service engine executing data-flow diagrams;
-//! * [`monitor`] — the scan-path runtime privacy monitor raising alerts;
+//! * [`monitor`] — the runtime [`Alert`], and the scan-path
+//!   [`RuntimeMonitor`](monitor::RuntimeMonitor) kept as the differential
+//!   oracle the indexed monitor is tested against;
 //! * [`indexed`] — the index-backed streaming monitor: events resolve once
 //!   through the shared [`privacy_lts::LtsIndex`] interners and per-user
 //!   state is sharded by `UserId` hash over worker threads, with an alert
@@ -41,7 +43,7 @@ pub use engine::{ExecutionOutcome, ServiceEngine, ServiceRequest};
 pub use event::{Event, EventLog};
 pub use indexed::{shard_of_user, IndexedMonitor, SHARD_COUNT};
 pub use log_index::{ErasureTimeline, EventLogIndex};
-pub use monitor::{Alert, RuntimeMonitor};
+pub use monitor::Alert;
 pub use snapshot::{MonitorSnapshot, ShardSnapshot, SnapshotError};
 pub use store::DatastoreState;
 
@@ -51,7 +53,7 @@ pub mod prelude {
     pub use crate::event::{Event, EventLog};
     pub use crate::indexed::{shard_of_user, IndexedMonitor, SHARD_COUNT};
     pub use crate::log_index::{ErasureTimeline, EventLogIndex};
-    pub use crate::monitor::{Alert, RuntimeMonitor};
+    pub use crate::monitor::Alert;
     pub use crate::snapshot::{MonitorSnapshot, ShardSnapshot, SnapshotError};
     pub use crate::store::DatastoreState;
 }

@@ -1,12 +1,20 @@
-//! The runtime privacy monitor.
+//! The runtime [`Alert`], and the scan-path monitor kept as the
+//! differential oracle.
 //!
-//! The monitor consumes the engine's events and maintains, per user, the
-//! current privacy state of the generated LTS (the same `has` / `could`
+//! [`RuntimeMonitor`] consumes the engine's events and maintains, per user,
+//! the current privacy state of the generated LTS (the same `has` / `could`
 //! semantics the design-time generator uses). Whenever an event causes a
 //! non-allowed actor to identify — or become able to identify — a field the
 //! user is sensitive about, an [`Alert`] is raised with the risk level from
 //! the risk matrix. This is the "monitor the privacy risks during the
-//! lifetime of the service" path of the paper.
+//! lifetime of the service" path of the paper, written as directly as
+//! possible: every event walks the variable space by name.
+//!
+//! It is not the monitor to run. [`IndexedMonitor`](crate::IndexedMonitor)
+//! is, and is pinned to raise exactly this monitor's alerts and hold exactly
+//! its per-user states (`tests/indexed_monitor_differential.rs`, the
+//! `runtime_monitoring` example, the `runtime_scaling` bench). That is why
+//! this one is kept, here rather than in the crate's root exports.
 
 use crate::event::Event;
 use privacy_access::{AccessPolicy, Permission};
@@ -68,7 +76,8 @@ impl fmt::Display for Alert {
     }
 }
 
-/// The runtime privacy monitor for a set of registered users.
+/// The scan-path runtime privacy monitor for a set of registered users:
+/// the differential oracle of [`IndexedMonitor`](crate::IndexedMonitor).
 #[derive(Debug, Clone)]
 pub struct RuntimeMonitor {
     catalog: Catalog,

@@ -203,21 +203,19 @@ pub(crate) fn entry_user(body: &[u8], mut offset: usize) -> &[u8] {
     take_prefixed(body, &mut offset).expect("shard bodies hold validated entries")
 }
 
-/// Appends one shard-body entry encoding a user's state, each row under
-/// its smallest encoding. `row` is caller-owned scratch, so appending makes
-/// no allocation of its own once the buffers have grown.
-pub(crate) fn put_entry(
-    body: &mut Vec<u8>,
-    row: &mut Vec<u8>,
-    user: &str,
-    words: &[u64],
-    allowed: &[u64],
-    sensitivities: &[f64],
-) {
+/// Encodes one user's row into `row`, replacing its contents: the state
+/// words, the allowed-actor bitset and the sensitivities, each under its
+/// smallest encoding. Reusing `row` across users makes no allocation once
+/// it has grown.
+pub(crate) fn encode_row(row: &mut Vec<u8>, words: &[u64], allowed: &[u64], sensitivities: &[f64]) {
     row.clear();
     binary::put_u64_row(row, words);
     binary::put_u64_row(row, allowed);
     binary::put_f64_row(row, sensitivities);
+}
+
+/// Appends one shard-body entry: the user id and their encoded row.
+pub(crate) fn put_entry(body: &mut Vec<u8>, user: &str, row: &[u8]) {
     binary::put_varu(body, user.len() as u64);
     body.extend_from_slice(user.as_bytes());
     binary::put_varu(body, row.len() as u64);
@@ -665,7 +663,8 @@ impl MonitorSnapshot {
                         ),
                     });
                 }
-                put_entry(&mut body, &mut row, &user, &words, &allowed, &sensitivities);
+                encode_row(&mut row, &words, &allowed, &sensitivities);
+                put_entry(&mut body, &user, &row);
             }
             shards.push(ShardSnapshot { shard, users, body: Arc::new(body) });
         }

@@ -12,7 +12,8 @@
 
 use privacy_lts::{generate_lts, ActionKind, GeneratorConfig, LtsIndex, VarSpace};
 use privacy_model::{DatastoreId, FieldId, Record, UserId};
-use privacy_runtime::{Event, IndexedMonitor, RuntimeMonitor, ServiceEngine};
+use privacy_runtime::monitor::RuntimeMonitor;
+use privacy_runtime::{Event, IndexedMonitor, ServiceEngine};
 use privacy_synth::{
     random_model, random_profiles, random_workload, ModelGeneratorConfig, ProfileGeneratorConfig,
     WorkloadConfig,
@@ -181,5 +182,132 @@ proptest! {
         }
         // The monitor space and the index space describe the same layout.
         prop_assert_eq!(fixture.index.space(), &space);
+    }
+
+    /// Users who have seen no event are held encoded by the indexed
+    /// monitor; reading them (`state_of`, `is_registered`, `user_count`)
+    /// must still answer exactly as the scan monitor does — before any
+    /// event, after a re-registration, and after a stream prefix that
+    /// touches only some of them.
+    #[test]
+    fn untouched_users_read_like_the_scan_monitor(
+        seed in 0u64..1_000_000,
+        actors in 1usize..5,
+        fields in 1usize..5,
+        raw_events in 0usize..40,
+        prefix in 0usize..60,
+        reregistered in 0usize..5,
+    ) {
+        let fixture = fixture(seed, actors, fields, raw_events);
+        let registered = &fixture.users[..fixture.users.len() - 1];
+        let mut scan = RuntimeMonitor::new(fixture.catalog.clone(), fixture.policy.clone());
+        let mut indexed = IndexedMonitor::new(
+            fixture.catalog.clone(),
+            fixture.policy.clone(),
+            Arc::clone(&fixture.index),
+        );
+        let agree = |scan: &RuntimeMonitor,
+                     indexed: &IndexedMonitor,
+                     when: &str|
+         -> Result<(), TestCaseError> {
+            prop_assert!(
+                scan.user_count() == indexed.user_count(),
+                "user count {when}: scan {}, indexed {}",
+                scan.user_count(),
+                indexed.user_count()
+            );
+            for user in &fixture.users {
+                let expected = scan.state_of(user.id()).cloned();
+                let id = user.id();
+                prop_assert!(
+                    expected.is_some() == indexed.is_registered(id),
+                    "registration of {id} {when}"
+                );
+                prop_assert!(expected == indexed.state_of(id), "state of {id} {when}");
+            }
+            Ok(())
+        };
+        for user in registered {
+            scan.register_user(user);
+            indexed.register_user(user);
+        }
+        agree(&scan, &indexed, "before any event")?;
+        let events = &fixture.events[..prefix.min(fixture.events.len())];
+        let _ = scan.observe_all(events);
+        let _ = indexed.ingest_batch(events);
+        agree(&scan, &indexed, "after a prefix")?;
+        let user = &registered[reregistered % registered.len()];
+        scan.register_user(user);
+        indexed.register_user(user);
+        agree(&scan, &indexed, "after a re-registration")?;
+        let rest = &fixture.events[events.len()..];
+        prop_assert_eq!(scan.observe_all(rest), indexed.ingest_batch(rest));
+        agree(&scan, &indexed, "after the whole stream")?;
+    }
+}
+
+/// Registration one user at a time behind an `is_registered` check, as the
+/// shard worker registers (or an `activate` check, as the first-sight sink
+/// does), over a population large enough that every shard holds many more
+/// pending rows than a lookup scans: interleaved events, re-registrations
+/// and reads must still answer exactly as the scan monitor does.
+#[test]
+fn checked_registration_of_a_large_population_reads_like_the_scan_monitor() {
+    let fixture = fixture(17, 3, 3, 0);
+    let services: Vec<_> = fixture.catalog.services().map(|s| s.id().clone()).collect();
+    let fields: Vec<FieldId> = fixture.catalog.fields().map(|f| f.id().clone()).collect();
+    let users = random_profiles(&ProfileGeneratorConfig {
+        count: 2_000,
+        seed: 17,
+        services,
+        consent_probability: 0.5,
+        fields: fields.clone(),
+        sensitivity_probability: 0.7,
+    });
+    let actors: Vec<String> =
+        fixture.catalog.identifying_actors().map(|a| a.id().as_str().to_owned()).collect();
+    let mut rng = StdRng::seed_from_u64(17);
+    let mut scan = RuntimeMonitor::new(fixture.catalog.clone(), fixture.policy.clone());
+    let mut indexed = IndexedMonitor::new(
+        fixture.catalog.clone(),
+        fixture.policy.clone(),
+        Arc::clone(&fixture.index),
+    );
+    let mut sequence = 0u64;
+    for (i, user) in users.iter().enumerate() {
+        let check = |indexed: &mut IndexedMonitor| {
+            if i % 2 == 0 {
+                indexed.is_registered(user.id())
+            } else {
+                indexed.activate(user.id())
+            }
+        };
+        assert!(!check(&mut indexed), "{} before registration", user.id());
+        scan.register_user(user);
+        indexed.register_user(user);
+        assert!(check(&mut indexed), "{} after registration", user.id());
+        if i % 7 == 0 {
+            // An event for an earlier user, and re-registration of another.
+            let target = pick(&mut rng, &users[..=i]).id().clone();
+            let event = Event::new(
+                sequence,
+                target,
+                "SyntheticService",
+                pick(&mut rng, &actors).as_str(),
+                ActionKind::Collect,
+                vec![pick(&mut rng, &fields).clone()],
+                None,
+                true,
+            );
+            sequence += 1;
+            assert_eq!(scan.observe(&event), indexed.observe(&event));
+            let again = pick(&mut rng, &users[..=i]);
+            scan.register_user(again);
+            indexed.register_user(again);
+        }
+    }
+    assert_eq!(scan.user_count(), indexed.user_count());
+    for user in &users {
+        assert_eq!(scan.state_of(user.id()).cloned(), indexed.state_of(user.id()), "{}", user.id());
     }
 }

@@ -9,7 +9,7 @@
 //! surface as *typed* errors — never a panic, never a silent resume over
 //! misread state.
 
-use privacy_interchange::binary::{CodecError, Encoder};
+use privacy_interchange::binary::{self, CodecError, Encoder};
 use privacy_lts::{generate_lts, ActionKind, GeneratorConfig, LtsIndex};
 use privacy_model::{DatastoreId, FieldId, Record, UserId};
 use privacy_runtime::snapshot::{SNAPSHOT_KIND, SNAPSHOT_VERSION, SNAPSHOT_VERSION_V2};
@@ -657,6 +657,63 @@ fn snapshot_v3_fixture_from_before_incremental_capture_round_trips_byte_identica
     assert_eq!(resumed.snapshot().shards(), uninterrupted.snapshot().shards());
 }
 
+/// The snapshot bytes of `monitor` built without the monitor's capture
+/// path: every registered fixture user's row encoded afresh from their
+/// profile and current state, grouped by shard and sorted by id, and the
+/// pending alerts. Every fixture registration (and every donor row) uses
+/// the fixture profile of that user, so the profile gives the allowed
+/// actors and sensitivities of whoever is registered.
+fn encode_afresh(monitor: &IndexedMonitor, fixture: &Fixture) -> Vec<u8> {
+    let space = fixture.index.space();
+    let state_words = space.variable_count().div_ceil(64);
+    let allowed_words = space.actor_count().div_ceil(64);
+    let mut shards: Vec<Vec<(&str, Vec<u8>)>> = vec![Vec::new(); privacy_runtime::SHARD_COUNT];
+    for profile in fixture.users.iter().filter(|profile| monitor.is_registered(profile.id())) {
+        let state = monitor.state_of(profile.id()).expect("registered users have a state");
+        let consented = fixture.catalog.allowed_actors(profile.consent().services());
+        let mut allowed = vec![0u64; allowed_words];
+        for (a, actor) in space.actors().iter().enumerate() {
+            if consented.contains(actor) {
+                allowed[a / 64] |= 1 << (a % 64);
+            }
+        }
+        let sensitivities: Vec<f64> = space
+            .fields()
+            .iter()
+            .map(|field| profile.sensitivities().sensitivity(field).value())
+            .collect();
+        let mut row = Vec::new();
+        binary::put_u64_row(&mut row, state.words());
+        binary::put_u64_row(&mut row, &allowed);
+        binary::put_f64_row(&mut row, &sensitivities);
+        shards[shard_of_user(profile.id()) as usize].push((profile.id().as_str(), row));
+    }
+    let mut encoder = Encoder::new(SNAPSHOT_KIND, SNAPSHOT_VERSION);
+    encoder.u64(fixture.index.fingerprint());
+    encoder.u32(state_words as u32);
+    encoder.u32(allowed_words as u32);
+    encoder.u32(space.field_count() as u32);
+    encoder.varu(shards.iter().filter(|rows| !rows.is_empty()).count() as u64);
+    for (shard, rows) in shards.iter_mut().enumerate().filter(|(_, rows)| !rows.is_empty()) {
+        rows.sort_by(|a, b| a.0.cmp(b.0));
+        encoder.varu(shard as u64);
+        encoder.varu(rows.len() as u64);
+        for (user, row) in rows.iter() {
+            encoder.str_var(user);
+            encoder.varu(row.len() as u64);
+            encoder.raw(row);
+        }
+    }
+    encoder.varu(monitor.alerts().len() as u64);
+    for alert in monitor.alerts() {
+        encoder.varu(alert.sequence());
+        encoder.str_var(alert.user().as_str());
+        encoder.u8(alert.level().index() as u8);
+        encoder.str_var(alert.message());
+    }
+    encoder.finish()
+}
+
 /// One step of the warm-vs-cold capture differential.
 #[derive(Debug, Clone)]
 enum Op {
@@ -679,26 +736,30 @@ enum Op {
 
 /// A seeded random operation sequence over the fixture's users and
 /// events, always ending in a cut. Shard operations pick shards some user
-/// lives on, so they touch state.
+/// lives on, so they touch state. It opens by re-registering one user and
+/// touching another once, so every population mixes users never touched,
+/// touched once, and re-registered.
 fn random_ops(seed: u64, fixture: &Fixture, len: usize) -> Vec<Op> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed_0f0b5);
     let (users, events) = (fixture.users.len(), fixture.events.len());
     let user_shard = |rng: &mut StdRng| shard_of_user(pick(rng, &fixture.users).id());
-    let mut ops: Vec<Op> = (0..len)
-        .map(|_| match rng.gen_range(0..16u32) {
-            0 | 1 => Op::Register(rng.gen_range(0..users)),
-            2 | 3 if events > 0 => Op::Observe(rng.gen_range(0..events)),
-            4..=7 if events > 0 => {
-                let start = rng.gen_range(0..events);
-                let end = rng.gen_range(start..=events);
-                Op::Batch(start, end, if rng.gen_bool(0.5) { 1 } else { 4 })
-            }
-            8 => Op::Absorb((0..rng.gen_range(1..4)).map(|_| user_shard(&mut rng)).collect()),
-            9 => Op::RemoveShard(user_shard(&mut rng)),
-            10 => Op::Resume,
-            _ => Op::Cut,
-        })
-        .collect();
+    let mut ops = vec![Op::Register(rng.gen_range(0..users))];
+    if events > 0 {
+        ops.push(Op::Observe(rng.gen_range(0..events)));
+    }
+    ops.extend((0..len).map(|_| match rng.gen_range(0..16u32) {
+        0 | 1 => Op::Register(rng.gen_range(0..users)),
+        2 | 3 if events > 0 => Op::Observe(rng.gen_range(0..events)),
+        4..=7 if events > 0 => {
+            let start = rng.gen_range(0..events);
+            let end = rng.gen_range(start..=events);
+            Op::Batch(start, end, if rng.gen_bool(0.5) { 1 } else { 4 })
+        }
+        8 => Op::Absorb((0..rng.gen_range(1..4)).map(|_| user_shard(&mut rng)).collect()),
+        9 => Op::RemoveShard(user_shard(&mut rng)),
+        10 => Op::Resume,
+        _ => Op::Cut,
+    }));
     ops.push(Op::Cut);
     ops
 }
@@ -738,9 +799,11 @@ proptest! {
     /// mix of registration, `observe`, `ingest_batch` at 1 and 4 threads,
     /// `absorb`, `remove_shard_users` and resume, a long-lived monitor
     /// (its capture cache warm from every earlier cut) serializes exactly
-    /// the bytes of a monitor that replayed the same operations and
-    /// captures for the first time. Split→merge and per-shard extract of
-    /// the warm snapshot reproduce the same shard bodies and bytes.
+    /// the bytes of encoding every row afresh, and of a monitor that
+    /// replayed the same operations and captures for the first time. The
+    /// same holds right after every resume and absorb, whose rows stay
+    /// encoded until touched. Split→merge and per-shard extract of the
+    /// warm snapshot reproduce the same shard bodies and bytes.
     #[test]
     fn warm_capture_equals_cold_capture_at_every_cut(
         seed in 0u64..1_000_000,
@@ -779,6 +842,17 @@ proptest! {
                         &MonitorSnapshot::from_bytes(&bytes).expect("own bytes decode"),
                     )
                     .expect("own snapshot resumes");
+                    prop_assert!(
+                        warm.snapshot().to_bytes() == encode_afresh(&warm, &fixture),
+                        "capture after resume at op {at} of {ops:?} is not the fresh encoding"
+                    );
+                }
+                Op::Absorb(_) => {
+                    warm = apply(warm, op, &fixture, &donor);
+                    prop_assert!(
+                        warm.snapshot().to_bytes() == encode_afresh(&warm, &fixture),
+                        "capture after absorb at op {at} of {ops:?} is not the fresh encoding"
+                    );
                 }
                 Op::Cut => {
                     let snapshot = warm.snapshot();
@@ -794,6 +868,10 @@ proptest! {
                         .fold(monitor_over(&fixture), |cold, op| apply(cold, op, &fixture, &donor));
                     let cold_bytes = cold.snapshot().to_bytes();
                     prop_assert!(warm_bytes == cold_bytes, "warm capture diverged at op {at} of {ops:?}");
+                    prop_assert!(
+                        warm_bytes == encode_afresh(&warm, &fixture),
+                        "capture at op {at} of {ops:?} is not the fresh encoding"
+                    );
 
                     for parts in [2, 5] {
                         let merged = MonitorSnapshot::merge(&snapshot.split(parts))

@@ -14,7 +14,8 @@
 use privacy_mde::core::casestudy;
 use privacy_mde::lts::LtsIndex;
 use privacy_mde::model::{Record, SensitivityCategory, UserId, UserProfile};
-use privacy_mde::runtime::{IndexedMonitor, RuntimeMonitor, ServiceEngine};
+use privacy_mde::runtime::monitor::RuntimeMonitor;
+use privacy_mde::runtime::{IndexedMonitor, ServiceEngine};
 use privacy_mde::synth::{random_workload, WorkloadConfig};
 use std::sync::Arc;
 

@@ -36,6 +36,11 @@
 //! refused too; a tail counts its offset across rotations, so it takes a
 //! shorter file as truncated and reads it from the start.
 //!
+//! `--threads` sets the monitor's fan-out per batch. Without it the run
+//! sizes the fan-out from the cores the parser thread and, with
+//! `--checkpoint`, the checkpoint writer leave — at least one, so on two
+//! cores the monitor ingests on its own thread.
+//!
 //! Unknown users are registered on first sight — consenting to every
 //! catalog service by default (so alerts reflect risky *actions*, not a
 //! blanket absence of consent), or with empty consent under `--no-consent`.
@@ -94,6 +99,12 @@ Input:
                       alerts are flushed and a final checkpoint is written
   --dead-letter PATH  append quarantined records to PATH as NDJSON, each with
                       its byte offset and error kind
+
+Monitoring:
+  --batch N           events per monitor batch (default 1024)
+  --threads N         monitor threads per batch; by default the cores left
+                      after the parser thread and, with --checkpoint, the
+                      checkpoint writer (at least 1, so 1 on two cores)
 
 Checkpointing:
   --checkpoint PATH   every 1024 resolved events and once at drain,

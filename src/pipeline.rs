@@ -259,6 +259,14 @@ pub trait MonitorSink {
     fn capture(&mut self) -> Result<SinkCapture, PipelineError> {
         self.snapshot().map(SinkCapture::Encoded)
     }
+
+    /// Offers the sink `threads` threads for its own fan-out: the cores
+    /// [`PipelineRunner::run`] leaves after the threads it starts itself.
+    /// A sink configured with an explicit count keeps it; the default
+    /// ignores the offer.
+    fn set_thread_budget(&mut self, threads: usize) {
+        let _ = threads;
+    }
 }
 
 /// A sink's state at a checkpoint, as [`MonitorSink::capture`] returns it.
@@ -317,7 +325,7 @@ impl IndexedSink {
 impl MonitorSink for IndexedSink {
     fn ingest(&mut self, events: &[Event]) -> Result<Vec<Alert>, PipelineError> {
         for event in events {
-            if !self.monitor.is_registered(event.user()) {
+            if !self.monitor.activate(event.user()) {
                 self.monitor.register_user(&first_sight_profile(
                     event.user(),
                     &self.services,
@@ -343,6 +351,10 @@ impl MonitorSink for IndexedSink {
 
     fn capture(&mut self) -> Result<SinkCapture, PipelineError> {
         Ok(SinkCapture::Snapshot(self.monitor.snapshot()))
+    }
+
+    fn set_thread_budget(&mut self, threads: usize) {
+        self.monitor.set_thread_budget(threads);
     }
 }
 
@@ -556,6 +568,14 @@ enum WorkItem {
     Drained(StreamMeta),
 }
 
+/// The monitor's share of a host with `cores` cores: what is left after
+/// the threads [`PipelineRunner::run`] starts itself — the parser, plus the
+/// checkpoint writer when `checkpointing` — and at least one, the monitor
+/// loop's own.
+fn monitor_threads(cores: usize, checkpointing: bool) -> usize {
+    cores.saturating_sub(1 + usize::from(checkpointing)).max(1)
+}
+
 /// The supervised live pipeline. See the module docs.
 pub struct PipelineRunner {
     config: PipelineConfig,
@@ -593,6 +613,12 @@ impl PipelineRunner {
     /// Every checkpoint submitted during the run, the final one included,
     /// is durable (or has failed) when `run` returns.
     ///
+    /// The run owns one thread budget: the host's cores, less the parser
+    /// thread and (when checkpointing) the checkpoint writer, go to the
+    /// sink's fan-out ([`MonitorSink::set_thread_budget`]), at least one. On
+    /// two cores the indexed monitor thus ingests on the monitor loop's own
+    /// thread. A monitor built with an explicit thread count keeps it.
+    ///
     /// # Errors
     ///
     /// [`PipelineError`] on a fatal ingest, monitor, or IO failure. A
@@ -607,6 +633,10 @@ impl PipelineRunner {
         let (sender, receiver) = sync_channel::<WorkItem>(self.config.queue_batches.max(1));
         let mut report = PipelineReport::default();
         let durable = AtomicU64::new(0);
+        sink.set_thread_budget(monitor_threads(
+            privacy_lts::batch::resolve_threads(None),
+            self.config.checkpoint.is_some(),
+        ));
 
         let outcome = std::thread::scope(|scope| {
             let (progress, durable) = (&self.progress, &durable);
@@ -1105,6 +1135,73 @@ mod tests {
                     "every {every}: {ingested} of {lines} events ingested past the failed checkpoint"
                 );
             }
+        }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// The monitor gets the cores the parser and, when checkpointing, the
+    /// checkpoint writer leave, and always at least one.
+    #[test]
+    fn thread_budget_leaves_the_parser_and_writer_their_cores() {
+        for (cores, checkpointing, monitor) in [
+            (1, false, 1),
+            (1, true, 1),
+            (2, false, 1),
+            (2, true, 1),
+            (3, false, 2),
+            (3, true, 1),
+            (8, false, 7),
+            (8, true, 6),
+        ] {
+            assert_eq!(
+                monitor_threads(cores, checkpointing),
+                monitor,
+                "{cores} cores, checkpointing {checkpointing}"
+            );
+        }
+    }
+
+    /// The thread budget is a pure scheduling choice: a run with periodic
+    /// checkpoints raises the same alerts, in the same order, and writes a
+    /// byte-identical final checkpoint whether the monitor fans out over
+    /// one thread, four, or the budget `run` sizes. Half the log's users
+    /// are registered ahead of the run without consent (held encoded until
+    /// their first event, and alerted on), the rest on first sight.
+    #[test]
+    fn thread_budget_runs_equal_explicit_thread_counts() {
+        let dir = std::env::temp_dir().join(format!("pipeline-threads-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let mut outcomes = Vec::new();
+        for threads in [Some(1), Some(4), None] {
+            let (sink, log) = healthcare_sink_and_log(3_000);
+            let mut monitor = sink.monitor.with_threads(threads);
+            for i in (0..64).step_by(2) {
+                let user = UserId::new(format!("patient-{i:03}"));
+                monitor.register_user(&first_sight_profile(&user, &sink.services, true));
+            }
+            let mut sink = IndexedSink { monitor, ..sink };
+            let checkpoint = dir.join(format!("threads-{threads:?}.ckpt"));
+            let mut config = PipelineConfig::new(FieldMapping::canonical());
+            config.batch = 64;
+            config.checkpoint = Some(checkpoint.clone());
+            config.checkpoint_every_events = 128;
+            let follow = config.follow.clone();
+            let runner = PipelineRunner::new(config);
+            let mut alerts = Vec::new();
+            let source = LiveSource::pipe(Box::new(std::io::Cursor::new(log)), follow);
+            let report = runner
+                .run(source, &mut sink, |alert| alerts.push(alert.to_string()))
+                .expect("clean run");
+            assert!(report.checkpoints > 2, "{threads:?}: periodic checkpoints were written");
+            let bytes = std::fs::read(&checkpoint).expect("final checkpoint");
+            outcomes.push((threads, alerts, bytes));
+        }
+        let (_, alerts, bytes) = &outcomes[0];
+        assert!(!alerts.is_empty(), "the log must raise alerts for this test to pin anything");
+        for (threads, other_alerts, other_bytes) in &outcomes[1..] {
+            assert_eq!(other_alerts, alerts, "{threads:?}: alert stream differs");
+            assert!(other_bytes == bytes, "{threads:?}: final checkpoint bytes differ");
         }
         let _ = std::fs::remove_dir_all(dir);
     }

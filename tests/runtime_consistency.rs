@@ -6,7 +6,8 @@ use privacy_mde::access::{Permission, PolicyDelta};
 use privacy_mde::core::{casestudy, Pipeline};
 use privacy_mde::lts::VarSpace;
 use privacy_mde::model::{Record, RiskLevel, UserId};
-use privacy_mde::runtime::{RuntimeMonitor, ServiceEngine};
+use privacy_mde::runtime::monitor::RuntimeMonitor;
+use privacy_mde::runtime::ServiceEngine;
 
 fn patient_record(name: &str) -> Record {
     Record::new()
