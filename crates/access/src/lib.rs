@@ -21,7 +21,7 @@
 //! # Example
 //!
 //! ```
-//! use privacy_access::prelude::*;
+//! use privacy_access::{AccessPolicy, FieldScope, Grant, Permission};
 //! use privacy_model::{ActorId, DatastoreId, FieldId};
 //!
 //! let mut policy = AccessPolicy::new();
@@ -60,12 +60,3 @@ pub use acl::{AccessControlList, Grant};
 pub use permission::{FieldScope, Permission};
 pub use policy::{AccessPolicy, PolicyChange, PolicyDelta};
 pub use rbac::{RbacPolicy, Role, RoleGrant};
-
-/// Convenience re-export of the most commonly used items.
-pub mod prelude {
-    pub use crate::abac::{AbacPolicy, AbacRule, AttributePredicate, AttributeValue};
-    pub use crate::acl::{AccessControlList, Grant};
-    pub use crate::permission::{FieldScope, Permission};
-    pub use crate::policy::{AccessPolicy, PolicyChange, PolicyDelta};
-    pub use crate::rbac::{RbacPolicy, Role, RoleGrant};
-}

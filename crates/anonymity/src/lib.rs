@@ -30,7 +30,7 @@
 //! # Example
 //!
 //! ```
-//! use privacy_anonymity::prelude::*;
+//! use privacy_anonymity::{Hierarchy, KAnonymizer};
 //! use privacy_model::{Dataset, FieldId, Record};
 //!
 //! // Two quasi-identifiers, one sensitive value.
@@ -65,14 +65,3 @@ pub use pseudonym::Pseudonymizer;
 pub use tcloseness::{satisfies_t_closeness, t_closeness_of};
 pub use utility::{utility_report, UtilityReport};
 pub use value_risk::{value_risk, RecordRisk, ValueRiskPolicy, ValueRiskReport};
-
-/// Convenience re-export of the most commonly used items.
-pub mod prelude {
-    pub use crate::hierarchy::Hierarchy;
-    pub use crate::kanon::{AnonymisationResult, EquivalenceClass, KAnonymizer};
-    pub use crate::ldiversity::{l_diversity_of, satisfies_l_diversity};
-    pub use crate::pseudonym::Pseudonymizer;
-    pub use crate::tcloseness::{satisfies_t_closeness, t_closeness_of};
-    pub use crate::utility::{utility_report, UtilityReport};
-    pub use crate::value_risk::{value_risk, RecordRisk, ValueRiskPolicy, ValueRiskReport};
-}

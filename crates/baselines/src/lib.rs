@@ -30,13 +30,3 @@ pub use cat::{record_disclosure_risks, records_at_risk, BackgroundKnowledge};
 pub use fsm::{handcrafted_medical_service_fsm, HandcraftedFsm};
 pub use linddun::{threat_catalogue_pass, Threat, ThreatCategory};
 pub use reident::{journalist_risk, marketer_risk, prosecutor_risk, ReidentificationRisk};
-
-/// Convenience re-export of the most commonly used items.
-pub mod prelude {
-    pub use crate::cat::{record_disclosure_risks, records_at_risk, BackgroundKnowledge};
-    pub use crate::fsm::{handcrafted_medical_service_fsm, HandcraftedFsm};
-    pub use crate::linddun::{threat_catalogue_pass, Threat, ThreatCategory};
-    pub use crate::reident::{
-        journalist_risk, marketer_risk, prosecutor_risk, ReidentificationRisk,
-    };
-}

@@ -18,7 +18,7 @@
 //! * [`lts_check`] — design-time checking of a policy against the generated
 //!   LTS privacy model: [`check_lts`] probes a columnar
 //!   [`privacy_lts::LtsIndex`] built once per call (or reused across calls
-//!   via [`check_lts_indexed`] and the parallel [`check_lts_batch`]), while
+//!   via [`check_lts_indexed`] and the parallel [`check_lts_batch_indexed`]), while
 //!   [`check_lts_scan`] retains the original full-scan semantics for
 //!   differential testing;
 //! * [`runtime_check`] — operation-time checking of the same policy against
@@ -69,9 +69,7 @@ pub mod report;
 pub mod runtime_check;
 pub mod statement;
 
-pub use lts_check::{
-    check_lts, check_lts_batch, check_lts_batch_indexed, check_lts_indexed, check_lts_scan,
-};
+pub use lts_check::{check_lts, check_lts_batch_indexed, check_lts_indexed, check_lts_scan};
 pub use policy::{baseline_policy, forbid_non_allowed, PrivacyPolicy};
 pub use report::{ComplianceReport, StatementOutcome, Violation};
 pub use runtime_check::{
@@ -79,17 +77,3 @@ pub use runtime_check::{
     AuditError,
 };
 pub use statement::{ActorMatcher, FieldMatcher, Statement, StatementKind};
-
-/// Convenience re-export of the most commonly used items.
-pub mod prelude {
-    pub use crate::lts_check::{
-        check_lts, check_lts_batch, check_lts_batch_indexed, check_lts_indexed, check_lts_scan,
-    };
-    pub use crate::policy::{baseline_policy, forbid_non_allowed, PrivacyPolicy};
-    pub use crate::report::{ComplianceReport, StatementOutcome, Violation};
-    pub use crate::runtime_check::{
-        check_log, check_log_checkpointed, check_log_indexed, check_log_scan, AuditCheckpoint,
-        AuditError,
-    };
-    pub use crate::statement::{ActorMatcher, FieldMatcher, Statement, StatementKind};
-}

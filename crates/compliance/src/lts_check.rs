@@ -5,7 +5,7 @@
 //! rules out. Two interchangeable strategies exist:
 //!
 //! * **Index probes** ([`check_lts`], [`check_lts_indexed`],
-//!   [`check_lts_batch`]) — the fast path. A columnar
+//!   [`check_lts_batch_indexed`]) — the fast path. A columnar
 //!   [`LtsIndex`] is built (or reused) and every statement resolves through
 //!   posting lists, packed bitsets and interned indices: `O(statements ×
 //!   transitions)` label scans become per-statement probes, and one index
@@ -24,7 +24,7 @@
 use crate::policy::PrivacyPolicy;
 use crate::report::{check_each, ComplianceReport, Skip, Target, Violation};
 use crate::statement::{FieldMatcher, Statement, StatementKind};
-use privacy_lts::{ActionKind, Lts, LtsIndex, LtsQuery, TransitionId};
+use privacy_lts::{ActionKind, Lts, LtsIndex, TransitionId};
 use privacy_model::FieldId;
 use std::collections::BTreeSet;
 
@@ -68,24 +68,14 @@ pub fn check_lts_indexed(lts: &Lts, index: &LtsIndex, policy: &PrivacyPolicy) ->
     check_each(policy, target(lts), |_, statement, violations| probes.check(statement, violations))
 }
 
-/// Checks many policies over **one** index build, evaluating policies in
-/// parallel over `threads` crossbeam scoped threads (`None` = one per CPU).
+/// Checks many policies over **one** prebuilt index (built from `lts`, as
+/// for [`check_lts_indexed`]), evaluating policies in parallel over
+/// `threads` crossbeam scoped threads (`None` = one per CPU).
 ///
 /// Reports come back in policy order and are identical to running
 /// [`check_lts`] per policy (and therefore to [`check_lts_scan`]) — the
 /// parallelism only partitions the policy list, never the evaluation of a
 /// single statement.
-pub fn check_lts_batch(
-    lts: &Lts,
-    policies: &[PrivacyPolicy],
-    threads: Option<usize>,
-) -> Vec<ComplianceReport> {
-    let index = LtsIndex::build(lts);
-    check_lts_batch_indexed(lts, &index, policies, threads)
-}
-
-/// Like [`check_lts_batch`] but over a prebuilt index (the benchmark uses
-/// this to time probe throughput separately from the build).
 pub fn check_lts_batch_indexed(
     lts: &Lts,
     index: &LtsIndex,
@@ -334,12 +324,14 @@ fn check_statement_scan(
             }
         }
         StatementKind::MaxExposure { field, max_actors } => {
-            let query = LtsQuery::new(lts);
-            let exposed: Vec<privacy_model::ActorId> = lts
-                .space()
+            let space = lts.space();
+            let reachable = lts.reachable();
+            let exposed: Vec<privacy_model::ActorId> = space
                 .actors()
                 .iter()
-                .filter(|actor| query.can_actor_identify(actor, field))
+                .filter(|actor| {
+                    reachable.iter().any(|id| lts.state(*id).has_or_could(space, actor, field))
+                })
                 .cloned()
                 .collect();
             if exposed.len() > *max_actors {
@@ -588,10 +580,11 @@ mod tests {
         ];
         let expected: Vec<ComplianceReport> =
             policies.iter().map(|policy| check_lts_scan(&lts, policy)).collect();
+        let index = LtsIndex::build(&lts);
         for threads in [None, Some(1), Some(2), Some(4)] {
-            assert_eq!(check_lts_batch(&lts, &policies, threads), expected);
+            assert_eq!(check_lts_batch_indexed(&lts, &index, &policies, threads), expected);
         }
-        assert!(check_lts_batch(&lts, &[], Some(2)).is_empty());
+        assert!(check_lts_batch_indexed(&lts, &index, &[], Some(2)).is_empty());
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! and miss on purpose.
 
 use privacy_compliance::{
-    check_lts, check_lts_batch, check_lts_batch_indexed, check_lts_scan, ActorMatcher,
-    ComplianceReport, FieldMatcher, PrivacyPolicy, Statement,
+    check_lts, check_lts_batch_indexed, check_lts_scan, ActorMatcher, ComplianceReport,
+    FieldMatcher, PrivacyPolicy, Statement,
 };
 use privacy_core::casestudy;
 use privacy_lts::{generate_lts, ActionKind, GeneratorConfig, Lts, LtsIndex};
@@ -166,7 +166,8 @@ proptest! {
             .iter()
             .map(|statement| PrivacyPolicy::new("unit").with_statement(statement.clone()))
             .collect();
-        let batch = check_lts_batch(&lts, &policies, Some(threads));
+        let index = LtsIndex::build(&lts);
+        let batch = check_lts_batch_indexed(&lts, &index, &policies, Some(threads));
         let expected: Vec<ComplianceReport> =
             policies.iter().map(|policy| check_lts_scan(&lts, policy)).collect();
         prop_assert_eq!(render_all(&batch), render_all(&expected));

@@ -46,10 +46,3 @@ pub mod system;
 
 pub use pipeline::{Pipeline, PipelineOutcome, PopulationOutcome};
 pub use system::{PrivacySystem, PrivacySystemBuilder};
-
-/// Convenience re-export of the most commonly used items.
-pub mod prelude {
-    pub use crate::casestudy;
-    pub use crate::pipeline::{Pipeline, PipelineOutcome, PopulationOutcome};
-    pub use crate::system::{PrivacySystem, PrivacySystemBuilder};
-}

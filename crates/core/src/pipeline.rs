@@ -53,7 +53,7 @@ pub struct PopulationOutcome {
 impl PopulationOutcome {
     /// An index-backed query over the generated LTS.
     pub fn query(&self) -> LtsQuery<'_> {
-        LtsQuery::with_index(&self.lts, &self.index)
+        LtsQuery::new(&self.lts, &self.index)
     }
 
     /// A shared handle on the analysis index — the design-time build a
@@ -278,7 +278,7 @@ mod tests {
         let outcome = pipeline.analyse_population(&users, Some(2)).unwrap();
         assert_eq!(outcome.reports.len(), 2);
         // The index-backed query answers from the same shared snapshot.
-        assert!(outcome.query().index().is_some());
+        assert!(std::ptr::eq(outcome.query().index(), &*outcome.index));
         assert!(outcome.query().can_actor_identify(
             &casestudy::actors::administrator(),
             &casestudy::fields::diagnosis()

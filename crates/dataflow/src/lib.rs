@@ -23,7 +23,7 @@
 //! # Example
 //!
 //! ```
-//! use privacy_dataflow::prelude::*;
+//! use privacy_dataflow::DiagramBuilder;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let diagram = DiagramBuilder::new("MedicalService")
@@ -52,12 +52,3 @@ pub use flow::{Flow, FlowKind};
 pub use node::Node;
 pub use system::SystemDataFlows;
 pub use validate::{ValidationIssue, ValidationReport};
-
-/// Convenience re-export of the most commonly used items.
-pub mod prelude {
-    pub use crate::diagram::{DataFlowDiagram, DiagramBuilder};
-    pub use crate::flow::{Flow, FlowKind};
-    pub use crate::node::Node;
-    pub use crate::system::SystemDataFlows;
-    pub use crate::validate::{ValidationIssue, ValidationReport};
-}

@@ -68,16 +68,3 @@ pub use supervisor::{
     DistribError, DistribStats, DistributedMonitor, Recovery, RestartPolicy, SupervisorConfig,
 };
 pub use wire::Message;
-
-/// Convenience re-export of the most commonly used items.
-pub mod prelude {
-    pub use crate::checkpoint::{
-        CheckpointJob, CheckpointStore, CheckpointWarning, CheckpointWriteError, CheckpointWriter,
-        Generation,
-    };
-    pub use crate::fault::{Fault, FaultPlan};
-    pub use crate::supervisor::{
-        DistribError, DistribStats, DistributedMonitor, Recovery, RestartPolicy, SupervisorConfig,
-    };
-    pub use crate::wire::Message;
-}

@@ -44,18 +44,3 @@ pub use reader::{ingest_bytes, Diagnostic, Format, IngestOptions, IngestReport, 
 pub use record::{RawRecord, RawValue};
 pub use resolve::Resolver;
 pub use stream::{LineIngestor, LinePush, QuarantinedLine};
-
-/// Everything a log-ingesting binary typically needs.
-pub mod prelude {
-    pub use crate::deadletter::{DeadLetterRecord, DeadLetterWriter};
-    pub use crate::error::{ErrorPolicy, IngestError, Role};
-    pub use crate::gzip::{gunzip, gzip_compress_stored, is_gzip, GzipError};
-    pub use crate::live::{FollowConfig, LiveSource, SourceEvent};
-    pub use crate::mapping::FieldMapping;
-    pub use crate::reader::{
-        ingest_bytes, Diagnostic, Format, IngestOptions, IngestReport, IngestStats,
-    };
-    pub use crate::record::{RawRecord, RawValue};
-    pub use crate::resolve::Resolver;
-    pub use crate::stream::{LineIngestor, LinePush, QuarantinedLine};
-}

@@ -140,12 +140,6 @@ impl FileTail {
         self.truncations
     }
 
-    /// Bytes read from the currently open segment.
-    #[must_use]
-    pub fn segment_pos(&self) -> u64 {
-        self.pos
-    }
-
     fn transient(&mut self, error: &std::io::Error) -> Result<SourceEvent, IngestError> {
         self.errors += 1;
         if self.errors > self.config.max_retries {

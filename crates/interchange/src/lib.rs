@@ -115,14 +115,3 @@ pub fn parse_document(source: &str) -> Result<ModelDocument, InterchangeError> {
     let ast = parse_ast(source)?;
     resolve_ast(&ast)
 }
-
-/// Convenience re-export of the most commonly used items.
-pub mod prelude {
-    pub use crate::ast::ModelAst;
-    pub use crate::error::{InterchangeError, InterchangeErrorKind};
-    pub use crate::parse_document;
-    pub use crate::parser::parse_ast;
-    pub use crate::printer::{render_document, render_system};
-    pub use crate::resolve::{resolve_ast, ModelDocument};
-    pub use crate::span::{Position, Span};
-}

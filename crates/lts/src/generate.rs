@@ -95,12 +95,6 @@ impl GeneratorConfig {
         self
     }
 
-    /// Builder-style: restrict the explored services.
-    pub fn with_services(mut self, services: impl IntoIterator<Item = ServiceId>) -> Self {
-        self.services = Some(services.into_iter().collect());
-        self
-    }
-
     /// Builder-style: set the composite-state safety bound.
     pub fn with_max_states(mut self, max_states: usize) -> Self {
         self.max_states = max_states;

@@ -33,14 +33,14 @@
 //!   compliance analyses probe instead of re-scanning the transition
 //!   relation per question.
 //! * [`query`] — privacy-specific queries used by the risk analyses; an
-//!   [`LtsQuery`] answers from the index when one is attached.
+//!   [`LtsQuery`] answers each one from an [`LtsIndex`].
 //! * [`dot`] — Graphviz export (Fig. 3 / Fig. 4 style, with risk transitions
 //!   drawn dotted).
 //!
 //! # Example
 //!
 //! ```
-//! use privacy_lts::prelude::*;
+//! use privacy_lts::{PrivacyState, VarSpace};
 //! use privacy_model::{ActorId, FieldId};
 //!
 //! let space = VarSpace::new(
@@ -80,16 +80,3 @@ pub use query::LtsQuery;
 pub use reference::generate_lts_reference;
 pub use space::VarSpace;
 pub use state::PrivacyState;
-
-/// Convenience re-export of the most commonly used items.
-pub mod prelude {
-    pub use crate::dot::lts_to_dot;
-    pub use crate::generate::{generate_lts, GeneratorConfig};
-    pub use crate::index::LtsIndex;
-    pub use crate::label::{ActionKind, RiskAnnotation, TransitionLabel};
-    pub use crate::lts::{Lts, LtsStats, StateId, Transition, TransitionId};
-    pub use crate::query::LtsQuery;
-    pub use crate::reference::generate_lts_reference;
-    pub use crate::space::VarSpace;
-    pub use crate::state::PrivacyState;
-}

@@ -283,15 +283,6 @@ impl Lts {
         &self.transitions[id.0]
     }
 
-    /// Mutable access to a transition (used by risk annotation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id does not belong to this LTS.
-    pub fn transition_mut(&mut self, id: TransitionId) -> &mut Transition {
-        &mut self.transitions[id.0]
-    }
-
     /// Attaches a risk annotation to a transition.
     ///
     /// # Panics

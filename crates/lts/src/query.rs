@@ -2,16 +2,12 @@
 //!
 //! The paper argues that *"a developer can determine which actors can
 //! identify which data during the course of a service (in conflict with user
-//! preferences)"*. [`LtsQuery`] wraps an [`Lts`] with the questions the risk
-//! analyses and the examples need to ask.
-//!
-//! Every query has two execution strategies: a direct scan over the
-//! transition relation / reachable states, and — when an [`LtsIndex`] is
-//! attached via [`LtsQuery::with_index`] — a probe of the columnar index's
-//! posting lists. Both return identical results in identical order (the
-//! index stores its postings in transition-id and breadth-first state order,
-//! exactly the orders the scans produce); the property tests in
-//! `privacy-compliance` and `privacy-risk` pin that equivalence.
+//! preferences)"*. [`LtsQuery`] wraps an [`Lts`] and its columnar
+//! [`LtsIndex`] with the questions the risk analyses and the examples need to
+//! ask, and answers each by probing the index's posting lists. The postings
+//! are stored in transition-id and breadth-first state order, so every answer
+//! lists its states and transitions in the order a scan of the LTS would; the
+//! tests below compare each query with such a scan.
 
 use crate::index::LtsIndex;
 use crate::label::ActionKind;
@@ -19,25 +15,19 @@ use crate::lts::{Lts, StateId, Transition, TransitionId};
 use privacy_model::{ActorId, FieldId};
 use std::collections::BTreeSet;
 
-/// A read-only query interface over an [`Lts`], optionally accelerated by a
-/// columnar [`LtsIndex`].
+/// A read-only query interface over an [`Lts`] and its [`LtsIndex`].
 #[derive(Debug, Clone, Copy)]
 pub struct LtsQuery<'a> {
     lts: &'a Lts,
-    index: Option<&'a LtsIndex>,
+    index: &'a LtsIndex,
 }
 
 impl<'a> LtsQuery<'a> {
-    /// Wraps an LTS (scan strategy).
-    pub fn new(lts: &'a Lts) -> Self {
-        LtsQuery { lts, index: None }
-    }
-
-    /// Wraps an LTS together with its analysis index (probe strategy). The
-    /// index must have been built from this LTS (and the LTS must not have
-    /// been mutated since), otherwise answers describe the stale snapshot.
-    pub fn with_index(lts: &'a Lts, index: &'a LtsIndex) -> Self {
-        LtsQuery { lts, index: Some(index) }
+    /// Wraps an LTS together with its analysis index. The index must have
+    /// been built from this LTS (and the LTS must not have been mutated
+    /// since), otherwise answers describe the stale snapshot.
+    pub fn new(lts: &'a Lts, index: &'a LtsIndex) -> Self {
+        LtsQuery { lts, index }
     }
 
     /// The underlying LTS.
@@ -45,48 +35,25 @@ impl<'a> LtsQuery<'a> {
         self.lts
     }
 
-    /// The attached analysis index, if any.
-    pub fn index(&self) -> Option<&'a LtsIndex> {
+    /// The analysis index the queries probe.
+    pub fn index(&self) -> &'a LtsIndex {
         self.index
     }
 
     /// The reachable states in which `actor` **has identified** `field`.
     pub fn states_where_identified(&self, actor: &ActorId, field: &FieldId) -> Vec<StateId> {
-        if let Some(index) = self.index {
-            return index.states_where_has(actor, field).to_vec();
-        }
-        let space = self.lts.space();
-        self.lts
-            .reachable()
-            .into_iter()
-            .filter(|id| self.lts.state(*id).has(space, actor, field))
-            .collect()
+        self.index.states_where_has(actor, field).to_vec()
     }
 
     /// The reachable states in which `actor` **could identify** `field`.
     pub fn states_where_accessible(&self, actor: &ActorId, field: &FieldId) -> Vec<StateId> {
-        if let Some(index) = self.index {
-            return index.states_where_could(actor, field).to_vec();
-        }
-        let space = self.lts.space();
-        self.lts
-            .reachable()
-            .into_iter()
-            .filter(|id| self.lts.state(*id).could(space, actor, field))
-            .collect()
+        self.index.states_where_could(actor, field).to_vec()
     }
 
     /// Returns `true` if some reachable state lets `actor` identify `field`
     /// (either `has` or `could`).
     pub fn can_actor_identify(&self, actor: &ActorId, field: &FieldId) -> bool {
-        if let Some(index) = self.index {
-            return index.can_actor_identify(actor, field);
-        }
-        let space = self.lts.space();
-        self.lts
-            .reachable()
-            .into_iter()
-            .any(|id| self.lts.state(id).has_or_could(space, actor, field))
+        self.index.can_actor_identify(actor, field)
     }
 
     /// Every (actor, field) pair exposed (`has ∨ could`) in some reachable
@@ -94,21 +61,12 @@ impl<'a> LtsQuery<'a> {
     /// course of a service".
     pub fn exposure_summary(&self) -> BTreeSet<(ActorId, FieldId)> {
         let space = self.lts.space();
-        if let Some(index) = self.index {
-            let mut summary = BTreeSet::new();
-            for actor in space.actors() {
-                for field in space.fields() {
-                    if index.can_actor_identify(actor, field) {
-                        summary.insert((actor.clone(), field.clone()));
-                    }
-                }
-            }
-            return summary;
-        }
         let mut summary = BTreeSet::new();
-        for id in self.lts.reachable() {
-            for (actor, field) in self.lts.state(id).exposed_pairs(space) {
-                summary.insert((actor.clone(), field.clone()));
+        for actor in space.actors() {
+            for field in space.fields() {
+                if self.index.can_actor_identify(actor, field) {
+                    summary.insert((actor.clone(), field.clone()));
+                }
             }
         }
         summary
@@ -116,18 +74,12 @@ impl<'a> LtsQuery<'a> {
 
     /// The transitions performing a given action kind.
     pub fn transitions_of_kind(&self, action: ActionKind) -> Vec<(TransitionId, &'a Transition)> {
-        if let Some(index) = self.index {
-            return self.resolve(index.transitions_of_kind(action));
-        }
-        self.lts.transitions().filter(|(_, t)| t.label().action() == action).collect()
+        self.resolve(self.index.transitions_of_kind(action))
     }
 
     /// The transitions performed by a given actor.
     pub fn transitions_by_actor(&self, actor: &ActorId) -> Vec<(TransitionId, &'a Transition)> {
-        if let Some(index) = self.index {
-            return self.resolve(index.transitions_by_actor(actor));
-        }
-        self.lts.transitions().filter(|(_, t)| t.label().actor() == actor).collect()
+        self.resolve(self.index.transitions_by_actor(actor))
     }
 
     /// The transitions that involve a given field.
@@ -135,10 +87,7 @@ impl<'a> LtsQuery<'a> {
         &self,
         field: &FieldId,
     ) -> Vec<(TransitionId, &'a Transition)> {
-        if let Some(index) = self.index {
-            return self.resolve(index.transitions_involving_field(field));
-        }
-        self.lts.transitions().filter(|(_, t)| t.label().involves_field(field)).collect()
+        self.resolve(self.index.transitions_involving_field(field))
     }
 
     /// The `read` transitions performed by actors outside the allowed set —
@@ -147,21 +96,14 @@ impl<'a> LtsQuery<'a> {
         &self,
         allowed: &BTreeSet<ActorId>,
     ) -> Vec<(TransitionId, &'a Transition)> {
-        if let Some(index) = self.index {
-            let ids: Vec<u32> = index
-                .transitions_of_kind(ActionKind::Read)
-                .iter()
-                .filter(|&&tx| !allowed.contains(index.actor_of(tx)))
-                .copied()
-                .collect();
-            return self.resolve(&ids);
-        }
-        self.lts
-            .transitions()
-            .filter(|(_, t)| {
-                t.label().action() == ActionKind::Read && !allowed.contains(t.label().actor())
-            })
-            .collect()
+        let index = self.index;
+        let ids: Vec<u32> = index
+            .transitions_of_kind(ActionKind::Read)
+            .iter()
+            .filter(|&&tx| !allowed.contains(index.actor_of(tx)))
+            .copied()
+            .collect();
+        self.resolve(&ids)
     }
 
     /// The shortest action trace (labels only) leading to a state where
@@ -239,7 +181,8 @@ mod tests {
     #[test]
     fn state_queries_find_identification_and_accessibility() {
         let lts = sample_lts();
-        let query = LtsQuery::new(&lts);
+        let index = LtsIndex::build(&lts);
+        let query = LtsQuery::new(&lts, &index);
 
         assert_eq!(query.states_where_identified(&doctor(), &name()).len(), 3);
         assert_eq!(query.states_where_identified(&admin(), &diagnosis()).len(), 1);
@@ -251,7 +194,8 @@ mod tests {
     #[test]
     fn exposure_summary_lists_every_exposed_pair() {
         let lts = sample_lts();
-        let summary = LtsQuery::new(&lts).exposure_summary();
+        let index = LtsIndex::build(&lts);
+        let summary = LtsQuery::new(&lts, &index).exposure_summary();
         assert!(summary.contains(&(doctor(), name())));
         assert!(summary.contains(&(admin(), diagnosis())));
         assert!(!summary.contains(&(admin(), name())));
@@ -261,7 +205,8 @@ mod tests {
     #[test]
     fn transition_filters_work() {
         let lts = sample_lts();
-        let query = LtsQuery::new(&lts);
+        let index = LtsIndex::build(&lts);
+        let query = LtsQuery::new(&lts, &index);
         assert_eq!(query.transitions_of_kind(ActionKind::Read).len(), 1);
         assert_eq!(query.transitions_of_kind(ActionKind::Delete).len(), 0);
         assert_eq!(query.transitions_by_actor(&doctor()).len(), 2);
@@ -271,7 +216,8 @@ mod tests {
     #[test]
     fn non_allowed_reads_are_found() {
         let lts = sample_lts();
-        let query = LtsQuery::new(&lts);
+        let index = LtsIndex::build(&lts);
+        let query = LtsQuery::new(&lts, &index);
         let allowed: BTreeSet<ActorId> = [doctor()].into_iter().collect();
         let risky = query.reads_by_non_allowed(&allowed);
         assert_eq!(risky.len(), 1);
@@ -284,7 +230,8 @@ mod tests {
     #[test]
     fn trace_to_identification_returns_action_sequence() {
         let lts = sample_lts();
-        let query = LtsQuery::new(&lts);
+        let index = LtsIndex::build(&lts);
+        let query = LtsQuery::new(&lts, &index);
         let trace = query.trace_to_identification(&admin(), &diagnosis()).unwrap();
         assert_eq!(trace.len(), 3);
         assert!(trace[0].starts_with("collect"));
@@ -292,42 +239,70 @@ mod tests {
         assert!(query.trace_to_identification(&admin(), &name()).is_none());
     }
 
+    /// The reachable states satisfying `holds`, in breadth-first order.
+    fn scan_states(lts: &Lts, holds: impl Fn(&PrivacyState) -> bool) -> Vec<StateId> {
+        lts.reachable().into_iter().filter(|id| holds(lts.state(*id))).collect()
+    }
+
+    /// The transitions whose label satisfies `keep`, in transition-id order.
+    fn scan_transitions(
+        lts: &Lts,
+        keep: impl Fn(&TransitionLabel) -> bool,
+    ) -> Vec<(TransitionId, &Transition)> {
+        lts.transitions().filter(|(_, t)| keep(t.label())).collect()
+    }
+
     #[test]
     fn indexed_queries_equal_scan_queries() {
         let lts = sample_lts();
+        let space = lts.space();
         let index = LtsIndex::build(&lts);
-        let scan = LtsQuery::new(&lts);
-        let probed = LtsQuery::with_index(&lts, &index);
-        assert!(probed.index().is_some());
+        let query = LtsQuery::new(&lts, &index);
 
         for actor in [doctor(), admin(), ActorId::new("Ghost")] {
             for field in [name(), diagnosis(), FieldId::new("Ghost")] {
                 assert_eq!(
-                    scan.states_where_identified(&actor, &field),
-                    probed.states_where_identified(&actor, &field)
+                    query.states_where_identified(&actor, &field),
+                    scan_states(&lts, |s| s.has(space, &actor, &field))
                 );
                 assert_eq!(
-                    scan.states_where_accessible(&actor, &field),
-                    probed.states_where_accessible(&actor, &field)
+                    query.states_where_accessible(&actor, &field),
+                    scan_states(&lts, |s| s.could(space, &actor, &field))
                 );
                 assert_eq!(
-                    scan.can_actor_identify(&actor, &field),
-                    probed.can_actor_identify(&actor, &field)
+                    query.can_actor_identify(&actor, &field),
+                    !scan_states(&lts, |s| s.has_or_could(space, &actor, &field)).is_empty()
                 );
             }
-            assert_eq!(scan.transitions_by_actor(&actor), probed.transitions_by_actor(&actor));
-        }
-        assert_eq!(scan.exposure_summary(), probed.exposure_summary());
-        for action in ActionKind::ALL {
-            assert_eq!(scan.transitions_of_kind(action), probed.transitions_of_kind(action));
-        }
-        for field in [name(), diagnosis()] {
             assert_eq!(
-                scan.transitions_involving_field(&field),
-                probed.transitions_involving_field(&field)
+                query.transitions_by_actor(&actor),
+                scan_transitions(&lts, |l| l.actor() == &actor)
+            );
+        }
+        let exposed: BTreeSet<(ActorId, FieldId)> = lts
+            .reachable()
+            .into_iter()
+            .flat_map(|id| lts.state(id).exposed_pairs(space))
+            .map(|(actor, field)| (actor.clone(), field.clone()))
+            .collect();
+        assert_eq!(query.exposure_summary(), exposed);
+        for action in ActionKind::ALL {
+            assert_eq!(
+                query.transitions_of_kind(action),
+                scan_transitions(&lts, |l| l.action() == action)
+            );
+        }
+        for field in [name(), diagnosis(), FieldId::new("Ghost")] {
+            assert_eq!(
+                query.transitions_involving_field(&field),
+                scan_transitions(&lts, |l| l.involves_field(&field))
             );
         }
         let allowed: BTreeSet<ActorId> = [doctor()].into_iter().collect();
-        assert_eq!(scan.reads_by_non_allowed(&allowed), probed.reads_by_non_allowed(&allowed));
+        assert_eq!(
+            query.reads_by_non_allowed(&allowed),
+            scan_transitions(&lts, |l| l.action() == ActionKind::Read
+                && !allowed.contains(l.actor()))
+        );
     }
 }

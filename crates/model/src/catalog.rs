@@ -123,7 +123,10 @@ impl fmt::Display for ServiceDecl {
 /// # Example
 ///
 /// ```
-/// use privacy_model::prelude::*;
+/// use privacy_model::{
+///     Actor, ActorId, Catalog, DataField, DataSchema, DatastoreDecl, FieldId, ModelError,
+///     ServiceDecl,
+/// };
 ///
 /// # fn main() -> Result<(), ModelError> {
 /// let mut catalog = Catalog::new();

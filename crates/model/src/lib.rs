@@ -28,7 +28,7 @@
 //! # Example
 //!
 //! ```
-//! use privacy_model::prelude::*;
+//! use privacy_model::{Actor, ActorId, Catalog, DataField, DataSchema, FieldId, ModelError};
 //!
 //! # fn main() -> Result<(), ModelError> {
 //! let mut catalog = Catalog::new();
@@ -68,19 +68,3 @@ pub use risk_level::{Likelihood, RiskLevel, Severity};
 pub use sensitivity::{Sensitivity, SensitivityCategory, SensitivityProfile};
 pub use user::UserProfile;
 pub use value::{Dataset, Record, Value};
-
-/// Convenience re-export of the most commonly used items.
-pub mod prelude {
-    pub use crate::actor::{Actor, ActorKind};
-    pub use crate::catalog::{Catalog, DatastoreDecl, ServiceDecl};
-    pub use crate::consent::Consent;
-    pub use crate::error::ModelError;
-    pub use crate::field::{DataField, DataSchema, FieldKind};
-    pub use crate::ids::{ActorId, DatastoreId, FieldId, RoleId, SchemaId, ServiceId, UserId};
-    pub use crate::intern::Interner;
-    pub use crate::purpose::Purpose;
-    pub use crate::risk_level::{Likelihood, RiskLevel, Severity};
-    pub use crate::sensitivity::{Sensitivity, SensitivityCategory, SensitivityProfile};
-    pub use crate::user::UserProfile;
-    pub use crate::value::{Dataset, Record, Value};
-}

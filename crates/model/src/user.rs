@@ -17,7 +17,7 @@ use std::fmt;
 /// # Example
 ///
 /// ```
-/// use privacy_model::prelude::*;
+/// use privacy_model::{FieldId, SensitivityCategory, ServiceId, UserProfile};
 ///
 /// let user = UserProfile::new("patient-1")
 ///     .consents_to(ServiceId::new("MedicalService"))

@@ -72,11 +72,6 @@ impl Value {
         matches!(self, Value::Null)
     }
 
-    /// Returns `true` if the value is a generalisation interval.
-    pub fn is_interval(&self) -> bool {
-        matches!(self, Value::Interval { .. })
-    }
-
     /// Returns `true` if a numeric value lies within an interval value, or if
     /// the two values are equal. Used when checking whether a generalised
     /// record is consistent with an original record.
@@ -296,11 +291,6 @@ impl Dataset {
     /// The records in insertion order.
     pub fn records(&self) -> &[Record] {
         &self.records
-    }
-
-    /// Mutable access to the records.
-    pub fn records_mut(&mut self) -> &mut [Record] {
-        &mut self.records
     }
 
     /// The record at `index`, if it exists.

@@ -345,24 +345,13 @@ impl<'a> DisclosureAnalysis<'a> {
 
     /// Runs the analysis for one user, annotating the LTS in place. Builds a
     /// columnar analysis index of the LTS and probes it; behaviourally
-    /// identical to [`DisclosureAnalysis::analyse_scan`].
+    /// identical to [`DisclosureAnalysis::analyse_scan`]. Both the
+    /// exposed-state sets and the existing-read probes describe the LTS as
+    /// it was on entry (risk transitions this call adds are tracked
+    /// separately so later triples still observe them, exactly as the scan
+    /// path's repeated scans would).
     pub fn analyse(&self, lts: &mut Lts, user: &UserProfile) -> DisclosureReport {
         let index = LtsIndex::build(lts);
-        self.analyse_with_index(lts, &index, user)
-    }
-
-    /// Like [`DisclosureAnalysis::analyse`] but over a prebuilt index. The
-    /// index must have been built from `lts` in its current state: both the
-    /// exposed-state sets and the existing-read probes describe that
-    /// snapshot (risk transitions this call adds are tracked separately so
-    /// later triples still observe them, exactly as the scan path's repeated
-    /// scans would).
-    pub fn analyse_with_index(
-        &self,
-        lts: &mut Lts,
-        index: &LtsIndex,
-        user: &UserProfile,
-    ) -> DisclosureReport {
         let sensitivity = SensitivityModel::new(self.catalog, user);
         let (allowed, non_allowed) = self.actor_partition(&sensitivity);
 

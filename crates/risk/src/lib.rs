@@ -50,14 +50,3 @@ pub use pseudonym::{PseudonymAnalysis, PseudonymFinding, PseudonymReport};
 pub use reident::{reident_risk, ReidentFinding, ReidentPolicy, ReidentReport};
 pub use report::RiskReport;
 pub use sensitivity::SensitivityModel;
-
-/// Convenience re-export of the most commonly used items.
-pub mod prelude {
-    pub use crate::disclosure::{DisclosureAnalysis, DisclosureFinding, DisclosureReport};
-    pub use crate::likelihood::{LikelihoodModel, Scenario, ScenarioKind};
-    pub use crate::matrix::RiskMatrix;
-    pub use crate::pseudonym::{PseudonymAnalysis, PseudonymFinding, PseudonymReport};
-    pub use crate::reident::{reident_risk, ReidentFinding, ReidentPolicy, ReidentReport};
-    pub use crate::report::RiskReport;
-    pub use crate::sensitivity::SensitivityModel;
-}

@@ -13,9 +13,7 @@
 
 use privacy_access::{AccessPolicy, Permission};
 use privacy_anonymity::{value_risk, ValueRiskPolicy, ValueRiskReport};
-use privacy_lts::{
-    ActionKind, Lts, LtsIndex, RiskAnnotation, StateId, TransitionId, TransitionLabel,
-};
+use privacy_lts::{ActionKind, Lts, RiskAnnotation, StateId, TransitionId, TransitionLabel};
 use privacy_model::{ActorId, Catalog, Dataset, FieldId, ModelError, RiskLevel};
 use std::fmt;
 
@@ -179,46 +177,13 @@ impl<'a> PseudonymAnalysis<'a> {
         release: &Dataset,
         visible_sets: &[Vec<FieldId>],
     ) -> Result<PseudonymReport, ModelError> {
-        self.analyse_inner(lts, None, adversary, release, visible_sets)
-    }
-
-    /// Like [`PseudonymAnalysis::analyse`] but resolving the at-risk states
-    /// from a prebuilt columnar [`LtsIndex`] instead of scanning the
-    /// reachable states. The index must have been built from `lts` in its
-    /// current state; use this when an index already exists for the LTS
-    /// (e.g. alongside the disclosure batch analyses) — building one just
-    /// for this query would cost more than the single scan it replaces.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ModelError`]s from the underlying value-risk
-    /// computation, as [`PseudonymAnalysis::analyse`] does.
-    pub fn analyse_with_index(
-        &self,
-        lts: &mut Lts,
-        index: &LtsIndex,
-        adversary: &ActorId,
-        release: &Dataset,
-        visible_sets: &[Vec<FieldId>],
-    ) -> Result<PseudonymReport, ModelError> {
-        self.analyse_inner(lts, Some(index), adversary, release, visible_sets)
-    }
-
-    fn analyse_inner(
-        &self,
-        lts: &mut Lts,
-        index: Option<&LtsIndex>,
-        adversary: &ActorId,
-        release: &Dataset,
-        visible_sets: &[Vec<FieldId>],
-    ) -> Result<PseudonymReport, ModelError> {
         let mut findings = Vec::new();
         for visible in visible_sets {
             let report = value_risk(release, visible, &self.value_policy)?;
             findings.push(PseudonymFinding { visible: visible.clone(), report });
         }
 
-        let risk_transitions = self.annotate_lts(lts, index, adversary, release)?;
+        let risk_transitions = self.annotate_lts(lts, adversary, release)?;
 
         Ok(PseudonymReport {
             adversary: adversary.clone(),
@@ -261,7 +226,6 @@ impl<'a> PseudonymAnalysis<'a> {
     fn annotate_lts(
         &self,
         lts: &mut Lts,
-        index: Option<&LtsIndex>,
         adversary: &ActorId,
         release: &Dataset,
     ) -> Result<Vec<TransitionId>, ModelError> {
@@ -291,18 +255,13 @@ impl<'a> PseudonymAnalysis<'a> {
 
         let mut added = Vec::new();
         // The at-risk states: every reachable state in which the adversary
-        // has accessed the pseudonymised target. A prebuilt index answers
-        // this from its per-variable posting list (same breadth-first order
-        // the scan produces); without one, a single reachability scan is
-        // cheaper than building an index for one query.
-        let at_risk: Vec<StateId> = match index {
-            Some(index) => index.states_where_has(adversary, &target_anon).to_vec(),
-            None => lts
-                .reachable()
-                .into_iter()
-                .filter(|id| lts.state(*id).has(&space, adversary, &target_anon))
-                .collect(),
-        };
+        // has accessed the pseudonymised target. One reachability scan is
+        // cheaper than building an index for this single query.
+        let at_risk: Vec<StateId> = lts
+            .reachable()
+            .into_iter()
+            .filter(|id| lts.state(*id).has(&space, adversary, &target_anon))
+            .collect();
 
         for state_id in at_risk {
             let state = lts.state(state_id).clone();
@@ -582,38 +541,6 @@ mod tests {
         assert_eq!(report.adversary().as_str(), "Researcher");
         assert!(report.max_violation_rate() > 0.5);
         assert_eq!(report.policy().target().as_str(), "Weight");
-    }
-
-    #[test]
-    fn indexed_analysis_matches_scan_analysis() {
-        let (catalog, policy) = fixture();
-        let base = researcher_lts(&catalog);
-        let analysis = PseudonymAnalysis::new(
-            &catalog,
-            &policy,
-            ValueRiskPolicy::weight_within_5kg_at_90_percent(),
-        );
-        let sets = [vec![], vec![age()], vec![age(), height()]];
-
-        let mut scan_lts = base.clone();
-        let scan = analysis
-            .analyse(&mut scan_lts, &ActorId::new("Researcher"), &table1_release(), &sets)
-            .unwrap();
-
-        let mut indexed_lts = base.clone();
-        let index = LtsIndex::build(&indexed_lts);
-        let indexed = analysis
-            .analyse_with_index(
-                &mut indexed_lts,
-                &index,
-                &ActorId::new("Researcher"),
-                &table1_release(),
-                &sets,
-            )
-            .unwrap();
-
-        assert_eq!(scan, indexed);
-        assert_eq!(scan_lts, indexed_lts);
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! throughput over the scan monitor comes from (see the `runtime_scaling`
 //! bench and `docs/PERFORMANCE.md`).
 
-use crate::event::{Event, EventLog};
+use crate::event::Event;
 use crate::monitor::Alert;
 use crate::snapshot::{self, read_entry, MonitorSnapshot, RowView, ShardSnapshot, SnapshotError};
 use privacy_access::{AccessPolicy, Permission};
@@ -1042,11 +1042,6 @@ impl IndexedMonitor {
         let raised: Vec<Alert> = tagged.into_iter().map(|(_, alert)| alert).collect();
         self.alerts.extend(raised.iter().cloned());
         raised
-    }
-
-    /// Convenience: ingests a whole event log as one batch.
-    pub fn ingest_log(&mut self, log: &EventLog) -> Vec<Alert> {
-        self.ingest_batch(log.events())
     }
 
     /// Splits the monitor into the read-only worker context and the mutable

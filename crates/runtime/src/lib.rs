@@ -46,14 +46,3 @@ pub use log_index::{ErasureTimeline, EventLogIndex};
 pub use monitor::Alert;
 pub use snapshot::{MonitorSnapshot, ShardSnapshot, SnapshotError};
 pub use store::DatastoreState;
-
-/// Convenience re-export of the most commonly used items.
-pub mod prelude {
-    pub use crate::engine::{ExecutionOutcome, ServiceEngine, ServiceRequest};
-    pub use crate::event::{Event, EventLog};
-    pub use crate::indexed::{shard_of_user, IndexedMonitor, SHARD_COUNT};
-    pub use crate::log_index::{ErasureTimeline, EventLogIndex};
-    pub use crate::monitor::Alert;
-    pub use crate::snapshot::{MonitorSnapshot, ShardSnapshot, SnapshotError};
-    pub use crate::store::DatastoreState;
-}

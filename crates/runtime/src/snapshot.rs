@@ -30,11 +30,13 @@
 //!   [`CodecError`]s — never a panic, never a silent partial resume.
 //!
 //! Snapshots are grouped **per shard** (the same stable `UserId`-hash shards
-//! ingestion uses), so a large monitor can export shards from parallel
-//! workers via [`MonitorSnapshot::split`] and a restarted monitor can
-//! [`MonitorSnapshot::merge`] them regardless of the thread count on either
-//! side — shard assignment depends only on the user id, never on the
-//! ingestion parallelism.
+//! ingestion uses), so a fleet can hand shards between monitors: the
+//! outgoing owner exports them with [`MonitorSnapshot::extract_shards`], a
+//! restarted owner drops the ones it gave away with
+//! [`MonitorSnapshot::retain_shards`], and the incoming owner adopts them
+//! with [`IndexedMonitor::absorb`](crate::IndexedMonitor::absorb) —
+//! regardless of the thread count on either side, since shard assignment
+//! depends only on the user id, never on the ingestion parallelism.
 //!
 //! Since format version 3 each user row is stored **sparsely**: the state
 //! words, allowed-actor bitset and sensitivity vector are each encoded under
@@ -44,11 +46,10 @@
 //! their rows collapse from hundreds of dense bytes to a couple of dozen.
 //! Each shard stays in its encoded byte form inside [`MonitorSnapshot`]: one
 //! contiguous body per shard in the exact wire layout.
-//! [`MonitorSnapshot::to_bytes`] copies bodies, and
-//! [`MonitorSnapshot::split`], [`merge`](MonitorSnapshot::merge) and the
-//! shard-handoff extract/retain operations share them without a
-//! decode/encode round trip, which is what keeps re-grouped snapshot bytes
-//! byte-identical to the original. Capture itself re-encodes only the rows
+//! [`MonitorSnapshot::to_bytes`] copies bodies, and the shard-handoff
+//! extract/retain operations share them without a decode/encode round trip,
+//! which is what keeps re-grouped snapshot bytes byte-identical to the
+//! original. Capture itself re-encodes only the rows
 //! that changed since the monitor's previous capture (see
 //! [`IndexedMonitor::snapshot`](crate::IndexedMonitor::snapshot)).
 //! Version-2 (dense) frames still decode.
@@ -325,29 +326,6 @@ impl MonitorSnapshot {
         &self.pending_alerts
     }
 
-    /// Splits the snapshot into up to `parts` sub-snapshots along shard
-    /// boundaries (round-robin), e.g. to persist a large monitor from
-    /// parallel writers. Pending alerts travel with the first part. The
-    /// parts [`MonitorSnapshot::merge`] back into the original regardless of
-    /// the thread count on either side of the restart.
-    pub fn split(&self, parts: usize) -> Vec<MonitorSnapshot> {
-        let parts = parts.max(1).min(self.shards.len().max(1));
-        let mut out: Vec<MonitorSnapshot> = (0..parts)
-            .map(|i| MonitorSnapshot {
-                fingerprint: self.fingerprint,
-                state_words: self.state_words,
-                allowed_words: self.allowed_words,
-                field_count: self.field_count,
-                shards: Vec::new(),
-                pending_alerts: if i == 0 { self.pending_alerts.clone() } else { Vec::new() },
-            })
-            .collect();
-        for (i, shard) in self.shards.iter().enumerate() {
-            out[i % parts].shards.push(shard.clone());
-        }
-        out
-    }
-
     /// The sub-snapshot holding exactly the listed shards — the shard-handoff
     /// export: the outgoing owner captures one (or a few) shards to ship to
     /// the incoming owner. Shards the snapshot does not contain are simply
@@ -379,69 +357,12 @@ impl MonitorSnapshot {
         self.shards.retain(|shard| shards.contains(&shard.shard));
     }
 
-    /// Merges sub-snapshots produced by [`MonitorSnapshot::split`] (in any
-    /// order) back into one snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapshotError::IndexMismatch`] if the parts were taken
-    /// against different indices, and [`SnapshotError::Malformed`] for an
-    /// empty part list, disagreeing dimensions, a shard exported twice, or a
-    /// user appearing in more than one part (two parts claiming the same
-    /// user must be surfaced as the torn export it is — never resolved by
-    /// last-writer-wins).
-    pub fn merge(parts: &[MonitorSnapshot]) -> Result<MonitorSnapshot, SnapshotError> {
-        let first = parts.first().ok_or_else(|| SnapshotError::Malformed {
-            detail: "cannot merge an empty list of snapshot parts".into(),
-        })?;
-        let mut merged = MonitorSnapshot {
-            fingerprint: first.fingerprint,
-            state_words: first.state_words,
-            allowed_words: first.allowed_words,
-            field_count: first.field_count,
-            shards: Vec::new(),
-            pending_alerts: Vec::new(),
-        };
-        for part in parts {
-            if part.fingerprint != merged.fingerprint {
-                return Err(SnapshotError::IndexMismatch {
-                    snapshot: part.fingerprint,
-                    index: merged.fingerprint,
-                });
-            }
-            if (part.state_words, part.allowed_words, part.field_count)
-                != (merged.state_words, merged.allowed_words, merged.field_count)
-            {
-                return Err(SnapshotError::Malformed {
-                    detail: "snapshot parts disagree on the state dimensions".into(),
-                });
-            }
-            merged.shards.extend(part.shards.iter().cloned());
-            merged.pending_alerts.extend(part.pending_alerts.iter().cloned());
-        }
-        merged.shards.sort_by_key(|shard| shard.shard);
-        if merged.shards.windows(2).any(|pair| pair[0].shard == pair[1].shard) {
-            return Err(SnapshotError::Malformed {
-                detail: "a shard appears in more than one snapshot part".into(),
-            });
-        }
-        let mut users: Vec<&str> =
-            merged.shards.iter().flat_map(|shard| shard.rows().map(|row| row.user)).collect();
-        users.sort_unstable();
-        if let Some(pair) = users.windows(2).find(|pair| pair[0] == pair[1]) {
-            return Err(SnapshotError::Malformed {
-                detail: format!("user `{}` appears in more than one snapshot part", pair[0]),
-            });
-        }
-        Ok(merged)
-    }
-
     /// Serializes the snapshot through the framed
     /// [`binary`] codec (kind
     /// [`SNAPSHOT_KIND`], version [`SNAPSHOT_VERSION`], trailing checksum).
     /// Each shard body is copied as stored — serialization never
-    /// re-encodes a row, so snapshots that were split, merged or
-    /// shard-filtered serialize byte-identically to the original grouping.
+    /// re-encodes a row, so extracted or shard-filtered snapshots serialize
+    /// byte-identically to the original grouping.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut bytes = Vec::new();
         self.encode_into(&mut bytes);
@@ -545,7 +466,7 @@ impl MonitorSnapshot {
     ///
     /// Both the current version-3 (sparse) and the previous version-2
     /// (dense) layouts are accepted; v2 rows are re-encoded sparsely on the
-    /// way in, so everything downstream — split, merge, `to_bytes` — sees
+    /// way in, so everything downstream — extract, retain, `to_bytes` — sees
     /// one in-memory form.
     ///
     /// # Errors
@@ -778,12 +699,6 @@ impl SnapshotEncodingHistogram {
             U64_ROW_RUNS => self.words_runs += 1,
             _ => self.words_dense += 1,
         }
-    }
-
-    /// Word rows counted (dense + indexed + runs) — two per user.
-    #[must_use]
-    pub fn word_rows(&self) -> usize {
-        self.words_dense + self.words_indexed + self.words_runs
     }
 }
 

@@ -224,10 +224,6 @@ proptest! {
         let decoded = MonitorSnapshot::from_bytes(&bytes).expect("own bytes decode");
         prop_assert_eq!(&decoded, &snapshot);
 
-        // Shard-split export merges back into the same snapshot.
-        let merged = MonitorSnapshot::merge(&snapshot.split(3)).expect("own parts merge");
-        prop_assert_eq!(&merged, &snapshot);
-
         // Second life: resume on an unrelated thread count, ingest the tail.
         let mut second_life = IndexedMonitor::resume_from(
             fixture.catalog.clone(),
@@ -466,33 +462,6 @@ fn snapshot_of_one_model_is_rejected_against_another_index() {
         Ok(_) => panic!("mismatched index resumed silently"),
         Err(other) => panic!("mismatched index produced {other}"),
     }
-}
-
-#[test]
-fn merge_rejects_mixed_fingerprints_and_duplicate_shards() {
-    let (fixture_a, bytes_a) = small_snapshot();
-    let snapshot_a = MonitorSnapshot::from_bytes(&bytes_a).expect("decodes");
-
-    // Mixed fingerprints are refused.
-    let fixture_b = fixture(1234, 3, 4, 0);
-    let mut monitor_b = monitor_over(&fixture_b);
-    let _ = monitor_b.ingest_batch(&fixture_b.events);
-    let snapshot_b = monitor_b.snapshot();
-    assert!(matches!(
-        MonitorSnapshot::merge(&[snapshot_a.clone(), snapshot_b]),
-        Err(SnapshotError::IndexMismatch { .. })
-    ));
-
-    // A shard exported twice is refused.
-    assert!(matches!(
-        MonitorSnapshot::merge(&[snapshot_a.clone(), snapshot_a.clone()]),
-        Err(SnapshotError::Malformed { .. })
-    ));
-
-    // An empty part list is refused.
-    assert!(matches!(MonitorSnapshot::merge(&[]), Err(SnapshotError::Malformed { .. })));
-
-    let _ = fixture_a;
 }
 
 /// The healthcare case study with a population and event stream built from
@@ -802,8 +771,9 @@ proptest! {
     /// the bytes of encoding every row afresh, and of a monitor that
     /// replayed the same operations and captures for the first time. The
     /// same holds right after every resume and absorb, whose rows stay
-    /// encoded until touched. Split→merge and per-shard extract of the
-    /// warm snapshot reproduce the same shard bodies and bytes.
+    /// encoded until touched. Each per-shard extract of the warm snapshot
+    /// round-trips through its bytes, and the extracts, concatenated, hold
+    /// exactly the snapshot's shard bodies.
     #[test]
     fn warm_capture_equals_cold_capture_at_every_cut(
         seed in 0u64..1_000_000,
@@ -873,11 +843,6 @@ proptest! {
                         "capture at op {at} of {ops:?} is not the fresh encoding"
                     );
 
-                    for parts in [2, 5] {
-                        let merged = MonitorSnapshot::merge(&snapshot.split(parts))
-                            .expect("own parts merge");
-                        prop_assert_eq!(&merged.to_bytes(), &warm_bytes);
-                    }
                     let extracted: Vec<MonitorSnapshot> = snapshot
                         .shards()
                         .iter()
@@ -888,10 +853,9 @@ proptest! {
                             .expect("extracted part decodes");
                         prop_assert_eq!(&round_trip, part);
                     }
-                    if !extracted.is_empty() {
-                        let merged = MonitorSnapshot::merge(&extracted).expect("extracts merge");
-                        prop_assert_eq!(merged.shards(), snapshot.shards());
-                    }
+                    let concatenated: Vec<_> =
+                        extracted.iter().flat_map(|part| part.shards().iter().cloned()).collect();
+                    prop_assert_eq!(&concatenated[..], snapshot.shards());
                     held = Some((snapshot, warm_bytes));
                 }
                 op => warm = apply(warm, op, &fixture, &donor),

@@ -46,17 +46,3 @@ pub use records::{
     random_health_records, table1_raw_records, table1_release, RecordGeneratorConfig,
 };
 pub use workload::{random_workload, ServiceRequest, WorkloadConfig};
-
-/// Convenience re-export of the most commonly used items.
-pub mod prelude {
-    pub use crate::logs::{render_event, render_events, render_log, LogFormat, CSV_HEADER};
-    pub use crate::models::{random_model, GeneratedModel, ModelGeneratorConfig};
-    pub use crate::population::{
-        skewed_population, SkewedPopulation, SkewedPopulationConfig, SENSITIVITY_PALETTE,
-    };
-    pub use crate::profiles::{case_a_profile, random_profiles, ProfileGeneratorConfig};
-    pub use crate::records::{
-        random_health_records, table1_raw_records, table1_release, RecordGeneratorConfig,
-    };
-    pub use crate::workload::{random_workload, ServiceRequest, WorkloadConfig};
-}

@@ -67,13 +67,6 @@ impl ModelGeneratorConfig {
         self
     }
 
-    /// Builder-style: sets the number of services and flows per service.
-    pub fn with_services(mut self, services: usize, flows_per_service: usize) -> Self {
-        self.services = services;
-        self.flows_per_service = flows_per_service;
-        self
-    }
-
     /// A configuration whose **per-event evaluation cost** grows with
     /// `weight` (≥ 1): more actors and fields mean more candidate
     /// `(actor, field)` exposure pairs per monitored event, more flows mean

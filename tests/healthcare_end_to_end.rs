@@ -60,7 +60,7 @@ fn case_study_a_medium_risk_is_found_and_removed_by_the_policy_change() {
     // fresh index of the annotated LTS (the pipeline's own index describes
     // the pre-annotation snapshot).
     let index = LtsIndex::build(&outcome.lts);
-    let query = LtsQuery::with_index(&outcome.lts, &index);
+    let query = LtsQuery::new(&outcome.lts, &index);
     assert!(query
         .can_actor_identify(&casestudy::actors::administrator(), &casestudy::fields::diagnosis()));
 

@@ -59,7 +59,7 @@ fn exposure_summary_names_exactly_the_actors_that_can_identify_data() {
     // One columnar index backs every query below (the scan strategy is
     // exercised — and pinned identical — by the crates' differential tests).
     let index = LtsIndex::build(&lts);
-    let query = LtsQuery::with_index(&lts, &index);
+    let query = LtsQuery::new(&lts, &index);
     let summary = query.exposure_summary();
 
     // The receptionist collects the name, the doctor the diagnosis, the
