@@ -11,22 +11,20 @@
 //!
 //! ```text
 //! lts_scaling [--quick] [--min-speedup X] [--min-row-speedup X] [--out PATH]
-//!             [--threads N] [--thread-sweep A,B,C]
+//!             [--force-baseline]
 //! ```
 //!
 //! `--quick` runs a reduced sweep with shorter measurement targets (the CI
 //! smoke configuration). `--min-speedup X` exits non-zero if any *guarded*
 //! row's speedup falls below `X`; `--min-row-speedup X` (default 0.9) is the
 //! broader floor applied to **every** row, guarded or not — the engine's
-//! sequential small-model phase must keep even trivial rows from regressing
-//! below ~1x the reference. `--thread-sweep A,B,C` re-times the engine at
-//! each listed worker-thread count per scenario (the reference is timed
-//! once), recording one row per count so the baseline captures multi-core
-//! scaling. See `docs/PERFORMANCE.md` for how to read the output.
+//! fixed per-call cost must keep even trivial rows from regressing below
+//! ~1x the reference. Both generators run on one core. See
+//! `docs/PERFORMANCE.md` for how to read the output.
 
 use privacy_bench::{
-    bench_main, min_or_zero, scaled_multi_service_system, scaled_system, threads_available,
-    time_runs, BenchArgs, Object, Report,
+    bench_main, min_or_zero, scaled_multi_service_system, scaled_system, time_runs, BenchArgs,
+    Object, Report,
 };
 use privacy_core::{casestudy, PrivacySystem};
 use privacy_lts::{generate_lts_reference, GeneratorConfig, Lts};
@@ -45,15 +43,13 @@ struct Scenario {
     system: PrivacySystem,
 }
 
-/// One measured row of the report (one scenario at one thread count).
+/// One measured row of the report (one scenario).
 struct Row {
     name: String,
     actors: usize,
     fields: usize,
     services: usize,
     potential_reads: bool,
-    /// The engine's worker-thread count for this row.
-    threads: usize,
     states: usize,
     transitions: usize,
     reference_secs: f64,
@@ -90,24 +86,14 @@ struct Options {
     /// Floor applied to every row (guarded or not): the engine must never
     /// fall below this fraction of the reference's throughput.
     min_row_speedup: f64,
-    /// `--threads`, else every core.
-    threads: usize,
-    /// The engine's thread counts, one row per count (`--thread-sweep`,
-    /// else `threads`).
-    sweep: Vec<usize>,
 }
 
 fn parse_options() -> Result<Options, String> {
     let mut args = BenchArgs::from_env("BENCH_lts.json")?;
     let min_speedup = args.value("--min-speedup")?.unwrap_or(0.0);
     let min_row_speedup = args.value("--min-row-speedup")?.unwrap_or(0.9);
-    let threads = args.value("--threads")?.unwrap_or_else(threads_available);
-    let sweep = args.list::<usize>("--thread-sweep")?.unwrap_or_else(|| vec![threads]);
-    if sweep.contains(&0) {
-        return Err("bad --thread-sweep value: a thread count of 0".to_owned());
-    }
     args.finish()?;
-    Ok(Options { args, min_speedup, min_row_speedup, threads, sweep })
+    Ok(Options { args, min_speedup, min_row_speedup })
 }
 
 /// The benchmark scenarios, from the structured fixtures, the random synth
@@ -215,7 +201,6 @@ fn time_generation(
 fn run(options: &Options) -> Result<Vec<Row>, String> {
     let quick = options.args.quick;
     let target = if quick { Duration::from_millis(200) } else { Duration::from_millis(1000) };
-    let sweep = &options.sweep;
 
     let mut rows = Vec::new();
     for scenario in scenarios(quick).map_err(|e| format!("building scenarios: {e}"))? {
@@ -223,76 +208,63 @@ fn run(options: &Options) -> Result<Vec<Row>, String> {
         config.explore_potential_reads = scenario.potential_reads;
         let system = &scenario.system;
 
-        // The reference is single-threaded: time it once per scenario and
-        // share the measurement across the thread sweep.
         let (reference_secs, reference_lts) = time_generation(target, || {
             generate_lts_reference(system.catalog(), system.dataflows(), system.policy(), &config)
         })
         .map_err(|e| format!("{}: reference failed: {e}", scenario.name))?;
 
-        for &threads in sweep {
-            config.threads = Some(threads);
-            // Trivial rows run in microseconds, where one scheduler hiccup
-            // can drop a deterministic workload below the per-row floor:
-            // re-measure up to twice before letting a row stand below it.
-            let mut attempt = 0;
-            let (engine_secs, engine_lts) = loop {
-                let (engine_secs, engine_lts) =
-                    time_generation(target, || system.generate_lts_with(&config))
-                        .map_err(|e| format!("{}: engine failed: {e}", scenario.name))?;
-                if reference_secs / engine_secs >= options.min_row_speedup || attempt >= 2 {
-                    break (engine_secs, engine_lts);
-                }
-                attempt += 1;
-            };
-
-            // The benchmark is also a differential check: a speedup over a
-            // *different* LTS would be meaningless.
-            if engine_lts != reference_lts {
-                return Err(format!(
-                    "{}: engine (threads={threads}) and reference disagree ({} vs {})",
-                    scenario.name,
-                    engine_lts.stats(),
-                    reference_lts.stats()
-                ));
+        // Trivial rows run in microseconds, where one scheduler hiccup can
+        // drop a deterministic workload below the per-row floor: re-measure
+        // up to twice before letting a row stand below it.
+        let mut attempt = 0;
+        let (engine_secs, engine_lts) = loop {
+            let (engine_secs, engine_lts) =
+                time_generation(target, || system.generate_lts_with(&config))
+                    .map_err(|e| format!("{}: engine failed: {e}", scenario.name))?;
+            if reference_secs / engine_secs >= options.min_row_speedup || attempt >= 2 {
+                break (engine_secs, engine_lts);
             }
+            attempt += 1;
+        };
 
-            let name = if sweep.len() > 1 {
-                format!("{}_t{threads}", scenario.name)
-            } else {
-                scenario.name.clone()
-            };
-            let row = Row {
-                name,
-                actors: scenario.actors,
-                fields: scenario.fields,
-                services: scenario.services,
-                potential_reads: scenario.potential_reads,
-                threads,
-                states: engine_lts.state_count(),
-                transitions: engine_lts.transition_count(),
-                reference_secs,
-                engine_secs,
-            };
-            eprintln!(
-                "{:<40} {:>8} states {:>8} transitions | reference {:>10.1}/s | engine {:>12.1}/s | speedup {:>6.2}x",
-                row.name,
-                row.states,
-                row.transitions,
-                row.reference_states_per_sec(),
-                row.engine_states_per_sec(),
-                row.speedup()
-            );
-            rows.push(row);
+        // The benchmark is also a differential check: a speedup over a
+        // *different* LTS would be meaningless.
+        if engine_lts != reference_lts {
+            return Err(format!(
+                "{}: engine and reference disagree ({} vs {})",
+                scenario.name,
+                engine_lts.stats(),
+                reference_lts.stats()
+            ));
         }
+
+        let row = Row {
+            name: scenario.name,
+            actors: scenario.actors,
+            fields: scenario.fields,
+            services: scenario.services,
+            potential_reads: scenario.potential_reads,
+            states: engine_lts.state_count(),
+            transitions: engine_lts.transition_count(),
+            reference_secs,
+            engine_secs,
+        };
+        eprintln!(
+            "{:<40} {:>8} states {:>8} transitions | reference {:>10.1}/s | engine {:>12.1}/s | speedup {:>6.2}x",
+            row.name,
+            row.states,
+            row.transitions,
+            row.reference_states_per_sec(),
+            row.engine_states_per_sec(),
+            row.speedup()
+        );
+        rows.push(row);
     }
     Ok(rows)
 }
 
 fn report(options: &Options, rows: &[Row], min_speedup: f64) -> Result<Report, String> {
     Report::new("lts_scaling", options.args.quick)
-        .with("threads", options.threads)
-        .with("thread_sweep", options.sweep.clone())
         .with("min_row_speedup", options.min_row_speedup)
         .with("guard_min_states", GUARD_MIN_STATES)
         .fixed("min_speedup_observed", min_speedup, 3)
@@ -304,7 +276,6 @@ fn report(options: &Options, rows: &[Row], min_speedup: f64) -> Result<Report, S
                     .with("fields", row.fields)
                     .with("services", row.services)
                     .with("potential_reads", row.potential_reads)
-                    .with("threads", row.threads)
                     .with("states", row.states)
                     .with("transitions", row.transitions)
                     .fixed("reference_ms", row.reference_secs * 1e3, 3)
@@ -341,8 +312,7 @@ fn main() -> ExitCode {
         }
 
         // The broader per-row floor: no row — however trivial — may regress
-        // below `min_row_speedup` of the reference. The engine's sequential
-        // small-model phase exists precisely to keep this floor.
+        // below `min_row_speedup` of the reference.
         let floored: Vec<String> = rows
             .iter()
             .filter(|row| row.speedup() < options.min_row_speedup)

@@ -51,8 +51,8 @@ where
 
 /// Resolves an optional worker-thread count to a concrete one: `None` means
 /// one per CPU, and the result is always at least 1. The single place the
-/// `available_parallelism` default lives — the engine, the batch APIs and
-/// the benches all resolve through it.
+/// `available_parallelism` default lives — the index build, the batch APIs,
+/// the runtime monitor and the pipeline all resolve through it.
 pub fn resolve_threads(threads: Option<usize>) -> usize {
     threads.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())).max(1)
 }

@@ -25,11 +25,12 @@
 //!
 //! [`generate_lts`] is a thin wrapper over the optimised engine: the
 //! artefacts are first compiled to a dense-index flow program (the private
-//! `compile` module) and then explored by a parallel frontier BFS (the
-//! private `engine` module). The original string-resolving single-threaded path
-//! is retained as [`crate::reference::generate_lts_reference`] and is held
-//! equal to the engine by differential tests; `docs/PERFORMANCE.md` in the
-//! repository root describes the design and the measured speedups.
+//! `compile` module) and then explored by a breadth-first search over flat
+//! arenas on one core (the private `engine` module). The original
+//! string-resolving path is retained as
+//! [`crate::reference::generate_lts_reference`] and is held equal to the
+//! engine by differential tests; `docs/PERFORMANCE.md` in the repository
+//! root describes the design and the measured speedups.
 
 use crate::compile::CompiledModel;
 use crate::engine;
@@ -62,10 +63,6 @@ pub struct GeneratorConfig {
     /// composite state number `max_states + 1` (the initial state counts),
     /// so the exploration queue can never outgrow the bound.
     pub max_states: usize,
-    /// Number of worker threads for frontier expansion (`None` = one per
-    /// available CPU). The generated LTS is identical for every thread
-    /// count; `Some(1)` forces the fully inline single-threaded path.
-    pub threads: Option<usize>,
 }
 
 impl Default for GeneratorConfig {
@@ -75,7 +72,6 @@ impl Default for GeneratorConfig {
             interleave_services: true,
             explore_potential_reads: false,
             max_states: 250_000,
-            threads: None,
         }
     }
 }
@@ -100,21 +96,15 @@ impl GeneratorConfig {
         self.max_states = max_states;
         self
     }
-
-    /// Builder-style: set the number of frontier-expansion worker threads.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
 }
 
 /// Generates the privacy LTS for a system model.
 ///
 /// Identifier resolution happens once, at compile time; exploration then
-/// operates on packed `u64` words and is parallelised across frontier
-/// generations. The result is deterministic: independent of thread count,
-/// and equal — state numbering included — to what the retained reference
-/// implementation ([`crate::reference::generate_lts_reference`]) produces.
+/// operates on packed `u64` words in flat arenas. The result is
+/// deterministic and equal — state numbering included — to what the
+/// retained reference implementation
+/// ([`crate::reference::generate_lts_reference`]) produces.
 ///
 /// # Errors
 ///
@@ -378,20 +368,6 @@ mod tests {
                 generate_lts(catalog, system, policy, &config).is_ok()
             })
             .expect("fixture exploration fits in 10k composite states")
-    }
-
-    #[test]
-    fn thread_count_does_not_change_the_generated_lts() {
-        let (catalog, system, policy) = fixture();
-        let config = GeneratorConfig::default().with_potential_reads();
-        let single =
-            generate_lts(&catalog, &system, &policy, &config.clone().with_threads(1)).unwrap();
-        for threads in [2usize, 4, 8] {
-            let parallel =
-                generate_lts(&catalog, &system, &policy, &config.clone().with_threads(threads))
-                    .unwrap();
-            assert_eq!(single, parallel, "thread count {threads} changed the LTS");
-        }
     }
 
     #[test]

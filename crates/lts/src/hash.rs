@@ -4,13 +4,12 @@
 //! keys; SipHash (std's default) costs more than the state expansion itself.
 //! [`FxHasher`] is the FireFox/rustc multiply-xor hash: word-at-a-time, a
 //! single multiplication per word, excellent distribution on dense bit-packed
-//! keys. [`ShardedSet`] spreads a visited set over independently lockable
-//! shards so frontier workers can membership-test and batch-insert with
-//! minimal contention.
+//! keys. The engine's own tables are `IdTable`s: open addressing over
+//! `u32` ids whose keys live in the engine's flat arenas, so a probe
+//! compares words in place and an insert allocates nothing per key.
 
-use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiplier from the FNV-inspired rustc-hash scheme (64-bit golden ratio).
 const K: u64 = 0x517c_c1b7_2722_0a95;
@@ -79,88 +78,99 @@ pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 /// A `HashSet` keyed by [`FxHasher`].
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
-/// Hashes one value with [`FxHasher`].
-pub fn fx_hash<T: Hash>(value: &T) -> u64 {
+/// Hashes a word slice with [`FxHasher`]'s round, then mixes the high half
+/// back in so every input bit reaches the high bits that [`IdTable`] uses
+/// (a bare Fx round leaves a word's top bits only in the hash's top bits).
+#[inline]
+pub(crate) fn hash_words(words: &[u64]) -> u64 {
     let mut hasher = FxHasher::default();
-    value.hash(&mut hasher);
-    hasher.finish()
+    for &word in words {
+        hasher.add_to_hash(word);
+    }
+    let hash = hasher.hash;
+    (hash ^ (hash >> 32)).wrapping_mul(K)
 }
 
-/// A set sharded over independently lockable [`FxHashSet`]s.
+/// An open-addressing table of `u32` ids whose keys live elsewhere.
 ///
-/// Frontier workers take shared read locks for membership tests while the
-/// merge step takes per-shard write locks to insert a whole generation's
-/// discoveries; distinct shards never contend.
+/// The table owns no keys: a slot holds an id plus the high 32 bits of its
+/// key's hash, and a probe asks the caller whether an id's key (in the
+/// caller's arena) is the one sought. The stored hash bits choose the home
+/// slot and reject most mismatches without touching the arena, and they let
+/// the table double without rehashing a key. Linear probing, at most half
+/// full.
 #[derive(Debug)]
-pub struct ShardedSet<T> {
-    shards: Vec<RwLock<FxHashSet<T>>>,
-    mask: u64,
+pub(crate) struct IdTable {
+    /// `hash_high << 32 | (id + 1)`; `0` is an empty slot.
+    slots: Vec<u64>,
+    len: usize,
 }
 
-impl<T: Eq + Hash> ShardedSet<T> {
-    /// Creates a set with `shards` shards (rounded up to a power of two).
-    pub fn new(shards: usize) -> Self {
-        let count = shards.max(1).next_power_of_two();
-        ShardedSet {
-            shards: (0..count).map(|_| RwLock::new(FxHashSet::default())).collect(),
-            mask: (count - 1) as u64,
+impl IdTable {
+    /// An empty table of 64 slots; it doubles as it fills.
+    pub(crate) fn new() -> Self {
+        IdTable { slots: vec![0; 64], len: 0 }
+    }
+
+    /// Returns the id whose key has hash `hash` and satisfies `is_key`, or
+    /// inserts `id` under `hash` and returns `None`.
+    #[inline]
+    pub(crate) fn find_or_insert(
+        &mut self,
+        hash: u64,
+        id: u32,
+        mut is_key: impl FnMut(u32) -> bool,
+    ) -> Option<u32> {
+        debug_assert!(id < u32::MAX, "id {id} collides with the empty slot");
+        let tag = hash >> 32;
+        let mask = self.slots.len() - 1;
+        let mut at = tag as usize & mask;
+        loop {
+            let slot = self.slots[at];
+            if slot == 0 {
+                break;
+            }
+            if slot >> 32 == tag {
+                let found = (slot as u32).wrapping_sub(1);
+                if is_key(found) {
+                    return Some(found);
+                }
+            }
+            at = (at + 1) & mask;
         }
+        self.slots[at] = tag << 32 | u64::from(id.wrapping_add(1));
+        self.len += 1;
+        if self.len * 2 > self.slots.len() {
+            self.double();
+        }
+        None
     }
 
-    #[inline]
-    fn shard_of_hash(&self, hash: u64) -> usize {
-        // The low bits feed the in-shard hash table; shard selection uses the
-        // high bits so the two partitions stay independent.
-        ((hash >> 48) & self.mask) as usize
-    }
-
-    #[inline]
-    fn shard_of(&self, value: &T) -> usize {
-        self.shard_of_hash(fx_hash(value))
-    }
-
-    /// Returns `true` if the set contains `value` (shared lock).
-    pub fn contains(&self, value: &T) -> bool {
-        self.shards[self.shard_of(value)].read().contains(value)
-    }
-
-    /// Like [`ShardedSet::contains`] but probes with a borrowed form of the
-    /// element type (e.g. `&[u64]` for a set of `Box<[u64]>`). Sound because
-    /// the `Borrow` contract requires borrowed and owned forms to hash
-    /// identically, so the probe lands in the same shard.
-    pub fn contains_borrowed<Q>(&self, value: &Q) -> bool
-    where
-        T: std::borrow::Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.shards[self.shard_of_hash(fx_hash(&value))].read().contains(value)
-    }
-
-    /// Inserts `value`, returning `true` if it was not present (exclusive
-    /// lock on one shard).
-    pub fn insert(&self, value: T) -> bool {
-        self.shards[self.shard_of(&value)].write().insert(value)
-    }
-
-    /// Total number of elements across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|shard| shard.read().len()).sum()
-    }
-
-    /// Returns `true` if every shard is empty.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|shard| shard.read().is_empty())
-    }
-
-    /// Number of shards (always a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    /// Doubles the slot array, re-placing every id by its stored hash bits.
+    fn double(&mut self) {
+        let doubled = vec![0; self.slots.len() * 2];
+        let old = std::mem::replace(&mut self.slots, doubled);
+        let mask = self.slots.len() - 1;
+        for slot in old.into_iter().filter(|&slot| slot != 0) {
+            let mut at = (slot >> 32) as usize & mask;
+            while self.slots[at] != 0 {
+                at = (at + 1) & mask;
+            }
+            self.slots[at] = slot;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::Hash;
+
+    fn fx_hash<T: Hash>(value: &T) -> u64 {
+        let mut hasher = FxHasher::default();
+        value.hash(&mut hasher);
+        hasher.finish()
+    }
 
     #[test]
     fn equal_values_hash_equal_and_unequal_values_spread() {
@@ -189,36 +199,53 @@ mod tests {
         assert!(!set.insert(7));
     }
 
-    #[test]
-    fn sharded_set_inserts_once_across_shards() {
-        let set: ShardedSet<Vec<u64>> = ShardedSet::new(7);
-        assert_eq!(set.shard_count(), 8);
-        assert!(set.is_empty());
-        for i in 0..1000u64 {
-            assert!(set.insert(vec![i, i * 3]));
+    /// Interns `key` into `table` over `arena`, returning its id.
+    fn intern(table: &mut IdTable, arena: &mut Vec<[u64; 2]>, key: [u64; 2], hash: u64) -> u32 {
+        let next = arena.len() as u32;
+        match table.find_or_insert(hash, next, |id| arena[id as usize] == key) {
+            Some(id) => id,
+            None => {
+                arena.push(key);
+                next
+            }
         }
-        for i in 0..1000u64 {
-            assert!(!set.insert(vec![i, i * 3]));
-            assert!(set.contains(&vec![i, i * 3]));
-        }
-        assert!(!set.contains(&vec![9999, 1]));
-        assert_eq!(set.len(), 1000);
     }
 
     #[test]
-    fn sharded_set_is_safe_under_concurrent_insertion() {
-        let set: ShardedSet<u64> = ShardedSet::new(8);
-        std::thread::scope(|scope| {
-            for t in 0..4u64 {
-                let set = &set;
-                scope.spawn(move || {
-                    for i in 0..500u64 {
-                        // Overlapping ranges: every value inserted by two threads.
-                        set.insert(t / 2 * 10_000 + i);
-                    }
-                });
-            }
-        });
-        assert_eq!(set.len(), 1000);
+    fn id_table_returns_ids_in_insertion_order_across_doublings() {
+        let mut table = IdTable::new();
+        let mut arena = Vec::new();
+        let keys: Vec<[u64; 2]> = (0..5_000u64).map(|i| [i * 7, i ^ 0x55]).collect();
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(intern(&mut table, &mut arena, *key, hash_words(key)), i as u32);
+        }
+        assert!(table.slots.len() >= 8_192, "the table doubled past its first size");
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(intern(&mut table, &mut arena, *key, hash_words(key)), i as u32);
+        }
+        assert_eq!(arena.len(), keys.len());
+        assert_eq!(table.len, keys.len());
+    }
+
+    #[test]
+    fn id_table_resolves_keys_that_all_share_one_hash() {
+        let mut table = IdTable::new();
+        let mut arena = Vec::new();
+        for i in 0..300u64 {
+            assert_eq!(intern(&mut table, &mut arena, [i, 0], 42), i as u32);
+        }
+        for i in (0..300u64).rev() {
+            assert_eq!(intern(&mut table, &mut arena, [i, 0], 42), i as u32);
+        }
+        assert_eq!(arena.len(), 300);
+    }
+
+    #[test]
+    fn word_hashes_reach_the_high_bits_from_every_input_bit() {
+        let base = hash_words(&[0, 0]) >> 32;
+        for bit in 0..64 {
+            assert_ne!(hash_words(&[0, 1u64 << bit]) >> 32, base, "bit {bit} of the last word");
+            assert_ne!(hash_words(&[1u64 << bit, 0]) >> 32, base, "bit {bit} of the first word");
+        }
     }
 }

@@ -22,9 +22,9 @@
 //!   diagrams and the access-control policy using the extraction rules of
 //!   Section II-B (Fig. 3). Generation compiles the artefacts to a
 //!   dense-index flow program (the private `compile` module) and explores it
-//!   with a parallel frontier BFS (the private `engine` module) over a
-//!   sharded fast-hash visited set ([`hash`]); see `docs/PERFORMANCE.md` for
-//!   the design.
+//!   with a breadth-first search over flat arenas on one core (the private
+//!   `engine` module), whose id tables hash with [`hash`]; see
+//!   `docs/PERFORMANCE.md` for the design.
 //! * [`mod@reference`] — the retained pre-optimisation generator, used to
 //!   differential-test and benchmark the engine.
 //! * [`index`] — the columnar analysis index ([`LtsIndex`]): a one-pass
@@ -72,7 +72,7 @@ pub mod space;
 pub mod state;
 
 pub use generate::{generate_lts, GeneratorConfig};
-pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher, ShardedSet};
+pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use index::LtsIndex;
 pub use label::{ActionKind, RiskAnnotation, TransitionLabel};
 pub use lts::{Lts, LtsStats, StateId, Transition, TransitionId};

@@ -47,6 +47,11 @@ pub struct Transition {
 }
 
 impl Transition {
+    /// A flow transition (not a risk-transition).
+    pub(crate) fn new(from: StateId, to: StateId, label: Arc<TransitionLabel>) -> Self {
+        Transition { from, to, label, risk_transition: false }
+    }
+
     /// The source state.
     pub fn from(&self) -> StateId {
         self.from
@@ -126,10 +131,15 @@ impl fmt::Display for LtsStats {
 }
 
 /// A labelled transition system over privacy states.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Two LTSs are equal when their space, states, transitions, outgoing
+/// lists and initial state are.
+#[derive(Debug, Clone)]
 pub struct Lts {
     space: VarSpace,
     states: Vec<PrivacyState>,
+    /// State → id, for [`Lts::intern`]. A generated LTS hands over without
+    /// it; the first `intern` builds it (`index.len() < states.len()`).
     index: HashMap<PrivacyState, StateId>,
     transitions: Vec<Transition>,
     outgoing: Vec<Vec<TransitionId>>,
@@ -153,6 +163,26 @@ impl Lts {
         }
     }
 
+    /// Assembles a generated LTS in one pass: every outgoing list is sized
+    /// once, and the state map is left for the first [`Lts::intern`].
+    /// `states[0]` is the initial state.
+    pub(crate) fn from_generated(
+        space: VarSpace,
+        states: Vec<PrivacyState>,
+        transitions: Vec<Transition>,
+    ) -> Self {
+        let mut degree = vec![0usize; states.len()];
+        for transition in &transitions {
+            degree[transition.from.0] += 1;
+        }
+        let mut outgoing: Vec<Vec<TransitionId>> =
+            degree.into_iter().map(Vec::with_capacity).collect();
+        for (id, transition) in transitions.iter().enumerate() {
+            outgoing[transition.from.0].push(TransitionId(id));
+        }
+        Lts { space, states, index: HashMap::new(), transitions, outgoing, initial: StateId(0) }
+    }
+
     /// The variable space the states are defined over.
     pub fn space(&self) -> &VarSpace {
         &self.space
@@ -165,6 +195,10 @@ impl Lts {
 
     /// Interns a state, returning its id (existing id if already present).
     pub fn intern(&mut self, state: PrivacyState) -> StateId {
+        if self.index.len() < self.states.len() {
+            self.index =
+                self.states.iter().enumerate().map(|(id, s)| (s.clone(), StateId(id))).collect();
+        }
         if let Some(id) = self.index.get(&state) {
             return *id;
         }
@@ -173,11 +207,6 @@ impl Lts {
         self.states.push(state);
         self.outgoing.push(Vec::new());
         id
-    }
-
-    /// Looks up the id of a state if it has been interned.
-    pub fn find(&self, state: &PrivacyState) -> Option<StateId> {
-        self.index.get(state).copied()
     }
 
     /// The state with the given id.
@@ -202,9 +231,7 @@ impl Lts {
     }
 
     /// Adds a transition whose label is shared (interned), with the full
-    /// duplicate scan. The engine pre-dedups and uses
-    /// [`Lts::add_transition_shared_unchecked`]; this checked variant backs
-    /// the copy-on-write unit tests.
+    /// duplicate scan. It backs the copy-on-write unit tests.
     #[cfg(test)]
     pub(crate) fn add_transition_shared(
         &mut self,
@@ -234,23 +261,6 @@ impl Lts {
         label: Arc<TransitionLabel>,
     ) -> TransitionId {
         self.add_transition_inner(from, to, label, true)
-    }
-
-    /// Adds a non-risk transition without scanning for duplicates. The
-    /// generation engine dedups `(from, to, label)` triples by interned label
-    /// index up front — exactly the check the scan would perform — so the
-    /// linear scan over hub states' outgoing lists (quadratic in out-degree)
-    /// is skipped.
-    pub(crate) fn add_transition_shared_unchecked(
-        &mut self,
-        from: StateId,
-        to: StateId,
-        label: Arc<TransitionLabel>,
-    ) -> TransitionId {
-        let id = TransitionId(self.transitions.len());
-        self.transitions.push(Transition { from, to, label, risk_transition: false });
-        self.outgoing[from.0].push(id);
-        id
     }
 
     fn add_transition_inner(
@@ -312,15 +322,6 @@ impl Lts {
     /// transition relation).
     pub(crate) fn outgoing_ids(&self, state: StateId) -> &[TransitionId] {
         &self.outgoing[state.0]
-    }
-
-    /// The incoming transitions of a state.
-    pub fn incoming(&self, state: StateId) -> impl Iterator<Item = (TransitionId, &Transition)> {
-        self.transitions
-            .iter()
-            .enumerate()
-            .filter(move |(_, t)| t.to == state)
-            .map(|(i, t)| (TransitionId(i), t))
     }
 
     /// Number of states.
@@ -417,6 +418,16 @@ impl Lts {
     }
 }
 
+impl PartialEq for Lts {
+    fn eq(&self, other: &Self) -> bool {
+        self.space == other.space
+            && self.states == other.states
+            && self.transitions == other.transitions
+            && self.outgoing == other.outgoing
+            && self.initial == other.initial
+    }
+}
+
 impl fmt::Display for Lts {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "lts: {}", self.stats())?;
@@ -485,8 +496,31 @@ mod tests {
         let b = lts.intern(state.clone());
         assert_eq!(a, b);
         assert_eq!(lts.state_count(), 2);
-        assert_eq!(lts.find(&state), Some(a));
+        assert_eq!(lts.state(a), &state);
         assert_eq!(lts.intern(PrivacyState::absolute(&space)), lts.initial());
+    }
+
+    #[test]
+    fn a_generated_lts_builds_its_state_map_at_the_first_intern() {
+        let built = two_step_lts();
+        let states: Vec<PrivacyState> = built.states().map(|(_, s)| s.clone()).collect();
+        let transitions = built.transitions().map(|(_, t)| t.clone()).collect();
+        let mut generated = Lts::from_generated(built.space().clone(), states, transitions);
+        assert!(generated.index.is_empty());
+        assert_eq!(generated, built, "equality ignores the state map");
+
+        let space = built.space().clone();
+        let s1 = generated.state(StateId(1)).clone();
+        assert_eq!(generated.intern(s1), StateId(1));
+        assert_eq!(generated.index.len(), 3);
+        let fresh = PrivacyState::absolute(&space).with_has(
+            &space,
+            &ActorId::new("Admin"),
+            &FieldId::new("Name"),
+        );
+        assert_eq!(generated.intern(fresh), StateId(3));
+        assert_eq!(generated.outgoing(StateId(3)).count(), 0);
+        assert_ne!(generated, built);
     }
 
     #[test]
@@ -505,13 +539,12 @@ mod tests {
     }
 
     #[test]
-    fn outgoing_incoming_and_reachability() {
+    fn outgoing_and_reachability() {
         let lts = two_step_lts();
         let s0 = lts.initial();
         assert_eq!(lts.outgoing(s0).count(), 1);
         let (_, t) = lts.outgoing(s0).next().unwrap();
         let s1 = t.to();
-        assert_eq!(lts.incoming(s1).count(), 1);
         assert_eq!(lts.reachable().len(), 3);
         assert_eq!(lts.reachable_from(s1).len(), 2);
     }

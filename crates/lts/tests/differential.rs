@@ -8,11 +8,15 @@
 //! frontier order, on the stronger property of full LTS equality (identical
 //! state numbering and transition order).
 
+use privacy_access::{AccessControlList, AccessPolicy, Grant};
+use privacy_dataflow::{DiagramBuilder, SystemDataFlows};
 use privacy_lts::space::VarKind;
 use privacy_lts::{
     generate_lts, generate_lts_reference, ActionKind, GeneratorConfig, Lts, LtsIndex, TransitionId,
 };
-use privacy_model::{ActorId, FieldId};
+use privacy_model::{
+    Actor, ActorId, Catalog, DataField, DataSchema, DatastoreDecl, FieldId, ServiceDecl,
+};
 use privacy_synth::{random_model, ModelGeneratorConfig};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -77,7 +81,6 @@ proptest! {
         seed in 0u64..1_000_000,
         potential_reads in proptest::bool::ANY,
         interleave in proptest::bool::ANY,
-        threads in 1usize..5,
     ) {
         let model_config = ModelGeneratorConfig {
             actors,
@@ -94,7 +97,6 @@ proptest! {
         let mut config = GeneratorConfig::default().with_max_states(50_000);
         config.explore_potential_reads = potential_reads;
         config.interleave_services = interleave;
-        config.threads = Some(threads);
 
         let engine = generate_lts(&catalog, &system, &policy, &config);
         let reference = generate_lts_reference(&catalog, &system, &policy, &config);
@@ -163,6 +165,52 @@ fn engine_matches_reference_on_larger_models() {
         total_states += engine.state_count();
     }
     assert!(total_states > 100, "explorations stayed trivial: {total_states} states in total");
+}
+
+/// A model whose privacy state stops changing after the first read: one
+/// reader, one field, and three services of fifteen reads each, every read
+/// with its own purpose. Every progress combination but the initial one
+/// carries the same privacy state, so 4,095 composite nodes share it and
+/// re-emit its 45 distinct self-loops, more than the engine's dedup scan
+/// bound (32) before that state is half explored.
+fn hub_state_model() -> (Catalog, SystemDataFlows, AccessPolicy) {
+    let mut catalog = Catalog::new();
+    catalog.add_actor(Actor::data_subject("Patient")).unwrap();
+    catalog.add_actor(Actor::role("Clerk")).unwrap();
+    catalog.add_field(DataField::sensitive("Record")).unwrap();
+    catalog.add_schema(DataSchema::new("RecordSchema", [FieldId::new("Record")])).unwrap();
+    catalog.add_datastore(DatastoreDecl::new("Archive", "RecordSchema")).unwrap();
+    let mut system = SystemDataFlows::new();
+    for service in 0..3 {
+        let name = format!("Audit{service}");
+        catalog.add_service(ServiceDecl::new(name.as_str(), [ActorId::new("Clerk")])).unwrap();
+        let mut diagram = DiagramBuilder::new(name.as_str());
+        for step in 0..15u32 {
+            let purpose = format!("audit {service}.{step}");
+            diagram = diagram.read("Clerk", "Archive", ["Record"], purpose, step + 1).unwrap();
+        }
+        system = system.with_diagram(diagram.build()).unwrap();
+    }
+    let acl = AccessControlList::new().with_grant(Grant::read_all("Clerk", "Archive"));
+    (catalog, system, AccessPolicy::from_parts(acl, Default::default()))
+}
+
+#[test]
+fn engine_matches_reference_on_a_hub_state() {
+    let (catalog, system, policy) = hub_state_model();
+    let config = GeneratorConfig::default();
+    let engine = generate_lts(&catalog, &system, &policy, &config).expect("engine generates");
+    let reference =
+        generate_lts_reference(&catalog, &system, &policy, &config).expect("reference generates");
+    assert_equivalent(&engine, &reference);
+    // The initial state and the one the first read reaches.
+    assert_eq!(engine.state_count(), 2);
+    // Three first reads leave the initial state; all 45 reads loop on the
+    // hub, once each.
+    assert_eq!(engine.transition_count(), 3 + 45);
+    let hub = engine.transition(TransitionId(0)).to();
+    assert_eq!(engine.outgoing(hub).count(), 45);
+    assert!(engine.outgoing(hub).all(|(_, transition)| transition.to() == hub));
 }
 
 /// Structural equality over every observable surface of two analysis
