@@ -48,11 +48,11 @@ enum Breach {
 }
 
 impl Violation {
-    pub(crate) fn forbidden_transition(id: TransitionId, transition: &Transition) -> Self {
+    pub(crate) fn forbidden_transition(id: TransitionId, transition: Transition<'_>) -> Self {
         Violation(Breach::ForbiddenTransition { id, label: Arc::clone(transition.shared_label()) })
     }
 
-    pub(crate) fn undeclared_purpose(id: TransitionId, transition: &Transition) -> Self {
+    pub(crate) fn undeclared_purpose(id: TransitionId, transition: Transition<'_>) -> Self {
         Violation(Breach::UndeclaredPurpose { id, label: Arc::clone(transition.shared_label()) })
     }
 

@@ -33,16 +33,16 @@
 //! `max_states` failure point are identical, and the differential tests
 //! require the engine's LTS to equal the reference's. The bound is enforced
 //! when a composite state is *inserted*, so the arena never outgrows it.
-//! The [`Lts`] is assembled once, after the search.
+//! The [`Lts`] keeps the transition columns the search built: after the
+//! search, `sources` and `edges` move into it unchanged.
 
 use crate::compile::CompiledModel;
 use crate::generate::GeneratorConfig;
 use crate::hash::{hash_words, IdTable};
-use crate::lts::{Lts, StateId, Transition};
+use crate::lts::Lts;
 use crate::state::PrivacyState;
 use privacy_model::ModelError;
 use std::ops::Range;
-use std::sync::Arc;
 
 /// A state whose earlier expansions emitted more transitions than this
 /// dedups its later ones through the hub table instead of scanning them.
@@ -307,26 +307,26 @@ impl<'a> Exploration<'a> {
         found.is_some()
     }
 
-    /// Hands the arenas over as an [`Lts`], in one pass.
-    fn into_lts(self) -> Lts {
-        let compiled = self.compiled;
+    /// Hands the arenas over as an [`Lts`]: the transition columns move
+    /// across as they are, and the key arenas and id tables are dropped
+    /// before the states are unpacked and the CSR is built.
+    fn into_lts(mut self) -> Lts {
+        let (compiled, state_count) = (self.compiled, self.last_expansion.len());
+        let mut sources = std::mem::take(&mut self.sources);
+        let mut edges = std::mem::take(&mut self.edges);
+        let state_words = std::mem::take(&mut self.state_words);
+        drop(self);
+        sources.shrink_to_fit();
+        edges.shrink_to_fit();
         let pw = compiled.privacy_words;
-        let states = (0..self.last_expansion.len())
+        let states = (0..state_count)
             .map(|state| {
-                let words = self.state_words[state * pw..(state + 1) * pw].to_vec();
+                let words = state_words[state * pw..(state + 1) * pw].to_vec();
                 PrivacyState::from_raw_words(words, compiled.privacy_len)
             })
             .collect();
-        let transitions = self
-            .sources
-            .iter()
-            .zip(&self.edges)
-            .map(|(&from, &edge)| {
-                let label = Arc::clone(&compiled.labels[edge as u32 as usize]);
-                Transition::new(StateId(from as usize), StateId((edge >> 32) as usize), label)
-            })
-            .collect();
-        Lts::from_generated(compiled.space.clone(), states, transitions)
+        drop(state_words);
+        Lts::from_generated(compiled.space.clone(), states, compiled.labels.clone(), sources, edges)
     }
 }
 

@@ -9,13 +9,16 @@
 //! per (actor, field) pair, comparing string-keyed labels each time. On the
 //! healthcare case study that is 1.4M label comparisons per statement.
 //!
-//! [`LtsIndex::build`] walks the LTS exactly once and materialises:
+//! [`LtsIndex::build`] counts the LTS's label-id column once, fills the
+//! posting lists in a second pass over it, and materialises:
 //!
-//! * **Columns** — per transition: the action kind, the interned actor, the
-//!   interned purpose and a packed `u64` bitset of the interned fields the
-//!   label carries (identifier interning reuses
+//! * **Label tables** — per distinct label: the action kind, the interned
+//!   actor, the interned purpose and a packed `u64` bitset of the interned
+//!   fields it carries (identifier interning reuses
 //!   [`privacy_model::intern::Interner`], the same dense-index machinery the
-//!   generation engine compiles flows with).
+//!   generation engine compiles flows with). A per-transition probe reads
+//!   the transition's label id from the LTS's edge column, which the index
+//!   shares rather than copies.
 //! * **Posting lists** — ascending transition-id lists per action kind, per
 //!   actor, per field and per (actor, action kind) pair, so "all reads by
 //!   the Administrator touching `Diagnosis`" is a probe plus a bitset test
@@ -23,7 +26,7 @@
 //! * **Action field cover** — per action kind, the union bitset of fields
 //!   any transition of that kind touches (the right-to-erasure probe).
 //! * **CSR adjacency** — the state → outgoing-transition relation flattened
-//!   into two dense arrays (offsets + transition ids).
+//!   into two dense arrays (offsets + transition ids), shared with the LTS.
 //! * **Reachability + state-bit posting lists** — the breadth-first
 //!   reachable order (identical to [`Lts::reachable`]) and, per Boolean
 //!   state variable of the [`VarSpace`], the list of reachable states (in
@@ -35,12 +38,13 @@
 //!   handed out as one shared `Arc` ([`LtsIndex::reads_involving`]).
 //!
 //! The index is a snapshot: it describes the LTS at build time and is not
-//! updated when the LTS is mutated afterwards (the disclosure analysis
-//! exploits exactly this — it matches the scan path, which also snapshots
-//! `reachable()` before annotating).
+//! updated when the LTS is mutated afterwards — the LTS copies a shared
+//! column before its first write (the disclosure analysis exploits exactly
+//! this — it matches the scan path, which also snapshots `reachable()`
+//! before annotating).
 
 use crate::label::ActionKind;
-use crate::lts::{Lts, StateId, TransitionId};
+use crate::lts::{Csr, Lts, StateId, TransitionId, LABEL_MASK};
 use crate::space::{VarKind, VarSpace};
 use privacy_model::{ActorId, FieldId, Interner, Purpose};
 use std::sync::{Arc, OnceLock};
@@ -62,42 +66,6 @@ const EMPTY_TRANSITIONS: &[u32] = &[];
 #[inline]
 fn action_index(action: ActionKind) -> usize {
     action.table_index()
-}
-
-/// Transition count below which the sharded column/posting pass runs on the
-/// calling thread: with fewer transitions per shard the spawn/merge overhead
-/// outweighs the scan itself.
-const PARALLEL_BUILD_MIN_TRANSITIONS_PER_SHARD: usize = 65_536;
-
-/// The resolved columns of one distinct (`Arc`-interned) label allocation.
-struct LabelCols {
-    action: u8,
-    actor: u32,
-    purpose: u32,
-    fields: Vec<u32>,
-}
-
-/// The result of one shard's first pass over its transition range: the
-/// distinct label allocations in first-occurrence order (with a transition
-/// that carries each) and the per-transition label-pointer column.
-struct RangeScan {
-    distinct: Vec<(usize, TransitionId)>,
-    ptr_col: Vec<usize>,
-}
-
-/// The columns and posting lists one shard produced for its transition
-/// range. Shards cover contiguous ascending ranges, so concatenating in
-/// shard order reproduces the sequential single-pass output exactly.
-struct RangeColumns {
-    action_col: Vec<u8>,
-    actor_col: Vec<u32>,
-    purpose_col: Vec<u32>,
-    field_words: Vec<u64>,
-    by_action: Vec<Vec<u32>>,
-    by_actor: Vec<Vec<u32>>,
-    by_field: Vec<Vec<u32>>,
-    by_actor_action: Vec<Vec<u32>>,
-    action_field_cover: Vec<Vec<u64>>,
 }
 
 /// The columnar analysis index over one [`Lts`] snapshot.
@@ -137,16 +105,19 @@ pub struct LtsIndex {
     actors: Interner<ActorId>,
     fields: Interner<FieldId>,
     purposes: Interner<Purpose>,
-    /// Per transition: `action_index` of its action kind.
-    action_col: Vec<u8>,
-    /// Per transition: interned actor index.
-    actor_col: Vec<u32>,
-    /// Per transition: interned purpose index, or [`NO_PURPOSE`].
-    purpose_col: Vec<u32>,
-    /// `u64` words per transition in [`LtsIndex::field_words`].
-    words_per_transition: usize,
-    /// Packed field bitsets, `words_per_transition` words per transition.
-    field_words: Vec<u64>,
+    /// The LTS's edge column at build time: a transition's label id is its
+    /// word's low bits ([`LABEL_MASK`]).
+    edges: Arc<Vec<u64>>,
+    /// Per label id: `action_index` of its action kind.
+    label_action: Vec<u8>,
+    /// Per label id: interned actor index.
+    label_actor: Vec<u32>,
+    /// Per label id: interned purpose index, or [`NO_PURPOSE`].
+    label_purpose: Vec<u32>,
+    /// `u64` words per field bitset.
+    field_words_per_label: usize,
+    /// Packed field bitsets, `field_words_per_label` words per label id.
+    label_fields: Vec<u64>,
     /// Posting lists: ascending transition ids per action kind.
     by_action: Vec<Vec<u32>>,
     /// Posting lists: ascending transition ids per interned actor.
@@ -157,11 +128,8 @@ pub struct LtsIndex {
     by_actor_action: Vec<Vec<u32>>,
     /// Per action kind: the union field bitset its transitions touch.
     action_field_cover: Vec<Vec<u64>>,
-    /// CSR offsets into [`LtsIndex::csr_transitions`], one entry per state
-    /// plus the trailing end offset.
-    csr_offsets: Vec<u32>,
-    /// The outgoing transition ids of every state, concatenated.
-    csr_transitions: Vec<u32>,
+    /// The LTS's outgoing lists at build time.
+    csr: Arc<Csr>,
     /// Reachable states, in the breadth-first order of [`Lts::reachable`].
     reachable: Vec<StateId>,
     /// `u64` words per state in [`LtsIndex::state_words`].
@@ -184,203 +152,106 @@ pub struct LtsIndex {
 }
 
 impl LtsIndex {
-    /// Builds the index from one pass over the LTS (plus one breadth-first
-    /// traversal for reachability). The column/posting pass is sharded over
-    /// worker threads when the LTS is large enough to amortise the fan-out —
-    /// the result is identical for every thread count (see
-    /// [`LtsIndex::build_with_threads`]).
+    /// Builds the index on the calling thread: one pass counts the
+    /// transitions per label id, a second fills posting lists sized exactly
+    /// from those counts, and one breadth-first traversal finds the
+    /// reachable states. The CSR and the edge column are shared with the
+    /// LTS, not copied.
     pub fn build(lts: &Lts) -> LtsIndex {
-        LtsIndex::build_with_threads(lts, None)
-    }
-
-    /// Builds the index with the column/posting pass sharded over `threads`
-    /// worker threads (`None` = one per CPU).
-    ///
-    /// The transition range is split into contiguous chunks, each shard
-    /// scans its chunk independently, and the per-shard columns and posting
-    /// lists are concatenated in shard order — so every column, posting
-    /// list, interner and bitset is byte-for-byte identical to the
-    /// single-threaded build regardless of thread count (pinned by the
-    /// `sharded_index_build_matches_sequential_build_on_random_models`
-    /// property test). Small LTSs are built on the calling thread.
-    pub fn build_with_threads(lts: &Lts, threads: Option<usize>) -> LtsIndex {
         let space = lts.space();
         let transition_count = lts.transition_count();
-        // An explicit thread count is honoured as-is (the differential tests
-        // force sharding on small LTSs); `None` shards only when every shard
-        // gets enough transitions to amortise the spawn/merge overhead, and
-        // asks for the core count (`available_parallelism`, ≈0.13 ms on a
-        // 2-vCPU Linux host) only then.
-        let by_work = transition_count / PARALLEL_BUILD_MIN_TRANSITIONS_PER_SHARD;
-        let shards = match threads {
-            Some(threads) => threads.clamp(1, transition_count.max(1)),
-            None if by_work < 2 => 1,
-            None => crate::batch::resolve_threads(None).min(by_work),
-        };
+        let edges = lts.shared_edges();
+        let labels = lts.labels();
+        let label_of = |edge: u64| (edge & LABEL_MASK) as usize;
 
-        // Contiguous transition ranges, one per shard.
-        let chunk = transition_count.div_ceil(shards).max(1);
-        let ranges: Vec<(usize, usize)> = (0..shards)
-            .map(|s| ((s * chunk).min(transition_count), ((s + 1) * chunk).min(transition_count)))
-            .collect();
-
-        // Phase 1 (sharded): labels are `Arc`-interned by the generation
-        // engine, so a handful of distinct allocations cover millions of
-        // transitions. Each shard records its distinct label pointers in
-        // first-occurrence order plus the per-transition pointer column.
-        let scans: Vec<RangeScan> = crate::batch::parallel_map(&ranges, Some(shards), |&range| {
-            let (start, end) = range;
-            let mut seen: crate::hash::FxHashSet<usize> = crate::hash::FxHashSet::default();
-            let mut distinct = Vec::new();
-            let mut ptr_col = Vec::with_capacity(end - start);
-            for tx in start..end {
-                let id = TransitionId(tx);
-                let ptr = lts.transition(id).label_ptr() as usize;
-                if seen.insert(ptr) {
-                    distinct.push((ptr, id));
-                }
-                ptr_col.push(ptr);
+        // Transitions per label id, and the label ids in the order of their
+        // first transition.
+        let mut counts = vec![0usize; labels.len()];
+        let mut first_seen = Vec::new();
+        for &edge in edges.iter() {
+            let label = label_of(edge);
+            if counts[label] == 0 {
+                first_seen.push(label);
             }
-            RangeScan { distinct, ptr_col }
-        });
+            counts[label] += 1;
+        }
 
-        // Interning merge (sequential): the variable space first (so space
-        // queries resolve even for actors/fields no transition mentions),
-        // then the distinct labels in shard order. A label's first shard is
-        // the shard of its globally first transition, and within a shard the
-        // distinct list is in transition order — so this is exactly the
-        // global first-occurrence order the single-pass build assigns.
+        // Interning: the variable space first (so space queries resolve even
+        // for actors and fields no transition mentions), then each label's
+        // vocabulary in first-transition order.
         let mut actors: Interner<ActorId> = space.actors().iter().cloned().collect();
         let mut fields: Interner<FieldId> = space.fields().iter().cloned().collect();
         let mut purposes: Interner<Purpose> = Interner::new();
-        let mut label_cols: crate::hash::FxHashMap<usize, LabelCols> =
-            crate::hash::FxHashMap::default();
-        for scan in &scans {
-            for &(ptr, id) in &scan.distinct {
-                label_cols.entry(ptr).or_insert_with(|| {
-                    let label = lts.transition(id).label();
-                    let actor = match actors.get(label.actor()) {
-                        Some(actor) => actor,
-                        None => actors.intern(label.actor().clone()),
-                    };
-                    let purpose = match label.purpose() {
-                        Some(purpose) => match purposes.get(purpose) {
-                            Some(purpose) => purpose,
-                            None => purposes.intern(purpose.clone()),
-                        },
-                        None => NO_PURPOSE,
-                    };
-                    let field_ids = label
-                        .fields()
-                        .iter()
-                        .map(|field| match fields.get(field) {
-                            Some(field) => field,
-                            None => fields.intern(field.clone()),
-                        })
-                        .collect();
-                    LabelCols {
-                        action: action_index(label.action()) as u8,
-                        actor,
-                        purpose,
-                        fields: field_ids,
-                    }
-                });
-            }
-        }
-
-        // Phase 2 (sharded): with the interners complete, every shard emits
-        // its columns, packed field bitsets and posting lists from its
-        // pointer column alone.
-        let words_per_transition = fields.len().div_ceil(64).max(1);
-        let (actor_slots, field_slots) = (actors.len(), fields.len());
-        let inputs: Vec<(usize, &[usize])> = ranges
-            .iter()
-            .zip(&scans)
-            .map(|(&(start, _), scan)| (start, scan.ptr_col.as_slice()))
-            .collect();
-        let columns: Vec<RangeColumns> =
-            crate::batch::parallel_map(&inputs, Some(shards), |&(start, ptr_col)| {
-                let mut out = RangeColumns {
-                    action_col: Vec::with_capacity(ptr_col.len()),
-                    actor_col: Vec::with_capacity(ptr_col.len()),
-                    purpose_col: Vec::with_capacity(ptr_col.len()),
-                    field_words: vec![0u64; ptr_col.len() * words_per_transition],
-                    by_action: vec![Vec::new(); ACTIONS],
-                    by_actor: vec![Vec::new(); actor_slots],
-                    by_field: vec![Vec::new(); field_slots],
-                    by_actor_action: vec![Vec::new(); actor_slots * ACTIONS],
-                    action_field_cover: vec![vec![0u64; words_per_transition]; ACTIONS],
+        let mut label_action = vec![0u8; labels.len()];
+        let mut label_actor = vec![0u32; labels.len()];
+        let mut label_purpose = vec![NO_PURPOSE; labels.len()];
+        let mut label_field_ids: Vec<Vec<u32>> = vec![Vec::new(); labels.len()];
+        for &id in &first_seen {
+            let label = &labels[id];
+            label_action[id] = action_index(label.action()) as u8;
+            label_actor[id] = match actors.get(label.actor()) {
+                Some(actor) => actor,
+                None => actors.intern(label.actor().clone()),
+            };
+            if let Some(purpose) = label.purpose() {
+                label_purpose[id] = match purposes.get(purpose) {
+                    Some(purpose) => purpose,
+                    None => purposes.intern(purpose.clone()),
                 };
-                for (offset, ptr) in ptr_col.iter().enumerate() {
-                    let tx = (start + offset) as u32;
-                    let cols = &label_cols[ptr];
-                    out.action_col.push(cols.action);
-                    out.actor_col.push(cols.actor);
-                    out.purpose_col.push(cols.purpose);
-                    out.by_action[cols.action as usize].push(tx);
-                    out.by_actor[cols.actor as usize].push(tx);
-                    out.by_actor_action[cols.actor as usize * ACTIONS + cols.action as usize]
-                        .push(tx);
-                    for &field in &cols.fields {
-                        let (word, mask) = (field as usize / 64, 1u64 << (field % 64));
-                        out.by_field[field as usize].push(tx);
-                        out.field_words[offset * words_per_transition + word] |= mask;
-                        out.action_field_cover[cols.action as usize][word] |= mask;
-                    }
-                }
-                out
-            });
-
-        // Deterministic concat-merge: ranges are contiguous and ascending,
-        // so appending per-shard columns and postings in shard order yields
-        // the ascending transition-id order the probes rely on.
-        let mut action_col = Vec::with_capacity(transition_count);
-        let mut actor_col = Vec::with_capacity(transition_count);
-        let mut purpose_col = Vec::with_capacity(transition_count);
-        let mut field_words = Vec::with_capacity(transition_count * words_per_transition);
-        let mut by_action: Vec<Vec<u32>> = vec![Vec::new(); ACTIONS];
-        let mut by_actor: Vec<Vec<u32>> = vec![Vec::new(); actor_slots];
-        let mut by_field: Vec<Vec<u32>> = vec![Vec::new(); field_slots];
-        let mut by_actor_action: Vec<Vec<u32>> = vec![Vec::new(); actor_slots * ACTIONS];
-        let mut action_field_cover = vec![vec![0u64; words_per_transition]; ACTIONS];
-        for shard in columns {
-            action_col.extend(shard.action_col);
-            actor_col.extend(shard.actor_col);
-            purpose_col.extend(shard.purpose_col);
-            field_words.extend(shard.field_words);
-            for (merged, local) in by_action.iter_mut().zip(shard.by_action) {
-                merged.extend(local);
             }
-            for (merged, local) in by_actor.iter_mut().zip(shard.by_actor) {
-                merged.extend(local);
-            }
-            for (merged, local) in by_field.iter_mut().zip(shard.by_field) {
-                merged.extend(local);
-            }
-            for (merged, local) in by_actor_action.iter_mut().zip(shard.by_actor_action) {
-                merged.extend(local);
-            }
-            for (merged, local) in action_field_cover.iter_mut().zip(shard.action_field_cover) {
-                for (dst, src) in merged.iter_mut().zip(local) {
-                    *dst |= src;
-                }
-            }
+            label_field_ids[id] = label
+                .fields()
+                .iter()
+                .map(|field| match fields.get(field) {
+                    Some(field) => field,
+                    None => fields.intern(field.clone()),
+                })
+                .collect();
         }
 
-        // CSR adjacency: state -> outgoing transition ids, flattened.
-        let state_count = lts.state_count();
-        let mut csr_offsets = Vec::with_capacity(state_count + 1);
-        let mut csr_transitions = Vec::with_capacity(transition_count);
-        csr_offsets.push(0u32);
-        for state in 0..state_count {
-            for tid in lts.outgoing_ids(StateId(state)) {
-                csr_transitions.push(tid.0 as u32);
+        // Field bitsets and covers per label, and every posting list's exact
+        // length from the label counts.
+        let field_words_per_label = fields.len().div_ceil(64).max(1);
+        let (actor_slots, field_slots) = (actors.len(), fields.len());
+        let mut label_fields = vec![0u64; labels.len() * field_words_per_label];
+        let mut action_field_cover = vec![vec![0u64; field_words_per_label]; ACTIONS];
+        let mut action_len = vec![0usize; ACTIONS];
+        let mut actor_len = vec![0usize; actor_slots];
+        let mut field_len = vec![0usize; field_slots];
+        let mut actor_action_len = vec![0usize; actor_slots * ACTIONS];
+        for &id in &first_seen {
+            let (action, actor) = (label_action[id] as usize, label_actor[id] as usize);
+            action_len[action] += counts[id];
+            actor_len[actor] += counts[id];
+            actor_action_len[actor * ACTIONS + action] += counts[id];
+            for &field in &label_field_ids[id] {
+                let (word, mask) = (field as usize / 64, 1u64 << (field % 64));
+                label_fields[id * field_words_per_label + word] |= mask;
+                action_field_cover[action][word] |= mask;
+                field_len[field as usize] += counts[id];
             }
-            csr_offsets.push(csr_transitions.len() as u32);
+        }
+        let sized = |lens: Vec<usize>| -> Vec<Vec<u32>> {
+            lens.into_iter().map(Vec::with_capacity).collect()
+        };
+        let mut by_action = sized(action_len);
+        let mut by_actor = sized(actor_len);
+        let mut by_field = sized(field_len);
+        let mut by_actor_action = sized(actor_action_len);
+        for (tx, &edge) in edges.iter().enumerate() {
+            let (id, tx) = (label_of(edge), tx as u32);
+            let (action, actor) = (label_action[id] as usize, label_actor[id] as usize);
+            by_action[action].push(tx);
+            by_actor[actor].push(tx);
+            by_actor_action[actor * ACTIONS + action].push(tx);
+            for &field in &label_field_ids[id] {
+                by_field[field as usize].push(tx);
+            }
         }
 
         // Copy every state's packed variable words so the lazy per-variable
         // lists can be materialised from the index alone.
+        let state_count = lts.state_count();
         let variable_count = space.variable_count();
         let words_per_state = variable_count.div_ceil(64).max(1);
         let mut state_words = vec![0u64; state_count * words_per_state];
@@ -392,6 +263,7 @@ impl LtsIndex {
         // Breadth-first reachability over the CSR, in exactly the order
         // `Lts::reachable` produces, counting per-variable truth along the
         // way (the full per-variable state lists are built lazily).
+        let csr = lts.shared_csr();
         let mut bit_counts = vec![0u32; variable_count];
         let mut reachable = Vec::new();
         let mut visited = vec![false; state_count];
@@ -412,13 +284,11 @@ impl LtsIndex {
                     }
                 }
             }
-            let (start, end) =
-                (csr_offsets[current.0] as usize, csr_offsets[current.0 + 1] as usize);
-            for &tx in &csr_transitions[start..end] {
-                let next = lts.transition(TransitionId(tx as usize)).to();
-                if !visited[next.0] {
-                    visited[next.0] = true;
-                    queue.push_back(next);
+            for &tx in csr.outgoing(current.0) {
+                let next = (edges[tx as usize] >> 32) as usize;
+                if !visited[next] {
+                    visited[next] = true;
+                    queue.push_back(StateId(next));
                 }
             }
         }
@@ -431,18 +301,18 @@ impl LtsIndex {
             actors,
             fields,
             purposes,
-            action_col,
-            actor_col,
-            purpose_col,
-            words_per_transition,
-            field_words,
+            edges,
+            label_action,
+            label_actor,
+            label_purpose,
+            field_words_per_label,
+            label_fields,
             by_action,
             by_actor,
             by_field,
             by_actor_action,
             action_field_cover,
-            csr_offsets,
-            csr_transitions,
+            csr,
             reachable,
             words_per_state,
             state_words,
@@ -450,6 +320,19 @@ impl LtsIndex {
             bit_lists,
             reads_by_pair,
         }
+    }
+
+    /// The label id of a transition.
+    #[inline]
+    fn label(&self, transition: u32) -> usize {
+        (self.edges[transition as usize] & LABEL_MASK) as usize
+    }
+
+    /// The packed field bitset of a transition's label.
+    #[inline]
+    fn field_bits(&self, transition: u32) -> &[u64] {
+        let start = self.label(transition) * self.field_words_per_label;
+        &self.label_fields[start..start + self.field_words_per_label]
     }
 
     /// Number of transitions the index covers (the LTS's transition count at
@@ -504,24 +387,24 @@ impl LtsIndex {
 
     /// The action kind of a transition.
     pub fn action_of(&self, transition: u32) -> ActionKind {
-        ActionKind::ALL[self.action_col[transition as usize] as usize]
+        ActionKind::ALL[self.label_action[self.label(transition)] as usize]
     }
 
     /// The actor of a transition.
     pub fn actor_of(&self, transition: u32) -> &ActorId {
         self.actors
-            .resolve(self.actor_col[transition as usize])
+            .resolve(self.label_actor[self.label(transition)])
             .expect("actor column indices always resolve")
     }
 
     /// The interned actor index of a transition.
     pub fn actor_index_of(&self, transition: u32) -> u32 {
-        self.actor_col[transition as usize]
+        self.label_actor[self.label(transition)]
     }
 
     /// The purpose of a transition, if its label declares one.
     pub fn purpose_of(&self, transition: u32) -> Option<&Purpose> {
-        match self.purpose_col[transition as usize] {
+        match self.label_purpose[self.label(transition)] {
             NO_PURPOSE => None,
             purpose => self.purposes.resolve(purpose),
         }
@@ -534,7 +417,7 @@ impl LtsIndex {
 
     /// The interned purpose index of a transition, or `None`.
     pub fn purpose_index_of(&self, transition: u32) -> Option<u32> {
-        match self.purpose_col[transition as usize] {
+        match self.label_purpose[self.label(transition)] {
             NO_PURPOSE => None,
             purpose => Some(purpose),
         }
@@ -573,32 +456,26 @@ impl LtsIndex {
 
     /// Returns `true` if the transition's label involves the interned field.
     pub fn involves_field(&self, transition: u32, field: u32) -> bool {
-        let word =
-            self.field_words[transition as usize * self.words_per_transition + field as usize / 64];
-        word & (1u64 << (field % 64)) != 0
+        let word = self.label(transition) * self.field_words_per_label + field as usize / 64;
+        self.label_fields[word] & (1u64 << (field % 64)) != 0
     }
 
     /// Returns `true` if the transition's label involves at least one field
     /// of the mask (as produced by [`LtsIndex::field_mask`]).
     pub fn involves_any(&self, transition: u32, mask: &[u64]) -> bool {
-        let start = transition as usize * self.words_per_transition;
-        self.field_words[start..start + self.words_per_transition]
-            .iter()
-            .zip(mask)
-            .any(|(w, m)| w & m != 0)
+        self.field_bits(transition).iter().zip(mask).any(|(w, m)| w & m != 0)
     }
 
     /// Returns `true` if the transition's label carries at least one field.
     pub fn has_fields(&self, transition: u32) -> bool {
-        let start = transition as usize * self.words_per_transition;
-        self.field_words[start..start + self.words_per_transition].iter().any(|w| *w != 0)
+        self.field_bits(transition).iter().any(|w| *w != 0)
     }
 
     /// Packs a set of fields into a bitset aligned with the per-transition
     /// field columns. Fields the index never saw are ignored (no transition
     /// can involve them).
     pub fn field_mask<'a>(&self, fields: impl IntoIterator<Item = &'a FieldId>) -> Vec<u64> {
-        let mut mask = vec![0u64; self.words_per_transition];
+        let mut mask = vec![0u64; self.field_words_per_label];
         for field in fields {
             if let Some(field) = self.fields.get(field) {
                 mask[field as usize / 64] |= 1u64 << (field % 64);
@@ -632,9 +509,18 @@ impl LtsIndex {
         };
         let pair = actor as usize * self.fields.len() + field as usize;
         Arc::clone(self.reads_by_pair[pair].get_or_init(|| {
+            // Which labels carry the field, resolved once per label rather
+            // than once per transition.
+            let (word, mask) = (field as usize / 64, 1u64 << (field % 64));
+            let carries: Vec<bool> = self
+                .label_fields
+                .chunks_exact(self.field_words_per_label)
+                .map(|bits| bits[word] & mask != 0)
+                .collect();
+            let edges: &[u64] = &self.edges;
             self.by_actor_action[actor as usize * ACTIONS + action_index(ActionKind::Read)]
                 .iter()
-                .filter(|&&tx| self.involves_field(tx, field))
+                .filter(|&&tx| carries[(edges[tx as usize] & LABEL_MASK) as usize])
                 .map(|&tx| TransitionId(tx as usize))
                 .collect()
         }))
@@ -642,9 +528,7 @@ impl LtsIndex {
 
     /// The outgoing transition ids of a state (CSR probe).
     pub fn outgoing_transitions(&self, state: StateId) -> &[u32] {
-        let (start, end) =
-            (self.csr_offsets[state.0] as usize, self.csr_offsets[state.0 + 1] as usize);
-        &self.csr_transitions[start..end]
+        self.csr.outgoing(state.0)
     }
 
     /// The reachable states in the breadth-first order of
@@ -970,9 +854,8 @@ mod tests {
     fn fingerprints_are_stable_and_vocabulary_sensitive() {
         let lts = sample_lts();
         let index = LtsIndex::build(&lts);
-        // Rebuilding (at any shard count) reproduces the fingerprint.
+        // Rebuilding reproduces the fingerprint.
         assert_eq!(index.fingerprint(), LtsIndex::build(&lts).fingerprint());
-        assert_eq!(index.fingerprint(), LtsIndex::build_with_threads(&lts, Some(3)).fingerprint());
         // A space with fewer actors fingerprints differently, as does one
         // with the same vocabulary in a different order (the bit layout
         // changes even though the sets are equal).
@@ -982,9 +865,7 @@ mod tests {
         assert_ne!(lts.space().fingerprint(), reordered.fingerprint());
     }
 
-    // The sharded-build == sequential-build equivalence is pinned over
-    // random models (and forced shard counts) by
-    // `sharded_index_build_matches_sequential_build_on_random_models` in
-    // `tests/differential.rs`, which owns the full-surface index-equality
-    // checker.
+    // Every probe is held against a label scan of the LTS over random
+    // models by `index_probes_equal_a_label_scan_on_random_models` in
+    // `tests/differential.rs`.
 }

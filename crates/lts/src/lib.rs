@@ -16,7 +16,8 @@
 //! * [`label`] — transition labels: the action (`collect`, `create`, `read`,
 //!   `disclose`, `anon`, `delete`), the field set, the schema, the acting
 //!   actor, an optional purpose and an optional risk annotation.
-//! * [`lts`] — the LTS itself: interned states, labelled transitions,
+//! * [`lts`] — the LTS itself: interned states, transitions as columns
+//!   over a table of distinct labels, outgoing lists as one CSR,
 //!   reachability and path queries, statistics.
 //! * [`generate`] — automatic generation of the LTS from the data-flow
 //!   diagrams and the access-control policy using the extraction rules of
@@ -27,11 +28,11 @@
 //!   `docs/PERFORMANCE.md` for the design.
 //! * [`mod@reference`] — the retained pre-optimisation generator, used to
 //!   differential-test and benchmark the engine.
-//! * [`index`] — the columnar analysis index ([`LtsIndex`]): a one-pass
-//!   compilation of a generated LTS into dense columns, posting lists, a CSR
-//!   adjacency and per-state-variable reachability postings, so the risk and
-//!   compliance analyses probe instead of re-scanning the transition
-//!   relation per question.
+//! * [`index`] — the columnar analysis index ([`LtsIndex`]): a counting
+//!   pass over a generated LTS's label-id column into per-label tables,
+//!   posting lists and per-state-variable reachability postings, sharing
+//!   the LTS's edge column and CSR, so the risk and compliance analyses
+//!   probe instead of re-scanning the transition relation per question.
 //! * [`query`] — privacy-specific queries used by the risk analyses; an
 //!   [`LtsQuery`] answers each one from an [`LtsIndex`].
 //! * [`dot`] — Graphviz export (Fig. 3 / Fig. 4 style, with risk transitions

@@ -1,13 +1,36 @@
 //! The labelled transition system: interned states, labelled transitions and
 //! structural queries.
+//!
+//! Transitions are stored as columns: a `u32` source per transition, and one
+//! `target << 32 | risk bit | label id` word per transition over a table of
+//! distinct labels. The outgoing lists are one CSR (per-state offsets into a
+//! flat list of transition ids). The generation engine hands its own columns
+//! over, and [`crate::LtsIndex`] shares the edge column and the CSR instead
+//! of copying them.
+//!
+//! The edit API ([`Lts::intern`], [`Lts::add_transition`],
+//! [`Lts::add_risk_transition`], [`Lts::annotate`]) appends to the same
+//! columns. What it needs beyond them is built lazily: the state map at the
+//! first `intern`, the label and transition dedup tables at the first add or
+//! annotation, and the CSR at the first adjacency read after an append. A
+//! column an index shares is copied on its first write, so the index keeps
+//! its snapshot.
 
+use crate::hash::{hash_words, FxHasher, IdTable};
 use crate::label::{RiskAnnotation, TransitionLabel};
 use crate::space::VarSpace;
 use crate::state::PrivacyState;
 use privacy_model::RiskLevel;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::Arc;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock};
+
+/// Bit of an edge word that marks a risk-transition.
+const RISK_BIT: u64 = 1 << 31;
+
+/// The label-id bits of an edge word.
+pub(crate) const LABEL_MASK: u64 = RISK_BIT - 1;
 
 /// Index of a state within an [`Lts`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -29,29 +52,19 @@ impl fmt::Display for TransitionId {
     }
 }
 
-/// One labelled transition between two states.
+/// A view of one labelled transition between two states.
 ///
-/// Labels are stored behind [`Arc`] so that the many transitions generated
-/// from the same compiled flow share one allocation; mutation (risk
-/// annotation) copies-on-write via [`Arc::make_mut`], so annotating one
-/// transition never affects another that happens to share its label.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Transition {
+/// Transitions generated from the same compiled flow share one label: the
+/// view borrows it from the LTS's label table. Two views are equal when
+/// their endpoints, risk flags and label values are.
+#[derive(Debug, Clone, Copy)]
+pub struct Transition<'a> {
     from: StateId,
-    to: StateId,
-    label: Arc<TransitionLabel>,
-    /// Risk-transitions are the dotted edges of Fig. 4: they do not belong to
-    /// any declared service flow but represent an access that the policy
-    /// makes possible.
-    risk_transition: bool,
+    edge: u64,
+    label: &'a Arc<TransitionLabel>,
 }
 
-impl Transition {
-    /// A flow transition (not a risk-transition).
-    pub(crate) fn new(from: StateId, to: StateId, label: Arc<TransitionLabel>) -> Self {
-        Transition { from, to, label, risk_transition: false }
-    }
-
+impl<'a> Transition<'a> {
     /// The source state.
     pub fn from(&self) -> StateId {
         self.from
@@ -59,42 +72,39 @@ impl Transition {
 
     /// The target state.
     pub fn to(&self) -> StateId {
-        self.to
+        StateId((self.edge >> 32) as usize)
     }
 
     /// The label.
-    pub fn label(&self) -> &TransitionLabel {
-        &self.label
+    pub fn label(&self) -> &'a TransitionLabel {
+        self.label
     }
 
     /// The label's shared allocation, for holders that outlive a borrow of
     /// the LTS (a compliance violation keeps its transition's label so).
-    pub fn shared_label(&self) -> &Arc<TransitionLabel> {
-        &self.label
+    pub fn shared_label(&self) -> &'a Arc<TransitionLabel> {
+        self.label
     }
 
-    /// Mutable access to the label (used by risk annotation). If the label is
-    /// shared with other transitions it is cloned first (copy-on-write).
-    pub fn label_mut(&mut self) -> &mut TransitionLabel {
-        Arc::make_mut(&mut self.label)
-    }
-
-    /// Returns `true` if this is a risk-transition (dotted edge in Fig. 4).
+    /// Returns `true` if this is a risk-transition (dotted edge in Fig. 4):
+    /// it belongs to no declared service flow but represents an access that
+    /// the policy makes possible.
     pub fn is_risk_transition(&self) -> bool {
-        self.risk_transition
-    }
-
-    /// The address of the shared label allocation. The analysis index keys a
-    /// per-label cache on it: the generation engine interns labels, so a
-    /// handful of distinct allocations cover millions of transitions.
-    pub(crate) fn label_ptr(&self) -> *const TransitionLabel {
-        Arc::as_ptr(&self.label)
+        self.edge & RISK_BIT != 0
     }
 }
 
-impl fmt::Display for Transition {
+impl PartialEq for Transition<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.from == other.from
+            && self.edge >> 31 == other.edge >> 31
+            && (Arc::ptr_eq(self.label, other.label) || self.label == other.label)
+    }
+}
+
+impl fmt::Display for Transition<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} --[{}]--> {}", self.from, self.label, self.to)
+        write!(f, "{} --[{}]--> {}", self.from, self.label, self.to())
     }
 }
 
@@ -130,10 +140,57 @@ impl fmt::Display for LtsStats {
     }
 }
 
+/// The outgoing lists of every state, as one compressed sparse row: the
+/// transitions leaving state `s` are `ids[offsets[s]..offsets[s + 1]]`, in
+/// ascending id order.
+#[derive(Debug)]
+pub(crate) struct Csr {
+    offsets: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl Csr {
+    /// A counting sort of the transition ids by source.
+    fn build(state_count: usize, sources: &[u32]) -> Csr {
+        let mut offsets = vec![0u32; state_count + 1];
+        for &source in sources {
+            offsets[source as usize + 1] += 1;
+        }
+        for state in 0..state_count {
+            offsets[state + 1] += offsets[state];
+        }
+        let mut next = offsets.clone();
+        let mut ids = vec![0u32; sources.len()];
+        for (id, &source) in sources.iter().enumerate() {
+            let at = &mut next[source as usize];
+            ids[*at as usize] = id as u32;
+            *at += 1;
+        }
+        Csr { offsets, ids }
+    }
+
+    /// The ids of the transitions leaving `state`, ascending.
+    pub(crate) fn outgoing(&self, state: usize) -> &[u32] {
+        &self.ids[self.offsets[state] as usize..self.offsets[state + 1] as usize]
+    }
+}
+
+/// The lookup tables of the edit API.
+#[derive(Debug, Clone)]
+struct EditTables {
+    /// Label ids by label value (no two labels of the table are equal).
+    labels: IdTable,
+    /// Transition ids by (source, edge word). An annotation re-files its
+    /// transition under the new word and leaves the old slot behind, where
+    /// it no longer matches; a lookup returns the lowest matching id.
+    transitions: IdTable,
+}
+
 /// A labelled transition system over privacy states.
 ///
-/// Two LTSs are equal when their space, states, transitions, outgoing
-/// lists and initial state are.
+/// Two LTSs are equal when their space, states, transitions (endpoints,
+/// risk flags and label values, in id order) and initial state are; the
+/// outgoing lists follow from the transitions.
 #[derive(Debug, Clone)]
 pub struct Lts {
     space: VarSpace,
@@ -141,8 +198,18 @@ pub struct Lts {
     /// State → id, for [`Lts::intern`]. A generated LTS hands over without
     /// it; the first `intern` builds it (`index.len() < states.len()`).
     index: HashMap<PrivacyState, StateId>,
-    transitions: Vec<Transition>,
-    outgoing: Vec<Vec<TransitionId>>,
+    /// The distinct labels; an edge word's low bits index it.
+    labels: Vec<Arc<TransitionLabel>>,
+    /// Per transition: its source state.
+    sources: Vec<u32>,
+    /// Per transition: `target << 32 | risk bit | label id`. Shared with
+    /// the indexes built over this LTS.
+    edges: Arc<Vec<u64>>,
+    /// The outgoing lists, built at the first adjacency read after an
+    /// append. Shared with the indexes built over this LTS.
+    csr: OnceLock<Arc<Csr>>,
+    /// Built at the first add or annotation.
+    edits: Option<EditTables>,
     initial: StateId,
 }
 
@@ -157,30 +224,38 @@ impl Lts {
             space,
             states: vec![initial_state],
             index,
-            transitions: Vec::new(),
-            outgoing: vec![Vec::new()],
+            labels: Vec::new(),
+            sources: Vec::new(),
+            edges: Arc::new(Vec::new()),
+            csr: OnceLock::new(),
+            edits: None,
             initial: StateId(0),
         }
     }
 
-    /// Assembles a generated LTS in one pass: every outgoing list is sized
-    /// once, and the state map is left for the first [`Lts::intern`].
-    /// `states[0]` is the initial state.
+    /// Assembles a generated LTS from its columns: `states[0]` is the
+    /// initial state, and every label id and state id in `sources` and
+    /// `edges` is in range. The CSR is built here; the state map and the
+    /// dedup tables are left for the first edit.
     pub(crate) fn from_generated(
         space: VarSpace,
         states: Vec<PrivacyState>,
-        transitions: Vec<Transition>,
+        labels: Vec<Arc<TransitionLabel>>,
+        sources: Vec<u32>,
+        edges: Vec<u64>,
     ) -> Self {
-        let mut degree = vec![0usize; states.len()];
-        for transition in &transitions {
-            degree[transition.from.0] += 1;
+        let csr = OnceLock::from(Arc::new(Csr::build(states.len(), &sources)));
+        Lts {
+            space,
+            states,
+            index: HashMap::new(),
+            labels,
+            sources,
+            edges: Arc::new(edges),
+            csr,
+            edits: None,
+            initial: StateId(0),
         }
-        let mut outgoing: Vec<Vec<TransitionId>> =
-            degree.into_iter().map(Vec::with_capacity).collect();
-        for (id, transition) in transitions.iter().enumerate() {
-            outgoing[transition.from.0].push(TransitionId(id));
-        }
-        Lts { space, states, index: HashMap::new(), transitions, outgoing, initial: StateId(0) }
     }
 
     /// The variable space the states are defined over.
@@ -202,10 +277,10 @@ impl Lts {
         if let Some(id) = self.index.get(&state) {
             return *id;
         }
-        let id = StateId(self.states.len());
+        let id = StateId(id32(self.states.len()) as usize);
         self.index.insert(state.clone(), id);
         self.states.push(state);
-        self.outgoing.push(Vec::new());
+        self.csr.take();
         id
     }
 
@@ -221,44 +296,29 @@ impl Lts {
     /// Adds a transition. Duplicate transitions (same endpoints and equal
     /// label) are not added twice; the id of the existing transition is
     /// returned instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint does not belong to this LTS.
     pub fn add_transition(
         &mut self,
         from: StateId,
         to: StateId,
         label: TransitionLabel,
     ) -> TransitionId {
-        self.add_transition_inner(from, to, Arc::new(label), false)
-    }
-
-    /// Adds a transition whose label is shared (interned), with the full
-    /// duplicate scan. It backs the copy-on-write unit tests.
-    #[cfg(test)]
-    pub(crate) fn add_transition_shared(
-        &mut self,
-        from: StateId,
-        to: StateId,
-        label: Arc<TransitionLabel>,
-    ) -> TransitionId {
         self.add_transition_inner(from, to, label, false)
     }
 
     /// Adds a risk-transition (a dotted edge in Fig. 4).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint does not belong to this LTS.
     pub fn add_risk_transition(
         &mut self,
         from: StateId,
         to: StateId,
         label: TransitionLabel,
-    ) -> TransitionId {
-        self.add_transition_inner(from, to, Arc::new(label), true)
-    }
-
-    /// Adds a risk-transition with a shared (interned) label.
-    #[cfg(test)]
-    pub(crate) fn add_risk_transition_shared(
-        &mut self,
-        from: StateId,
-        to: StateId,
-        label: Arc<TransitionLabel>,
     ) -> TransitionId {
         self.add_transition_inner(from, to, label, true)
     }
@@ -267,21 +327,61 @@ impl Lts {
         &mut self,
         from: StateId,
         to: StateId,
-        label: Arc<TransitionLabel>,
+        label: TransitionLabel,
         risk_transition: bool,
     ) -> TransitionId {
-        if let Some(existing) = self.outgoing[from.0].iter().find(|tid| {
-            let t = &self.transitions[tid.0];
-            t.to == to
-                && t.risk_transition == risk_transition
-                && (Arc::ptr_eq(&t.label, &label) || t.label == label)
-        }) {
-            return *existing;
+        assert!(
+            from.0 < self.states.len() && to.0 < self.states.len(),
+            "transition {from} -> {to} leaves the LTS's {} states",
+            self.states.len()
+        );
+        let label = self.intern_label(label);
+        let risk = if risk_transition { RISK_BIT } else { 0 };
+        let edge = (to.0 as u64) << 32 | risk | u64::from(label);
+        let from = from.0 as u32;
+        let id = id32(self.sources.len());
+        let hash = hash_words(&[u64::from(from), edge]);
+        let tables = self.edits.as_mut().expect("interning a label builds the edit tables");
+        let (sources, edges) = (&self.sources, &self.edges);
+        let existing = tables
+            .transitions
+            .find_min(hash, |t| sources[t as usize] == from && edges[t as usize] == edge);
+        if let Some(existing) = existing {
+            return TransitionId(existing as usize);
         }
-        let id = TransitionId(self.transitions.len());
-        self.transitions.push(Transition { from, to, label, risk_transition });
-        self.outgoing[from.0].push(id);
-        id
+        tables.transitions.insert(hash, id);
+        self.sources.push(from);
+        Arc::make_mut(&mut self.edges).push(edge);
+        self.csr.take();
+        TransitionId(id as usize)
+    }
+
+    /// The id of a label equal to `label`, appending it to the label table
+    /// if there is none. Builds the edit tables on first use.
+    fn intern_label(&mut self, label: TransitionLabel) -> u32 {
+        let (labels, sources, edges) = (&self.labels, &self.sources, &self.edges);
+        let tables = self.edits.get_or_insert_with(|| {
+            let mut tables = EditTables { labels: IdTable::new(), transitions: IdTable::new() };
+            for (id, existing) in labels.iter().enumerate() {
+                tables.labels.insert(label_hash(existing), id as u32);
+            }
+            for (id, (&source, &edge)) in sources.iter().zip(edges.iter()).enumerate() {
+                tables.transitions.insert(hash_words(&[u64::from(source), edge]), id as u32);
+            }
+            tables
+        });
+        let next = id32(labels.len());
+        assert!(u64::from(next) <= LABEL_MASK, "an LTS holds at most 2^31 distinct labels");
+        match tables
+            .labels
+            .find_or_insert(label_hash(&label), next, |id| *labels[id as usize] == label)
+        {
+            Some(id) => id,
+            None => {
+                self.labels.push(Arc::new(label));
+                next
+            }
+        }
     }
 
     /// The transition with the given id.
@@ -289,17 +389,38 @@ impl Lts {
     /// # Panics
     ///
     /// Panics if the id does not belong to this LTS.
-    pub fn transition(&self, id: TransitionId) -> &Transition {
-        &self.transitions[id.0]
+    pub fn transition(&self, id: TransitionId) -> Transition<'_> {
+        self.view(self.sources[id.0], self.edges[id.0])
     }
 
-    /// Attaches a risk annotation to a transition.
+    fn view(&self, from: u32, edge: u64) -> Transition<'_> {
+        Transition {
+            from: StateId(from as usize),
+            edge,
+            label: &self.labels[(edge & LABEL_MASK) as usize],
+        }
+    }
+
+    /// Attaches a risk annotation to a transition: the transition is pointed
+    /// at a label equal to its own plus the annotation, so every other
+    /// transition that shared its label keeps it unannotated.
     ///
     /// # Panics
     ///
     /// Panics if the id does not belong to this LTS.
     pub fn annotate(&mut self, id: TransitionId, risk: RiskAnnotation) {
-        self.transitions[id.0].label_mut().set_risk(risk);
+        let edge = self.edges[id.0];
+        let mut label = TransitionLabel::clone(&self.labels[(edge & LABEL_MASK) as usize]);
+        label.set_risk(risk);
+        let label = self.intern_label(label);
+        let annotated = edge & !LABEL_MASK | u64::from(label);
+        if annotated == edge {
+            return;
+        }
+        Arc::make_mut(&mut self.edges)[id.0] = annotated;
+        let hash = hash_words(&[u64::from(self.sources[id.0]), annotated]);
+        let tables = self.edits.as_mut().expect("interning a label builds the edit tables");
+        tables.transitions.insert(hash, id.0 as u32);
     }
 
     /// Iterates over the states with their ids.
@@ -308,20 +429,41 @@ impl Lts {
     }
 
     /// Iterates over the transitions with their ids.
-    pub fn transitions(&self) -> impl Iterator<Item = (TransitionId, &Transition)> {
-        self.transitions.iter().enumerate().map(|(i, t)| (TransitionId(i), t))
+    pub fn transitions(&self) -> impl Iterator<Item = (TransitionId, Transition<'_>)> {
+        self.sources
+            .iter()
+            .zip(self.edges.iter())
+            .enumerate()
+            .map(|(i, (&from, &edge))| (TransitionId(i), self.view(from, edge)))
     }
 
-    /// The outgoing transitions of a state.
-    pub fn outgoing(&self, state: StateId) -> impl Iterator<Item = (TransitionId, &Transition)> {
-        self.outgoing[state.0].iter().map(move |tid| (*tid, &self.transitions[tid.0]))
+    /// The outgoing transitions of a state, in id order.
+    pub fn outgoing(&self, state: StateId) -> impl Iterator<Item = (TransitionId, Transition<'_>)> {
+        self.csr().outgoing(state.0).iter().map(move |&tid| {
+            let id = TransitionId(tid as usize);
+            (id, self.transition(id))
+        })
     }
 
-    /// The outgoing transition ids of a state as a slice (used by the
-    /// analysis index to build its CSR adjacency without re-walking the
-    /// transition relation).
-    pub(crate) fn outgoing_ids(&self, state: StateId) -> &[TransitionId] {
-        &self.outgoing[state.0]
+    /// The outgoing lists, built on first use after an append.
+    fn csr(&self) -> &Arc<Csr> {
+        self.csr.get_or_init(|| Arc::new(Csr::build(self.states.len(), &self.sources)))
+    }
+
+    /// The outgoing lists, for an index to share.
+    pub(crate) fn shared_csr(&self) -> Arc<Csr> {
+        Arc::clone(self.csr())
+    }
+
+    /// The edge column, for an index to share: a later edit of this LTS
+    /// copies it first, so the index keeps its snapshot.
+    pub(crate) fn shared_edges(&self) -> Arc<Vec<u64>> {
+        Arc::clone(&self.edges)
+    }
+
+    /// The label table: an edge word's low bits ([`LABEL_MASK`]) index it.
+    pub(crate) fn labels(&self) -> &[Arc<TransitionLabel>] {
+        &self.labels
     }
 
     /// Number of states.
@@ -331,7 +473,7 @@ impl Lts {
 
     /// Number of transitions.
     pub fn transition_count(&self) -> usize {
-        self.transitions.len()
+        self.sources.len()
     }
 
     /// The ids of states reachable from the initial state (always includes
@@ -342,6 +484,7 @@ impl Lts {
 
     /// The ids of states reachable from `start`, in breadth-first order.
     pub fn reachable_from(&self, start: StateId) -> Vec<StateId> {
+        let csr = self.csr();
         let mut visited = vec![false; self.states.len()];
         let mut order = Vec::new();
         let mut queue = VecDeque::new();
@@ -349,11 +492,11 @@ impl Lts {
         queue.push_back(start);
         while let Some(current) = queue.pop_front() {
             order.push(current);
-            for tid in &self.outgoing[current.0] {
-                let next = self.transitions[tid.0].to;
-                if !visited[next.0] {
-                    visited[next.0] = true;
-                    queue.push_back(next);
+            for &tid in csr.outgoing(current.0) {
+                let next = (self.edges[tid as usize] >> 32) as usize;
+                if !visited[next] {
+                    visited[next] = true;
+                    queue.push_back(StateId(next));
                 }
             }
         }
@@ -366,26 +509,27 @@ impl Lts {
         if goal(self.state(self.initial)) {
             return Some(Vec::new());
         }
+        let csr = self.csr();
         let mut visited = vec![false; self.states.len()];
         let mut parent: Vec<Option<TransitionId>> = vec![None; self.states.len()];
         let mut queue = VecDeque::new();
         visited[self.initial.0] = true;
         queue.push_back(self.initial);
         while let Some(current) = queue.pop_front() {
-            for tid in &self.outgoing[current.0] {
-                let next = self.transitions[tid.0].to;
+            for &tid in csr.outgoing(current.0) {
+                let next = StateId((self.edges[tid as usize] >> 32) as usize);
                 if visited[next.0] {
                     continue;
                 }
                 visited[next.0] = true;
-                parent[next.0] = Some(*tid);
+                parent[next.0] = Some(TransitionId(tid as usize));
                 if goal(self.state(next)) {
                     // Reconstruct the path.
                     let mut path = Vec::new();
                     let mut cursor = next;
                     while let Some(tid) = parent[cursor.0] {
                         path.push(tid);
-                        cursor = self.transitions[tid.0].from;
+                        cursor = StateId(self.sources[tid.0] as usize);
                     }
                     path.reverse();
                     return Some(path);
@@ -400,8 +544,8 @@ impl Lts {
     pub fn stats(&self) -> LtsStats {
         LtsStats {
             states: self.states.len(),
-            transitions: self.transitions.len(),
-            risk_transitions: self.transitions.iter().filter(|t| t.risk_transition).count(),
+            transitions: self.sources.len(),
+            risk_transitions: self.edges.iter().filter(|&&edge| edge & RISK_BIT != 0).count(),
             state_variables: self.space.variable_count(),
             theoretical_states: self.space.theoretical_state_count(),
         }
@@ -411,20 +555,35 @@ impl Lts {
     pub fn transitions_at_risk(
         &self,
         level: RiskLevel,
-    ) -> impl Iterator<Item = (TransitionId, &Transition)> {
+    ) -> impl Iterator<Item = (TransitionId, Transition<'_>)> {
         self.transitions().filter(move |(_, t)| {
             t.label().risk().map(|r| r.risk_level().at_least(level)).unwrap_or(false)
         })
     }
 }
 
+/// A length as the next `u32` id: the columns number states and
+/// transitions in 32 bits.
+fn id32(len: usize) -> u32 {
+    u32::try_from(len).expect("an LTS holds fewer than 2^32 states and transitions")
+}
+
+/// The hash an [`EditTables`] files a label under; equal labels hash equal.
+fn label_hash(label: &TransitionLabel) -> u64 {
+    let mut hasher = FxHasher::default();
+    (label.action(), label.actor(), label.fields(), label.schema(), label.purpose())
+        .hash(&mut hasher);
+    label.risk().map(RiskAnnotation::risk_level).hash(&mut hasher);
+    hash_words(&[hasher.finish()])
+}
+
 impl PartialEq for Lts {
     fn eq(&self, other: &Self) -> bool {
         self.space == other.space
             && self.states == other.states
-            && self.transitions == other.transitions
-            && self.outgoing == other.outgoing
             && self.initial == other.initial
+            && self.transition_count() == other.transition_count()
+            && self.transitions().zip(other.transitions()).all(|((_, a), (_, b))| a == b)
     }
 }
 
@@ -504,10 +663,16 @@ mod tests {
     fn a_generated_lts_builds_its_state_map_at_the_first_intern() {
         let built = two_step_lts();
         let states: Vec<PrivacyState> = built.states().map(|(_, s)| s.clone()).collect();
-        let transitions = built.transitions().map(|(_, t)| t.clone()).collect();
-        let mut generated = Lts::from_generated(built.space().clone(), states, transitions);
+        let mut generated = Lts::from_generated(
+            built.space().clone(),
+            states,
+            built.labels.clone(),
+            built.sources.clone(),
+            built.edges.to_vec(),
+        );
         assert!(generated.index.is_empty());
-        assert_eq!(generated, built, "equality ignores the state map");
+        assert!(generated.edits.is_none());
+        assert_eq!(generated, built, "equality ignores the lazily built tables");
 
         let space = built.space().clone();
         let s1 = generated.state(StateId(1)).clone();
@@ -521,6 +686,19 @@ mod tests {
         assert_eq!(generated.intern(fresh), StateId(3));
         assert_eq!(generated.outgoing(StateId(3)).count(), 0);
         assert_ne!(generated, built);
+    }
+
+    #[test]
+    fn the_csr_follows_appends_and_counting_sorts_by_source() {
+        let mut lts = two_step_lts();
+        assert_eq!(lts.outgoing(StateId(2)).count(), 0);
+        let back =
+            lts.add_transition(StateId(2), StateId(0), label(ActionKind::Delete, "Doctor", "Name"));
+        assert_eq!(lts.outgoing(StateId(2)).map(|(id, _)| id).collect::<Vec<_>>(), vec![back]);
+        let csr = Csr::build(3, &[2, 0, 2, 1]);
+        assert_eq!(csr.outgoing(0), &[1]);
+        assert_eq!(csr.outgoing(1), &[3]);
+        assert_eq!(csr.outgoing(2), &[0, 2]);
     }
 
     #[test]
@@ -601,26 +779,34 @@ mod tests {
     }
 
     #[test]
-    fn shared_labels_copy_on_write_under_annotation() {
+    fn equal_labels_share_one_table_entry_and_annotation_repoints() {
         let mut lts = two_step_lts();
         let s0 = lts.initial();
-        let s1 = lts.transition(TransitionId(0)).to();
-        let s2 = lts.transition(TransitionId(1)).to();
-        let shared = std::sync::Arc::new(label(ActionKind::Read, "Admin", "Name"));
+        let s2 = StateId(2);
+        let t_a = lts.add_transition(s0, s2, label(ActionKind::Read, "Admin", "Name"));
+        let t_b = lts.add_transition(StateId(1), s2, label(ActionKind::Read, "Admin", "Name"));
+        assert_eq!(lts.labels().len(), 3, "the second read reuses the first's label");
+        assert!(Arc::ptr_eq(
+            lts.transition(t_a).shared_label(),
+            lts.transition(t_b).shared_label()
+        ));
 
-        let t_a = lts.add_transition_shared(s0, s2, std::sync::Arc::clone(&shared));
-        let t_b = lts.add_transition_shared(s1, s2, std::sync::Arc::clone(&shared));
-        // Re-adding the same shared label between the same states dedups.
-        assert_eq!(lts.add_transition_shared(s0, s2, std::sync::Arc::clone(&shared)), t_a);
-
-        // Annotating one transition must not leak into the other.
         lts.annotate(t_a, RiskAnnotation::level(RiskLevel::High));
-        assert!(lts.transition(t_a).label().risk().is_some());
-        assert!(lts.transition(t_b).label().risk().is_none());
-        assert!(shared.risk().is_none());
+        lts.annotate(t_b, RiskAnnotation::level(RiskLevel::High));
+        assert_eq!(lts.labels().len(), 4, "equal annotations share one annotated label");
+        // The plain label is now a different value from t_a's: a new edge.
+        let t_c = lts.add_transition(s0, s2, label(ActionKind::Read, "Admin", "Name"));
+        assert_ne!(t_c, t_a);
+        let annotated = label(ActionKind::Read, "Admin", "Name")
+            .with_risk(RiskAnnotation::level(RiskLevel::High));
+        assert_eq!(lts.add_transition(s0, s2, annotated.clone()), t_a);
 
-        let t_risk = lts.add_risk_transition_shared(s2, s2, shared);
-        assert!(lts.transition(t_risk).is_risk_transition());
+        // Annotating t_c makes it equal to t_a: an add finds the lower id,
+        // as a scan of the outgoing list in id order would.
+        lts.annotate(t_c, RiskAnnotation::level(RiskLevel::High));
+        assert_eq!(lts.add_transition(s0, s2, annotated.clone()), t_a);
+        lts.annotate(t_a, RiskAnnotation::level(RiskLevel::Low));
+        assert_eq!(lts.add_transition(s0, s2, annotated), t_c);
     }
 
     #[test]

@@ -73,12 +73,12 @@ impl<'a> LtsQuery<'a> {
     }
 
     /// The transitions performing a given action kind.
-    pub fn transitions_of_kind(&self, action: ActionKind) -> Vec<(TransitionId, &'a Transition)> {
+    pub fn transitions_of_kind(&self, action: ActionKind) -> Vec<(TransitionId, Transition<'a>)> {
         self.resolve(self.index.transitions_of_kind(action))
     }
 
     /// The transitions performed by a given actor.
-    pub fn transitions_by_actor(&self, actor: &ActorId) -> Vec<(TransitionId, &'a Transition)> {
+    pub fn transitions_by_actor(&self, actor: &ActorId) -> Vec<(TransitionId, Transition<'a>)> {
         self.resolve(self.index.transitions_by_actor(actor))
     }
 
@@ -86,7 +86,7 @@ impl<'a> LtsQuery<'a> {
     pub fn transitions_involving_field(
         &self,
         field: &FieldId,
-    ) -> Vec<(TransitionId, &'a Transition)> {
+    ) -> Vec<(TransitionId, Transition<'a>)> {
         self.resolve(self.index.transitions_involving_field(field))
     }
 
@@ -95,7 +95,7 @@ impl<'a> LtsQuery<'a> {
     pub fn reads_by_non_allowed(
         &self,
         allowed: &BTreeSet<ActorId>,
-    ) -> Vec<(TransitionId, &'a Transition)> {
+    ) -> Vec<(TransitionId, Transition<'a>)> {
         let index = self.index;
         let ids: Vec<u32> = index
             .transitions_of_kind(ActionKind::Read)
@@ -117,7 +117,7 @@ impl<'a> LtsQuery<'a> {
         })
     }
 
-    fn resolve(&self, ids: &[u32]) -> Vec<(TransitionId, &'a Transition)> {
+    fn resolve(&self, ids: &[u32]) -> Vec<(TransitionId, Transition<'a>)> {
         ids.iter()
             .map(|&tx| {
                 let id = TransitionId(tx as usize);
@@ -248,7 +248,7 @@ mod tests {
     fn scan_transitions(
         lts: &Lts,
         keep: impl Fn(&TransitionLabel) -> bool,
-    ) -> Vec<(TransitionId, &Transition)> {
+    ) -> Vec<(TransitionId, Transition<'_>)> {
         lts.transitions().filter(|(_, t)| keep(t.label())).collect()
     }
 

@@ -12,14 +12,16 @@ use privacy_access::{AccessControlList, AccessPolicy, Grant};
 use privacy_dataflow::{DiagramBuilder, SystemDataFlows};
 use privacy_lts::space::VarKind;
 use privacy_lts::{
-    generate_lts, generate_lts_reference, ActionKind, GeneratorConfig, Lts, LtsIndex, TransitionId,
+    generate_lts, generate_lts_reference, ActionKind, FxHasher, GeneratorConfig, Lts, LtsIndex,
+    PrivacyState, RiskAnnotation, StateId, TransitionId, TransitionLabel,
 };
 use privacy_model::{
-    Actor, ActorId, Catalog, DataField, DataSchema, DatastoreDecl, FieldId, ServiceDecl,
+    Actor, ActorId, Catalog, DataField, DataSchema, DatastoreDecl, FieldId, RiskLevel, ServiceDecl,
 };
 use privacy_synth::{random_model, ModelGeneratorConfig};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{Hash, Hasher};
 
 /// The transition multiset of an LTS, as count-tagged rendered edges. Using
 /// the privacy-state labels (not state ids) makes the comparison meaningful
@@ -213,87 +215,146 @@ fn engine_matches_reference_on_a_hub_state() {
     assert!(engine.outgoing(hub).all(|(_, transition)| transition.to() == hub));
 }
 
-/// Structural equality over every observable surface of two analysis
-/// indexes — columns, posting lists, covers, CSR adjacency, reachability
-/// and per-variable state postings.
-fn assert_index_equivalent(a: &LtsIndex, b: &LtsIndex) {
-    assert_eq!(a.transition_count(), b.transition_count());
-    assert_eq!(a.actors(), b.actors(), "actor interner order diverges");
-    assert_eq!(a.fields(), b.fields(), "field interner order diverges");
-    assert_eq!(a.reachable(), b.reachable());
-    for tx in 0..a.transition_count() as u32 {
-        assert_eq!(a.action_of(tx), b.action_of(tx));
-        assert_eq!(a.actor_of(tx), b.actor_of(tx));
-        assert_eq!(a.purpose_of(tx), b.purpose_of(tx));
-        assert_eq!(a.has_fields(tx), b.has_fields(tx));
+/// Holds every probe of `index` against a scan of `lts.transitions()`:
+/// the vocabulary and the fingerprint, every per-transition probe, every
+/// posting list and action cover, the outgoing lists, reachability and the
+/// per-variable state lists.
+fn assert_index_matches_label_scan(lts: &Lts, index: &LtsIndex) {
+    let space = lts.space();
+    assert_eq!(index.transition_count(), lts.transition_count());
+
+    // The vocabulary: the space's, then each label's in transition order.
+    let mut actors: Vec<ActorId> = space.actors().to_vec();
+    let mut fields: Vec<FieldId> = space.fields().to_vec();
+    for (_, transition) in lts.transitions() {
+        let label = transition.label();
+        if !actors.contains(label.actor()) {
+            actors.push(label.actor().clone());
+        }
+        for field in label.fields() {
+            if !fields.contains(field) {
+                fields.push(field.clone());
+            }
+        }
     }
+    assert_eq!(index.actors(), actors.as_slice(), "actor interner order diverges");
+    assert_eq!(index.fields(), fields.as_slice(), "field interner order diverges");
+    let mut hasher = FxHasher::default();
+    space.fingerprint().hash(&mut hasher);
+    actors.len().hash(&mut hasher);
+    actors.iter().for_each(|actor| actor.hash(&mut hasher));
+    fields.len().hash(&mut hasher);
+    fields.iter().for_each(|field| field.hash(&mut hasher));
+    assert_eq!(index.fingerprint(), hasher.finish(), "fingerprint diverges");
+
+    // Per-transition probes, and the posting lists and covers a scan builds.
+    type Postings<K> = BTreeMap<K, Vec<u32>>;
+    let mut by_action: Postings<ActionKind> = BTreeMap::new();
+    let mut by_actor: Postings<&ActorId> = BTreeMap::new();
+    let mut by_actor_action: Postings<(&ActorId, ActionKind)> = BTreeMap::new();
+    let mut by_field: Postings<&FieldId> = BTreeMap::new();
+    let mut covers: BTreeSet<(ActionKind, &FieldId)> = BTreeSet::new();
+    let all_fields = index.field_mask(&fields);
+    for (id, transition) in lts.transitions() {
+        let (tx, label) = (id.0 as u32, transition.label());
+        assert_eq!(index.action_of(tx), label.action());
+        assert_eq!(index.actor_of(tx), label.actor());
+        assert_eq!(Some(index.actor_index_of(tx)), index.actor_index(label.actor()));
+        assert_eq!(index.purpose_of(tx), label.purpose());
+        assert_eq!(
+            index.purpose_index_of(tx),
+            label.purpose().map(|purpose| index.purpose_index(purpose).expect("interned"))
+        );
+        assert_eq!(index.has_fields(tx), !label.fields().is_empty());
+        assert_eq!(index.involves_any(tx, &all_fields), !label.fields().is_empty());
+        for (f, field) in fields.iter().enumerate() {
+            assert_eq!(index.involves_field(tx, f as u32), label.involves_field(field));
+            let single = index.field_mask([field]);
+            assert_eq!(index.involves_any(tx, &single), label.involves_field(field));
+        }
+        by_action.entry(label.action()).or_default().push(tx);
+        by_actor.entry(label.actor()).or_default().push(tx);
+        by_actor_action.entry((label.actor(), label.action())).or_default().push(tx);
+        for field in label.fields() {
+            by_field.entry(field).or_default().push(tx);
+            covers.insert((label.action(), field));
+        }
+    }
+    fn list<'m, K: Ord>(postings: &'m Postings<K>, key: &K) -> &'m [u32] {
+        postings.get(key).map_or(&[], Vec::as_slice)
+    }
+    let ghost_actor = ActorId::new("Ghost");
+    let ghost_field = FieldId::new("Ghost");
     for action in ActionKind::ALL {
-        assert_eq!(a.transitions_of_kind(action), b.transitions_of_kind(action));
-    }
-    for actor in a.actors().to_vec() {
-        assert_eq!(a.transitions_by_actor(&actor), b.transitions_by_actor(&actor));
-        for action in ActionKind::ALL {
+        assert_eq!(index.transitions_of_kind(action), list(&by_action, &action));
+        for actor in actors.iter().chain([&ghost_actor]) {
             assert_eq!(
-                a.transitions_by_actor_of_kind(&actor, action),
-                b.transitions_by_actor_of_kind(&actor, action)
+                index.transitions_by_actor_of_kind(actor, action),
+                list(&by_actor_action, &(actor, action))
             );
         }
-    }
-    for field in a.fields().to_vec() {
-        assert_eq!(a.transitions_involving_field(&field), b.transitions_involving_field(&field));
-        for action in ActionKind::ALL {
-            assert_eq!(a.kind_covers_field(action, &field), b.kind_covers_field(action, &field));
+        for field in fields.iter().chain([&ghost_field]) {
+            assert_eq!(index.kind_covers_field(action, field), covers.contains(&(action, field)));
         }
     }
-    for state in a.reachable().to_vec() {
-        assert_eq!(a.outgoing_transitions(state), b.outgoing_transitions(state));
+    for actor in actors.iter().chain([&ghost_actor]) {
+        assert_eq!(index.transitions_by_actor(actor), list(&by_actor, &actor));
     }
-    let space = a.space().clone();
-    assert_eq!(&space, b.space());
+    for field in fields.iter().chain([&ghost_field]) {
+        assert_eq!(index.transitions_involving_field(field), list(&by_field, &field));
+    }
+
+    // Adjacency, reachability and the per-variable state lists.
+    for (state, _) in lts.states() {
+        let outgoing: Vec<u32> = lts.outgoing(state).map(|(id, _)| id.0 as u32).collect();
+        assert_eq!(index.outgoing_transitions(state), outgoing.as_slice());
+    }
+    let reachable = lts.reachable();
+    assert_eq!(index.reachable(), reachable.as_slice());
     for actor in space.actors() {
         for field in space.fields() {
+            let holds = |state: StateId, kind: VarKind| match kind {
+                VarKind::Has => lts.state(state).has(space, actor, field),
+                VarKind::Could => lts.state(state).could(space, actor, field),
+            };
             for kind in [VarKind::Has, VarKind::Could] {
-                assert_eq!(
-                    a.states_of_variable(actor, field, kind),
-                    b.states_of_variable(actor, field, kind)
-                );
+                let scanned: Vec<StateId> =
+                    reachable.iter().copied().filter(|&state| holds(state, kind)).collect();
+                assert_eq!(index.states_of_variable(actor, field, kind), scanned.as_slice());
             }
         }
     }
 }
 
+/// A random model's LTS, generated by the engine and by the reference
+/// implementation.
+fn random_pair(actors: usize, fields: usize, seed: u64, potential_reads: bool) -> (Lts, Lts) {
+    let model_config =
+        ModelGeneratorConfig { actors, fields, seed, ..ModelGeneratorConfig::default() };
+    let (catalog, system, policy) = random_model(&model_config).expect("generated model is valid");
+    let mut config = GeneratorConfig::default().with_max_states(20_000);
+    config.explore_potential_reads = potential_reads;
+    let engine = generate_lts(&catalog, &system, &policy, &config).expect("generation in bounds");
+    let reference =
+        generate_lts_reference(&catalog, &system, &policy, &config).expect("generation in bounds");
+    (engine, reference)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The sharded column/posting pass of the index build must reproduce the
-    /// single-threaded build exactly, for every shard count — including shard
-    /// counts that leave some shards empty.
+    /// The index oracle: every probe of an index equals a label scan of the
+    /// LTS it was built from, with and without potential reads.
     #[test]
-    fn sharded_index_build_matches_sequential_build_on_random_models(
+    fn index_probes_equal_a_label_scan_on_random_models(
         actors in 1usize..5,
         fields in 1usize..5,
         seed in 0u64..1_000_000,
-        potential_reads in proptest::bool::ANY,
-        threads in 2usize..9,
     ) {
-        let model_config = ModelGeneratorConfig {
-            actors,
-            fields,
-            seed,
-            ..ModelGeneratorConfig::default()
-        };
-        let (catalog, system, policy) =
-            random_model(&model_config).expect("generated model is valid");
-        let mut config = GeneratorConfig::default().with_max_states(20_000);
-        config.explore_potential_reads = potential_reads;
-        let lts = generate_lts(&catalog, &system, &policy, &config)
-            .expect("generation in bounds");
-
-        let sequential = LtsIndex::build_with_threads(&lts, Some(1));
-        let sharded = LtsIndex::build_with_threads(&lts, Some(threads));
-        assert_index_equivalent(&sequential, &sharded);
-        // The default (auto-threaded) build resolves to the same index too.
-        assert_index_equivalent(&sequential, &LtsIndex::build(&lts));
+        for potential_reads in [false, true] {
+            let (lts, _) = random_pair(actors, fields, seed, potential_reads);
+            assert_index_matches_label_scan(&lts, &LtsIndex::build(&lts));
+        }
     }
 }
 
@@ -315,14 +376,13 @@ proptest! {
 
     /// The per-(actor, field) read memo equals a label scan for every pair
     /// of the vocabulary, is empty for identifiers the index never saw, and
-    /// reads the same on a clone and on an index built with any shard count.
+    /// reads the same on a clone.
     #[test]
     fn memoised_read_lists_equal_a_label_scan_on_random_models(
         actors in 1usize..5,
         fields in 1usize..5,
         seed in 0u64..1_000_000,
         potential_reads in proptest::bool::ANY,
-        threads in 1usize..5,
     ) {
         let model_config = ModelGeneratorConfig {
             actors,
@@ -341,13 +401,11 @@ proptest! {
         // A clone taken cold fills its own memo; one taken warm shares the
         // lists already filled.
         let cold_clone = index.clone();
-        let sharded = LtsIndex::build_with_threads(&lts, Some(threads));
         for actor in index.actors().to_vec() {
             for field in index.fields().to_vec() {
                 let expected = scanned_reads(&lts, &actor, &field);
                 prop_assert_eq!(&*index.reads_involving(&actor, &field), expected.as_slice());
                 prop_assert_eq!(&*cold_clone.reads_involving(&actor, &field), expected.as_slice());
-                prop_assert_eq!(&*sharded.reads_involving(&actor, &field), expected.as_slice());
             }
         }
         let warm_clone = index.clone();
@@ -363,5 +421,140 @@ proptest! {
         for field in index.fields().to_vec() {
             prop_assert!(index.reads_involving(&ActorId::new("Unknown"), &field).is_empty());
         }
+    }
+}
+
+/// What [`edit_script`] appended.
+#[derive(Debug, PartialEq)]
+struct Edits {
+    /// A state the LTS lacked before the edits.
+    fresh: StateId,
+    /// Flow transitions into and out of `fresh`, in that order; the first
+    /// is annotated.
+    added: [TransitionId; 2],
+    /// A risk-transition into `fresh`.
+    risk: TransitionId,
+    /// Two transitions that shared a label, of which only the first was
+    /// annotated.
+    shared: Option<(TransitionId, TransitionId)>,
+}
+
+/// One edit script through every entry point of the edit API: `intern`, a
+/// duplicate `add_transition`, new transitions, `add_risk_transition` and
+/// `annotate`. It reads only what two equal LTSs agree on.
+fn edit_script(lts: &mut Lts) -> Edits {
+    let space = lts.space().clone();
+    let initial = lts.initial();
+    let (actor, field) = (space.actors()[0].clone(), space.fields()[0].clone());
+
+    // The state with the most variables true that the LTS lacks (the
+    // spaces here have at most 32 variables).
+    let len = space.variable_count();
+    let all = u64::MAX >> (64 - len);
+    let fresh_state = (0..=all)
+        .map(|k| PrivacyState::from_words(vec![all & !k], len))
+        .find(|candidate| lts.states().all(|(_, state)| state != candidate))
+        .expect("the LTS leaves some state of its space unreached");
+    let states = lts.state_count();
+    let fresh = lts.intern(fresh_state.clone());
+    assert_eq!(fresh, StateId(states));
+    assert_eq!(lts.intern(fresh_state), fresh, "interning again finds the state");
+    assert_eq!(lts.intern(PrivacyState::absolute(&space)), initial);
+    assert_eq!(lts.outgoing(fresh).count(), 0, "a fresh state has no outgoing transitions");
+
+    let transitions = lts.transition_count();
+    if transitions > 0 {
+        let first = lts.transition(TransitionId(0));
+        let (from, to, label) = (first.from(), first.to(), first.label().clone());
+        assert_eq!(lts.add_transition(from, to, label), TransitionId(0), "a duplicate add");
+        assert_eq!(lts.transition_count(), transitions);
+    }
+    // Two of the new labels name actors outside the space, so an index
+    // built afterwards interns them from the labels.
+    let delete =
+        |actor: ActorId| TransitionLabel::new(ActionKind::Delete, actor, [field.clone()], None);
+    let into = lts.add_transition(initial, fresh, delete(ActorId::new("Auditor")));
+    let out_of = lts.add_transition(fresh, initial, delete(actor));
+    let read = TransitionLabel::new(ActionKind::Read, "Intruder", [field.clone()], None);
+    let risk = lts.add_risk_transition(fresh, fresh, read);
+    assert_eq!((into.0, out_of.0, risk.0), (transitions, transitions + 1, transitions + 2));
+
+    // Annotate one of two transitions that share a label.
+    let mut first_with: BTreeMap<String, TransitionId> = BTreeMap::new();
+    let shared = lts.transitions().find_map(|(id, transition)| {
+        let key = transition.label().to_string();
+        first_with.get(&key).map(|first| (*first, id)).or_else(|| {
+            first_with.insert(key, id);
+            None
+        })
+    });
+    if let Some((annotated, _)) = shared {
+        lts.annotate(annotated, RiskAnnotation::level(RiskLevel::High));
+    }
+    // `into`'s label now has a higher id than `risk`'s, though `into`
+    // comes first: the index must intern "Auditor" before "Intruder".
+    lts.annotate(into, RiskAnnotation::level(RiskLevel::Medium));
+    Edits { fresh, added: [into, out_of], risk, shared }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Editing a generated LTS and a reference-built one alike keeps them
+    /// equal; the structural queries see the appended transitions; an index
+    /// built before the edits keeps answering for the unedited LTS; and an
+    /// annotation reaches only the transition it names.
+    #[test]
+    fn edits_after_generation_match_edits_of_a_reference_built_lts(
+        actors in 1usize..5,
+        fields in 1usize..5,
+        seed in 0u64..1_000_000,
+        potential_reads in proptest::bool::ANY,
+    ) {
+        let (mut engine, mut reference) = random_pair(actors, fields, seed, potential_reads);
+        let index = LtsIndex::build(&engine);
+        let before = engine.stats();
+
+        let edits = edit_script(&mut engine);
+        // The reference is still unedited: the index must answer for it.
+        assert_index_matches_label_scan(&reference, &index);
+        prop_assert_eq!(edit_script(&mut reference), edits);
+        prop_assert_eq!(&engine, &reference);
+
+        let Edits { fresh, added: [into, out_of], risk, shared } = edits;
+        let initial = engine.initial();
+        prop_assert!(engine.outgoing(initial).any(|(id, _)| id == into));
+        let leaving: Vec<TransitionId> = engine.outgoing(fresh).map(|(id, _)| id).collect();
+        prop_assert_eq!(leaving, vec![out_of, risk]);
+        prop_assert!(engine.reachable().contains(&fresh));
+        prop_assert_eq!(engine.reachable_from(fresh)[0], fresh);
+        let target = engine.state(fresh).clone();
+        prop_assert_eq!(engine.path_to(|state| *state == target), Some(vec![into]));
+        let after = engine.stats();
+        prop_assert_eq!(after.states, before.states + 1);
+        prop_assert_eq!(after.transitions, before.transitions + 3);
+        prop_assert_eq!(after.risk_transitions, before.risk_transitions + 1);
+        prop_assert!(engine.transition(risk).is_risk_transition());
+        prop_assert!(!engine.transition(into).is_risk_transition());
+
+        // Only the annotated transitions carry a risk.
+        let annotated: Vec<TransitionId> = engine
+            .transitions()
+            .filter(|(_, t)| t.label().risk().is_some())
+            .map(|(id, _)| id)
+            .collect();
+        let mut expected: Vec<TransitionId> = shared.iter().map(|(first, _)| *first).collect();
+        expected.push(into);
+        prop_assert_eq!(annotated, expected);
+        if let Some((first, second)) = shared {
+            let (first, second) = (engine.transition(first), engine.transition(second));
+            let level = first.label().risk().map(RiskAnnotation::risk_level);
+            prop_assert_eq!(level, Some(RiskLevel::High));
+            prop_assert!(second.label().risk().is_none());
+            prop_assert!(!std::sync::Arc::ptr_eq(first.shared_label(), second.shared_label()));
+        }
+
+        // A fresh index sees the edited LTS.
+        assert_index_matches_label_scan(&engine, &LtsIndex::build(&engine));
     }
 }
