@@ -217,7 +217,7 @@ fn run_inproc(
     let started = Instant::now();
     let mut alerts = Vec::new();
     for (i, batch) in scenario.batches.iter().enumerate() {
-        alerts.extend(monitor.ingest_batch(batch));
+        alerts.extend_from_slice(monitor.ingest_batch(batch));
         let id = i as u64 + 1;
         if checkpoint_every > 0 && id.is_multiple_of(checkpoint_every) {
             let snapshot = monitor.snapshot().to_bytes();
@@ -347,7 +347,7 @@ fn run(options: &Options) -> Result<(Vec<Row>, RecoveryRow, Vec<CrossoverRow>), 
     }
     let mut expected = Vec::new();
     for batch in &scenario.batches {
-        expected.extend(reference.ingest_batch(batch));
+        expected.extend_from_slice(reference.ingest_batch(batch));
     }
     let (merged, _, _) =
         run_fleet(&scenario, fleet_config(&program, "gate", 2, FaultPlan::none()))?;

@@ -99,7 +99,7 @@ fn run(quick: bool) -> Result<Vec<Row>, String> {
         for user in &users {
             proto.register_user(user);
         }
-        let direct_alerts = proto.clone().ingest_batch(&events);
+        let direct_alerts = proto.clone().ingest_batch(&events).to_vec();
 
         for (format, bytes) in encodings(&events) {
             // Round-trip gate before timing.
@@ -111,7 +111,7 @@ fn run(quick: bool) -> Result<Vec<Row>, String> {
                     scenario.name
                 ));
             }
-            let parsed_alerts = proto.clone().ingest_batch(&report.events);
+            let parsed_alerts = proto.clone().ingest_batch(&report.events).to_vec();
             if parsed_alerts != direct_alerts {
                 return Err(format!(
                     "{}/{format}: alert stream from parsed events differs from direct ingestion",

@@ -158,10 +158,10 @@ fn run(options: &Options) -> Result<Vec<Row>, String> {
 
         // ── Correctness gates (nothing is timed until recovery is lossless).
         let mut uninterrupted = proto.clone();
-        let full_alerts = uninterrupted.ingest_batch(&events);
+        let full_alerts = uninterrupted.ingest_batch(&events).to_vec();
 
         let mut at_cut = proto.clone().with_threads(Some(snapshot_threads));
-        let prefix_alerts = at_cut.ingest_batch(&events[..cut]);
+        let prefix_alerts = at_cut.ingest_batch(&events[..cut]).to_vec();
         let drained = at_cut.drain_alerts();
         if drained != prefix_alerts {
             return Err(format!("{}: drained prefix alerts diverge", scenario.name));
@@ -178,7 +178,7 @@ fn run(options: &Options) -> Result<Vec<Row>, String> {
             )
             .map_err(|e| format!("{}: resume failed: {e}", scenario.name))?
             .with_threads(Some(resume_threads));
-            let tail_alerts = resumed.ingest_batch(&events[cut..]);
+            let tail_alerts = resumed.ingest_batch(&events[cut..]).to_vec();
             let mut recovered = prefix_alerts.clone();
             recovered.extend(tail_alerts);
             if recovered != full_alerts {
@@ -395,7 +395,7 @@ fn run_population(quick: bool) -> Result<PopulationRow, String> {
 
     // ── Lossless-recovery gate at the cut point.
     let mut at_cut = proto.clone();
-    let prefix_alerts = at_cut.ingest_batch(&events[..cut]);
+    let prefix_alerts = at_cut.ingest_batch(&events[..cut]).to_vec();
     let _ = at_cut.drain_alerts();
     let snapshot = at_cut.snapshot();
     let snapshot_bytes_vec = snapshot.to_bytes();
@@ -403,14 +403,14 @@ fn run_population(quick: bool) -> Result<PopulationRow, String> {
     drop(snapshot);
 
     let mut uninterrupted = proto;
-    let full_alerts = uninterrupted.ingest_batch(&events);
+    let full_alerts = uninterrupted.ingest_batch(&events).to_vec();
 
     let decoded = MonitorSnapshot::from_bytes(&snapshot_bytes_vec)
         .map_err(|e| format!("{name}: snapshot round-trip failed: {e}"))?;
     let mut resumed =
         IndexedMonitor::resume_from(catalog.clone(), policy.clone(), index.clone(), &decoded)
             .map_err(|e| format!("{name}: resume failed: {e}"))?;
-    let tail_alerts = resumed.ingest_batch(&events[cut..]);
+    let tail_alerts = resumed.ingest_batch(&events[cut..]).to_vec();
     let mut recovered = prefix_alerts;
     recovered.extend(tail_alerts);
     if recovered != full_alerts {

@@ -180,7 +180,7 @@ fn run(options: &Options) -> Result<Vec<Row>, String> {
         let scan_alerts = scan_check.observe_all(&events);
         for &threads in counts {
             let mut indexed_check = indexed_proto.clone().with_threads(Some(threads));
-            let indexed_alerts = indexed_check.ingest_batch(&events);
+            let indexed_alerts = indexed_check.ingest_batch(&events).to_vec();
             if indexed_alerts != scan_alerts {
                 return Err(format!(
                     "{}: indexed (t={threads}) and scan alert streams disagree",

@@ -345,10 +345,13 @@ fn ingest_part(
     events: &[(u32, privacy_runtime::Event)],
     alerts: &mut Vec<(u32, Alert)>,
 ) -> bool {
+    // The monitor's pending list is empty here (it is drained after resume,
+    // after an import and after every part), so the drain below holds this
+    // part's alerts in order: `positions` tags each with its event's.
+    let mut positions = Vec::new();
     for (position, event) in events {
-        for alert in state.monitor.observe(event) {
-            alerts.push((*position, alert));
-        }
+        let raised = state.monitor.observe(event).len();
+        positions.extend(std::iter::repeat_n(*position, raised));
         state.events_seen += 1;
         if let Some(millis) = state.faults.sleep_per_event {
             std::thread::sleep(std::time::Duration::from_millis(millis));
@@ -360,9 +363,9 @@ fn ingest_part(
             }
         }
     }
-    // observe() also accumulates the alerts internally; drain them so the
-    // ack stream and future snapshots never carry an alert twice.
-    let _ = state.monitor.drain_alerts();
+    // Drained rather than copied, so the ack stream and future snapshots
+    // never carry an alert twice.
+    alerts.extend(positions.into_iter().zip(state.monitor.drain_alerts()));
     state.through_batch = batch;
     state.ingests_seen += 1;
     if let Some((threshold, millis)) = state.faults.stall_before_ack {

@@ -108,7 +108,7 @@ fn reference_alerts(fixture: &Fixture, batches: &[Vec<Event>]) -> Vec<Alert> {
     }
     let mut alerts = Vec::new();
     for batch in batches {
-        alerts.extend(monitor.ingest_batch(batch));
+        alerts.extend_from_slice(monitor.ingest_batch(batch));
     }
     alerts
 }
@@ -563,13 +563,13 @@ fn checkpoint_v2_dense_files_resume_into_v3_monitors() {
     let mut reference = make_monitor();
     let mut expected = Vec::new();
     for batch in &fixture.batches {
-        expected.extend(reference.ingest_batch(batch));
+        expected.extend_from_slice(reference.ingest_batch(batch));
     }
 
     let mut before = make_monitor();
     let mut alerts = Vec::new();
     for batch in &fixture.batches[..cut] {
-        alerts.extend(before.ingest_batch(batch));
+        alerts.extend_from_slice(before.ingest_batch(batch));
     }
     let old_file = encode_checkpoint_at(
         CHECKPOINT_VERSION_V2,
@@ -590,7 +590,7 @@ fn checkpoint_v2_dense_files_resume_into_v3_monitors() {
     )
     .expect("dense snapshot resumes");
     for batch in &fixture.batches[cut..] {
-        alerts.extend(resumed.ingest_batch(batch));
+        alerts.extend_from_slice(resumed.ingest_batch(batch));
     }
     assert_eq!(alerts, expected, "resume from a v2 checkpoint diverged from the reference");
 }

@@ -178,7 +178,7 @@ fn monitor_alerts_are_identical_through_every_wire_format() {
     for user in &users {
         proto.register_user(user);
     }
-    let direct_alerts = proto.clone().ingest_batch(&events);
+    let direct_alerts = proto.clone().ingest_batch(&events).to_vec();
     assert!(!direct_alerts.is_empty(), "the reference stream should raise alerts");
 
     let mapping = FieldMapping::canonical();
@@ -187,13 +187,13 @@ fn monitor_alerts_are_identical_through_every_wire_format() {
         let report =
             ingest_bytes(rendered.as_bytes(), &mapping, &IngestOptions::default()).unwrap();
         assert_eq!(report.events, events, "{format} round trip");
-        let parsed_alerts = proto.clone().ingest_batch(&report.events);
+        let parsed_alerts = proto.clone().ingest_batch(&report.events).to_vec();
         assert_eq!(parsed_alerts, direct_alerts, "{format} alert stream");
     }
     // And through the gzip wrapping.
     let archive = gzip_compress_stored(render_events(&events, LogFormat::Json).as_bytes());
     let report = ingest_bytes(&archive, &mapping, &IngestOptions::default()).unwrap();
-    let parsed_alerts = proto.clone().ingest_batch(&report.events);
+    let parsed_alerts = proto.clone().ingest_batch(&report.events).to_vec();
     assert_eq!(parsed_alerts, direct_alerts, "json.gz alert stream");
 }
 

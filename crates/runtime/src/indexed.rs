@@ -661,6 +661,28 @@ struct Registry {
     row: Vec<u8>,
 }
 
+/// The buffers [`IndexedMonitor::ingest_batch`] and
+/// [`IndexedMonitor::observe`] reuse from call to call, so a warm event
+/// allocates only the alerts it raises.
+#[derive(Debug, Clone, Default)]
+struct IngestScratch {
+    /// Per shard, the batch positions of its permitted events.
+    buckets: Vec<Vec<u32>>,
+    /// The calling thread's replay buffers.
+    replay: ReplayScratch,
+}
+
+/// What one thread replaying events writes to.
+#[derive(Debug, Clone, Default)]
+struct ReplayScratch {
+    /// The `(actor, field)` pairs of the event being applied.
+    pairs: Vec<(u32, u32)>,
+    /// Raised alerts keyed by `(batch position, arrival)`: the key is
+    /// unique, so an unstable sort restores stream order, and alerts of
+    /// one event keep their order.
+    tagged: Vec<((u32, u32), Alert)>,
+}
+
 /// The read-only context a batch's worker threads share.
 struct Ctx<'a> {
     index: &'a LtsIndex,
@@ -719,6 +741,7 @@ pub struct IndexedMonitor {
     layout: SlotLayout,
     registry: Registry,
     shards: Vec<Shard>,
+    scratch: IngestScratch,
     alerts: Vec<Alert>,
 }
 
@@ -759,6 +782,7 @@ impl IndexedMonitor {
             layout,
             registry: Registry::default(),
             shards: vec![Shard::default(); SHARDS],
+            scratch: IngestScratch::default(),
             alerts: Vec::new(),
         }
     }
@@ -1031,23 +1055,24 @@ impl IndexedMonitor {
     /// Consumes one event. Behaviourally equivalent to a one-event
     /// [`IndexedMonitor::ingest_batch`], but skips the batch machinery
     /// (bucket table, fan-out, merge sort) entirely: the streaming path
-    /// resolves the user's shard and processes in place.
-    pub fn observe(&mut self, event: &Event) -> Vec<Alert> {
-        if !event.permitted() {
-            return Vec::new();
+    /// resolves the user's shard and processes in place. Returns the alerts
+    /// it raised, as [`IndexedMonitor::ingest_batch`] does.
+    pub fn observe(&mut self, event: &Event) -> &[Alert] {
+        let raised_from = self.alerts.len();
+        if event.permitted() {
+            let (ctx, shards, scratch) = self.split_context();
+            let shard = &mut shards[shard_of(event.user().as_str())];
+            scratch.replay.tagged.clear();
+            process_event(&ctx, shard, 0, event, &mut scratch.replay);
+            self.alerts.extend(self.scratch.replay.tagged.drain(..).map(|(_, alert)| alert));
         }
-        let (ctx, shards) = self.split_context();
-        let mut tagged = Vec::new();
-        process_event(&ctx, &mut shards[shard_of(event.user().as_str())], 0, event, &mut tagged);
-        let raised: Vec<Alert> = tagged.into_iter().map(|(_, alert)| alert).collect();
-        self.alerts.extend(raised.iter().cloned());
-        raised
+        &self.alerts[raised_from..]
     }
 
-    /// Splits the monitor into the read-only worker context and the mutable
-    /// shard table — disjoint fields, so the streaming and batch paths
-    /// share one construction site.
-    fn split_context(&mut self) -> (Ctx<'_>, &mut [Shard]) {
+    /// Splits the monitor into the read-only worker context, the mutable
+    /// shard table and the ingest buffers — disjoint fields, so the
+    /// streaming and batch paths share one construction site.
+    fn split_context(&mut self) -> (Ctx<'_>, &mut [Shard], &mut IngestScratch) {
         let space = self.index.space();
         (
             Ctx {
@@ -1063,68 +1088,83 @@ impl IndexedMonitor {
                 layout: self.layout,
             },
             &mut self.shards,
+            &mut self.scratch,
         )
     }
 
     /// Consumes a batch of events, updating the affected users' privacy
-    /// states and returning the alerts the batch raised, in event order
+    /// states, and returns the alerts the batch raised, in event order
     /// (mirroring `analyse_users_batch`'s shape: one immutable index, a
     /// deterministic parallel fan-out).
+    ///
+    /// The raised alerts are the newest entries of the pending list
+    /// ([`IndexedMonitor::alerts`]), lent rather than copied: a caller that
+    /// takes them with [`IndexedMonitor::drain_alerts`] anyway pays for no
+    /// copy, and one that keeps the pending list clones only what it wants.
     ///
     /// Events are partitioned by their user's shard; each worker thread owns
     /// a contiguous chunk of shards and replays its events in stream order,
     /// so per-user causality is preserved, and the per-shard alert lists are
     /// re-merged by batch position. Events for unregistered users and denied
     /// events are ignored (denied events never changed any data exposure).
-    pub fn ingest_batch(&mut self, events: &[Event]) -> Vec<Alert> {
+    pub fn ingest_batch(&mut self, events: &[Event]) -> &[Alert] {
         let threads = privacy_lts::batch::resolve_threads(self.threads).min(SHARDS);
-        let mut buckets: Vec<Vec<(u32, &Event)>> = vec![Vec::new(); SHARDS];
+        let raised_from = self.alerts.len();
+        let (ctx, shards, scratch) = self.split_context();
+        let IngestScratch { buckets, replay } = scratch;
+        // Emptied on the way in rather than out, so a call that panicked
+        // leaves nothing behind for the next one.
+        buckets.resize_with(SHARDS, Vec::new);
+        buckets.iter_mut().for_each(Vec::clear);
+        replay.tagged.clear();
         let mut busy_shards = 0usize;
         for (pos, event) in events.iter().enumerate() {
             if event.permitted() {
                 let bucket = &mut buckets[shard_of(event.user().as_str())];
                 busy_shards += usize::from(bucket.is_empty());
-                bucket.push((pos as u32, event));
+                bucket.push(pos as u32);
             }
         }
         // Never spawn more workers than there are shards with work: a tiny
         // batch with one busy shard must stay on the calling thread, not
         // pay a scope + spawn.
         let threads = threads.min(busy_shards.max(1));
-
-        let (ctx, shards) = self.split_context();
         let chunk = SHARDS.div_ceil(threads);
 
-        // The calling thread replays the first chunk of shards itself and
-        // spawns a worker for each other chunk only.
+        // The calling thread replays the first chunk of shards itself, into
+        // the monitor's own buffers, and spawns a worker for each other
+        // chunk only.
         let mut chunks = shards.chunks_mut(chunk).zip(buckets.chunks(chunk));
         let (first_shards, first_buckets) = chunks.next().expect("at least one shard chunk");
-        let mut tagged: Vec<(u32, Alert)> = if threads == 1 {
-            replay_chunk(&ctx, first_shards, first_buckets)
+        if threads == 1 {
+            replay_chunk(&ctx, first_shards, first_buckets, events, replay);
         } else {
             crossbeam::thread::scope(|scope| {
                 let ctx = &ctx;
                 let handles: Vec<_> = chunks
                     .map(|(shard_chunk, bucket_chunk)| {
-                        scope.spawn(move |_| replay_chunk(ctx, shard_chunk, bucket_chunk))
+                        scope.spawn(move |_| {
+                            let mut own = ReplayScratch::default();
+                            replay_chunk(ctx, shard_chunk, bucket_chunk, events, &mut own);
+                            own.tagged
+                        })
                     })
                     .collect();
-                let mut out = replay_chunk(ctx, first_shards, first_buckets);
+                replay_chunk(ctx, first_shards, first_buckets, events, replay);
                 for handle in handles {
-                    out.extend(handle.join().expect("monitor shard worker panicked"));
+                    replay.tagged.extend(handle.join().expect("monitor shard worker panicked"));
                 }
-                out
             })
-            .expect("monitor ingestion scope panicked")
-        };
+            .expect("monitor ingestion scope panicked");
+        }
 
-        // Stable sort by batch position: alerts of one event keep their
-        // within-event (actor, field) order, and the stream equals the
+        // Back to stream order: an event's alerts share its position and
+        // keep their arrival order within it, so the stream equals the
         // sequential replay regardless of thread count.
-        tagged.sort_by_key(|&(pos, _)| pos);
-        let raised: Vec<Alert> = tagged.into_iter().map(|(_, alert)| alert).collect();
-        self.alerts.extend(raised.iter().cloned());
-        raised
+        let tagged = &mut self.scratch.replay.tagged;
+        tagged.sort_unstable_by_key(|&(key, _)| key);
+        self.alerts.extend(tagged.drain(..).map(|(_, alert)| alert));
+        &self.alerts[raised_from..]
     }
 }
 
@@ -1197,24 +1237,24 @@ fn check_snapshot_compat(
     Ok(())
 }
 
-/// Replays each shard's bucket of a batch in stream order, returning the
-/// raised alerts tagged with their batch positions.
+/// Replays each shard's bucket of a batch in stream order into
+/// `scratch.tagged`.
 fn replay_chunk(
     ctx: &Ctx<'_>,
     shards: &mut [Shard],
-    buckets: &[Vec<(u32, &Event)>],
-) -> Vec<(u32, Alert)> {
-    let mut out = Vec::new();
+    buckets: &[Vec<u32>],
+    events: &[Event],
+    scratch: &mut ReplayScratch,
+) {
     for (shard, bucket) in shards.iter_mut().zip(buckets) {
-        for &(pos, event) in bucket {
-            process_event(ctx, shard, pos, event, &mut out);
+        for &pos in bucket {
+            process_event(ctx, shard, pos, &events[pos as usize], scratch);
         }
     }
-    out
 }
 
 /// Applies one permitted event to its user's slot, decoding the user's
-/// row into one on their first event, pushing any raised alerts tagged
+/// row into one on their first event, pushes any raised alerts tagged
 /// with the event's batch position, and queues the user's row for the next
 /// capture if a state bit flipped.
 fn process_event(
@@ -1222,16 +1262,16 @@ fn process_event(
     shard: &mut Shard,
     pos: u32,
     event: &Event,
-    out: &mut Vec<(u32, Alert)>,
+    scratch: &mut ReplayScratch,
 ) {
     let user = event.user();
     if let Some(slot) = shard.slots.get_mut(user) {
-        if apply_event(ctx, slot, pos, event, out) {
+        if apply_event(ctx, slot, pos, event, scratch) {
             shard.rows.get_mut().unwrap_or_else(PoisonError::into_inner).mark(user, slot);
         }
     } else if shard.activate(user, ctx.layout) {
         // Now in a slot.
-        process_event(ctx, shard, pos, event, out);
+        process_event(ctx, shard, pos, event, scratch);
     }
 }
 
@@ -1242,8 +1282,10 @@ fn apply_event(
     slot: &mut UserSlot,
     pos: u32,
     event: &Event,
-    out: &mut Vec<(u32, Alert)>,
+    scratch: &mut ReplayScratch,
 ) -> bool {
+    let ReplayScratch { pairs, tagged } = scratch;
+    pairs.clear();
     match event.action() {
         ActionKind::Collect | ActionKind::Disclose | ActionKind::Read => {
             let Some(actor) =
@@ -1251,31 +1293,33 @@ fn apply_event(
             else {
                 return false;
             };
-            let mut pairs: Vec<(u32, u32)> = event
-                .fields()
-                .iter()
-                .filter_map(|field| ctx.index.field_index(field))
-                .filter(|&f| (f as usize) < ctx.field_count)
-                .map(|f| (actor, f))
-                .collect();
+            pairs.extend(
+                event
+                    .fields()
+                    .iter()
+                    .filter_map(|field| ctx.index.field_index(field))
+                    .filter(|&f| (f as usize) < ctx.field_count)
+                    .map(|f| (actor, f)),
+            );
             pairs.sort_unstable();
-            expose(ctx, slot, pos, event, &pairs, VarKind::Has, out)
+            expose(ctx, slot, pos, event, pairs, VarKind::Has, tagged)
         }
         ActionKind::Create | ActionKind::Anon => {
             let Some(store) = event.datastore() else {
                 return false;
             };
-            let mut pairs = reader_pairs(ctx, store, event);
+            reader_pairs(ctx, store, event, pairs);
             pairs.sort_unstable();
             pairs.dedup();
-            expose(ctx, slot, pos, event, &pairs, VarKind::Could, out)
+            expose(ctx, slot, pos, event, pairs, VarKind::Could, tagged)
         }
         ActionKind::Delete => {
             let Some(store) = event.datastore() else {
                 return false;
             };
+            reader_pairs(ctx, store, event, pairs);
             let mut flipped = false;
-            for (a, f) in reader_pairs(ctx, store, event) {
+            for &(a, f) in pairs.iter() {
                 if let Some(has_bit) = ctx.index.bit_index_of(a, f, VarKind::Has) {
                     flipped |= slot.clear_bit(has_bit + 1); // the paired `could` bit
                 }
@@ -1288,14 +1332,13 @@ fn apply_event(
     }
 }
 
-/// The `(reader, field)` pairs a `create`/`anon`/`delete` event resolves to:
-/// every space actor with read access to the event's fields in its store.
-/// Catalog stores answer from the precomputed table; a store outside the
-/// catalog falls back to a direct policy probe (the cost the scan monitor
-/// pays for every event).
-fn reader_pairs(ctx: &Ctx<'_>, store: &DatastoreId, event: &Event) -> Vec<(u32, u32)> {
+/// Appends to `pairs` the `(reader, field)` pairs a `create`/`anon`/`delete`
+/// event resolves to: every space actor with read access to the event's
+/// fields in its store. Catalog stores answer from the precomputed table; a
+/// store outside the catalog falls back to a direct policy probe (the cost
+/// the scan monitor pays for every event).
+fn reader_pairs(ctx: &Ctx<'_>, store: &DatastoreId, event: &Event, pairs: &mut Vec<(u32, u32)>) {
     let store_idx = ctx.stores.get(store);
-    let mut pairs = Vec::new();
     for field in event.fields() {
         let Some(f) = ctx.index.field_index(field).filter(|&f| (f as usize) < ctx.field_count)
         else {
@@ -1318,7 +1361,6 @@ fn reader_pairs(ctx: &Ctx<'_>, store: &DatastoreId, event: &Event) -> Vec<(u32, 
             }
         }
     }
-    pairs
 }
 
 /// Sets the `kind` bit of every pair (ascending, deduplicated — i.e. in the
@@ -1333,7 +1375,7 @@ fn expose(
     event: &Event,
     pairs: &[(u32, u32)],
     kind: VarKind,
-    out: &mut Vec<(u32, Alert)>,
+    out: &mut Vec<((u32, u32), Alert)>,
 ) -> bool {
     let mut flipped = false;
     for &(a, f) in pairs {
@@ -1364,8 +1406,9 @@ fn expose(
         let level = ctx.matrix.combine(impact, probability);
         if level.at_least(ctx.threshold) {
             let field = &ctx.index.fields()[f as usize];
+            let key = (pos, out.len() as u32);
             out.push((
-                pos,
+                key,
                 Alert::raise(
                     event.sequence(),
                     event.user().clone(),

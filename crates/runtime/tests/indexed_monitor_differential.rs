@@ -150,7 +150,7 @@ proptest! {
             for user in &fixture.users[..fixture.users.len() - 1] {
                 indexed.register_user(user);
             }
-            let batch_alerts = indexed.ingest_batch(&fixture.events);
+            let batch_alerts = indexed.ingest_batch(&fixture.events).to_vec();
             prop_assert_eq!(&scan_alerts, &batch_alerts);
             prop_assert_eq!(scan.alerts(), indexed.alerts());
             prop_assert_eq!(scan.user_count(), indexed.user_count());
@@ -174,7 +174,7 @@ proptest! {
             }
             let mut streamed = Vec::new();
             for event in &fixture.events {
-                streamed.extend(streaming.observe(event));
+                streamed.extend_from_slice(streaming.observe(event));
             }
             prop_assert_eq!(&scan_alerts, &streamed);
             prop_assert_eq!(indexed.drain_alerts(), streamed);

@@ -183,8 +183,8 @@ proptest! {
         let mut from_sparse = resume(&sparse_bytes).expect("sparse bytes resume");
         let mut from_dense = resume(&dense_bytes).expect("dense bytes resume");
         prop_assert_eq!(from_sparse.alerts(), from_dense.alerts());
-        let sparse_tail = from_sparse.ingest_batch(&fixture.events[cut..]);
-        let dense_tail = from_dense.ingest_batch(&fixture.events[cut..]);
+        let sparse_tail = from_sparse.ingest_batch(&fixture.events[cut..]).to_vec();
+        let dense_tail = from_dense.ingest_batch(&fixture.events[cut..]).to_vec();
         prop_assert_eq!(&sparse_tail, &dense_tail);
         prop_assert_eq!(from_sparse.user_count(), from_dense.user_count());
         for user in &fixture.users {
@@ -211,12 +211,12 @@ proptest! {
         let cut = cut.min(fixture.events.len());
 
         let mut uninterrupted = monitor_over(&fixture);
-        let full_alerts = uninterrupted.ingest_batch(&fixture.events);
+        let full_alerts = uninterrupted.ingest_batch(&fixture.events).to_vec();
 
         // Run to the cut (deliberately without draining: pending alerts are
         // part of the persisted state) and snapshot.
         let mut first_life = monitor_over(&fixture).with_threads(Some(snapshot_threads));
-        let prefix_alerts = first_life.ingest_batch(&fixture.events[..cut]);
+        let prefix_alerts = first_life.ingest_batch(&fixture.events[..cut]).to_vec();
         let snapshot = first_life.snapshot();
         let bytes = snapshot.to_bytes();
 
@@ -234,7 +234,7 @@ proptest! {
         .expect("matching index resumes")
         .with_threads(Some(resume_threads));
         prop_assert_eq!(second_life.alerts(), &prefix_alerts[..]);
-        let tail_alerts = second_life.ingest_batch(&fixture.events[cut..]);
+        let tail_alerts = second_life.ingest_batch(&fixture.events[cut..]).to_vec();
 
         let mut recovered = prefix_alerts;
         recovered.extend(tail_alerts);
@@ -255,10 +255,10 @@ fn snapshot_at_four_threads_rehydrates_at_one_and_two() {
     let cut = fixture.events.len() / 2;
 
     let mut uninterrupted = monitor_over(&fixture);
-    let full_alerts = uninterrupted.ingest_batch(&fixture.events);
+    let full_alerts = uninterrupted.ingest_batch(&fixture.events).to_vec();
 
     let mut at_four = monitor_over(&fixture).with_threads(Some(4));
-    let prefix_alerts = at_four.ingest_batch(&fixture.events[..cut]);
+    let prefix_alerts = at_four.ingest_batch(&fixture.events[..cut]).to_vec();
     let bytes = at_four.snapshot().to_bytes();
 
     for resume_threads in [1usize, 2] {
@@ -271,7 +271,7 @@ fn snapshot_at_four_threads_rehydrates_at_one_and_two() {
         )
         .expect("matching index resumes")
         .with_threads(Some(resume_threads));
-        let tail = resumed.ingest_batch(&fixture.events[cut..]);
+        let tail = resumed.ingest_batch(&fixture.events[cut..]).to_vec();
         let mut recovered = prefix_alerts.clone();
         recovered.extend(tail);
         assert_eq!(recovered, full_alerts, "t=4 → t={resume_threads} recovery diverges");
@@ -295,10 +295,10 @@ fn resuming_with_reapplied_configuration_matches_uninterrupted_run() {
     // Medium, so a resume that silently fell back to defaults would lose
     // alerts on the tail.
     let mut uninterrupted = monitor_over(&fixture).with_alert_threshold(RiskLevel::Low);
-    let full_alerts = uninterrupted.ingest_batch(&fixture.events);
+    let full_alerts = uninterrupted.ingest_batch(&fixture.events).to_vec();
 
     let mut first_life = monitor_over(&fixture).with_alert_threshold(RiskLevel::Low);
-    let prefix_alerts = first_life.ingest_batch(&fixture.events[..cut]);
+    let prefix_alerts = first_life.ingest_batch(&fixture.events[..cut]).to_vec();
     let bytes = first_life.snapshot().to_bytes();
 
     let snapshot = MonitorSnapshot::from_bytes(&bytes).expect("own bytes decode");
@@ -310,7 +310,7 @@ fn resuming_with_reapplied_configuration_matches_uninterrupted_run() {
     )
     .expect("matching index resumes")
     .with_alert_threshold(RiskLevel::Low); // same configuration as the first life
-    let tail_alerts = second_life.ingest_batch(&fixture.events[cut..]);
+    let tail_alerts = second_life.ingest_batch(&fixture.events[cut..]).to_vec();
 
     let mut recovered = prefix_alerts;
     recovered.extend(tail_alerts);
@@ -369,10 +369,10 @@ fn snapshot_v2_dense_frames_still_decode_and_resume() {
     let cut = fixture.events.len() / 2;
 
     let mut uninterrupted = monitor_over(&fixture);
-    let full_alerts = uninterrupted.ingest_batch(&fixture.events);
+    let full_alerts = uninterrupted.ingest_batch(&fixture.events).to_vec();
 
     let mut first_life = monitor_over(&fixture);
-    let prefix_alerts = first_life.ingest_batch(&fixture.events[..cut]);
+    let prefix_alerts = first_life.ingest_batch(&fixture.events[..cut]).to_vec();
     let snapshot = first_life.snapshot();
     let v2_bytes = snapshot.to_bytes_at(SNAPSHOT_VERSION_V2);
 
@@ -390,7 +390,7 @@ fn snapshot_v2_dense_frames_still_decode_and_resume() {
     )
     .expect("v2 snapshot resumes");
     assert_eq!(resumed.alerts(), &prefix_alerts[..]);
-    let tail_alerts = resumed.ingest_batch(&fixture.events[cut..]);
+    let tail_alerts = resumed.ingest_batch(&fixture.events[cut..]).to_vec();
     let mut recovered = prefix_alerts;
     recovered.extend(tail_alerts);
     assert_eq!(recovered, full_alerts, "v2 → v3 cross-version recovery diverges");
@@ -609,8 +609,8 @@ fn snapshot_v3_fixture_from_before_incremental_capture_round_trips_byte_identica
     .expect("fixture resumes");
     assert_eq!(resumed.snapshot().to_bytes(), SNAPSHOT_V3_FIXTURE, "resumed capture differs");
     let mut uninterrupted = population_monitor(&population);
-    let full_alerts = uninterrupted.ingest_batch(&population.events);
-    let tail_alerts = resumed.ingest_batch(&population.events[FIXTURE_CUT..]);
+    let full_alerts = uninterrupted.ingest_batch(&population.events).to_vec();
+    let tail_alerts = resumed.ingest_batch(&population.events[FIXTURE_CUT..]).to_vec();
     let mut recovered = decoded.pending_alerts().to_vec();
     recovered.extend(tail_alerts);
     let pending_from = full_alerts

@@ -87,7 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Replay the same log through the index-backed monitor: events resolve
     // once through the shared index's interners, per-user state shards over
     // four worker threads, and the alert stream comes out identical.
-    let batch_alerts = indexed.ingest_batch(engine.log().events());
+    let batch_alerts = indexed.ingest_batch(engine.log().events()).to_vec();
     println!("{indexed}");
     assert_eq!(batch_alerts.len(), monitor.alerts().len());
     assert_eq!(batch_alerts.len(), alerts.len());

@@ -9,7 +9,10 @@
 //! * **Backpressure, not unbounded growth.** A parser thread assembles
 //!   lines and resolves events; batches travel to the monitor loop over a
 //!   *bounded* queue ([`std::sync::mpsc::sync_channel`]). When the
-//!   monitor falls behind, the parser blocks — memory stays flat.
+//!   monitor falls behind, the parser blocks — memory stays flat. Spent
+//!   batches travel back over a second, two-slot channel that the monitor
+//!   never waits on, so the parser frees the events it allocated and
+//!   reuses a batch's buffer.
 //! * **Poison quarantine, not death.** A record the ingest refuses is
 //!   appended to a dead-letter NDJSON file
 //!   ([`privacy_ingest::deadletter`]) with its typed error and exact byte
@@ -333,10 +336,10 @@ impl MonitorSink for IndexedSink {
                 ));
             }
         }
-        // `ingest_batch` both returns the raised alerts and queues them on
-        // the monitor's pending list; drain here (the drained list is the
-        // raised alerts, plus any pending carried in by a resumed
-        // snapshot) so the final flush does not report everything twice.
+        // `ingest_batch` queues the raised alerts on the monitor's pending
+        // list; drain here (the drained list is the raised alerts, plus any
+        // pending carried in by a resumed snapshot) so the final flush does
+        // not report everything twice, and no alert is copied.
         let _ = self.monitor.ingest_batch(events);
         Ok(self.monitor.drain_alerts())
     }
@@ -568,6 +571,28 @@ enum WorkItem {
     Drained(StreamMeta),
 }
 
+/// Spent batches the monitor loop can hand back before the parser takes
+/// them; past that, the monitor drops a spent batch itself rather than
+/// wait.
+const RETURNED_BATCHES: usize = 2;
+
+/// The buffer for the parser's next batch: every batch the monitor has
+/// handed back is emptied here, so its events are freed on the thread that
+/// allocated them, and the first one's capacity is reused. The events of
+/// one batch hold a user id and a field set each; dropped on the monitor
+/// thread instead, they are frees across threads, which the allocator
+/// serialises against the parser's own allocations.
+fn recycle(spent: &Receiver<Vec<Event>>) -> Vec<Event> {
+    let mut next = Vec::new();
+    for mut batch in spent.try_iter() {
+        batch.clear();
+        if next.capacity() == 0 {
+            next = batch;
+        }
+    }
+    next
+}
+
 /// The monitor's share of a host with `cores` cores: what is left after
 /// the threads [`PipelineRunner::run`] starts itself — the parser, plus the
 /// checkpoint writer when `checkpointing` — and at least one, the monitor
@@ -631,6 +656,7 @@ impl PipelineRunner {
         mut on_alert: impl FnMut(&Alert),
     ) -> Result<PipelineReport, PipelineError> {
         let (sender, receiver) = sync_channel::<WorkItem>(self.config.queue_batches.max(1));
+        let (spent_sender, spent) = sync_channel::<Vec<Event>>(RETURNED_BATCHES);
         let mut report = PipelineReport::default();
         let durable = AtomicU64::new(0);
         sink.set_thread_budget(monitor_threads(
@@ -654,10 +680,18 @@ impl PipelineRunner {
             });
             // The sender moves into the parser thread so the channel
             // closes (and the monitor loop's `recv` unblocks) the moment
-            // the parser finishes.
+            // the parser finishes; so does the receiver of spent batches,
+            // whose leftovers the parser then frees itself.
             let source_ref = &mut source;
-            let parser = scope.spawn(move || self.parse_loop(source_ref, &sender));
-            let consumed = self.monitor_loop(&receiver, sink, writer, &mut report, &mut on_alert);
+            let parser = scope.spawn(move || self.parse_loop(source_ref, &sender, &spent));
+            let consumed = self.monitor_loop(
+                &receiver,
+                &spent_sender,
+                sink,
+                writer,
+                &mut report,
+                &mut on_alert,
+            );
             // A consumer error must unblock a parser waiting on the full
             // queue: drop the receiver end and raise the stop flag.
             if consumed.is_err() {
@@ -678,10 +712,15 @@ impl PipelineRunner {
     }
 
     /// The parser side: polls the source, assembles lines, resolves
-    /// events, and ships batches/quarantines over the bounded queue. All
-    /// failures are reported through the queue; the returned result only
-    /// reflects whether the consumer is still listening.
-    fn parse_loop(&self, source: &mut LiveSource, sender: &SyncSender<WorkItem>) {
+    /// events, and ships batches/quarantines over the bounded queue, taking
+    /// back the spent batches from `spent` each time it ships one. All
+    /// failures are reported through the queue.
+    fn parse_loop(
+        &self,
+        source: &mut LiveSource,
+        sender: &SyncSender<WorkItem>,
+        spent: &Receiver<Vec<Event>>,
+    ) {
         let mut assembler = LineAssembler::new(self.config.max_line_bytes.saturating_add(1));
         let mut ingestor = LineIngestor::new(
             self.config.mapping.clone(),
@@ -726,7 +765,7 @@ impl PipelineRunner {
         macro_rules! flush_pending {
             () => {
                 if !pending.is_empty() {
-                    let batch = std::mem::take(&mut pending);
+                    let batch = std::mem::replace(&mut pending, recycle(spent));
                     ship!(WorkItem::Batch(batch, meta(&ingestor)));
                 }
             };
@@ -846,12 +885,14 @@ impl PipelineRunner {
         self.config.stop_file.as_deref().is_some_and(|path| path.exists())
     }
 
-    /// The monitor side: ingests batches, appends dead letters, submits
-    /// periodic and final checkpoints to `writer`, flushes the sink at
-    /// drain, and closes the writer.
+    /// The monitor side: ingests batches and hands each spent one back to
+    /// the parser over `spent` (dropping it when that is full), appends
+    /// dead letters, submits periodic and final checkpoints to `writer`,
+    /// flushes the sink at drain, and closes the writer.
     fn monitor_loop(
         &self,
         receiver: &Receiver<WorkItem>,
+        spent: &SyncSender<Vec<Event>>,
         sink: &mut dyn MonitorSink,
         writer: Option<CheckpointWriter<'_, PipelineJob>>,
         report: &mut PipelineReport,
@@ -909,13 +950,21 @@ impl PipelineRunner {
             match item {
                 WorkItem::Batch(events, meta) => {
                     let alerts = sink.ingest(&events)?;
-                    PipelineProgress::add(&self.progress.ingested, events.len() as u64);
+                    let ingested = events.len() as u64;
+                    PipelineProgress::add(&self.progress.ingested, ingested);
                     PipelineProgress::add(&self.progress.alerts, alerts.len() as u64);
                     report.alerts += alerts.len() as u64;
                     for alert in &alerts {
                         on_alert(alert);
                     }
-                    since_checkpoint += events.len() as u64;
+                    // Alerts hold clones of the events' user ids, and so
+                    // does the indexed monitor's list of changed users until
+                    // a checkpoint's capture clears it: both go before the
+                    // batch goes back, so that the parser drops the last
+                    // reference and frees each id on the thread that
+                    // allocated it.
+                    drop(alerts);
+                    since_checkpoint += ingested;
                     if self.config.checkpoint_every_events > 0
                         && since_checkpoint >= self.config.checkpoint_every_events
                     {
@@ -923,6 +972,9 @@ impl PipelineRunner {
                         since_checkpoint = 0;
                     }
                     last_meta = Some(meta);
+                    // Never waits: a full or closed channel leaves the batch
+                    // to be dropped here.
+                    let _ = spent.try_send(events);
                 }
                 WorkItem::Quarantined(line) => {
                     PipelineProgress::add(&self.progress.quarantined, 1);
@@ -1206,6 +1258,160 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
+    /// A pipe over `log` that, once it has handed out the bytes before
+    /// `stall_at`, stalls the parser until the monitor has ingested every
+    /// event resolved so far, or until a deadline; `caught_up` records
+    /// which.
+    struct StallingReader {
+        log: std::io::Cursor<Vec<u8>>,
+        stall_at: u64,
+        progress: Arc<PipelineProgress>,
+        caught_up: Arc<AtomicBool>,
+        stalled: bool,
+    }
+
+    impl std::io::Read for StallingReader {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let at = self.log.position();
+            if at == self.stall_at && !self.stalled {
+                self.stalled = true;
+                let resolved = PipelineProgress::get(&self.progress.events);
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+                while PipelineProgress::get(&self.progress.ingested) < resolved
+                    && std::time::Instant::now() < deadline
+                {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                let ingested = PipelineProgress::get(&self.progress.ingested);
+                self.caught_up.store(ingested == resolved, Ordering::Relaxed);
+            }
+            let room = if at < self.stall_at { (self.stall_at - at) as usize } else { buf.len() };
+            let len = room.min(buf.len());
+            std::io::Read::read(&mut self.log, &mut buf[..len])
+        }
+    }
+
+    /// With a one-batch queue and a parser stalled in its source after 400
+    /// lines, which takes no spent batch back while it stalls, the monitor
+    /// still ingests every batch it was sent. The stall changes nothing the
+    /// run reports: the alert stream and the final checkpoint bytes equal
+    /// those of a run without it.
+    #[test]
+    fn a_stalled_parser_never_blocks_the_monitor_on_spent_batches() {
+        let dir = std::env::temp_dir().join(format!("pipeline-handoff-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let mut outcomes = Vec::new();
+        for stall in [false, true] {
+            let (mut sink, log) = healthcare_sink_and_log(1_000);
+            // Users registered without consent, so their reads alert.
+            for i in (0..64).step_by(2) {
+                let user = UserId::new(format!("patient-{i:03}"));
+                sink.monitor.register_user(&first_sight_profile(&user, &sink.services, true));
+            }
+            let stall_at = log
+                .iter()
+                .enumerate()
+                .filter(|&(_, &byte)| byte == b'\n')
+                .nth(399)
+                .map(|(at, _)| at as u64 + 1)
+                .expect("the log has 400 lines");
+            let checkpoint = dir.join(format!("stall-{stall}.ckpt"));
+            let mut config = PipelineConfig::new(FieldMapping::canonical());
+            config.batch = 8;
+            config.queue_batches = 1;
+            config.checkpoint = Some(checkpoint.clone());
+            config.checkpoint_every_events = 64;
+            let follow = config.follow.clone();
+            let runner = PipelineRunner::new(config);
+            let caught_up = Arc::new(AtomicBool::new(false));
+            let reader: Box<dyn std::io::Read + Send> = if stall {
+                Box::new(StallingReader {
+                    log: std::io::Cursor::new(log),
+                    stall_at,
+                    progress: runner.progress(),
+                    caught_up: Arc::clone(&caught_up),
+                    stalled: false,
+                })
+            } else {
+                Box::new(std::io::Cursor::new(log))
+            };
+            let mut alerts = Vec::new();
+            let report = runner
+                .run(LiveSource::pipe(reader, follow), &mut sink, |alert| {
+                    alerts.push(alert.to_string());
+                })
+                .expect("clean run");
+            assert_eq!(report.skipped, 0, "every line is an event, so no batch is partial");
+            if stall {
+                assert!(
+                    caught_up.load(Ordering::Relaxed),
+                    "the monitor stopped short of the batches it was sent while the parser stalled"
+                );
+            }
+            outcomes.push((alerts, std::fs::read(&checkpoint).expect("final checkpoint")));
+        }
+        let _ = std::fs::remove_dir_all(dir);
+        assert!(
+            !outcomes[0].0.is_empty(),
+            "the log must raise alerts for this test to pin anything"
+        );
+        assert_eq!(outcomes[1].0, outcomes[0].0, "the stall changed the alert stream");
+        assert!(outcomes[1].1 == outcomes[0].1, "the stall changed the final checkpoint bytes");
+    }
+
+    /// The monitor loop never waits on the return channel: with nobody
+    /// taking spent batches back, it ingests every batch it is sent, hands
+    /// back as many as the channel holds and drops the rest itself.
+    #[test]
+    fn the_monitor_loop_drops_the_spent_batches_a_full_return_channel_cannot_take() {
+        let (mut sink, log) = healthcare_sink_and_log(100);
+        let events =
+            privacy_ingest::ingest_bytes(&log, &FieldMapping::canonical(), &Default::default())
+                .expect("clean log")
+                .events;
+        let meta = StreamMeta {
+            offset: log.len() as u64,
+            lines: events.len() as u64,
+            next_sequence: events.len() as u64 + 1,
+            events: events.len() as u64,
+            skipped: 0,
+            format: Some(Format::Json),
+        };
+        let batches: Vec<Vec<Event>> = events.chunks(8).map(<[Event]>::to_vec).collect();
+        assert!(batches.len() > RETURNED_BATCHES, "more batches than the return channel holds");
+        let (sender, receiver) = sync_channel(batches.len() + 1);
+        for batch in &batches {
+            sender.send(WorkItem::Batch(batch.clone(), meta)).expect("the queue has room");
+        }
+        sender.send(WorkItem::Drained(meta)).expect("the queue has room");
+        let (spent_sender, spent) = sync_channel(RETURNED_BATCHES);
+        let runner = PipelineRunner::new(PipelineConfig::new(FieldMapping::canonical()));
+        let (done, finished) = std::sync::mpsc::channel();
+        // On a thread of its own, so a loop that waits on the full channel
+        // fails this test instead of hanging it.
+        std::thread::spawn(move || {
+            let mut report = PipelineReport::default();
+            let outcome = runner.monitor_loop(
+                &receiver,
+                &spent_sender,
+                &mut sink,
+                None,
+                &mut report,
+                &mut |_| {},
+            );
+            let ingested = PipelineProgress::get(&runner.progress.ingested);
+            let _ = done.send((outcome.is_ok(), ingested));
+        });
+        let (clean, ingested) = finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the monitor loop waited on the full return channel");
+        assert!(clean, "the monitor loop failed");
+        assert_eq!(ingested, events.len() as u64, "every batch sent was ingested");
+        let returned: Vec<Vec<Event>> = spent.try_iter().collect();
+        assert_eq!(returned, batches[..RETURNED_BATCHES], "the first spent batches come back");
+    }
+
     /// `ingest_batch` queues raised alerts on the monitor as well as
     /// returning them; the sink must not report that queue again at
     /// flush. Pinned directly because the live-vs-offline differentials
@@ -1254,7 +1460,7 @@ mod tests {
         for user in &users {
             proto.register_user(user);
         }
-        let direct = proto.clone().ingest_batch(&events);
+        let direct = proto.clone().ingest_batch(&events).to_vec();
         assert!(!direct.is_empty(), "the corpus must raise alerts for this test to pin anything");
 
         let mut sink = IndexedSink::new(proto, services, false);
