@@ -60,8 +60,7 @@ pub fn check_lts(lts: &Lts, policy: &PrivacyPolicy) -> ComplianceReport {
 }
 
 /// Checks a policy against a prebuilt analysis index. The index must have
-/// been built from `lts` (and the LTS must not have been mutated since);
-/// reusing one index across many [`check_lts_indexed`] calls is how the
+/// been built from `lts`; reusing one index across many [`check_lts_indexed`] calls is how the
 /// batch path amortises the single build.
 pub fn check_lts_indexed(lts: &Lts, index: &LtsIndex, policy: &PrivacyPolicy) -> ComplianceReport {
     let mut probes = Probes::new(lts, index);
@@ -349,7 +348,7 @@ fn check_statement_scan(
 mod tests {
     use super::*;
     use crate::statement::{ActorMatcher, FieldMatcher};
-    use privacy_lts::{PrivacyState, TransitionLabel, VarSpace};
+    use privacy_lts::{LtsBuilder, PrivacyState, TransitionLabel, VarSpace};
     use privacy_model::{ActorId, Purpose};
 
     /// A tiny hand-built LTS: the Doctor collects and stores Diagnosis, the
@@ -359,25 +358,25 @@ mod tests {
             [ActorId::new("Doctor"), ActorId::new("Administrator")],
             [FieldId::new("Name"), FieldId::new("Diagnosis")],
         );
-        let mut lts = Lts::new(space.clone());
-        let s0 = lts.initial();
-        let s1 = lts.intern(PrivacyState::absolute(&space).with_has(
+        let mut builder = LtsBuilder::new(space.clone());
+        let s0 = builder.initial();
+        let s1 = builder.intern(PrivacyState::absolute(&space).with_has(
             &space,
             &ActorId::new("Doctor"),
             &FieldId::new("Diagnosis"),
         ));
-        let s2 = lts.intern(lts.state(s1).with_has(
+        let s2 = builder.intern(builder.state(s1).with_has(
             &space,
             &ActorId::new("Administrator"),
             &FieldId::new("Diagnosis"),
         ));
-        lts.add_transition(
+        builder.add_transition(
             s0,
             s1,
             TransitionLabel::new(ActionKind::Collect, "Doctor", [FieldId::new("Diagnosis")], None)
                 .with_purpose(Purpose::new("consultation").unwrap()),
         );
-        lts.add_transition(
+        builder.add_transition(
             s1,
             s2,
             TransitionLabel::new(
@@ -388,7 +387,7 @@ mod tests {
             )
             .with_purpose(Purpose::new("maintenance").unwrap()),
         );
-        lts
+        builder.build()
     }
 
     /// Every unit-test policy must produce identical reports through the
@@ -456,13 +455,14 @@ mod tests {
     #[test]
     fn purpose_limit_flags_missing_purposes() {
         let space = VarSpace::new([ActorId::new("Doctor")], [FieldId::new("Diagnosis")]);
-        let mut lts = Lts::new(space);
-        let s0 = lts.initial();
-        lts.add_transition(
+        let mut builder = LtsBuilder::new(space);
+        let s0 = builder.initial();
+        builder.add_transition(
             s0,
             s0,
             TransitionLabel::new(ActionKind::Read, "Doctor", [FieldId::new("Diagnosis")], None),
         );
+        let lts = builder.build();
         let policy = PrivacyPolicy::new("p").with_statement(Statement::purpose_limit(
             "P3",
             "must state a purpose",
@@ -489,13 +489,14 @@ mod tests {
 
     #[test]
     fn require_erasure_passes_when_a_delete_action_exists() {
-        let mut lts = tiny_lts();
-        let s0 = lts.initial();
-        lts.add_transition(
+        let mut builder = LtsBuilder::from_lts(&tiny_lts());
+        let s0 = builder.initial();
+        builder.add_transition(
             s0,
             s0,
             TransitionLabel::new(ActionKind::Delete, "Doctor", [FieldId::new("Diagnosis")], None),
         );
+        let lts = builder.build();
         let policy = PrivacyPolicy::new("p").with_statement(Statement::require_erasure(
             "E1",
             "diagnosis must be erasable",

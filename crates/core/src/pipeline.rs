@@ -30,9 +30,9 @@ impl fmt::Display for PipelineOutcome {
 
 /// The result of assessing a whole user population over **one** generated
 /// LTS and **one** shared analysis index: the read-only batch counterpart of
-/// [`Pipeline::analyse_user`]. The LTS is not mutated, so the index remains
-/// a faithful snapshot — downstream consumers (compliance checks, queries,
-/// the runtime monitor) can keep probing it via
+/// [`Pipeline::analyse_user`]. No risk-transitions are added, so the LTS and
+/// index describe the generated model — downstream consumers (compliance
+/// checks, queries, the runtime monitor) can keep probing it via
 /// [`PopulationOutcome::query`]. The index is reference-counted so the
 /// operation-time layer can hold on to it beyond the outcome's lifetime:
 /// [`PopulationOutcome::shared_index`] is what a fresh *or resumed*
@@ -148,12 +148,17 @@ impl<'a> Pipeline<'a> {
                 .collect();
             config.services = Some(consented);
         }
-        let mut lts = self.system.generate_lts_with(&config)?;
-        let disclosure = DisclosureAnalysis::new(self.system.catalog(), self.system.policy())
+        let lts = self.system.generate_lts_with(&config)?;
+        let (disclosure, lts) = self.disclosure().analyse(&lts, &LtsIndex::build(&lts), user);
+        Ok(PipelineOutcome { lts, report: RiskReport::new().with_disclosure(disclosure) })
+    }
+
+    /// The unwanted-disclosure analysis with this pipeline's risk matrix and
+    /// likelihood model.
+    fn disclosure(&self) -> DisclosureAnalysis<'a> {
+        DisclosureAnalysis::new(self.system.catalog(), self.system.policy())
             .with_matrix(self.matrix.clone())
             .with_likelihood(self.likelihood.clone())
-            .analyse(&mut lts, user);
-        Ok(PipelineOutcome { lts, report: RiskReport::new().with_disclosure(disclosure) })
     }
 
     /// Assesses a whole user population over one generated LTS and one
@@ -180,16 +185,14 @@ impl<'a> Pipeline<'a> {
     ) -> Result<PopulationOutcome, ModelError> {
         let lts = self.system.generate_lts_with(&self.generator)?;
         let index = Arc::new(LtsIndex::build(&lts));
-        let reports = DisclosureAnalysis::new(self.system.catalog(), self.system.policy())
-            .with_matrix(self.matrix.clone())
-            .with_likelihood(self.likelihood.clone())
-            .analyse_users_batch(&index, users, threads);
+        let reports = self.disclosure().analyse_users_batch(&index, users, threads);
         Ok(PopulationOutcome { lts, index, reports })
     }
 
     /// Generates the LTS and runs both analyses: unwanted disclosure for the
     /// user and pseudonymisation value risk for the given adversary over the
-    /// released dataset (Case Study B / Table I).
+    /// released dataset (Case Study B / Table I). The pseudonymisation
+    /// analysis reads the disclosure's annotated LTS, added states included.
     ///
     /// # Errors
     ///
@@ -204,22 +207,16 @@ impl<'a> Pipeline<'a> {
         visible_sets: &[Vec<FieldId>],
         violation_threshold: Option<f64>,
     ) -> Result<PipelineOutcome, ModelError> {
-        let mut lts = self.system.generate_lts_with(&self.generator)?;
-        let disclosure = DisclosureAnalysis::new(self.system.catalog(), self.system.policy())
-            .with_matrix(self.matrix.clone())
-            .with_likelihood(self.likelihood.clone())
-            .analyse(&mut lts, user);
+        let lts = self.system.generate_lts_with(&self.generator)?;
+        let (disclosure, lts) = self.disclosure().analyse(&lts, &LtsIndex::build(&lts), user);
 
         let mut pseudonym_analysis =
             PseudonymAnalysis::new(self.system.catalog(), self.system.policy(), value_policy);
         if let Some(threshold) = violation_threshold {
             pseudonym_analysis = pseudonym_analysis.with_violation_threshold(threshold);
         }
-        // The disclosure stage's index describes the pre-annotation LTS, so
-        // it cannot be handed on: the pseudonymisation analysis must scan
-        // the by-then-mutated reachable set (its indexed entry point is for
-        // snapshots that are still current).
-        let pseudonym = pseudonym_analysis.analyse(&mut lts, adversary, release, visible_sets)?;
+        let (pseudonym, lts) =
+            pseudonym_analysis.analyse(&lts, adversary, release, visible_sets)?;
 
         Ok(PipelineOutcome {
             lts,

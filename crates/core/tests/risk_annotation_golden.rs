@@ -18,7 +18,7 @@
 use privacy_anonymity::ValueRiskPolicy;
 use privacy_core::{casestudy, Pipeline};
 use privacy_lts::dot::{lts_to_dot, lts_to_dot_with, DotOptions};
-use privacy_lts::{generate_lts, GeneratorConfig};
+use privacy_lts::{generate_lts, GeneratorConfig, LtsIndex};
 use privacy_model::{FieldId, ServiceId};
 use privacy_risk::DisclosureAnalysis;
 use privacy_synth::{
@@ -102,7 +102,7 @@ fn disclosure_digest(seed: u64, potential_reads: bool) -> (u64, usize) {
     .expect("generated model is valid");
     let mut config = GeneratorConfig::default().with_max_states(20_000);
     config.explore_potential_reads = potential_reads;
-    let mut lts = generate_lts(&catalog, &system, &policy, &config).expect("generation in bounds");
+    let lts = generate_lts(&catalog, &system, &policy, &config).expect("generation in bounds");
     let user = random_profiles(&ProfileGeneratorConfig {
         count: 1,
         seed: seed + 1_000,
@@ -112,7 +112,8 @@ fn disclosure_digest(seed: u64, potential_reads: bool) -> (u64, usize) {
         sensitivity_probability: 0.6,
     })
     .remove(0);
-    let report = DisclosureAnalysis::new(&catalog, &policy).analyse(&mut lts, &user);
+    let (report, lts) =
+        DisclosureAnalysis::new(&catalog, &policy).analyse(&lts, &LtsIndex::build(&lts), &user);
     let options = DotOptions { show_state_variables: true, ..DotOptions::default() };
     let rendered = format!("{report:?}\n{}", lts_to_dot_with(&lts, &options));
     (fnv64(rendered.as_bytes()), lts.stats().risk_transitions)

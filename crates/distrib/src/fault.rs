@@ -70,8 +70,10 @@ pub enum Fault {
     },
     /// Flip one byte of worker `worker`'s checkpoint file immediately after
     /// its `ordinal`-th successful checkpoint (1-based, counted across
-    /// incarnations). The next restart must detect the corruption via the
-    /// frame checksum and fall back to the `.prev` generation.
+    /// incarnations), which the supervisor takes synchronously so the file
+    /// is still that checkpoint's generation. The next restart must detect
+    /// the corruption via the frame checksum and fall back to the `.prev`
+    /// generation.
     CorruptCheckpoint {
         /// Worker slot whose checkpoint file is corrupted.
         worker: usize,

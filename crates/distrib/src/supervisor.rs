@@ -1365,6 +1365,15 @@ impl DistributedMonitor {
             if batch % every != phase {
                 continue;
             }
+            // A checkpoint the fault plan corrupts is taken synchronously:
+            // the worker cannot land a later generation, or die before its
+            // notice, so the flip lands on the generation the plan names.
+            let slot = &self.workers[w];
+            let ordinal = slot.ckpt_ordinal + u64::from(slot.ckpts_pending) + 1;
+            if self.config.fault_plan.corrupts_checkpoint(w, ordinal) {
+                self.checkpoint_worker(w)?;
+                continue;
+            }
             if let Err(cause) = self.send_raw(w, &Message::Checkpoint) {
                 self.handle_death(w, cause)?;
                 // The replacement resumed from its last good checkpoint;

@@ -73,30 +73,31 @@ fn escape(text: &str) -> String {
 mod tests {
     use super::*;
     use crate::label::{ActionKind, RiskAnnotation, TransitionLabel};
+    use crate::lts::LtsBuilder;
     use crate::space::VarSpace;
     use privacy_model::{ActorId, FieldId};
 
     fn sample() -> Lts {
         let space = VarSpace::new([ActorId::new("Doctor")], [FieldId::new("Name")]);
-        let mut lts = Lts::new(space.clone());
-        let s0 = lts.initial();
-        let s1 = lts.intern(lts.state(s0).clone().with_has(
+        let mut builder = LtsBuilder::new(space.clone());
+        let s0 = builder.initial();
+        let s1 = builder.intern(builder.state(s0).clone().with_has(
             &space,
             &ActorId::new("Doctor"),
             &FieldId::new("Name"),
         ));
-        lts.add_transition(
+        builder.add_transition(
             s0,
             s1,
             TransitionLabel::new(ActionKind::Collect, "Doctor", [FieldId::new("Name")], None),
         );
-        let tid = lts.add_risk_transition(
+        let tid = builder.add_risk_transition(
             s1,
             s1,
             TransitionLabel::new(ActionKind::Read, "Doctor", [FieldId::new("Name")], None),
         );
-        lts.annotate(tid, RiskAnnotation::level(RiskLevel::High));
-        lts
+        builder.annotate(tid, RiskAnnotation::level(RiskLevel::High));
+        builder.build()
     }
 
     #[test]

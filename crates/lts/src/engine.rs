@@ -326,7 +326,7 @@ impl<'a> Exploration<'a> {
             })
             .collect();
         drop(state_words);
-        Lts::from_generated(compiled.space.clone(), states, compiled.labels.clone(), sources, edges)
+        Lts::from_columns(compiled.space.clone(), states, compiled.labels.clone(), sources, edges)
     }
 }
 

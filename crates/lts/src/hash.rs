@@ -151,26 +151,6 @@ impl IdTable {
         self.find_or_insert(hash, id, |_| false);
     }
 
-    /// The lowest id whose key has hash `hash` and satisfies `is_key`: a
-    /// table that files one key under several ids answers with the first.
-    pub(crate) fn find_min(&self, hash: u64, mut is_key: impl FnMut(u32) -> bool) -> Option<u32> {
-        let tag = hash >> 32;
-        let mask = self.slots.len() - 1;
-        let mut at = tag as usize & mask;
-        let mut found: Option<u32> = None;
-        loop {
-            let slot = self.slots[at];
-            if slot == 0 {
-                return found;
-            }
-            let id = (slot as u32).wrapping_sub(1);
-            if slot >> 32 == tag && found.is_none_or(|min| id < min) && is_key(id) {
-                found = Some(id);
-            }
-            at = (at + 1) & mask;
-        }
-    }
-
     /// Doubles the slot array, re-placing every id by its stored hash bits.
     fn double(&mut self) {
         let doubled = vec![0; self.slots.len() * 2];
@@ -263,19 +243,6 @@ mod tests {
             assert_eq!(intern(&mut table, &mut arena, [i, 0], 42), i as u32);
         }
         assert_eq!(arena.len(), 300);
-    }
-
-    #[test]
-    fn find_min_answers_with_the_lowest_of_several_ids_filed_under_one_key() {
-        let mut table = IdTable::new();
-        let keys = [7u64, 9, 7, 7];
-        for id in [3u32, 1, 2, 0] {
-            table.insert(hash_words(&[keys[id as usize]]), id);
-        }
-        let find = |key: u64| table.find_min(hash_words(&[key]), |id| keys[id as usize] == key);
-        assert_eq!(find(7), Some(0));
-        assert_eq!(find(9), Some(1));
-        assert_eq!(find(8), None);
     }
 
     #[test]

@@ -37,11 +37,10 @@
 //!   `read` transitions involving the field, filled on first request and
 //!   handed out as one shared `Arc` ([`LtsIndex::reads_involving`]).
 //!
-//! The index is a snapshot: it describes the LTS at build time and is not
-//! updated when the LTS is mutated afterwards — the LTS copies a shared
-//! column before its first write (the disclosure analysis exploits exactly
-//! this — it matches the scan path, which also snapshots `reachable()`
-//! before annotating).
+//! The LTS an index is built over never changes, so the index shares its
+//! edge column and CSR and stays exact for the LTS's lifetime. A risk
+//! analysis that annotates builds a new LTS; the index keeps describing the
+//! one it was built over.
 
 use crate::label::ActionKind;
 use crate::lts::{Csr, Lts, StateId, TransitionId, LABEL_MASK};
@@ -68,27 +67,28 @@ fn action_index(action: ActionKind) -> usize {
     action.table_index()
 }
 
-/// The columnar analysis index over one [`Lts`] snapshot.
+/// The columnar analysis index over one [`Lts`].
 ///
 /// # Examples
 ///
 /// ```
-/// use privacy_lts::{ActionKind, Lts, LtsIndex, PrivacyState, TransitionLabel, VarSpace};
+/// use privacy_lts::{ActionKind, LtsBuilder, LtsIndex, PrivacyState, TransitionLabel, VarSpace};
 /// use privacy_model::{ActorId, FieldId};
 ///
 /// let space = VarSpace::new([ActorId::new("Doctor")], [FieldId::new("Diagnosis")]);
-/// let mut lts = Lts::new(space.clone());
-/// let s0 = lts.initial();
-/// let s1 = lts.intern(PrivacyState::absolute(&space).with_has(
+/// let mut builder = LtsBuilder::new(space.clone());
+/// let s0 = builder.initial();
+/// let s1 = builder.intern(PrivacyState::absolute(&space).with_has(
 ///     &space,
 ///     &ActorId::new("Doctor"),
 ///     &FieldId::new("Diagnosis"),
 /// ));
-/// lts.add_transition(
+/// builder.add_transition(
 ///     s0,
 ///     s1,
 ///     TransitionLabel::new(ActionKind::Read, "Doctor", [FieldId::new("Diagnosis")], None),
 /// );
+/// let lts = builder.build();
 ///
 /// let index = LtsIndex::build(&lts);
 /// let doctor = ActorId::new("Doctor");
@@ -160,8 +160,8 @@ impl LtsIndex {
     pub fn build(lts: &Lts) -> LtsIndex {
         let space = lts.space();
         let transition_count = lts.transition_count();
-        let edges = lts.shared_edges();
-        let labels = lts.labels();
+        let edges = Arc::clone(&lts.edges);
+        let labels = &lts.labels;
         let label_of = |edge: u64| (edge & LABEL_MASK) as usize;
 
         // Transitions per label id, and the label ids in the order of their
@@ -263,7 +263,7 @@ impl LtsIndex {
         // Breadth-first reachability over the CSR, in exactly the order
         // `Lts::reachable` produces, counting per-variable truth along the
         // way (the full per-variable state lists are built lazily).
-        let csr = lts.shared_csr();
+        let csr = Arc::clone(&lts.csr);
         let mut bit_counts = vec![0u32; variable_count];
         let mut reachable = Vec::new();
         let mut visited = vec![false; state_count];
@@ -634,6 +634,7 @@ impl LtsIndex {
 mod tests {
     use super::*;
     use crate::label::TransitionLabel;
+    use crate::lts::LtsBuilder;
     use crate::state::PrivacyState;
     use privacy_model::Purpose;
 
@@ -657,30 +658,32 @@ mod tests {
     /// --read(Admin,{Diagnosis})--> s3, plus an unreachable state s4.
     fn sample_lts() -> Lts {
         let space = VarSpace::new([doctor(), admin()], [name(), diagnosis()]);
-        let mut lts = Lts::new(space.clone());
-        let s0 = lts.initial();
-        let s1 = lts.intern(PrivacyState::absolute(&space).with_has(&space, &doctor(), &name()));
-        let s2 = lts.intern(lts.state(s1).clone().with_could(&space, &admin(), &diagnosis()));
-        let s3 = lts.intern(lts.state(s2).clone().with_has(&space, &admin(), &diagnosis()));
-        lts.add_transition(
+        let mut builder = LtsBuilder::new(space.clone());
+        let s0 = builder.initial();
+        let s1 =
+            builder.intern(PrivacyState::absolute(&space).with_has(&space, &doctor(), &name()));
+        let s2 =
+            builder.intern(builder.state(s1).clone().with_could(&space, &admin(), &diagnosis()));
+        let s3 = builder.intern(builder.state(s2).clone().with_has(&space, &admin(), &diagnosis()));
+        builder.add_transition(
             s0,
             s1,
             TransitionLabel::new(ActionKind::Collect, doctor(), [name()], None)
                 .with_purpose(Purpose::new("intake").unwrap()),
         );
-        lts.add_transition(
+        builder.add_transition(
             s1,
             s2,
             TransitionLabel::new(ActionKind::Create, doctor(), [diagnosis()], None),
         );
-        lts.add_transition(
+        builder.add_transition(
             s2,
             s3,
             TransitionLabel::new(ActionKind::Read, admin(), [diagnosis()], None),
         );
         // An unreachable state: its bits must not appear in the postings.
-        lts.intern(PrivacyState::absolute(&space).with_has(&space, &admin(), &name()));
-        lts
+        builder.intern(PrivacyState::absolute(&space).with_has(&space, &admin(), &name()));
+        builder.build()
     }
 
     #[test]
@@ -754,17 +757,18 @@ mod tests {
 
     #[test]
     fn erasure_cover_probe_matches_delete_transitions() {
-        let mut lts = sample_lts();
+        let lts = sample_lts();
         let index = LtsIndex::build(&lts);
         assert!(!index.kind_covers_field(ActionKind::Delete, &diagnosis()));
         assert!(index.kind_covers_field(ActionKind::Read, &diagnosis()));
-        let s0 = lts.initial();
-        lts.add_transition(
+        let mut builder = LtsBuilder::from_lts(&lts);
+        let s0 = builder.initial();
+        builder.add_transition(
             s0,
             s0,
             TransitionLabel::new(ActionKind::Delete, doctor(), [diagnosis()], None),
         );
-        let index = LtsIndex::build(&lts);
+        let index = LtsIndex::build(&builder.build());
         assert!(index.kind_covers_field(ActionKind::Delete, &diagnosis()));
         assert!(!index.kind_covers_field(ActionKind::Delete, &name()));
     }

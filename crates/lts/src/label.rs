@@ -222,16 +222,6 @@ impl TransitionLabel {
         self.risk.as_ref()
     }
 
-    /// Replaces the risk annotation (used by the risk analyses).
-    pub fn set_risk(&mut self, risk: RiskAnnotation) {
-        self.risk = Some(risk);
-    }
-
-    /// Removes the risk annotation.
-    pub fn clear_risk(&mut self) {
-        self.risk = None;
-    }
-
     /// Returns `true` if the transition involves the given field.
     pub fn involves_field(&self, field: &FieldId) -> bool {
         self.fields.contains(field)
@@ -296,13 +286,13 @@ mod tests {
 
     #[test]
     fn risk_annotation_lifecycle() {
-        let mut label = TransitionLabel::new(
+        let plain = TransitionLabel::new(
             ActionKind::Read,
             "Administrator",
             [FieldId::new("Diagnosis")],
             None,
         );
-        label.set_risk(RiskAnnotation::dimensions(
+        let label = plain.clone().with_risk(RiskAnnotation::dimensions(
             Severity::High,
             Likelihood::Medium,
             RiskLevel::Medium,
@@ -311,8 +301,8 @@ mod tests {
         assert_eq!(risk.risk_level(), RiskLevel::Medium);
         assert_eq!(risk.severity(), Some(Severity::High));
         assert_eq!(risk.likelihood(), Some(Likelihood::Medium));
-        label.clear_risk();
-        assert!(label.risk().is_none());
+        assert!(plain.risk().is_none());
+        assert_ne!(plain, label);
     }
 
     #[test]

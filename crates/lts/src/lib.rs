@@ -16,9 +16,10 @@
 //! * [`label`] — transition labels: the action (`collect`, `create`, `read`,
 //!   `disclose`, `anon`, `delete`), the field set, the schema, the acting
 //!   actor, an optional purpose and an optional risk annotation.
-//! * [`lts`] — the LTS itself: interned states, transitions as columns
-//!   over a table of distinct labels, outgoing lists as one CSR,
-//!   reachability and path queries, statistics.
+//! * [`lts`] — the LTS itself, frozen once built: interned states,
+//!   transitions as columns over a table of distinct labels, outgoing lists
+//!   as one CSR, reachability and path queries, statistics; and the
+//!   append-only [`LtsBuilder`] every LTS outside generation is built with.
 //! * [`generate`] — automatic generation of the LTS from the data-flow
 //!   diagrams and the access-control policy using the extraction rules of
 //!   Section II-B (Fig. 3). Generation compiles the artefacts to a
@@ -76,7 +77,7 @@ pub use generate::{generate_lts, GeneratorConfig};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use index::LtsIndex;
 pub use label::{ActionKind, RiskAnnotation, TransitionLabel};
-pub use lts::{Lts, LtsStats, StateId, Transition, TransitionId};
+pub use lts::{Lts, LtsBuilder, LtsStats, StateId, Transition, TransitionId};
 pub use query::LtsQuery;
 pub use reference::generate_lts_reference;
 pub use space::VarSpace;

@@ -4,27 +4,23 @@
 //! Transitions are stored as columns: a `u32` source per transition, and one
 //! `target << 32 | risk bit | label id` word per transition over a table of
 //! distinct labels. The outgoing lists are one CSR (per-state offsets into a
-//! flat list of transition ids). The generation engine hands its own columns
-//! over, and [`crate::LtsIndex`] shares the edge column and the CSR instead
-//! of copying them.
+//! flat list of transition ids), built once when the LTS is. The generation
+//! engine hands its own columns over, and [`crate::LtsIndex`] shares the
+//! edge column and the CSR instead of copying them.
 //!
-//! The edit API ([`Lts::intern`], [`Lts::add_transition`],
-//! [`Lts::add_risk_transition`], [`Lts::annotate`]) appends to the same
-//! columns. What it needs beyond them is built lazily: the state map at the
-//! first `intern`, the label and transition dedup tables at the first add or
-//! annotation, and the CSR at the first adjacency read after an append. A
-//! column an index shares is copied on its first write, so the index keeps
-//! its snapshot.
+//! An [`Lts`] never changes once built. Every other LTS — the reference
+//! generator's, a risk analysis's annotated copy, a hand-built fixture — is
+//! appended through an [`LtsBuilder`], which owns the lookup tables that
+//! interning and deduplication need and freezes into an `Lts`.
 
 use crate::hash::{hash_words, FxHasher, IdTable};
 use crate::label::{RiskAnnotation, TransitionLabel};
 use crate::space::VarSpace;
 use crate::state::PrivacyState;
-use privacy_model::RiskLevel;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Bit of an edge word that marks a risk-transition.
 const RISK_BIT: u64 = 1 << 31;
@@ -175,87 +171,40 @@ impl Csr {
     }
 }
 
-/// The lookup tables of the edit API.
-#[derive(Debug, Clone)]
-struct EditTables {
-    /// Label ids by label value (no two labels of the table are equal).
-    labels: IdTable,
-    /// Transition ids by (source, edge word). An annotation re-files its
-    /// transition under the new word and leaves the old slot behind, where
-    /// it no longer matches; a lookup returns the lowest matching id.
-    transitions: IdTable,
-}
-
-/// A labelled transition system over privacy states.
+/// A labelled transition system over privacy states, frozen once built.
 ///
-/// Two LTSs are equal when their space, states, transitions (endpoints,
-/// risk flags and label values, in id order) and initial state are; the
-/// outgoing lists follow from the transitions.
+/// Two LTSs are equal when their space, states and transitions (endpoints,
+/// risk flags and label values, in id order) are; state 0 is the initial
+/// state, and the outgoing lists follow from the transitions.
 #[derive(Debug, Clone)]
 pub struct Lts {
     space: VarSpace,
+    /// The states; `states[0]` is the initial one.
     states: Vec<PrivacyState>,
-    /// State → id, for [`Lts::intern`]. A generated LTS hands over without
-    /// it; the first `intern` builds it (`index.len() < states.len()`).
-    index: HashMap<PrivacyState, StateId>,
-    /// The distinct labels; an edge word's low bits index it.
-    labels: Vec<Arc<TransitionLabel>>,
+    /// The distinct labels, indexed by an edge word's low bits.
+    pub(crate) labels: Vec<Arc<TransitionLabel>>,
     /// Per transition: its source state.
     sources: Vec<u32>,
     /// Per transition: `target << 32 | risk bit | label id`. Shared with
     /// the indexes built over this LTS.
-    edges: Arc<Vec<u64>>,
-    /// The outgoing lists, built at the first adjacency read after an
-    /// append. Shared with the indexes built over this LTS.
-    csr: OnceLock<Arc<Csr>>,
-    /// Built at the first add or annotation.
-    edits: Option<EditTables>,
-    initial: StateId,
+    pub(crate) edges: Arc<Vec<u64>>,
+    /// The outgoing lists. Shared with the indexes built over this LTS.
+    pub(crate) csr: Arc<Csr>,
 }
 
 impl Lts {
-    /// Creates an LTS over the given variable space whose initial state is
-    /// the absolute privacy state.
-    pub fn new(space: VarSpace) -> Self {
-        let initial_state = PrivacyState::absolute(&space);
-        let mut index = HashMap::new();
-        index.insert(initial_state.clone(), StateId(0));
-        Lts {
-            space,
-            states: vec![initial_state],
-            index,
-            labels: Vec::new(),
-            sources: Vec::new(),
-            edges: Arc::new(Vec::new()),
-            csr: OnceLock::new(),
-            edits: None,
-            initial: StateId(0),
-        }
-    }
-
-    /// Assembles a generated LTS from its columns: `states[0]` is the
-    /// initial state, and every label id and state id in `sources` and
-    /// `edges` is in range. The CSR is built here; the state map and the
-    /// dedup tables are left for the first edit.
-    pub(crate) fn from_generated(
+    /// Assembles an LTS from its columns and builds its outgoing lists:
+    /// `states[0]` is the initial state, and every label id and state id in
+    /// `sources` and `edges` is in range.
+    pub(crate) fn from_columns(
         space: VarSpace,
         states: Vec<PrivacyState>,
         labels: Vec<Arc<TransitionLabel>>,
         sources: Vec<u32>,
         edges: Vec<u64>,
     ) -> Self {
-        let csr = OnceLock::from(Arc::new(Csr::build(states.len(), &sources)));
-        Lts {
-            space,
-            states,
-            index: HashMap::new(),
-            labels,
-            sources,
-            edges: Arc::new(edges),
-            csr,
-            edits: None,
-            initial: StateId(0),
-        }
+        let csr = Arc::new(Csr::build(states.len(), &sources));
+        Lts { space, states, labels, sources, edges: Arc::new(edges), csr }
     }
 
     /// The variable space the states are defined over.
@@ -265,23 +214,7 @@ impl Lts {
 
     /// The initial state (the absolute privacy state).
     pub fn initial(&self) -> StateId {
-        self.initial
-    }
-
-    /// Interns a state, returning its id (existing id if already present).
-    pub fn intern(&mut self, state: PrivacyState) -> StateId {
-        if self.index.len() < self.states.len() {
-            self.index =
-                self.states.iter().enumerate().map(|(id, s)| (s.clone(), StateId(id))).collect();
-        }
-        if let Some(id) = self.index.get(&state) {
-            return *id;
-        }
-        let id = StateId(id32(self.states.len()) as usize);
-        self.index.insert(state.clone(), id);
-        self.states.push(state);
-        self.csr.take();
-        id
+        StateId(0)
     }
 
     /// The state with the given id.
@@ -293,134 +226,13 @@ impl Lts {
         &self.states[id.0]
     }
 
-    /// Adds a transition. Duplicate transitions (same endpoints and equal
-    /// label) are not added twice; the id of the existing transition is
-    /// returned instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint does not belong to this LTS.
-    pub fn add_transition(
-        &mut self,
-        from: StateId,
-        to: StateId,
-        label: TransitionLabel,
-    ) -> TransitionId {
-        self.add_transition_inner(from, to, label, false)
-    }
-
-    /// Adds a risk-transition (a dotted edge in Fig. 4).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint does not belong to this LTS.
-    pub fn add_risk_transition(
-        &mut self,
-        from: StateId,
-        to: StateId,
-        label: TransitionLabel,
-    ) -> TransitionId {
-        self.add_transition_inner(from, to, label, true)
-    }
-
-    fn add_transition_inner(
-        &mut self,
-        from: StateId,
-        to: StateId,
-        label: TransitionLabel,
-        risk_transition: bool,
-    ) -> TransitionId {
-        assert!(
-            from.0 < self.states.len() && to.0 < self.states.len(),
-            "transition {from} -> {to} leaves the LTS's {} states",
-            self.states.len()
-        );
-        let label = self.intern_label(label);
-        let risk = if risk_transition { RISK_BIT } else { 0 };
-        let edge = (to.0 as u64) << 32 | risk | u64::from(label);
-        let from = from.0 as u32;
-        let id = id32(self.sources.len());
-        let hash = hash_words(&[u64::from(from), edge]);
-        let tables = self.edits.as_mut().expect("interning a label builds the edit tables");
-        let (sources, edges) = (&self.sources, &self.edges);
-        let existing = tables
-            .transitions
-            .find_min(hash, |t| sources[t as usize] == from && edges[t as usize] == edge);
-        if let Some(existing) = existing {
-            return TransitionId(existing as usize);
-        }
-        tables.transitions.insert(hash, id);
-        self.sources.push(from);
-        Arc::make_mut(&mut self.edges).push(edge);
-        self.csr.take();
-        TransitionId(id as usize)
-    }
-
-    /// The id of a label equal to `label`, appending it to the label table
-    /// if there is none. Builds the edit tables on first use.
-    fn intern_label(&mut self, label: TransitionLabel) -> u32 {
-        let (labels, sources, edges) = (&self.labels, &self.sources, &self.edges);
-        let tables = self.edits.get_or_insert_with(|| {
-            let mut tables = EditTables { labels: IdTable::new(), transitions: IdTable::new() };
-            for (id, existing) in labels.iter().enumerate() {
-                tables.labels.insert(label_hash(existing), id as u32);
-            }
-            for (id, (&source, &edge)) in sources.iter().zip(edges.iter()).enumerate() {
-                tables.transitions.insert(hash_words(&[u64::from(source), edge]), id as u32);
-            }
-            tables
-        });
-        let next = id32(labels.len());
-        assert!(u64::from(next) <= LABEL_MASK, "an LTS holds at most 2^31 distinct labels");
-        match tables
-            .labels
-            .find_or_insert(label_hash(&label), next, |id| *labels[id as usize] == label)
-        {
-            Some(id) => id,
-            None => {
-                self.labels.push(Arc::new(label));
-                next
-            }
-        }
-    }
-
     /// The transition with the given id.
     ///
     /// # Panics
     ///
     /// Panics if the id does not belong to this LTS.
     pub fn transition(&self, id: TransitionId) -> Transition<'_> {
-        self.view(self.sources[id.0], self.edges[id.0])
-    }
-
-    fn view(&self, from: u32, edge: u64) -> Transition<'_> {
-        Transition {
-            from: StateId(from as usize),
-            edge,
-            label: &self.labels[(edge & LABEL_MASK) as usize],
-        }
-    }
-
-    /// Attaches a risk annotation to a transition: the transition is pointed
-    /// at a label equal to its own plus the annotation, so every other
-    /// transition that shared its label keeps it unannotated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id does not belong to this LTS.
-    pub fn annotate(&mut self, id: TransitionId, risk: RiskAnnotation) {
-        let edge = self.edges[id.0];
-        let mut label = TransitionLabel::clone(&self.labels[(edge & LABEL_MASK) as usize]);
-        label.set_risk(risk);
-        let label = self.intern_label(label);
-        let annotated = edge & !LABEL_MASK | u64::from(label);
-        if annotated == edge {
-            return;
-        }
-        Arc::make_mut(&mut self.edges)[id.0] = annotated;
-        let hash = hash_words(&[u64::from(self.sources[id.0]), annotated]);
-        let tables = self.edits.as_mut().expect("interning a label builds the edit tables");
-        tables.transitions.insert(hash, id.0 as u32);
+        view(&self.labels, self.sources[id.0], self.edges[id.0])
     }
 
     /// Iterates over the states with their ids.
@@ -434,36 +246,15 @@ impl Lts {
             .iter()
             .zip(self.edges.iter())
             .enumerate()
-            .map(|(i, (&from, &edge))| (TransitionId(i), self.view(from, edge)))
+            .map(|(i, (&from, &edge))| (TransitionId(i), view(&self.labels, from, edge)))
     }
 
     /// The outgoing transitions of a state, in id order.
     pub fn outgoing(&self, state: StateId) -> impl Iterator<Item = (TransitionId, Transition<'_>)> {
-        self.csr().outgoing(state.0).iter().map(move |&tid| {
+        self.csr.outgoing(state.0).iter().map(move |&tid| {
             let id = TransitionId(tid as usize);
             (id, self.transition(id))
         })
-    }
-
-    /// The outgoing lists, built on first use after an append.
-    fn csr(&self) -> &Arc<Csr> {
-        self.csr.get_or_init(|| Arc::new(Csr::build(self.states.len(), &self.sources)))
-    }
-
-    /// The outgoing lists, for an index to share.
-    pub(crate) fn shared_csr(&self) -> Arc<Csr> {
-        Arc::clone(self.csr())
-    }
-
-    /// The edge column, for an index to share: a later edit of this LTS
-    /// copies it first, so the index keeps its snapshot.
-    pub(crate) fn shared_edges(&self) -> Arc<Vec<u64>> {
-        Arc::clone(&self.edges)
-    }
-
-    /// The label table: an edge word's low bits ([`LABEL_MASK`]) index it.
-    pub(crate) fn labels(&self) -> &[Arc<TransitionLabel>] {
-        &self.labels
     }
 
     /// Number of states.
@@ -479,17 +270,12 @@ impl Lts {
     /// The ids of states reachable from the initial state (always includes
     /// the initial state), in breadth-first order.
     pub fn reachable(&self) -> Vec<StateId> {
-        self.reachable_from(self.initial)
-    }
-
-    /// The ids of states reachable from `start`, in breadth-first order.
-    pub fn reachable_from(&self, start: StateId) -> Vec<StateId> {
-        let csr = self.csr();
+        let csr = &self.csr;
         let mut visited = vec![false; self.states.len()];
         let mut order = Vec::new();
         let mut queue = VecDeque::new();
-        visited[start.0] = true;
-        queue.push_back(start);
+        visited[0] = true;
+        queue.push_back(self.initial());
         while let Some(current) = queue.pop_front() {
             order.push(current);
             for &tid in csr.outgoing(current.0) {
@@ -506,15 +292,16 @@ impl Lts {
     /// A shortest path (sequence of transition ids) from the initial state to
     /// the first state satisfying `goal`, if one exists.
     pub fn path_to(&self, goal: impl Fn(&PrivacyState) -> bool) -> Option<Vec<TransitionId>> {
-        if goal(self.state(self.initial)) {
+        let initial = self.initial();
+        if goal(self.state(initial)) {
             return Some(Vec::new());
         }
-        let csr = self.csr();
+        let csr = &self.csr;
         let mut visited = vec![false; self.states.len()];
         let mut parent: Vec<Option<TransitionId>> = vec![None; self.states.len()];
         let mut queue = VecDeque::new();
-        visited[self.initial.0] = true;
-        queue.push_back(self.initial);
+        visited[initial.0] = true;
+        queue.push_back(initial);
         while let Some(current) = queue.pop_front() {
             for &tid in csr.outgoing(current.0) {
                 let next = StateId((self.edges[tid as usize] >> 32) as usize);
@@ -550,15 +337,193 @@ impl Lts {
             theoretical_states: self.space.theoretical_state_count(),
         }
     }
+}
 
-    /// The transitions whose risk annotation is at least `level`.
-    pub fn transitions_at_risk(
-        &self,
-        level: RiskLevel,
-    ) -> impl Iterator<Item = (TransitionId, Transition<'_>)> {
-        self.transitions().filter(move |(_, t)| {
-            t.label().risk().map(|r| r.risk_level().at_least(level)).unwrap_or(false)
-        })
+/// The view of the transition `from --edge-->` over a label table.
+fn view(labels: &[Arc<TransitionLabel>], from: u32, edge: u64) -> Transition<'_> {
+    Transition { from: StateId(from as usize), edge, label: &labels[(edge & LABEL_MASK) as usize] }
+}
+
+/// The one way to build an [`Lts`] outside generation: an append-only set
+/// of columns with the lookup tables that interning and deduplication need.
+///
+/// A builder starts from the absolute state alone ([`LtsBuilder::new`]) or
+/// from a copy of an existing LTS ([`LtsBuilder::from_lts`]); it interns
+/// states, adds transitions and risk-transitions without duplicates, can
+/// annotate any transition it holds, and [`LtsBuilder::build`] freezes it.
+/// States and transitions keep their append order as ids. A method given a
+/// state or transition id the builder does not hold panics.
+#[derive(Debug)]
+pub struct LtsBuilder {
+    space: VarSpace,
+    states: Vec<PrivacyState>,
+    /// State ids by state value.
+    state_ids: IdTable,
+    labels: Vec<Arc<TransitionLabel>>,
+    /// Label ids by label value (no two labels of the table are equal).
+    label_ids: IdTable,
+    sources: Vec<u32>,
+    edges: Vec<u64>,
+    /// The outgoing lists of the LTS the builder started from, shared.
+    base: Arc<Csr>,
+    /// Per state: the ids of the transitions appended from it, ascending.
+    /// A duplicate add scans the base list and then this one, comparing
+    /// current edge words, so it finds the lowest equal id even after an
+    /// annotation.
+    appended: Vec<Vec<u32>>,
+}
+
+impl LtsBuilder {
+    /// A builder over the given variable space holding only the initial
+    /// state, the absolute privacy state.
+    pub fn new(space: VarSpace) -> Self {
+        let states = vec![PrivacyState::absolute(&space)];
+        LtsBuilder::from_lts(&Lts::from_columns(space, states, Vec::new(), Vec::new(), Vec::new()))
+    }
+
+    /// A builder holding a copy of `lts`: its states and transitions keep
+    /// their ids, and appends number on from them.
+    pub fn from_lts(lts: &Lts) -> Self {
+        let (states, labels, sources) =
+            (lts.states.clone(), lts.labels.clone(), lts.sources.clone());
+        let edges = lts.edges.to_vec();
+        let mut state_ids = IdTable::new();
+        for (id, state) in states.iter().enumerate() {
+            state_ids.insert(state_hash(state), id as u32);
+        }
+        let mut label_ids = IdTable::new();
+        for (id, label) in labels.iter().enumerate() {
+            label_ids.insert(label_hash(label), id as u32);
+        }
+        let (space, base) = (lts.space.clone(), Arc::clone(&lts.csr));
+        let appended = vec![Vec::new(); states.len()];
+        LtsBuilder { space, states, state_ids, labels, label_ids, sources, edges, base, appended }
+    }
+
+    /// The initial state (the absolute privacy state).
+    pub fn initial(&self) -> StateId {
+        StateId(0)
+    }
+
+    /// The state with the given id.
+    pub fn state(&self, id: StateId) -> &PrivacyState {
+        &self.states[id.0]
+    }
+
+    /// The transition with the given id.
+    pub fn transition(&self, id: TransitionId) -> Transition<'_> {
+        view(&self.labels, self.sources[id.0], self.edges[id.0])
+    }
+
+    /// Number of transitions.
+    pub fn transition_count(&self) -> usize {
+        self.sources.len()
+    }
+
+    /// Interns a state, returning its id (existing id if already present).
+    pub fn intern(&mut self, state: PrivacyState) -> StateId {
+        let next = id32(self.states.len());
+        let states = &self.states;
+        match self
+            .state_ids
+            .find_or_insert(state_hash(&state), next, |id| states[id as usize] == state)
+        {
+            Some(id) => StateId(id as usize),
+            None => {
+                self.states.push(state);
+                self.appended.push(Vec::new());
+                StateId(next as usize)
+            }
+        }
+    }
+
+    /// Adds a transition. Duplicate transitions (same endpoints, risk flag
+    /// and equal label) are not added twice; the lowest id of an equal
+    /// transition is returned instead.
+    pub fn add_transition(
+        &mut self,
+        from: StateId,
+        to: StateId,
+        label: TransitionLabel,
+    ) -> TransitionId {
+        self.add(from, to, label, false)
+    }
+
+    /// Adds a risk-transition (a dotted edge in Fig. 4), deduplicated as
+    /// [`LtsBuilder::add_transition`] is.
+    pub fn add_risk_transition(
+        &mut self,
+        from: StateId,
+        to: StateId,
+        label: TransitionLabel,
+    ) -> TransitionId {
+        self.add(from, to, label, true)
+    }
+
+    fn add(
+        &mut self,
+        from: StateId,
+        to: StateId,
+        label: TransitionLabel,
+        risk_transition: bool,
+    ) -> TransitionId {
+        assert!(
+            from.0 < self.states.len() && to.0 < self.states.len(),
+            "transition {from} -> {to} leaves the builder's {} states",
+            self.states.len()
+        );
+        let label = self.intern_label(label);
+        let risk = if risk_transition { RISK_BIT } else { 0 };
+        let edge = (to.0 as u64) << 32 | risk | u64::from(label);
+        let from = from.0;
+        let base = if from + 1 < self.base.offsets.len() { self.base.outgoing(from) } else { &[] };
+        let edges = &self.edges;
+        let mut outgoing = base.iter().chain(&self.appended[from]);
+        if let Some(&existing) = outgoing.find(|&&t| edges[t as usize] == edge) {
+            return TransitionId(existing as usize);
+        }
+        let id = id32(self.sources.len());
+        self.appended[from].push(id);
+        self.sources.push(from as u32);
+        self.edges.push(edge);
+        TransitionId(id as usize)
+    }
+
+    /// The id of a label equal to `label`, appending it to the label table
+    /// if there is none.
+    fn intern_label(&mut self, label: TransitionLabel) -> u32 {
+        let next = id32(self.labels.len());
+        assert!(u64::from(next) <= LABEL_MASK, "an LTS holds at most 2^31 distinct labels");
+        let labels = &self.labels;
+        match self
+            .label_ids
+            .find_or_insert(label_hash(&label), next, |id| *labels[id as usize] == label)
+        {
+            Some(id) => id,
+            None => {
+                self.labels.push(Arc::new(label));
+                next
+            }
+        }
+    }
+
+    /// Attaches a risk annotation to a transition: the transition is pointed
+    /// at a label equal to its own plus the annotation, so every other
+    /// transition that shared its label keeps it unannotated.
+    pub fn annotate(&mut self, id: TransitionId, risk: RiskAnnotation) {
+        let edge = self.edges[id.0];
+        let label = TransitionLabel::clone(&self.labels[(edge & LABEL_MASK) as usize]);
+        let label = self.intern_label(label.with_risk(risk));
+        self.edges[id.0] = edge & !LABEL_MASK | u64::from(label);
+    }
+
+    /// Freezes the builder into an [`Lts`], building its outgoing lists once
+    /// the lookup tables are freed and the columns trimmed to their length.
+    pub fn build(mut self) -> Lts {
+        drop((self.state_ids, self.label_ids, self.base, self.appended));
+        self.sources.shrink_to_fit();
+        self.edges.shrink_to_fit();
+        Lts::from_columns(self.space, self.states, self.labels, self.sources, self.edges)
     }
 }
 
@@ -568,7 +533,12 @@ fn id32(len: usize) -> u32 {
     u32::try_from(len).expect("an LTS holds fewer than 2^32 states and transitions")
 }
 
-/// The hash an [`EditTables`] files a label under; equal labels hash equal.
+/// The hash an [`LtsBuilder`] files a state under.
+fn state_hash(state: &PrivacyState) -> u64 {
+    hash_words(state.words())
+}
+
+/// The hash an [`LtsBuilder`] files a label under; equal labels hash equal.
 fn label_hash(label: &TransitionLabel) -> u64 {
     let mut hasher = FxHasher::default();
     (label.action(), label.actor(), label.fields(), label.schema(), label.purpose())
@@ -581,7 +551,6 @@ impl PartialEq for Lts {
     fn eq(&self, other: &Self) -> bool {
         self.space == other.space
             && self.states == other.states
-            && self.initial == other.initial
             && self.transition_count() == other.transition_count()
             && self.transitions().zip(other.transitions()).all(|((_, a), (_, b))| a == b)
     }
@@ -601,7 +570,7 @@ impl fmt::Display for Lts {
 mod tests {
     use super::*;
     use crate::label::{ActionKind, TransitionLabel};
-    use privacy_model::{ActorId, FieldId};
+    use privacy_model::{ActorId, FieldId, RiskLevel};
 
     fn space() -> VarSpace {
         VarSpace::new(
@@ -614,28 +583,32 @@ mod tests {
         TransitionLabel::new(action, actor, [FieldId::new(field)], None)
     }
 
-    fn two_step_lts() -> Lts {
+    fn two_step_builder() -> LtsBuilder {
         let space = space();
-        let mut lts = Lts::new(space.clone());
-        let s0 = lts.initial();
-        let s1 = lts.intern(lts.state(s0).clone().with_has(
+        let mut builder = LtsBuilder::new(space.clone());
+        let s0 = builder.initial();
+        let s1 = builder.intern(builder.state(s0).clone().with_has(
             &space,
             &ActorId::new("Doctor"),
             &FieldId::new("Name"),
         ));
-        let s2 = lts.intern(lts.state(s1).clone().with_could(
+        let s2 = builder.intern(builder.state(s1).clone().with_could(
             &space,
             &ActorId::new("Admin"),
             &FieldId::new("Diagnosis"),
         ));
-        lts.add_transition(s0, s1, label(ActionKind::Collect, "Doctor", "Name"));
-        lts.add_transition(s1, s2, label(ActionKind::Create, "Doctor", "Diagnosis"));
-        lts
+        builder.add_transition(s0, s1, label(ActionKind::Collect, "Doctor", "Name"));
+        builder.add_transition(s1, s2, label(ActionKind::Create, "Doctor", "Diagnosis"));
+        builder
+    }
+
+    fn two_step_lts() -> Lts {
+        two_step_builder().build()
     }
 
     #[test]
     fn new_lts_has_only_the_absolute_initial_state() {
-        let lts = Lts::new(space());
+        let lts = LtsBuilder::new(space()).build();
         assert_eq!(lts.state_count(), 1);
         assert_eq!(lts.transition_count(), 0);
         assert!(lts.state(lts.initial()).is_absolute());
@@ -645,55 +618,62 @@ mod tests {
     #[test]
     fn interning_deduplicates_states() {
         let space = space();
-        let mut lts = Lts::new(space.clone());
+        let mut builder = LtsBuilder::new(space.clone());
         let state = PrivacyState::absolute(&space).with_has(
             &space,
             &ActorId::new("Doctor"),
             &FieldId::new("Name"),
         );
-        let a = lts.intern(state.clone());
-        let b = lts.intern(state.clone());
+        let a = builder.intern(state.clone());
+        let b = builder.intern(state.clone());
         assert_eq!(a, b);
-        assert_eq!(lts.state_count(), 2);
-        assert_eq!(lts.state(a), &state);
-        assert_eq!(lts.intern(PrivacyState::absolute(&space)), lts.initial());
+        assert_eq!(builder.state(a), &state);
+        assert_eq!(builder.intern(PrivacyState::absolute(&space)), builder.initial());
+        assert_eq!(builder.build().state_count(), 2);
     }
 
     #[test]
-    fn a_generated_lts_builds_its_state_map_at_the_first_intern() {
+    fn a_builder_from_an_lts_keeps_its_ids_and_numbers_on() {
         let built = two_step_lts();
         let states: Vec<PrivacyState> = built.states().map(|(_, s)| s.clone()).collect();
-        let mut generated = Lts::from_generated(
+        let generated = Lts::from_columns(
             built.space().clone(),
             states,
             built.labels.clone(),
             built.sources.clone(),
             built.edges.to_vec(),
         );
-        assert!(generated.index.is_empty());
-        assert!(generated.edits.is_none());
-        assert_eq!(generated, built, "equality ignores the lazily built tables");
+        assert_eq!(generated, built);
 
         let space = built.space().clone();
+        let mut builder = LtsBuilder::from_lts(&generated);
         let s1 = generated.state(StateId(1)).clone();
-        assert_eq!(generated.intern(s1), StateId(1));
-        assert_eq!(generated.index.len(), 3);
+        assert_eq!(builder.intern(s1), StateId(1));
         let fresh = PrivacyState::absolute(&space).with_has(
             &space,
             &ActorId::new("Admin"),
             &FieldId::new("Name"),
         );
-        assert_eq!(generated.intern(fresh), StateId(3));
-        assert_eq!(generated.outgoing(StateId(3)).count(), 0);
-        assert_ne!(generated, built);
+        assert_eq!(builder.intern(fresh), StateId(3));
+        let first = generated.transition(TransitionId(0));
+        let duplicate = builder.add_transition(first.from(), first.to(), first.label().clone());
+        assert_eq!(duplicate, TransitionId(0));
+        let extended = builder.build();
+        assert_eq!(extended.state_count(), 4);
+        assert_eq!(extended.outgoing(StateId(3)).count(), 0);
+        assert_ne!(extended, built);
+        assert_eq!(generated, built, "the builder copied its source");
     }
 
     #[test]
-    fn the_csr_follows_appends_and_counting_sorts_by_source() {
-        let mut lts = two_step_lts();
-        assert_eq!(lts.outgoing(StateId(2)).count(), 0);
-        let back =
-            lts.add_transition(StateId(2), StateId(0), label(ActionKind::Delete, "Doctor", "Name"));
+    fn the_csr_is_built_with_the_lts_and_counting_sorts_by_source() {
+        let mut builder = LtsBuilder::from_lts(&two_step_lts());
+        let back = builder.add_transition(
+            StateId(2),
+            StateId(0),
+            label(ActionKind::Delete, "Doctor", "Name"),
+        );
+        let lts = builder.build();
         assert_eq!(lts.outgoing(StateId(2)).map(|(id, _)| id).collect::<Vec<_>>(), vec![back]);
         let csr = Csr::build(3, &[2, 0, 2, 1]);
         assert_eq!(csr.outgoing(0), &[1]);
@@ -703,17 +683,17 @@ mod tests {
 
     #[test]
     fn duplicate_transitions_are_not_added_twice() {
-        let mut lts = two_step_lts();
-        let before = lts.transition_count();
-        let s0 = lts.initial();
-        let s1 = lts.transition(TransitionId(0)).to();
-        let id = lts.add_transition(s0, s1, label(ActionKind::Collect, "Doctor", "Name"));
-        assert_eq!(lts.transition_count(), before);
+        let mut builder = two_step_builder();
+        let before = builder.transition_count();
+        let s0 = builder.initial();
+        let s1 = builder.transition(TransitionId(0)).to();
+        let id = builder.add_transition(s0, s1, label(ActionKind::Collect, "Doctor", "Name"));
+        assert_eq!(builder.transition_count(), before);
         assert_eq!(id, TransitionId(0));
 
         // A different label between the same states is a new transition.
-        lts.add_transition(s0, s1, label(ActionKind::Read, "Doctor", "Name"));
-        assert_eq!(lts.transition_count(), before + 1);
+        builder.add_transition(s0, s1, label(ActionKind::Read, "Doctor", "Name"));
+        assert_eq!(builder.transition_count(), before + 1);
     }
 
     #[test]
@@ -722,9 +702,8 @@ mod tests {
         let s0 = lts.initial();
         assert_eq!(lts.outgoing(s0).count(), 1);
         let (_, t) = lts.outgoing(s0).next().unwrap();
-        let s1 = t.to();
+        assert_eq!(t.to(), StateId(1));
         assert_eq!(lts.reachable().len(), 3);
-        assert_eq!(lts.reachable_from(s1).len(), 2);
     }
 
     #[test]
@@ -750,24 +729,27 @@ mod tests {
 
     #[test]
     fn risk_transitions_and_annotation() {
-        let mut lts = two_step_lts();
+        let mut builder = two_step_builder();
         let s2 = StateId(2);
-        let s_risk = {
-            let space = lts.space().clone();
-            lts.intern(lts.state(s2).clone().with_has(
-                &space,
-                &ActorId::new("Admin"),
-                &FieldId::new("Diagnosis"),
-            ))
-        };
+        let space = space();
+        let s_risk = builder.intern(builder.state(s2).clone().with_has(
+            &space,
+            &ActorId::new("Admin"),
+            &FieldId::new("Diagnosis"),
+        ));
         let tid =
-            lts.add_risk_transition(s2, s_risk, label(ActionKind::Read, "Admin", "Diagnosis"));
-        assert!(lts.transition(tid).is_risk_transition());
+            builder.add_risk_transition(s2, s_risk, label(ActionKind::Read, "Admin", "Diagnosis"));
+        assert!(builder.transition(tid).is_risk_transition());
 
-        lts.annotate(tid, RiskAnnotation::level(RiskLevel::Medium));
+        builder.annotate(tid, RiskAnnotation::level(RiskLevel::Medium));
+        let lts = builder.build();
         assert_eq!(lts.transition(tid).label().risk().unwrap().risk_level(), RiskLevel::Medium);
-        assert_eq!(lts.transitions_at_risk(RiskLevel::Medium).count(), 1);
-        assert_eq!(lts.transitions_at_risk(RiskLevel::High).count(), 0);
+        let at_risk: Vec<TransitionId> = lts
+            .transitions()
+            .filter(|(_, t)| t.label().risk().is_some_and(|r| r.risk_level() == RiskLevel::Medium))
+            .map(|(id, _)| id)
+            .collect();
+        assert_eq!(at_risk, vec![tid]);
 
         let stats = lts.stats();
         assert_eq!(stats.states, 4);
@@ -780,33 +762,33 @@ mod tests {
 
     #[test]
     fn equal_labels_share_one_table_entry_and_annotation_repoints() {
-        let mut lts = two_step_lts();
-        let s0 = lts.initial();
+        let mut builder = two_step_builder();
+        let s0 = builder.initial();
         let s2 = StateId(2);
-        let t_a = lts.add_transition(s0, s2, label(ActionKind::Read, "Admin", "Name"));
-        let t_b = lts.add_transition(StateId(1), s2, label(ActionKind::Read, "Admin", "Name"));
-        assert_eq!(lts.labels().len(), 3, "the second read reuses the first's label");
+        let t_a = builder.add_transition(s0, s2, label(ActionKind::Read, "Admin", "Name"));
+        let t_b = builder.add_transition(StateId(1), s2, label(ActionKind::Read, "Admin", "Name"));
+        assert_eq!(builder.labels.len(), 3, "the second read reuses the first's label");
         assert!(Arc::ptr_eq(
-            lts.transition(t_a).shared_label(),
-            lts.transition(t_b).shared_label()
+            builder.transition(t_a).shared_label(),
+            builder.transition(t_b).shared_label()
         ));
 
-        lts.annotate(t_a, RiskAnnotation::level(RiskLevel::High));
-        lts.annotate(t_b, RiskAnnotation::level(RiskLevel::High));
-        assert_eq!(lts.labels().len(), 4, "equal annotations share one annotated label");
+        builder.annotate(t_a, RiskAnnotation::level(RiskLevel::High));
+        builder.annotate(t_b, RiskAnnotation::level(RiskLevel::High));
+        assert_eq!(builder.labels.len(), 4, "equal annotations share one annotated label");
         // The plain label is now a different value from t_a's: a new edge.
-        let t_c = lts.add_transition(s0, s2, label(ActionKind::Read, "Admin", "Name"));
+        let t_c = builder.add_transition(s0, s2, label(ActionKind::Read, "Admin", "Name"));
         assert_ne!(t_c, t_a);
         let annotated = label(ActionKind::Read, "Admin", "Name")
             .with_risk(RiskAnnotation::level(RiskLevel::High));
-        assert_eq!(lts.add_transition(s0, s2, annotated.clone()), t_a);
+        assert_eq!(builder.add_transition(s0, s2, annotated.clone()), t_a);
 
         // Annotating t_c makes it equal to t_a: an add finds the lower id,
         // as a scan of the outgoing list in id order would.
-        lts.annotate(t_c, RiskAnnotation::level(RiskLevel::High));
-        assert_eq!(lts.add_transition(s0, s2, annotated.clone()), t_a);
-        lts.annotate(t_a, RiskAnnotation::level(RiskLevel::Low));
-        assert_eq!(lts.add_transition(s0, s2, annotated), t_c);
+        builder.annotate(t_c, RiskAnnotation::level(RiskLevel::High));
+        assert_eq!(builder.add_transition(s0, s2, annotated.clone()), t_a);
+        builder.annotate(t_a, RiskAnnotation::level(RiskLevel::Low));
+        assert_eq!(builder.add_transition(s0, s2, annotated), t_c);
     }
 
     #[test]

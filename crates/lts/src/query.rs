@@ -24,8 +24,7 @@ pub struct LtsQuery<'a> {
 
 impl<'a> LtsQuery<'a> {
     /// Wraps an LTS together with its analysis index. The index must have
-    /// been built from this LTS (and the LTS must not have been mutated
-    /// since), otherwise answers describe the stale snapshot.
+    /// been built from this LTS, otherwise answers describe another one.
     pub fn new(lts: &'a Lts, index: &'a LtsIndex) -> Self {
         LtsQuery { lts, index }
     }
@@ -131,6 +130,7 @@ impl<'a> LtsQuery<'a> {
 mod tests {
     use super::*;
     use crate::label::TransitionLabel;
+    use crate::lts::LtsBuilder;
     use crate::space::VarSpace;
     use crate::state::PrivacyState;
 
@@ -155,27 +155,29 @@ mod tests {
     /// s2 --read(Admin,Diagnosis)--> s3
     fn sample_lts() -> Lts {
         let space = VarSpace::new([doctor(), admin()], [name(), diagnosis()]);
-        let mut lts = Lts::new(space.clone());
-        let s0 = lts.initial();
-        let s1 = lts.intern(PrivacyState::absolute(&space).with_has(&space, &doctor(), &name()));
-        let s2 = lts.intern(lts.state(s1).clone().with_could(&space, &admin(), &diagnosis()));
-        let s3 = lts.intern(lts.state(s2).clone().with_has(&space, &admin(), &diagnosis()));
-        lts.add_transition(
+        let mut builder = LtsBuilder::new(space.clone());
+        let s0 = builder.initial();
+        let s1 =
+            builder.intern(PrivacyState::absolute(&space).with_has(&space, &doctor(), &name()));
+        let s2 =
+            builder.intern(builder.state(s1).clone().with_could(&space, &admin(), &diagnosis()));
+        let s3 = builder.intern(builder.state(s2).clone().with_has(&space, &admin(), &diagnosis()));
+        builder.add_transition(
             s0,
             s1,
             TransitionLabel::new(ActionKind::Collect, doctor(), [name()], None),
         );
-        lts.add_transition(
+        builder.add_transition(
             s1,
             s2,
             TransitionLabel::new(ActionKind::Create, doctor(), [diagnosis()], None),
         );
-        lts.add_transition(
+        builder.add_transition(
             s2,
             s3,
             TransitionLabel::new(ActionKind::Read, admin(), [diagnosis()], None),
         );
-        lts
+        builder.build()
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! This is the direct transcription of the extraction rules of Section II-B:
 //! a single-threaded BFS whose `apply_flow` resolves actor and field
 //! identifiers through string-keyed map lookups for every bit it sets and
-//! clones the string-backed datastore-contents set on every transition. The
+//! clones the string-backed datastore-contents set on every transition, and
+//! appends through an [`LtsBuilder`] that interns and deduplicates. The
 //! optimised engine (the private `engine` module, reached through
 //! [`crate::generate_lts`]) must produce exactly the same LTS — the property
 //! tests in `tests/differential.rs` and the scaling benchmark
@@ -17,7 +18,7 @@
 
 use crate::generate::GeneratorConfig;
 use crate::label::{ActionKind, TransitionLabel};
-use crate::lts::Lts;
+use crate::lts::{Lts, LtsBuilder};
 use crate::space::VarSpace;
 use crate::state::PrivacyState;
 use privacy_access::{AccessPolicy, Permission};
@@ -52,7 +53,7 @@ pub fn generate_lts_reference(
     config: &GeneratorConfig,
 ) -> Result<Lts, ModelError> {
     let space = VarSpace::from_catalog(catalog);
-    let mut lts = Lts::new(space.clone());
+    let mut builder = LtsBuilder::new(space.clone());
 
     // Select and order the services to explore.
     let services: Vec<&ServiceId> = match &config.services {
@@ -87,7 +88,7 @@ pub fn generate_lts_reference(
     queue.push_back(initial);
 
     while let Some(current) = queue.pop_front() {
-        let from_id = lts.intern(current.privacy.clone());
+        let from_id = builder.intern(current.privacy.clone());
 
         // Which services may fire their next flow from this composite state?
         let enabled: Vec<usize> = if config.interleave_services {
@@ -120,8 +121,8 @@ pub fn generate_lts_reference(
             };
             next.progress[service_index] += 1;
 
-            let to_id = lts.intern(next.privacy.clone());
-            lts.add_transition(from_id, to_id, label);
+            let to_id = builder.intern(next.privacy.clone());
+            builder.add_transition(from_id, to_id, label);
 
             if visited.insert(next.clone()) {
                 bound_check(visited.len(), config.max_states)?;
@@ -144,14 +145,14 @@ pub fn generate_lts_reference(
                         stored: current.stored.clone(),
                         privacy: next_privacy.clone(),
                     };
-                    let to_id = lts.intern(next_privacy);
+                    let to_id = builder.intern(next_privacy);
                     let label = TransitionLabel::new(
                         ActionKind::Read,
                         actor.clone(),
                         [field.clone()],
                         schema.clone(),
                     );
-                    lts.add_transition(from_id, to_id, label);
+                    builder.add_transition(from_id, to_id, label);
                     if visited.insert(next.clone()) {
                         bound_check(visited.len(), config.max_states)?;
                         queue.push_back(next);
@@ -161,7 +162,7 @@ pub fn generate_lts_reference(
         }
     }
 
-    Ok(lts)
+    Ok(builder.build())
 }
 
 /// Fails once the number of composite states passes the configured bound.

@@ -12,8 +12,8 @@ use privacy_access::{AccessControlList, AccessPolicy, Grant};
 use privacy_dataflow::{DiagramBuilder, SystemDataFlows};
 use privacy_lts::space::VarKind;
 use privacy_lts::{
-    generate_lts, generate_lts_reference, ActionKind, FxHasher, GeneratorConfig, Lts, LtsIndex,
-    PrivacyState, RiskAnnotation, StateId, TransitionId, TransitionLabel,
+    generate_lts, generate_lts_reference, ActionKind, FxHasher, GeneratorConfig, Lts, LtsBuilder,
+    LtsIndex, PrivacyState, RiskAnnotation, StateId, TransitionId, TransitionLabel,
 };
 use privacy_model::{
     Actor, ActorId, Catalog, DataField, DataSchema, DatastoreDecl, FieldId, RiskLevel, ServiceDecl,
@@ -427,7 +427,7 @@ proptest! {
 /// What [`edit_script`] appended.
 #[derive(Debug, PartialEq)]
 struct Edits {
-    /// A state the LTS lacked before the edits.
+    /// A state the base LTS lacks.
     fresh: StateId,
     /// Flow transitions into and out of `fresh`, in that order; the first
     /// is annotated.
@@ -439,12 +439,14 @@ struct Edits {
     shared: Option<(TransitionId, TransitionId)>,
 }
 
-/// One edit script through every entry point of the edit API: `intern`, a
-/// duplicate `add_transition`, new transitions, `add_risk_transition` and
-/// `annotate`. It reads only what two equal LTSs agree on.
-fn edit_script(lts: &mut Lts) -> Edits {
-    let space = lts.space().clone();
-    let initial = lts.initial();
+/// One script through every entry point of a builder started from `base`:
+/// `intern`, a duplicate `add_transition`, new transitions,
+/// `add_risk_transition` and `annotate`. It reads only what two equal LTSs
+/// agree on, and returns the built LTS with what it appended.
+fn edit_script(base: &Lts) -> (Lts, Edits) {
+    let mut builder = LtsBuilder::from_lts(base);
+    let space = base.space().clone();
+    let initial = builder.initial();
     let (actor, field) = (space.actors()[0].clone(), space.fields()[0].clone());
 
     // The state with the most variables true that the LTS lacks (the
@@ -453,35 +455,34 @@ fn edit_script(lts: &mut Lts) -> Edits {
     let all = u64::MAX >> (64 - len);
     let fresh_state = (0..=all)
         .map(|k| PrivacyState::from_words(vec![all & !k], len))
-        .find(|candidate| lts.states().all(|(_, state)| state != candidate))
+        .find(|candidate| base.states().all(|(_, state)| state != candidate))
         .expect("the LTS leaves some state of its space unreached");
-    let states = lts.state_count();
-    let fresh = lts.intern(fresh_state.clone());
+    let states = base.state_count();
+    let fresh = builder.intern(fresh_state.clone());
     assert_eq!(fresh, StateId(states));
-    assert_eq!(lts.intern(fresh_state), fresh, "interning again finds the state");
-    assert_eq!(lts.intern(PrivacyState::absolute(&space)), initial);
-    assert_eq!(lts.outgoing(fresh).count(), 0, "a fresh state has no outgoing transitions");
+    assert_eq!(builder.intern(fresh_state), fresh, "interning again finds the state");
+    assert_eq!(builder.intern(PrivacyState::absolute(&space)), initial);
 
-    let transitions = lts.transition_count();
+    let transitions = builder.transition_count();
     if transitions > 0 {
-        let first = lts.transition(TransitionId(0));
+        let first = builder.transition(TransitionId(0));
         let (from, to, label) = (first.from(), first.to(), first.label().clone());
-        assert_eq!(lts.add_transition(from, to, label), TransitionId(0), "a duplicate add");
-        assert_eq!(lts.transition_count(), transitions);
+        assert_eq!(builder.add_transition(from, to, label), TransitionId(0), "a duplicate add");
+        assert_eq!(builder.transition_count(), transitions);
     }
     // Two of the new labels name actors outside the space, so an index
     // built afterwards interns them from the labels.
     let delete =
         |actor: ActorId| TransitionLabel::new(ActionKind::Delete, actor, [field.clone()], None);
-    let into = lts.add_transition(initial, fresh, delete(ActorId::new("Auditor")));
-    let out_of = lts.add_transition(fresh, initial, delete(actor));
+    let into = builder.add_transition(initial, fresh, delete(ActorId::new("Auditor")));
+    let out_of = builder.add_transition(fresh, initial, delete(actor));
     let read = TransitionLabel::new(ActionKind::Read, "Intruder", [field.clone()], None);
-    let risk = lts.add_risk_transition(fresh, fresh, read);
+    let risk = builder.add_risk_transition(fresh, fresh, read);
     assert_eq!((into.0, out_of.0, risk.0), (transitions, transitions + 1, transitions + 2));
 
     // Annotate one of two transitions that share a label.
     let mut first_with: BTreeMap<String, TransitionId> = BTreeMap::new();
-    let shared = lts.transitions().find_map(|(id, transition)| {
+    let shared = base.transitions().find_map(|(id, transition)| {
         let key = transition.label().to_string();
         first_with.get(&key).map(|first| (*first, id)).or_else(|| {
             first_with.insert(key, id);
@@ -489,56 +490,58 @@ fn edit_script(lts: &mut Lts) -> Edits {
         })
     });
     if let Some((annotated, _)) = shared {
-        lts.annotate(annotated, RiskAnnotation::level(RiskLevel::High));
+        builder.annotate(annotated, RiskAnnotation::level(RiskLevel::High));
     }
     // `into`'s label now has a higher id than `risk`'s, though `into`
     // comes first: the index must intern "Auditor" before "Intruder".
-    lts.annotate(into, RiskAnnotation::level(RiskLevel::Medium));
-    Edits { fresh, added: [into, out_of], risk, shared }
+    builder.annotate(into, RiskAnnotation::level(RiskLevel::Medium));
+    (builder.build(), Edits { fresh, added: [into, out_of], risk, shared })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Editing a generated LTS and a reference-built one alike keeps them
-    /// equal; the structural queries see the appended transitions; an index
-    /// built before the edits keeps answering for the unedited LTS; and an
+    /// Builders started from a generated LTS and from a reference-built
+    /// one, given one script, build equal LTSs; the structural queries see
+    /// the appended transitions; the base LTSs are unchanged and an index
+    /// built over the base still equals a label scan of it; and an
     /// annotation reaches only the transition it names.
     #[test]
-    fn edits_after_generation_match_edits_of_a_reference_built_lts(
+    fn builders_from_a_generated_and_a_reference_built_lts_build_equal_ltss(
         actors in 1usize..5,
         fields in 1usize..5,
         seed in 0u64..1_000_000,
         potential_reads in proptest::bool::ANY,
     ) {
-        let (mut engine, mut reference) = random_pair(actors, fields, seed, potential_reads);
+        let (engine, reference) = random_pair(actors, fields, seed, potential_reads);
         let index = LtsIndex::build(&engine);
         let before = engine.stats();
 
-        let edits = edit_script(&mut engine);
-        // The reference is still unedited: the index must answer for it.
-        assert_index_matches_label_scan(&reference, &index);
-        prop_assert_eq!(edit_script(&mut reference), edits);
+        let (edited, edits) = edit_script(&engine);
+        let (edited_reference, reference_edits) = edit_script(&reference);
+        prop_assert_eq!(&reference_edits, &edits);
+        prop_assert_eq!(&edited, &edited_reference);
         prop_assert_eq!(&engine, &reference);
+        prop_assert_eq!(engine.stats(), before);
+        assert_index_matches_label_scan(&engine, &index);
 
         let Edits { fresh, added: [into, out_of], risk, shared } = edits;
-        let initial = engine.initial();
-        prop_assert!(engine.outgoing(initial).any(|(id, _)| id == into));
-        let leaving: Vec<TransitionId> = engine.outgoing(fresh).map(|(id, _)| id).collect();
+        let initial = edited.initial();
+        prop_assert!(edited.outgoing(initial).any(|(id, _)| id == into));
+        let leaving: Vec<TransitionId> = edited.outgoing(fresh).map(|(id, _)| id).collect();
         prop_assert_eq!(leaving, vec![out_of, risk]);
-        prop_assert!(engine.reachable().contains(&fresh));
-        prop_assert_eq!(engine.reachable_from(fresh)[0], fresh);
-        let target = engine.state(fresh).clone();
-        prop_assert_eq!(engine.path_to(|state| *state == target), Some(vec![into]));
-        let after = engine.stats();
+        prop_assert!(edited.reachable().contains(&fresh));
+        let target = edited.state(fresh).clone();
+        prop_assert_eq!(edited.path_to(|state| *state == target), Some(vec![into]));
+        let after = edited.stats();
         prop_assert_eq!(after.states, before.states + 1);
         prop_assert_eq!(after.transitions, before.transitions + 3);
         prop_assert_eq!(after.risk_transitions, before.risk_transitions + 1);
-        prop_assert!(engine.transition(risk).is_risk_transition());
-        prop_assert!(!engine.transition(into).is_risk_transition());
+        prop_assert!(edited.transition(risk).is_risk_transition());
+        prop_assert!(!edited.transition(into).is_risk_transition());
 
         // Only the annotated transitions carry a risk.
-        let annotated: Vec<TransitionId> = engine
+        let annotated: Vec<TransitionId> = edited
             .transitions()
             .filter(|(_, t)| t.label().risk().is_some())
             .map(|(id, _)| id)
@@ -547,14 +550,14 @@ proptest! {
         expected.push(into);
         prop_assert_eq!(annotated, expected);
         if let Some((first, second)) = shared {
-            let (first, second) = (engine.transition(first), engine.transition(second));
+            let (first, second) = (edited.transition(first), edited.transition(second));
             let level = first.label().risk().map(RiskAnnotation::risk_level);
             prop_assert_eq!(level, Some(RiskLevel::High));
             prop_assert!(second.label().risk().is_none());
             prop_assert!(!std::sync::Arc::ptr_eq(first.shared_label(), second.shared_label()));
         }
 
-        // A fresh index sees the edited LTS.
-        assert_index_matches_label_scan(&engine, &LtsIndex::build(&engine));
+        // An index built over the result sees the appended transitions.
+        assert_index_matches_label_scan(&edited, &LtsIndex::build(&edited));
     }
 }

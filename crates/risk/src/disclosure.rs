@@ -5,10 +5,12 @@
 //! every datastore such an actor has read access to once the user's data is
 //! stored there, computes the impact (the relative sensitivity `σ(d, a)`) and
 //! the likelihood (the summed scenario probabilities) of the actor actually
-//! reading the field, combines them through the risk matrix, and annotates
-//! the LTS: existing `read` transitions by non-allowed actors receive a risk
-//! label, and a *potential-read* risk transition is added from every state
-//! where the actor could (but has not yet) identified the field.
+//! reading the field, combines them through the risk matrix, and builds an
+//! annotated copy of the LTS: existing `read` transitions by non-allowed
+//! actors receive a risk label, and a *potential-read* risk transition is
+//! added from every state where the actor could (but has not yet)
+//! identified the field. The input LTS is never changed; the annotated one
+//! is returned next to the report.
 //!
 //! Two interchangeable execution strategies exist for every entry point:
 //!
@@ -30,7 +32,7 @@
 //!   retained for differential testing. It walks reachable states and
 //!   transition labels per triple and shares with the index path only the
 //!   triple enumeration and the risk arithmetic. Both strategies produce
-//!   identical reports (and, for the mutating entry points, identical
+//!   identical reports (and, for the annotating entry points, identical
 //!   annotated LTSs); the property tests in `tests/index_differential.rs`
 //!   pin that equivalence over random models.
 
@@ -38,7 +40,9 @@ use crate::likelihood::LikelihoodModel;
 use crate::matrix::RiskMatrix;
 use crate::sensitivity::SensitivityModel;
 use privacy_access::{AccessPolicy, Permission};
-use privacy_lts::{ActionKind, Lts, LtsIndex, RiskAnnotation, TransitionId, TransitionLabel};
+use privacy_lts::{
+    ActionKind, Lts, LtsBuilder, LtsIndex, RiskAnnotation, StateId, TransitionId, TransitionLabel,
+};
 use privacy_model::{
     ActorId, Catalog, DatastoreDecl, DatastoreId, FieldId, Likelihood, RiskLevel, Severity,
     UserProfile,
@@ -231,7 +235,7 @@ struct TripleRisk {
 }
 
 impl TripleRisk {
-    /// The risk label the mutating paths attach to transitions. The
+    /// The risk label the annotating paths attach to transitions. The
     /// read-only paths attach nothing, so they never build it.
     fn annotation(&self, field: &FieldId, actor: &ActorId) -> RiskAnnotation {
         RiskAnnotation::dimensions(self.severity, self.likelihood, self.level)
@@ -343,29 +347,34 @@ impl<'a> DisclosureAnalysis<'a> {
         }
     }
 
-    /// Runs the analysis for one user, annotating the LTS in place. Builds a
-    /// columnar analysis index of the LTS and probes it; behaviourally
+    /// Runs the analysis for one user and returns its report together with
+    /// the annotated LTS, a new value; `lts` is left as it is. Probes
+    /// `index`, which must have been built over `lts`; behaviourally
     /// identical to [`DisclosureAnalysis::analyse_scan`]. Both the
-    /// exposed-state sets and the existing-read probes describe the LTS as
-    /// it was on entry (risk transitions this call adds are tracked
-    /// separately so later triples still observe them, exactly as the scan
-    /// path's repeated scans would).
-    pub fn analyse(&self, lts: &mut Lts, user: &UserProfile) -> DisclosureReport {
-        let index = LtsIndex::build(lts);
+    /// exposed-state sets and the existing-read probes describe `lts` (risk
+    /// transitions this call adds are tracked separately so later triples
+    /// still observe them, exactly as the scan path's repeated scans would).
+    pub fn analyse(
+        &self,
+        lts: &Lts,
+        index: &LtsIndex,
+        user: &UserProfile,
+    ) -> (DisclosureReport, Lts) {
+        debug_assert_eq!(index.transition_count(), lts.transition_count(), "index of another LTS");
         let sensitivity = SensitivityModel::new(self.catalog, user);
         let (allowed, non_allowed) = self.actor_partition(&sensitivity);
 
         let mut findings = Vec::new();
-        let space = lts.space().clone();
+        let mut builder = LtsBuilder::from_lts(lts);
         // Risk transitions added by *this* analysis, with the (actor, field)
         // pair their label carries: the scan path re-discovers them in its
         // per-triple transition scans, so the index path must too.
         let mut delta: Vec<(ActorId, FieldId, TransitionId)> = Vec::new();
 
-        for triple @ (datastore, field, actor) in self.readable_triples(&non_allowed) {
+        for triple @ (_, field, actor) in self.readable_triples(&non_allowed) {
             // Which reachable states expose the field to this actor? (Index
-            // probe over the build-time snapshot — the scan path equally
-            // snapshots `reachable()` up front.)
+            // probe over the input LTS — the scan path equally takes
+            // `reachable()` of the input up front.)
             let exposed = index.states_where_could(actor, field);
             if exposed.is_empty() {
                 continue;
@@ -376,44 +385,28 @@ impl<'a> DisclosureAnalysis<'a> {
             let mut annotated = Vec::new();
 
             // Annotate existing read transitions by this actor on this
-            // field: the snapshot's shared list, then any risk transition
-            // this analysis already added for the pair.
+            // field: the index's shared list, then any risk transition this
+            // analysis already added for the pair.
             let added =
                 delta.iter().filter_map(|(a, f, id)| (a == actor && f == field).then_some(*id));
             for id in index.reads_involving(actor, field).iter().copied().chain(added) {
-                lts.annotate(id, annotation.clone());
+                builder.annotate(id, annotation.clone());
                 annotated.push(id);
             }
 
-            // Add potential-read risk transitions from every exposed state
-            // where the actor has not yet identified the field.
-            for state_id in exposed {
-                let state = lts.state(*state_id).clone();
-                if state.has(&space, actor, field) {
-                    continue;
-                }
-                let target = state.with_has(&space, actor, field);
-                let target_id = lts.intern(target);
-                let label = TransitionLabel::new(
-                    ActionKind::Read,
-                    actor.clone(),
-                    [field.clone()],
-                    Some(datastore.schema().clone()),
-                )
-                .with_risk(annotation.clone());
-                let before = lts.transition_count();
-                let tid = lts.add_risk_transition(*state_id, target_id, label);
-                if lts.transition_count() > before {
-                    delta.push((actor.clone(), field.clone(), tid));
-                }
-                annotated.push(tid);
-            }
+            // Potential reads this triple appends (not ones an earlier
+            // triple added) join the delta.
+            let (first_new, start) = (builder.transition_count(), annotated.len());
+            add_potential_reads(&mut builder, lts, exposed, triple, &annotation, &mut annotated);
+            let new = annotated[start..].iter().filter(|id| id.0 >= first_new);
+            delta.extend(new.map(|id| (actor.clone(), field.clone(), *id)));
 
             findings.push(risk.finding(triple, annotated.into(), exposed.len()));
         }
 
         sort_findings(&mut findings);
-        DisclosureReport { user: user.clone(), allowed, non_allowed, findings }
+        let report = DisclosureReport { user: user.clone(), allowed, non_allowed, findings };
+        (report, builder.build())
     }
 
     /// Read-only disclosure assessment over a prebuilt index: identical
@@ -494,23 +487,25 @@ impl<'a> DisclosureAnalysis<'a> {
         privacy_lts::batch::parallel_map(users, threads, |user| self.assess(index, user))
     }
 
-    /// The original full-scan mutating analysis, retained for differential
-    /// testing and as the reference semantics of
-    /// [`DisclosureAnalysis::analyse`].
-    pub fn analyse_scan(&self, lts: &mut Lts, user: &UserProfile) -> DisclosureReport {
+    /// The original full-scan annotating analysis, retained for
+    /// differential testing and as the reference semantics of
+    /// [`DisclosureAnalysis::analyse`]: returns the report and the
+    /// annotated LTS, and leaves `lts` as it is.
+    pub fn analyse_scan(&self, lts: &Lts, user: &UserProfile) -> (DisclosureReport, Lts) {
         let sensitivity = SensitivityModel::new(self.catalog, user);
         let (allowed, non_allowed) = self.actor_partition(&sensitivity);
 
         let mut findings = Vec::new();
-        let space = lts.space().clone();
+        let space = lts.space();
         let reachable = lts.reachable();
+        let mut builder = LtsBuilder::from_lts(lts);
 
-        for triple @ (datastore, field, actor) in self.readable_triples(&non_allowed) {
+        for triple @ (_, field, actor) in self.readable_triples(&non_allowed) {
             // Which reachable states expose the field to this actor?
             let exposed: Vec<_> = reachable
                 .iter()
                 .copied()
-                .filter(|id| lts.state(*id).could(&space, actor, field))
+                .filter(|id| lts.state(*id).could(space, actor, field))
                 .collect();
             if exposed.is_empty() {
                 continue;
@@ -520,46 +515,55 @@ impl<'a> DisclosureAnalysis<'a> {
             let annotation = risk.annotation(field, actor);
             let mut annotated = Vec::new();
 
-            // Annotate existing read transitions by this actor on this field.
-            let existing: Vec<TransitionId> = lts
-                .transitions()
-                .filter(|(_, t)| {
-                    t.label().action() == ActionKind::Read
-                        && t.label().actor() == actor
-                        && t.label().involves_field(field)
+            // Annotate existing read transitions by this actor on this
+            // field, the ones this analysis added included.
+            let existing: Vec<TransitionId> = (0..builder.transition_count())
+                .map(TransitionId)
+                .filter(|id| {
+                    let label = builder.transition(*id).label();
+                    label.action() == ActionKind::Read
+                        && label.actor() == actor
+                        && label.involves_field(field)
                 })
-                .map(|(id, _)| id)
                 .collect();
             for id in existing {
-                lts.annotate(id, annotation.clone());
+                builder.annotate(id, annotation.clone());
                 annotated.push(id);
             }
 
-            // Add potential-read risk transitions from every exposed state
-            // where the actor has not yet identified the field.
-            for state_id in &exposed {
-                let state = lts.state(*state_id).clone();
-                if state.has(&space, actor, field) {
-                    continue;
-                }
-                let target = state.with_has(&space, actor, field);
-                let target_id = lts.intern(target);
-                let label = TransitionLabel::new(
-                    ActionKind::Read,
-                    actor.clone(),
-                    [field.clone()],
-                    Some(datastore.schema().clone()),
-                )
-                .with_risk(annotation.clone());
-                let tid = lts.add_risk_transition(*state_id, target_id, label);
-                annotated.push(tid);
-            }
+            add_potential_reads(&mut builder, lts, &exposed, triple, &annotation, &mut annotated);
 
             findings.push(risk.finding(triple, annotated.into(), exposed.len()));
         }
 
         sort_findings(&mut findings);
-        DisclosureReport { user: user.clone(), allowed, non_allowed, findings }
+        let report = DisclosureReport { user: user.clone(), allowed, non_allowed, findings };
+        (report, builder.build())
+    }
+}
+
+/// Adds a potential-read risk-transition, labelled with `annotation`, from
+/// every state of `exposed` where the actor has not yet identified the
+/// field, and appends their ids to `annotated`.
+fn add_potential_reads(
+    builder: &mut LtsBuilder,
+    lts: &Lts,
+    exposed: &[StateId],
+    (datastore, field, actor): (&DatastoreDecl, &FieldId, &ActorId),
+    annotation: &RiskAnnotation,
+    annotated: &mut Vec<TransitionId>,
+) {
+    let space = lts.space();
+    for &state_id in exposed {
+        let state = lts.state(state_id);
+        if state.has(space, actor, field) {
+            continue;
+        }
+        let target = builder.intern(state.with_has(space, actor, field));
+        let schema = Some(datastore.schema().clone());
+        let label = TransitionLabel::new(ActionKind::Read, actor.clone(), [field.clone()], schema)
+            .with_risk(annotation.clone());
+        annotated.push(builder.add_risk_transition(state_id, target, label));
     }
 }
 
@@ -633,31 +637,28 @@ mod tests {
             .with_category_sensitivity(FieldId::new("Diagnosis"), SensitivityCategory::High)
     }
 
-    /// Runs the indexed and scan analyses on separate LTS copies and
-    /// asserts both the reports and the annotated LTSs agree.
+    /// Runs the indexed and scan analyses over one LTS and asserts both the
+    /// reports and the annotated LTSs agree and the input is unchanged.
     fn analyse_both(
-        catalog: &Catalog,
-        policy: &AccessPolicy,
-        lts: &mut Lts,
+        lts: &Lts,
         analysis: &DisclosureAnalysis<'_>,
         user: &UserProfile,
-    ) -> DisclosureReport {
-        let _ = (catalog, policy);
-        let mut scan_lts = lts.clone();
-        let report = analysis.analyse(lts, user);
-        let scan_report = analysis.analyse_scan(&mut scan_lts, user);
+    ) -> (DisclosureReport, Lts) {
+        let before = lts.clone();
+        let (report, annotated) = analysis.analyse(lts, &LtsIndex::build(lts), user);
+        let (scan_report, scan_annotated) = analysis.analyse_scan(lts, user);
         assert_eq!(report, scan_report, "indexed and scan reports diverge");
-        assert_eq!(*lts, scan_lts, "indexed and scan LTSs diverge");
-        report
+        assert_eq!(annotated, scan_annotated, "indexed and scan LTSs diverge");
+        assert_eq!(*lts, before, "the analyses left their input as it was");
+        (report, annotated)
     }
 
     #[test]
     fn case_study_a_administrator_read_is_medium_risk() {
         let (catalog, system, policy) = fixture();
-        let mut lts =
-            generate_lts(&catalog, &system, &policy, &GeneratorConfig::default()).unwrap();
+        let lts = generate_lts(&catalog, &system, &policy, &GeneratorConfig::default()).unwrap();
         let analysis = DisclosureAnalysis::new(&catalog, &policy);
-        let report = analyse_both(&catalog, &policy, &mut lts, &analysis, &case_a_user());
+        let (report, lts) = analyse_both(&lts, &analysis, &case_a_user());
 
         // The non-allowed actors are exactly the Administrator and the
         // Researcher, as in the paper.
@@ -688,7 +689,10 @@ mod tests {
 
         // The LTS now carries annotated risk transitions.
         assert!(lts.stats().risk_transitions > 0);
-        assert!(lts.transitions_at_risk(RiskLevel::Medium).count() > 0);
+        assert!(lts.transitions().any(|(_, t)| t
+            .label()
+            .risk()
+            .is_some_and(|risk| risk.risk_level() == RiskLevel::Medium)));
         let medium_findings = report.findings_at_least(RiskLevel::Medium);
         assert_eq!(medium_findings.len(), 1);
         assert!(!medium_findings[0].annotated_transitions().is_empty());
@@ -702,10 +706,9 @@ mod tests {
         let delta = PolicyDelta::new().revoke("Administrator", Permission::Read, "EHR");
         let revised = policy.with_applied(&delta);
 
-        let mut lts =
-            generate_lts(&catalog, &system, &revised, &GeneratorConfig::default()).unwrap();
+        let lts = generate_lts(&catalog, &system, &revised, &GeneratorConfig::default()).unwrap();
         let analysis = DisclosureAnalysis::new(&catalog, &revised);
-        let report = analyse_both(&catalog, &revised, &mut lts, &analysis, &case_a_user());
+        let (report, lts) = analyse_both(&lts, &analysis, &case_a_user());
 
         assert_eq!(
             report.risk_for(&ActorId::new("Administrator"), &FieldId::new("Diagnosis")),
@@ -719,11 +722,10 @@ mod tests {
     #[test]
     fn consenting_to_every_service_removes_all_findings() {
         let (catalog, system, policy) = fixture();
-        let mut lts =
-            generate_lts(&catalog, &system, &policy, &GeneratorConfig::default()).unwrap();
+        let lts = generate_lts(&catalog, &system, &policy, &GeneratorConfig::default()).unwrap();
         let user = case_a_user().consents_to(ServiceId::new("MedicalResearchService"));
         let analysis = DisclosureAnalysis::new(&catalog, &policy);
-        let report = analyse_both(&catalog, &policy, &mut lts, &analysis, &user);
+        let (report, _) = analyse_both(&lts, &analysis, &user);
         // The administrator is now an allowed actor, so σ(d, a) = 0 and no
         // finding is produced.
         assert!(report.is_empty());
@@ -733,8 +735,7 @@ mod tests {
     #[test]
     fn higher_likelihood_escalates_the_risk_level() {
         let (catalog, system, policy) = fixture();
-        let mut lts =
-            generate_lts(&catalog, &system, &policy, &GeneratorConfig::default()).unwrap();
+        let lts = generate_lts(&catalog, &system, &policy, &GeneratorConfig::default()).unwrap();
         let mut likelihood = LikelihoodModel::standard();
         likelihood.set_override(
             "Administrator",
@@ -746,7 +747,7 @@ mod tests {
             .unwrap()],
         );
         let analysis = DisclosureAnalysis::new(&catalog, &policy).with_likelihood(likelihood);
-        let report = analyse_both(&catalog, &policy, &mut lts, &analysis, &case_a_user());
+        let (report, _) = analyse_both(&lts, &analysis, &case_a_user());
         assert_eq!(
             report.risk_for(&ActorId::new("Administrator"), &FieldId::new("Diagnosis")),
             RiskLevel::High
@@ -756,9 +757,12 @@ mod tests {
     #[test]
     fn report_display_lists_findings() {
         let (catalog, system, policy) = fixture();
-        let mut lts =
-            generate_lts(&catalog, &system, &policy, &GeneratorConfig::default()).unwrap();
-        let report = DisclosureAnalysis::new(&catalog, &policy).analyse(&mut lts, &case_a_user());
+        let lts = generate_lts(&catalog, &system, &policy, &GeneratorConfig::default()).unwrap();
+        let (report, _) = DisclosureAnalysis::new(&catalog, &policy).analyse(
+            &lts,
+            &LtsIndex::build(&lts),
+            &case_a_user(),
+        );
         let text = report.to_string();
         assert!(text.contains("disclosure risk for patient-1"));
         assert!(text.contains("Administrator"));
@@ -778,11 +782,10 @@ mod tests {
         assert_eq!(assessed, scanned);
         assert_eq!(lts, before, "read-only assessment must not mutate the LTS");
 
-        // The read-only findings agree with the mutating analysis on every
+        // The read-only findings agree with the annotating analysis on every
         // risk dimension (only the annotated-transition lists differ, since
         // no potential reads are added).
-        let mut mutated = lts.clone();
-        let full = analysis.analyse(&mut mutated, &case_a_user());
+        let (full, _) = analysis.analyse(&lts, &index, &case_a_user());
         assert_eq!(assessed.len(), full.len());
         for (a, b) in assessed.findings().iter().zip(full.findings()) {
             assert_eq!(

@@ -6,14 +6,14 @@
 //! quasi-identifiers the adversary can see, the per-record value risk
 //! `risk(r, f) = frequency(f)/size(s)` is computed over the released data and
 //! the number of **violations** of the designer's value-risk policy is
-//! counted (Table I). Risk-transitions are added to the LTS from every state
-//! where the adversary has accessed `f_anon`, labelled with the violation
-//! count of the quasi-identifiers visible in that state (the dotted edges of
-//! Fig. 4).
+//! counted (Table I). A copy of the LTS gains a risk-transition from every
+//! state where the adversary has accessed `f_anon`, labelled with the
+//! violation count of the quasi-identifiers visible in that state (the
+//! dotted edges of Fig. 4); the input LTS is never changed.
 
 use privacy_access::{AccessPolicy, Permission};
 use privacy_anonymity::{value_risk, ValueRiskPolicy, ValueRiskReport};
-use privacy_lts::{ActionKind, Lts, RiskAnnotation, StateId, TransitionId, TransitionLabel};
+use privacy_lts::{ActionKind, Lts, LtsBuilder, RiskAnnotation, TransitionId, TransitionLabel};
 use privacy_model::{ActorId, Catalog, Dataset, FieldId, ModelError, RiskLevel};
 use std::fmt;
 
@@ -89,7 +89,7 @@ impl PseudonymReport {
         &self.findings
     }
 
-    /// The risk-transitions added to the LTS (the dotted edges of Fig. 4).
+    /// The risk-transitions the analysis added to its copy (the dotted edges of Fig. 4).
     pub fn risk_transitions(&self) -> &[TransitionId] {
         &self.risk_transitions
     }
@@ -157,14 +157,15 @@ impl<'a> PseudonymAnalysis<'a> {
         self
     }
 
-    /// Runs the analysis:
+    /// Runs the analysis and returns its report together with the annotated
+    /// LTS, a new value; `lts` is left as it is:
     ///
     /// * computes one [`PseudonymFinding`] per visible quasi-identifier
     ///   combination in `visible_sets` (the columns of Table I);
-    /// * adds a risk-transition to the LTS from every reachable state in
-    ///   which the adversary has accessed the pseudonymised target field but
-    ///   lacks read access to the original field, annotated with the
-    ///   violation count of the quasi-identifiers visible in that state.
+    /// * adds a risk-transition to the copy from every reachable state of
+    ///   `lts` in which the adversary has accessed the pseudonymised target
+    ///   field but lacks read access to the original field, annotated with
+    ///   the violation count of the quasi-identifiers visible in that state.
     ///
     /// # Errors
     ///
@@ -172,26 +173,27 @@ impl<'a> PseudonymAnalysis<'a> {
     /// (e.g. the target field missing from the release).
     pub fn analyse(
         &self,
-        lts: &mut Lts,
+        lts: &Lts,
         adversary: &ActorId,
         release: &Dataset,
         visible_sets: &[Vec<FieldId>],
-    ) -> Result<PseudonymReport, ModelError> {
+    ) -> Result<(PseudonymReport, Lts), ModelError> {
         let mut findings = Vec::new();
         for visible in visible_sets {
             let report = value_risk(release, visible, &self.value_policy)?;
             findings.push(PseudonymFinding { visible: visible.clone(), report });
         }
 
-        let risk_transitions = self.annotate_lts(lts, adversary, release)?;
+        let (risk_transitions, annotated) = self.annotate_lts(lts, adversary, release)?;
 
-        Ok(PseudonymReport {
+        let report = PseudonymReport {
             adversary: adversary.clone(),
             policy: self.value_policy.clone(),
             findings,
             risk_transitions,
             violation_threshold: self.violation_threshold,
-        })
+        };
+        Ok((report, annotated))
     }
 
     /// Like [`PseudonymAnalysis::analyse`] but fails when the violation
@@ -204,12 +206,12 @@ impl<'a> PseudonymAnalysis<'a> {
     /// exceeded, in addition to the errors of [`PseudonymAnalysis::analyse`].
     pub fn analyse_strict(
         &self,
-        lts: &mut Lts,
+        lts: &Lts,
         adversary: &ActorId,
         release: &Dataset,
         visible_sets: &[Vec<FieldId>],
-    ) -> Result<PseudonymReport, ModelError> {
-        let report = self.analyse(lts, adversary, release, visible_sets)?;
+    ) -> Result<(PseudonymReport, Lts), ModelError> {
+        let (report, annotated) = self.analyse(lts, adversary, release, visible_sets)?;
         if report.is_unacceptable() {
             return Err(ModelError::invalid(format!(
                 "pseudonymisation violates the value-risk policy for {:.0}% of records \
@@ -218,18 +220,18 @@ impl<'a> PseudonymAnalysis<'a> {
                 self.violation_threshold.unwrap_or(1.0) * 100.0
             )));
         }
-        Ok(report)
+        Ok((report, annotated))
     }
 
-    /// Adds the Fig. 4 risk-transitions for the adversary to the LTS and
-    /// returns their ids.
+    /// A copy of the LTS with the Fig. 4 risk-transitions for the adversary
+    /// added, and their ids.
     fn annotate_lts(
         &self,
-        lts: &mut Lts,
+        lts: &Lts,
         adversary: &ActorId,
         release: &Dataset,
-    ) -> Result<Vec<TransitionId>, ModelError> {
-        let space = lts.space().clone();
+    ) -> Result<(Vec<TransitionId>, Lts), ModelError> {
+        let space = lts.space();
         let target = self.value_policy.target().clone();
         let target_anon = target.anonymised();
 
@@ -245,7 +247,7 @@ impl<'a> PseudonymAnalysis<'a> {
                 && self.policy.can(adversary, Permission::Read, d.id(), &target)
         });
         if has_original_access {
-            return Ok(Vec::new());
+            return Ok((Vec::new(), lts.clone()));
         }
 
         // Candidate visible quasi-identifiers: release columns other than the
@@ -257,19 +259,20 @@ impl<'a> PseudonymAnalysis<'a> {
         // The at-risk states: every reachable state in which the adversary
         // has accessed the pseudonymised target. One reachability scan is
         // cheaper than building an index for this single query.
-        let at_risk: Vec<StateId> = lts
+        let at_risk: Vec<_> = lts
             .reachable()
             .into_iter()
-            .filter(|id| lts.state(*id).has(&space, adversary, &target_anon))
+            .filter(|id| lts.state(*id).has(space, adversary, &target_anon))
             .collect();
 
+        let mut annotated = LtsBuilder::from_lts(lts);
         for state_id in at_risk {
-            let state = lts.state(state_id).clone();
+            let state = lts.state(state_id);
             // The quasi-identifiers visible to the adversary in this state:
             // those whose pseudonymised counterpart it has accessed.
             let visible: Vec<FieldId> = qi_columns
                 .iter()
-                .filter(|qi| state.has(&space, adversary, &qi.anonymised()))
+                .filter(|qi| state.has(space, adversary, &qi.anonymised()))
                 .cloned()
                 .collect();
             let report = value_risk(release, &visible, &self.value_policy)?;
@@ -288,8 +291,7 @@ impl<'a> PseudonymAnalysis<'a> {
                 RiskLevel::Low
             };
 
-            let target_state = state.with_has(&space, adversary, &target);
-            let target_id = lts.intern(target_state);
+            let target_id = annotated.intern(state.with_has(space, adversary, &target));
             let label =
                 TransitionLabel::new(ActionKind::Read, adversary.clone(), [target.clone()], None)
                     .with_risk(
@@ -301,9 +303,9 @@ impl<'a> PseudonymAnalysis<'a> {
                     ),
                         ),
                     );
-            added.push(lts.add_risk_transition(state_id, target_id, label));
+            added.push(annotated.add_risk_transition(state_id, target_id, label));
         }
-        Ok(added)
+        Ok((added, annotated.build()))
     }
 }
 
@@ -311,7 +313,7 @@ impl<'a> PseudonymAnalysis<'a> {
 mod tests {
     use super::*;
     use privacy_access::{AccessControlList, Grant};
-    use privacy_lts::{Lts, PrivacyState, VarSpace};
+    use privacy_lts::{PrivacyState, VarSpace};
     use privacy_model::{Actor, DataField, DataSchema, DatastoreDecl, Record, Value};
 
     fn age() -> FieldId {
@@ -381,22 +383,22 @@ mod tests {
     fn researcher_lts(catalog: &Catalog) -> Lts {
         let space = VarSpace::from_catalog(catalog);
         let researcher = ActorId::new("Researcher");
-        let mut lts = Lts::new(space.clone());
-        let s0 = lts.initial();
+        let mut builder = LtsBuilder::new(space.clone());
+        let s0 = builder.initial();
         let s1_state = PrivacyState::absolute(&space).with_has(
             &space,
             &researcher,
             &FieldId::new("Weight_anon"),
         );
-        let s1 = lts.intern(s1_state.clone());
+        let s1 = builder.intern(s1_state.clone());
         let s2_state = s1_state.with_has(&space, &researcher, &FieldId::new("Height_anon"));
-        let s2 = lts.intern(s2_state.clone());
+        let s2 = builder.intern(s2_state.clone());
         let s3_state = s2_state.with_has(&space, &researcher, &FieldId::new("Age_anon"));
-        let s3 = lts.intern(s3_state);
+        let s3 = builder.intern(s3_state);
         for (from, to, field) in
             [(s0, s1, "Weight_anon"), (s1, s2, "Height_anon"), (s2, s3, "Age_anon")]
         {
-            lts.add_transition(
+            builder.add_transition(
                 from,
                 to,
                 TransitionLabel::new(
@@ -407,21 +409,21 @@ mod tests {
                 ),
             );
         }
-        lts
+        builder.build()
     }
 
     #[test]
     fn table_one_violation_series_is_0_2_4() {
         let (catalog, policy) = fixture();
-        let mut lts = researcher_lts(&catalog);
+        let lts = researcher_lts(&catalog);
         let analysis = PseudonymAnalysis::new(
             &catalog,
             &policy,
             ValueRiskPolicy::weight_within_5kg_at_90_percent(),
         );
-        let report = analysis
+        let (report, _) = analysis
             .analyse(
-                &mut lts,
+                &lts,
                 &ActorId::new("Researcher"),
                 &table1_release(),
                 &[vec![height()], vec![age()], vec![age(), height()]],
@@ -436,26 +438,26 @@ mod tests {
     #[test]
     fn risk_transitions_are_added_from_every_at_risk_state() {
         let (catalog, policy) = fixture();
-        let mut lts = researcher_lts(&catalog);
+        let lts = researcher_lts(&catalog);
         let before = lts.stats();
         let analysis = PseudonymAnalysis::new(
             &catalog,
             &policy,
             ValueRiskPolicy::weight_within_5kg_at_90_percent(),
         );
-        let report = analysis
-            .analyse(&mut lts, &ActorId::new("Researcher"), &table1_release(), &[])
-            .unwrap();
+        let (report, annotated) =
+            analysis.analyse(&lts, &ActorId::new("Researcher"), &table1_release(), &[]).unwrap();
         // Three states have Weight_anon accessed (s1, s2, s3); each receives
-        // a dotted risk transition.
+        // a dotted risk transition, in the copy only.
         assert_eq!(report.risk_transitions().len(), 3);
-        let after = lts.stats();
+        let after = annotated.stats();
         assert_eq!(after.risk_transitions, before.risk_transitions + 3);
+        assert_eq!(lts.stats(), before);
 
         // The annotation on the transition out of the fully-informed state
         // carries four violations and High risk.
         let last = *report.risk_transitions().last().unwrap();
-        let annotation = lts.transition(last).label().risk().unwrap();
+        let annotation = annotated.transition(last).label().risk().unwrap();
         assert!(annotation.note().contains("4 value-risk violations"));
         assert_eq!(annotation.risk_level(), RiskLevel::High);
         assert_eq!(annotation.score(), Some(1.0));
@@ -464,7 +466,7 @@ mod tests {
     #[test]
     fn adversary_with_access_to_the_original_field_is_not_analysed() {
         let (catalog, policy) = fixture();
-        let mut lts = researcher_lts(&catalog);
+        let lts = researcher_lts(&catalog);
         // The administrator can read the raw EHR (including Weight), so the
         // value-risk machinery does not apply to them.
         let analysis = PseudonymAnalysis::new(
@@ -472,16 +474,16 @@ mod tests {
             &policy,
             ValueRiskPolicy::weight_within_5kg_at_90_percent(),
         );
-        let report = analysis
-            .analyse(&mut lts, &ActorId::new("Administrator"), &table1_release(), &[])
-            .unwrap();
+        let (report, annotated) =
+            analysis.analyse(&lts, &ActorId::new("Administrator"), &table1_release(), &[]).unwrap();
         assert!(report.risk_transitions().is_empty());
+        assert_eq!(annotated, lts);
     }
 
     #[test]
     fn strict_analysis_rejects_unacceptable_pseudonymisation() {
         let (catalog, policy) = fixture();
-        let mut lts = researcher_lts(&catalog);
+        let lts = researcher_lts(&catalog);
         let analysis = PseudonymAnalysis::new(
             &catalog,
             &policy,
@@ -493,7 +495,7 @@ mod tests {
         // policy, which exceeds the 50 % threshold.
         let err = analysis
             .analyse_strict(
-                &mut lts,
+                &lts,
                 &ActorId::new("Researcher"),
                 &table1_release(),
                 &[vec![age(), height()]],
@@ -503,13 +505,8 @@ mod tests {
 
         // With only height visible there are no violations and the strict
         // analysis passes.
-        let report = analysis
-            .analyse_strict(
-                &mut lts,
-                &ActorId::new("Researcher"),
-                &table1_release(),
-                &[vec![height()]],
-            )
+        let (report, _) = analysis
+            .analyse_strict(&lts, &ActorId::new("Researcher"), &table1_release(), &[vec![height()]])
             .unwrap();
         assert!(!report.findings().is_empty());
     }
@@ -517,16 +514,16 @@ mod tests {
     #[test]
     fn report_display_mentions_violations_and_verdict() {
         let (catalog, policy) = fixture();
-        let mut lts = researcher_lts(&catalog);
+        let lts = researcher_lts(&catalog);
         let analysis = PseudonymAnalysis::new(
             &catalog,
             &policy,
             ValueRiskPolicy::weight_within_5kg_at_90_percent(),
         )
         .with_violation_threshold(0.5);
-        let report = analysis
+        let (report, _) = analysis
             .analyse(
-                &mut lts,
+                &lts,
                 &ActorId::new("Researcher"),
                 &table1_release(),
                 &[vec![], vec![age(), height()]],
@@ -546,16 +543,12 @@ mod tests {
     #[test]
     fn missing_target_column_is_an_error() {
         let (catalog, policy) = fixture();
-        let mut lts = researcher_lts(&catalog);
+        let lts = researcher_lts(&catalog);
         let bad_policy = ValueRiskPolicy::new("BloodPressure", 5.0, 0.9).unwrap();
         let analysis = PseudonymAnalysis::new(&catalog, &policy, bad_policy);
         // The release has no BloodPressure column.
-        let result = analysis.analyse(
-            &mut lts,
-            &ActorId::new("Researcher"),
-            &table1_release(),
-            &[vec![age()]],
-        );
+        let result =
+            analysis.analyse(&lts, &ActorId::new("Researcher"), &table1_release(), &[vec![age()]]);
         assert!(matches!(result, Err(ModelError::Unknown { .. })));
     }
 }

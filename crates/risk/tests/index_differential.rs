@@ -4,11 +4,12 @@
 //!
 //! The indexed strategy must agree with the scan strategy on everything:
 //! identical reports (findings, violation sets, risk levels, exposed-state
-//! counts, annotated-transition lists) *and* — for the mutating entry
+//! counts, annotated-transition lists) *and* — for the annotating entry
 //! points — identical annotated LTSs, including the ids and labels of the
-//! potential-read risk transitions both paths add.
+//! potential-read risk transitions both paths add, while the input LTS
+//! stays as it was.
 
-use privacy_lts::{generate_lts, GeneratorConfig};
+use privacy_lts::{generate_lts, GeneratorConfig, LtsIndex};
 use privacy_model::{FieldId, ServiceId, UserProfile};
 use privacy_risk::{DisclosureAnalysis, DisclosureReport};
 use privacy_synth::{random_model, random_profiles, ModelGeneratorConfig, ProfileGeneratorConfig};
@@ -52,26 +53,22 @@ proptest! {
         let lts =
             generate_lts(&catalog, &system, &policy, &config).expect("generation in bounds");
 
+        let index = LtsIndex::build(&lts);
         let analysis = DisclosureAnalysis::new(&catalog, &policy);
         for user in population(&catalog, profile_seed, 3) {
-            // Mutating strategies: reports and annotated LTSs must match.
-            let mut indexed_lts = lts.clone();
-            let mut scan_lts = lts.clone();
-            let indexed = analysis.analyse(&mut indexed_lts, &user);
-            let scanned = analysis.analyse_scan(&mut scan_lts, &user);
+            // Annotating strategies: reports and annotated LTSs must match.
+            let (indexed, indexed_lts) = analysis.analyse(&lts, &index, &user);
+            let (scanned, scan_lts) = analysis.analyse_scan(&lts, &user);
             prop_assert_eq!(&indexed, &scanned);
             prop_assert_eq!(&indexed_lts, &scan_lts);
 
-            // Read-only strategies agree with each other and never mutate.
-            let index = privacy_lts::LtsIndex::build(&lts);
-            let probe_lts = lts.clone();
+            // Read-only strategies agree with each other.
             let assessed = analysis.assess(&index, &user);
-            let assessed_scan = analysis.assess_scan(&probe_lts, &user);
+            let assessed_scan = analysis.assess_scan(&lts, &user);
             prop_assert_eq!(&assessed, &assessed_scan);
-            prop_assert_eq!(&probe_lts, &lts);
 
-            // The read-only view agrees with the mutating analysis on every
-            // risk dimension.
+            // The read-only view agrees with the annotating analysis on
+            // every risk dimension.
             prop_assert_eq!(assessed.len(), indexed.len());
             for (a, b) in assessed.findings().iter().zip(indexed.findings()) {
                 prop_assert_eq!(a.actor(), b.actor());
@@ -83,6 +80,9 @@ proptest! {
                 prop_assert_eq!(a.exposed_states(), b.exposed_states());
             }
         }
+        // No analysis changed its input, and the index still describes it.
+        prop_assert_eq!(&lts, &generate_lts(&catalog, &system, &policy, &config).unwrap());
+        prop_assert_eq!(index.transition_count(), lts.transition_count());
     }
 
     /// The batch API over one shared index equals the per-user scan path,
@@ -103,7 +103,7 @@ proptest! {
         config.explore_potential_reads = potential_reads;
         let lts =
             generate_lts(&catalog, &system, &policy, &config).expect("generation in bounds");
-        let index = privacy_lts::LtsIndex::build(&lts);
+        let index = LtsIndex::build(&lts);
         let analysis = DisclosureAnalysis::new(&catalog, &policy);
 
         let users = population(&catalog, profile_seed, 6);
