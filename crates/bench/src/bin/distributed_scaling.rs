@@ -43,7 +43,9 @@
 //! `weight<W>/<duty>/w<N>`. See `docs/PERFORMANCE.md` for the recorded
 //! baseline.
 
-use privacy_bench::{bench_main, event_stream, population, BenchArgs, Object, Report};
+use privacy_bench::{
+    bench_main, event_stream, population, threads_available, BenchArgs, Object, Report,
+};
 use privacy_core::{casestudy, PrivacySystem};
 use privacy_distrib::{
     CheckpointStore, DistribStats, DistributedMonitor, FaultPlan, SupervisorConfig,
@@ -195,9 +197,11 @@ fn run_fleet(
 /// The in-process comparator under a duty cycle: one [`IndexedMonitor`],
 /// every batch, and — when `checkpoint_every > 0` — a full snapshot encode
 /// plus fsynced [`CheckpointStore`] write every `checkpoint_every` batches,
-/// exactly the durability the fleet's workers provide. Being
-/// single-threaded it has nowhere to hide the fsync: the stall lands
-/// inline, which is the honest baseline the crossover is measured against.
+/// exactly the durability the fleet's workers provide. Ingestion fans each
+/// batch out over every available core, but the checkpoint runs on the
+/// calling thread between batches: the in-process monitor has nowhere to
+/// hide the fsync, so the stall lands inline, which is the honest baseline
+/// the crossover is measured against.
 fn run_inproc(
     scenario: &Scenario,
     dir_tag: &str,
@@ -207,7 +211,8 @@ fn run_inproc(
         scenario.system.catalog().clone(),
         scenario.system.policy().clone(),
         scenario.index.clone(),
-    );
+    )
+    .with_threads(Some(threads_available()));
     for user in &scenario.users {
         monitor.register_user(user);
     }

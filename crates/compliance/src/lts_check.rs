@@ -69,7 +69,7 @@ pub fn check_lts_indexed(lts: &Lts, index: &LtsIndex, policy: &PrivacyPolicy) ->
 
 /// Checks many policies over **one** prebuilt index (built from `lts`, as
 /// for [`check_lts_indexed`]), evaluating policies in parallel over
-/// `threads` crossbeam scoped threads (`None` = one per CPU).
+/// `threads` crossbeam scoped threads (`None` runs on the calling thread).
 ///
 /// Reports come back in policy order and are identical to running
 /// [`check_lts`] per policy (and therefore to [`check_lts_scan`]) — the

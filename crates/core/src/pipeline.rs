@@ -163,11 +163,12 @@ impl<'a> Pipeline<'a> {
 
     /// Assesses a whole user population over one generated LTS and one
     /// shared analysis index, fanning the users out over `threads` worker
-    /// threads (`None` = one per CPU). Reports are read-only (no risk
-    /// transitions are added) and identical — per user, in order — to the
-    /// findings of [`Pipeline::analyse_user`] minus the annotations; the
-    /// returned [`PopulationOutcome`] keeps the LTS and index together so
-    /// downstream checks reuse the same snapshot instead of rebuilding it.
+    /// threads (`None` runs on the calling thread). Reports are read-only
+    /// (no risk transitions are added) and identical — per user, in order —
+    /// to the findings of [`Pipeline::analyse_user`] minus the annotations;
+    /// the returned [`PopulationOutcome`] keeps the LTS and index together
+    /// so downstream checks reuse the same snapshot instead of rebuilding
+    /// it.
     ///
     /// Unless the generator configuration already restricts the services,
     /// the LTS covers every modelled service: a population-wide model must

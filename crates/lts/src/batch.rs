@@ -7,13 +7,15 @@
 //! thread, and the per-chunk results are concatenated in spawn order — so
 //! the output is exactly `items.iter().map(f).collect()` regardless of
 //! thread count or scheduling.
-
-use std::sync::OnceLock;
+//!
+//! Every fan-out in the workspace sizes itself by [`fan_out`]: `None` runs
+//! on the calling thread, and `Some(n)` is the only way to ask for more.
 
 /// Maps `f` over `items`, fanned out over `threads` crossbeam scoped
-/// threads (`None` = one per CPU). Results come back in item order and are
-/// identical to a sequential map — the parallelism only partitions the item
-/// list, never the evaluation of a single item.
+/// threads ([`fan_out`]: `None` runs inline on the calling thread). Results
+/// come back in item order and are identical to a sequential map — the
+/// parallelism only partitions the item list, never the evaluation of a
+/// single item.
 ///
 /// # Panics
 ///
@@ -30,9 +32,8 @@ where
     T: Sync,
     R: Send,
 {
-    // One item or none runs inline, without asking for the core count.
-    let threads = if items.len() <= 1 { 1 } else { resolve_threads(threads) };
-    if threads == 1 {
+    let threads = fan_out(threads).min(items.len());
+    if threads <= 1 {
         return items.iter().map(&f).collect();
     }
     let chunk_size = items.len().div_ceil(threads);
@@ -52,18 +53,13 @@ where
     .expect("parallel_map scope panicked")
 }
 
-/// Resolves an optional worker-thread count to a concrete one: `None` means
-/// one per CPU, and the result is always at least 1. The single place the
-/// `available_parallelism` default lives — the batch APIs, the runtime
-/// monitor and the pipeline all resolve through it. The core count is asked
-/// for once per process (≈0.13 ms on a 2-vCPU Linux host) and cached.
-pub fn resolve_threads(threads: Option<usize>) -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    threads
-        .unwrap_or_else(|| {
-            *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-        })
-        .max(1)
+/// The threads a fan-out runs on: `Some(n)` is `n` (at least one), and
+/// `None` is one, the calling thread. Fanning out is opt-in because on the
+/// hosts measured so far it costs more than it saves (`docs/PERFORMANCE.md`,
+/// "Fan out only when asked").
+#[must_use]
+pub fn fan_out(threads: Option<usize>) -> usize {
+    threads.map_or(1, |n| n.max(1))
 }
 
 #[cfg(test)]
@@ -80,12 +76,15 @@ mod tests {
     }
 
     #[test]
-    fn the_core_count_resolves_once_and_explicit_counts_keep_their_meaning() {
-        let cores = resolve_threads(None);
-        assert!(cores >= 1);
-        assert_eq!(resolve_threads(None), cores);
-        assert_eq!(resolve_threads(Some(3)), 3);
-        assert_eq!(resolve_threads(Some(0)), 1);
+    fn fan_out_by_default_runs_every_item_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let items: Vec<usize> = (0..64).collect();
+        let ran_on = parallel_map(&items, None, |_| std::thread::current().id());
+        assert_eq!(ran_on.len(), items.len());
+        assert!(ran_on.iter().all(|&id| id == caller), "None must not fan out");
+        assert_eq!(fan_out(None), 1);
+        assert_eq!(fan_out(Some(3)), 3);
+        assert_eq!(fan_out(Some(0)), 1);
     }
 
     #[test]

@@ -474,10 +474,10 @@ impl<'a> DisclosureAnalysis<'a> {
     }
 
     /// Assesses many user profiles over **one** LTS + index, fanning the
-    /// population out over `threads` crossbeam scoped threads (`None` = one
-    /// per CPU). Reports come back in user order and are identical to
-    /// calling [`DisclosureAnalysis::assess`] per user — the parallelism
-    /// only partitions the user list.
+    /// population out over `threads` crossbeam scoped threads (`None` runs
+    /// on the calling thread). Reports come back in user order and are
+    /// identical to calling [`DisclosureAnalysis::assess`] per user — the
+    /// parallelism only partitions the user list.
     pub fn analyse_users_batch(
         &self,
         index: &LtsIndex,

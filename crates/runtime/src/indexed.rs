@@ -14,8 +14,10 @@
 //!   `delete` rules ask of the access policy is resolved **once per model**
 //!   into a dense table instead of once per event;
 //! * per-user state is **sharded by `UserId` hash** over a fixed shard
-//!   table, so [`IndexedMonitor::ingest_batch`] fans a batch out over
-//!   `crossbeam` scoped worker threads — every user's events stay on one
+//!   table, so [`IndexedMonitor::ingest_batch`] can fan a batch out over
+//!   `crossbeam` scoped worker threads (only when
+//!   [`IndexedMonitor::with_threads`] asks for them; by default it ingests
+//!   on the calling thread) — every user's events stay on one
 //!   shard in stream order, and alerts are re-merged by batch position, so
 //!   the alert stream is identical for every thread count (and to the scan
 //!   monitor; both equalities are pinned by differential property tests);
@@ -727,11 +729,8 @@ pub struct IndexedMonitor {
     matrix: RiskMatrix,
     likelihood: LikelihoodModel,
     alert_threshold: RiskLevel,
-    /// The per-batch fan-out; `None` is one per CPU.
+    /// The per-batch fan-out; `None` ingests on the calling thread.
     threads: Option<usize>,
-    /// Whether `threads` was set by [`IndexedMonitor::with_threads`], which
-    /// a thread budget does not override.
-    fixed_threads: bool,
     /// Interned datastore ids of the catalog's stores.
     stores: Interner<DatastoreId>,
     /// `(store_idx * field_count + field_idx) → space actor indices` with
@@ -776,7 +775,6 @@ impl IndexedMonitor {
             likelihood: LikelihoodModel::standard(),
             alert_threshold: RiskLevel::Medium,
             threads: None,
-            fixed_threads: false,
             stores,
             readers,
             layout,
@@ -807,23 +805,12 @@ impl IndexedMonitor {
     }
 
     /// Builder-style: worker threads per [`IndexedMonitor::ingest_batch`]
-    /// call (`None` = the thread budget, see
-    /// [`IndexedMonitor::set_thread_budget`]). The alert stream is identical
-    /// for every count.
+    /// call (`None`, the default, ingests on the calling thread; see
+    /// [`privacy_lts::batch::fan_out`]). The alert stream is identical for
+    /// every count.
     pub fn with_threads(mut self, threads: Option<usize>) -> Self {
         self.threads = threads;
-        self.fixed_threads = threads.is_some();
         self
-    }
-
-    /// Sets the fan-out a monitor built without an explicit
-    /// [`IndexedMonitor::with_threads`] count uses: the cores its host
-    /// leaves it (by default, one per CPU). An explicit count overrides
-    /// it. The alert stream is identical either way.
-    pub fn set_thread_budget(&mut self, threads: usize) {
-        if !self.fixed_threads {
-            self.threads = Some(threads);
-        }
     }
 
     /// The shared analysis index the monitor probes.
@@ -1095,7 +1082,8 @@ impl IndexedMonitor {
     /// Consumes a batch of events, updating the affected users' privacy
     /// states, and returns the alerts the batch raised, in event order
     /// (mirroring `analyse_users_batch`'s shape: one immutable index, a
-    /// deterministic parallel fan-out).
+    /// deterministic fan-out that runs inline unless
+    /// [`IndexedMonitor::with_threads`] asked for more threads).
     ///
     /// The raised alerts are the newest entries of the pending list
     /// ([`IndexedMonitor::alerts`]), lent rather than copied: a caller that
@@ -1108,7 +1096,7 @@ impl IndexedMonitor {
     /// re-merged by batch position. Events for unregistered users and denied
     /// events are ignored (denied events never changed any data exposure).
     pub fn ingest_batch(&mut self, events: &[Event]) -> &[Alert] {
-        let threads = privacy_lts::batch::resolve_threads(self.threads).min(SHARDS);
+        let threads = privacy_lts::batch::fan_out(self.threads).min(SHARDS);
         let raised_from = self.alerts.len();
         let (ctx, shards, scratch) = self.split_context();
         let IngestScratch { buckets, replay } = scratch;

@@ -36,10 +36,9 @@
 //! refused too; a tail counts its offset across rotations, so it takes a
 //! shorter file as truncated and reads it from the start.
 //!
-//! `--threads` sets the monitor's fan-out per batch. Without it the run
-//! sizes the fan-out from the cores the parser thread and, with
-//! `--checkpoint`, the checkpoint writer leave — at least one, so on two
-//! cores the monitor ingests on its own thread.
+//! `--threads N` fans each batch out over `N` monitor threads. Without it
+//! the monitor ingests on its own thread, next to the parser thread and,
+//! with `--checkpoint`, the checkpoint writer.
 //!
 //! Unknown users are registered on first sight — consenting to every
 //! catalog service by default (so alerts reflect risky *actions*, not a
@@ -102,9 +101,8 @@ Input:
 
 Monitoring:
   --batch N           events per monitor batch (default 1024)
-  --threads N         monitor threads per batch; by default the cores left
-                      after the parser thread and, with --checkpoint, the
-                      checkpoint writer (at least 1, so 1 on two cores)
+  --threads N         monitor threads per batch (default 1: the monitor
+                      ingests on its own thread)
 
 Checkpointing:
   --checkpoint PATH   every 1024 resolved events and once at drain,
@@ -201,8 +199,12 @@ fn parse_options() -> Result<Options, String> {
             }
             "--threads" => {
                 let value = args.next().ok_or("--threads needs a value")?;
-                options.threads =
-                    Some(value.parse().map_err(|_| format!("bad --threads value `{value}`"))?);
+                let threads: usize =
+                    value.parse().map_err(|_| format!("bad --threads value `{value}`"))?;
+                if threads == 0 {
+                    return Err("--threads must be at least 1".to_owned());
+                }
+                options.threads = Some(threads);
             }
             "--checkpoint" => {
                 options.checkpoint = Some(args.next().ok_or("--checkpoint needs a path")?);

@@ -262,14 +262,6 @@ pub trait MonitorSink {
     fn capture(&mut self) -> Result<SinkCapture, PipelineError> {
         self.snapshot().map(SinkCapture::Encoded)
     }
-
-    /// Offers the sink `threads` threads for its own fan-out: the cores
-    /// [`PipelineRunner::run`] leaves after the threads it starts itself.
-    /// A sink configured with an explicit count keeps it; the default
-    /// ignores the offer.
-    fn set_thread_budget(&mut self, threads: usize) {
-        let _ = threads;
-    }
 }
 
 /// A sink's state at a checkpoint, as [`MonitorSink::capture`] returns it.
@@ -354,10 +346,6 @@ impl MonitorSink for IndexedSink {
 
     fn capture(&mut self) -> Result<SinkCapture, PipelineError> {
         Ok(SinkCapture::Snapshot(self.monitor.snapshot()))
-    }
-
-    fn set_thread_budget(&mut self, threads: usize) {
-        self.monitor.set_thread_budget(threads);
     }
 }
 
@@ -593,14 +581,6 @@ fn recycle(spent: &Receiver<Vec<Event>>) -> Vec<Event> {
     next
 }
 
-/// The monitor's share of a host with `cores` cores: what is left after
-/// the threads [`PipelineRunner::run`] starts itself — the parser, plus the
-/// checkpoint writer when `checkpointing` — and at least one, the monitor
-/// loop's own.
-fn monitor_threads(cores: usize, checkpointing: bool) -> usize {
-    cores.saturating_sub(1 + usize::from(checkpointing)).max(1)
-}
-
 /// The supervised live pipeline. See the module docs.
 pub struct PipelineRunner {
     config: PipelineConfig,
@@ -638,11 +618,9 @@ impl PipelineRunner {
     /// Every checkpoint submitted during the run, the final one included,
     /// is durable (or has failed) when `run` returns.
     ///
-    /// The run owns one thread budget: the host's cores, less the parser
-    /// thread and (when checkpointing) the checkpoint writer, go to the
-    /// sink's fan-out ([`MonitorSink::set_thread_budget`]), at least one. On
-    /// two cores the indexed monitor thus ingests on the monitor loop's own
-    /// thread. A monitor built with an explicit thread count keeps it.
+    /// The run starts the parser thread and, when checkpointing, the
+    /// checkpoint writer; the sink ingests on the monitor loop's own thread
+    /// unless it was built to fan out (`IndexedMonitor::with_threads`).
     ///
     /// # Errors
     ///
@@ -659,10 +637,6 @@ impl PipelineRunner {
         let (spent_sender, spent) = sync_channel::<Vec<Event>>(RETURNED_BATCHES);
         let mut report = PipelineReport::default();
         let durable = AtomicU64::new(0);
-        sink.set_thread_budget(monitor_threads(
-            privacy_lts::batch::resolve_threads(None),
-            self.config.checkpoint.is_some(),
-        ));
 
         let outcome = std::thread::scope(|scope| {
             let (progress, durable) = (&self.progress, &durable);
@@ -1191,36 +1165,15 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
-    /// The monitor gets the cores the parser and, when checkpointing, the
-    /// checkpoint writer leave, and always at least one.
+    /// The monitor's fan-out is a pure scheduling choice: a run with
+    /// periodic checkpoints raises the same alerts, in the same order, and
+    /// writes a byte-identical final checkpoint whether the monitor fans
+    /// out over one thread, four, or the default (the calling thread). Half
+    /// the log's users are registered ahead of the run without consent
+    /// (held encoded until their first event, and alerted on), the rest on
+    /// first sight.
     #[test]
-    fn thread_budget_leaves_the_parser_and_writer_their_cores() {
-        for (cores, checkpointing, monitor) in [
-            (1, false, 1),
-            (1, true, 1),
-            (2, false, 1),
-            (2, true, 1),
-            (3, false, 2),
-            (3, true, 1),
-            (8, false, 7),
-            (8, true, 6),
-        ] {
-            assert_eq!(
-                monitor_threads(cores, checkpointing),
-                monitor,
-                "{cores} cores, checkpointing {checkpointing}"
-            );
-        }
-    }
-
-    /// The thread budget is a pure scheduling choice: a run with periodic
-    /// checkpoints raises the same alerts, in the same order, and writes a
-    /// byte-identical final checkpoint whether the monitor fans out over
-    /// one thread, four, or the budget `run` sizes. Half the log's users
-    /// are registered ahead of the run without consent (held encoded until
-    /// their first event, and alerted on), the rest on first sight.
-    #[test]
-    fn thread_budget_runs_equal_explicit_thread_counts() {
+    fn monitor_fan_out_leaves_alerts_and_checkpoint_bytes_unchanged() {
         let dir = std::env::temp_dir().join(format!("pipeline-threads-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("temp dir");

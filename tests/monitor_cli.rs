@@ -60,11 +60,29 @@ fn healthcare_log() -> &'static Vec<String> {
     })
 }
 
-fn tempdir(tag: &str) -> PathBuf {
+/// A test's scratch directory, emptied before use and removed when the
+/// test ends, whether it passed or not.
+struct TempDir(PathBuf);
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn tempdir(tag: &str) -> TempDir {
     let dir = std::env::temp_dir().join(format!("monitor-cli-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create tempdir");
-    dir
+    TempDir(dir)
 }
 
 fn write(path: &Path, lines: &[String]) {
@@ -187,6 +205,14 @@ fn failures_map_to_typed_exit_codes() {
     let (log_arg, checkpoint) = (str_of(&log), dir.join("state.ckpt"));
     let checkpoint_arg = str_of(&checkpoint);
     let state_fatal = Some(exit::SNAPSHOT_FATAL);
+
+    // A zero thread count, batch size or poll interval is a usage error.
+    for flag in ["--threads", "--batch", "--poll-ms"] {
+        let output = monitor(&[log_arg, flag, "0"], b"");
+        assert_eq!(output.status.code(), Some(exit::USAGE), "{flag} 0: {}", stderr(&output));
+        assert!(stderr(&output).contains(flag), "{flag} 0: {}", stderr(&output));
+        assert!(output.stdout.is_empty(), "{flag} 0 printed alerts");
+    }
 
     // A bare monitor snapshot (`PMSN`) is not a pipeline checkpoint.
     let bare = dir.join("bare.snapshot");
