@@ -5,8 +5,8 @@
 //! deliverable — risk identification and policy compliance over the
 //! generated model. Per scenario it generates the LTS once, then measures:
 //!
-//! * **Index build cost** — one [`LtsIndex::build`] pass (columns, posting
-//!   lists, CSR adjacency, reachability bit postings).
+//! * **Index build cost** — one [`LtsIndex::build`] pass (the
+//!   transitions-by-label CSR and the reachability bit counts).
 //! * **Compliance** — a realistic multi-statement policy checked via the
 //!   scan path (`check_lts_scan`: every statement re-walks the transition
 //!   relation) against the indexed path (`check_lts_indexed` probes over a

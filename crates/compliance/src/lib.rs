@@ -16,7 +16,7 @@
 //!   [`baseline_policy`] which derives GDPR-style hygiene obligations from a
 //!   catalog;
 //! * [`lts_check`] — design-time checking of a policy against the generated
-//!   LTS privacy model: [`check_lts`] probes a columnar
+//!   LTS privacy model: [`check_lts`] probes an
 //!   [`privacy_lts::LtsIndex`] built once per call (or reused across calls
 //!   via [`check_lts_indexed`] and the parallel [`check_lts_batch_indexed`]), while
 //!   [`check_lts_scan`] retains the original full-scan semantics for

@@ -5,15 +5,16 @@
 //! rules out. Two interchangeable strategies exist:
 //!
 //! * **Index probes** ([`check_lts`], [`check_lts_indexed`],
-//!   [`check_lts_batch_indexed`]) — the fast path. A columnar
-//!   [`LtsIndex`] is built (or reused) and every statement resolves through
-//!   posting lists, packed bitsets and interned indices: `O(statements ×
-//!   transitions)` label scans become per-statement probes, and one index
-//!   build is amortised over all statements of a policy (or, with the batch
-//!   API, over many policies). A check allocates per report, not per
+//!   [`check_lts_batch_indexed`]) — the fast path. An [`LtsIndex`] is built
+//!   (or reused) and every statement is decided once per label rather than
+//!   once per transition: a prohibition or purpose limit selects the labels
+//!   it flags and visits their transitions, merged in ascending id order;
+//!   erasure is an OR over the labels, exposure a per-variable count. One
+//!   index build is amortised over all statements of a policy (or, with the
+//!   batch API, over many policies). A check allocates per report, not per
 //!   statement: the report shares the policy's statements, violations keep
-//!   structured facts and render on read, and the probes reuse a few scratch
-//!   buffers across the policy's statements.
+//!   structured facts and render on read, and the probes reuse one merge
+//!   heap and the erasure list across the policy's statements.
 //! * **Label scans** ([`check_lts_scan`]) — the differential oracle: for
 //!   every statement it walks the full transition relation (and, for
 //!   exposure bounds, the reachable states) comparing labels. Both
@@ -23,14 +24,14 @@
 
 use crate::policy::PrivacyPolicy;
 use crate::report::{check_each, ComplianceReport, Skip, Target, Violation};
-use crate::statement::{FieldMatcher, Statement, StatementKind};
-use privacy_lts::{ActionKind, Lts, LtsIndex, TransitionId};
-use privacy_model::FieldId;
+use crate::statement::{ActorMatcher, FieldMatcher, Statement, StatementKind};
+use privacy_lts::index::LabelMerge;
+use privacy_lts::{ActionKind, Lts, LtsIndex, TransitionLabel};
+use privacy_model::{FieldId, Purpose};
 use std::collections::BTreeSet;
 
 /// Checks every statement of `policy` against the transitions and states of
-/// `lts`, building a columnar analysis index once and probing it per
-/// statement.
+/// `lts`, building an analysis index once and probing it per statement.
 ///
 /// [`StatementKind::ServiceLimit`] statements are reported as *skipped*: LTS
 /// transitions carry an action, actor, field set and purpose, but not the
@@ -99,107 +100,45 @@ fn target(lts: &Lts) -> Target {
     Target::Lts { states: lts.state_count(), transitions: lts.transition_count() }
 }
 
-/// One check's index probes. The scratch buffers are reused across the
+/// One check's index probes. The scratch storage is reused across the
 /// policy's statements, so a statement that holds allocates nothing.
 struct Probes<'a> {
     lts: &'a Lts,
     index: &'a LtsIndex,
-    /// Per interned actor: whether the current prohibition selects it.
-    actor_accept: Vec<bool>,
-    /// The current statement's field bitset, as [`LtsIndex::involves_any`]
-    /// reads it.
-    field_mask: Vec<u64>,
-    /// The current statement's candidate transitions.
-    candidates: Vec<u32>,
-    /// The current purpose limit's allowed purposes, interned.
-    purposes: Vec<u32>,
-    /// The interned fields some transition processes and no delete covers,
-    /// in `FieldId` order (the scan path's `BTreeSet` order); filled by the
+    /// The merge of the current statement's flagged label groups.
+    merge: LabelMerge<'a>,
+    /// The fields some transition processes and no delete covers, in
+    /// `FieldId` order (the scan path's `BTreeSet` order); filled by the
     /// first erasure statement.
-    unerasable: Option<Vec<u32>>,
+    unerasable: Option<Vec<&'a FieldId>>,
 }
 
 impl<'a> Probes<'a> {
     fn new(lts: &'a Lts, index: &'a LtsIndex) -> Self {
-        Probes {
-            lts,
-            index,
-            actor_accept: Vec::new(),
-            field_mask: Vec::new(),
-            candidates: Vec::new(),
-            purposes: Vec::new(),
-            unerasable: None,
-        }
+        Probes { lts, index, merge: LabelMerge::default(), unerasable: None }
     }
 
-    /// Checks one statement. Candidate transitions are always visited in
-    /// ascending id order — the order the scan path reports violations in —
-    /// so the two strategies build equal reports.
+    /// Checks one statement. A prohibition or purpose limit flags labels,
+    /// with the predicate the scan path applies per transition, and visits
+    /// the flagged transitions in ascending id order — the order the scan
+    /// path reports violations in — so the two strategies build equal
+    /// reports.
     fn check(&mut self, statement: &Statement, out: &mut Vec<Violation>) -> Result<(), Skip> {
-        let Probes { lts, index, actor_accept, field_mask, candidates, purposes, unerasable } =
-            self;
+        let Probes { lts, index, merge, unerasable } = self;
         match statement.kind() {
             StatementKind::Forbid { actors, action, fields } => {
-                if action.is_some_and(|action| index.transitions_of_kind(action).is_empty()) {
-                    return Ok(());
-                }
-                actor_accept.clear();
-                actor_accept.extend(index.actors().iter().map(|actor| actors.matches(actor)));
-                // Every transition's actor is interned, so a matcher accepting
-                // no interned actor can never fire: skip the candidate walk.
-                if !actor_accept.contains(&true) {
-                    return Ok(());
-                }
-                let mask = fill_mask(index, fields, field_mask);
-                let mut visit = |tx: u32| {
-                    if actor_accept[index.actor_index_of(tx) as usize]
-                        && matches_fields(index, tx, mask)
-                    {
-                        let id = TransitionId(tx as usize);
-                        out.push(Violation::forbidden_transition(id, lts.transition(id)));
-                    }
-                };
-                match action {
-                    Some(action) => {
-                        index.transitions_of_kind(*action).iter().for_each(|&tx| visit(tx))
-                    }
-                    None => (0..index.transition_count() as u32).for_each(visit),
-                }
+                let flagged = merge.select(index, |label| forbids(actors, *action, fields, label));
+                out.extend(
+                    flagged.map(|id| Violation::forbidden_transition(id, lts.transition(id))),
+                );
             }
             StatementKind::PurposeLimit { fields, allowed } => {
-                purposes.clear();
-                purposes.extend(allowed.iter().filter_map(|purpose| index.purpose_index(purpose)));
-                let mut visit = |tx: u32| {
-                    if !index
-                        .purpose_index_of(tx)
-                        .is_some_and(|purpose| purposes.contains(&purpose))
-                    {
-                        let id = TransitionId(tx as usize);
-                        out.push(Violation::undeclared_purpose(id, lts.transition(id)));
-                    }
-                };
-                match fields {
-                    // An empty field set never matches a matcher.
-                    FieldMatcher::Any => (0..index.transition_count() as u32)
-                        .filter(|&tx| index.has_fields(tx))
-                        .for_each(visit),
-                    FieldMatcher::Only(set) => {
-                        // The deduplicated union of the fields' posting lists.
-                        candidates.clear();
-                        for field in set {
-                            candidates.extend_from_slice(index.transitions_involving_field(field));
-                        }
-                        candidates.sort_unstable();
-                        candidates.dedup();
-                        candidates.iter().for_each(|&tx| visit(tx));
-                    }
-                }
+                let flagged = merge.select(index, |label| undeclared(fields, allowed, label));
+                out.extend(flagged.map(|id| Violation::undeclared_purpose(id, lts.transition(id))));
             }
             StatementKind::ServiceLimit { .. } => return Err(Skip::NoServiceInLts),
             StatementKind::RequireErasure { fields } => {
-                let fields_of = index.fields();
                 for &field in unerasable.get_or_insert_with(|| unerasable_fields(index)).iter() {
-                    let field = &fields_of[field as usize];
                     if fields.matches(field) {
                         out.push(Violation::unerasable_field(field));
                     }
@@ -230,50 +169,36 @@ impl<'a> Probes<'a> {
     }
 }
 
-/// The interned fields some transition processes and no delete action
-/// covers, in `FieldId` order.
-fn unerasable_fields(index: &LtsIndex) -> Vec<u32> {
-    let fields = index.fields();
-    let mut unerasable: Vec<u32> = (0..fields.len() as u32)
-        .filter(|&field| {
-            let name = &fields[field as usize];
-            !index.transitions_involving_field(name).is_empty()
-                && !index.kind_covers_field(ActionKind::Delete, name)
-        })
+/// The fields some transition processes and no delete action covers, in
+/// `FieldId` order.
+fn unerasable_fields(index: &LtsIndex) -> Vec<&FieldId> {
+    let processed = index.fields_where(|_| true);
+    let erased = index.fields_where(|label| label.action() == ActionKind::Delete);
+    let mut unerasable: Vec<&FieldId> = (index.fields().iter().enumerate())
+        .filter(|&(f, _)| (processed[f / 64] & !erased[f / 64]) >> (f % 64) & 1 == 1)
+        .map(|(_, field)| field)
         .collect();
-    unerasable.sort_unstable_by(|&a, &b| fields[a as usize].cmp(&fields[b as usize]));
+    unerasable.sort_unstable();
     unerasable
 }
 
-/// Fills `mask` with the matcher's interned field bits; `None` means the
-/// matcher is [`FieldMatcher::Any`]. The mask stops at the highest matched
-/// field's word, which [`LtsIndex::involves_any`] reads as zeros beyond.
-fn fill_mask<'m>(
-    index: &LtsIndex,
+/// Whether a prohibition forbids a transition with this label.
+fn forbids(
+    actors: &ActorMatcher,
+    action: Option<ActionKind>,
     fields: &FieldMatcher,
-    mask: &'m mut Vec<u64>,
-) -> Option<&'m [u64]> {
-    let FieldMatcher::Only(set) = fields else {
-        return None;
-    };
-    mask.clear();
-    for field in set.iter().filter_map(|field| index.field_index(field)) {
-        let word = field as usize / 64;
-        if mask.len() <= word {
-            mask.resize(word + 1, 0);
-        }
-        mask[word] |= 1u64 << (field % 64);
-    }
-    Some(mask)
+    label: &TransitionLabel,
+) -> bool {
+    action.is_none_or(|action| action == label.action())
+        && actors.matches(label.actor())
+        && fields.matches_any(label.fields())
 }
 
-fn matches_fields(index: &LtsIndex, tx: u32, mask: Option<&[u64]>) -> bool {
-    match mask {
-        // `FieldMatcher::Any.matches_any` over an empty label field set is
-        // false, so Any still requires at least one field.
-        None => index.has_fields(tx),
-        Some(mask) => index.involves_any(tx, mask),
-    }
+/// Whether a purpose limit flags a transition with this label: it touches a
+/// limited field without declaring an allowed purpose.
+fn undeclared(fields: &FieldMatcher, allowed: &BTreeSet<Purpose>, label: &TransitionLabel) -> bool {
+    fields.matches_any(label.fields())
+        && !label.purpose().is_some_and(|purpose| allowed.contains(purpose))
 }
 
 /// Checks one statement by scanning the transition relation (the retained
@@ -286,22 +211,14 @@ fn check_statement_scan(
     match statement.kind() {
         StatementKind::Forbid { actors, action, fields } => {
             for (id, transition) in lts.transitions() {
-                let label = transition.label();
-                let action_matches = action.is_none_or(|a| a == label.action());
-                if action_matches
-                    && actors.matches(label.actor())
-                    && fields.matches_any(label.fields())
-                {
+                if forbids(actors, *action, fields, transition.label()) {
                     out.push(Violation::forbidden_transition(id, transition));
                 }
             }
         }
         StatementKind::PurposeLimit { fields, allowed } => {
             for (id, transition) in lts.transitions() {
-                let label = transition.label();
-                if fields.matches_any(label.fields())
-                    && !label.purpose().is_some_and(|purpose| allowed.contains(purpose))
-                {
+                if undeclared(fields, allowed, transition.label()) {
                     out.push(Violation::undeclared_purpose(id, transition));
                 }
             }
@@ -347,8 +264,7 @@ fn check_statement_scan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::statement::{ActorMatcher, FieldMatcher};
-    use privacy_lts::{LtsBuilder, PrivacyState, TransitionLabel, VarSpace};
+    use privacy_lts::{LtsBuilder, PrivacyState, VarSpace};
     use privacy_model::{ActorId, Purpose};
 
     /// A tiny hand-built LTS: the Doctor collects and stores Diagnosis, the

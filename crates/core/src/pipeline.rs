@@ -43,7 +43,7 @@ impl fmt::Display for PipelineOutcome {
 pub struct PopulationOutcome {
     /// The generated (unannotated) LTS.
     pub lts: Lts,
-    /// The columnar analysis index built once over [`PopulationOutcome::lts`],
+    /// The analysis index built once over [`PopulationOutcome::lts`],
     /// shared with any monitors constructed (or resumed) over it.
     pub index: Arc<LtsIndex>,
     /// One read-only disclosure report per user, in input order.

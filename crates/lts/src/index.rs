@@ -1,6 +1,5 @@
-//! The columnar analysis index: a one-pass compilation of an [`Lts`] into
-//! dense arrays that turn the risk and compliance analyses from repeated
-//! full scans of the transition relation into index probes.
+//! The analysis index: a one-pass compilation of an [`Lts`] into the tables
+//! the risk and compliance analyses probe instead of scanning it.
 //!
 //! The checkers in `privacy-compliance` and `privacy-risk` originally
 //! answered every question — *which transitions read this field?*, *in which
@@ -9,65 +8,52 @@
 //! per (actor, field) pair, comparing string-keyed labels each time. On the
 //! healthcare case study that is 1.4M label comparisons per statement.
 //!
-//! [`LtsIndex::build`] counts the LTS's label-id column once, fills the
-//! posting lists in a second pass over it, and materialises:
+//! Every such question about a transition is a question about its label —
+//! its action, actor, fields and purpose — and an LTS has few labels: the
+//! healthcare LTS with potential reads has 33 label ids for 1,430,952
+//! transitions. So the index costs what the model's vocabulary costs, plus
+//! one `u32` per transition. [`LtsIndex::build`] materialises:
 //!
-//! * **Label tables** — per distinct label: the action kind, the interned
-//!   actor, the interned purpose and a packed `u64` bitset of the interned
-//!   fields it carries (identifier interning reuses
-//!   [`privacy_model::intern::Interner`], the same dense-index machinery the
-//!   generation engine compiles flows with). A per-transition probe reads
-//!   the transition's label id from the LTS's edge column, which the index
-//!   shares rather than copies.
-//! * **Posting lists** — ascending transition-id lists per action kind, per
-//!   actor, per field and per (actor, action kind) pair, so "all reads by
-//!   the Administrator touching `Diagnosis`" is a probe plus a bitset test
-//!   instead of a scan.
-//! * **Action field cover** — per action kind, the union bitset of fields
-//!   any transition of that kind touches (the right-to-erasure probe).
-//! * **CSR adjacency** — the state → outgoing-transition relation flattened
-//!   into two dense arrays (offsets + transition ids), shared with the LTS.
-//! * **Reachability + state-bit posting lists** — the breadth-first
-//!   reachable order (identical to [`Lts::reachable`]) and, per Boolean
-//!   state variable of the [`VarSpace`], the list of reachable states (in
-//!   that same order) in which the variable is true. "Every reachable state
-//!   where the Researcher *could identify* `Diagnosis`" becomes a slice
-//!   lookup.
+//! * **Label groups** — one transitions-by-label CSR, filled by a counting
+//!   sort of the LTS's label-id column: each label's transitions, ascending.
+//!   A selection ([`LtsIndex::transitions_where`], [`LabelMerge::select`])
+//!   decides once per label, then merges the chosen groups in ascending
+//!   transition order; an emptiness or cover probe is an OR over
+//!   [`LtsIndex::labels`].
+//! * **Vocabulary** — the interned actors and fields, the variable space's
+//!   first and then each label's in the order of its first transition
+//!   (identifier interning reuses [`privacy_model::intern::Interner`], the
+//!   same dense-index machinery the generation engine compiles flows with).
+//!   The runtime monitor resolves events through it, and
+//!   [`LtsIndex::fingerprint`] hashes it.
+//! * **State-bit lists** — per Boolean state variable of the [`VarSpace`],
+//!   how many states of [`Lts::reachable`] have it true, and the list of
+//!   those states in that breadth-first order, materialised on first
+//!   request from the LTS's states, which the index shares. "Every reachable
+//!   state where the Researcher *could identify* `Diagnosis`" becomes a
+//!   slice lookup.
 //! * **Per-pair read lists** — per interned (actor, field) pair, the actor's
-//!   `read` transitions involving the field, filled on first request and
-//!   handed out as one shared `Arc` ([`LtsIndex::reads_involving`]).
+//!   `read` transitions involving the field, merged from the matching label
+//!   groups on first request and handed out as one shared `Arc`
+//!   ([`LtsIndex::reads_involving`]).
 //!
-//! The LTS an index is built over never changes, so the index shares its
-//! edge column and CSR and stays exact for the LTS's lifetime. A risk
-//! analysis that annotates builds a new LTS; the index keeps describing the
-//! one it was built over.
+//! The LTS an index is built over never changes, so the index stays exact
+//! for the LTS's lifetime. A risk analysis that annotates builds a new LTS;
+//! the index keeps describing the one it was built over.
 
-use crate::label::ActionKind;
+use crate::label::{ActionKind, TransitionLabel};
 use crate::lts::{Csr, Lts, StateId, TransitionId, LABEL_MASK};
 use crate::space::{VarKind, VarSpace};
-use privacy_model::{ActorId, FieldId, Interner, Purpose};
+use crate::state::PrivacyState;
+use privacy_model::{ActorId, FieldId, Interner};
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::sync::{Arc, OnceLock};
 
-/// Number of distinct [`ActionKind`]s (the width of the per-action tables).
-const ACTIONS: usize = ActionKind::ALL.len();
-
-/// Sentinel in the purpose column for "no purpose declared".
-const NO_PURPOSE: u32 = u32::MAX;
-
-/// An empty posting list, returned for identifiers the index never saw.
+/// An empty state list, returned for variables no reachable state sets.
 const EMPTY_STATES: &[StateId] = &[];
-const EMPTY_TRANSITIONS: &[u32] = &[];
 
-/// The dense table index of an action kind: its position in
-/// [`ActionKind::ALL`] — [`LtsIndex::action_of`] resolves the column back
-/// through that array; the `action_index_matches_action_kind_all_order` test
-/// pins the alignment.
-#[inline]
-fn action_index(action: ActionKind) -> usize {
-    action.table_index()
-}
-
-/// The columnar analysis index over one [`Lts`].
+/// The analysis index over one [`Lts`].
 ///
 /// # Examples
 ///
@@ -94,49 +80,30 @@ fn action_index(action: ActionKind) -> usize {
 /// let doctor = ActorId::new("Doctor");
 /// let diagnosis = FieldId::new("Diagnosis");
 /// assert!(index.can_actor_identify(&doctor, &diagnosis));
-/// assert_eq!(index.transitions_of_kind(ActionKind::Read).len(), 1);
+/// assert_eq!(index.transitions_where(|label| label.action() == ActionKind::Read).count(), 1);
 /// assert_eq!(index.states_where_has(&doctor, &diagnosis), &[s1]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct LtsIndex {
-    transition_count: usize,
     /// The variable space of the indexed LTS (owns the state-bit layout).
     space: VarSpace,
     actors: Interner<ActorId>,
     fields: Interner<FieldId>,
-    purposes: Interner<Purpose>,
-    /// The LTS's edge column at build time: a transition's label id is its
-    /// word's low bits ([`LABEL_MASK`]).
-    edges: Arc<Vec<u64>>,
-    /// Per label id: `action_index` of its action kind.
-    label_action: Vec<u8>,
-    /// Per label id: interned actor index.
-    label_actor: Vec<u32>,
-    /// Per label id: interned purpose index, or [`NO_PURPOSE`].
-    label_purpose: Vec<u32>,
+    /// The LTS's label table, indexed by label id.
+    labels: Vec<Arc<TransitionLabel>>,
+    /// The ids of the labels that label some transition, in the order of
+    /// their first transition.
+    live: Vec<u32>,
     /// `u64` words per field bitset.
-    field_words_per_label: usize,
-    /// Packed field bitsets, `field_words_per_label` words per label id.
+    field_words: usize,
+    /// Per label id: the bitset of its interned fields, `field_words` words.
     label_fields: Vec<u64>,
-    /// Posting lists: ascending transition ids per action kind.
-    by_action: Vec<Vec<u32>>,
-    /// Posting lists: ascending transition ids per interned actor.
-    by_actor: Vec<Vec<u32>>,
-    /// Posting lists: ascending transition ids per interned field.
-    by_field: Vec<Vec<u32>>,
-    /// Posting lists per (actor, action kind), laid out `actor * ACTIONS + kind`.
-    by_actor_action: Vec<Vec<u32>>,
-    /// Per action kind: the union field bitset its transitions touch.
-    action_field_cover: Vec<Vec<u64>>,
-    /// The LTS's outgoing lists at build time.
-    csr: Arc<Csr>,
+    /// Per label id: its transitions, ascending.
+    by_label: Csr,
+    /// The LTS's states, shared.
+    states: Arc<Vec<PrivacyState>>,
     /// Reachable states, in the breadth-first order of [`Lts::reachable`].
     reachable: Vec<StateId>,
-    /// `u64` words per state in [`LtsIndex::state_words`].
-    words_per_state: usize,
-    /// Every state's packed variable assignment, copied out of the LTS so
-    /// the lazy per-variable lists can be materialised without it.
-    state_words: Vec<u64>,
     /// Per Boolean state variable (bit index of the [`VarSpace`]): how many
     /// reachable states have it true. Emptiness probes
     /// ([`LtsIndex::can_actor_identify`]) read only this.
@@ -152,193 +119,83 @@ pub struct LtsIndex {
 }
 
 impl LtsIndex {
-    /// Builds the index on the calling thread: one pass counts the
-    /// transitions per label id, a second fills posting lists sized exactly
-    /// from those counts, and one breadth-first traversal finds the
-    /// reachable states. The CSR and the edge column are shared with the
-    /// LTS, not copied.
+    /// Builds the index on the calling thread: a counting sort files the
+    /// transitions by label id, and one pass over [`Lts::reachable`] counts
+    /// the state variables. The states are shared with the LTS, not copied.
     pub fn build(lts: &Lts) -> LtsIndex {
         let space = lts.space();
-        let transition_count = lts.transition_count();
-        let edges = Arc::clone(&lts.edges);
-        let labels = &lts.labels;
-        let label_of = |edge: u64| (edge & LABEL_MASK) as usize;
-
-        // Transitions per label id, and the label ids in the order of their
-        // first transition.
-        let mut counts = vec![0usize; labels.len()];
-        let mut first_seen = Vec::new();
-        for &edge in edges.iter() {
-            let label = label_of(edge);
-            if counts[label] == 0 {
-                first_seen.push(label);
-            }
-            counts[label] += 1;
-        }
+        let labels = lts.labels.clone();
+        let by_label =
+            Csr::build(labels.len(), lts.edges.iter().map(|&edge| (edge & LABEL_MASK) as usize));
 
         // Interning: the variable space first (so space queries resolve even
         // for actors and fields no transition mentions), then each label's
-        // vocabulary in first-transition order.
+        // vocabulary in the order of its first transition.
+        let mut live: Vec<u32> = (0..labels.len() as u32)
+            .filter(|&label| !by_label.row(label as usize).is_empty())
+            .collect();
+        live.sort_unstable_by_key(|&label| by_label.row(label as usize)[0]);
         let mut actors: Interner<ActorId> = space.actors().iter().cloned().collect();
         let mut fields: Interner<FieldId> = space.fields().iter().cloned().collect();
-        let mut purposes: Interner<Purpose> = Interner::new();
-        let mut label_action = vec![0u8; labels.len()];
-        let mut label_actor = vec![0u32; labels.len()];
-        let mut label_purpose = vec![NO_PURPOSE; labels.len()];
-        let mut label_field_ids: Vec<Vec<u32>> = vec![Vec::new(); labels.len()];
-        for &id in &first_seen {
-            let label = &labels[id];
-            label_action[id] = action_index(label.action()) as u8;
-            label_actor[id] = match actors.get(label.actor()) {
-                Some(actor) => actor,
-                None => actors.intern(label.actor().clone()),
-            };
-            if let Some(purpose) = label.purpose() {
-                label_purpose[id] = match purposes.get(purpose) {
-                    Some(purpose) => purpose,
-                    None => purposes.intern(purpose.clone()),
-                };
-            }
-            label_field_ids[id] = label
-                .fields()
-                .iter()
-                .map(|field| match fields.get(field) {
-                    Some(field) => field,
-                    None => fields.intern(field.clone()),
-                })
-                .collect();
-        }
-
-        // Field bitsets and covers per label, and every posting list's exact
-        // length from the label counts.
-        let field_words_per_label = fields.len().div_ceil(64).max(1);
-        let (actor_slots, field_slots) = (actors.len(), fields.len());
-        let mut label_fields = vec![0u64; labels.len() * field_words_per_label];
-        let mut action_field_cover = vec![vec![0u64; field_words_per_label]; ACTIONS];
-        let mut action_len = vec![0usize; ACTIONS];
-        let mut actor_len = vec![0usize; actor_slots];
-        let mut field_len = vec![0usize; field_slots];
-        let mut actor_action_len = vec![0usize; actor_slots * ACTIONS];
-        for &id in &first_seen {
-            let (action, actor) = (label_action[id] as usize, label_actor[id] as usize);
-            action_len[action] += counts[id];
-            actor_len[actor] += counts[id];
-            actor_action_len[actor * ACTIONS + action] += counts[id];
-            for &field in &label_field_ids[id] {
-                let (word, mask) = (field as usize / 64, 1u64 << (field % 64));
-                label_fields[id * field_words_per_label + word] |= mask;
-                action_field_cover[action][word] |= mask;
-                field_len[field as usize] += counts[id];
+        for label in live.iter().map(|&label| &labels[label as usize]) {
+            actors.intern(label.actor().clone());
+            for field in label.fields() {
+                fields.intern(field.clone());
             }
         }
-        let sized = |lens: Vec<usize>| -> Vec<Vec<u32>> {
-            lens.into_iter().map(Vec::with_capacity).collect()
-        };
-        let mut by_action = sized(action_len);
-        let mut by_actor = sized(actor_len);
-        let mut by_field = sized(field_len);
-        let mut by_actor_action = sized(actor_action_len);
-        for (tx, &edge) in edges.iter().enumerate() {
-            let (id, tx) = (label_of(edge), tx as u32);
-            let (action, actor) = (label_action[id] as usize, label_actor[id] as usize);
-            by_action[action].push(tx);
-            by_actor[actor].push(tx);
-            by_actor_action[actor * ACTIONS + action].push(tx);
-            for &field in &label_field_ids[id] {
-                by_field[field as usize].push(tx);
+        let field_words = fields.len().div_ceil(64).max(1);
+        let mut label_fields = vec![0u64; labels.len() * field_words];
+        for label in live.iter().map(|&label| label as usize) {
+            for field in labels[label].fields().iter().filter_map(|field| fields.get(field)) {
+                label_fields[label * field_words + field as usize / 64] |= 1 << (field % 64);
             }
         }
 
-        // Copy every state's packed variable words so the lazy per-variable
-        // lists can be materialised from the index alone.
-        let state_count = lts.state_count();
+        // Per-variable truth over the reachable states (the full
+        // per-variable state lists are built lazily).
+        let states = Arc::clone(&lts.states);
+        let mut reachable = lts.reachable();
+        reachable.shrink_to_fit();
         let variable_count = space.variable_count();
-        let words_per_state = variable_count.div_ceil(64).max(1);
-        let mut state_words = vec![0u64; state_count * words_per_state];
-        for (id, state) in lts.states() {
-            let start = id.0 * words_per_state;
-            state_words[start..start + state.words().len()].copy_from_slice(state.words());
-        }
-
-        // Breadth-first reachability over the CSR, in exactly the order
-        // `Lts::reachable` produces, counting per-variable truth along the
-        // way (the full per-variable state lists are built lazily).
-        let csr = Arc::clone(&lts.csr);
         let mut bit_counts = vec![0u32; variable_count];
-        let mut reachable = Vec::new();
-        let mut visited = vec![false; state_count];
-        let mut queue = std::collections::VecDeque::new();
-        visited[lts.initial().0] = true;
-        queue.push_back(lts.initial());
-        while let Some(current) = queue.pop_front() {
-            reachable.push(current);
-            let start = current.0 * words_per_state;
-            for (word_index, mut word) in
-                state_words[start..start + words_per_state].iter().copied().enumerate()
-            {
+        for state in &reachable {
+            for (word_index, mut word) in states[state.0].words().iter().copied().enumerate() {
                 while word != 0 {
-                    let bit = word_index * 64 + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    if bit < variable_count {
-                        bit_counts[bit] += 1;
+                    // Bits past the variable count are not variables.
+                    if let Some(count) =
+                        bit_counts.get_mut(word_index * 64 + word.trailing_zeros() as usize)
+                    {
+                        *count += 1;
                     }
-                }
-            }
-            for &tx in csr.outgoing(current.0) {
-                let next = (edges[tx as usize] >> 32) as usize;
-                if !visited[next] {
-                    visited[next] = true;
-                    queue.push_back(StateId(next));
+                    word &= word - 1;
                 }
             }
         }
         let bit_lists = (0..variable_count).map(|_| OnceLock::new()).collect();
-        let reads_by_pair = (0..actor_slots * field_slots).map(|_| OnceLock::new()).collect();
+        let pairs = actors.len() * fields.len();
+        let reads_by_pair = (0..pairs).map(|_| OnceLock::new()).collect();
 
         LtsIndex {
-            transition_count,
             space: space.clone(),
             actors,
             fields,
-            purposes,
-            edges,
-            label_action,
-            label_actor,
-            label_purpose,
-            field_words_per_label,
+            labels,
+            live,
+            field_words,
             label_fields,
-            by_action,
-            by_actor,
-            by_field,
-            by_actor_action,
-            action_field_cover,
-            csr,
+            by_label,
+            states,
             reachable,
-            words_per_state,
-            state_words,
             bit_counts,
             bit_lists,
             reads_by_pair,
         }
     }
 
-    /// The label id of a transition.
-    #[inline]
-    fn label(&self, transition: u32) -> usize {
-        (self.edges[transition as usize] & LABEL_MASK) as usize
-    }
-
-    /// The packed field bitset of a transition's label.
-    #[inline]
-    fn field_bits(&self, transition: u32) -> &[u64] {
-        let start = self.label(transition) * self.field_words_per_label;
-        &self.label_fields[start..start + self.field_words_per_label]
-    }
-
     /// Number of transitions the index covers (the LTS's transition count at
     /// build time).
     pub fn transition_count(&self) -> usize {
-        self.transition_count
+        self.by_label.len()
     }
 
     /// A stable fingerprint of everything a persisted artefact keyed on this
@@ -385,156 +242,64 @@ impl LtsIndex {
         self.fields.items()
     }
 
-    /// The action kind of a transition.
-    pub fn action_of(&self, transition: u32) -> ActionKind {
-        ActionKind::ALL[self.label_action[self.label(transition)] as usize]
+    /// The labels that label at least one transition, in the order of their
+    /// first transition: a probe that asks whether *some* transition has a
+    /// property asks it of these.
+    pub fn labels(&self) -> impl Iterator<Item = &TransitionLabel> {
+        self.label_ids().map(|label| &*self.labels[label])
     }
 
-    /// The actor of a transition.
-    pub fn actor_of(&self, transition: u32) -> &ActorId {
-        self.actors
-            .resolve(self.label_actor[self.label(transition)])
-            .expect("actor column indices always resolve")
+    /// The ids of the labels that label at least one transition.
+    fn label_ids(&self) -> impl Iterator<Item = usize> + '_ {
+        self.live.iter().map(|&label| label as usize)
     }
 
-    /// The interned actor index of a transition.
-    pub fn actor_index_of(&self, transition: u32) -> u32 {
-        self.label_actor[self.label(transition)]
-    }
-
-    /// The purpose of a transition, if its label declares one.
-    pub fn purpose_of(&self, transition: u32) -> Option<&Purpose> {
-        match self.label_purpose[self.label(transition)] {
-            NO_PURPOSE => None,
-            purpose => self.purposes.resolve(purpose),
+    /// The fields of the labels `matches` accepts, as a bitset over the
+    /// interned field ids (field `f` is bit `f % 64` of word `f / 64`): an OR
+    /// over the label rows, so a cover probe such as "which processed fields
+    /// does some delete touch" costs the label count, not the transition
+    /// count.
+    pub fn fields_where(&self, mut matches: impl FnMut(&TransitionLabel) -> bool) -> Vec<u64> {
+        let mut cover = vec![0u64; self.field_words];
+        for label in self.label_ids().filter(|&label| matches(&self.labels[label])) {
+            let row = &self.label_fields[label * self.field_words..][..self.field_words];
+            cover.iter_mut().zip(row).for_each(|(word, bits)| *word |= bits);
         }
+        cover
     }
 
-    /// The interned purpose index of a value, if any transition declares it.
-    pub fn purpose_index(&self, purpose: &Purpose) -> Option<u32> {
-        self.purposes.get(purpose)
-    }
-
-    /// The interned purpose index of a transition, or `None`.
-    pub fn purpose_index_of(&self, transition: u32) -> Option<u32> {
-        match self.label_purpose[self.label(transition)] {
-            NO_PURPOSE => None,
-            purpose => Some(purpose),
-        }
-    }
-
-    /// Ascending transition ids of all transitions with the given action.
-    pub fn transitions_of_kind(&self, action: ActionKind) -> &[u32] {
-        &self.by_action[action_index(action)]
-    }
-
-    /// Ascending transition ids of all transitions by the given actor.
-    pub fn transitions_by_actor(&self, actor: &ActorId) -> &[u32] {
-        match self.actors.get(actor) {
-            Some(actor) => &self.by_actor[actor as usize],
-            None => EMPTY_TRANSITIONS,
-        }
-    }
-
-    /// Ascending transition ids of the given actor's transitions of the
-    /// given action kind — e.g. every `read` by the Administrator.
-    pub fn transitions_by_actor_of_kind(&self, actor: &ActorId, action: ActionKind) -> &[u32] {
-        match self.actors.get(actor) {
-            Some(actor) => &self.by_actor_action[actor as usize * ACTIONS + action_index(action)],
-            None => EMPTY_TRANSITIONS,
-        }
-    }
-
-    /// Ascending transition ids of all transitions whose label involves the
-    /// given field.
-    pub fn transitions_involving_field(&self, field: &FieldId) -> &[u32] {
-        match self.fields.get(field) {
-            Some(field) => &self.by_field[field as usize],
-            None => EMPTY_TRANSITIONS,
-        }
-    }
-
-    /// Returns `true` if the transition's label involves the interned field.
-    pub fn involves_field(&self, transition: u32, field: u32) -> bool {
-        let word = self.label(transition) * self.field_words_per_label + field as usize / 64;
-        self.label_fields[word] & (1u64 << (field % 64)) != 0
-    }
-
-    /// Returns `true` if the transition's label involves at least one field
-    /// of the mask (as produced by [`LtsIndex::field_mask`]).
-    pub fn involves_any(&self, transition: u32, mask: &[u64]) -> bool {
-        self.field_bits(transition).iter().zip(mask).any(|(w, m)| w & m != 0)
-    }
-
-    /// Returns `true` if the transition's label carries at least one field.
-    pub fn has_fields(&self, transition: u32) -> bool {
-        self.field_bits(transition).iter().any(|w| *w != 0)
-    }
-
-    /// Packs a set of fields into a bitset aligned with the per-transition
-    /// field columns. Fields the index never saw are ignored (no transition
-    /// can involve them).
-    pub fn field_mask<'a>(&self, fields: impl IntoIterator<Item = &'a FieldId>) -> Vec<u64> {
-        let mut mask = vec![0u64; self.field_words_per_label];
-        for field in fields {
-            if let Some(field) = self.fields.get(field) {
-                mask[field as usize / 64] |= 1u64 << (field % 64);
-            }
-        }
-        mask
-    }
-
-    /// Returns `true` if some transition of the given action kind involves
-    /// the field — the right-to-erasure probe (`kind = Delete`).
-    pub fn kind_covers_field(&self, action: ActionKind, field: &FieldId) -> bool {
-        match self.fields.get(field) {
-            Some(field) => {
-                self.action_field_cover[action_index(action)][field as usize / 64]
-                    & (1u64 << (field % 64))
-                    != 0
-            }
-            None => false,
-        }
+    /// The transitions whose label `matches` accepts, in ascending id
+    /// order: `matches` is asked once per label, and the accepted labels'
+    /// groups are merged. Use [`LabelMerge::select`] to reuse the merge's
+    /// storage across selections.
+    pub fn transitions_where(
+        &self,
+        matches: impl FnMut(&TransitionLabel) -> bool,
+    ) -> LabelMerge<'_> {
+        let mut merge = LabelMerge::default();
+        merge.select(self, matches);
+        merge
     }
 
     /// Ascending ids of the `read` transitions by `actor` whose label
-    /// involves `field`: the actor's read posting list filtered by the
-    /// field's bit. The list depends only on the pair and the snapshot, so
-    /// it is materialised on first request, memoised per interned pair, and
-    /// every caller shares that one allocation. Empty for an actor or field
-    /// the index never saw.
+    /// involves `field`: the merged groups of the actor's read labels that
+    /// carry the field. The list depends only on the pair and the snapshot,
+    /// so it is materialised on first request, memoised per interned pair,
+    /// and every caller shares that one allocation. Empty for an actor or
+    /// field the index never saw.
     pub fn reads_involving(&self, actor: &ActorId, field: &FieldId) -> Arc<[TransitionId]> {
-        let (Some(actor), Some(field)) = (self.actors.get(actor), self.fields.get(field)) else {
+        let (Some(a), Some(f)) = (self.actors.get(actor), self.fields.get(field)) else {
             return Arc::from([]);
         };
-        let pair = actor as usize * self.fields.len() + field as usize;
+        let pair = a as usize * self.fields.len() + f as usize;
         Arc::clone(self.reads_by_pair[pair].get_or_init(|| {
-            // Which labels carry the field, resolved once per label rather
-            // than once per transition.
-            let (word, mask) = (field as usize / 64, 1u64 << (field % 64));
-            let carries: Vec<bool> = self
-                .label_fields
-                .chunks_exact(self.field_words_per_label)
-                .map(|bits| bits[word] & mask != 0)
-                .collect();
-            let edges: &[u64] = &self.edges;
-            self.by_actor_action[actor as usize * ACTIONS + action_index(ActionKind::Read)]
-                .iter()
-                .filter(|&&tx| carries[(edges[tx as usize] & LABEL_MASK) as usize])
-                .map(|&tx| TransitionId(tx as usize))
-                .collect()
+            self.transitions_where(|label| {
+                label.action() == ActionKind::Read
+                    && label.actor() == actor
+                    && label.involves_field(field)
+            })
+            .collect()
         }))
-    }
-
-    /// The outgoing transition ids of a state (CSR probe).
-    pub fn outgoing_transitions(&self, state: StateId) -> &[u32] {
-        self.csr.outgoing(state.0)
-    }
-
-    /// The reachable states in the breadth-first order of
-    /// [`Lts::reachable`].
-    pub fn reachable(&self) -> &[StateId] {
-        &self.reachable
     }
 
     /// The reachable states (in BFS order) in which `actor` **has
@@ -567,9 +332,13 @@ impl LtsIndex {
                     return EMPTY_STATES;
                 }
                 self.bit_lists[bit].get_or_init(|| {
+                    let (word, shift) = (bit / 64, bit % 64);
                     let mut states = Vec::with_capacity(count);
                     states.extend(
-                        self.reachable.iter().copied().filter(|state| self.state_bit(*state, bit)),
+                        self.reachable
+                            .iter()
+                            .copied()
+                            .filter(|state| (self.states[state.0].words()[word] >> shift) & 1 == 1),
                     );
                     states
                 })
@@ -615,11 +384,6 @@ impl LtsIndex {
             .is_some_and(|bit| self.bit_counts[bit] > 0 || self.bit_counts[bit + 1] > 0)
     }
 
-    #[inline]
-    fn state_bit(&self, state: StateId, bit: usize) -> bool {
-        (self.state_words[state.0 * self.words_per_state + bit / 64] >> (bit % 64)) & 1 == 1
-    }
-
     /// The variable space of the indexed LTS.
     pub fn space(&self) -> &VarSpace {
         &self.space
@@ -630,12 +394,58 @@ impl LtsIndex {
     }
 }
 
+/// The transitions of a selection of labels, in ascending id order: a k-way
+/// merge of the labels' groups (each ascending, no two sharing an id)
+/// through a min-heap of cursors. [`LabelMerge::select`] restarts it over
+/// another selection and keeps the heap's storage, so a caller probing many
+/// selections allocates once; a selection of no label allocates nothing.
+#[derive(Debug, Default)]
+pub struct LabelMerge<'a> {
+    /// The unvisited rest of each selected group; never empty. Two groups
+    /// differ in their first id, so slice order is first-id order.
+    cursors: BinaryHeap<Reverse<&'a [u32]>>,
+}
+
+impl<'a> LabelMerge<'a> {
+    /// Restarts the merge over the transitions of `index` whose label
+    /// `matches` accepts; `matches` is asked once per label.
+    pub fn select(
+        &mut self,
+        index: &'a LtsIndex,
+        mut matches: impl FnMut(&TransitionLabel) -> bool,
+    ) -> &mut Self {
+        self.cursors.clear();
+        self.cursors.extend(
+            index
+                .label_ids()
+                .filter(|&label| matches(&index.labels[label]))
+                .map(|label| Reverse(index.by_label.row(label))),
+        );
+        self
+    }
+}
+
+impl Iterator for LabelMerge<'_> {
+    type Item = TransitionId;
+
+    fn next(&mut self) -> Option<TransitionId> {
+        let mut top = self.cursors.peek_mut()?;
+        let Reverse(group) = *top;
+        let (&first, rest) = group.split_first().expect("merge cursors are never empty");
+        if rest.is_empty() {
+            PeekMut::pop(top);
+        } else {
+            *top = Reverse(rest);
+        }
+        Some(TransitionId(first as usize))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::label::TransitionLabel;
+    use crate::label::RiskAnnotation;
     use crate::lts::LtsBuilder;
-    use crate::state::PrivacyState;
     use privacy_model::Purpose;
 
     fn doctor() -> ActorId {
@@ -686,26 +496,55 @@ mod tests {
         builder.build()
     }
 
-    #[test]
-    fn action_index_matches_action_kind_all_order() {
-        for (position, action) in ActionKind::ALL.iter().enumerate() {
-            assert_eq!(action_index(*action), position, "{action} misaligned with ALL");
-        }
-        assert_eq!(ACTIONS, ActionKind::ALL.len());
+    fn ids(merge: &mut LabelMerge<'_>) -> Vec<usize> {
+        merge.map(|id| id.0).collect()
     }
 
     #[test]
-    fn posting_lists_are_ascending_and_complete() {
-        let lts = sample_lts();
+    fn selections_merge_label_groups_in_ascending_order() {
+        // Three labels whose groups interleave: a, b, a, c, b, a.
+        let space = VarSpace::new([doctor()], [name()]);
+        let mut builder = LtsBuilder::new(space);
+        let s0 = builder.initial();
+        let label = |action| TransitionLabel::new(action, doctor(), [name()], None);
+        for action in [
+            ActionKind::Read,
+            ActionKind::Collect,
+            ActionKind::Read,
+            ActionKind::Delete,
+            ActionKind::Collect,
+            ActionKind::Read,
+        ] {
+            // Distinct purposes keep equal labels from deduplicating.
+            let purpose = Purpose::new(format!("p{}", builder.transition_count())).unwrap();
+            builder.add_transition(s0, s0, label(action).with_purpose(purpose));
+        }
+        let lts = builder.build();
         let index = LtsIndex::build(&lts);
-        assert_eq!(index.transition_count(), 3);
-        assert_eq!(index.transitions_of_kind(ActionKind::Read), &[2]);
-        assert_eq!(index.transitions_of_kind(ActionKind::Delete), EMPTY_TRANSITIONS);
-        assert_eq!(index.transitions_by_actor(&doctor()), &[0, 1]);
-        assert_eq!(index.transitions_by_actor(&ActorId::new("Ghost")), EMPTY_TRANSITIONS);
-        assert_eq!(index.transitions_by_actor_of_kind(&doctor(), ActionKind::Create), &[1]);
-        assert_eq!(index.transitions_involving_field(&diagnosis()), &[1, 2]);
-        assert_eq!(index.transitions_involving_field(&FieldId::new("Ghost")), EMPTY_TRANSITIONS);
+        let reads = |l: &TransitionLabel| l.action() == ActionKind::Read;
+        assert_eq!(ids(&mut index.transitions_where(reads)), [0, 2, 5]);
+        assert_eq!(ids(&mut index.transitions_where(|l| !reads(l))), [1, 3, 4]);
+        assert_eq!(ids(&mut index.transitions_where(|_| true)), [0, 1, 2, 3, 4, 5]);
+        assert!(ids(&mut index.transitions_where(|_| false)).is_empty());
+
+        // A reused merge restarts cleanly, even when abandoned half way.
+        let mut merge = LabelMerge::default();
+        assert_eq!(merge.select(&index, |_| true).next(), Some(TransitionId(0)));
+        assert_eq!(ids(merge.select(&index, |l| l.action() != ActionKind::Collect)), [0, 2, 3, 5]);
+    }
+
+    #[test]
+    fn labels_without_transitions_are_never_selected() {
+        let lts = sample_lts();
+        let mut builder = LtsBuilder::from_lts(&lts);
+        // Annotating the only read leaves its plain label with no transition.
+        builder.annotate(TransitionId(2), RiskAnnotation::level(privacy_model::RiskLevel::High));
+        let annotated = builder.build();
+        let index = LtsIndex::build(&annotated);
+        assert_eq!(index.labels().count(), 3);
+        assert_eq!(index.labels().filter(|l| l.risk().is_some()).count(), 1);
+        let reads = index.transitions_where(|l| l.action() == ActionKind::Read);
+        assert_eq!(reads.collect::<Vec<_>>(), [TransitionId(2)]);
     }
 
     #[test]
@@ -725,72 +564,9 @@ mod tests {
     }
 
     #[test]
-    fn columns_resolve_actions_actors_and_purposes() {
+    fn state_bit_postings_match_direct_queries() {
         let lts = sample_lts();
         let index = LtsIndex::build(&lts);
-        assert_eq!(index.action_of(0), ActionKind::Collect);
-        assert_eq!(index.action_of(2), ActionKind::Read);
-        assert_eq!(index.actor_of(2), &admin());
-        assert_eq!(index.purpose_of(0), Some(&Purpose::new("intake").unwrap()));
-        assert_eq!(index.purpose_of(1), None);
-        assert_eq!(
-            index.purpose_index_of(0),
-            index.purpose_index(&Purpose::new("intake").unwrap())
-        );
-        assert_eq!(index.purpose_index_of(1), None);
-    }
-
-    #[test]
-    fn field_bitsets_answer_involvement() {
-        let lts = sample_lts();
-        let index = LtsIndex::build(&lts);
-        let diagnosis_idx = index.field_index(&diagnosis()).unwrap();
-        assert!(index.involves_field(1, diagnosis_idx));
-        assert!(!index.involves_field(0, diagnosis_idx));
-        assert!(index.has_fields(0));
-        let mask = index.field_mask([&diagnosis(), &FieldId::new("Ghost")]);
-        assert!(index.involves_any(2, &mask));
-        assert!(!index.involves_any(0, &mask));
-        let empty_mask = index.field_mask([] as [&FieldId; 0]);
-        assert!(!index.involves_any(0, &empty_mask));
-    }
-
-    #[test]
-    fn erasure_cover_probe_matches_delete_transitions() {
-        let lts = sample_lts();
-        let index = LtsIndex::build(&lts);
-        assert!(!index.kind_covers_field(ActionKind::Delete, &diagnosis()));
-        assert!(index.kind_covers_field(ActionKind::Read, &diagnosis()));
-        let mut builder = LtsBuilder::from_lts(&lts);
-        let s0 = builder.initial();
-        builder.add_transition(
-            s0,
-            s0,
-            TransitionLabel::new(ActionKind::Delete, doctor(), [diagnosis()], None),
-        );
-        let index = LtsIndex::build(&builder.build());
-        assert!(index.kind_covers_field(ActionKind::Delete, &diagnosis()));
-        assert!(!index.kind_covers_field(ActionKind::Delete, &name()));
-    }
-
-    #[test]
-    fn csr_adjacency_matches_outgoing() {
-        let lts = sample_lts();
-        let index = LtsIndex::build(&lts);
-        for (id, _) in lts.states() {
-            let expected: Vec<u32> = lts.outgoing(id).map(|(tid, _)| tid.0 as u32).collect();
-            assert_eq!(index.outgoing_transitions(id), expected.as_slice());
-        }
-    }
-
-    #[test]
-    fn reachability_and_state_bit_postings_match_direct_queries() {
-        let lts = sample_lts();
-        let index = LtsIndex::build(&lts);
-        assert_eq!(index.reachable(), lts.reachable().as_slice());
-        // The unreachable s4 state must not appear anywhere.
-        assert_eq!(index.reachable().len(), 4);
-
         let space = lts.space();
         for actor in space.actors() {
             for field in space.fields() {
@@ -812,6 +588,8 @@ mod tests {
                 );
             }
         }
+        // The unreachable s4 is the only state where the admin has the name.
+        assert!(index.states_where_has(&admin(), &name()).is_empty());
         // Unknown pairs resolve to empty, never panic.
         assert!(index.states_where_has(&ActorId::new("Ghost"), &name()).is_empty());
         assert!(!index.can_actor_identify(&ActorId::new("Ghost"), &name()));
@@ -869,7 +647,7 @@ mod tests {
         assert_ne!(lts.space().fingerprint(), reordered.fingerprint());
     }
 
-    // Every probe is held against a label scan of the LTS over random
+    // Every selection is held against a label scan of the LTS over random
     // models by `index_probes_equal_a_label_scan_on_random_models` in
     // `tests/differential.rs`.
 }

@@ -29,11 +29,11 @@
 //!   `docs/PERFORMANCE.md` for the design.
 //! * [`mod@reference`] — the retained pre-optimisation generator, used to
 //!   differential-test and benchmark the engine.
-//! * [`index`] — the columnar analysis index ([`LtsIndex`]): a counting
-//!   pass over a generated LTS's label-id column into per-label tables,
-//!   posting lists and per-state-variable reachability postings, sharing
-//!   the LTS's edge column and CSR, so the risk and compliance analyses
-//!   probe instead of re-scanning the transition relation per question.
+//! * [`index`] — the analysis index ([`LtsIndex`]): a counting sort of a
+//!   generated LTS's label-id column into one transitions-by-label CSR, plus
+//!   per-state-variable reachability counts over the LTS's shared states, so
+//!   the risk and compliance analyses decide once per label and probe
+//!   instead of re-scanning the transition relation per question.
 //! * [`query`] — privacy-specific queries used by the risk analyses; an
 //!   [`LtsQuery`] answers each one from an [`LtsIndex`].
 //! * [`dot`] — Graphviz export (Fig. 3 / Fig. 4 style, with risk transitions

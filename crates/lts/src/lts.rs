@@ -6,7 +6,7 @@
 //! distinct labels. The outgoing lists are one CSR (per-state offsets into a
 //! flat list of transition ids), built once when the LTS is. The generation
 //! engine hands its own columns over, and [`crate::LtsIndex`] shares the
-//! edge column and the CSR instead of copying them.
+//! states instead of copying them.
 //!
 //! An [`Lts`] never changes once built. Every other LTS — the reference
 //! generator's, a risk analysis's annotated copy, a hand-built fixture — is
@@ -136,38 +136,50 @@ impl fmt::Display for LtsStats {
     }
 }
 
-/// The outgoing lists of every state, as one compressed sparse row: the
-/// transitions leaving state `s` are `ids[offsets[s]..offsets[s + 1]]`, in
-/// ascending id order.
-#[derive(Debug)]
+/// A compressed sparse row: the ids filed under row `r` are
+/// `ids[offsets[r]..offsets[r + 1]]`, in ascending id order. An LTS files
+/// its transitions by source (its outgoing lists), and an
+/// [`crate::LtsIndex`] files them by label.
+#[derive(Debug, Clone)]
 pub(crate) struct Csr {
     offsets: Vec<u32>,
     ids: Vec<u32>,
 }
 
 impl Csr {
-    /// A counting sort of the transition ids by source.
-    fn build(state_count: usize, sources: &[u32]) -> Csr {
-        let mut offsets = vec![0u32; state_count + 1];
-        for &source in sources {
-            offsets[source as usize + 1] += 1;
+    /// A counting sort of the ids `0..` by their keys: id `i` is filed
+    /// under row `keys[i]`, and every key is below `rows`.
+    pub(crate) fn build(rows: usize, keys: impl Iterator<Item = usize> + Clone) -> Csr {
+        let mut offsets = vec![0u32; rows + 1];
+        for key in keys.clone() {
+            offsets[key + 1] += 1;
         }
-        for state in 0..state_count {
-            offsets[state + 1] += offsets[state];
+        for row in 0..rows {
+            offsets[row + 1] += offsets[row];
         }
         let mut next = offsets.clone();
-        let mut ids = vec![0u32; sources.len()];
-        for (id, &source) in sources.iter().enumerate() {
-            let at = &mut next[source as usize];
+        let mut ids = vec![0u32; offsets[rows] as usize];
+        for (id, key) in keys.enumerate() {
+            let at = &mut next[key];
             ids[*at as usize] = id as u32;
             *at += 1;
         }
         Csr { offsets, ids }
     }
 
-    /// The ids of the transitions leaving `state`, ascending.
-    pub(crate) fn outgoing(&self, state: usize) -> &[u32] {
-        &self.ids[self.offsets[state] as usize..self.offsets[state + 1] as usize]
+    /// Number of rows.
+    pub(crate) fn rows(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Number of ids over all rows.
+    pub(crate) fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// The ids filed under `row`, ascending.
+    pub(crate) fn row(&self, row: usize) -> &[u32] {
+        &self.ids[self.offsets[row] as usize..self.offsets[row + 1] as usize]
     }
 }
 
@@ -179,16 +191,18 @@ impl Csr {
 #[derive(Debug, Clone)]
 pub struct Lts {
     space: VarSpace,
-    /// The states; `states[0]` is the initial one.
-    states: Vec<PrivacyState>,
+    /// The states; `states[0]` is the initial one. Shared with the indexes
+    /// built over this LTS.
+    pub(crate) states: Arc<Vec<PrivacyState>>,
     /// The distinct labels, indexed by an edge word's low bits.
     pub(crate) labels: Vec<Arc<TransitionLabel>>,
     /// Per transition: its source state.
     sources: Vec<u32>,
-    /// Per transition: `target << 32 | risk bit | label id`. Shared with
-    /// the indexes built over this LTS.
+    /// Per transition: `target << 32 | risk bit | label id`. Shared by the
+    /// clones of this LTS.
     pub(crate) edges: Arc<Vec<u64>>,
-    /// The outgoing lists. Shared with the indexes built over this LTS.
+    /// The outgoing lists. Shared by the clones of this LTS and by the
+    /// builders started from it.
     pub(crate) csr: Arc<Csr>,
 }
 
@@ -203,8 +217,8 @@ impl Lts {
         sources: Vec<u32>,
         edges: Vec<u64>,
     ) -> Self {
-        let csr = Arc::new(Csr::build(states.len(), &sources));
-        Lts { space, states, labels, sources, edges: Arc::new(edges), csr }
+        let csr = Arc::new(Csr::build(states.len(), sources.iter().map(|&from| from as usize)));
+        Lts { space, states: Arc::new(states), labels, sources, edges: Arc::new(edges), csr }
     }
 
     /// The variable space the states are defined over.
@@ -251,7 +265,7 @@ impl Lts {
 
     /// The outgoing transitions of a state, in id order.
     pub fn outgoing(&self, state: StateId) -> impl Iterator<Item = (TransitionId, Transition<'_>)> {
-        self.csr.outgoing(state.0).iter().map(move |&tid| {
+        self.csr.row(state.0).iter().map(move |&tid| {
             let id = TransitionId(tid as usize);
             (id, self.transition(id))
         })
@@ -278,7 +292,7 @@ impl Lts {
         queue.push_back(self.initial());
         while let Some(current) = queue.pop_front() {
             order.push(current);
-            for &tid in csr.outgoing(current.0) {
+            for &tid in csr.row(current.0) {
                 let next = (self.edges[tid as usize] >> 32) as usize;
                 if !visited[next] {
                     visited[next] = true;
@@ -303,7 +317,7 @@ impl Lts {
         visited[initial.0] = true;
         queue.push_back(initial);
         while let Some(current) = queue.pop_front() {
-            for &tid in csr.outgoing(current.0) {
+            for &tid in csr.row(current.0) {
                 let next = StateId((self.edges[tid as usize] >> 32) as usize);
                 if visited[next.0] {
                     continue;
@@ -385,7 +399,7 @@ impl LtsBuilder {
     /// their ids, and appends number on from them.
     pub fn from_lts(lts: &Lts) -> Self {
         let (states, labels, sources) =
-            (lts.states.clone(), lts.labels.clone(), lts.sources.clone());
+            (lts.states.to_vec(), lts.labels.clone(), lts.sources.clone());
         let edges = lts.edges.to_vec();
         let mut state_ids = IdTable::new();
         for (id, state) in states.iter().enumerate() {
@@ -476,7 +490,7 @@ impl LtsBuilder {
         let risk = if risk_transition { RISK_BIT } else { 0 };
         let edge = (to.0 as u64) << 32 | risk | u64::from(label);
         let from = from.0;
-        let base = if from + 1 < self.base.offsets.len() { self.base.outgoing(from) } else { &[] };
+        let base = if from < self.base.rows() { self.base.row(from) } else { &[] };
         let edges = &self.edges;
         let mut outgoing = base.iter().chain(&self.appended[from]);
         if let Some(&existing) = outgoing.find(|&&t| edges[t as usize] == edge) {
@@ -675,10 +689,11 @@ mod tests {
         );
         let lts = builder.build();
         assert_eq!(lts.outgoing(StateId(2)).map(|(id, _)| id).collect::<Vec<_>>(), vec![back]);
-        let csr = Csr::build(3, &[2, 0, 2, 1]);
-        assert_eq!(csr.outgoing(0), &[1]);
-        assert_eq!(csr.outgoing(1), &[3]);
-        assert_eq!(csr.outgoing(2), &[0, 2]);
+        let csr = Csr::build(3, [2, 0, 2, 1].into_iter());
+        assert_eq!((csr.rows(), csr.len()), (3, 4));
+        assert_eq!(csr.row(0), &[1]);
+        assert_eq!(csr.row(1), &[3]);
+        assert_eq!(csr.row(2), &[0, 2]);
     }
 
     #[test]

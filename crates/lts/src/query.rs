@@ -2,15 +2,16 @@
 //!
 //! The paper argues that *"a developer can determine which actors can
 //! identify which data during the course of a service (in conflict with user
-//! preferences)"*. [`LtsQuery`] wraps an [`Lts`] and its columnar
-//! [`LtsIndex`] with the questions the risk analyses and the examples need to
-//! ask, and answers each by probing the index's posting lists. The postings
-//! are stored in transition-id and breadth-first state order, so every answer
-//! lists its states and transitions in the order a scan of the LTS would; the
-//! tests below compare each query with such a scan.
+//! preferences)"*. [`LtsQuery`] wraps an [`Lts`] and its [`LtsIndex`] with
+//! the questions the risk analyses and the examples need to ask. A
+//! transition question selects the labels that answer it and merges
+//! their transitions in ascending id order; a state question reads a
+//! per-variable list kept in breadth-first order. So every answer lists its
+//! states and transitions in the order a scan of the LTS would; the tests
+//! below compare each query with such a scan.
 
 use crate::index::LtsIndex;
-use crate::label::ActionKind;
+use crate::label::{ActionKind, TransitionLabel};
 use crate::lts::{Lts, StateId, Transition, TransitionId};
 use privacy_model::{ActorId, FieldId};
 use std::collections::BTreeSet;
@@ -73,12 +74,12 @@ impl<'a> LtsQuery<'a> {
 
     /// The transitions performing a given action kind.
     pub fn transitions_of_kind(&self, action: ActionKind) -> Vec<(TransitionId, Transition<'a>)> {
-        self.resolve(self.index.transitions_of_kind(action))
+        self.resolve(|label| label.action() == action)
     }
 
     /// The transitions performed by a given actor.
     pub fn transitions_by_actor(&self, actor: &ActorId) -> Vec<(TransitionId, Transition<'a>)> {
-        self.resolve(self.index.transitions_by_actor(actor))
+        self.resolve(|label| label.actor() == actor)
     }
 
     /// The transitions that involve a given field.
@@ -86,7 +87,7 @@ impl<'a> LtsQuery<'a> {
         &self,
         field: &FieldId,
     ) -> Vec<(TransitionId, Transition<'a>)> {
-        self.resolve(self.index.transitions_involving_field(field))
+        self.resolve(|label| label.involves_field(field))
     }
 
     /// The `read` transitions performed by actors outside the allowed set —
@@ -95,14 +96,7 @@ impl<'a> LtsQuery<'a> {
         &self,
         allowed: &BTreeSet<ActorId>,
     ) -> Vec<(TransitionId, Transition<'a>)> {
-        let index = self.index;
-        let ids: Vec<u32> = index
-            .transitions_of_kind(ActionKind::Read)
-            .iter()
-            .filter(|&&tx| !allowed.contains(index.actor_of(tx)))
-            .copied()
-            .collect();
-        self.resolve(&ids)
+        self.resolve(|label| label.action() == ActionKind::Read && !allowed.contains(label.actor()))
     }
 
     /// The shortest action trace (labels only) leading to a state where
@@ -116,13 +110,12 @@ impl<'a> LtsQuery<'a> {
         })
     }
 
-    fn resolve(&self, ids: &[u32]) -> Vec<(TransitionId, Transition<'a>)> {
-        ids.iter()
-            .map(|&tx| {
-                let id = TransitionId(tx as usize);
-                (id, self.lts.transition(id))
-            })
-            .collect()
+    /// The transitions whose label `matches` accepts, ascending.
+    fn resolve(
+        &self,
+        matches: impl FnMut(&TransitionLabel) -> bool,
+    ) -> Vec<(TransitionId, Transition<'a>)> {
+        self.index.transitions_where(matches).map(|id| (id, self.lts.transition(id))).collect()
     }
 }
 

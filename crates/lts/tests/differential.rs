@@ -10,6 +10,7 @@
 
 use privacy_access::{AccessControlList, AccessPolicy, Grant};
 use privacy_dataflow::{DiagramBuilder, SystemDataFlows};
+use privacy_lts::index::LabelMerge;
 use privacy_lts::space::VarKind;
 use privacy_lts::{
     generate_lts, generate_lts_reference, ActionKind, FxHasher, GeneratorConfig, Lts, LtsBuilder,
@@ -20,7 +21,7 @@ use privacy_model::{
 };
 use privacy_synth::{random_model, ModelGeneratorConfig};
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
 /// The transition multiset of an LTS, as count-tagged rendered edges. Using
@@ -216,9 +217,9 @@ fn engine_matches_reference_on_a_hub_state() {
 }
 
 /// Holds every probe of `index` against a scan of `lts.transitions()`:
-/// the vocabulary and the fingerprint, every per-transition probe, every
-/// posting list and action cover, the outgoing lists, reachability and the
-/// per-variable state lists.
+/// the vocabulary and the fingerprint, the label table, label-group
+/// selections with their emptiness and field covers, and the per-variable
+/// state lists.
 fn assert_index_matches_label_scan(lts: &Lts, index: &LtsIndex) {
     let space = lts.space();
     assert_eq!(index.transition_count(), lts.transition_count());
@@ -247,70 +248,66 @@ fn assert_index_matches_label_scan(lts: &Lts, index: &LtsIndex) {
     fields.iter().for_each(|field| field.hash(&mut hasher));
     assert_eq!(index.fingerprint(), hasher.finish(), "fingerprint diverges");
 
-    // Per-transition probes, and the posting lists and covers a scan builds.
-    type Postings<K> = BTreeMap<K, Vec<u32>>;
-    let mut by_action: Postings<ActionKind> = BTreeMap::new();
-    let mut by_actor: Postings<&ActorId> = BTreeMap::new();
-    let mut by_actor_action: Postings<(&ActorId, ActionKind)> = BTreeMap::new();
-    let mut by_field: Postings<&FieldId> = BTreeMap::new();
-    let mut covers: BTreeSet<(ActionKind, &FieldId)> = BTreeSet::new();
-    let all_fields = index.field_mask(&fields);
-    for (id, transition) in lts.transitions() {
-        let (tx, label) = (id.0 as u32, transition.label());
-        assert_eq!(index.action_of(tx), label.action());
-        assert_eq!(index.actor_of(tx), label.actor());
-        assert_eq!(Some(index.actor_index_of(tx)), index.actor_index(label.actor()));
-        assert_eq!(index.purpose_of(tx), label.purpose());
-        assert_eq!(
-            index.purpose_index_of(tx),
-            label.purpose().map(|purpose| index.purpose_index(purpose).expect("interned"))
-        );
-        assert_eq!(index.has_fields(tx), !label.fields().is_empty());
-        assert_eq!(index.involves_any(tx, &all_fields), !label.fields().is_empty());
+    // The label table: every label some transition carries, once each.
+    let labels: Vec<&TransitionLabel> = index.labels().collect();
+    for (i, label) in labels.iter().enumerate() {
+        assert!(!labels[..i].contains(label), "label {label} listed twice");
+        assert!(lts.transitions().any(|(_, t)| t.label() == *label), "{label} labels nothing");
+    }
+    assert!(lts.transitions().all(|(_, t)| labels.contains(&t.label())));
+
+    // Selections: each equals the scan, in ascending transition order, both
+    // one-shot and through one merge reused across all of them; its
+    // emptiness equals an OR over the label table, and its field cover the
+    // fields its transitions involve. Whole kinds, actors and fields, every
+    // other label and every label span several label groups, so the merge's
+    // interleaving is held against the scan.
+    let mut merge = LabelMerge::default();
+    let mut select = |what: &str, keep: &dyn Fn(&TransitionLabel) -> bool| {
+        let scanned: Vec<TransitionId> =
+            lts.transitions().filter(|(_, t)| keep(t.label())).map(|(id, _)| id).collect();
+        let merged: Vec<TransitionId> = index.transitions_where(keep).collect();
+        assert_eq!(merged, scanned, "{what}: one-shot merge diverges");
+        let reused: Vec<TransitionId> = merge.select(index, keep).collect();
+        assert_eq!(reused, scanned, "{what}: reused merge diverges");
+        assert_eq!(index.labels().any(keep), !scanned.is_empty(), "{what}: emptiness diverges");
+        let cover = index.fields_where(keep);
         for (f, field) in fields.iter().enumerate() {
-            assert_eq!(index.involves_field(tx, f as u32), label.involves_field(field));
-            let single = index.field_mask([field]);
-            assert_eq!(index.involves_any(tx, &single), label.involves_field(field));
+            let scanned =
+                lts.transitions().any(|(_, t)| keep(t.label()) && t.label().involves_field(field));
+            assert_eq!(cover[f / 64] >> (f % 64) & 1 == 1, scanned, "{what}: cover of {field}");
         }
-        by_action.entry(label.action()).or_default().push(tx);
-        by_actor.entry(label.actor()).or_default().push(tx);
-        by_actor_action.entry((label.actor(), label.action())).or_default().push(tx);
-        for field in label.fields() {
-            by_field.entry(field).or_default().push(tx);
-            covers.insert((label.action(), field));
-        }
-    }
-    fn list<'m, K: Ord>(postings: &'m Postings<K>, key: &K) -> &'m [u32] {
-        postings.get(key).map_or(&[], Vec::as_slice)
-    }
+    };
+    select("every label", &|_| true);
+    select("no label", &|_| false);
+    let alternate: Vec<&TransitionLabel> = labels.iter().copied().step_by(2).collect();
+    select("every other label", &|label| alternate.contains(&label));
+    select("labels with a purpose", &|label| label.purpose().is_some());
+    select("labels without fields", &|label| label.fields().is_empty());
     let ghost_actor = ActorId::new("Ghost");
     let ghost_field = FieldId::new("Ghost");
     for action in ActionKind::ALL {
-        assert_eq!(index.transitions_of_kind(action), list(&by_action, &action));
+        select(&format!("{action}"), &|label| label.action() == action);
         for actor in actors.iter().chain([&ghost_actor]) {
-            assert_eq!(
-                index.transitions_by_actor_of_kind(actor, action),
-                list(&by_actor_action, &(actor, action))
-            );
+            select(&format!("{action} by {actor}"), &|label| {
+                label.action() == action && label.actor() == actor
+            });
         }
         for field in fields.iter().chain([&ghost_field]) {
-            assert_eq!(index.kind_covers_field(action, field), covers.contains(&(action, field)));
+            select(&format!("{action} of {field}"), &|label| {
+                label.action() == action && label.involves_field(field)
+            });
         }
     }
     for actor in actors.iter().chain([&ghost_actor]) {
-        assert_eq!(index.transitions_by_actor(actor), list(&by_actor, &actor));
+        select(&format!("by {actor}"), &|label| label.actor() == actor);
     }
     for field in fields.iter().chain([&ghost_field]) {
-        assert_eq!(index.transitions_involving_field(field), list(&by_field, &field));
+        select(&format!("of {field}"), &|label| label.involves_field(field));
     }
 
-    // Adjacency, reachability and the per-variable state lists.
-    for (state, _) in lts.states() {
-        let outgoing: Vec<u32> = lts.outgoing(state).map(|(id, _)| id.0 as u32).collect();
-        assert_eq!(index.outgoing_transitions(state), outgoing.as_slice());
-    }
+    // The per-variable state lists, in reachable order.
     let reachable = lts.reachable();
-    assert_eq!(index.reachable(), reachable.as_slice());
     for actor in space.actors() {
         for field in space.fields() {
             let holds = |state: StateId, kind: VarKind| match kind {
@@ -321,6 +318,7 @@ fn assert_index_matches_label_scan(lts: &Lts, index: &LtsIndex) {
                 let scanned: Vec<StateId> =
                     reachable.iter().copied().filter(|&state| holds(state, kind)).collect();
                 assert_eq!(index.states_of_variable(actor, field, kind), scanned.as_slice());
+                assert_eq!(index.count_states_of_variable(actor, field, kind), scanned.len());
             }
         }
     }
@@ -343,8 +341,9 @@ fn random_pair(actors: usize, fields: usize, seed: u64, potential_reads: bool) -
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The index oracle: every probe of an index equals a label scan of the
-    /// LTS it was built from, with and without potential reads.
+    /// The index oracle: every probe and label-group selection of an index
+    /// equals a label scan of the LTS it was built from, with and without
+    /// potential reads.
     #[test]
     fn index_probes_equal_a_label_scan_on_random_models(
         actors in 1usize..5,

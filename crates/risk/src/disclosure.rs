@@ -17,9 +17,9 @@
 //! * **Index probes** ([`DisclosureAnalysis::analyse`],
 //!   [`DisclosureAnalysis::assess`], [`DisclosureAnalysis::analyse_users_batch`])
 //!   — the default. The exposed-state set of each (actor, field) pair is a
-//!   posting-list lookup in a columnar [`LtsIndex`], and the existing reads
-//!   are [`LtsIndex::reads_involving`]: a per-(actor, field) list the index
-//!   fills on first request and then shares. The list depends only on the
+//!   per-variable list of an [`LtsIndex`], and the existing reads are
+//!   [`LtsIndex::reads_involving`]: a per-(actor, field) list the index
+//!   merges from the matching label groups on first request and then shares. The list depends only on the
 //!   pair, never on the user, so every report over one index holds the same
 //!   allocation — an assessment costs O(findings), not O(listed
 //!   transitions), and only the first assessment on a fresh index pays for

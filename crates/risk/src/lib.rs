@@ -19,7 +19,7 @@
 //!   non-allowed actors that can identify fields the user is sensitive
 //!   about, attaches risk labels to the corresponding `read` transitions and
 //!   adds potential-read risk transitions to the LTS. Queries resolve
-//!   through the columnar [`privacy_lts::LtsIndex`] (with the original scan
+//!   through the [`privacy_lts::LtsIndex`] (with the original scan
 //!   strategy retained for differential testing), and
 //!   [`DisclosureAnalysis::analyse_users_batch`] assesses whole user
 //!   populations over one index build in parallel;
