@@ -16,9 +16,10 @@
 //!   column is "resume instead of replay".
 //! * **Checkpointed audit** — the log grows in `audits` increments; each
 //!   period either re-audits from scratch (`check_log`: index rebuild +
-//!   probes over the whole prefix) or appends the increment to one
-//!   maintained `EventLogIndex` and runs `check_log_checkpointed` with the
-//!   carried `AuditCheckpoint`, paying only for the suffix. The
+//!   label-group probes over the whole prefix) or appends the increment to
+//!   one maintained `EventLogIndex` and runs `check_log_checkpointed` with
+//!   the carried `AuditCheckpoint`, merging only each flagged label group's
+//!   suffix. The
 //!   `suffix_speedup` column is the total-cost ratio across all periods and
 //!   is what `--min-suffix-speedup` gates in CI.
 //!

@@ -20,7 +20,8 @@
 //!   recorded in.)
 //! * **Log audit** — the multi-statement runtime policy checked via
 //!   `check_log_scan` (per-statement full scans) against `check_log` (one
-//!   `EventLogIndex` build plus posting-list probes).
+//!   `EventLogIndex` build, then each statement decided once per label
+//!   group and the flagged groups merged).
 //!
 //! Every scenario first cross-checks that the indexed monitor's alert
 //! stream equals the scan monitor's (at every swept thread count) and that

@@ -23,12 +23,13 @@
 //!   differential testing;
 //! * [`runtime_check`] — operation-time checking of the same policy against
 //!   the event logs produced by the [`privacy_runtime`] service simulator:
-//!   [`check_log`] probes a columnar [`privacy_runtime::EventLogIndex`]
-//!   built once per call (or reused across calls via [`check_log_indexed`]),
-//!   while [`check_log_scan`] retains the original per-statement full scans
-//!   for differential testing; periodic audits over the append-only log go
+//!   [`check_log`] decides each statement once per label group of a
+//!   [`privacy_runtime::EventLogIndex`] built once per call, while
+//!   [`check_log_scan`] retains the original per-statement full scans for
+//!   differential testing; periodic audits over the append-only log go
 //!   through [`check_log_checkpointed`] with an [`AuditCheckpoint`], paying
-//!   only for the suffix appended since the previous audit;
+//!   only for the suffix appended since the previous audit (and, from no
+//!   checkpoint, reusing one index across policies);
 //! * [`report`] — the per-statement pass / fail / skipped outcome and a
 //!   renderable [`ComplianceReport`].
 //!
@@ -73,7 +74,6 @@ pub use lts_check::{check_lts, check_lts_batch_indexed, check_lts_indexed, check
 pub use policy::{baseline_policy, forbid_non_allowed, PrivacyPolicy};
 pub use report::{ComplianceReport, StatementOutcome, Violation};
 pub use runtime_check::{
-    check_log, check_log_checkpointed, check_log_indexed, check_log_scan, AuditCheckpoint,
-    AuditError,
+    check_log, check_log_checkpointed, check_log_scan, AuditCheckpoint, AuditError,
 };
 pub use statement::{ActorMatcher, FieldMatcher, Statement, StatementKind};

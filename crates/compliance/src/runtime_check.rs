@@ -8,13 +8,14 @@
 //! Two interchangeable execution strategies exist, mirroring the LTS
 //! checker's split:
 //!
-//! * **Index probes** ([`check_log`], [`check_log_indexed`]) — the default.
-//!   One columnar [`EventLogIndex`] build turns every statement into posting
-//!   -list probes: matchers are evaluated once per *distinct* interned
-//!   actor/service instead of once per event, prohibitions walk only their
-//!   action's posting list, erasure reads a precomputed per-`(user, field)`
-//!   timeline and exposure bounds are a popcount. [`check_log_indexed`]
-//!   amortises one build over many policies (the batch-audit shape).
+//! * **Label-group probes** ([`check_log`]) — the default. One
+//!   [`EventLogIndex`] build groups the permitted events by label (action,
+//!   actor, service, field set), and every statement is decided once per
+//!   group rather than once per event: a prohibition or service limit
+//!   applies the scan path's own per-event predicate to the group's first
+//!   event and merges the flagged groups in ascending event order, an
+//!   exposure bound collects the observing groups' actors, and erasure
+//!   reads a precomputed per-`(user, field)` timeline.
 //! * **Full scans** ([`check_log_scan`]) — the original implementation,
 //!   retained verbatim for differential testing: every statement re-walks
 //!   the whole log. Both strategies produce identical reports; the property
@@ -24,25 +25,28 @@
 //! point, [`check_log_checkpointed`]: the caller maintains one
 //! [`EventLogIndex`] via [`EventLogIndex::append`] and carries an
 //! [`AuditCheckpoint`] between audits. Per-event statements (prohibitions,
-//! service limits) then probe only the posting-list *suffix* past the
+//! service limits) then merge only each flagged group's *suffix* past the
 //! checkpoint and splice the previously reported violations in front, while
 //! the aggregate statements (erasure, exposure) re-read the incrementally
-//! maintained timelines and observer bitsets — so each audit pays O(new
-//! events + statements), yet the produced report is identical to a
+//! maintained timelines and groups — so each audit pays O(new events +
+//! statements × labels), yet the produced report is identical to a
 //! from-scratch [`check_log`] (and [`check_log_scan`]) over the whole log.
 
 use crate::policy::PrivacyPolicy;
 use crate::report::{check_each, ComplianceReport, Skip, Target, Violation};
-use crate::statement::{FieldMatcher, Statement, StatementKind};
+use crate::statement::{ActorMatcher, FieldMatcher, Statement, StatementKind};
+use privacy_lts::index::LabelMerge;
 use privacy_lts::ActionKind;
-use privacy_model::{ActorId, FieldId, UserId};
-use privacy_runtime::{EventLog, EventLogIndex};
+use privacy_model::{ActorId, FieldId, ServiceId, UserId};
+use privacy_runtime::{Event, EventLog, EventLogIndex};
 use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// Checks every statement of `policy` against the observed events in `log`,
-/// building a columnar [`EventLogIndex`] once and probing it per statement.
+/// building an [`EventLogIndex`] once and probing its label groups per
+/// statement.
 ///
 /// Only *permitted* events count as behaviour: denied attempts were stopped
 /// by the access-control enforcement and therefore do not breach the policy.
@@ -60,18 +64,9 @@ use std::fmt;
 /// ```
 pub fn check_log(log: &EventLog, policy: &PrivacyPolicy) -> ComplianceReport {
     let index = EventLogIndex::build(log);
-    check_log_indexed(log, &index, policy)
-}
-
-/// Like [`check_log`] but over a prebuilt index, so one build serves many
-/// policies. The index must have been built from `log` in its current state.
-pub fn check_log_indexed(
-    log: &EventLog,
-    index: &EventLogIndex,
-    policy: &PrivacyPolicy,
-) -> ComplianceReport {
+    let mut probes = Probes::new(log, &index);
     check_each(policy, target(log), |_, statement, violations| {
-        probe_statement(log, index, statement, 0, violations)
+        probes.check(statement, 0, violations)
     })
 }
 
@@ -80,26 +75,23 @@ fn target(log: &EventLog) -> Target {
 }
 
 /// The carried-over state of a periodic audit: how much of the append-only
-/// log previous audits already covered, and — per per-event statement — the
-/// violations already reported for that prefix. Produced and consumed by
+/// log previous audits already covered, the policy statements they
+/// checked, and — per per-event statement — the violations already
+/// reported for that prefix. Produced and consumed by
 /// [`check_log_checkpointed`]; an audit that starts from `None` covers the
 /// whole log and is identical to [`check_log`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct AuditCheckpoint {
     /// Events `0..events_checked` of the log are covered by
-    /// [`AuditCheckpoint::statements`].
+    /// [`AuditCheckpoint::violations`].
     events_checked: usize,
-    /// One entry per policy statement, in policy order.
-    statements: Vec<StatementCheckpoint>,
-}
-
-/// One statement's accumulated per-event violations (empty for aggregate
-/// statement kinds, which re-read the index's incrementally maintained
-/// aggregates instead of accumulating).
-#[derive(Debug, Clone, PartialEq)]
-struct StatementCheckpoint {
-    id: String,
-    violations: Vec<Violation>,
+    /// The statements of the policy the checkpoint was taken under, shared
+    /// with it.
+    statements: Arc<Vec<Statement>>,
+    /// Per statement, in policy order: its accumulated per-event violations
+    /// (empty for aggregate statement kinds, which re-read the index's
+    /// incrementally maintained aggregates instead of accumulating).
+    violations: Vec<Vec<Violation>>,
 }
 
 impl AuditCheckpoint {
@@ -160,8 +152,8 @@ pub enum AuditError {
         log_len: usize,
     },
     /// The checkpoint was taken against a different policy (statement
-    /// added, removed or reordered); start a fresh audit instead of splicing
-    /// violations of one policy into another's report.
+    /// added, removed, reordered or edited); start a fresh audit instead of
+    /// splicing violations of one policy into another's report.
     PolicyMismatch {
         /// Human-readable description of the first disagreement.
         detail: String,
@@ -201,7 +193,8 @@ impl Error for AuditError {}
 /// current via [`EventLogIndex::append`]. Returns the full-log report —
 /// identical to [`check_log`] / [`check_log_scan`] over the whole log, as
 /// pinned by the checkpointed-audit property tests — together with the next
-/// checkpoint.
+/// checkpoint. Starting from `None` audits the whole log, so one index also
+/// serves many policies.
 ///
 /// The checkpoint is consumed: once the log has grown past it, the old
 /// checkpoint describes a prefix no future audit should restart from (and
@@ -212,7 +205,8 @@ impl Error for AuditError {}
 ///
 /// Returns a typed [`AuditError`] when the caller's invariants do not hold
 /// (index behind the log, log shorter than the checkpoint, policy changed
-/// since the checkpoint was taken).
+/// since the checkpoint was taken — statements are compared by value, so an
+/// edited statement counts as a change).
 ///
 /// # Examples
 ///
@@ -245,8 +239,9 @@ pub fn check_log_checkpointed(
             log_len: log.len(),
         });
     }
-    let from = match &checkpoint {
-        None => 0usize,
+    let statements = policy.shared_statements();
+    let (from, mut prior) = match checkpoint {
+        None => (0usize, None),
         Some(checkpoint) => {
             if checkpoint.events_checked > log.len() {
                 return Err(AuditError::CheckpointAheadOfLog {
@@ -254,56 +249,54 @@ pub fn check_log_checkpointed(
                     log_len: log.len(),
                 });
             }
-            if checkpoint.statements.len() != policy.len() {
-                return Err(AuditError::PolicyMismatch {
-                    detail: format!(
-                        "checkpoint tracks {} statements, policy has {}",
-                        checkpoint.statements.len(),
-                        policy.len()
-                    ),
-                });
+            if let Some(detail) = policy_change(&checkpoint.statements, statements) {
+                return Err(AuditError::PolicyMismatch { detail });
             }
-            for (position, (tracked, statement)) in
-                checkpoint.statements.iter().zip(policy.iter()).enumerate()
-            {
-                if tracked.id != statement.id() {
-                    return Err(AuditError::PolicyMismatch {
-                        detail: format!(
-                            "statement {position} is `{}` in the checkpoint but `{}` in the \
-                             policy",
-                            tracked.id,
-                            statement.id()
-                        ),
-                    });
-                }
-            }
-            checkpoint.events_checked
+            (checkpoint.events_checked, Some(checkpoint.violations))
         }
     };
 
-    let mut prior_statements = checkpoint.map(|checkpoint| checkpoint.statements);
-    let mut statements = Vec::with_capacity(policy.len());
+    let mut probes = Probes::new(log, index);
+    let mut carried = Vec::with_capacity(policy.len());
     let report = check_each(policy, target(log), |position, statement, violations| {
         // Per-event kinds probe only the suffix: the carried prefix
         // violations go in front (both are in ascending event order, so the
         // concatenation is the full-log order). Aggregate kinds recompute
         // over the whole index and carry nothing.
         let start = violations.len();
-        if let Some(tracked) = prior_statements.as_mut() {
-            violations.append(&mut tracked[position].violations);
+        if let Some(prior) = prior.as_mut() {
+            violations.append(&mut prior[position]);
         }
-        let verdict = probe_statement(log, index, statement, from as u32, violations);
+        let verdict = probes.check(statement, from as u32, violations);
         // One copy is unavoidable — the report and the next checkpoint each
         // own the list.
-        let carried = if verdict.is_ok() && accumulates_per_event(statement) {
+        carried.push(if verdict.is_ok() && accumulates_per_event(statement) {
             violations[start..].to_vec()
         } else {
             Vec::new()
-        };
-        statements.push(StatementCheckpoint { id: statement.id().to_owned(), violations: carried });
+        });
         verdict
     });
-    Ok((report, AuditCheckpoint { events_checked: log.len(), statements }))
+    let statements = Arc::clone(statements);
+    Ok((report, AuditCheckpoint { events_checked: log.len(), statements, violations: carried }))
+}
+
+/// Names the first statement that differs between the statements a
+/// checkpoint was taken under and the policy's, or `None` if they are equal.
+fn policy_change(checkpoint: &[Statement], policy: &[Statement]) -> Option<String> {
+    match checkpoint.iter().zip(policy).position(|(old, new)| old != new) {
+        Some(position) => Some(format!(
+            "statement {position} differs: `{}` in the checkpoint, `{}` in the policy",
+            checkpoint[position].id(),
+            policy[position].id()
+        )),
+        None if checkpoint.len() != policy.len() => Some(format!(
+            "checkpoint tracks {} statements, policy has {}",
+            checkpoint.len(),
+            policy.len()
+        )),
+        None => None,
+    }
 }
 
 /// Whether the statement kind reports one violation per offending event —
@@ -322,92 +315,100 @@ pub fn check_log_scan(log: &EventLog, policy: &PrivacyPolicy) -> ComplianceRepor
     })
 }
 
-/// Checks one statement by probing the index's posting lists and aggregates.
-/// Per-event statement kinds consider only events with id ≥ `from` (the
-/// checkpointed-audit suffix; `0` probes everything); aggregate kinds always
-/// answer from the whole — incrementally maintained — index.
-fn probe_statement(
-    log: &EventLog,
-    index: &EventLogIndex,
-    statement: &Statement,
-    from: u32,
-    out: &mut Vec<Violation>,
-) -> Result<(), Skip> {
-    let events = log.events();
-    // Posting lists are ascending, so each suffix past `from` is one
-    // partition-point probe.
-    match statement.kind() {
-        StatementKind::Forbid { actors, action, fields } => {
-            // Candidates: the action's permitted posting list (or every
-            // permitted event for an unrestricted prohibition). The actor
-            // matcher is evaluated once per distinct interned actor.
-            let candidates = match action {
-                Some(action) => index.of_action(*action),
-                None => index.permitted(),
-            };
-            let candidates = &candidates[candidates.partition_point(|&id| id < from)..];
-            let actor_ok: Vec<bool> =
-                index.actors().iter().map(|actor| actors.matches(actor)).collect();
-            let field_mask = match fields {
-                FieldMatcher::Any => None,
-                FieldMatcher::Only(set) => Some(index.field_mask(set.iter())),
-            };
-            out.extend(
-                candidates
-                    .iter()
-                    .filter(|&&id| actor_ok[index.actor_index_of(id) as usize])
-                    .filter(|&&id| match &field_mask {
-                        // `matches_any` over an `Any` matcher still requires
-                        // the event to carry at least one field.
-                        None => index.has_fields(id),
-                        Some(mask) => index.involves_any(id, mask),
-                    })
-                    .map(|&id| Violation::forbidden_event(&events[id as usize])),
-            );
-        }
-        StatementKind::ServiceLimit { fields, allowed } => {
-            // The service matcher is evaluated once per distinct service;
-            // candidates come from the matched fields' posting lists.
-            let service_ok: Vec<bool> =
-                index.services().iter().map(|service| allowed.contains(service)).collect();
-            let candidates: Vec<u32> = match fields {
-                FieldMatcher::Any => {
-                    let permitted = index.permitted();
-                    permitted[permitted.partition_point(|&id| id < from)..]
-                        .iter()
-                        .copied()
-                        .filter(|&id| index.has_fields(id))
-                        .collect()
-                }
-                FieldMatcher::Only(set) => index.involving_any_field_from(set.iter(), from),
-            };
-            out.extend(
-                candidates
-                    .into_iter()
-                    .filter(|&id| !service_ok[index.service_index_of(id) as usize])
-                    .map(|id| Violation::outside_services(&events[id as usize])),
-            );
-        }
-        StatementKind::PurposeLimit { .. } => return Err(Skip::NoPurposeInLog),
-        StatementKind::RequireErasure { fields } => out.extend(
-            index
-                .erasure_timelines()
-                .filter(|((_, field), _)| fields.matches(field))
-                .filter(|(_, timeline)| timeline.violates_erasure())
-                .map(|((user, field), _)| Violation::unerased(user, field)),
-        ),
-        StatementKind::MaxExposure { field, max_actors } => {
-            let exposed = index.observing_actors(field);
-            if exposed.len() > *max_actors {
-                let exposed = exposed.into_iter().cloned().collect();
-                out.push(Violation::observed(field, *max_actors, exposed));
-            }
-        }
-        // Future statement kinds default to skipped rather than silently passing.
-        #[allow(unreachable_patterns)]
-        _ => return Err(Skip::UnsupportedByLog),
+/// Whether a prohibition covers a permitted event. The scan path asks it
+/// per event, the probes once per label group.
+fn forbids(
+    actors: &ActorMatcher,
+    action: Option<ActionKind>,
+    fields: &FieldMatcher,
+    event: &Event,
+) -> bool {
+    action.is_none_or(|a| a == event.action())
+        && actors.matches(event.actor())
+        && fields.matches_any(event.fields())
+}
+
+/// Whether a permitted event processes a covered field outside the allowed
+/// services. The scan path asks it per event, the probes once per group.
+fn outside_services(fields: &FieldMatcher, allowed: &BTreeSet<ServiceId>, event: &Event) -> bool {
+    fields.matches_any(event.fields()) && !allowed.contains(event.service())
+}
+
+/// Whether a permitted event lets its actor observe `field`. The scan path
+/// asks it per event, the probes once per group.
+fn observes(field: &FieldId, event: &Event) -> bool {
+    event.fields().contains(field)
+        && matches!(event.action(), ActionKind::Read | ActionKind::Collect | ActionKind::Disclose)
+}
+
+/// One audit's probes of an index's label groups. A group's first event
+/// stands for its label; the merge heap is reused across statements.
+struct Probes<'a> {
+    events: &'a [Event],
+    index: &'a EventLogIndex,
+    /// The merge of the current statement's flagged label groups.
+    merge: LabelMerge<'a, u32>,
+}
+
+impl<'a> Probes<'a> {
+    fn new(log: &'a EventLog, index: &'a EventLogIndex) -> Self {
+        Probes { events: log.events(), index, merge: LabelMerge::default() }
     }
-    Ok(())
+
+    /// The events with id ≥ `from` of the groups whose first event
+    /// `flags`, in ascending id order: one partition point per group.
+    fn flagged(&mut self, from: u32, flags: impl Fn(&Event) -> bool) -> &mut LabelMerge<'a, u32> {
+        let events = self.events;
+        let groups = self.index.groups().filter(|group| flags(&events[group[0] as usize]));
+        self.merge.merge(groups.map(|group| &group[group.partition_point(|&id| id < from)..]))
+    }
+
+    /// Checks one statement, reporting violations in ascending event order —
+    /// the order the scan path reports them in. Per-event statement kinds
+    /// consider only events with id ≥ `from` (the checkpointed-audit suffix;
+    /// `0` probes everything); aggregate kinds always answer from the whole
+    /// — incrementally maintained — index.
+    fn check(
+        &mut self,
+        statement: &Statement,
+        from: u32,
+        out: &mut Vec<Violation>,
+    ) -> Result<(), Skip> {
+        let events = self.events;
+        match statement.kind() {
+            StatementKind::Forbid { actors, action, fields } => {
+                let flagged = self.flagged(from, |event| forbids(actors, *action, fields, event));
+                out.extend(flagged.map(|id| Violation::forbidden_event(&events[id as usize])));
+            }
+            StatementKind::ServiceLimit { fields, allowed } => {
+                let flagged = self.flagged(from, |event| outside_services(fields, allowed, event));
+                out.extend(flagged.map(|id| Violation::outside_services(&events[id as usize])));
+            }
+            StatementKind::PurposeLimit { .. } => return Err(Skip::NoPurposeInLog),
+            StatementKind::RequireErasure { fields } => out.extend(
+                self.index
+                    .erasure_timelines()
+                    .filter(|((_, field), _)| fields.matches(field))
+                    .filter(|(_, timeline)| timeline.violates_erasure())
+                    .map(|((user, field), _)| Violation::unerased(user, field)),
+            ),
+            StatementKind::MaxExposure { field, max_actors } => {
+                let exposed: BTreeSet<&ActorId> = (self.index.groups())
+                    .map(|group| &events[group[0] as usize])
+                    .filter(|event| observes(field, event))
+                    .map(Event::actor)
+                    .collect();
+                if exposed.len() > *max_actors {
+                    let exposed = exposed.into_iter().cloned().collect();
+                    out.push(Violation::observed(field, *max_actors, exposed));
+                }
+            }
+            // Future statement kinds default to skipped rather than silently passing.
+            #[allow(unreachable_patterns)]
+            _ => return Err(Skip::UnsupportedByLog),
+        }
+        Ok(())
+    }
 }
 
 /// The original per-statement full scan, retained for differential testing.
@@ -420,16 +421,13 @@ fn scan_statement(
         StatementKind::Forbid { actors, action, fields } => out.extend(
             log.iter()
                 .filter(|event| event.permitted())
-                .filter(|event| action.is_none_or(|a| a == event.action()))
-                .filter(|event| actors.matches(event.actor()))
-                .filter(|event| fields.matches_any(event.fields()))
+                .filter(|event| forbids(actors, *action, fields, event))
                 .map(Violation::forbidden_event),
         ),
         StatementKind::ServiceLimit { fields, allowed } => out.extend(
             log.iter()
                 .filter(|event| event.permitted())
-                .filter(|event| fields.matches_any(event.fields()))
-                .filter(|event| !allowed.contains(event.service()))
+                .filter(|event| outside_services(fields, allowed, event))
                 .map(Violation::outside_services),
         ),
         StatementKind::PurposeLimit { .. } => return Err(Skip::NoPurposeInLog),
@@ -468,13 +466,7 @@ fn scan_statement(
             let exposed: BTreeSet<&ActorId> = log
                 .iter()
                 .filter(|event| event.permitted())
-                .filter(|event| event.fields().contains(field))
-                .filter(|event| {
-                    matches!(
-                        event.action(),
-                        ActionKind::Read | ActionKind::Collect | ActionKind::Disclose
-                    )
-                })
+                .filter(|event| observes(field, event))
                 .map(|event| event.actor())
                 .collect();
             if exposed.len() > *max_actors {
@@ -492,9 +484,7 @@ fn scan_statement(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::statement::{ActorMatcher, FieldMatcher};
-    use privacy_model::{DatastoreId, ServiceId};
-    use privacy_runtime::Event;
+    use privacy_model::DatastoreId;
 
     fn event(
         sequence: u64,
@@ -727,7 +717,8 @@ mod tests {
             FieldMatcher::Any,
         ));
         for policy in [&forbid, &erasure] {
-            assert_eq!(check_log_indexed(&log, &index, policy), check_log_scan(&log, policy));
+            let (report, _) = check_log_checkpointed(&log, &index, policy, None).unwrap();
+            assert_eq!(report, check_log_scan(&log, policy));
         }
     }
 }

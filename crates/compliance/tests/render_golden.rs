@@ -1,12 +1,20 @@
-//! Golden rendering: the text of a compliance report over the plain
-//! healthcare LTS (declared flows, no potential reads) under the
-//! `analysis_scaling` hygiene policy. Violations are kept structured and
-//! rendered on read, so this pins that the rendered text — every PASS, FAIL
-//! and SKIP line, every violation's subject and detail, and the target line
-//! — stays byte for byte what the eagerly formatted reports produced.
+//! Golden rendering: the text of compliance reports over the plain
+//! healthcare LTS (declared flows, no potential reads).
+//!
+//! * Under the `analysis_scaling` hygiene policy. Violations are kept
+//!   structured and rendered on read, so this pins that the rendered text —
+//!   every PASS, FAIL and SKIP line, every violation's subject and detail,
+//!   and the target line — stays byte for byte what the eagerly formatted
+//!   reports produced.
+//! * Under two prohibitions whose violations come from several label groups
+//!   that interleave in transition-id order (Administrator reads and Doctor
+//!   creates of the diagnosis; every actor's reads). Every violation of the
+//!   hygiene report comes from a single label group, so this case is the
+//!   one that pins the index's group merge to ascending transition order.
 //!
 //! To re-capture after a deliberate wording change, write
-//! `check_lts(&lts, &policy).render()` to `tests/golden/healthcare_hygiene.txt`.
+//! `check_lts_scan(&lts, &policy).render()` to the case's file under
+//! `tests/golden/`.
 
 use privacy_compliance::{
     check_lts, check_lts_scan, ActorMatcher, FieldMatcher, PrivacyPolicy, Statement,
@@ -16,6 +24,7 @@ use privacy_lts::ActionKind;
 use privacy_model::{ActorId, Catalog, FieldId, Purpose};
 
 const GOLDEN: &str = include_str!("golden/healthcare_hygiene.txt");
+const PROHIBITIONS_GOLDEN: &str = include_str!("golden/healthcare_prohibitions.txt");
 
 /// `analysis_scaling`'s hygiene policy for a declared-flow LTS (the variant
 /// that includes the purpose limitation).
@@ -86,4 +95,27 @@ fn healthcare_hygiene_report_renders_byte_for_byte() {
     assert_eq!(indexed.render(), GOLDEN);
     assert_eq!(indexed.to_string(), GOLDEN);
     assert_eq!(check_lts_scan(&lts, &policy).render(), GOLDEN);
+}
+
+#[test]
+fn interleaved_label_groups_render_in_transition_order() {
+    let system = casestudy::healthcare().unwrap();
+    let lts = system.generate_lts().unwrap();
+    let policy = PrivacyPolicy::new("p")
+        .with_statement(Statement::forbid(
+            "NO-READ",
+            "nobody reads",
+            ActorMatcher::Any,
+            Some(ActionKind::Read),
+            FieldMatcher::Any,
+        ))
+        .with_statement(Statement::forbid(
+            "NO-DIAG",
+            "nobody processes the diagnosis",
+            ActorMatcher::Any,
+            None,
+            FieldMatcher::only([casestudy::fields::diagnosis()]),
+        ));
+    assert_eq!(check_lts(&lts, &policy).render(), PROHIBITIONS_GOLDEN);
+    assert_eq!(check_lts_scan(&lts, &policy).render(), PROHIBITIONS_GOLDEN);
 }

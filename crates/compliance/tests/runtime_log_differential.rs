@@ -2,8 +2,8 @@
 //! retained scan-path checker, over seeded random `privacy-synth` models
 //! and random event streams.
 //!
-//! [`check_log`] (one columnar `EventLogIndex` build, posting-list probes
-//! per statement) must agree with [`check_log_scan`] (every statement
+//! [`check_log`] (one `EventLogIndex` build, label-group probes per
+//! statement) must agree with [`check_log_scan`] (every statement
 //! re-walks the log) on everything: the same statements checked/skipped
 //! and the same violations in the same order. Report equality compares
 //! that structure (violations keep their facts and render on read), so
@@ -15,8 +15,8 @@
 //! miss on purpose.
 
 use privacy_compliance::{
-    check_log, check_log_checkpointed, check_log_indexed, check_log_scan, ActorMatcher,
-    AuditCheckpoint, AuditError, FieldMatcher, PrivacyPolicy, Statement,
+    check_log, check_log_checkpointed, check_log_scan, ActorMatcher, AuditCheckpoint, AuditError,
+    FieldMatcher, PrivacyPolicy, Statement,
 };
 use privacy_lts::ActionKind;
 use privacy_model::{ActorId, Catalog, DatastoreId, FieldId, Record, ServiceId, UserId};
@@ -217,7 +217,9 @@ proptest! {
         let index = EventLogIndex::build(&log);
         for statement in full.iter() {
             let unit = PrivacyPolicy::new("unit").with_statement(statement.clone());
-            let (probed, scanned) = (check_log_indexed(&log, &index, &unit), check_log_scan(&log, &unit));
+            let (probed, _) = check_log_checkpointed(&log, &index, &unit, None)
+                .expect("a fresh index covers its log");
+            let scanned = check_log_scan(&log, &unit);
             prop_assert_eq!(probed.render(), scanned.render());
             prop_assert_eq!(probed, scanned);
         }
@@ -225,8 +227,8 @@ proptest! {
 
     /// The log split at two arbitrary cut points and fed to
     /// [`EventLogIndex::append`] segment by segment equals one from-scratch
-    /// build over the whole log — every column, posting list, timeline and
-    /// bitset (`EventLogIndex` equality is structural).
+    /// build over the whole log — every label group and erasure timeline
+    /// (`EventLogIndex` equality is structural).
     #[test]
     fn appended_index_equals_from_scratch_build(
         seed in 0u64..1_000_000,
@@ -367,4 +369,23 @@ fn checkpointed_audit_rejects_broken_invariants() {
         check_log_checkpointed(&log, &index, &renamed_policy, Some(checkpoint)),
         Err(AuditError::PolicyMismatch { .. })
     ));
+
+    // Same ids but an edited statement: `F1` forbade Doctor reads when the
+    // checkpoint was taken and forbids Nurse reads now, so the carried
+    // violations belong to another statement.
+    let reads_by = |actor: &str| {
+        PrivacyPolicy::new("reads").with_statement(Statement::forbid(
+            "F1",
+            "no reads",
+            ActorMatcher::only([ActorId::new(actor)]),
+            Some(ActionKind::Read),
+            FieldMatcher::Any,
+        ))
+    };
+    let (_, doctor_checkpoint) =
+        check_log_checkpointed(&log, &index, &reads_by("Doctor"), None).expect("fresh audit runs");
+    match check_log_checkpointed(&log, &index, &reads_by("Nurse"), Some(doctor_checkpoint)) {
+        Err(AuditError::PolicyMismatch { detail }) => assert!(detail.contains("`F1`"), "{detail}"),
+        other => panic!("an edited statement must mismatch, got {other:?}"),
+    }
 }

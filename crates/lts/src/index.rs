@@ -48,6 +48,7 @@ use crate::state::PrivacyState;
 use privacy_model::{ActorId, FieldId, Interner};
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::marker::PhantomData;
 use std::sync::{Arc, OnceLock};
 
 /// An empty state list, returned for variables no reachable state sets.
@@ -394,16 +395,26 @@ impl LtsIndex {
     }
 }
 
-/// The transitions of a selection of labels, in ascending id order: a k-way
-/// merge of the labels' groups (each ascending, no two sharing an id)
-/// through a min-heap of cursors. [`LabelMerge::select`] restarts it over
-/// another selection and keeps the heap's storage, so a caller probing many
-/// selections allocates once; a selection of no label allocates nothing.
-#[derive(Debug, Default)]
-pub struct LabelMerge<'a> {
+/// The ids of a selection of groups, in ascending order: a k-way merge of
+/// the groups (each ascending, no two sharing an id) through a min-heap of
+/// cursors. [`LabelMerge::select`] restarts it over a selection of an
+/// [`LtsIndex`]'s label groups, yielding [`TransitionId`]s;
+/// [`LabelMerge::merge`] over any groups, yielding `Id`s (`u32` for the
+/// event log's label groups). A restart keeps the heap's storage, so a
+/// caller probing many selections allocates once; a selection of no group
+/// allocates nothing.
+#[derive(Debug)]
+pub struct LabelMerge<'a, Id = TransitionId> {
     /// The unvisited rest of each selected group; never empty. Two groups
     /// differ in their first id, so slice order is first-id order.
     cursors: BinaryHeap<Reverse<&'a [u32]>>,
+    id: PhantomData<Id>,
+}
+
+impl<Id> Default for LabelMerge<'_, Id> {
+    fn default() -> Self {
+        LabelMerge { cursors: BinaryHeap::new(), id: PhantomData }
+    }
 }
 
 impl<'a> LabelMerge<'a> {
@@ -414,21 +425,29 @@ impl<'a> LabelMerge<'a> {
         index: &'a LtsIndex,
         mut matches: impl FnMut(&TransitionLabel) -> bool,
     ) -> &mut Self {
-        self.cursors.clear();
-        self.cursors.extend(
+        self.merge(
             index
                 .label_ids()
                 .filter(|&label| matches(&index.labels[label]))
-                .map(|label| Reverse(index.by_label.row(label))),
-        );
+                .map(|label| index.by_label.row(label)),
+        )
+    }
+}
+
+impl<'a, Id> LabelMerge<'a, Id> {
+    /// Restarts the merge over `groups`: each ascending, no two sharing an
+    /// id. Empty groups are skipped.
+    pub fn merge(&mut self, groups: impl IntoIterator<Item = &'a [u32]>) -> &mut Self {
+        self.cursors.clear();
+        self.cursors.extend(groups.into_iter().filter(|group| !group.is_empty()).map(Reverse));
         self
     }
 }
 
-impl Iterator for LabelMerge<'_> {
-    type Item = TransitionId;
+impl<Id: From<u32>> Iterator for LabelMerge<'_, Id> {
+    type Item = Id;
 
-    fn next(&mut self) -> Option<TransitionId> {
+    fn next(&mut self) -> Option<Id> {
         let mut top = self.cursors.peek_mut()?;
         let Reverse(group) = *top;
         let (&first, rest) = group.split_first().expect("merge cursors are never empty");
@@ -437,7 +456,7 @@ impl Iterator for LabelMerge<'_> {
         } else {
             *top = Reverse(rest);
         }
-        Some(TransitionId(first as usize))
+        Some(Id::from(first))
     }
 }
 

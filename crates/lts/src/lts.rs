@@ -42,6 +42,12 @@ impl fmt::Display for StateId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TransitionId(pub usize);
 
+impl From<u32> for TransitionId {
+    fn from(id: u32) -> Self {
+        TransitionId(id as usize)
+    }
+}
+
 impl fmt::Display for TransitionId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "t{}", self.0)

@@ -155,16 +155,6 @@ impl EventLog {
         self.events.last().map(|e| e.sequence() + 1).unwrap_or(0)
     }
 
-    /// The events concerning one user.
-    pub fn for_user(&self, user: &UserId) -> Vec<&Event> {
-        self.events.iter().filter(|e| e.user() == user).collect()
-    }
-
-    /// The events performed by one actor.
-    pub fn by_actor(&self, actor: &ActorId) -> Vec<&Event> {
-        self.events.iter().filter(|e| e.actor() == actor).collect()
-    }
-
     /// The denied events (attempted accesses the policy blocked).
     pub fn denied(&self) -> Vec<&Event> {
         self.events.iter().filter(|e| !e.permitted()).collect()
@@ -233,9 +223,6 @@ mod tests {
 
         assert_eq!(log.len(), 3);
         assert_eq!(log.next_sequence(), 3);
-        assert_eq!(log.for_user(&UserId::new("alice")).len(), 3);
-        assert_eq!(log.for_user(&UserId::new("bob")).len(), 0);
-        assert_eq!(log.by_actor(&ActorId::new("Doctor")).len(), 2);
         assert_eq!(log.denied().len(), 1);
         assert!(log.to_string().contains("event log (3 events)"));
         assert_eq!(log.iter().count(), 3);

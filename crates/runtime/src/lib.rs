@@ -21,8 +21,9 @@
 //!   through the shared [`privacy_lts::LtsIndex`] interners and per-user
 //!   state is sharded by `UserId` hash over worker threads, with an alert
 //!   stream pinned identical to the scan monitor;
-//! * [`log_index`] — the columnar [`EventLogIndex`] the operation-time
-//!   compliance checker probes instead of re-scanning the log per statement,
+//! * [`log_index`] — the [`EventLogIndex`], the permitted events grouped by
+//!   label, which the operation-time compliance checker probes once per
+//!   label instead of re-scanning the log per statement,
 //!   append-aware so periodic audits over the (append-only) log pay only for
 //!   the new suffix;
 //! * [`snapshot`] — versioned, checksummed [`MonitorSnapshot`]s so a monitor

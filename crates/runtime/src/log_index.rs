@@ -1,37 +1,36 @@
-//! The columnar event-log index.
+//! The event-log index: the permitted events grouped by label.
 //!
 //! The operation-time compliance checker originally re-walked the whole
 //! [`EventLog`] once **per policy statement**, re-evaluating string-keyed
-//! matchers against every event each time. [`EventLogIndex::build`] is the
-//! runtime sibling of the LTS analysis index
-//! ([`privacy_lts::LtsIndex`]): one pass over the log materialises
+//! matchers against every event each time. Every question a statement asks
+//! of an event is a question about its **label** — its action, actor,
+//! service and field set — and a log has few labels: the runtime_scaling
+//! streams have 9 distinct permitted labels over 26,697 events
+//! (healthcare) and 14 over 24,000 (`synth_8a_10f_3s`). So
+//! [`EventLogIndex::build`], the runtime sibling of the LTS analysis index
+//! ([`privacy_lts::LtsIndex`]), keeps
 //!
-//! * **Columns** — per event: the action's dense table index
-//!   ([`ActionKind::table_index`]), the interned actor and service, and a
-//!   packed `u64` bitset of the interned fields the event carries;
-//! * **Posting lists** — ascending event ids of the *permitted* events, per
-//!   action kind and per field (denied events never constitute behaviour,
-//!   so no statement ever consults them);
+//! * **Label groups** — per distinct label of the *permitted* events, in the
+//!   order each label first appears, the ascending ids of its events
+//!   (denied events never constitute behaviour, so no statement consults
+//!   them and none is grouped);
 //! * **Erasure timelines** — per `(user, field)`: when the field was first
 //!   stored (`collect`/`create`/`anon`) and last deleted, the aggregation
 //!   every right-to-erasure statement needs, built once instead of once per
-//!   statement;
-//! * **Observer sets** — per field: the bitset of actors that observed it
-//!   (`read`/`collect`/`disclose`), answering exposure bounds by popcount.
+//!   statement.
 //!
-//! Matchers are then evaluated once per **distinct** interned actor/service
-//! instead of once per event, and each statement touches only its posting
-//! lists. `privacy_compliance::check_log` probes this index;
-//! `check_log_scan` retains the original full-scan semantics and the
-//! differential property tests pin the two identical.
+//! `privacy_compliance::check_log` decides each statement once per group,
+//! applying the scan checker's own per-event predicate to the group's first
+//! event, and merges the selected groups in ascending event order
+//! ([`privacy_lts::index::LabelMerge`]); `check_log_scan` retains the
+//! original full-scan semantics and the differential property tests pin
+//! the two identical.
 //!
 //! The index is **append-aware**: the event log is append-only, so
-//! [`EventLogIndex::append`] extends the columns, posting lists, erasure
-//! timelines and observer bitsets in place — re-laying out the packed
-//! bitsets only when the interned vocabulary outgrows its word stride — and
-//! is pinned identical to a from-scratch [`EventLogIndex::build`] over the
-//! whole log, for every split of the log into appended segments
-//! (`PartialEq` covers every column and posting, and the
+//! [`EventLogIndex::append`] extends the groups and erasure timelines in
+//! place, and [`EventLogIndex::build`] is one append to an empty index. An
+//! index appended segment by segment equals one built over the whole log
+//! (`PartialEq` covers every group and timeline, and the
 //! `appended_index_equals_from_scratch_build` property tests exercise random
 //! cut points). Periodic audits exploit this through
 //! `privacy_compliance::check_log_checkpointed`, which pays only for the
@@ -40,13 +39,10 @@
 use crate::event::{Event, EventLog};
 use privacy_lts::ActionKind;
 use privacy_model::{ActorId, FieldId, Interner, ServiceId, UserId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-/// Number of distinct [`ActionKind`]s (the width of the per-action tables).
-const ACTIONS: usize = ActionKind::ALL.len();
-
-/// An empty posting list, returned for identifiers the index never saw.
-const EMPTY_EVENTS: &[u32] = &[];
+/// An event's label: everything a policy statement asks of the event.
+type Label = (ActionKind, ActorId, ServiceId, BTreeSet<FieldId>);
 
 /// When a `(user, field)` pair was first stored and last deleted in the
 /// observed execution — the inputs of the right-to-erasure check.
@@ -76,7 +72,7 @@ impl ErasureTimeline {
     }
 }
 
-/// The columnar index over one [`EventLog`] snapshot.
+/// The label-group index over one [`EventLog`] snapshot.
 ///
 /// # Examples
 ///
@@ -86,165 +82,40 @@ impl ErasureTimeline {
 /// use privacy_runtime::{Event, EventLog, EventLogIndex};
 ///
 /// let mut log = EventLog::new();
-/// log.append(Event::new(
-///     0, "alice", "MedicalService", "Doctor", ActionKind::Read,
-///     [FieldId::new("Diagnosis")], Some(DatastoreId::new("EHR")), true,
-/// ));
+/// for (sequence, actor) in [(0, "Doctor"), (1, "Nurse"), (2, "Doctor")] {
+///     log.append(Event::new(
+///         sequence, "alice", "MedicalService", actor, ActionKind::Read,
+///         [FieldId::new("Diagnosis")], Some(DatastoreId::new("EHR")), true,
+///     ));
+/// }
 /// let index = EventLogIndex::build(&log);
-/// assert_eq!(index.of_action(ActionKind::Read), &[0]);
-/// assert_eq!(index.observing_actors(&FieldId::new("Diagnosis")).len(), 1);
+/// let groups: Vec<&[u32]> = index.groups().collect();
+/// assert_eq!(groups, [&[0, 2][..], &[1][..]]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventLogIndex {
     event_count: usize,
-    actors: Interner<ActorId>,
-    services: Interner<ServiceId>,
-    fields: Interner<FieldId>,
-    /// Per event: [`ActionKind::table_index`] of its action.
-    action_col: Vec<u8>,
-    /// Per event: interned actor index.
-    actor_col: Vec<u32>,
-    /// Per event: interned service index.
-    service_col: Vec<u32>,
-    /// `u64` words per event in [`EventLogIndex::field_words`].
-    words_per_event: usize,
-    /// Packed field bitsets, `words_per_event` words per event.
-    field_words: Vec<u64>,
-    /// Ascending ids of the permitted events.
-    permitted: Vec<u32>,
-    /// Ascending permitted event ids per action kind.
-    by_action: Vec<Vec<u32>>,
-    /// Ascending permitted event ids per interned field.
-    by_field: Vec<Vec<u32>>,
-    /// Per interned field: bitset over interned actors that observed it.
-    observers: Vec<u64>,
-    words_per_observer_set: usize,
+    /// The distinct labels of the permitted events, in first-appearance
+    /// order.
+    labels: Interner<Label>,
+    /// Per interned label: the ids of its events, ascending.
+    groups: Vec<Vec<u32>>,
     /// Erasure aggregation over every `(user, field)` pair a permitted
     /// storing or deleting event touched, in `(user, field)` order.
     erasure: BTreeMap<(UserId, FieldId), ErasureTimeline>,
 }
 
 impl EventLogIndex {
-    /// Builds the index from one pass over the log (plus one packing pass
-    /// once the field vocabulary is complete).
+    /// Builds the index from one pass over the log.
     pub fn build(log: &EventLog) -> EventLogIndex {
-        let event_count = log.len();
-        let mut actors = Interner::new();
-        let mut services = Interner::new();
-        let mut fields = Interner::new();
-
-        let mut action_col = Vec::with_capacity(event_count);
-        let mut actor_col = Vec::with_capacity(event_count);
-        let mut service_col = Vec::with_capacity(event_count);
-        let mut permitted = Vec::new();
-        let mut by_action: Vec<Vec<u32>> = vec![Vec::new(); ACTIONS];
-        let mut by_field: Vec<Vec<u32>> = Vec::new();
-        // (event, field) pairs, packed once the field interner is complete;
-        // observer (field, actor) pairs likewise.
-        let mut field_refs: Vec<(u32, u32)> = Vec::new();
-        let mut observer_refs: Vec<(u32, u32)> = Vec::new();
-        let mut erasure: BTreeMap<(UserId, FieldId), ErasureTimeline> = BTreeMap::new();
-
-        for (id, event) in log.iter().enumerate() {
-            let id = id as u32;
-            let action = event.action().table_index() as u8;
-            let actor = actors.intern(event.actor().clone());
-            action_col.push(action);
-            actor_col.push(actor);
-            service_col.push(services.intern(event.service().clone()));
-            let field_ids: Vec<u32> =
-                event.fields().iter().map(|field| fields.intern(field.clone())).collect();
-            by_field.resize_with(fields.len(), Vec::new);
-            for &field in &field_ids {
-                field_refs.push((id, field));
-            }
-            if !event.permitted() {
-                continue;
-            }
-            permitted.push(id);
-            by_action[action as usize].push(id);
-            for &field in &field_ids {
-                by_field[field as usize].push(id);
-            }
-            match event.action() {
-                ActionKind::Read | ActionKind::Collect | ActionKind::Disclose => {
-                    for &field in &field_ids {
-                        observer_refs.push((field, actor));
-                    }
-                }
-                _ => {}
-            }
-            match event.action() {
-                ActionKind::Collect | ActionKind::Create | ActionKind::Anon => {
-                    for field in event.fields() {
-                        // The first storing event *in log order* wins, the
-                        // exact semantics of the scan checker's
-                        // `stored.entry(key).or_insert(sequence)`.
-                        erasure
-                            .entry((event.user().clone(), field.clone()))
-                            .and_modify(|timeline| {
-                                if timeline.first_stored == u64::MAX {
-                                    timeline.first_stored = event.sequence();
-                                }
-                            })
-                            .or_insert(ErasureTimeline {
-                                first_stored: event.sequence(),
-                                last_deleted: None,
-                            });
-                    }
-                }
-                ActionKind::Delete => {
-                    for field in event.fields() {
-                        erasure
-                            .entry((event.user().clone(), field.clone()))
-                            .and_modify(|timeline| {
-                                timeline.last_deleted = Some(
-                                    timeline.last_deleted.map_or(event.sequence(), |latest| {
-                                        latest.max(event.sequence())
-                                    }),
-                                );
-                            })
-                            .or_insert(ErasureTimeline {
-                                first_stored: u64::MAX,
-                                last_deleted: Some(event.sequence()),
-                            });
-                    }
-                }
-                _ => {}
-            }
-        }
-
-        // Pack the per-event field bitsets and the per-field observer sets.
-        let words_per_event = fields.len().div_ceil(64).max(1);
-        let mut field_words = vec![0u64; event_count * words_per_event];
-        for (id, field) in field_refs {
-            field_words[id as usize * words_per_event + field as usize / 64] |=
-                1u64 << (field % 64);
-        }
-        let words_per_observer_set = actors.len().div_ceil(64).max(1);
-        let mut observers = vec![0u64; fields.len() * words_per_observer_set];
-        for (field, actor) in observer_refs {
-            observers[field as usize * words_per_observer_set + actor as usize / 64] |=
-                1u64 << (actor % 64);
-        }
-
-        EventLogIndex {
-            event_count,
-            actors,
-            services,
-            fields,
-            action_col,
-            actor_col,
-            service_col,
-            words_per_event,
-            field_words,
-            permitted,
-            by_action,
-            by_field,
-            observers,
-            words_per_observer_set,
-            erasure,
-        }
+        let mut index = EventLogIndex {
+            event_count: 0,
+            labels: Interner::new(),
+            groups: Vec::new(),
+            erasure: BTreeMap::new(),
+        };
+        index.append(log.events());
+        index
     }
 
     /// Extends the index in place with events appended to the log since it
@@ -255,102 +126,29 @@ impl EventLogIndex {
     /// call the index equals a from-scratch [`EventLogIndex::build`] over
     /// the whole log (pinned by `PartialEq` in the
     /// `appended_index_equals_from_scratch_build` property tests).
-    ///
-    /// Interners only ever grow, and in the same first-occurrence order the
-    /// from-scratch build assigns; when new fields or actors widen a packed
-    /// bitset's word stride, the existing rows are re-laid out once.
     pub fn append(&mut self, events: &[Event]) {
-        if events.is_empty() {
-            return;
-        }
-        // Pass 1: extend the interners in build()'s order — per event, the
-        // actor, the service, then the label fields — so dense indices keep
-        // matching the from-scratch assignment. The resolved ids are kept so
-        // pass 2 never re-hashes an identifier string.
-        let resolved: Vec<(u32, u32, Vec<u32>)> = events
-            .iter()
-            .map(|event| {
-                let actor = self.actors.intern(event.actor().clone());
-                let service = self.services.intern(event.service().clone());
-                let fields =
-                    event.fields().iter().map(|field| self.fields.intern(field.clone())).collect();
-                (actor, service, fields)
-            })
-            .collect();
-
-        // Re-layout the per-event field bitsets if the field vocabulary
-        // outgrew the word stride.
-        let words_per_event = self.fields.len().div_ceil(64).max(1);
-        if words_per_event > self.words_per_event {
-            let mut grown = vec![0u64; self.event_count * words_per_event];
-            for event in 0..self.event_count {
-                grown[event * words_per_event..event * words_per_event + self.words_per_event]
-                    .copy_from_slice(
-                        &self.field_words
-                            [event * self.words_per_event..(event + 1) * self.words_per_event],
-                    );
-            }
-            self.field_words = grown;
-            self.words_per_event = words_per_event;
-        }
-
-        // Re-layout the per-field observer bitsets if the actor vocabulary
-        // outgrew the stride, and extend them for newly interned fields.
-        let words_per_observer_set = self.actors.len().div_ceil(64).max(1);
-        if words_per_observer_set > self.words_per_observer_set {
-            let old_fields = self.observers.len() / self.words_per_observer_set;
-            let mut grown = vec![0u64; self.fields.len() * words_per_observer_set];
-            for field in 0..old_fields {
-                grown[field * words_per_observer_set
-                    ..field * words_per_observer_set + self.words_per_observer_set]
-                    .copy_from_slice(
-                        &self.observers[field * self.words_per_observer_set
-                            ..(field + 1) * self.words_per_observer_set],
-                    );
-            }
-            self.observers = grown;
-            self.words_per_observer_set = words_per_observer_set;
-        } else {
-            self.observers.resize(self.fields.len() * self.words_per_observer_set, 0);
-        }
-        self.by_field.resize_with(self.fields.len(), Vec::new);
-
-        // Pass 2: columns, postings, observer bits and erasure timelines,
-        // exactly the from-scratch build's per-event logic.
-        for (event, (actor, service, field_ids)) in events.iter().zip(&resolved) {
+        for event in events {
             let id = self.event_count as u32;
             self.event_count += 1;
-            let action = event.action().table_index() as u8;
-            let actor = *actor;
-            self.action_col.push(action);
-            self.actor_col.push(actor);
-            self.service_col.push(*service);
-            let row = self.field_words.len();
-            self.field_words.resize(row + self.words_per_event, 0);
-            for &field in field_ids {
-                self.field_words[row + field as usize / 64] |= 1u64 << (field % 64);
-            }
             if !event.permitted() {
                 continue;
             }
-            self.permitted.push(id);
-            self.by_action[action as usize].push(id);
-            for &field in field_ids {
-                self.by_field[field as usize].push(id);
+            let label = self.labels.intern((
+                event.action(),
+                event.actor().clone(),
+                event.service().clone(),
+                event.fields().clone(),
+            )) as usize;
+            if label == self.groups.len() {
+                self.groups.push(Vec::new());
             }
-            match event.action() {
-                ActionKind::Read | ActionKind::Collect | ActionKind::Disclose => {
-                    for &field in field_ids {
-                        self.observers
-                            [field as usize * self.words_per_observer_set + actor as usize / 64] |=
-                            1u64 << (actor % 64);
-                    }
-                }
-                _ => {}
-            }
+            self.groups[label].push(id);
             match event.action() {
                 ActionKind::Collect | ActionKind::Create | ActionKind::Anon => {
                     for field in event.fields() {
+                        // The first storing event *in log order* wins, the
+                        // exact semantics of the scan checker's
+                        // `stored.entry(key).or_insert(sequence)`.
                         self.erasure
                             .entry((event.user().clone(), field.clone()))
                             .and_modify(|timeline| {
@@ -391,132 +189,12 @@ impl EventLogIndex {
         self.event_count
     }
 
-    /// The interned actors, in index order.
-    pub fn actors(&self) -> &[ActorId] {
-        self.actors.items()
-    }
-
-    /// The interned services, in index order.
-    pub fn services(&self) -> &[ServiceId] {
-        self.services.items()
-    }
-
-    /// The interned fields, in index order.
-    pub fn fields(&self) -> &[FieldId] {
-        self.fields.items()
-    }
-
-    /// The action kind of an event.
-    pub fn action_of(&self, event: u32) -> ActionKind {
-        ActionKind::ALL[self.action_col[event as usize] as usize]
-    }
-
-    /// The interned actor index of an event.
-    pub fn actor_index_of(&self, event: u32) -> u32 {
-        self.actor_col[event as usize]
-    }
-
-    /// The interned service index of an event.
-    pub fn service_index_of(&self, event: u32) -> u32 {
-        self.service_col[event as usize]
-    }
-
-    /// Ascending ids of all permitted events.
-    pub fn permitted(&self) -> &[u32] {
-        &self.permitted
-    }
-
-    /// Ascending permitted event ids of the given action kind.
-    pub fn of_action(&self, action: ActionKind) -> &[u32] {
-        &self.by_action[action.table_index()]
-    }
-
-    /// Ascending permitted event ids whose field set involves `field`.
-    pub fn involving_field(&self, field: &FieldId) -> &[u32] {
-        match self.fields.get(field) {
-            Some(field) => &self.by_field[field as usize],
-            None => EMPTY_EVENTS,
-        }
-    }
-
-    /// Ascending permitted event ids involving **any** of the given fields
-    /// (the union of their posting lists).
-    pub fn involving_any_field<'a>(
-        &self,
-        fields: impl IntoIterator<Item = &'a FieldId>,
-    ) -> Vec<u32> {
-        self.involving_any_field_from(fields, 0)
-    }
-
-    /// [`EventLogIndex::involving_any_field`] restricted to event ids
-    /// ≥ `from`: each posting list contributes only its suffix (one
-    /// partition-point probe — the lists are ascending), so a checkpointed
-    /// audit never re-walks the already-covered prefix of a busy field.
-    pub fn involving_any_field_from<'a>(
-        &self,
-        fields: impl IntoIterator<Item = &'a FieldId>,
-        from: u32,
-    ) -> Vec<u32> {
-        let mut union: Vec<u32> = fields
-            .into_iter()
-            .flat_map(|field| {
-                let list = self.involving_field(field);
-                list[list.partition_point(|&id| id < from)..].iter().copied()
-            })
-            .collect();
-        union.sort_unstable();
-        union.dedup();
-        union
-    }
-
-    /// Returns `true` if the event's field set is non-empty.
-    pub fn has_fields(&self, event: u32) -> bool {
-        let start = event as usize * self.words_per_event;
-        self.field_words[start..start + self.words_per_event].iter().any(|w| *w != 0)
-    }
-
-    /// Packs a set of fields into a bitset aligned with the per-event field
-    /// columns. Fields the log never mentions are ignored.
-    pub fn field_mask<'a>(&self, fields: impl IntoIterator<Item = &'a FieldId>) -> Vec<u64> {
-        let mut mask = vec![0u64; self.words_per_event];
-        for field in fields {
-            if let Some(field) = self.fields.get(field) {
-                mask[field as usize / 64] |= 1u64 << (field % 64);
-            }
-        }
-        mask
-    }
-
-    /// Returns `true` if the event involves at least one field of the mask.
-    pub fn involves_any(&self, event: u32, mask: &[u64]) -> bool {
-        let start = event as usize * self.words_per_event;
-        self.field_words[start..start + self.words_per_event]
-            .iter()
-            .zip(mask)
-            .any(|(w, m)| w & m != 0)
-    }
-
-    /// The distinct actors that observed the field at runtime (a permitted
-    /// `read`, `collect` or `disclose` involving it), sorted by actor id —
-    /// the order the scan checker's `BTreeSet` produces.
-    pub fn observing_actors(&self, field: &FieldId) -> Vec<&ActorId> {
-        let Some(field) = self.fields.get(field) else {
-            return Vec::new();
-        };
-        let start = field as usize * self.words_per_observer_set;
-        let mut observed = Vec::new();
-        for (word_index, &word) in
-            self.observers[start..start + self.words_per_observer_set].iter().enumerate()
-        {
-            let mut word = word;
-            while word != 0 {
-                let actor = word_index * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                observed.push(self.actors.resolve(actor as u32).expect("observer bits resolve"));
-            }
-        }
-        observed.sort_unstable();
-        observed
+    /// The label groups: per distinct label (action, actor, service, field
+    /// set) of the permitted events, in the order each label first appears,
+    /// the ascending ids of its events. No group is empty and no two share
+    /// an event, so a group's first event stands for its label.
+    pub fn groups(&self) -> impl Iterator<Item = &[u32]> {
+        self.groups.iter().map(Vec::as_slice)
     }
 
     /// The erasure timeline of every `(user, field)` pair a permitted
@@ -534,6 +212,7 @@ impl EventLogIndex {
 mod tests {
     use super::*;
     use crate::event::Event;
+    use privacy_lts::index::LabelMerge;
     use privacy_model::DatastoreId;
 
     fn event(
@@ -564,48 +243,71 @@ mod tests {
         log.append(event(3, "alice", "Researcher", ActionKind::Read, &["Diagnosis"], false));
         log.append(event(4, "bob", "Doctor", ActionKind::Collect, &["Diagnosis"], true));
         log.append(event(5, "alice", "Admin", ActionKind::Delete, &["Diagnosis"], true));
+        log.append(event(6, "bob", "Admin", ActionKind::Read, &["Diagnosis"], true));
         log
     }
 
-    #[test]
-    fn postings_cover_permitted_events_only() {
-        let index = EventLogIndex::build(&sample_log());
-        assert_eq!(index.event_count(), 6);
-        assert_eq!(index.permitted(), &[0, 1, 2, 4, 5]);
-        // The researcher's denied read is absent from every posting list.
-        assert_eq!(index.of_action(ActionKind::Read), &[2]);
-        assert_eq!(index.involving_field(&FieldId::new("Diagnosis")), &[0, 1, 2, 4, 5]);
-        assert_eq!(index.involving_field(&FieldId::new("Name")), &[0]);
-        assert_eq!(index.involving_field(&FieldId::new("Ghost")), EMPTY_EVENTS);
-        assert_eq!(
-            index.involving_any_field([&FieldId::new("Name"), &FieldId::new("Diagnosis")]),
-            vec![0, 1, 2, 4, 5]
-        );
+    fn groups(index: &EventLogIndex) -> Vec<Vec<u32>> {
+        index.groups().map(<[u32]>::to_vec).collect()
     }
 
     #[test]
-    fn columns_resolve_action_actor_and_service() {
+    fn groups_cover_permitted_events_only_ascending() {
         let index = EventLogIndex::build(&sample_log());
-        assert_eq!(index.action_of(2), ActionKind::Read);
-        assert_eq!(index.actors()[index.actor_index_of(2) as usize], ActorId::new("Admin"));
-        assert_eq!(
-            index.services()[index.service_index_of(0) as usize],
-            ServiceId::new("MedicalService")
-        );
-        assert!(index.has_fields(0));
-        let mask = index.field_mask([&FieldId::new("Name")]);
-        assert!(index.involves_any(0, &mask));
-        assert!(!index.involves_any(1, &mask));
+        assert_eq!(index.event_count(), 7);
+        // One group per label in first-appearance order; the user is not
+        // part of the label, so both Admin reads share a group, and the
+        // researcher's denied read is in none.
+        assert_eq!(groups(&index), [vec![0], vec![1], vec![2, 6], vec![4], vec![5]]);
     }
 
     #[test]
-    fn observers_exclude_denied_and_non_observing_actions() {
-        let index = EventLogIndex::build(&sample_log());
-        // Collect (Doctor) and Read (Admin) observe; the denied Researcher
-        // read and the Create/Delete do not.
-        let observers = index.observing_actors(&FieldId::new("Diagnosis"));
-        assert_eq!(observers, vec![&ActorId::new("Admin"), &ActorId::new("Doctor")]);
-        assert!(index.observing_actors(&FieldId::new("Ghost")).is_empty());
+    fn merged_selections_ascend_from_any_start() {
+        // Three labels whose groups interleave: a, b, a, c, b, a, with a
+        // denied event in the middle.
+        let mut log = EventLog::new();
+        for (sequence, actor, permitted) in [
+            (0, "Doctor", true),
+            (1, "Nurse", true),
+            (2, "Doctor", true),
+            (3, "Doctor", false),
+            (4, "Admin", true),
+            (5, "Nurse", true),
+            (6, "Doctor", true),
+        ] {
+            log.append(event(
+                sequence,
+                "alice",
+                actor,
+                ActionKind::Read,
+                &["Diagnosis"],
+                permitted,
+            ));
+        }
+        let index = EventLogIndex::build(&log);
+        assert_eq!(groups(&index), [vec![0, 2, 6], vec![1, 5], vec![4]]);
+        let mut merge = LabelMerge::<u32>::default();
+        for keep in
+            [[true, true, true], [true, true, false], [false, true, true], [true, false, true]]
+        {
+            for from in 0..=log.len() as u32 + 1 {
+                let selected = index
+                    .groups()
+                    .zip(keep)
+                    .filter(|(_, keep)| *keep)
+                    .map(|(group, _)| &group[group.partition_point(|&id| id < from)..]);
+                let merged: Vec<u32> = merge.merge(selected).collect();
+                let expected: Vec<u32> = index
+                    .groups()
+                    .zip(keep)
+                    .filter(|(_, keep)| *keep)
+                    .flat_map(|(group, _)| group.iter().copied().filter(|&id| id >= from))
+                    .collect::<BTreeSet<u32>>()
+                    .into_iter()
+                    .collect();
+                assert_eq!(merged, expected, "groups {keep:?} from {from}");
+            }
+        }
     }
 
     #[test]
@@ -640,7 +342,7 @@ mod tests {
     fn empty_log_builds_an_empty_index() {
         let index = EventLogIndex::build(&EventLog::new());
         assert_eq!(index.event_count(), 0);
-        assert!(index.permitted().is_empty());
+        assert!(index.groups().next().is_none());
         assert!(index.erasure_timelines().next().is_none());
     }
 
@@ -658,9 +360,9 @@ mod tests {
     }
 
     #[test]
-    fn append_grows_the_vocabulary_and_relayouts_bitsets() {
-        // A tail whose 70 fresh fields and 70 fresh actors force both packed
-        // bitset strides to widen mid-append.
+    fn seventy_new_labels_appended_equal_one_build() {
+        // A tail of 70 events, each with a fresh actor and field and so a
+        // fresh label.
         let mut log = sample_log();
         let cut = log.len();
         for i in 0..70u64 {
@@ -683,11 +385,8 @@ mod tests {
         index.append(&log.events()[cut..]);
         let full = EventLogIndex::build(&log);
         assert_eq!(index, full);
-        assert!(index.fields().len() > 64 && index.actors().len() > 64);
-        assert_eq!(
-            index.observing_actors(&FieldId::new("LateField69")),
-            vec![&ActorId::new("LateActor69")]
-        );
+        assert_eq!(index.groups().count(), 5 + 70);
+        assert_eq!(index.groups().last(), Some(&[cut as u32 + 69][..]));
     }
 
     #[test]
