@@ -78,6 +78,13 @@ use std::sync::mpsc::{
 use std::thread;
 use std::time::{Duration, Instant};
 
+/// Bound of the supervisor→writer command queue, in commands.
+const WRITER_QUEUE: usize = 16;
+
+/// How long a fresh worker may take to parse the model, rebuild the index
+/// and report [`Ready`](Message::Ready).
+const STARTUP_TIMEOUT: Duration = Duration::from_secs(120);
+
 /// When and how often a dead worker is restarted.
 #[derive(Debug, Clone)]
 pub struct RestartPolicy {
@@ -153,13 +160,8 @@ pub struct SupervisorConfig {
     /// parts before flushing it anyway — the latency bound under trickle
     /// input.
     pub linger: Duration,
-    /// Bound of the supervisor→writer command queue, in commands.
-    pub writer_queue: usize,
     /// How long to wait for a checkpoint/export/import reply.
     pub control_timeout: Duration,
-    /// How long a fresh worker may take to parse the model, rebuild the
-    /// index and report [`Ready`](Message::Ready).
-    pub startup_timeout: Duration,
     /// Restart backoff policy.
     pub restart: RestartPolicy,
     /// Failure-injection schedule (empty in production).
@@ -182,9 +184,7 @@ impl SupervisorConfig {
             ack_grace_per_event: Duration::from_millis(5),
             max_frame_events: 1024,
             linger: Duration::from_millis(2),
-            writer_queue: 16,
             control_timeout: Duration::from_secs(60),
-            startup_timeout: Duration::from_secs(120),
             restart: RestartPolicy::default(),
             fault_plan: FaultPlan::none(),
         }
@@ -533,11 +533,6 @@ impl DistributedMonitor {
         if config.max_frame_events == 0 {
             return Err(DistribError::Config {
                 detail: "max_frame_events must be at least 1".to_owned(),
-            });
-        }
-        if config.writer_queue == 0 {
-            return Err(DistribError::Config {
-                detail: "writer_queue must be at least 1".to_owned(),
             });
         }
         let model_psm = render_system(name, system);
@@ -1016,7 +1011,7 @@ impl DistributedMonitor {
             // EOF or read error: dropping the sender surfaces it as a
             // disconnected channel on the supervisor side.
         });
-        let (writer_tx, writer_rx) = sync_channel(self.config.writer_queue);
+        let (writer_tx, writer_rx) = sync_channel(WRITER_QUEUE);
         let (max_frame_events, linger) = (self.config.max_frame_events, self.config.linger);
         let writer = thread::spawn(move || {
             writer_loop(&writer_rx, stdin, max_frame_events, linger);
@@ -1040,7 +1035,7 @@ impl DistributedMonitor {
             resume_imports: imports,
         };
         self.send_raw(w, &init).map_err(BringUp::Retry)?;
-        match self.recv(w, self.config.startup_timeout) {
+        match self.recv(w, STARTUP_TIMEOUT) {
             Received::Msg(Message::Ready { fingerprint, .. }) => {
                 if fingerprint != self.fingerprint {
                     return Err(BringUp::Terminal(DistribError::Protocol {

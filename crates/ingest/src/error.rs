@@ -91,7 +91,12 @@ pub enum IngestError {
     LineTooLong {
         /// The offending line.
         line: u64,
-        /// The line's length in bytes.
+        /// The bytes the offending line spans in the stream, from its first
+        /// byte through its `\n` terminator when one was seen (for an
+        /// unbalanced CSV quote, the whole record it opened). Taken from
+        /// the span rather than from a buffered copy, so a live tail that
+        /// stores only `limit + 1` bytes of a line reports what an offline
+        /// read of the whole line does.
         length: usize,
         /// The configured limit in bytes.
         limit: usize,

@@ -27,8 +27,8 @@
 //! during rotation) do not kill the source: polling retries with capped
 //! exponential backoff, surfaced to the caller as [`SourceEvent::Idle`]
 //! plus a suggested [`LiveSource::delay`]. Only a persistent failure
-//! (more than [`FollowConfig::max_retries`] consecutive errors) becomes a
-//! hard [`IngestError::Io`].
+//! (more than ten consecutive errors, `MAX_RETRIES`) becomes a hard
+//! [`IngestError::Io`].
 
 use crate::error::IngestError;
 use std::fs::File;
@@ -37,18 +37,21 @@ use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+/// Ceiling for the exponential error backoff.
+const MAX_BACKOFF: Duration = Duration::from_secs(1);
+
+/// Consecutive transient-error polls tolerated before a source fails hard
+/// with [`IngestError::Io`].
+const MAX_RETRIES: u32 = 10;
+
+/// Largest read returned per poll.
+const CHUNK_BYTES: usize = 64 << 10;
+
 /// Tuning for a polled live source.
 #[derive(Debug, Clone)]
 pub struct FollowConfig {
     /// Sleep between polls when the source is idle (no new bytes).
     pub poll_interval: Duration,
-    /// Ceiling for the exponential error backoff.
-    pub max_backoff: Duration,
-    /// Consecutive transient-error polls tolerated before the source
-    /// fails hard with [`IngestError::Io`].
-    pub max_retries: u32,
-    /// Largest read returned per poll.
-    pub chunk_bytes: usize,
     /// File offset to resume reading from (file tails only). If the file
     /// is already shorter than this at open, the regression is reported as
     /// [`SourceEvent::Truncated`] and reading restarts from byte zero.
@@ -57,13 +60,7 @@ pub struct FollowConfig {
 
 impl Default for FollowConfig {
     fn default() -> Self {
-        FollowConfig {
-            poll_interval: Duration::from_millis(25),
-            max_backoff: Duration::from_secs(1),
-            max_retries: 10,
-            chunk_bytes: 64 << 10,
-            start_offset: 0,
-        }
+        FollowConfig { poll_interval: Duration::from_millis(25), start_offset: 0 }
     }
 }
 
@@ -142,7 +139,7 @@ impl FileTail {
 
     fn transient(&mut self, error: &std::io::Error) -> Result<SourceEvent, IngestError> {
         self.errors += 1;
-        if self.errors > self.config.max_retries {
+        if self.errors > MAX_RETRIES {
             return Err(IngestError::Io {
                 message: format!(
                     "{}: {error} ({} consecutive failures)",
@@ -151,7 +148,7 @@ impl FileTail {
                 ),
             });
         }
-        self.backoff = (self.backoff * 2).min(self.config.max_backoff);
+        self.backoff = (self.backoff * 2).min(MAX_BACKOFF);
         Ok(SourceEvent::Idle)
     }
 
@@ -209,7 +206,7 @@ impl FileTail {
         }
         let file = self.file.as_mut().expect("open() stored the file");
 
-        let mut buf = vec![0u8; self.config.chunk_bytes];
+        let mut buf = vec![0u8; CHUNK_BYTES];
         match file.read(&mut buf) {
             Ok(0) => {}
             Ok(read) => {
@@ -286,7 +283,7 @@ impl PipeSource {
         if self.done {
             return Ok(SourceEvent::Eof);
         }
-        let mut buf = vec![0u8; self.config.chunk_bytes];
+        let mut buf = vec![0u8; CHUNK_BYTES];
         match self.reader.read(&mut buf) {
             Ok(0) => {
                 self.done = true;
@@ -300,17 +297,17 @@ impl PipeSource {
             }
             Err(error) if error.kind() == std::io::ErrorKind::Interrupted => Ok(SourceEvent::Idle),
             Err(error) if error.kind() == std::io::ErrorKind::WouldBlock => {
-                self.backoff = (self.backoff * 2).min(self.config.max_backoff);
+                self.backoff = (self.backoff * 2).min(MAX_BACKOFF);
                 Ok(SourceEvent::Idle)
             }
             Err(error) => {
                 self.errors += 1;
-                if self.errors > self.config.max_retries {
+                if self.errors > MAX_RETRIES {
                     return Err(IngestError::Io {
                         message: format!("pipe: {error} ({} consecutive failures)", self.errors),
                     });
                 }
-                self.backoff = (self.backoff * 2).min(self.config.max_backoff);
+                self.backoff = (self.backoff * 2).min(MAX_BACKOFF);
                 Ok(SourceEvent::Idle)
             }
         }

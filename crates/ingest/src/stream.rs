@@ -34,8 +34,11 @@ pub struct QuarantinedLine {
     /// Byte offset one past the record's last byte (its terminator
     /// included, when one was seen).
     pub end_offset: u64,
-    /// The raw line, lossily decoded and truncated to
-    /// [`QUARANTINE_RAW_LIMIT`] bytes.
+    /// The raw line, lossily decoded. Past [`QUARANTINE_RAW_LIMIT`] bytes
+    /// it is cut and ends `… (N bytes)`, where `N` is the record's span
+    /// `end_offset - offset`: what the stream held, not what a caller
+    /// buffered of it. An over-long line shows at most its first
+    /// `max_line_bytes + 1` bytes.
     pub raw: String,
 }
 
@@ -177,7 +180,7 @@ impl LineIngestor {
                 error,
                 offset,
                 end_offset,
-                raw: bounded_lossy(raw),
+                raw: bounded_lossy(raw, end_offset - offset),
             }))
         } else {
             Err(error)
@@ -186,6 +189,9 @@ impl LineIngestor {
 
     /// Feeds one physical line occupying stream bytes
     /// `start_offset..end_offset` (terminator included when present).
+    /// `raw_line` may stop after `max_line_bytes + 1` bytes of a longer
+    /// line: the refusal is the same, because every length it reports is
+    /// taken from the span.
     ///
     /// # Errors
     ///
@@ -204,13 +210,14 @@ impl LineIngestor {
         if raw_line.len() > self.max_line_bytes {
             let error = IngestError::LineTooLong {
                 line: line_no,
-                length: raw_line.len(),
+                length: span_len(start_offset, end_offset),
                 limit: self.max_line_bytes,
             };
             // A too-long line inside a pending CSV record poisons the whole
             // pending record.
             let (offset, _) = self.take_pending_span(start_offset);
-            return self.refuse(error, offset, end_offset, raw_line);
+            let shown = &raw_line[..=self.max_line_bytes];
+            return self.refuse(error, offset, end_offset, shown);
         }
         let line = match std::str::from_utf8(raw_line) {
             Ok(line) => line.strip_suffix('\r').unwrap_or(line),
@@ -260,7 +267,7 @@ impl LineIngestor {
                         // An unbalanced quote must not buffer unboundedly.
                         let error = IngestError::LineTooLong {
                             line: start_line,
-                            length: text.len(),
+                            length: span_len(record_offset, end_offset),
                             limit: self.max_line_bytes,
                         };
                         return self.refuse(error, record_offset, end_offset, text.as_bytes());
@@ -352,8 +359,14 @@ fn detect_format(line: &str, line_no: u64) -> Result<Format, IngestError> {
     Err(IngestError::UnknownFormat { line: line_no })
 }
 
-/// Lossily decodes and truncates raw bytes for a dead-letter record.
-fn bounded_lossy(raw: &[u8]) -> String {
+/// The byte length of the stream span `offset..end_offset`.
+fn span_len(offset: u64, end_offset: u64) -> usize {
+    usize::try_from(end_offset - offset).unwrap_or(usize::MAX)
+}
+
+/// Lossily decodes and truncates raw bytes for a dead-letter record whose
+/// span in the stream is `span` bytes.
+fn bounded_lossy(raw: &[u8], span: u64) -> String {
     let text = String::from_utf8_lossy(raw);
     if text.len() <= QUARANTINE_RAW_LIMIT {
         return text.into_owned();
@@ -362,7 +375,7 @@ fn bounded_lossy(raw: &[u8]) -> String {
     while !text.is_char_boundary(cut) {
         cut -= 1;
     }
-    format!("{}… ({} bytes)", &text[..cut], raw.len())
+    format!("{}… ({span} bytes)", &text[..cut])
 }
 
 #[cfg(test)]
@@ -416,6 +429,32 @@ mod tests {
     }
 
     #[test]
+    fn an_over_long_line_is_refused_alike_whole_or_cut_at_the_limit_plus_one() {
+        let line = format!("user=u service=s actor=a action=read fields={}", "x".repeat(3000));
+        let end = line.len() as u64 + 1;
+        // Under and over the raw-text bound of a dead-letter record.
+        for limit in [64, 1024] {
+            let refuse = |raw: &[u8]| {
+                let mut ingestor =
+                    LineIngestor::new(FieldMapping::canonical(), None, ErrorPolicy::Skip, limit);
+                match ingestor.push_line(raw, 0, end).expect("push") {
+                    LinePush::Quarantined(line) => line,
+                    other => panic!("expected a quarantine, got {other:?}"),
+                }
+            };
+            let whole = refuse(line.as_bytes());
+            assert_eq!(refuse(&line.as_bytes()[..=limit]), whole);
+            let IngestError::LineTooLong { line: 1, length, .. } = whole.error else {
+                panic!("expected a line-length refusal, got {:?}", whole.error)
+            };
+            assert_eq!(length as u64, end, "the length counts the span");
+            if limit > QUARANTINE_RAW_LIMIT {
+                assert!(whole.raw.ends_with(&format!("… ({end} bytes)")), "{}", whole.raw);
+            }
+        }
+    }
+
+    #[test]
     fn consumed_offset_lags_while_a_csv_record_is_pending() {
         let mut ingestor = ingestor(ErrorPolicy::Skip);
         let header = "user,service,actor,action\n";
@@ -455,10 +494,10 @@ mod tests {
 
     #[test]
     fn bounded_lossy_truncates_and_marks_invalid_utf8() {
-        assert_eq!(bounded_lossy(b"plain"), "plain");
+        assert_eq!(bounded_lossy(b"plain", 6), "plain");
         let long = vec![b'x'; QUARANTINE_RAW_LIMIT + 100];
-        let shown = bounded_lossy(&long);
-        assert!(shown.ends_with("bytes)"));
-        assert!(bounded_lossy(b"a\xffb").contains('\u{FFFD}'));
+        let shown = bounded_lossy(&long, 4096);
+        assert!(shown.ends_with("… (4096 bytes)"), "{shown}");
+        assert!(bounded_lossy(b"a\xffb", 3).contains('\u{FFFD}'));
     }
 }

@@ -284,11 +284,6 @@ impl Encoder {
         put_varu(&mut self.frame, value);
     }
 
-    /// Appends an `f64` in the packed representation of [`put_f64_packed`].
-    pub fn f64_packed(&mut self, value: f64) {
-        put_f64_packed(&mut self.frame, value);
-    }
-
     /// Appends a varint-length-prefixed UTF-8 string — one length byte
     /// instead of four for the short identifiers per-user rows are keyed by.
     pub fn str_var(&mut self, value: &str) {
@@ -302,18 +297,6 @@ impl Encoder {
     /// a frame without a second length field or a re-encode.
     pub fn raw(&mut self, bytes: &[u8]) {
         self.frame.extend_from_slice(bytes);
-    }
-
-    /// Appends a `u64` row under the smallest of the three row encodings
-    /// (see [`put_u64_row`]); returns the tag chosen.
-    pub fn u64_row(&mut self, words: &[u64]) -> u8 {
-        put_u64_row(&mut self.frame, words)
-    }
-
-    /// Appends an `f64` row under the smaller of the two value-row encodings
-    /// (see [`put_f64_row`]); returns the tag chosen.
-    pub fn f64_row(&mut self, values: &[f64]) -> u8 {
-        put_f64_row(&mut self.frame, values)
     }
 
     /// Seals the frame in place: patches the payload length into the
@@ -457,11 +440,6 @@ impl<'a> Decoder<'a> {
         get_varu(self.payload, &mut self.offset)
     }
 
-    /// Reads an `f64` written by [`Encoder::f64_packed`].
-    pub fn f64_packed(&mut self) -> Result<f64, CodecError> {
-        get_f64_packed(self.payload, &mut self.offset)
-    }
-
     /// Reads a varint-length-prefixed UTF-8 string.
     pub fn string_var(&mut self) -> Result<String, CodecError> {
         let len = self.varu()?;
@@ -485,22 +463,6 @@ impl<'a> Decoder<'a> {
     #[must_use]
     pub fn remaining(&self) -> &'a [u8] {
         &self.payload[self.offset..]
-    }
-
-    /// Reads a `u64` row written by [`Encoder::u64_row`] into `row` (resized
-    /// to `expected_words`); returns the encoding tag found.
-    pub fn u64_row_into(
-        &mut self,
-        expected_words: usize,
-        row: &mut Vec<u64>,
-    ) -> Result<u8, CodecError> {
-        get_u64_row(self.payload, &mut self.offset, expected_words, row)
-    }
-
-    /// Reads an `f64` row written by [`Encoder::f64_row`] into `row` (resized
-    /// to `expected`); returns the encoding tag found.
-    pub fn f64_row_into(&mut self, expected: usize, row: &mut Vec<f64>) -> Result<u8, CodecError> {
-        get_f64_row(self.payload, &mut self.offset, expected, row)
     }
 
     /// Reads a length-prefixed `u64` slice.
@@ -1569,13 +1531,18 @@ mod tests {
         let mut encoder = Encoder::new(KIND, 5);
         encoder.varu(3);
         encoder.str_var("u123");
-        assert_eq!(encoder.u64_row(&[0xDEAD_BEEF_0BAD_F00D, 0x0123_4567_89AB_CDEF]), U64_ROW_DENSE);
+        let mut rows = Vec::new();
+        assert_eq!(
+            put_u64_row(&mut rows, &[0xDEAD_BEEF_0BAD_F00D, 0x0123_4567_89AB_CDEF]),
+            U64_ROW_DENSE
+        );
         let mut scattered = vec![0u64; 32];
         scattered[9] = 0x5555_5555_5555_5555;
-        assert_eq!(encoder.u64_row(&scattered), U64_ROW_INDEXED);
-        assert_eq!(encoder.u64_row(&[0b1111_0000]), U64_ROW_RUNS);
-        assert_eq!(encoder.f64_row(&[0.5, 0.25, 0.125]), F64_ROW_DENSE);
-        assert_eq!(encoder.f64_row(&[0.0; 6]), F64_ROW_BASED);
+        assert_eq!(put_u64_row(&mut rows, &scattered), U64_ROW_INDEXED);
+        assert_eq!(put_u64_row(&mut rows, &[0b1111_0000]), U64_ROW_RUNS);
+        assert_eq!(put_f64_row(&mut rows, &[0.5, 0.25, 0.125]), F64_ROW_DENSE);
+        assert_eq!(put_f64_row(&mut rows, &[0.0; 6]), F64_ROW_BASED);
+        encoder.raw(&rows);
         encoder.finish()
     }
 
@@ -1583,18 +1550,21 @@ mod tests {
         let mut decoder = Decoder::new(bytes, KIND, 5)?;
         assert_eq!(decoder.varu()?, 3);
         assert_eq!(decoder.string_var()?, "u123");
+        let rows = decoder.remaining();
+        let mut offset = 0;
         let mut words = Vec::new();
-        decoder.u64_row_into(2, &mut words)?;
+        get_u64_row(rows, &mut offset, 2, &mut words)?;
         assert_eq!(words, vec![0xDEAD_BEEF_0BAD_F00D, 0x0123_4567_89AB_CDEF]);
-        decoder.u64_row_into(32, &mut words)?;
+        get_u64_row(rows, &mut offset, 32, &mut words)?;
         assert_eq!(words[9], 0x5555_5555_5555_5555);
-        decoder.u64_row_into(1, &mut words)?;
+        get_u64_row(rows, &mut offset, 1, &mut words)?;
         assert_eq!(words, vec![0b1111_0000]);
         let mut values = Vec::new();
-        decoder.f64_row_into(3, &mut values)?;
+        get_f64_row(rows, &mut offset, 3, &mut values)?;
         assert_eq!(values, vec![0.5, 0.25, 0.125]);
-        decoder.f64_row_into(6, &mut values)?;
+        get_f64_row(rows, &mut offset, 6, &mut values)?;
         assert_eq!(values, vec![0.0; 6]);
+        decoder.raw(offset)?;
         decoder.finish()
     }
 

@@ -1,7 +1,7 @@
 //! Failure injection for the live pipeline, and its differential oracle.
 //!
-//! The chaos harness (`tests/live_chaos.rs`, `bench/live_chaos`) needs two
-//! things this module provides:
+//! The chaos harness (`tests/live_chaos.rs`) needs two things this module
+//! provides:
 //!
 //! * **A scripted hostile writer.** [`ChaosScript`] appends a log to a
 //!   followed file in steps — torn writes cut at arbitrary byte
@@ -17,8 +17,9 @@
 //!   [`IndexedMonitor`] with the same
 //!   first-sight registration the pipeline uses. The differential
 //!   contract — live alerts equal offline alerts, and the dead-letter
-//!   file accounts for exactly the records the offline run refuses — is
-//!   checked by `assert_differential`-style comparisons in the tests.
+//!   file holds one record per offline diagnostic, agreeing on offset,
+//!   line, kind and message — is checked by `assert_differential` in the
+//!   tests.
 
 use crate::pipeline::{IndexedSink, MonitorSink, PipelineProgress};
 use privacy_core::{casestudy, PrivacySystem};
@@ -37,8 +38,6 @@ pub enum ChaosStep {
     /// Append bytes to the followed file (creating it if needed). Torn
     /// writes are successive appends cut mid-record or mid-byte-run.
     Append(Vec<u8>),
-    /// Block until the pipeline has observed every byte written so far.
-    WaitObserved,
     /// Rotate: rename the file aside and let the next append create a
     /// fresh one. Waits for observation first (the tail drains the old
     /// segment before switching, so the observed stream stays
@@ -85,15 +84,17 @@ pub fn corrupt_gzip(mut archive: Vec<u8>) -> Vec<u8> {
 pub struct ChaosScript {
     path: PathBuf,
     steps: Vec<ChaosStep>,
-    /// How long a `WaitObserved` may block before the script fails.
-    pub wait_timeout: Duration,
 }
+
+/// How long the script waits for the pipeline to observe what it wrote
+/// before it fails.
+const WAIT_TIMEOUT: Duration = Duration::from_secs(30);
 
 impl ChaosScript {
     /// A script writing to `path`.
     #[must_use]
     pub fn new(path: impl Into<PathBuf>, steps: Vec<ChaosStep>) -> Self {
-        ChaosScript { path: path.into(), steps, wait_timeout: Duration::from_secs(30) }
+        ChaosScript { path: path.into(), steps }
     }
 
     /// Executes every step against a pipeline whose `progress` counters
@@ -113,18 +114,15 @@ impl ChaosScript {
                     append(&self.path, bytes)?;
                     observed.extend_from_slice(bytes);
                 }
-                ChaosStep::WaitObserved => {
-                    self.wait_observed(progress, observed.len() as u64)?;
-                }
                 ChaosStep::Rotate => {
-                    self.wait_observed(progress, observed.len() as u64)?;
+                    wait_observed(progress, observed.len() as u64)?;
                     rotated += 1;
                     let aside = self.path.with_extension(format!("{rotated}.old"));
                     std::fs::rename(&self.path, &aside)
                         .map_err(|error| format!("rotating {}: {error}", self.path.display()))?;
                 }
                 ChaosStep::Truncate(bytes) => {
-                    self.wait_observed(progress, observed.len() as u64)?;
+                    wait_observed(progress, observed.len() as u64)?;
                     std::fs::write(&self.path, bytes)
                         .map_err(|error| format!("truncating {}: {error}", self.path.display()))?;
                     observed.extend_from_slice(bytes);
@@ -134,24 +132,25 @@ impl ChaosScript {
         }
         // The pipeline must observe the full stream before the caller
         // requests a drain, or the comparison races the last write.
-        self.wait_observed(progress, observed.len() as u64)?;
+        wait_observed(progress, observed.len() as u64)?;
         Ok(observed)
     }
+}
 
-    fn wait_observed(&self, progress: &PipelineProgress, target: u64) -> Result<(), String> {
-        let deadline = Instant::now() + self.wait_timeout;
-        while progress.bytes.load(Ordering::Relaxed) < target {
-            if Instant::now() > deadline {
-                return Err(format!(
-                    "pipeline observed {} of {target} bytes within {:?}",
-                    progress.bytes.load(Ordering::Relaxed),
-                    self.wait_timeout,
-                ));
-            }
-            std::thread::sleep(Duration::from_millis(2));
+/// Blocks until the pipeline has observed `target` bytes, or fails after
+/// [`WAIT_TIMEOUT`].
+fn wait_observed(progress: &PipelineProgress, target: u64) -> Result<(), String> {
+    let deadline = Instant::now() + WAIT_TIMEOUT;
+    while progress.bytes.load(Ordering::Relaxed) < target {
+        if Instant::now() > deadline {
+            return Err(format!(
+                "pipeline observed {} of {target} bytes within {WAIT_TIMEOUT:?}",
+                progress.bytes.load(Ordering::Relaxed),
+            ));
         }
-        Ok(())
+        std::thread::sleep(Duration::from_millis(2));
     }
+    Ok(())
 }
 
 fn append(path: &Path, bytes: &[u8]) -> Result<(), String> {

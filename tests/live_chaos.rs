@@ -6,10 +6,10 @@
 //! feeds the live pipeline, and the pipeline's alert stream must equal
 //! the offline single-process run over the exact bytes the tail
 //! observed, modulo the records listed in the dead-letter file — with
-//! every quarantined record accounted for by offset, none silently
-//! dropped.
+//! every quarantined record accounted for record for record (offset,
+//! line, kind and message), none silently dropped.
 
-use privacy_ingest::deadletter::read_dead_letters;
+use privacy_ingest::deadletter::{error_kind, read_dead_letters};
 use privacy_ingest::live::{FollowConfig, LiveSource};
 use privacy_ingest::{gzip_compress_stored, FieldMapping, IngestError};
 use privacy_mde::chaos::{
@@ -114,24 +114,39 @@ fn assert_differential(
     assert_eq!(report.alerts, live_alerts.len() as u64, "the report counts every alert");
     assert_eq!(report.events, offline.report.stats.events, "event counts diverged");
     assert_eq!(report.skipped, offline.report.stats.skipped, "skip counts diverged");
+    assert_dead_letters(dead_letter, offline);
+}
 
-    // Every quarantined record accounted for: the dead-letter file lists
-    // exactly the offsets the offline run refused — none missing, none
-    // extra, none silently dropped.
-    let dead = if dead_letter.exists() {
+/// Every quarantined record accounted for: the dead-letter file lists
+/// exactly the records the offline run refused — none missing, none extra,
+/// none silently dropped — and says of each what the offline diagnostic at
+/// the same offset says.
+fn assert_dead_letters(dead_letter: &Path, offline: &OfflineRun) {
+    let mut dead = if dead_letter.exists() {
         read_dead_letters(dead_letter).expect("readable dead-letter file")
     } else {
         Vec::new()
     };
-    let mut live_offsets: Vec<u64> = dead.iter().map(|record| record.offset).collect();
-    live_offsets.sort_unstable();
-    let mut offline_offsets: Vec<u64> =
-        offline.report.diagnostics.iter().map(|diag| diag.offset()).collect();
-    offline_offsets.sort_unstable();
+    dead.sort_by_key(|record| record.offset);
+    let mut diagnostics: Vec<_> = offline.report.diagnostics.iter().collect();
+    diagnostics.sort_by_key(|diag| diag.offset());
+    let live_offsets: Vec<u64> = dead.iter().map(|record| record.offset).collect();
+    let offline_offsets: Vec<u64> = diagnostics.iter().map(|diag| diag.offset()).collect();
     assert_eq!(
         live_offsets, offline_offsets,
         "dead-letter offsets diverged from offline diagnostics"
     );
+    for (record, diag) in dead.iter().zip(diagnostics) {
+        let at = record.offset;
+        let error = diag.error();
+        assert_eq!(record.line, error.line(), "dead letter at offset {at}: line diverged");
+        assert_eq!(record.kind, error_kind(error), "dead letter at offset {at}: kind diverged");
+        assert_eq!(
+            record.message,
+            error.to_string(),
+            "dead letter at offset {at}: message diverged"
+        );
+    }
 }
 
 #[test]
@@ -169,11 +184,19 @@ fn rotation_mid_record_and_poison_lines_are_quarantined_exactly() {
     let mut lines: Vec<&str> = rendered.lines().collect();
     assert!(lines.len() > 40);
 
-    // Inject known poison: an unknown verb, invalid UTF-8, and a
-    // syntactically broken record.
+    // Inject known poison: an unknown verb, invalid UTF-8, a
+    // syntactically broken record, and a record three times the default
+    // 1 MiB line limit (the tail stores only the limit plus one byte of
+    // it, the offline read all of it; both must report the same length).
     let poison_verb = "{\"sequence\":9000000,\"user\":\"u-poison\",\"service\":\"Portal\",\
                        \"actor\":\"nurse\",\"action\":\"frobnicate\"}";
     let poison_syntax = "{\"user\":\"u-broken\",";
+    let over_long = format!(
+        "{{\"user\":\"u-huge\",\"service\":\"Portal\",\"actor\":\"nurse\",\"action\":\"read\",\
+         \"fields\":\"{}\"}}",
+        "x".repeat(3 << 20)
+    );
+    lines.insert(5, &over_long);
     lines.insert(10, poison_verb);
     lines.insert(25, poison_syntax);
     let first: String = lines[..20].join("\n");
@@ -203,21 +226,23 @@ fn rotation_mid_record_and_poison_lines_are_quarantined_exactly() {
     let mut sink = context().indexed_sink(false);
     let (outcome, live_alerts, observed) = run_live(&runner, &log, script, &mut sink);
     let report = outcome.expect("pipeline run");
-    assert!(report.rotations >= 1, "the rotation was observed");
+    assert_eq!(report.rotations, 1, "the one scripted rotation was observed exactly once");
 
     let offline = offline_reference(context(), &observed, &FieldMapping::canonical(), 64, false)
         .expect("offline reference");
     assert_differential(&report, &live_alerts, &dir.join("dead.ndjson"), &offline);
 
     // The injected corruptions are all present in the quarantine, each
-    // with its kind: the bad verb, the torn seam, and the UTF-8 garbage.
+    // with its kind: the bad verb, the torn seam, the UTF-8 garbage and the
+    // over-long record.
     let dead = read_dead_letters(&dir.join("dead.ndjson")).expect("dead letters");
     assert_eq!(dead.len() as u64, report.skipped);
-    assert!(dead.len() >= 3, "expected at least 3 quarantined records, got {}", dead.len());
+    assert!(dead.len() >= 4, "expected at least 4 quarantined records, got {}", dead.len());
     let kinds: Vec<&str> = dead.iter().map(|record| record.kind.as_str()).collect();
     assert!(kinds.contains(&"bad_value"), "bad verb quarantined: {kinds:?}");
     assert!(kinds.contains(&"invalid_utf8"), "UTF-8 garbage quarantined: {kinds:?}");
     assert!(kinds.contains(&"syntax"), "torn/broken records quarantined: {kinds:?}");
+    assert!(kinds.contains(&"line_too_long"), "over-long record quarantined: {kinds:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -262,7 +287,9 @@ fn corrupt_gzip_is_a_stream_level_dead_letter_matching_offline() {
     let corpus = render_events(&corpus_events(60), LogFormat::Json);
     let archive = corrupt_gzip(gzip_compress_stored(corpus.as_bytes()));
 
-    let script = ChaosScript::new(&log, vec![ChaosStep::Append(archive.clone())]);
+    // Torn around a stall, so the tail buffers the archive across reads.
+    let steps = torn_appends(&archive, &[archive.len() / 2], Duration::from_millis(5));
+    let script = ChaosScript::new(&log, steps);
     let runner = PipelineRunner::new(config(&dir));
     let mut sink = context().indexed_sink(false);
     let (outcome, _, observed) = run_live(&runner, &log, script, &mut sink);
@@ -368,8 +395,6 @@ fn graceful_drain_then_resume_completes_the_identical_stream() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Wait-observed in run 2 counts bytes from zero, so the plain
-/// `ChaosScript::run` target is correct there (it only writes `second`).
 #[test]
 fn pipe_source_drains_on_eof_and_matches_offline() {
     struct ChunkReader {
@@ -480,9 +505,9 @@ fn distributed_sink_with_fault_plan_survives_composed_chaos() {
         "distributed live alerts diverged from the offline run"
     );
 
-    // The poison record is quarantined with its exact offset.
+    // The poison record is quarantined as the offline run refuses it.
+    assert_dead_letters(&dir.join("dead.ndjson"), &offline);
     let dead = read_dead_letters(&dir.join("dead.ndjson")).expect("dead letters");
-    assert_eq!(dead.len(), offline.report.diagnostics.len());
     assert!(dead.iter().any(|record| record.kind == "bad_value"));
     let _ = std::fs::remove_dir_all(&dir);
 }
