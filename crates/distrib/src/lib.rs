@@ -21,11 +21,10 @@
 //!   but the current one is a typed rejection.
 //! * [`worker`] — the `privacy-shardd` process: owns a contiguous range of
 //!   the monitor's [`SHARD_COUNT`](privacy_runtime::SHARD_COUNT) stable
-//!   `UserId`-hash shards, rebuilds the design-time index from the shipped
-//!   model (verifying the index fingerprint), ingests event sub-batches in
-//!   stream order and acks them cumulatively with their alerts,
-//!   checkpoints atomically on request, and exports/imports shards for
-//!   live handoff.
+//!   `UserId`-hash shards, fixed at launch, rebuilds the design-time index
+//!   from the shipped model (verifying the index fingerprint), ingests event
+//!   sub-batches in stream order and acks them cumulatively with their
+//!   alerts, and checkpoints atomically on request.
 //! * [`supervisor`] — [`DistributedMonitor`]: spawns and supervises the
 //!   workers, routes events by shard owner through **bounded in-flight
 //!   windows with backpressure**, merges per-worker alert streams back into
@@ -33,6 +32,8 @@
 //!   guarantees, detects death (pipe EOF / ack timeout) and restarts with
 //!   exponential backoff + a jitter cap, resuming the replacement from its
 //!   last good checkpoint and replaying only the unacknowledged suffix.
+//!   Only checkpoints written during the run are ever resumed: a launch
+//!   refuses a checkpoint directory an earlier run left checkpoints in.
 //! * [`checkpoint`] — [`CheckpointStore`]: atomic write-to-temp-then-rename
 //!   checkpoint files with a `.prev` generation, and a loader that falls
 //!   back past a torn or corrupted generation with typed warnings; and

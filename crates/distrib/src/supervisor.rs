@@ -4,9 +4,9 @@
 //! # Topology and determinism
 //!
 //! Every event is routed by `shard_of_user` to the worker that owns that
-//! shard (shards are assigned as contiguous ranges at launch and can be
-//! moved live with [`DistributedMonitor::rebalance_shard`]). Each submitted
-//! super-batch is split into per-worker sub-batches whose events keep their
+//! shard. Shards are assigned once, at launch, as contiguous ranges, and
+//! never move while the fleet runs. Each submitted super-batch is split
+//! into per-worker sub-batches whose events keep their
 //! **position** in the super-batch; workers ack with position-tagged alerts,
 //! and the supervisor reassembles super-batches in order, sorting each
 //! one's merged alerts by position. Because a user's events always flow
@@ -32,7 +32,7 @@
 //! confirmed high-water (`acked_through`) back, which both prunes the
 //! worker's retained alert buffer and lets a swallowed ack self-heal on the
 //! next frame instead of forcing a restart. Control frames (register,
-//! checkpoint, handoff, shutdown) flush any coalescing parts first, so the
+//! checkpoint, shutdown) flush any coalescing parts first, so the
 //! per-lane FIFO order the protocol relies on is preserved.
 //!
 //! # Backpressure
@@ -54,10 +54,15 @@
 //! deterministic jitter, capped by [`RestartPolicy`]. A replacement resumes
 //! from the newest *valid* checkpoint generation (falling back past a
 //! corrupt one with a recorded warning), gets its owned profiles
-//! re-registered and any missing shard-handoff imports redelivered, and
-//! replays exactly the retained suffix of sub-batches newer than the
-//! checkpoint. Re-acked batches that were already emitted are recognised by
-//! id and dropped, so replay never duplicates an alert downstream.
+//! re-registered, and replays exactly the retained suffix of sub-batches
+//! newer than the checkpoint. Re-acked batches that were already emitted are
+//! recognised by id and dropped, so replay never duplicates an alert
+//! downstream.
+//!
+//! The retained suffix and the profile registry live only in this
+//! supervisor's memory, so only checkpoints written during this run can be
+//! resumed: [`DistributedMonitor::launch`] refuses a checkpoint directory
+//! that already holds a worker checkpoint.
 
 use crate::checkpoint::{CheckpointStore, Generation};
 use crate::exit;
@@ -70,7 +75,7 @@ use privacy_runtime::{shard_of_user, Alert, Event, SHARD_COUNT};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::io::BufWriter;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc::{
     channel, sync_channel, Receiver, RecvTimeoutError, SyncSender, TryRecvError,
@@ -135,15 +140,14 @@ impl RestartPolicy {
 pub struct SupervisorConfig {
     /// The worker executable (the `privacy-shardd` binary).
     pub worker_program: PathBuf,
-    /// Extra arguments passed to every worker before any fault switches.
-    pub worker_args: Vec<String>,
     /// Number of worker processes (1 ..= [`SHARD_COUNT`]).
     pub workers: usize,
     /// Maximum sub-batches in flight per worker before submits block.
     pub window: usize,
     /// Checkpoint all workers every N super-batches (0 = only on demand).
     pub checkpoint_every: u64,
-    /// Directory for the per-worker checkpoint files.
+    /// Directory for the per-worker checkpoint files. It must hold no
+    /// worker checkpoint when the fleet launches.
     pub checkpoint_dir: PathBuf,
     /// How long to wait for an ack before declaring a worker stalled. The
     /// effective deadline additionally grows by
@@ -160,7 +164,7 @@ pub struct SupervisorConfig {
     /// parts before flushing it anyway — the latency bound under trickle
     /// input.
     pub linger: Duration,
-    /// How long to wait for a checkpoint/export/import reply.
+    /// How long to wait for a checkpoint reply.
     pub control_timeout: Duration,
     /// Restart backoff policy.
     pub restart: RestartPolicy,
@@ -175,7 +179,6 @@ impl SupervisorConfig {
     pub fn new(worker_program: impl Into<PathBuf>, checkpoint_dir: impl Into<PathBuf>) -> Self {
         Self {
             worker_program: worker_program.into(),
-            worker_args: Vec::new(),
             workers: 2,
             window: 4,
             checkpoint_every: 0,
@@ -220,8 +223,6 @@ pub struct DistribStats {
     pub alerts: u64,
     /// Checkpoints completed across all workers.
     pub checkpoints: u64,
-    /// Live shard handoffs completed.
-    pub handoffs: u64,
     /// Checkpoint generations the loader had to skip (with causes).
     pub checkpoint_warnings: Vec<String>,
     /// Checkpoint files corrupted on purpose by the fault plan.
@@ -301,6 +302,25 @@ impl fmt::Display for DistribError {
 }
 
 impl std::error::Error for DistribError {}
+
+/// The worker slot that owns `shard` in a fleet of `workers`: slots own
+/// contiguous shard ranges, fixed at launch.
+fn owner_of(shard: usize, workers: usize) -> usize {
+    shard * workers / SHARD_COUNT
+}
+
+/// A worker checkpoint file, of either generation, in `dir`: what an
+/// earlier run left behind.
+fn worker_checkpoint_in(dir: &Path) -> Option<PathBuf> {
+    let is_checkpoint = |name: &str| {
+        name.starts_with("worker-") && (name.ends_with(".ckpt") || name.ends_with(".ckpt.prev"))
+    };
+    std::fs::read_dir(dir)
+        .ok()?
+        .filter_map(Result::ok)
+        .find(|entry| entry.file_name().to_str().is_some_and(is_checkpoint))
+        .map(|entry| entry.path())
+}
 
 /// One command to a worker lane's writer thread.
 enum WriteCmd {
@@ -436,14 +456,6 @@ struct WorkerSlot {
     /// Super-batch coverage of the live / previous checkpoint generation.
     coverage: u64,
     prev_coverage: u64,
-    /// Import count recorded by the live / previous checkpoint generation.
-    imports_cov: u64,
-    prev_imports: u64,
-    /// Total imports delivered to this slot (the ordinal source).
-    import_ordinal: u64,
-    /// Handoff imports not yet covered by two checkpoint generations, as
-    /// `(ordinal, snapshot frame)`.
-    pending_imports: Vec<(u64, Vec<u8>)>,
     /// Successful checkpoints, for the corrupt-checkpoint fault schedule.
     ckpt_ordinal: u64,
     /// [`Message::Checkpoint`] requests sent on the periodic (asynchronous)
@@ -478,8 +490,6 @@ pub struct DistributedMonitor {
     config: SupervisorConfig,
     model_psm: String,
     fingerprint: u64,
-    /// shard → owning worker slot.
-    routing: Vec<usize>,
     /// shard → profiles registered there, in registration order (replayed
     /// to every new incarnation; registration is idempotent worker-side).
     registry: Vec<Vec<UserProfile>>,
@@ -511,8 +521,10 @@ impl DistributedMonitor {
     ///
     /// # Errors
     ///
-    /// Returns [`DistribError::Config`] for an unrunnable configuration and
-    /// the relevant typed error when a worker cannot be brought up.
+    /// Returns [`DistribError::Config`] for an unrunnable configuration,
+    /// including a checkpoint directory that already holds a worker
+    /// checkpoint, and the relevant typed error when a worker cannot be
+    /// brought up.
     pub fn launch(
         name: &str,
         system: &PrivacySystem,
@@ -535,9 +547,18 @@ impl DistributedMonitor {
                 detail: "max_frame_events must be at least 1".to_owned(),
             });
         }
+        if let Some(leftover) = worker_checkpoint_in(&config.checkpoint_dir) {
+            return Err(DistribError::Config {
+                detail: format!(
+                    "checkpoint directory `{}` holds `{}` from an earlier run, which this fleet \
+                     cannot resume; remove it or choose an empty directory",
+                    config.checkpoint_dir.display(),
+                    leftover.display()
+                ),
+            });
+        }
         let model_psm = render_system(name, system);
         let workers = config.workers;
-        let routing: Vec<usize> = (0..SHARD_COUNT).map(|s| s * workers / SHARD_COUNT).collect();
         let slots = (0..workers)
             .map(|w| WorkerSlot {
                 proc: None,
@@ -549,10 +570,6 @@ impl DistributedMonitor {
                 retained: VecDeque::new(),
                 coverage: 0,
                 prev_coverage: 0,
-                imports_cov: 0,
-                prev_imports: 0,
-                import_ordinal: 0,
-                pending_imports: Vec::new(),
                 ckpt_ordinal: 0,
                 ckpts_pending: 0,
                 store: CheckpointStore::new(config.checkpoint_dir.join(format!("worker-{w}.ckpt"))),
@@ -562,7 +579,6 @@ impl DistributedMonitor {
             config,
             model_psm,
             fingerprint,
-            routing,
             registry: vec![Vec::new(); SHARD_COUNT],
             workers: slots,
             next_batch: 1,
@@ -581,12 +597,6 @@ impl DistributedMonitor {
     #[must_use]
     pub fn worker_count(&self) -> usize {
         self.workers.len()
-    }
-
-    /// The worker slot currently owning a shard.
-    #[must_use]
-    pub fn owner_of_shard(&self, shard: u32) -> usize {
-        self.routing[shard as usize]
     }
 
     /// The run statistics so far.
@@ -609,7 +619,7 @@ impl DistributedMonitor {
             return Ok(());
         }
         self.registry[shard].push(profile.clone());
-        let w = self.routing[shard];
+        let w = owner_of(shard, self.workers.len());
         let message = Message::Register { profile: profile.clone() };
         if let Err(cause) = self.send_raw(w, &message) {
             // The revived worker re-registers from the registry, which
@@ -634,7 +644,7 @@ impl DistributedMonitor {
         self.stats.events += events.len() as u64;
         let mut parts: BTreeMap<usize, Vec<(u32, Event)>> = BTreeMap::new();
         for (position, event) in events.iter().enumerate() {
-            let w = self.routing[shard_of_user(event.user()) as usize];
+            let w = owner_of(shard_of_user(event.user()) as usize, self.workers.len());
             parts.entry(w).or_default().push((position as u32, event.clone()));
         }
         self.assembly.insert(id, PendingBatch { expected: parts.len(), got: BTreeMap::new() });
@@ -676,9 +686,9 @@ impl DistributedMonitor {
 
     /// Checkpoints every worker now, **synchronously** (flushing their
     /// lanes first): on return every worker has a completed checkpoint.
-    /// Used where durability must be certain before proceeding — shard
-    /// handoffs and explicit caller requests; the periodic cadence goes
-    /// through the private `checkpoint_async` instead.
+    /// For callers that need durability to be certain before proceeding;
+    /// the periodic cadence goes through the private `checkpoint_async`
+    /// instead.
     ///
     /// The checkpoint is still **broadcast**: every worker gets the request
     /// before any reply is awaited, so the workers' snapshot encodes and
@@ -705,8 +715,8 @@ impl DistributedMonitor {
         }
         for w in awaiting {
             match self.recv(w, self.config.control_timeout) {
-                Received::Msg(Message::CheckpointDone { through_batch, imports }) => {
-                    self.complete_checkpoint(w, through_batch, imports)?;
+                Received::Msg(Message::CheckpointDone { through_batch }) => {
+                    self.complete_checkpoint(w, through_batch)?;
                 }
                 Received::Msg(other) => {
                     return Err(DistribError::Protocol {
@@ -724,76 +734,6 @@ impl DistributedMonitor {
                 }
             }
         }
-        Ok(())
-    }
-
-    /// Moves a shard to a new owner live: flushes the fleet, exports the
-    /// shard's state from the old owner, redirects routing, delivers the
-    /// export to the new owner, and checkpoints both so the handoff is
-    /// durable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DistribError::Config`] for an unknown shard or worker and
-    /// propagates typed supervisor failures; worker deaths during the
-    /// handoff are recovered and the handoff retried internally.
-    pub fn rebalance_shard(&mut self, shard: u32, to: usize) -> Result<(), DistribError> {
-        if shard as usize >= SHARD_COUNT {
-            return Err(DistribError::Config { detail: format!("shard {shard} does not exist") });
-        }
-        if to >= self.workers.len() {
-            return Err(DistribError::Config { detail: format!("worker {to} does not exist") });
-        }
-        let from = self.routing[shard as usize];
-        if from == to {
-            return Ok(());
-        }
-        // A quiescent fleet: every batch before the handoff is acked and
-        // emitted, so post-handoff replays of pre-handoff batches can only
-        // produce already-emitted (and therefore dropped) acks.
-        self.flush()?;
-        let blob = loop {
-            self.flush_worker(from)?;
-            if let Err(cause) = self.send_raw(from, &Message::ExportShards { shards: vec![shard] })
-            {
-                self.handle_death(from, cause)?;
-                continue;
-            }
-            match self.recv(from, self.config.control_timeout) {
-                Received::Msg(Message::ShardExport { snapshot }) => break snapshot,
-                Received::Msg(other) => {
-                    return Err(DistribError::Protocol {
-                        worker: from,
-                        detail: format!("expected ShardExport, got {other:?}"),
-                    })
-                }
-                Received::Dead(cause) => self.handle_death(from, cause)?,
-                Received::TimedOut => self.handle_death(from, "shard export timed out".into())?,
-            }
-        };
-        self.routing[shard as usize] = to;
-        self.workers[to].import_ordinal += 1;
-        let ordinal = self.workers[to].import_ordinal;
-        self.workers[to].pending_imports.push((ordinal, blob.clone()));
-        match self.send_raw(to, &Message::ImportShards { snapshot: blob }) {
-            Ok(()) => match self.recv(to, self.config.control_timeout) {
-                Received::Msg(Message::Imported { .. }) => {}
-                Received::Msg(other) => {
-                    return Err(DistribError::Protocol {
-                        worker: to,
-                        detail: format!("expected Imported, got {other:?}"),
-                    })
-                }
-                // The restart path redelivers the pending import itself.
-                Received::Dead(cause) => self.handle_death(to, cause)?,
-                Received::TimedOut => self.handle_death(to, "shard import timed out".into())?,
-            },
-            Err(cause) => self.handle_death(to, cause)?,
-        }
-        // Make the handoff durable on both sides before declaring it done.
-        self.checkpoint_worker(from)?;
-        self.checkpoint_worker(to)?;
-        self.stats.handoffs += 1;
         Ok(())
     }
 
@@ -940,16 +880,15 @@ impl DistributedMonitor {
 
     /// One attempt to (re)spawn a slot: load the newest valid checkpoint,
     /// spawn, init with the resume snapshot, wait for ready, re-register
-    /// owned profiles, redeliver missing imports, replay the unacked
-    /// suffix. Returns the coverage resumed from and whether the load fell
-    /// back a generation.
+    /// owned profiles, replay the unacked suffix. Returns the coverage
+    /// resumed from and whether the load fell back a generation.
     fn bring_up(&mut self, w: usize) -> Result<(u64, bool), BringUp> {
         self.reap(w);
         let (loaded, warnings) = self.workers[w]
             .store
             .load_latest(|bytes| decode_checkpoint(bytes).map(|_| ()).map_err(|e| e.to_string()));
         self.stats.checkpoint_warnings.extend(warnings.iter().map(ToString::to_string));
-        let (resume, coverage, imports, fell_back) = match loaded {
+        let (resume, coverage, fell_back) = match loaded {
             Some((bytes, generation)) => {
                 let file = decode_checkpoint(&bytes).expect("validated by load_latest");
                 if file.worker_index != w as u32 {
@@ -962,26 +901,20 @@ impl DistributedMonitor {
                         ),
                     }));
                 }
-                (
-                    Some(file.snapshot),
-                    file.through_batch,
-                    file.imports,
-                    generation == Generation::Previous,
-                )
+                (Some(file.snapshot), file.through_batch, generation == Generation::Previous)
             }
-            None => (None, 0, 0, false),
+            None => (None, 0, false),
         };
         // The retained suffix only reaches back past the previous
         // checkpoint generation; an older (or missing) resume point would
         // silently lose the gap.
-        if coverage < self.workers[w].prev_coverage || imports < self.workers[w].prev_imports {
+        if coverage < self.workers[w].prev_coverage {
             return Err(BringUp::Terminal(DistribError::CheckpointUnrecoverable {
                 worker: w,
                 detail: format!(
-                    "best checkpoint covers through batch {coverage} ({imports} imports) but \
-                     replay data only reaches back to batch {} ({} imports) — both checkpoint \
-                     generations lost",
-                    self.workers[w].prev_coverage, self.workers[w].prev_imports
+                    "best checkpoint covers through batch {coverage} but replay data only \
+                     reaches back to batch {} — both checkpoint generations lost",
+                    self.workers[w].prev_coverage
                 ),
             }));
         }
@@ -989,7 +922,6 @@ impl DistributedMonitor {
         let incarnation = self.workers[w].spawn_count;
         let mut command = Command::new(&self.config.worker_program);
         command
-            .args(&self.config.worker_args)
             .args(self.config.fault_plan.worker_args(w, incarnation))
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
@@ -1019,20 +951,16 @@ impl DistributedMonitor {
         self.workers[w].proc =
             Some(WorkerProc { child, writer_tx: Some(writer_tx), writer: Some(writer), rx });
         self.workers[w].coverage = coverage;
-        self.workers[w].imports_cov = imports;
         self.workers[w].inflight.clear();
         self.workers[w].ckpts_pending = 0;
 
-        let owned = self.owned_shards(w);
         let init = Message::Init {
             worker_index: w as u32,
-            owned_shards: owned.clone(),
             model_psm: self.model_psm.clone(),
             fingerprint: self.fingerprint,
             checkpoint_path: Some(self.workers[w].store.path().display().to_string()),
             resume,
             resume_through_batch: coverage,
-            resume_imports: imports,
         };
         self.send_raw(w, &init).map_err(BringUp::Retry)?;
         match self.recv(w, STARTUP_TIMEOUT) {
@@ -1073,34 +1001,10 @@ impl DistributedMonitor {
         // worker-side; users already in the snapshot are skipped). A user's
         // registration always precedes their first event in the original
         // stream, so registering before replay preserves causal order.
-        for &shard in &owned {
-            for profile in self.registry[shard as usize].clone() {
+        let workers = self.workers.len();
+        for shard in (0..SHARD_COUNT).filter(|&shard| owner_of(shard, workers) == w) {
+            for profile in self.registry[shard].clone() {
                 self.send_raw(w, &Message::Register { profile }).map_err(BringUp::Retry)?;
-            }
-        }
-        // Redeliver exactly the handoff imports the snapshot is missing.
-        let missing: Vec<Vec<u8>> = self.workers[w]
-            .pending_imports
-            .iter()
-            .filter(|(ordinal, _)| *ordinal > imports)
-            .map(|(_, blob)| blob.clone())
-            .collect();
-        for blob in missing {
-            self.send_raw(w, &Message::ImportShards { snapshot: blob }).map_err(BringUp::Retry)?;
-            match self.recv(w, self.config.control_timeout) {
-                Received::Msg(Message::Imported { .. }) => {}
-                Received::Msg(other) => {
-                    return Err(BringUp::Terminal(DistribError::Protocol {
-                        worker: w,
-                        detail: format!("expected Imported during resume, got {other:?}"),
-                    }))
-                }
-                Received::Dead(cause) => {
-                    return Err(BringUp::Retry(format!("died during import redelivery: {cause}")))
-                }
-                Received::TimedOut => {
-                    return Err(BringUp::Retry("import redelivery timed out".to_owned()))
-                }
             }
         }
         // Replay the unacked suffix: every retained sub-batch newer than
@@ -1114,10 +1018,6 @@ impl DistributedMonitor {
             self.workers[w].inflight.push_back((id, count));
         }
         Ok((coverage, fell_back))
-    }
-
-    fn owned_shards(&self, w: usize) -> Vec<u32> {
-        (0..SHARD_COUNT as u32).filter(|&s| self.routing[s as usize] == w).collect()
     }
 
     // ------------------------------------------------------------------
@@ -1217,11 +1117,11 @@ impl DistributedMonitor {
                     Received::Msg(Message::AckThrough { through, alerts }) => {
                         self.on_ack_through(w, through, alerts)?;
                     }
-                    Received::Msg(Message::CheckpointDone { through_batch, imports })
+                    Received::Msg(Message::CheckpointDone { through_batch })
                         if self.workers[w].ckpts_pending > 0 =>
                     {
                         self.workers[w].ckpts_pending -= 1;
-                        self.complete_checkpoint(w, through_batch, imports)?;
+                        self.complete_checkpoint(w, through_batch)?;
                     }
                     Received::Msg(other) => {
                         return Err(DistribError::Protocol {
@@ -1273,11 +1173,11 @@ impl DistributedMonitor {
                         return Ok(());
                     }
                 }
-                Received::Msg(Message::CheckpointDone { through_batch, imports })
+                Received::Msg(Message::CheckpointDone { through_batch })
                     if self.workers[w].ckpts_pending > 0 =>
                 {
                     self.workers[w].ckpts_pending -= 1;
-                    self.complete_checkpoint(w, through_batch, imports)?;
+                    self.complete_checkpoint(w, through_batch)?;
                 }
                 Received::Msg(other) => {
                     return Err(DistribError::Protocol {
@@ -1296,8 +1196,8 @@ impl DistributedMonitor {
 
     /// Drains the lane completely: every in-flight sub-batch acked *and*
     /// every outstanding asynchronous checkpoint completed, so a control
-    /// exchange (export, import, synchronous checkpoint, shutdown) sees
-    /// only its own reply next on the pipe.
+    /// exchange (a synchronous checkpoint, shutdown) sees only its own
+    /// reply next on the pipe.
     fn flush_worker(&mut self, w: usize) -> Result<(), DistribError> {
         loop {
             while !self.workers[w].inflight.is_empty() {
@@ -1307,9 +1207,9 @@ impl DistributedMonitor {
                 return Ok(());
             }
             match self.recv(w, self.config.control_timeout) {
-                Received::Msg(Message::CheckpointDone { through_batch, imports }) => {
+                Received::Msg(Message::CheckpointDone { through_batch }) => {
                     self.workers[w].ckpts_pending -= 1;
-                    self.complete_checkpoint(w, through_batch, imports)?;
+                    self.complete_checkpoint(w, through_batch)?;
                 }
                 Received::Msg(Message::AckThrough { through, alerts }) => {
                     self.on_ack_through(w, through, alerts)?;
@@ -1389,8 +1289,8 @@ impl DistributedMonitor {
                 continue;
             }
             match self.recv(w, self.config.control_timeout) {
-                Received::Msg(Message::CheckpointDone { through_batch, imports }) => {
-                    self.complete_checkpoint(w, through_batch, imports)?;
+                Received::Msg(Message::CheckpointDone { through_batch }) => {
+                    self.complete_checkpoint(w, through_batch)?;
                     return Ok(());
                 }
                 Received::Msg(other) => {
@@ -1407,17 +1307,12 @@ impl DistributedMonitor {
 
     /// Bookkeeping after a worker reported [`Message::CheckpointDone`]:
     /// outrun detection, fault injection, read-back validation, coverage
-    /// advance, and pruning of the retained suffix and pending imports.
+    /// advance, and pruning of the retained suffix.
     ///
     /// # Errors
     ///
     /// Propagates restart failures from the outrun-recovery path.
-    fn complete_checkpoint(
-        &mut self,
-        w: usize,
-        through_batch: u64,
-        imports: u64,
-    ) -> Result<(), DistribError> {
+    fn complete_checkpoint(&mut self, w: usize, through_batch: u64) -> Result<(), DistribError> {
         // The durability invariant: a checkpoint's coverage must never
         // outrun the merged stream, or a later resume would skip replaying
         // batches whose alerts were never delivered. The worker writes its
@@ -1469,13 +1364,9 @@ impl DistributedMonitor {
         }
         let slot = &mut self.workers[w];
         slot.prev_coverage = slot.coverage;
-        slot.prev_imports = slot.imports_cov;
         slot.coverage = through_batch;
-        slot.imports_cov = imports;
-        let keep_batches_after = slot.prev_coverage;
-        slot.retained.retain(|(id, _)| *id > keep_batches_after);
-        let keep_imports_after = slot.prev_imports;
-        slot.pending_imports.retain(|(ordinal, _)| *ordinal > keep_imports_after);
+        let keep_after = slot.prev_coverage;
+        slot.retained.retain(|(id, _)| *id > keep_after);
         Ok(())
     }
 

@@ -17,8 +17,8 @@
 //!   contract; shipping the source text reuses the round-trip-tested
 //!   interchange format instead of inventing a second model codec.
 //! * **Snapshots travel as opaque blobs.** A [`MonitorSnapshot`] already
-//!   has its own sealed frame; resume payloads, shard exports and checkpoint
-//!   files nest those bytes whole (the outer checksum covers them again).
+//!   has its own sealed frame; resume payloads and checkpoint files nest
+//!   those bytes whole (the outer checksum covers them again).
 //! * **Events carry explicit batch positions.** The supervisor splits each
 //!   super-batch across owners; the position (`u32` index within the
 //!   super-batch) rides with every event so the merged alert stream can be
@@ -27,8 +27,9 @@
 //!
 //! # The data plane
 //!
-//! Protocol version 2 is the only version spoken; the supervisor and
-//! `privacy-shardd` ship in one build.
+//! Protocol version 3 is the only version spoken; the supervisor and
+//! `privacy-shardd` ship in one build. Version 3 dropped version 2's
+//! shard-handoff messages: shards are assigned once, at launch.
 //!
 //! * [`IngestBatch`](Message::IngestBatch) carries **many** sub-batches in
 //!   one frame — one length, one checksum, one pipe write. It piggybacks
@@ -54,40 +55,39 @@ use privacy_runtime::{Alert, Event, MonitorSnapshot};
 
 /// Artefact kind of every supervisor ⇄ worker message frame.
 pub const MESSAGE_KIND: [u8; 4] = *b"PDMG";
-/// Current message protocol version (coalesced frames, cumulative acks).
-pub const MESSAGE_VERSION: u32 = 2;
+/// Current message protocol version (coalesced frames, cumulative acks, a
+/// fixed shard map).
+pub const MESSAGE_VERSION: u32 = 3;
 /// Artefact kind of the worker checkpoint file.
 pub const CHECKPOINT_KIND: [u8; 4] = *b"PDCP";
-/// Current checkpoint file version. Version 3 carries sparse version-3
-/// monitor snapshots (the bookkeeping layout is unchanged); version 2
-/// (word-folded checksum, dense snapshots) is still decoded via
-/// [`CHECKPOINT_VERSION_V2`], so a worker restarting across the v3
-/// deployment resumes from its existing checkpoint and writes v3 from then
-/// on. A version-1 file left on disk by an older build is rejected as
-/// unsupported, which the loader reports as a skipped generation rather
-/// than resuming from it.
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// Current checkpoint file version. Version 4 drops the shard-handoff
+/// import count that versions 2 and 3 carried after the covered batch.
+/// Version 3 (sparse snapshots) and version 2 (dense snapshots) are still
+/// decoded via [`CHECKPOINT_VERSION_V3`] and [`CHECKPOINT_VERSION_V2`]; an
+/// old file whose import count is not zero holds state this build cannot
+/// place and is refused with [`CodecError::Malformed`]. A version-1 file
+/// left on disk by an older build is rejected as unsupported, which the
+/// loader reports as a skipped generation rather than resuming from it.
+pub const CHECKPOINT_VERSION: u32 = 4;
 /// The previous checkpoint file version, still accepted on decode.
+pub const CHECKPOINT_VERSION_V3: u32 = 3;
+/// The dense-snapshot checkpoint file version, still accepted on decode.
 pub const CHECKPOINT_VERSION_V2: u32 = 2;
 
 /// One protocol message, in either direction.
 ///
 /// Supervisor → worker: [`Init`](Message::Init), [`Register`](Message::Register),
 /// [`IngestBatch`](Message::IngestBatch), [`Checkpoint`](Message::Checkpoint),
-/// [`ExportShards`](Message::ExportShards), [`ImportShards`](Message::ImportShards),
 /// [`Shutdown`](Message::Shutdown).
 ///
 /// Worker → supervisor: [`Ready`](Message::Ready), [`AckThrough`](Message::AckThrough),
-/// [`CheckpointDone`](Message::CheckpointDone), [`ShardExport`](Message::ShardExport),
-/// [`Imported`](Message::Imported), [`Fatal`](Message::Fatal).
+/// [`CheckpointDone`](Message::CheckpointDone), [`Fatal`](Message::Fatal).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// First message after spawn: everything the worker needs to stand up.
     Init {
         /// The worker's slot index in the supervisor's fleet.
         worker_index: u32,
-        /// The monitor shards this worker owns.
-        owned_shards: Vec<u32>,
         /// The privacy model as `.psm` source text.
         model_psm: String,
         /// The supervisor's design-time index fingerprint; the worker must
@@ -102,13 +102,6 @@ pub enum Message {
         /// starting fresh); the worker reports it back in
         /// [`CheckpointDone`](Message::CheckpointDone) bookkeeping.
         resume_through_batch: u64,
-        /// How many shard-handoff imports the resume snapshot already
-        /// contains (0 when starting fresh). The supervisor uses the import
-        /// count persisted in each checkpoint to resend exactly the imports
-        /// a resumed snapshot is missing — no more (which would regress the
-        /// imported users to their handoff-time state) and no fewer (which
-        /// would lose the handoff entirely).
-        resume_imports: u64,
     },
     /// Registers (or re-registers, idempotently) one user profile.
     Register {
@@ -131,17 +124,6 @@ pub enum Message {
     },
     /// Asks the worker to checkpoint its state atomically.
     Checkpoint,
-    /// Asks the worker to export the given shards (handoff source side).
-    /// The worker stops tracking the exported users.
-    ExportShards {
-        /// Shards to extract and drop.
-        shards: Vec<u32>,
-    },
-    /// Delivers exported shard state to its new owner (handoff target side).
-    ImportShards {
-        /// A sealed `MonitorSnapshot` frame to absorb.
-        snapshot: Vec<u8>,
-    },
     /// Asks the worker to exit cleanly.
     Shutdown,
     /// Worker response to [`Init`](Message::Init): it stood up.
@@ -168,18 +150,6 @@ pub enum Message {
     CheckpointDone {
         /// The super-batch id the checkpoint covers through.
         through_batch: u64,
-        /// How many shard-handoff imports the checkpoint contains.
-        imports: u64,
-    },
-    /// Worker response to [`ExportShards`](Message::ExportShards).
-    ShardExport {
-        /// The extracted state as a sealed `MonitorSnapshot` frame.
-        snapshot: Vec<u8>,
-    },
-    /// Worker response to [`ImportShards`](Message::ImportShards).
-    Imported {
-        /// How many users were absorbed.
-        users: u64,
     },
     /// The worker is about to exit with a fatal error; a last diagnostic
     /// before the pipe closes.
@@ -194,32 +164,12 @@ pub enum Message {
 const TAG_INIT: u8 = 1;
 const TAG_REGISTER: u8 = 2;
 const TAG_CHECKPOINT: u8 = 4;
-const TAG_EXPORT_SHARDS: u8 = 5;
-const TAG_IMPORT_SHARDS: u8 = 6;
 const TAG_SHUTDOWN: u8 = 7;
 const TAG_INGEST_BATCH: u8 = 8;
 const TAG_READY: u8 = 16;
 const TAG_CHECKPOINT_DONE: u8 = 18;
-const TAG_SHARD_EXPORT: u8 = 19;
-const TAG_IMPORTED: u8 = 20;
 const TAG_FATAL: u8 = 21;
 const TAG_ACK_THROUGH: u8 = 22;
-
-fn put_u32_list(encoder: &mut Encoder, values: &[u32]) {
-    encoder.u32(values.len() as u32);
-    for &value in values {
-        encoder.u32(value);
-    }
-}
-
-fn get_u32_list(decoder: &mut Decoder<'_>) -> Result<Vec<u32>, CodecError> {
-    let len = decoder.u32()? as usize;
-    let mut values = Vec::with_capacity(len.min(4096));
-    for _ in 0..len {
-        values.push(decoder.u32()?);
-    }
-    Ok(values)
-}
 
 fn put_opt_bytes(encoder: &mut Encoder, value: Option<&[u8]>) {
     match value {
@@ -351,17 +301,14 @@ impl Message {
         match self {
             Message::Init {
                 worker_index,
-                owned_shards,
                 model_psm,
                 fingerprint,
                 checkpoint_path,
                 resume,
                 resume_through_batch,
-                resume_imports,
             } => {
                 encoder.u8(TAG_INIT);
                 encoder.u32(*worker_index);
-                put_u32_list(&mut encoder, owned_shards);
                 encoder.str(model_psm);
                 encoder.u64(*fingerprint);
                 match checkpoint_path {
@@ -373,7 +320,6 @@ impl Message {
                 }
                 put_opt_bytes(&mut encoder, resume.as_deref());
                 encoder.u64(*resume_through_batch);
-                encoder.u64(*resume_imports);
             }
             Message::Register { profile } => {
                 encoder.u8(TAG_REGISTER);
@@ -393,14 +339,6 @@ impl Message {
                 }
             }
             Message::Checkpoint => encoder.u8(TAG_CHECKPOINT),
-            Message::ExportShards { shards } => {
-                encoder.u8(TAG_EXPORT_SHARDS);
-                put_u32_list(&mut encoder, shards);
-            }
-            Message::ImportShards { snapshot } => {
-                encoder.u8(TAG_IMPORT_SHARDS);
-                encoder.bytes(snapshot);
-            }
             Message::Shutdown => encoder.u8(TAG_SHUTDOWN),
             Message::Ready { fingerprint, resumed_users } => {
                 encoder.u8(TAG_READY);
@@ -417,18 +355,9 @@ impl Message {
                     put_alert(&mut encoder, alert);
                 }
             }
-            Message::CheckpointDone { through_batch, imports } => {
+            Message::CheckpointDone { through_batch } => {
                 encoder.u8(TAG_CHECKPOINT_DONE);
                 encoder.u64(*through_batch);
-                encoder.u64(*imports);
-            }
-            Message::ShardExport { snapshot } => {
-                encoder.u8(TAG_SHARD_EXPORT);
-                encoder.bytes(snapshot);
-            }
-            Message::Imported { users } => {
-                encoder.u8(TAG_IMPORTED);
-                encoder.u64(*users);
             }
             Message::Fatal { code, message } => {
                 encoder.u8(TAG_FATAL);
@@ -451,22 +380,18 @@ impl Message {
         let message = match decoder.u8()? {
             TAG_INIT => {
                 let worker_index = decoder.u32()?;
-                let owned_shards = get_u32_list(&mut decoder)?;
                 let model_psm = decoder.string()?;
                 let fingerprint = decoder.u64()?;
                 let checkpoint_path = if decoder.bool()? { Some(decoder.string()?) } else { None };
                 let resume = get_opt_bytes(&mut decoder)?;
                 let resume_through_batch = decoder.u64()?;
-                let resume_imports = decoder.u64()?;
                 Message::Init {
                     worker_index,
-                    owned_shards,
                     model_psm,
                     fingerprint,
                     checkpoint_path,
                     resume,
                     resume_through_batch,
-                    resume_imports,
                 }
             }
             TAG_REGISTER => Message::Register { profile: get_profile(&mut decoder)? },
@@ -487,8 +412,6 @@ impl Message {
                 Message::IngestBatch { acked_through, parts }
             }
             TAG_CHECKPOINT => Message::Checkpoint,
-            TAG_EXPORT_SHARDS => Message::ExportShards { shards: get_u32_list(&mut decoder)? },
-            TAG_IMPORT_SHARDS => Message::ImportShards { snapshot: decoder.bytes()? },
             TAG_SHUTDOWN => Message::Shutdown,
             TAG_READY => {
                 Message::Ready { fingerprint: decoder.u64()?, resumed_users: decoder.u64()? }
@@ -504,11 +427,7 @@ impl Message {
                 }
                 Message::AckThrough { through, alerts }
             }
-            TAG_CHECKPOINT_DONE => {
-                Message::CheckpointDone { through_batch: decoder.u64()?, imports: decoder.u64()? }
-            }
-            TAG_SHARD_EXPORT => Message::ShardExport { snapshot: decoder.bytes()? },
-            TAG_IMPORTED => Message::Imported { users: decoder.u64()? },
+            TAG_CHECKPOINT_DONE => Message::CheckpointDone { through_batch: decoder.u64()? },
             TAG_FATAL => Message::Fatal { code: decoder.u32()?, message: decoder.string()? },
             other => {
                 return Err(CodecError::Malformed {
@@ -524,21 +443,18 @@ impl Message {
 
 /// Seals a worker checkpoint file into `out`, replacing its contents and
 /// reusing its allocation: worker index, the super-batch the state covers
-/// through, the number of shard-handoff imports it contains, and the
-/// monitor snapshot as a nested frame. The snapshot is encoded in place,
-/// byte-identical to appending its encoded bytes as a blob, so it never
-/// takes a buffer of its own.
+/// through, and the monitor snapshot as a nested frame. The snapshot is
+/// encoded in place, byte-identical to appending its encoded bytes as a
+/// blob, so it never takes a buffer of its own.
 pub fn encode_checkpoint(
     out: &mut Vec<u8>,
     worker_index: u32,
     through_batch: u64,
-    imports: u64,
     snapshot: &MonitorSnapshot,
 ) {
     let mut encoder = Encoder::reusing(std::mem::take(out), CHECKPOINT_KIND, CHECKPOINT_VERSION);
     encoder.u32(worker_index);
     encoder.u64(through_batch);
-    encoder.u64(imports);
     snapshot.encode_nested(&mut encoder);
     *out = encoder.finish();
 }
@@ -547,31 +463,34 @@ pub fn encode_checkpoint(
 /// already-encoded snapshot — the compatibility seam: tests use it to
 /// produce checkpoint files of any version (at [`CHECKPOINT_VERSION`], the
 /// bytes of [`encode_checkpoint`]) and prove current readers still accept
-/// the old ones. The bookkeeping layout is identical
-/// across v2/v3; only the version stamp (and the snapshot format the nested
-/// blob is expected to carry) differs.
+/// the old ones. Before version 4 the layout carries an import count after
+/// the covered batch, written here as zero, the only count a current reader
+/// resumes; the nested blob is expected to carry the snapshot format of the
+/// file's day.
 #[must_use]
 pub fn encode_checkpoint_at(
     version: u32,
     worker_index: u32,
     through_batch: u64,
-    imports: u64,
     snapshot: &[u8],
 ) -> Vec<u8> {
     let mut encoder = Encoder::new(CHECKPOINT_KIND, version);
-    // Three counters, the snapshot and its length.
+    // Two or three counters, the snapshot and its length.
     encoder.reserve(4 + 8 + 8 + 4 + snapshot.len());
     encoder.u32(worker_index);
     encoder.u64(through_batch);
-    encoder.u64(imports);
+    if version < CHECKPOINT_VERSION {
+        encoder.u64(0);
+    }
     encoder.bytes(snapshot);
     encoder.finish()
 }
 
 /// Opens a worker checkpoint file sealed by [`encode_checkpoint`] — current
-/// ([`CHECKPOINT_VERSION`]) or previous ([`CHECKPOINT_VERSION_V2`]) version;
-/// the nested snapshot blob is passed through opaquely, and
-/// `MonitorSnapshot::from_bytes` applies its own dual-version handling.
+/// ([`CHECKPOINT_VERSION`]) or an earlier version ([`CHECKPOINT_VERSION_V3`],
+/// [`CHECKPOINT_VERSION_V2`]); the nested snapshot blob is passed through
+/// opaquely, and `MonitorSnapshot::from_bytes` applies its own dual-version
+/// handling.
 ///
 /// The outer checksum covers the nested snapshot bytes too, so corruption
 /// *anywhere* in the file — header, bookkeeping, or snapshot — surfaces here
@@ -580,21 +499,37 @@ pub fn encode_checkpoint_at(
 /// # Errors
 ///
 /// Returns the typed [`CodecError`] describing the first problem with the
-/// envelope or the bookkeeping fields.
+/// envelope or the bookkeeping fields, including
+/// [`CodecError::Malformed`] for an earlier-version file that records
+/// shard-handoff imports: its snapshot holds users of shards its worker did
+/// not own at launch.
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointFile, CodecError> {
-    let mut decoder = match Decoder::new(bytes, CHECKPOINT_KIND, CHECKPOINT_VERSION) {
-        Ok(decoder) => decoder,
-        Err(CodecError::UnsupportedVersion { found, .. }) if found == CHECKPOINT_VERSION_V2 => {
-            Decoder::new(bytes, CHECKPOINT_KIND, CHECKPOINT_VERSION_V2)?
+    let (mut decoder, version) = match Decoder::new(bytes, CHECKPOINT_KIND, CHECKPOINT_VERSION) {
+        Ok(decoder) => (decoder, CHECKPOINT_VERSION),
+        Err(CodecError::UnsupportedVersion { found, .. })
+            if found == CHECKPOINT_VERSION_V3 || found == CHECKPOINT_VERSION_V2 =>
+        {
+            (Decoder::new(bytes, CHECKPOINT_KIND, found)?, found)
         }
         Err(error) => return Err(error),
     };
     let worker_index = decoder.u32()?;
     let through_batch = decoder.u64()?;
-    let imports = decoder.u64()?;
+    if version < CHECKPOINT_VERSION {
+        let imports = decoder.u64()?;
+        if imports != 0 {
+            return Err(CodecError::Malformed {
+                what: "checkpoint import count",
+                detail: format!(
+                    "a version-{version} checkpoint holding {imports} shard-handoff imports \
+                     cannot be resumed under a fixed shard map"
+                ),
+            });
+        }
+    }
     let snapshot = decoder.bytes()?;
     decoder.finish()?;
-    Ok(CheckpointFile { worker_index, through_batch, imports, snapshot })
+    Ok(CheckpointFile { worker_index, through_batch, snapshot })
 }
 
 /// The decoded contents of a worker checkpoint file.
@@ -604,8 +539,6 @@ pub struct CheckpointFile {
     pub worker_index: u32,
     /// The super-batch id the state covers through.
     pub through_batch: u64,
-    /// The number of shard-handoff imports the state contains.
-    pub imports: u64,
     /// The nested, sealed `MonitorSnapshot` frame.
     pub snapshot: Vec<u8>,
 }
@@ -655,23 +588,19 @@ mod tests {
         let messages = vec![
             Message::Init {
                 worker_index: 3,
-                owned_shards: vec![0, 5, 31],
                 model_psm: "system \"Demo\"\n".to_owned(),
                 fingerprint: 0xDEAD_BEEF_1234_5678,
                 checkpoint_path: Some("/tmp/ckpt/worker-3.ckpt".to_owned()),
                 resume: Some(vec![1, 2, 3, 4]),
                 resume_through_batch: 17,
-                resume_imports: 2,
             },
             Message::Init {
                 worker_index: 0,
-                owned_shards: vec![],
                 model_psm: String::new(),
                 fingerprint: 0,
                 checkpoint_path: None,
                 resume: None,
                 resume_through_batch: 0,
-                resume_imports: 0,
             },
             Message::Register { profile: sample_profile() },
             Message::IngestBatch {
@@ -684,8 +613,6 @@ mod tests {
             },
             Message::IngestBatch { acked_through: 0, parts: Vec::new() },
             Message::Checkpoint,
-            Message::ExportShards { shards: vec![7, 8] },
-            Message::ImportShards { snapshot: vec![9; 64] },
             Message::Shutdown,
             Message::Ready { fingerprint: 42, resumed_users: 7 },
             Message::AckThrough {
@@ -698,9 +625,7 @@ mod tests {
                     .collect(),
             },
             Message::AckThrough { through: 0, alerts: Vec::new() },
-            Message::CheckpointDone { through_batch: 9, imports: 1 },
-            Message::ShardExport { snapshot: vec![1; 10] },
-            Message::Imported { users: 4 },
+            Message::CheckpointDone { through_batch: 9 },
             Message::Fatal { code: 11, message: "fingerprint mismatch".to_owned() },
         ];
         for message in messages {
@@ -711,18 +636,20 @@ mod tests {
     }
 
     #[test]
-    fn version_1_frames_are_typed_unsupported() {
+    fn version_1_and_2_frames_are_typed_unsupported() {
         for message in [
             Message::IngestBatch { acked_through: 1, parts: vec![(2, vec![sample_event(9, 0)])] },
             Message::AckThrough { through: 2, alerts: Vec::new() },
             Message::Checkpoint,
         ] {
-            let skewed = message.encode_at(1);
-            let error = Message::decode(&skewed).expect_err("a v1 frame must refuse");
-            assert!(
-                matches!(&error, CodecError::UnsupportedVersion { found: 1, .. }),
-                "expected a typed version rejection, got {error:?}"
-            );
+            for version in [1, 2] {
+                let skewed = message.encode_at(version);
+                let error = Message::decode(&skewed).expect_err("an old frame must refuse");
+                assert!(
+                    matches!(&error, CodecError::UnsupportedVersion { found, .. } if *found == version),
+                    "expected a typed version rejection, got {error:?}"
+                );
+            }
         }
     }
 
@@ -801,19 +728,16 @@ mod tests {
         monitor.register_user(&privacy_core::casestudy::case_a_user());
         let snapshot = monitor.snapshot();
         let mut reused = vec![0xEE; 16];
-        encode_checkpoint(&mut reused, 4, 99, 3, &snapshot);
-        assert_eq!(
-            reused,
-            encode_checkpoint_at(CHECKPOINT_VERSION, 4, 99, 3, &snapshot.to_bytes())
-        );
+        encode_checkpoint(&mut reused, 4, 99, &snapshot);
+        assert_eq!(reused, encode_checkpoint_at(CHECKPOINT_VERSION, 4, 99, &snapshot.to_bytes()));
     }
 
     #[test]
     fn checkpoint_file_round_trips_and_detects_corruption() {
         let snapshot = vec![7u8; 100];
-        let bytes = encode_checkpoint_at(CHECKPOINT_VERSION, 4, 99, 3, &snapshot);
+        let bytes = encode_checkpoint_at(CHECKPOINT_VERSION, 4, 99, &snapshot);
         let file = decode_checkpoint(&bytes).unwrap();
-        assert_eq!((file.worker_index, file.through_batch, file.imports), (4, 99, 3));
+        assert_eq!((file.worker_index, file.through_batch), (4, 99));
         assert_eq!(file.snapshot, snapshot);
 
         for position in 0..bytes.len() {
@@ -826,21 +750,43 @@ mod tests {
         }
     }
 
+    /// A pre-v4 checkpoint file as the build of its day wrote it: the
+    /// covered batch followed by a shard-handoff import count.
+    fn old_checkpoint(version: u32, imports: u64, snapshot: &[u8]) -> Vec<u8> {
+        let mut encoder = Encoder::new(CHECKPOINT_KIND, version);
+        encoder.u32(2);
+        encoder.u64(17);
+        encoder.u64(imports);
+        encoder.bytes(snapshot);
+        encoder.finish()
+    }
+
     #[test]
-    fn checkpoint_v2_files_still_decode_after_the_v3_bump() {
-        // A checkpoint left on disk by a pre-sparse-snapshot build: the
-        // bookkeeping layout is identical, only the version stamp differs,
-        // and the loader must accept it so a worker restarting across the
-        // deployment resumes instead of discarding its state.
+    fn checkpoint_v3_and_v2_files_still_decode_after_the_v4_bump() {
+        // Checkpoints left on disk by a build that still spoke shard
+        // handoff: their layout carries an import count after the covered
+        // batch. One that never imported decodes to the same file as
+        // today's layout, and the zero count is what the compatibility
+        // seam writes.
         let snapshot = vec![9u8; 64];
-        let old = encode_checkpoint_at(CHECKPOINT_VERSION_V2, 2, 17, 5, &snapshot);
-        let file = decode_checkpoint(&old).unwrap();
-        assert_eq!((file.worker_index, file.through_batch, file.imports), (2, 17, 5));
-        assert_eq!(file.snapshot, snapshot);
-        // The compatibility window is exactly {v2, v3}: v1 and future
+        for version in [CHECKPOINT_VERSION_V3, CHECKPOINT_VERSION_V2] {
+            let old = old_checkpoint(version, 0, &snapshot);
+            assert_eq!(old, encode_checkpoint_at(version, 2, 17, &snapshot));
+            let file = decode_checkpoint(&old).unwrap();
+            assert_eq!((file.worker_index, file.through_batch), (2, 17));
+            assert_eq!(file.snapshot, snapshot);
+            // A file that absorbed a handed-off shard holds users its worker
+            // did not own at launch: refused, typed, never resumed.
+            let imported = old_checkpoint(version, 3, &snapshot);
+            assert!(matches!(
+                decode_checkpoint(&imported),
+                Err(CodecError::Malformed { what: "checkpoint import count", .. })
+            ));
+        }
+        // The compatibility window is exactly {v2, v3, v4}: v1 and future
         // versions are typed rejections, not best-effort parses.
         for version in [1, CHECKPOINT_VERSION + 1] {
-            let alien = encode_checkpoint_at(version, 2, 17, 5, &snapshot);
+            let alien = encode_checkpoint_at(version, 2, 17, &snapshot);
             assert!(matches!(
                 decode_checkpoint(&alien),
                 Err(CodecError::UnsupportedVersion { found, .. }) if found == version

@@ -6,8 +6,9 @@
 //! 1. [`Init`](Message::Init) — parse the shipped `.psm` model, regenerate
 //!    the LTS and its index, verify the **index fingerprint** against the
 //!    supervisor's (a mismatch is a terminal, typed death: restarting cannot
-//!    help), and resume from the carried snapshot if there is one, keeping
-//!    only the owned shards.
+//!    help), and resume from the carried snapshot if there is one. Shards
+//!    never move, so that snapshot is one this worker slot wrote and holds
+//!    exactly its own users.
 //! 2. [`IngestBatch`](Message::IngestBatch) — the coalesced data plane:
 //!    many super-batch parts in one frame, answered with a single cumulative
 //!    [`AckThrough`](Message::AckThrough) that carries *every* alert the
@@ -16,24 +17,19 @@
 //!    unconfirmed alerts, a single swallowed ack self-heals on the next
 //!    frame instead of forcing a restart. Events for users the worker does
 //!    not track are ignored, exactly as the in-process `IndexedMonitor`
-//!    ignores unregistered users — this also makes replayed pre-handoff
-//!    batches harmless after a shard has moved away.
+//!    ignores unregistered users.
 //! 3. [`Checkpoint`](Message::Checkpoint) — capture the monitor snapshot
 //!    at the exact point in stream order the supervisor requested (a cheap
 //!    capture that shares the monitor's cached shard bodies) and submit it,
-//!    with the bookkeeping (covered super-batch, absorbed-import count), to
-//!    the shared [`CheckpointWriter`]. Its thread encodes the snapshot and
-//!    the checkpoint file, writes it atomically through the
-//!    [`CheckpointStore`], and sends
+//!    with the covered super-batch, to the shared [`CheckpointWriter`]. Its
+//!    thread encodes the snapshot and the checkpoint file, writes it
+//!    atomically through the [`CheckpointStore`], and sends
 //!    [`CheckpointDone`](Message::CheckpointDone) once the fsync lands. The
 //!    ingest loop keeps evaluating the next coalesced frames while the
 //!    encoder and the disk work; at most one checkpoint waits behind the
 //!    one being written, so a slow disk blocks the loop instead of piling
 //!    captures up. A failed write sends [`Fatal`](Message::Fatal) at once
 //!    and ends the worker with the I/O exit code.
-//! 4. [`ExportShards`](Message::ExportShards) /
-//!    [`ImportShards`](Message::ImportShards) — the two halves of a live
-//!    shard handoff.
 //!
 //! The injected faults ([`WorkerFaults`], armed via `--fault` arguments) are
 //! deliberately crude: `process::exit` mid-batch, a sleep before an ack, a
@@ -93,7 +89,6 @@ impl std::error::Error for WorkerFailure {}
 struct WorkerCheckpoint {
     worker_index: u32,
     through_batch: u64,
-    imports: u64,
     snapshot: MonitorSnapshot,
 }
 
@@ -102,14 +97,8 @@ impl CheckpointJob for WorkerCheckpoint {
     type Done = Message;
 
     fn encode(self, file: &mut Vec<u8>) -> Message {
-        encode_checkpoint(
-            file,
-            self.worker_index,
-            self.through_batch,
-            self.imports,
-            &self.snapshot,
-        );
-        Message::CheckpointDone { through_batch: self.through_batch, imports: self.imports }
+        encode_checkpoint(file, self.worker_index, self.through_batch, &self.snapshot);
+        Message::CheckpointDone { through_batch: self.through_batch }
     }
 }
 
@@ -117,7 +106,6 @@ struct WorkerState {
     monitor: IndexedMonitor,
     worker_index: u32,
     through_batch: u64,
-    imports_absorbed: u64,
     events_seen: u64,
     ingests_seen: u64,
     /// Alerts raised by batches the supervisor has not yet confirmed via a
@@ -214,13 +202,11 @@ fn serve(
     };
     let Message::Init {
         worker_index,
-        owned_shards,
         model_psm,
         fingerprint,
         checkpoint_path,
         resume,
         resume_through_batch,
-        resume_imports,
     } = first
     else {
         return Err(WorkerFailure::Protocol("first message must be Init".to_owned()));
@@ -246,9 +232,8 @@ fn serve(
 
     let (mut monitor, resumed_users) = match resume {
         Some(bytes) => {
-            let mut snapshot = MonitorSnapshot::from_bytes(&bytes)
+            let snapshot = MonitorSnapshot::from_bytes(&bytes)
                 .map_err(|error| WorkerFailure::State(format!("resume snapshot: {error}")))?;
-            snapshot.retain_shards(&owned_shards);
             let users = snapshot.user_count() as u64;
             let monitor = IndexedMonitor::resume_from(catalog, policy, index, &snapshot)
                 .map_err(|error| WorkerFailure::State(format!("resume rejected: {error}")))?;
@@ -264,7 +249,6 @@ fn serve(
         monitor,
         worker_index,
         through_batch: resume_through_batch,
-        imports_absorbed: resume_imports,
         events_seen: 0,
         ingests_seen: 0,
         pending_alerts: Vec::new(),
@@ -306,24 +290,6 @@ fn serve_loop<O: Write + Send>(
                 handle_ingest_batch(state, output, acked_through, parts)?;
             }
             Message::Checkpoint => handle_checkpoint(state, output, writer)?,
-            Message::ExportShards { shards } => {
-                let exported = state.monitor.snapshot().extract_shards(&shards);
-                for &shard in &shards {
-                    state.monitor.remove_shard_users(shard);
-                }
-                send(output, &Message::ShardExport { snapshot: exported.to_bytes() })?;
-            }
-            Message::ImportShards { snapshot } => {
-                let snapshot = MonitorSnapshot::from_bytes(&snapshot)
-                    .map_err(|error| WorkerFailure::State(format!("import snapshot: {error}")))?;
-                let users = state
-                    .monitor
-                    .absorb(&snapshot)
-                    .map_err(|error| WorkerFailure::State(format!("import rejected: {error}")))?;
-                let _ = state.monitor.drain_alerts();
-                state.imports_absorbed += 1;
-                send(output, &Message::Imported { users: users as u64 })?;
-            }
             Message::Shutdown => return Ok(()),
             other => {
                 return Err(WorkerFailure::Protocol(format!(
@@ -345,9 +311,9 @@ fn ingest_part(
     events: &[(u32, privacy_runtime::Event)],
     alerts: &mut Vec<(u32, Alert)>,
 ) -> bool {
-    // The monitor's pending list is empty here (it is drained after resume,
-    // after an import and after every part), so the drain below holds this
-    // part's alerts in order: `positions` tags each with its event's.
+    // The monitor's pending list is empty here (it is drained after resume
+    // and after every part), so the drain below holds this part's alerts
+    // in order: `positions` tags each with its event's.
     let mut positions = Vec::new();
     for (position, event) in events {
         let raised = state.monitor.observe(event).len();
@@ -413,13 +379,7 @@ fn handle_checkpoint<O: Write>(
 ) -> Result<(), WorkerFailure> {
     let Some(writer) = writer else {
         // No store configured: durability is a no-op, reply immediately.
-        return send(
-            output,
-            &Message::CheckpointDone {
-                through_batch: state.through_batch,
-                imports: state.imports_absorbed,
-            },
-        );
+        return send(output, &Message::CheckpointDone { through_batch: state.through_batch });
     };
     // The capture is taken here, at the exact point in stream order the
     // supervisor asked for; encoding, the write and the fsync happen on the
@@ -428,7 +388,6 @@ fn handle_checkpoint<O: Write>(
         .submit(WorkerCheckpoint {
             worker_index: state.worker_index,
             through_batch: state.through_batch,
-            imports: state.imports_absorbed,
             snapshot: state.monitor.snapshot(),
         })
         .map_err(|error| checkpoint_failure(&error))
@@ -529,13 +488,11 @@ mod tests {
         let fingerprint = LtsIndex::build(&lts).fingerprint();
         Message::Init {
             worker_index: 0,
-            owned_shards: (0..privacy_runtime::SHARD_COUNT as u32).collect(),
             model_psm: privacy_interchange::render_system(name, system),
             fingerprint,
             checkpoint_path: None,
             resume: None,
             resume_through_batch: 0,
-            resume_imports: 0,
         }
     }
 
@@ -710,13 +667,11 @@ mod tests {
         let Message::Init { model_psm, .. } = init_message(&name, &system) else { unreachable!() };
         let bad_init = Message::Init {
             worker_index: 0,
-            owned_shards: vec![0],
             model_psm,
             fingerprint: 0xBAAD_F00D,
             checkpoint_path: None,
             resume: None,
             resume_through_batch: 0,
-            resume_imports: 0,
         };
         let failure = run_script(vec![bad_init]).expect_err("mismatch must fail");
         assert!(matches!(failure, WorkerFailure::State(_)));
@@ -770,13 +725,11 @@ mod tests {
         };
         let init = Message::Init {
             worker_index: 0,
-            owned_shards: (0..privacy_runtime::SHARD_COUNT as u32).collect(),
             model_psm,
             fingerprint,
             checkpoint_path: Some(checkpoint.to_str().unwrap().to_owned()),
             resume: None,
             resume_through_batch: 0,
-            resume_imports: 0,
         };
         let mut input = Vec::new();
         for message in [init, Message::Checkpoint, Message::Shutdown] {

@@ -9,8 +9,8 @@
 //! worker processes (via `CARGO_BIN_EXE_privacy-shardd`) with the same
 //! batches. Equality of the merged streams proves the whole robustness
 //! story at once: sharded routing preserves order, restarts lose nothing,
-//! replay duplicates nothing, checkpoint fallback resumes from consistent
-//! state, and live shard handoff is invisible downstream.
+//! replay duplicates nothing, and checkpoint fallback resumes from
+//! consistent state.
 
 use privacy_core::PrivacySystem;
 use privacy_distrib::{
@@ -18,7 +18,7 @@ use privacy_distrib::{
 };
 use privacy_lts::LtsIndex;
 use privacy_model::{FieldId, Record, ServiceId, UserProfile};
-use privacy_runtime::{shard_of_user, Alert, Event, IndexedMonitor, ServiceEngine};
+use privacy_runtime::{Alert, Event, IndexedMonitor, ServiceEngine};
 use privacy_synth::{
     random_model, random_profiles, random_workload, ModelGeneratorConfig, ProfileGeneratorConfig,
     WorkloadConfig,
@@ -391,78 +391,45 @@ fn corrupt_checkpoint_falls_back_a_generation_and_matches() {
 }
 
 #[test]
-fn live_shard_handoff_is_invisible_downstream() {
+fn a_launch_over_an_earlier_runs_checkpoints_is_refused() {
+    // The retained suffix and the registry die with the supervisor that
+    // held them, so a checkpoint an earlier run left behind cannot be
+    // resumed soundly: a second launch over the same directory, at the same
+    // or another worker count, must refuse rather than resume it.
     let fixture = fixture();
-    let expected = reference_alerts(fixture, &fixture.batches);
-    let config = config("handoff", 2, FaultPlan::none());
-    let dir = config.checkpoint_dir.clone();
+    let first = config("reuse", 2, FaultPlan::none());
+    let dir = first.checkpoint_dir.clone();
     let mut monitor =
-        DistributedMonitor::launch("Tiny", &fixture.system, fixture.fingerprint, config)
-            .expect("fleet launches");
+        DistributedMonitor::launch("Tiny", &fixture.system, fixture.fingerprint, first)
+            .expect("fleet launches over an empty directory");
     for user in &fixture.users {
         monitor.register_user(user).expect("registration routes");
     }
-    // Pick a shard with real traffic and move it to the other worker midway.
-    let busy_shard = shard_of_user(fixture.batches[0][0].user());
-    let old_owner = monitor.owner_of_shard(busy_shard);
-    let new_owner = (old_owner + 1) % monitor.worker_count();
-    let mut alerts = Vec::new();
-    let midpoint = fixture.batches.len() / 2;
-    for (i, batch) in fixture.batches.iter().enumerate() {
-        if i == midpoint {
-            monitor.rebalance_shard(busy_shard, new_owner).expect("handoff completes");
-            assert_eq!(monitor.owner_of_shard(busy_shard), new_owner);
-        }
-        alerts.extend(monitor.submit_batch(batch).expect("batch is processed"));
+    for batch in &fixture.batches[..4] {
+        monitor.submit_batch(batch).expect("batch is processed");
     }
-    let (rest, stats) = monitor.shutdown().expect("clean shutdown");
-    alerts.extend(rest);
+    monitor.checkpoint_now().expect("checkpoints land");
+    monitor.shutdown().expect("clean shutdown");
+    for workers in [2, 1, 4] {
+        let mut again = config("reuse", workers, FaultPlan::none());
+        again.checkpoint_dir = dir.clone();
+        let error = DistributedMonitor::launch("Tiny", &fixture.system, fixture.fingerprint, again)
+            .expect_err("a used checkpoint directory must be refused");
+        assert!(
+            matches!(&error, DistribError::Config { detail } if detail.contains("earlier run")),
+            "{workers} workers: unexpected error: {error}"
+        );
+    }
+    // The previous generation alone is a leftover too.
+    std::fs::remove_file(dir.join("worker-0.ckpt")).expect("live generation exists");
+    std::fs::remove_file(dir.join("worker-1.ckpt")).expect("live generation exists");
+    let mut again = config("reuse", 2, FaultPlan::none());
+    again.checkpoint_dir = dir.clone();
+    assert!(matches!(
+        DistributedMonitor::launch("Tiny", &fixture.system, fixture.fingerprint, again),
+        Err(DistribError::Config { .. })
+    ));
     let _ = std::fs::remove_dir_all(dir);
-    assert_eq!(alerts, expected);
-    assert_eq!(stats.handoffs, 1);
-}
-
-#[test]
-fn handoff_survives_killing_the_new_owner() {
-    let fixture = fixture();
-    let expected = reference_alerts(fixture, &fixture.batches);
-    let busy_shard = shard_of_user(fixture.batches[0][0].user());
-    // Kill the new owner's post-handoff incarnation: the import was
-    // checkpointed, or — if the kill lands before the checkpoint covers it —
-    // the supervisor must redeliver the pending import on restart.
-    let config_probe = config("handoffkill-probe", 2, FaultPlan::none());
-    let old_owner = {
-        let dir = config_probe.checkpoint_dir.clone();
-        let monitor =
-            DistributedMonitor::launch("Tiny", &fixture.system, fixture.fingerprint, config_probe)
-                .expect("fleet launches");
-        let owner = monitor.owner_of_shard(busy_shard);
-        let _ = std::fs::remove_dir_all(dir);
-        owner
-    };
-    let new_owner = (old_owner + 1) % 2;
-    let plan = FaultPlan::none().kill_after(new_owner, 0, 160);
-    let config = config("handoffkill", 2, plan);
-    let dir = config.checkpoint_dir.clone();
-    let mut monitor =
-        DistributedMonitor::launch("Tiny", &fixture.system, fixture.fingerprint, config)
-            .expect("fleet launches");
-    for user in &fixture.users {
-        monitor.register_user(user).expect("registration routes");
-    }
-    let mut alerts = Vec::new();
-    let midpoint = fixture.batches.len() / 2;
-    for (i, batch) in fixture.batches.iter().enumerate() {
-        if i == midpoint {
-            monitor.rebalance_shard(busy_shard, new_owner).expect("handoff completes");
-        }
-        alerts.extend(monitor.submit_batch(batch).expect("batch is processed"));
-    }
-    let (rest, stats) = monitor.shutdown().expect("clean shutdown");
-    alerts.extend(rest);
-    let _ = std::fs::remove_dir_all(dir);
-    assert_eq!(alerts, expected);
-    assert_eq!(stats.handoffs, 1);
 }
 
 #[test]
@@ -575,7 +542,6 @@ fn checkpoint_v2_dense_files_resume_into_v3_monitors() {
         CHECKPOINT_VERSION_V2,
         0,
         cut as u64,
-        0,
         &before.snapshot().to_bytes_at(SNAPSHOT_VERSION_V2),
     );
 

@@ -502,8 +502,8 @@ impl<'a> Decoder<'a> {
 //
 // These operate on plain byte buffers rather than on `Encoder`/`Decoder`, so
 // a row can be encoded once into its own `Vec<u8>` and then *moved* between
-// frames (snapshot capture, shard handoff) without a decode/encode round
-// trip. The `Encoder`/`Decoder` methods above are thin wrappers.
+// frames (snapshot capture, resume) without a decode/encode round trip. The
+// `Encoder`/`Decoder` methods above are thin wrappers.
 
 /// The encoded length of `value` as a LEB128 varint (1–10 bytes).
 #[must_use]

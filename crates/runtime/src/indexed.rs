@@ -44,7 +44,6 @@ use privacy_model::{
     Catalog, Consent, DatastoreId, Interner, RiskLevel, Sensitivity, UserId, UserProfile,
 };
 use privacy_risk::{LikelihoodModel, RiskMatrix};
-use std::collections::hash_map::Entry;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -248,7 +247,7 @@ struct RowCache {
     /// Where each entry of `body` starts, in body (user id) order: the
     /// index lookups and splices binary-search.
     offsets: Vec<u32>,
-    /// Entries registered or absorbed since `body` was rebuilt, back to
+    /// Entries registered or restored since `body` was rebuilt, back to
     /// back in arrival order.
     pending: Vec<u8>,
     /// Where each entry of `pending` starts.
@@ -260,9 +259,9 @@ struct RowCache {
     /// `None` until then, so a bulk registration builds no set.
     pending_users: Option<FxHashSet<u64>>,
     /// The slot users whose rows may differ from `body` — a state bit
-    /// flipped, the slot was (re-)registered, absorbed or decoded from a
-    /// pending entry — each listed once. Every slot user without a body
-    /// entry is listed.
+    /// flipped, the slot was (re-)registered or decoded from a pending
+    /// entry — each listed once. Every slot user without a body entry is
+    /// listed.
     marked: Vec<UserId>,
     /// Bumped by every capture. A slot whose `changed_in` equals it is
     /// already in `marked`.
@@ -483,33 +482,14 @@ impl Shard {
         rows.offsets.is_empty() && rows.pending_starts.is_empty() && self.slots.is_empty()
     }
 
-    /// Inserts (or replaces) a user's slot, marking the row changed.
-    fn insert_slot(&mut self, user: UserId, mut slot: UserSlot) {
+    /// Replaces the slot `user` holds, marking the row changed.
+    fn replace_slot(&mut self, user: &UserId, mut slot: UserSlot) {
         let rows = self.rows.get_mut().unwrap_or_else(PoisonError::into_inner);
-        match self.slots.entry(user) {
-            Entry::Occupied(mut entry) => {
-                // A replaced row already marked this generation stays
-                // listed once.
-                slot.changed_in = entry.get().changed_in;
-                rows.mark(entry.key(), &mut slot);
-                entry.insert(slot);
-            }
-            Entry::Vacant(entry) => {
-                rows.mark(entry.key(), &mut slot);
-                entry.insert(slot);
-            }
-        }
-    }
-
-    /// Takes in one row of an absorbed snapshot: into the user's slot if
-    /// they hold one, else as a pending entry, without a decode.
-    fn absorb_row(&mut self, row: RowView<'_>, layout: SlotLayout) {
-        if self.slots.contains_key(row.user) {
-            let slot = UserSlot::decode(layout, row, &mut self.rows_mut().decoding);
-            self.insert_slot(UserId::new(row.user), slot);
-        } else {
-            self.rows_mut().push_entry(row.user, row.encoded);
-        }
+        let held = self.slots.get_mut(user).expect("the user holds a slot");
+        // A row already marked this generation stays listed once.
+        slot.changed_in = held.changed_in;
+        rows.mark(user, &mut slot);
+        *held = slot;
     }
 
     /// Decodes `user`'s row into a slot unless they hold one; `false` when
@@ -836,7 +816,7 @@ impl IndexedMonitor {
         let allowed = &registry.allowed[profile.consent()];
         if shard.slots.contains_key(user) {
             let slot = UserSlot::new(self.layout, allowed, registry.sensitivities.iter().copied());
-            shard.insert_slot(user.clone(), slot);
+            shard.replace_slot(user, slot);
             return;
         }
         registry.zeros.resize(self.layout.state_words, 0);
@@ -926,7 +906,8 @@ impl IndexedMonitor {
     ///
     /// The snapshot's shard bodies become the monitor's encoded rows as
     /// they are, shared rather than copied: no row is decoded until its
-    /// user sees an event or is read.
+    /// user sees an event or is read. A body whose rows are not its shard's
+    /// own in id order is taken in row by row, each routed by its user's id.
     ///
     /// **Monitor configuration is not persisted either**: like the catalog
     /// and policy, the alert threshold, risk matrix, likelihood model and
@@ -958,40 +939,9 @@ impl IndexedMonitor {
     ) -> Result<IndexedMonitor, SnapshotError> {
         check_snapshot_compat(&index, snapshot)?;
         let mut monitor = IndexedMonitor::new(catalog, policy, index);
-        monitor.restore_rows(snapshot);
-        monitor.alerts = snapshot.pending_alerts.clone();
-        Ok(monitor)
-    }
-
-    /// Merges a snapshot's users into a **live** monitor — the shard-handoff
-    /// import path: a worker that takes over a shard absorbs the previous
-    /// owner's exported [`MonitorSnapshot`] (typically a
-    /// [`MonitorSnapshot::extract_shards`] part) without disturbing the
-    /// users it already tracks. A user present in both keeps the snapshot's
-    /// state (the exporter owned them last); the snapshot's pending alerts
-    /// are appended to this monitor's. Returns the number of users absorbed.
-    /// A shard that holds no user yet adopts the snapshot's body as is;
-    /// elsewhere a row is decoded only if its user holds a decoded slot.
-    ///
-    /// # Errors
-    ///
-    /// The same compatibility checks as [`IndexedMonitor::resume_from`]:
-    /// [`SnapshotError::IndexMismatch`] for a foreign index,
-    /// [`SnapshotError::Malformed`] for impossible dimensions or rows.
-    pub fn absorb(&mut self, snapshot: &MonitorSnapshot) -> Result<usize, SnapshotError> {
-        check_snapshot_compat(&self.index, snapshot)?;
-        let absorbed = self.restore_rows(snapshot);
-        self.alerts.extend(snapshot.pending_alerts.iter().cloned());
-        Ok(absorbed)
-    }
-
-    /// Takes in every user row of the snapshot, returning how many. A
-    /// shard body goes to an empty shard whole when its rows are the
-    /// shard's own in id order; any other row is routed by its user's id.
-    fn restore_rows(&mut self, snapshot: &MonitorSnapshot) -> usize {
         for part in &snapshot.shards {
             let index = part.shard as usize;
-            if let Some(shard) = self.shards.get_mut(index) {
+            if let Some(shard) = monitor.shards.get_mut(index) {
                 if shard.is_empty() {
                     if let Some(offsets) = adoptable_offsets(&part.body, index) {
                         shard.rows_mut().install(Arc::clone(&part.body), offsets);
@@ -999,11 +949,14 @@ impl IndexedMonitor {
                     }
                 }
             }
+            // The snapshot persists each user once and a fresh monitor
+            // holds no slot, so every row becomes a pending entry.
             for row in part.rows() {
-                self.shards[shard_of(row.user)].absorb_row(row, self.layout);
+                monitor.shards[shard_of(row.user)].rows_mut().push_entry(row.user, row.encoded);
             }
         }
-        snapshot.user_count()
+        monitor.alerts = snapshot.pending_alerts.clone();
+        Ok(monitor)
     }
 
     /// Whether a user is currently registered (tracked) by this monitor.
@@ -1021,22 +974,6 @@ impl IndexedMonitor {
     /// 2-vCPU host).
     pub fn activate(&mut self, user: &UserId) -> bool {
         self.shards[shard_of(user.as_str())].activate(user, self.layout)
-    }
-
-    /// Drops every user whose id hashes to the given shard, returning how
-    /// many were removed — the shard-handoff *export* side: after the shard's
-    /// state is captured (via [`IndexedMonitor::snapshot`] +
-    /// [`MonitorSnapshot::extract_shards`]), the old owner stops tracking it.
-    /// Shards at or past [`SHARD_COUNT`] hold no users.
-    pub fn remove_shard_users(&mut self, shard: u32) -> usize {
-        match self.shards.get_mut(shard as usize) {
-            Some(slot) => {
-                let removed = slot.user_count();
-                *slot = Shard::default();
-                removed
-            }
-            None => 0,
-        }
     }
 
     /// Consumes one event. Behaviourally equivalent to a one-event

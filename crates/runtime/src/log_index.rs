@@ -38,8 +38,10 @@
 
 use crate::event::{Event, EventLog};
 use privacy_lts::ActionKind;
-use privacy_model::{ActorId, FieldId, Interner, ServiceId, UserId};
-use std::collections::{BTreeMap, BTreeSet};
+use privacy_model::{ActorId, FieldId, ServiceId, UserId};
+use std::collections::hash_map::RandomState;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::BuildHasher;
 
 /// An event's label: everything a policy statement asks of the event.
 type Label = (ActionKind, ActorId, ServiceId, BTreeSet<FieldId>);
@@ -92,12 +94,17 @@ impl ErasureTimeline {
 /// let groups: Vec<&[u32]> = index.groups().collect();
 /// assert_eq!(groups, [&[0, 2][..], &[1][..]]);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct EventLogIndex {
     event_count: usize,
     /// The distinct labels of the permitted events, in first-appearance
     /// order.
-    labels: Interner<Label>,
+    labels: Vec<Label>,
+    /// Per label hash, the labels that have it: a lookup hashes an event's
+    /// parts and compares them in place, so only a new label is cloned.
+    /// The hash is keyed per index, since labels come from the log.
+    by_hash: HashMap<u64, Vec<u32>>,
+    hasher: RandomState,
     /// Per interned label: the ids of its events, ascending.
     groups: Vec<Vec<u32>>,
     /// Erasure aggregation over every `(user, field)` pair a permitted
@@ -110,7 +117,9 @@ impl EventLogIndex {
     pub fn build(log: &EventLog) -> EventLogIndex {
         let mut index = EventLogIndex {
             event_count: 0,
-            labels: Interner::new(),
+            labels: Vec::new(),
+            by_hash: HashMap::new(),
+            hasher: RandomState::new(),
             groups: Vec::new(),
             erasure: BTreeMap::new(),
         };
@@ -133,15 +142,7 @@ impl EventLogIndex {
             if !event.permitted() {
                 continue;
             }
-            let label = self.labels.intern((
-                event.action(),
-                event.actor().clone(),
-                event.service().clone(),
-                event.fields().clone(),
-            )) as usize;
-            if label == self.groups.len() {
-                self.groups.push(Vec::new());
-            }
+            let label = self.label_of(event);
             self.groups[label].push(id);
             match event.action() {
                 ActionKind::Collect | ActionKind::Create | ActionKind::Anon => {
@@ -184,6 +185,26 @@ impl EventLogIndex {
         }
     }
 
+    /// The id of `event`'s label, interning it (with an empty group) when it
+    /// is new.
+    fn label_of(&mut self, event: &Event) -> usize {
+        let parts = (event.action(), event.actor(), event.service(), event.fields());
+        let ids = self.by_hash.entry(self.hasher.hash_one(parts)).or_default();
+        let labels = &self.labels;
+        if let Some(&id) = ids.iter().find(|&&id| {
+            let (action, actor, service, fields) = &labels[id as usize];
+            (*action, actor, service, fields) == parts
+        }) {
+            return id as usize;
+        }
+        let id = self.labels.len();
+        ids.push(u32::try_from(id).expect("fewer than 2^32 labels"));
+        let (action, actor, service, fields) = parts;
+        self.labels.push((action, actor.clone(), service.clone(), fields.clone()));
+        self.groups.push(Vec::new());
+        id
+    }
+
     /// Number of events the index covers (the log's length at build time).
     pub fn event_count(&self) -> usize {
         self.event_count
@@ -205,6 +226,15 @@ impl EventLogIndex {
         &self,
     ) -> impl Iterator<Item = (&(UserId, FieldId), &ErasureTimeline)> {
         self.erasure.iter()
+    }
+}
+
+/// Equal indexes hold the same labels, groups and erasure timelines; the
+/// lookup table is keyed per index and follows from the labels.
+impl PartialEq for EventLogIndex {
+    fn eq(&self, other: &Self) -> bool {
+        (self.event_count, &self.labels, &self.groups, &self.erasure)
+            == (other.event_count, &other.labels, &other.groups, &other.erasure)
     }
 }
 

@@ -30,13 +30,10 @@
 //!   [`CodecError`]s — never a panic, never a silent partial resume.
 //!
 //! Snapshots are grouped **per shard** (the same stable `UserId`-hash shards
-//! ingestion uses), so a fleet can hand shards between monitors: the
-//! outgoing owner exports them with [`MonitorSnapshot::extract_shards`], a
-//! restarted owner drops the ones it gave away with
-//! [`MonitorSnapshot::retain_shards`], and the incoming owner adopts them
-//! with [`IndexedMonitor::absorb`](crate::IndexedMonitor::absorb) —
-//! regardless of the thread count on either side, since shard assignment
-//! depends only on the user id, never on the ingestion parallelism.
+//! ingestion uses), and a resume adopts each shard's body whole, so a
+//! snapshot taken at one thread count rehydrates at any other: shard
+//! assignment depends only on the user id, never on the ingestion
+//! parallelism.
 //!
 //! Since format version 3 each user row is stored **sparsely**: the state
 //! words, allowed-actor bitset and sensitivity vector are each encoded under
@@ -46,10 +43,9 @@
 //! their rows collapse from hundreds of dense bytes to a couple of dozen.
 //! Each shard stays in its encoded byte form inside [`MonitorSnapshot`]: one
 //! contiguous body per shard in the exact wire layout.
-//! [`MonitorSnapshot::to_bytes`] copies bodies, and the shard-handoff
-//! extract/retain operations share them without a decode/encode round trip,
-//! which is what keeps re-grouped snapshot bytes byte-identical to the
-//! original. Capture itself re-encodes only the rows
+//! [`MonitorSnapshot::to_bytes`] copies bodies without a decode/encode
+//! round trip, which is what keeps a decoded snapshot's bytes
+//! byte-identical to the original. Capture itself re-encodes only the rows
 //! that changed since the monitor's previous capture (see
 //! [`IndexedMonitor::snapshot`](crate::IndexedMonitor::snapshot)).
 //! Version-2 (dense) frames still decode.
@@ -88,8 +84,8 @@ const MAX_DIM: u32 = 1 << 22;
 
 /// One persisted row, borrowed from its shard body: the user id and the
 /// row's *encoded* sparse byte form — three back-to-back row encodings
-/// (state words, allowed bitset, sensitivities) — so snapshot re-grouping
-/// moves bytes instead of re-encoding state. Bodies are validated when they
+/// (state words, allowed bitset, sensitivities) — so resume and capture
+/// move bytes instead of re-encoding state. Bodies are validated when they
 /// enter a snapshot (at capture by construction, at
 /// [`MonitorSnapshot::from_bytes`] by decode), so decoding a stored row
 /// cannot fail.
@@ -226,7 +222,7 @@ pub(crate) fn put_entry(body: &mut Vec<u8>, user: &str, row: &[u8]) {
 /// The persisted users of one monitor shard, sorted by user id, held as
 /// one contiguous body in the exact v3 wire layout — per user
 /// `str_var(user)`, `varu(len)`, row — so serializing a shard is a copy and
-/// re-grouping shards shares bodies instead of re-encoding them.
+/// a resume shares the body instead of decoding it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardSnapshot {
     pub(crate) shard: u32,
@@ -326,43 +322,12 @@ impl MonitorSnapshot {
         &self.pending_alerts
     }
 
-    /// The sub-snapshot holding exactly the listed shards — the shard-handoff
-    /// export: the outgoing owner captures one (or a few) shards to ship to
-    /// the incoming owner. Shards the snapshot does not contain are simply
-    /// absent from the result. Pending alerts do **not** travel with an
-    /// extract (they belong to whoever is draining the full monitor's alert
-    /// stream, not to any one shard).
-    pub fn extract_shards(&self, shards: &[u32]) -> MonitorSnapshot {
-        MonitorSnapshot {
-            fingerprint: self.fingerprint,
-            state_words: self.state_words,
-            allowed_words: self.allowed_words,
-            field_count: self.field_count,
-            shards: self
-                .shards
-                .iter()
-                .filter(|shard| shards.contains(&shard.shard))
-                .cloned()
-                .collect(),
-            pending_alerts: Vec::new(),
-        }
-    }
-
-    /// Drops every shard **not** in the given set, in place — the restart
-    /// filter: a worker resuming from a checkpoint written before a shard
-    /// was handed away keeps only the shards it currently owns, so the
-    /// stale copy of a migrated shard can never shadow the new owner's.
-    /// Pending alerts are kept (they were raised by this monitor's stream).
-    pub fn retain_shards(&mut self, shards: &[u32]) {
-        self.shards.retain(|shard| shards.contains(&shard.shard));
-    }
-
     /// Serializes the snapshot through the framed
     /// [`binary`] codec (kind
     /// [`SNAPSHOT_KIND`], version [`SNAPSHOT_VERSION`], trailing checksum).
     /// Each shard body is copied as stored — serialization never
-    /// re-encodes a row, so extracted or shard-filtered snapshots serialize
-    /// byte-identically to the original grouping.
+    /// re-encodes a row, so a decoded snapshot serializes byte-identically
+    /// to the bytes it was decoded from.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut bytes = Vec::new();
         self.encode_into(&mut bytes);
@@ -466,8 +431,8 @@ impl MonitorSnapshot {
     ///
     /// Both the current version-3 (sparse) and the previous version-2
     /// (dense) layouts are accepted; v2 rows are re-encoded sparsely on the
-    /// way in, so everything downstream — extract, retain, `to_bytes` — sees
-    /// one in-memory form.
+    /// way in, so everything downstream — resume, `to_bytes` — sees one
+    /// in-memory form.
     ///
     /// # Errors
     ///

@@ -1,12 +1,14 @@
-//! Heap allocations of the indexed monitor's ingest paths, counted by a
-//! global allocator.
+//! Heap allocations of the indexed monitor's ingest paths, and of the
+//! event-log index build, counted by a global allocator.
 //!
 //! Once a monitor is warm — its users decoded into slots and its ingest
 //! buffers grown by an earlier batch — an event allocates nothing of its
 //! own: `ingest_batch` and `observe` reuse the monitor's bucket, pair and
 //! alert buffers. A raised alert costs its message and nothing more: the
 //! alerts a call returns are the newest entries of the pending list, lent
-//! rather than cloned, and draining them moves them out.
+//! rather than cloned, and draining them moves them out. The event-log
+//! index looks each event's label up by its borrowed parts, so a build
+//! allocates per new label and erasure pair, never per event.
 
 // The counting allocator needs `unsafe impl GlobalAlloc`; it only forwards
 // to `System`.
@@ -15,7 +17,7 @@
 use privacy_core::casestudy;
 use privacy_lts::LtsIndex;
 use privacy_model::{Record, UserId, UserProfile};
-use privacy_runtime::{Event, IndexedMonitor, ServiceEngine};
+use privacy_runtime::{Event, EventLog, EventLogIndex, IndexedMonitor, ServiceEngine};
 use privacy_synth::{random_workload, WorkloadConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -159,4 +161,26 @@ fn a_warm_observe_allocates_only_the_alerts_it_raises() {
     // Each alert's message, plus one pending list per event that raised
     // any (each is drained before the next event).
     assert_eq!(allocations, raised + raising_events, "{raised} alerts, {raising_events} events");
+}
+
+#[test]
+fn the_log_index_allocates_per_label_not_per_event() {
+    let (_, _, events) = healthcare_fixture();
+    let mut log = EventLog::new();
+    log.extend(events.iter().cloned());
+    let (mut index, built) = counted(|| EventLogIndex::build(&log));
+    let labels = index.groups().count();
+    let pairs = index.erasure_timelines().count();
+    assert!(events.len() > 100 * labels, "{} events over {labels} labels", events.len());
+    // The doublings a vector of every event could go through.
+    let growth = (usize::BITS - events.len().leading_zeros()) as usize;
+    // A new label costs its field set, its hash bucket and its group's
+    // doublings; a new erasure pair at most one map node; the label, group
+    // and bucket tables grow by doubling too. No event costs anything.
+    let bound = labels * (2 + growth) + pairs + 3 * growth;
+    assert!(built <= bound, "{built} allocations over {} events, bound {bound}", events.len());
+    // Every label and erasure pair of the events is known now: appending
+    // them again only doubles some groups.
+    let (_, appended) = counted(|| index.append(&events));
+    assert!(appended <= labels, "{appended} allocations appending {} events", events.len());
 }

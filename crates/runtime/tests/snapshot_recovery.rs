@@ -443,6 +443,51 @@ fn wrong_version_and_wrong_kind_frames_are_rejected() {
 }
 
 #[test]
+fn decoded_snapshots_encode_back_to_the_same_bytes() {
+    // Shard bodies stay in their encoded form: decoding a multi-shard
+    // snapshot and serializing it again must reproduce its bytes exactly,
+    // with no decode/encode round trip of any row in between.
+    let fixture = fixture_sized(29, 3, 4, 24, 20);
+    let mut monitor = monitor_over(&fixture);
+    let _ = monitor.ingest_batch(&fixture.events);
+    let bytes = monitor.snapshot().to_bytes();
+    let decoded = MonitorSnapshot::from_bytes(&bytes).expect("snapshot decodes");
+    assert!(decoded.shards().len() >= 2, "the fixture must span shards");
+    assert_eq!(decoded.to_bytes(), bytes, "decode → encode must be byte-identical");
+}
+
+#[test]
+fn decoding_a_snapshot_that_persists_a_user_twice_is_a_typed_error() {
+    // A frame whose shards disagree about who owns a user is rejected at
+    // decode time, never resumed last-writer-wins. The public API never
+    // writes one, so the frame is encoded by hand.
+    let mut encoder = Encoder::new(SNAPSHOT_KIND, SNAPSHOT_VERSION);
+    encoder.u64(42); // fingerprint
+    encoder.u32(1); // state words
+    encoder.u32(1); // allowed words
+    encoder.u32(0); // field count
+    encoder.varu(2); // shards
+    for shard in [0u64, 1] {
+        encoder.varu(shard);
+        encoder.varu(1); // users
+        encoder.str_var("ada");
+        let mut row = Vec::new();
+        binary::put_u64_row(&mut row, &[0]); // state words
+        binary::put_u64_row(&mut row, &[0]); // allowed words
+        binary::put_f64_row(&mut row, &[]); // sensitivities
+        encoder.varu(row.len() as u64);
+        encoder.raw(&row);
+    }
+    encoder.varu(0); // pending alerts
+    let error = MonitorSnapshot::from_bytes(&encoder.finish())
+        .expect_err("a duplicate user must not decode");
+    assert!(
+        matches!(&error, SnapshotError::Malformed { detail } if detail.contains("more than once")),
+        "unexpected error: {error}"
+    );
+}
+
+#[test]
 fn snapshot_of_one_model_is_rejected_against_another_index() {
     let (fixture_a, bytes) = small_snapshot();
     let fixture_b = fixture(1234, 3, 4, 0);
@@ -629,9 +674,9 @@ fn snapshot_v3_fixture_from_before_incremental_capture_round_trips_byte_identica
 /// The snapshot bytes of `monitor` built without the monitor's capture
 /// path: every registered fixture user's row encoded afresh from their
 /// profile and current state, grouped by shard and sorted by id, and the
-/// pending alerts. Every fixture registration (and every donor row) uses
-/// the fixture profile of that user, so the profile gives the allowed
-/// actors and sensitivities of whoever is registered.
+/// pending alerts. Every fixture registration uses the fixture profile of
+/// that user, so the profile gives the allowed actors and sensitivities of
+/// whoever is registered.
 fn encode_afresh(monitor: &IndexedMonitor, fixture: &Fixture) -> Vec<u8> {
     let space = fixture.index.space();
     let state_words = space.variable_count().div_ceil(64);
@@ -692,10 +737,6 @@ enum Op {
     Observe(usize),
     /// `ingest_batch` of an event range at a thread count.
     Batch(usize, usize, usize),
-    /// `absorb` these shards of the donor's snapshot.
-    Absorb(Vec<u32>),
-    /// `remove_shard_users` of one shard.
-    RemoveShard(u32),
     /// Serialize, deserialize and resume (the warm side only: a resume
     /// leaves the state as it was, so the cold replay skips it).
     Resume,
@@ -704,19 +745,17 @@ enum Op {
 }
 
 /// A seeded random operation sequence over the fixture's users and
-/// events, always ending in a cut. Shard operations pick shards some user
-/// lives on, so they touch state. It opens by re-registering one user and
+/// events, always ending in a cut. It opens by re-registering one user and
 /// touching another once, so every population mixes users never touched,
 /// touched once, and re-registered.
 fn random_ops(seed: u64, fixture: &Fixture, len: usize) -> Vec<Op> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed_0f0b5);
     let (users, events) = (fixture.users.len(), fixture.events.len());
-    let user_shard = |rng: &mut StdRng| shard_of_user(pick(rng, &fixture.users).id());
     let mut ops = vec![Op::Register(rng.gen_range(0..users))];
     if events > 0 {
         ops.push(Op::Observe(rng.gen_range(0..events)));
     }
-    ops.extend((0..len).map(|_| match rng.gen_range(0..16u32) {
+    ops.extend((0..len).map(|_| match rng.gen_range(0..14u32) {
         0 | 1 => Op::Register(rng.gen_range(0..users)),
         2 | 3 if events > 0 => Op::Observe(rng.gen_range(0..events)),
         4..=7 if events > 0 => {
@@ -724,9 +763,7 @@ fn random_ops(seed: u64, fixture: &Fixture, len: usize) -> Vec<Op> {
             let end = rng.gen_range(start..=events);
             Op::Batch(start, end, if rng.gen_bool(0.5) { 1 } else { 4 })
         }
-        8 => Op::Absorb((0..rng.gen_range(1..4)).map(|_| user_shard(&mut rng)).collect()),
-        9 => Op::RemoveShard(user_shard(&mut rng)),
-        10 => Op::Resume,
+        8 => Op::Resume,
         _ => Op::Cut,
     }));
     ops.push(Op::Cut);
@@ -735,12 +772,7 @@ fn random_ops(seed: u64, fixture: &Fixture, len: usize) -> Vec<Op> {
 
 /// Applies every state-changing operation (everything but `Resume` and
 /// `Cut`) to `monitor`.
-fn apply(
-    mut monitor: IndexedMonitor,
-    op: &Op,
-    fixture: &Fixture,
-    donor: &MonitorSnapshot,
-) -> IndexedMonitor {
+fn apply(mut monitor: IndexedMonitor, op: &Op, fixture: &Fixture) -> IndexedMonitor {
     match op {
         Op::Register(user) => monitor.register_user(&fixture.users[*user]),
         Op::Observe(event) => {
@@ -749,12 +781,6 @@ fn apply(
         Op::Batch(start, end, threads) => {
             monitor = monitor.with_threads(Some(*threads));
             let _ = monitor.ingest_batch(&fixture.events[*start..*end]);
-        }
-        Op::Absorb(shards) => {
-            monitor.absorb(&donor.extract_shards(shards)).expect("same index absorbs");
-        }
-        Op::RemoveShard(shard) => {
-            let _ = monitor.remove_shard_users(*shard);
         }
         Op::Resume | Op::Cut => {}
     }
@@ -765,15 +791,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Incremental capture is a pure optimisation: at every cut of a random
-    /// mix of registration, `observe`, `ingest_batch` at 1 and 4 threads,
-    /// `absorb`, `remove_shard_users` and resume, a long-lived monitor
-    /// (its capture cache warm from every earlier cut) serializes exactly
-    /// the bytes of encoding every row afresh, and of a monitor that
-    /// replayed the same operations and captures for the first time. The
-    /// same holds right after every resume and absorb, whose rows stay
-    /// encoded until touched. Each per-shard extract of the warm snapshot
-    /// round-trips through its bytes, and the extracts, concatenated, hold
-    /// exactly the snapshot's shard bodies.
+    /// mix of registration, `observe`, `ingest_batch` at 1 and 4 threads
+    /// and resume, a long-lived monitor (its capture cache warm from every
+    /// earlier cut) serializes exactly the bytes of encoding every row
+    /// afresh, and of a monitor that replayed the same operations and
+    /// captures for the first time. The same holds right after every
+    /// resume, whose rows stay encoded until touched.
     #[test]
     fn warm_capture_equals_cold_capture_at_every_cut(
         seed in 0u64..1_000_000,
@@ -785,17 +808,6 @@ proptest! {
     ) {
         let fixture = fixture_sized(seed, actors, fields, raw_events, users);
         let ops = random_ops(seed, &fixture, len);
-        let mut donor = IndexedMonitor::new(
-            fixture.catalog.clone(),
-            fixture.policy.clone(),
-            Arc::clone(&fixture.index),
-        );
-        for user in fixture.users.iter().rev().step_by(2) {
-            donor.register_user(user);
-        }
-        let _ = donor.ingest_batch(&fixture.events[fixture.events.len() / 2..]);
-        let donor = donor.snapshot();
-
         let mut warm = monitor_over(&fixture);
         // The previous cut's capture and its bytes at the time: a capture
         // must stay immutable while the monitor moves on, because the
@@ -817,13 +829,6 @@ proptest! {
                         "capture after resume at op {at} of {ops:?} is not the fresh encoding"
                     );
                 }
-                Op::Absorb(_) => {
-                    warm = apply(warm, op, &fixture, &donor);
-                    prop_assert!(
-                        warm.snapshot().to_bytes() == encode_afresh(&warm, &fixture),
-                        "capture after absorb at op {at} of {ops:?} is not the fresh encoding"
-                    );
-                }
                 Op::Cut => {
                     let snapshot = warm.snapshot();
                     let warm_bytes = snapshot.to_bytes();
@@ -835,30 +840,16 @@ proptest! {
                     }
                     let cold = ops[..at]
                         .iter()
-                        .fold(monitor_over(&fixture), |cold, op| apply(cold, op, &fixture, &donor));
+                        .fold(monitor_over(&fixture), |cold, op| apply(cold, op, &fixture));
                     let cold_bytes = cold.snapshot().to_bytes();
                     prop_assert!(warm_bytes == cold_bytes, "warm capture diverged at op {at} of {ops:?}");
                     prop_assert!(
                         warm_bytes == encode_afresh(&warm, &fixture),
                         "capture at op {at} of {ops:?} is not the fresh encoding"
                     );
-
-                    let extracted: Vec<MonitorSnapshot> = snapshot
-                        .shards()
-                        .iter()
-                        .map(|shard| snapshot.extract_shards(&[shard.shard()]))
-                        .collect();
-                    for part in &extracted {
-                        let round_trip = MonitorSnapshot::from_bytes(&part.to_bytes())
-                            .expect("extracted part decodes");
-                        prop_assert_eq!(&round_trip, part);
-                    }
-                    let concatenated: Vec<_> =
-                        extracted.iter().flat_map(|part| part.shards().iter().cloned()).collect();
-                    prop_assert_eq!(&concatenated[..], snapshot.shards());
                     held = Some((snapshot, warm_bytes));
                 }
-                op => warm = apply(warm, op, &fixture, &donor),
+                op => warm = apply(warm, op, &fixture),
             }
         }
     }

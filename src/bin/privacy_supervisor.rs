@@ -9,7 +9,9 @@
 //! for alert, to what the in-process monitor would emit. Workers checkpoint
 //! every `--checkpoint-every` batches and are restarted from their last
 //! good checkpoint if they die; `--kill-after N` injects such a death to
-//! demonstrate the recovery path.
+//! demonstrate the recovery path. The checkpoints live in a fresh
+//! directory of this process's own unless `--checkpoint-dir` names one,
+//! which must hold no worker checkpoint: a run never resumes another's.
 //!
 //! ```text
 //! privacy-supervisor [--workers N] [--users N] [--requests N] [--batch N]
@@ -37,7 +39,7 @@ use privacy_core::{casestudy, PrivacySystem};
 use privacy_distrib::{exit, DistributedMonitor, FaultPlan, SupervisorConfig};
 use privacy_lts::LtsIndex;
 use privacy_model::{FieldId, Record, ServiceId};
-use privacy_runtime::ServiceEngine;
+use privacy_runtime::{ServiceEngine, SHARD_COUNT};
 use privacy_synth::{random_profiles, random_workload, ProfileGeneratorConfig, WorkloadConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -48,7 +50,9 @@ struct Options {
     users: usize,
     requests: usize,
     batch: usize,
-    checkpoint_dir: PathBuf,
+    /// `None`: a directory of this process's own, removed after a clean
+    /// run.
+    checkpoint_dir: Option<PathBuf>,
     checkpoint_every: u64,
     worker: Option<PathBuf>,
     kill_after: Option<u64>,
@@ -69,14 +73,16 @@ const USAGE: &str = "usage: privacy-supervisor [OPTIONS]
 Run the healthcare monitor as a supervised multi-process fleet.
 
 Workload:
-  --workers N            worker processes to spawn (default 2)
+  --workers N            worker processes to spawn, 1 to 32 (default 2)
   --users N              synthetic user population (default 64)
   --requests N           synthetic workload length (default 2000)
   --batch N              events per super-batch (default 64)
   --quiet                suppress the alert stream (stats still printed)
 
 Checkpointing:
-  --checkpoint-dir PATH  per-worker checkpoint directory
+  --checkpoint-dir PATH  per-worker checkpoint directory, which must hold
+                         no worker checkpoint (default: a fresh directory
+                         under the temp dir, removed after a clean run)
   --checkpoint-every N   checkpoint all workers every N batches (default 4)
 
 Transport tuning:
@@ -91,8 +97,8 @@ Failure detection and restart tuning:
                          by the per-event grace for events in flight
   --ack-grace-us N       extra ack deadline per in-flight event, in
                          microseconds (default 5000)
-  --control-timeout-ms N give up on a checkpoint/export/import reply after
-                         N ms (default 60000)
+  --control-timeout-ms N give up on a checkpoint reply after N ms
+                         (default 60000)
   --max-restarts N       restarts allowed without sustained progress before
                          the run fails with a typed error (default 5)
   --restart-base-ms N    backoff before the first restart attempt; doubles
@@ -113,7 +119,7 @@ fn parse_options() -> Result<Options, String> {
         users: 64,
         requests: 2_000,
         batch: 64,
-        checkpoint_dir: std::env::temp_dir().join("privacy-supervisor-ckpt"),
+        checkpoint_dir: None,
         checkpoint_every: 4,
         worker: None,
         kill_after: None,
@@ -138,6 +144,9 @@ fn parse_options() -> Result<Options, String> {
                 options.workers = next_value(&mut args, "--workers")?
                     .parse()
                     .map_err(|_| "bad --workers value".to_owned())?;
+                if !(1..=SHARD_COUNT).contains(&options.workers) {
+                    return Err(format!("--workers must be in 1..={SHARD_COUNT}"));
+                }
             }
             "--users" => {
                 options.users = next_value(&mut args, "--users")?
@@ -158,7 +167,8 @@ fn parse_options() -> Result<Options, String> {
                 }
             }
             "--checkpoint-dir" => {
-                options.checkpoint_dir = PathBuf::from(next_value(&mut args, "--checkpoint-dir")?);
+                options.checkpoint_dir =
+                    Some(PathBuf::from(next_value(&mut args, "--checkpoint-dir")?));
             }
             "--checkpoint-every" => {
                 options.checkpoint_every = next_value(&mut args, "--checkpoint-every")?
@@ -292,7 +302,10 @@ fn run(options: &Options) -> Result<(), String> {
     }
     let events = engine.log().events().to_vec();
 
-    let mut config = SupervisorConfig::new(worker_program(options)?, &options.checkpoint_dir);
+    let own_dir =
+        std::env::temp_dir().join(format!("privacy-supervisor-ckpt-{}", std::process::id()));
+    let checkpoint_dir = options.checkpoint_dir.as_ref().unwrap_or(&own_dir);
+    let mut config = SupervisorConfig::new(worker_program(options)?, checkpoint_dir);
     config.workers = options.workers;
     config.checkpoint_every = options.checkpoint_every;
     if let Some(ack_timeout) = options.ack_timeout {
@@ -341,6 +354,9 @@ fn run(options: &Options) -> Result<(), String> {
         }
     }
     let (rest, stats) = monitor.shutdown().map_err(|e| e.to_string())?;
+    if options.checkpoint_dir.is_none() {
+        let _ = std::fs::remove_dir_all(&own_dir);
+    }
     alert_count += rest.len();
     if !options.quiet {
         for alert in &rest {
