@@ -24,6 +24,10 @@ pub const IO_FATAL: i32 = 12;
 /// The peer broke the wire protocol: unexpected message kind, undecodable
 /// frame, out-of-order acknowledgement.
 pub const PROTOCOL_FATAL: i32 = 13;
+/// The supervisor gave up on a worker that kept dying without making
+/// progress (its restart budget ran out). Only the supervisor exits with
+/// it; a worker never does.
+pub const RESTARTS_EXHAUSTED: i32 = 14;
 /// The process terminated itself on purpose because an injected fault from
 /// a [`FaultPlan`](crate::fault::FaultPlan) fired. Test harness only.
 pub const INJECTED_FAULT: i32 = 101;
@@ -48,6 +52,7 @@ pub fn describe(code: i32) -> &'static str {
         SNAPSHOT_FATAL => "snapshot/model mismatch",
         IO_FATAL => "I/O failure",
         PROTOCOL_FATAL => "wire-protocol violation",
+        RESTARTS_EXHAUSTED => "worker restarts exhausted",
         INJECTED_FAULT => "injected fault",
         _ => "unknown exit code",
     }
@@ -59,8 +64,16 @@ mod tests {
 
     #[test]
     fn taxonomy_is_distinct_and_classified() {
-        let codes =
-            [OK, USAGE, INGEST_FATAL, SNAPSHOT_FATAL, IO_FATAL, PROTOCOL_FATAL, INJECTED_FAULT];
+        let codes = [
+            OK,
+            USAGE,
+            INGEST_FATAL,
+            SNAPSHOT_FATAL,
+            IO_FATAL,
+            PROTOCOL_FATAL,
+            RESTARTS_EXHAUSTED,
+            INJECTED_FAULT,
+        ];
         for (i, a) in codes.iter().enumerate() {
             for b in &codes[i + 1..] {
                 assert_ne!(a, b);

@@ -62,7 +62,7 @@ pub mod worker;
 
 pub use checkpoint::{
     CheckpointJob, CheckpointStore, CheckpointWarning, CheckpointWriteError, CheckpointWriter,
-    Generation,
+    DeltaChain, Generation, Loaded,
 };
 pub use fault::{Fault, FaultPlan, WorkerFaults};
 pub use supervisor::{

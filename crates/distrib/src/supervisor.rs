@@ -278,6 +278,24 @@ pub enum DistribError {
     },
 }
 
+impl DistribError {
+    /// The process exit code (see [`crate::exit`]) a supervisor that fails
+    /// with this error exits with: [`exit::USAGE`] for a configuration
+    /// error, a terminal worker's own code, [`exit::PROTOCOL_FATAL`] for a
+    /// protocol break, [`exit::SNAPSHOT_FATAL`] for an unrecoverable
+    /// checkpoint and [`exit::RESTARTS_EXHAUSTED`] for a crash loop.
+    #[must_use]
+    pub fn exit_code(&self) -> i32 {
+        match self {
+            DistribError::Config { .. } => exit::USAGE,
+            DistribError::WorkerTerminal { code, .. } => *code,
+            DistribError::RestartsExhausted { .. } => exit::RESTARTS_EXHAUSTED,
+            DistribError::Protocol { .. } => exit::PROTOCOL_FATAL,
+            DistribError::CheckpointUnrecoverable { .. } => exit::SNAPSHOT_FATAL,
+        }
+    }
+}
+
 impl fmt::Display for DistribError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -496,6 +496,32 @@ impl<'a> Decoder<'a> {
     }
 }
 
+/// The length of the frame at the start of `bytes`, header to checksum,
+/// as its header declares — how a reader walks frames written back to
+/// back. Only the magic is checked; [`Decoder::new`] on exactly that many
+/// bytes validates the rest.
+///
+/// # Errors
+///
+/// [`CodecError::BadMagic`] when `bytes` does not start with a frame,
+/// [`CodecError::Truncated`] when its header is cut short or declares a
+/// length past `usize`.
+pub fn frame_len(bytes: &[u8]) -> Result<usize, CodecError> {
+    if bytes.len() >= 4 && bytes[..4] != MAGIC {
+        let mut found = [0u8; 4];
+        found.copy_from_slice(&bytes[..4]);
+        return Err(CodecError::BadMagic { expected: MAGIC, found });
+    }
+    if bytes.len() < HEADER_LEN {
+        return Err(CodecError::Truncated { needed: HEADER_LEN, available: bytes.len() });
+    }
+    let payload_len = u64::from_le_bytes(bytes[12..HEADER_LEN].try_into().expect("8 bytes"));
+    usize::try_from(payload_len)
+        .ok()
+        .and_then(|len| len.checked_add(HEADER_LEN + CHECKSUM_LEN))
+        .ok_or(CodecError::Truncated { needed: usize::MAX, available: bytes.len() })
+}
+
 // ---------------------------------------------------------------------------
 // Varints, packed floats, and the per-user row codec
 // ---------------------------------------------------------------------------
@@ -1612,6 +1638,22 @@ mod tests {
                 "prefix of {len} bytes produced {error:?}"
             );
         }
+    }
+
+    #[test]
+    fn frame_len_walks_frames_written_back_to_back() {
+        let mut first = Encoder::new(KIND, 1);
+        first.str("first");
+        let mut second = Encoder::new(KIND, 1);
+        second.u64(7);
+        let (first, second) = (first.finish(), second.finish());
+        let log = [first.as_slice(), second.as_slice()].concat();
+        assert_eq!(frame_len(&log), Ok(first.len()));
+        assert_eq!(frame_len(&log[first.len()..]), Ok(second.len()));
+        for len in 0..HEADER_LEN {
+            assert!(matches!(frame_len(&log[..len]), Err(CodecError::Truncated { .. })));
+        }
+        assert!(matches!(frame_len(b"not a frame at all"), Err(CodecError::BadMagic { .. })));
     }
 
     #[test]

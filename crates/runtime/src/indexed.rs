@@ -36,7 +36,9 @@
 
 use crate::event::Event;
 use crate::monitor::Alert;
-use crate::snapshot::{self, read_entry, MonitorSnapshot, RowView, ShardSnapshot, SnapshotError};
+use crate::snapshot::{
+    self, read_entry, MonitorSnapshot, RowView, ShardSnapshot, SnapshotDelta, SnapshotError,
+};
 use privacy_access::{AccessPolicy, Permission};
 use privacy_lts::space::VarKind;
 use privacy_lts::{ActionKind, FxHashMap, FxHashSet, FxHasher, LtsIndex, PrivacyState};
@@ -67,7 +69,7 @@ pub fn shard_of_user(user: &UserId) -> u32 {
 
 /// [`shard_of_user`] over the id's text (a `UserId` hashes as its string),
 /// so a snapshot row routes without building a `UserId` first.
-fn shard_of(user: &str) -> usize {
+pub(crate) fn shard_of(user: &str) -> usize {
     let mut hasher = FxHasher::default();
     user.hash(&mut hasher);
     (hasher.finish() as usize) % SHARDS
@@ -266,12 +268,21 @@ struct RowCache {
     /// Bumped by every capture. A slot whose `changed_in` equals it is
     /// already in `marked`.
     generation: u64,
+    /// The users whose pending entries were folded into `body` since the
+    /// last capture, as entries with empty rows: the next capture's delta
+    /// must carry them too. Kept only once the cache has been captured,
+    /// since a first capture has no delta.
+    folded: Vec<u8>,
     decoding: DecodeScratch,
 }
 
 /// One entry headed into a rebuilt body: the user id and the entry's
 /// bytes.
-type FreshEntry<'a> = (&'a str, &'a [u8]);
+pub(crate) type FreshEntry<'a> = (&'a str, &'a [u8]);
+
+/// The entries a shard's capture changed since the previous capture, back
+/// to back in id order, and how many there are.
+type Changed = (Vec<u8>, usize);
 
 impl RowCache {
     /// Records that `user`'s slot may differ from `body`.
@@ -372,7 +383,14 @@ impl RowCache {
             self.clear_pending();
             return;
         }
+        let mut folded = Vec::new();
+        if self.generation > 0 {
+            for &(user, _) in &fresh {
+                snapshot::put_entry(&mut folded, user, &[]);
+            }
+        }
         let (body, offsets) = splice(&self.body, &self.offsets, &fresh);
+        self.folded.extend_from_slice(&folded);
         self.install(Arc::new(body), offsets);
     }
 
@@ -394,29 +412,62 @@ impl RowCache {
     /// The shard's snapshot body: the previous body with the marked slots
     /// re-encoded and the pending entries spliced in — byte-identical to
     /// encoding every row afresh, with no allocation per user and only the
-    /// marked and pending rows visited.
+    /// marked and pending rows visited. Unless this is the cache's first
+    /// capture, also the entries that differ from the previous capture's
+    /// body: the spliced ones and those folded in since.
     fn capture(
         &mut self,
         slots: &Slots,
         layout: SlotLayout,
         scratch: &mut RowScratch,
-    ) -> Arc<Vec<u8>> {
-        if !self.marked.is_empty() || !self.pending_starts.is_empty() {
+    ) -> (Arc<Vec<u8>>, Option<Changed>) {
+        let dirty = !self.marked.is_empty() || !self.pending_starts.is_empty();
+        let mut fresh = Vec::new();
+        if dirty {
             let changed = self
                 .marked
                 .iter()
                 .map(|user| (user, slots.get(user).expect("marked users hold slots")));
             let encoded = encode_rows(changed, layout, scratch);
-            let mut fresh = self.pending_entries(slots);
+            fresh = self.pending_entries(slots);
             fresh
                 .extend(encoded.iter().map(|&(user, from, to)| (user, &scratch.entries[from..to])));
             fresh.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        }
+        let changed = (self.generation > 0).then(|| self.changed_entries(&fresh));
+        if dirty {
             let (body, offsets) = splice(&self.body, &self.offsets, &fresh);
             self.install(Arc::new(body), offsets);
             self.marked.clear();
         }
+        self.folded.clear();
         self.generation += 1;
-        Arc::clone(&self.body)
+        (Arc::clone(&self.body), changed)
+    }
+
+    /// The entries of the body `fresh` is about to be spliced into, for
+    /// every user in `fresh` or folded in since the last capture: a fresh
+    /// entry where there is one, else the user's body entry, which the
+    /// splice leaves as it is.
+    fn changed_entries(&self, fresh: &[FreshEntry<'_>]) -> Changed {
+        let mut entries = fresh.to_vec();
+        let mut offset = 0;
+        while offset < self.folded.len() {
+            let user =
+                read_entry(&self.folded, &mut offset).expect("folded users are entries").user;
+            let at = self.body_position(user).expect("folded users have body entries");
+            let end = self.offsets.get(at + 1).map_or(self.body.len(), |&end| end as usize);
+            entries.push((user, &self.body[self.offsets[at] as usize..end]));
+        }
+        // Stable, so of a user's entries the fresh one, listed first, is
+        // the one kept.
+        entries.sort_by(|a, b| a.0.cmp(b.0));
+        entries.dedup_by(|later, kept| later.0 == kept.0);
+        let mut bytes = Vec::with_capacity(entries.iter().map(|&(_, entry)| entry.len()).sum());
+        for &(_, entry) in &entries {
+            bytes.extend_from_slice(entry);
+        }
+        (bytes, entries.len())
     }
 }
 
@@ -536,13 +587,23 @@ impl Shard {
         rows.offsets.len() + unbodied
     }
 
-    /// The shard's snapshot body (see [`RowCache::capture`]) and its user
-    /// count.
-    fn capture(&self, layout: SlotLayout, scratch: &mut RowScratch) -> (Arc<Vec<u8>>, usize) {
+    /// The shard's snapshot body and changed entries (see
+    /// [`RowCache::capture`]), its user count and the capture's ordinal.
+    fn capture(&self, layout: SlotLayout, scratch: &mut RowScratch) -> ShardCapture {
         let mut rows = self.rows();
-        let body = rows.capture(&self.slots, layout, scratch);
-        (body, rows.offsets.len())
+        let (body, changed) = rows.capture(&self.slots, layout, scratch);
+        ShardCapture { body, users: rows.offsets.len(), changed, ordinal: rows.generation }
     }
+}
+
+/// What [`Shard::capture`] returns.
+struct ShardCapture {
+    body: Arc<Vec<u8>>,
+    users: usize,
+    changed: Option<Changed>,
+    /// Which capture of the shard this is, from 1. Every capture visits
+    /// every shard, so all of a monitor's shards agree on it.
+    ordinal: u64,
 }
 
 /// Encodes the rows of `users` into `scratch.entries` in the order given
@@ -570,7 +631,7 @@ fn encode_rows<'a>(
 /// The entry offsets of a snapshot shard body the shard `shard` can adopt
 /// as its own: every user hashes to `shard`, in strictly ascending id
 /// order. `None` for any other body.
-fn adoptable_offsets(body: &[u8], shard: usize) -> Option<Vec<u32>> {
+pub(crate) fn adoptable_offsets(body: &[u8], shard: usize) -> Option<Vec<u32>> {
     let mut offsets = Vec::new();
     let mut offset = 0;
     let mut previous: Option<&str> = None;
@@ -593,7 +654,11 @@ fn adoptable_offsets(body: &[u8], shard: usize) -> Option<Vec<u32>> {
 /// is found by binary search over `offsets`, so the work beyond the bulk
 /// copies is logarithmic per fresh entry plus one shifted offset per copied
 /// entry. Returns the new body and its offset index.
-fn splice(previous: &[u8], offsets: &[u32], fresh: &[FreshEntry<'_>]) -> (Vec<u8>, Vec<u32>) {
+pub(crate) fn splice(
+    previous: &[u8],
+    offsets: &[u32],
+    fresh: &[FreshEntry<'_>],
+) -> (Vec<u8>, Vec<u32>) {
     let fresh_len: usize = fresh.iter().map(|&(_, entry)| entry.len()).sum();
     let mut body = Vec::with_capacity(previous.len() + fresh_len);
     let mut index = Vec::with_capacity(offsets.len() + fresh.len());
@@ -873,25 +938,51 @@ impl IndexedMonitor {
     /// that later captures replace rather than modify, so it never changes
     /// after it is taken: it can be encoded on another thread while the
     /// monitor keeps ingesting.
+    ///
+    /// Every capture but the monitor's first also carries its
+    /// [`MonitorSnapshot::delta`]: the entries whose bytes differ from the
+    /// previous capture's — those it re-encoded or spliced in, and those
+    /// registered and folded into a body since — numbered by
+    /// [`MonitorSnapshot::ordinal`], so a checkpoint writer can persist
+    /// only what changed.
     pub fn snapshot(&self) -> MonitorSnapshot {
         let mut scratch = RowScratch::default();
-        let shards = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter_map(|(i, shard)| {
-                let (body, users) = shard.capture(self.layout, &mut scratch);
-                (users > 0).then_some(ShardSnapshot { shard: i as u32, users, body })
-            })
-            .collect();
-        let (state_words, allowed_words, field_count) = self.layout.dims();
+        let mut shards = Vec::new();
+        let mut changes = Some(Vec::new());
+        let mut ordinal = 0;
+        for (i, shard) in self.shards.iter().enumerate() {
+            let capture = shard.capture(self.layout, &mut scratch);
+            ordinal = capture.ordinal;
+            let shard = i as u32;
+            match (&mut changes, capture.changed) {
+                (Some(changes), Some((body, users))) if users > 0 => {
+                    changes.push(ShardSnapshot { shard, users, body: Arc::new(body) });
+                }
+                (_, None) => changes = None,
+                _ => {}
+            }
+            if capture.users > 0 {
+                shards.push(ShardSnapshot { shard, users: capture.users, body: capture.body });
+            }
+        }
+        let fingerprint = self.index.fingerprint();
+        let dims = self.layout.dims();
+        let delta = changes.map(|shards| SnapshotDelta {
+            fingerprint,
+            dims,
+            shards,
+            pending_alerts: self.alerts.clone(),
+        });
+        let (state_words, allowed_words, field_count) = dims;
         MonitorSnapshot {
-            fingerprint: self.index.fingerprint(),
+            fingerprint,
             state_words,
             allowed_words,
             field_count,
             shards,
             pending_alerts: self.alerts.clone(),
+            ordinal,
+            delta,
         }
     }
 

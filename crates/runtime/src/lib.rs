@@ -27,7 +27,8 @@
 //!   append-aware so periodic audits over the (append-only) log pay only for
 //!   the new suffix;
 //! * [`snapshot`] — versioned, checksummed [`MonitorSnapshot`]s so a monitor
-//!   can restart mid-stream and resume exactly where it left off.
+//!   can restart mid-stream and resume exactly where it left off, and the
+//!   [`SnapshotDelta`] each capture carries of what it changed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,5 +46,5 @@ pub use event::{Event, EventLog};
 pub use indexed::{shard_of_user, IndexedMonitor, SHARD_COUNT};
 pub use log_index::{ErasureTimeline, EventLogIndex};
 pub use monitor::Alert;
-pub use snapshot::{MonitorSnapshot, ShardSnapshot, SnapshotError};
+pub use snapshot::{MonitorSnapshot, ShardSnapshot, SnapshotDelta, SnapshotError};
 pub use store::DatastoreState;

@@ -49,7 +49,15 @@
 //! that changed since the monitor's previous capture (see
 //! [`IndexedMonitor::snapshot`](crate::IndexedMonitor::snapshot)).
 //! Version-2 (dense) frames still decode.
+//!
+//! A capture also carries the entries it changed since its monitor's
+//! previous capture, as a [`SnapshotDelta`]: the same payload layout in a
+//! frame of its own kind ([`DELTA_KIND`]) holding only those entries and
+//! the pending alerts. [`MonitorSnapshot::apply`] splices a delta into the
+//! previous capture, so a checkpoint can persist one full snapshot and then
+//! only what each later capture changed.
 
+use crate::indexed::{adoptable_offsets, shard_of, splice, FreshEntry};
 use crate::monitor::Alert;
 use privacy_interchange::binary::{
     self, CodecError, Decoder, Encoder, F64_ROW_DENSE, U64_ROW_INDEXED, U64_ROW_RUNS,
@@ -74,6 +82,13 @@ pub const SNAPSHOT_VERSION: u32 = 3;
 /// still decodes it — a monitor restarting across the v3 deployment resumes
 /// from its existing v2 checkpoint and writes v3 from then on.
 pub const SNAPSHOT_VERSION_V2: u32 = 2;
+
+/// The artefact kind tag of a snapshot delta frame ("Privacy Monitor
+/// Snapshot Delta").
+pub const DELTA_KIND: [u8; 4] = *b"PMSD";
+
+/// The snapshot delta format version this build writes and reads.
+pub const DELTA_VERSION: u32 = 1;
 
 /// The largest per-row dimension (state words, allowed words, or field
 /// count) a snapshot header may declare. Sparse rows encode huge rows in a
@@ -244,11 +259,19 @@ impl ShardSnapshot {
 
     /// The shard's rows, in stored (user id) order, borrowed from the body.
     pub(crate) fn rows(&self) -> impl Iterator<Item = RowView<'_>> {
+        self.entries().map(|(row, _)| row)
+    }
+
+    /// Each row with the bytes of its whole entry.
+    fn entries(&self) -> impl Iterator<Item = (RowView<'_>, &[u8])> {
         let body = self.body.as_slice();
         let mut offset = 0;
         std::iter::from_fn(move || {
             (offset < body.len()).then(|| {
-                read_entry(body, &mut offset).expect("shard bodies hold validated entries")
+                let start = offset;
+                let row =
+                    read_entry(body, &mut offset).expect("shard bodies hold validated entries");
+                (row, &body[start..offset])
             })
         })
     }
@@ -284,7 +307,10 @@ impl ShardSnapshot {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Two snapshots are equal when they hold the same state: the capture
+/// ordinal and delta a capture carries are not compared.
+#[derive(Debug, Clone)]
 pub struct MonitorSnapshot {
     /// Fingerprint of the [`LtsIndex`](privacy_lts::LtsIndex) the state was
     /// accumulated against.
@@ -299,9 +325,131 @@ pub struct MonitorSnapshot {
     pub(crate) shards: Vec<ShardSnapshot>,
     /// Alerts raised but not yet drained at snapshot time, in stream order.
     pub(crate) pending_alerts: Vec<Alert>,
+    /// Which capture of its monitor this is, from 1; 0 for a snapshot that
+    /// was decoded or composed rather than captured.
+    pub(crate) ordinal: u64,
+    /// What this capture changed since its monitor's previous one; `None`
+    /// for a monitor's first capture and for snapshots not captured.
+    pub(crate) delta: Option<SnapshotDelta>,
+}
+
+impl PartialEq for MonitorSnapshot {
+    fn eq(&self, other: &Self) -> bool {
+        self.fingerprint == other.fingerprint
+            && self.dims() == other.dims()
+            && self.shards == other.shards
+            && self.pending_alerts == other.pending_alerts
+    }
 }
 
 impl MonitorSnapshot {
+    /// A snapshot of decoded or composed state: no capture ordinal, no
+    /// delta.
+    fn decoded(
+        fingerprint: u64,
+        (state_words, allowed_words, field_count): RowDims,
+        shards: Vec<ShardSnapshot>,
+        pending_alerts: Vec<Alert>,
+    ) -> MonitorSnapshot {
+        MonitorSnapshot {
+            fingerprint,
+            state_words,
+            allowed_words,
+            field_count,
+            shards,
+            pending_alerts,
+            ordinal: 0,
+            delta: None,
+        }
+    }
+
+    fn dims(&self) -> RowDims {
+        (self.state_words, self.allowed_words, self.field_count)
+    }
+
+    /// Which capture of its monitor this snapshot is, counting from 1, so
+    /// a capture whose ordinal is one more than another's directly follows
+    /// it. 0 for a snapshot that was decoded or composed.
+    pub fn ordinal(&self) -> u64 {
+        self.ordinal
+    }
+
+    /// The entries this capture changed since its monitor's previous
+    /// capture, and its pending alerts: applied to that capture with
+    /// [`MonitorSnapshot::apply`], it gives this one. `None` for a
+    /// monitor's first capture (there is nothing to apply it to) and for a
+    /// snapshot that was decoded or composed.
+    pub fn delta(&self) -> Option<&SnapshotDelta> {
+        self.delta.as_ref()
+    }
+
+    /// Applies `delta` — the changes of the capture that followed this
+    /// snapshot — so this snapshot becomes that capture: each changed entry
+    /// is spliced into its shard body in place of the user's old entry (or
+    /// as a new one), by the splice capture itself uses, and the pending
+    /// alerts are replaced. Applying the deltas of captures 2..=k to
+    /// capture 1, in order, gives capture k byte for byte.
+    ///
+    /// All or nothing: on error the snapshot is unchanged. The result is a
+    /// composed snapshot, with no ordinal and no delta of its own.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Malformed`] when the delta was taken against
+    /// another index fingerprint or other row dimensions, or when a shard
+    /// it changes is not in the layout a monitor captures (every user
+    /// hashing to the shard, in ascending id order).
+    pub fn apply(&mut self, delta: &SnapshotDelta) -> Result<(), SnapshotError> {
+        if delta.fingerprint != self.fingerprint || delta.dims != self.dims() {
+            return Err(SnapshotError::Malformed {
+                detail: format!(
+                    "a delta of index {:#018x} with dimensions {:?} cannot apply to a snapshot \
+                     of index {:#018x} with dimensions {:?}",
+                    delta.fingerprint,
+                    delta.dims,
+                    self.fingerprint,
+                    self.dims()
+                ),
+            });
+        }
+        let mut spliced = Vec::with_capacity(delta.shards.len());
+        for part in &delta.shards {
+            let held = self.shards.iter().find(|shard| shard.shard == part.shard);
+            let (previous, offsets) = match held {
+                Some(base) => (
+                    base.body.as_slice(),
+                    adoptable_offsets(&base.body, base.shard as usize).ok_or_else(|| {
+                        SnapshotError::Malformed {
+                            detail: format!(
+                                "shard {} is not in capture layout, so a delta cannot apply",
+                                base.shard
+                            ),
+                        }
+                    })?,
+                ),
+                None => (&[][..], Vec::new()),
+            };
+            let fresh: Vec<FreshEntry<'_>> =
+                part.entries().map(|(row, entry)| (row.user, entry)).collect();
+            let (body, offsets) = splice(previous, &offsets, &fresh);
+            let users = offsets.len();
+            spliced.push(ShardSnapshot { shard: part.shard, users, body: Arc::new(body) });
+        }
+        for shard in spliced {
+            match self.shards.iter().position(|held| held.shard == shard.shard) {
+                Some(at) => self.shards[at] = shard,
+                None => {
+                    let at = self.shards.partition_point(|held| held.shard < shard.shard);
+                    self.shards.insert(at, shard);
+                }
+            }
+        }
+        self.pending_alerts.clone_from(&delta.pending_alerts);
+        self.ordinal = 0;
+        self.delta = None;
+        Ok(())
+    }
+
     /// The fingerprint of the index the snapshot was taken against.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
@@ -350,27 +498,7 @@ impl MonitorSnapshot {
     }
 
     fn write_payload(&self, encoder: &mut Encoder) {
-        // Fixed header, then at most 20 varint bytes of shard framing per
-        // shard; pending alerts are rare and may regrow the buffer.
-        let bodies: usize = self.shards.iter().map(|shard| shard.body.len() + 20).sum();
-        encoder.reserve(32 + bodies);
-        encoder.u64(self.fingerprint);
-        encoder.u32(self.state_words);
-        encoder.u32(self.allowed_words);
-        encoder.u32(self.field_count);
-        encoder.varu(self.shards.len() as u64);
-        for shard in &self.shards {
-            encoder.varu(u64::from(shard.shard));
-            encoder.varu(shard.users as u64);
-            encoder.raw(&shard.body);
-        }
-        encoder.varu(self.pending_alerts.len() as u64);
-        for alert in &self.pending_alerts {
-            encoder.varu(alert.sequence());
-            encoder.str_var(alert.user().as_str());
-            encoder.u8(alert.level().index() as u8);
-            encoder.str_var(alert.message());
-        }
+        write_payload(encoder, self.fingerprint, self.dims(), &self.shards, &self.pending_alerts);
     }
 
     /// [`MonitorSnapshot::to_bytes`] at an explicit format version — the
@@ -392,7 +520,7 @@ impl MonitorSnapshot {
             version == SNAPSHOT_VERSION_V2,
             "snapshot format version {version} cannot be written by this build"
         );
-        let dims = (self.state_words, self.allowed_words, self.field_count);
+        let dims = self.dims();
         let mut encoder = Encoder::new(SNAPSHOT_KIND, SNAPSHOT_VERSION_V2);
         encoder.u64(self.fingerprint);
         encoder.u32(self.state_words);
@@ -443,63 +571,16 @@ impl MonitorSnapshot {
     /// level, a user persisted twice, a row disagreeing with the declared
     /// dimensions). Never panics on arbitrary input.
     pub fn from_bytes(bytes: &[u8]) -> Result<MonitorSnapshot, SnapshotError> {
-        let mut decoder = match Decoder::new(bytes, SNAPSHOT_KIND, SNAPSHOT_VERSION) {
+        let decoder = match Decoder::new(bytes, SNAPSHOT_KIND, SNAPSHOT_VERSION) {
             Ok(decoder) => decoder,
             Err(CodecError::UnsupportedVersion { found, .. }) if found == SNAPSHOT_VERSION_V2 => {
                 return Self::from_bytes_v2(bytes);
             }
             Err(error) => return Err(error.into()),
         };
-        let fingerprint = decoder.u64()?;
-        let state_words = decoder.u32()?;
-        let allowed_words = decoder.u32()?;
-        let field_count = decoder.u32()?;
-        Self::check_dims(state_words, allowed_words, field_count)?;
-        let dims = (state_words, allowed_words, field_count);
-        let shard_count = decoder.varu()? as usize;
-        let mut shards = Vec::new();
-        let mut words_scratch = Vec::new();
-        let mut allowed_scratch = Vec::new();
-        let mut sens_scratch = Vec::new();
-        for _ in 0..shard_count {
-            let shard = u32::try_from(decoder.varu()?).map_err(|_| SnapshotError::Malformed {
-                detail: "shard index does not fit in 32 bits".into(),
-            })?;
-            let users = decoder.varu()? as usize;
-            // Validate the shard's entries in place, then take them as one
-            // body.
-            let rest = decoder.remaining();
-            let mut body_len = 0;
-            for _ in 0..users {
-                let row = read_entry(rest, &mut body_len)?;
-                row.decode_into(dims, &mut words_scratch, &mut allowed_scratch, &mut sens_scratch)?;
-            }
-            let body = Arc::new(decoder.raw(body_len)?.to_vec());
-            shards.push(ShardSnapshot { shard, users, body });
-        }
-        let alert_count = decoder.varu()? as usize;
-        let mut pending_alerts = Vec::new();
-        for _ in 0..alert_count {
-            let sequence = decoder.varu()?;
-            let user = UserId::new(decoder.string_var()?);
-            let level_index = decoder.u8()?;
-            let level =
-                RiskLevel::from_index(level_index as usize).ok_or(SnapshotError::Malformed {
-                    detail: format!("{level_index} is not a risk-level index"),
-                })?;
-            let message = decoder.string_var()?;
-            pending_alerts.push(Alert::raise(sequence, user, level, message));
-        }
-        decoder.finish()?;
+        let (fingerprint, dims, shards, pending_alerts) = read_payload(decoder, false)?;
         check_unique_users(&shards)?;
-        Ok(MonitorSnapshot {
-            fingerprint,
-            state_words,
-            allowed_words,
-            field_count,
-            shards,
-            pending_alerts,
-        })
+        Ok(MonitorSnapshot::decoded(fingerprint, dims, shards, pending_alerts))
     }
 
     /// Decodes the version-2 dense layout, re-encoding each row sparsely.
@@ -509,7 +590,7 @@ impl MonitorSnapshot {
         let state_words = decoder.u32()?;
         let allowed_words = decoder.u32()?;
         let field_count = decoder.u32()?;
-        Self::check_dims(state_words, allowed_words, field_count)?;
+        check_dims(state_words, allowed_words, field_count)?;
         let shard_count = decoder.u32()? as usize;
         let mut shards = Vec::new();
         let mut row = Vec::new();
@@ -569,33 +650,8 @@ impl MonitorSnapshot {
         }
         decoder.finish()?;
         check_unique_users(&shards)?;
-        Ok(MonitorSnapshot {
-            fingerprint,
-            state_words,
-            allowed_words,
-            field_count,
-            shards,
-            pending_alerts,
-        })
-    }
-
-    fn check_dims(
-        state_words: u32,
-        allowed_words: u32,
-        field_count: u32,
-    ) -> Result<(), SnapshotError> {
-        for (what, dim) in [
-            ("state words", state_words),
-            ("allowed words", allowed_words),
-            ("field count", field_count),
-        ] {
-            if dim > MAX_DIM {
-                return Err(SnapshotError::Malformed {
-                    detail: format!("declared {what} dimension {dim} exceeds {MAX_DIM}"),
-                });
-            }
-        }
-        Ok(())
+        let dims = (state_words, allowed_words, field_count);
+        Ok(MonitorSnapshot::decoded(fingerprint, dims, shards, pending_alerts))
     }
 
     /// Counts, per constituent row kind, which sparse encoding each stored
@@ -603,7 +659,7 @@ impl MonitorSnapshot {
     /// `PERFORMANCE.md` histogram tables.
     #[must_use]
     pub fn encoding_histogram(&self) -> SnapshotEncodingHistogram {
-        let dims = (self.state_words, self.allowed_words, self.field_count);
+        let dims = self.dims();
         let mut histogram = SnapshotEncodingHistogram::default();
         let mut words = Vec::new();
         let mut allowed = Vec::new();
@@ -622,6 +678,188 @@ impl MonitorSnapshot {
             }
         }
         histogram
+    }
+}
+
+/// Rejects row dimensions past [`MAX_DIM`].
+fn check_dims(state_words: u32, allowed_words: u32, field_count: u32) -> Result<(), SnapshotError> {
+    for (what, dim) in [
+        ("state words", state_words),
+        ("allowed words", allowed_words),
+        ("field count", field_count),
+    ] {
+        if dim > MAX_DIM {
+            return Err(SnapshotError::Malformed {
+                detail: format!("declared {what} dimension {dim} exceeds {MAX_DIM}"),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// The payload a v3 snapshot and a delta share: the fingerprint, the
+/// dimensions, each shard's index, entry count and entries, and the
+/// pending alerts.
+fn write_payload(
+    encoder: &mut Encoder,
+    fingerprint: u64,
+    (state_words, allowed_words, field_count): RowDims,
+    shards: &[ShardSnapshot],
+    pending_alerts: &[Alert],
+) {
+    // Fixed header, then at most 20 varint bytes of shard framing per
+    // shard; pending alerts are rare and may regrow the buffer.
+    let bodies: usize = shards.iter().map(|shard| shard.body.len() + 20).sum();
+    encoder.reserve(32 + bodies);
+    encoder.u64(fingerprint);
+    encoder.u32(state_words);
+    encoder.u32(allowed_words);
+    encoder.u32(field_count);
+    encoder.varu(shards.len() as u64);
+    for shard in shards {
+        encoder.varu(u64::from(shard.shard));
+        encoder.varu(shard.users as u64);
+        encoder.raw(&shard.body);
+    }
+    encoder.varu(pending_alerts.len() as u64);
+    for alert in pending_alerts {
+        encoder.varu(alert.sequence());
+        encoder.str_var(alert.user().as_str());
+        encoder.u8(alert.level().index() as u8);
+        encoder.str_var(alert.message());
+    }
+}
+
+/// What [`read_payload`] decodes: the fingerprint, the dimensions, the
+/// shards and the pending alerts.
+type Payload = (u64, RowDims, Vec<ShardSnapshot>, Vec<Alert>);
+
+/// Decodes the payload [`write_payload`] writes, decoding every row against
+/// the declared dimensions. A delta's entries must also be spliceable: each
+/// shard's users hash to it, in strictly ascending id order, and its shards
+/// come in strictly ascending order.
+fn read_payload(mut decoder: Decoder<'_>, delta: bool) -> Result<Payload, SnapshotError> {
+    let fingerprint = decoder.u64()?;
+    let state_words = decoder.u32()?;
+    let allowed_words = decoder.u32()?;
+    let field_count = decoder.u32()?;
+    check_dims(state_words, allowed_words, field_count)?;
+    let dims = (state_words, allowed_words, field_count);
+    let shard_count = decoder.varu()? as usize;
+    let mut shards: Vec<ShardSnapshot> = Vec::new();
+    let mut words_scratch = Vec::new();
+    let mut allowed_scratch = Vec::new();
+    let mut sens_scratch = Vec::new();
+    for _ in 0..shard_count {
+        let shard = u32::try_from(decoder.varu()?).map_err(|_| SnapshotError::Malformed {
+            detail: "shard index does not fit in 32 bits".into(),
+        })?;
+        if delta && shards.last().is_some_and(|last| last.shard >= shard) {
+            return Err(SnapshotError::Malformed {
+                detail: format!("delta shard {shard} is out of order"),
+            });
+        }
+        let users = decoder.varu()? as usize;
+        // Validate the shard's entries in place, then take them as one
+        // body.
+        let rest = decoder.remaining();
+        let mut body_len = 0;
+        let mut previous: Option<&str> = None;
+        for _ in 0..users {
+            let row = read_entry(rest, &mut body_len)?;
+            if delta
+                && (shard_of(row.user) != shard as usize
+                    || previous.is_some_and(|previous| previous >= row.user))
+            {
+                return Err(SnapshotError::Malformed {
+                    detail: format!(
+                        "delta entry of user `{}` is out of order or not in shard {shard}",
+                        row.user
+                    ),
+                });
+            }
+            previous = Some(row.user);
+            row.decode_into(dims, &mut words_scratch, &mut allowed_scratch, &mut sens_scratch)?;
+        }
+        let body = Arc::new(decoder.raw(body_len)?.to_vec());
+        shards.push(ShardSnapshot { shard, users, body });
+    }
+    let alert_count = decoder.varu()? as usize;
+    let mut pending_alerts = Vec::new();
+    for _ in 0..alert_count {
+        let sequence = decoder.varu()?;
+        let user = UserId::new(decoder.string_var()?);
+        let level_index = decoder.u8()?;
+        let level =
+            RiskLevel::from_index(level_index as usize).ok_or(SnapshotError::Malformed {
+                detail: format!("{level_index} is not a risk-level index"),
+            })?;
+        let message = decoder.string_var()?;
+        pending_alerts.push(Alert::raise(sequence, user, level, message));
+    }
+    decoder.finish()?;
+    Ok((fingerprint, dims, shards, pending_alerts))
+}
+
+/// The entries one capture changed since its monitor's previous capture,
+/// with the pending alerts at the later capture — see
+/// [`MonitorSnapshot::delta`] and [`MonitorSnapshot::apply`].
+///
+/// Its frame ([`DELTA_KIND`], version [`DELTA_VERSION`]) carries the v3
+/// snapshot payload over the changed entries only: the index fingerprint
+/// and row dimensions, per changed shard (ascending) its index, entry count
+/// and entries in ascending id order, then every pending alert.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SnapshotDelta {
+    pub(crate) fingerprint: u64,
+    pub(crate) dims: RowDims,
+    /// Changed shards, ascending; `users` counts the changed entries.
+    pub(crate) shards: Vec<ShardSnapshot>,
+    pub(crate) pending_alerts: Vec<Alert>,
+}
+
+impl SnapshotDelta {
+    /// How many entries the delta carries.
+    pub fn entry_count(&self) -> usize {
+        self.shards.iter().map(ShardSnapshot::user_count).sum()
+    }
+
+    /// The alerts pending at the capture the delta leads to.
+    pub fn pending_alerts(&self) -> &[Alert] {
+        &self.pending_alerts
+    }
+
+    /// Serializes the delta as one framed, checksummed blob.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut encoder = Encoder::new(DELTA_KIND, DELTA_VERSION);
+        self.write_payload(&mut encoder);
+        encoder.finish()
+    }
+
+    /// Appends the delta to an enclosing frame as a nested blob: the bytes
+    /// of `outer.bytes(&self.to_bytes())`, encoded in place.
+    pub fn encode_nested(&self, outer: &mut Encoder) {
+        outer.nested(DELTA_KIND, DELTA_VERSION, |encoder| self.write_payload(encoder));
+    }
+
+    fn write_payload(&self, encoder: &mut Encoder) {
+        write_payload(encoder, self.fingerprint, self.dims, &self.shards, &self.pending_alerts);
+    }
+
+    /// Deserializes a delta, validating the frame and every entry, as
+    /// [`MonitorSnapshot::from_bytes`] validates a snapshot's; each shard's
+    /// entries must also hash to it, in strictly ascending id order, so a
+    /// delta that decodes can be spliced.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Codec`] for a torn, corrupt or foreign frame;
+    /// [`SnapshotError::Malformed`] for values no capture writes. Never
+    /// panics on arbitrary input.
+    pub fn from_bytes(bytes: &[u8]) -> Result<SnapshotDelta, SnapshotError> {
+        let decoder = Decoder::new(bytes, DELTA_KIND, DELTA_VERSION)?;
+        let (fingerprint, dims, shards, pending_alerts) = read_payload(decoder, true)?;
+        Ok(SnapshotDelta { fingerprint, dims, shards, pending_alerts })
     }
 }
 

@@ -8,13 +8,20 @@
 //! wrong-version, wrong-kind and wrong-fingerprint snapshot bytes must all
 //! surface as *typed* errors — never a panic, never a silent resume over
 //! misread state.
+//!
+//! The base-plus-delta half pins [`SnapshotDelta`]: a capture composed from
+//! an earlier one and the deltas after it is the capture itself, byte for
+//! byte, and a checked-in delta fixture keeps its bytes across builds.
 
 use privacy_interchange::binary::{self, CodecError, Encoder};
 use privacy_lts::{generate_lts, ActionKind, GeneratorConfig, LtsIndex};
 use privacy_model::{DatastoreId, FieldId, Record, UserId};
-use privacy_runtime::snapshot::{SNAPSHOT_KIND, SNAPSHOT_VERSION, SNAPSHOT_VERSION_V2};
+use privacy_runtime::snapshot::{
+    DELTA_KIND, DELTA_VERSION, SNAPSHOT_KIND, SNAPSHOT_VERSION, SNAPSHOT_VERSION_V2,
+};
 use privacy_runtime::{
-    shard_of_user, Event, IndexedMonitor, MonitorSnapshot, ServiceEngine, SnapshotError,
+    shard_of_user, Event, IndexedMonitor, MonitorSnapshot, ServiceEngine, SnapshotDelta,
+    SnapshotError,
 };
 use privacy_synth::{
     random_model, random_profiles, random_workload, ModelGeneratorConfig, ProfileGeneratorConfig,
@@ -671,6 +678,115 @@ fn snapshot_v3_fixture_from_before_incremental_capture_round_trips_byte_identica
     assert_eq!(resumed.snapshot().shards(), uninterrupted.snapshot().shards());
 }
 
+/// A snapshot delta written by this format's first build, for the
+/// population's monitor: the capture after the first `FIXTURE_CUT` events
+/// against the capture after the first `FIXTURE_DRAINED`, whose alerts were
+/// drained first.
+const DELTA_V1_FIXTURE: &[u8] = include_bytes!("fixtures/snapshot_delta_v1_healthcare.bin");
+
+/// The population's monitor at `FIXTURE_DRAINED` with its alerts drained,
+/// its capture there, and its capture at `FIXTURE_CUT`.
+fn fixture_delta_captures(population: &Fixture) -> (MonitorSnapshot, MonitorSnapshot) {
+    let mut monitor = population_monitor(population);
+    let _ = monitor.ingest_batch(&population.events[..FIXTURE_DRAINED]);
+    let _ = monitor.drain_alerts();
+    let base = monitor.snapshot();
+    let _ = monitor.ingest_batch(&population.events[FIXTURE_DRAINED..FIXTURE_CUT]);
+    (base, monitor.snapshot())
+}
+
+/// Cross-build compatibility of the delta frame: the fixture decodes,
+/// re-serializes to the same bytes, and is the delta this build captures
+/// for the same operations; applied to the base capture it gives the v3
+/// fixture, the full capture at the same cut, byte for byte.
+#[test]
+fn snapshot_delta_v1_fixture_round_trips_and_applies_to_the_v3_fixture() {
+    let population = healthcare_population(FIXTURE_USERS, FIXTURE_EVENTS);
+    let decoded = SnapshotDelta::from_bytes(DELTA_V1_FIXTURE).expect("fixture decodes");
+    assert_eq!(decoded.to_bytes(), DELTA_V1_FIXTURE, "re-serialization is byte-identical");
+    assert!(!decoded.pending_alerts().is_empty(), "the fixture carries pending alerts");
+    assert!(decoded.entry_count() < FIXTURE_USERS / 2, "the fixture holds changed rows only");
+
+    let (base, cut) = fixture_delta_captures(&population);
+    assert!(base.delta().is_none(), "a monitor's first capture has no delta");
+    assert_eq!((base.ordinal(), cut.ordinal()), (1, 2));
+    let delta = cut.delta().expect("a second capture carries a delta");
+    assert_eq!(delta.to_bytes(), DELTA_V1_FIXTURE, "this build captures a different delta");
+    assert_eq!(cut.to_bytes(), SNAPSHOT_V3_FIXTURE, "the full capture is the v3 fixture");
+
+    let mut composed = MonitorSnapshot::from_bytes(&base.to_bytes()).expect("base decodes");
+    composed.apply(&decoded).expect("the fixture applies to its base");
+    assert_eq!(composed.to_bytes(), SNAPSHOT_V3_FIXTURE, "base + delta is not the full capture");
+}
+
+#[test]
+fn corrupt_or_foreign_delta_bytes_are_typed_errors_and_applying_changes_nothing() {
+    let population = healthcare_population(40, 120);
+    let mut monitor = population_monitor(&population);
+    let _ = monitor.ingest_batch(&population.events[..60]);
+    let base = monitor.snapshot();
+    let _ = monitor.ingest_batch(&population.events[60..]);
+    let bytes = monitor.snapshot().delta().expect("second capture").to_bytes();
+    for len in 0..bytes.len() {
+        assert!(SnapshotDelta::from_bytes(&bytes[..len]).is_err(), "prefix {len} decoded");
+    }
+    for position in 0..bytes.len() {
+        let mut flipped = bytes.clone();
+        flipped[position] ^= 0xFF;
+        assert!(SnapshotDelta::from_bytes(&flipped).is_err(), "flipped byte {position} decoded");
+    }
+    // A snapshot frame is not a delta frame, nor the other way round.
+    assert!(SnapshotDelta::from_bytes(&base.to_bytes()).is_err());
+    assert!(MonitorSnapshot::from_bytes(&bytes).is_err());
+    assert!(matches!(
+        SnapshotDelta::from_bytes(&Encoder::new(DELTA_KIND, DELTA_VERSION + 1).finish()),
+        Err(SnapshotError::Codec(CodecError::UnsupportedVersion { .. }))
+    ));
+
+    // Entries out of id order cannot be spliced, so they do not decode.
+    let delta = SnapshotDelta::from_bytes(&bytes).expect("own bytes decode");
+    let mut encoder = Encoder::new(DELTA_KIND, DELTA_VERSION);
+    let user = population.users.iter().map(|u| u.id()).next().expect("a user");
+    let shard = u64::from(shard_of_user(user));
+    let space = population.index.space();
+    encoder.u64(population.index.fingerprint());
+    encoder.u32(space.variable_count().div_ceil(64) as u32);
+    encoder.u32(space.actor_count().div_ceil(64) as u32);
+    encoder.u32(space.field_count() as u32);
+    encoder.varu(1);
+    encoder.varu(shard);
+    encoder.varu(2);
+    let words = vec![0u64; space.variable_count().div_ceil(64)];
+    let allowed = vec![0u64; space.actor_count().div_ceil(64)];
+    let sensitivities = vec![0.5; space.field_count()];
+    for _ in 0..2 {
+        let mut row = Vec::new();
+        binary::put_u64_row(&mut row, &words);
+        binary::put_u64_row(&mut row, &allowed);
+        binary::put_f64_row(&mut row, &sensitivities);
+        encoder.str_var(user.as_str());
+        encoder.varu(row.len() as u64);
+        encoder.raw(&row);
+    }
+    encoder.varu(0);
+    assert!(matches!(
+        SnapshotDelta::from_bytes(&encoder.finish()),
+        Err(SnapshotError::Malformed { .. })
+    ));
+
+    // A delta of another index leaves the snapshot as it was.
+    let other = fixture(1234, 3, 4, 0);
+    let foreign = monitor_over(&other);
+    let _ = foreign.snapshot();
+    let foreign_delta = foreign.snapshot().delta().expect("second capture").clone();
+    let mut target = MonitorSnapshot::from_bytes(&base.to_bytes()).expect("base decodes");
+    let before = target.to_bytes();
+    assert!(matches!(target.apply(&foreign_delta), Err(SnapshotError::Malformed { .. })));
+    assert_eq!(target.to_bytes(), before, "a failed apply changed the snapshot");
+    target.apply(&delta).expect("its own delta applies");
+    assert_ne!(target.to_bytes(), before);
+}
+
 /// The snapshot bytes of `monitor` built without the monitor's capture
 /// path: every registered fixture user's row encoded afresh from their
 /// profile and current state, grouped by shard and sorted by id, and the
@@ -852,5 +968,102 @@ proptest! {
                 op => warm = apply(warm, op, &fixture),
             }
         }
+    }
+
+    /// Deltas are exact: at every cut of the warm-vs-cold op sequences
+    /// (and at the capture a resume takes), the capture taken at every
+    /// earlier cut of the same monitor, decoded from its bytes, with the
+    /// deltas of the captures after it applied in order — each through its
+    /// own bytes — serializes to exactly the bytes of the full capture. The
+    /// population is counted after every third op, which folds registered
+    /// users into their shard bodies between captures, so deltas must
+    /// carry folded rows too.
+    #[test]
+    fn a_base_plus_the_deltas_after_it_equals_the_full_capture_at_every_cut(
+        seed in 0u64..1_000_000,
+        actors in 1usize..5,
+        fields in 1usize..5,
+        raw_events in 0usize..120,
+        users in 8usize..48,
+        len in 1usize..40,
+    ) {
+        let fixture = fixture_sized(seed, actors, fields, raw_events, users);
+        let ops = random_ops(seed, &fixture, len);
+        let mut monitor = monitor_over(&fixture);
+        // Each earlier capture of the current monitor, brought forward to
+        // the latest by the deltas since.
+        let mut chains: Vec<MonitorSnapshot> = Vec::new();
+        for (at, op) in ops.iter().enumerate() {
+            if at % 3 == 2 {
+                let _ = monitor.user_count();
+            }
+            if !matches!(op, Op::Cut | Op::Resume) {
+                monitor = apply(monitor, op, &fixture);
+                continue;
+            }
+            let snapshot = monitor.snapshot();
+            let bytes = snapshot.to_bytes();
+            prop_assert_eq!(snapshot.ordinal(), chains.len() as u64 + 1);
+            match snapshot.delta() {
+                None => prop_assert!(chains.is_empty(), "capture {at} of {ops:?} lacks a delta"),
+                Some(delta) => {
+                    let decoded = SnapshotDelta::from_bytes(&delta.to_bytes())
+                        .expect("a captured delta decodes");
+                    prop_assert_eq!(&decoded, delta);
+                    for (base, chain) in chains.iter_mut().enumerate() {
+                        chain.apply(&decoded).expect("a captured delta applies");
+                        prop_assert!(
+                            chain.to_bytes() == bytes,
+                            "capture {base} + deltas diverged at op {at} of {ops:?}"
+                        );
+                    }
+                }
+            }
+            let decoded = MonitorSnapshot::from_bytes(&bytes).expect("own bytes decode");
+            if matches!(op, Op::Resume) {
+                monitor = IndexedMonitor::resume_from(
+                    fixture.catalog.clone(),
+                    fixture.policy.clone(),
+                    Arc::clone(&fixture.index),
+                    &decoded,
+                )
+                .expect("own snapshot resumes");
+                chains.clear();
+            } else {
+                chains.push(decoded);
+            }
+        }
+    }
+}
+
+/// Registrations folded into a shard body between two captures — by a
+/// population count, or by the lookups of more than a few pending users —
+/// are in the later capture's delta.
+#[test]
+fn users_folded_in_between_captures_are_in_the_delta() {
+    let population = healthcare_population(3_000, 400);
+    let mut monitor = IndexedMonitor::new(
+        population.catalog.clone(),
+        population.policy.clone(),
+        Arc::clone(&population.index),
+    );
+    for user in &population.users[..1_000] {
+        monitor.register_user(user);
+    }
+    let mut chain = MonitorSnapshot::from_bytes(&monitor.snapshot().to_bytes()).expect("decodes");
+    for (step, users) in population.users[1_000..].chunks(1_000).enumerate() {
+        for user in users {
+            monitor.register_user(user);
+        }
+        if step == 0 {
+            assert_eq!(monitor.user_count(), 2_000, "a count folds every pending entry");
+        } else {
+            let _ = monitor.ingest_batch(&population.events);
+        }
+        let snapshot = monitor.snapshot();
+        let delta = snapshot.delta().expect("a later capture carries a delta");
+        assert!(delta.entry_count() >= users.len(), "step {step}: folded users are missing");
+        chain.apply(delta).expect("applies");
+        assert_eq!(chain.to_bytes(), snapshot.to_bytes(), "step {step}");
     }
 }

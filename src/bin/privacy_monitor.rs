@@ -24,11 +24,17 @@
 //!
 //! `--checkpoint` writes a resumable pipeline checkpoint (stream offset,
 //! counters, embedded [`MonitorSnapshot`]) every 1,024 resolved events and
-//! once at drain, atomically through [`CheckpointStore`] (temp file,
-//! fsync, rename; the previous generation is kept as `<path>.prev`), so a
-//! crash mid-write never leaves a torn checkpoint. `--resume` loads the
-//! newest generation that decodes, falling back to `.prev` with a warning,
-//! and continues the same stream from the checkpoint's offset: a file is
+//! once at drain, through [`CheckpointStore`]. A base is written atomically
+//! (temp file, fsync, rename, directory fsync; the previous base is kept as
+//! `<path>.prev`), so a crash mid-write never leaves a torn checkpoint.
+//! Between bases, a periodic checkpoint is a record appended to
+//! `<path>.delta` and `fdatasync`ed, holding only the monitor rows changed
+//! since the checkpoint before it; a base is rewritten once the log would
+//! outgrow it, and always at drain, which leaves one self-contained file.
+//! `--resume` loads the newest base that decodes, falling back to `.prev`
+//! with a warning, applies the whole delta records after it (a torn last
+//! record is reported and left out), and continues the same stream from
+//! the resulting offset: a file is
 //! read (or tailed) from that offset, and stdin is expected to carry the
 //! rest of the stream. A gzip file is refused with exit 11 either way:
 //! checkpoint offsets count decompressed bytes, so there is no place to
@@ -48,16 +54,19 @@
 //! Exit codes follow the [`privacy_distrib::exit`] taxonomy: 0 ok, 2 usage,
 //! 10 ingestion failed, 11 snapshot/model state failed, 12 I/O failed — see
 //! `--help`.
+//!
+//! [`CheckpointStore`]: privacy_distrib::CheckpointStore
+//! [`MonitorSnapshot`]: privacy_runtime::MonitorSnapshot
 
 use privacy_core::{casestudy, PrivacySystem};
-use privacy_distrib::{exit, CheckpointStore};
+use privacy_distrib::exit;
 use privacy_ingest::{is_gzip, ErrorPolicy, FieldMapping, Format, LiveSource};
 use privacy_lts::LtsIndex;
 use privacy_mde::pipeline::{
-    IndexedSink, PipelineCheckpoint, PipelineConfig, PipelineError, PipelineRunner,
+    load_checkpoint, IndexedSink, PipelineConfig, PipelineError, PipelineRunner,
 };
 use privacy_model::ServiceId;
-use privacy_runtime::{IndexedMonitor, MonitorSnapshot};
+use privacy_runtime::IndexedMonitor;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -105,17 +114,21 @@ Monitoring:
                       ingests on its own thread)
 
 Checkpointing:
-  --checkpoint PATH   every 1024 resolved events and once at drain,
-                      atomically replace PATH (temp file + fsync + rename)
-                      with the stream offset and monitor state; the prior
-                      generation is kept at PATH.prev
-  --resume PATH       resume from the newest generation of PATH that decodes,
+  --checkpoint PATH   every 1024 resolved events and once at drain, save
+                      the stream offset and monitor state: append the rows
+                      changed since the last checkpoint to PATH.delta
+                      (fdatasync), or atomically replace PATH with a full
+                      base (temp file + fsync + rename) once the log would
+                      outgrow it, and always at drain; the prior base is
+                      kept at PATH.prev
+  --resume PATH       resume from the newest base of PATH that decodes,
                       falling back to PATH.prev with a warning if the live
-                      file is corrupt, and continue the stream from its
-                      offset (FILE must not be gzip; without --follow it
-                      must be at least that long, and a --follow tail
-                      takes a shorter FILE as truncated and reads it
-                      from the start)
+                      file is corrupt, apply the whole records of
+                      PATH.delta that extend it, and continue the stream
+                      from the resulting offset (FILE must not be gzip;
+                      without --follow it must be at least that long, and
+                      a --follow tail takes a shorter FILE as truncated
+                      and reads it from the start)
 
 Exit codes:
   0    ok
@@ -261,37 +274,31 @@ fn run(options: &Options) -> Result<(), CliError> {
     let services: Vec<ServiceId> = catalog.services().map(|s| s.id().clone()).collect();
 
     // A checkpoint is a pipeline checkpoint: the stream offset and
-    // counters plus the embedded monitor snapshot.
-    let resume: Option<PipelineCheckpoint> = match &options.resume {
+    // counters plus the embedded monitor snapshot, as a base and the delta
+    // records after it.
+    let (resume, snapshot) = match &options.resume {
         Some(path) => {
-            let store = CheckpointStore::new(path);
-            let (loaded, warnings) = store.load_latest(|bytes| {
-                PipelineCheckpoint::from_bytes(bytes).map(|_| ()).map_err(|e| e.to_string())
-            });
+            let (loaded, warnings) = load_checkpoint(Path::new(path));
             for warning in &warnings {
                 eprintln!("privacy-monitor: warning: {warning}");
             }
-            let (bytes, generation) = loaded.ok_or_else(|| {
+            let point = loaded.ok_or_else(|| {
                 CliError::State(format!("no usable checkpoint generation at {path}"))
             })?;
-            let checkpoint = PipelineCheckpoint::from_bytes(&bytes)
-                .map_err(|e| CliError::State(format!("decoding checkpoint {path}: {e}")))?;
             eprintln!(
-                "resuming from offset {} ({} events so far, {generation} generation)",
-                checkpoint.offset, checkpoint.events
+                "resuming from offset {} ({} events so far, {} generation, {} delta records)",
+                point.checkpoint.offset, point.checkpoint.events, point.generation, point.deltas
             );
-            Some(checkpoint)
+            (Some(point.checkpoint), point.snapshot)
         }
-        None => None,
+        None => (None, None),
     };
-    let monitor = match &resume {
-        Some(checkpoint) if !checkpoint.snapshot.is_empty() => {
-            let snapshot = MonitorSnapshot::from_bytes(&checkpoint.snapshot)
-                .map_err(|e| CliError::State(format!("decoding embedded snapshot: {e}")))?;
-            IndexedMonitor::resume_from(catalog, policy, Arc::clone(&index), &snapshot)
+    let monitor = match &snapshot {
+        Some(snapshot) => {
+            IndexedMonitor::resume_from(catalog, policy, Arc::clone(&index), snapshot)
                 .map_err(|e| CliError::State(format!("resuming monitor state: {e}")))?
         }
-        _ => IndexedMonitor::new(catalog, policy, Arc::clone(&index)),
+        None => IndexedMonitor::new(catalog, policy, Arc::clone(&index)),
     }
     .with_threads(options.threads);
     let mut sink = IndexedSink::new(monitor, services, options.no_consent);

@@ -30,13 +30,18 @@
 //! restarts a worker gets without sustained progress, and the backoff
 //! curve between attempts. See `--help` for each flag's meaning.
 //!
-//! Exit codes follow the [`privacy_distrib::exit`] taxonomy (see
-//! `privacy-shardd --help`).
+//! Exit codes follow the [`privacy_distrib::exit`] taxonomy, through
+//! [`DistribError::exit_code`] for a failed fleet: 2 for a usage or
+//! configuration error (a bad flag, no worker binary, a `--checkpoint-dir`
+//! that holds a worker checkpoint), 11 when the model cannot be built or a
+//! worker's checkpoints cannot cover its replay, 13 for a protocol break,
+//! 14 when a worker keeps dying, and a terminal worker's own code — see
+//! `--help`.
 //!
 //! [`RestartPolicy`]: privacy_distrib::RestartPolicy
 
 use privacy_core::{casestudy, PrivacySystem};
-use privacy_distrib::{exit, DistributedMonitor, FaultPlan, SupervisorConfig};
+use privacy_distrib::{exit, DistribError, DistributedMonitor, FaultPlan, SupervisorConfig};
 use privacy_lts::LtsIndex;
 use privacy_model::{FieldId, Record, ServiceId};
 use privacy_runtime::{ServiceEngine, SHARD_COUNT};
@@ -111,7 +116,18 @@ Failure detection and restart tuning:
 Fault injection:
   --worker PATH          worker binary (default: privacy-shardd next to
                          this executable)
-  --kill-after N         kill worker 0's first incarnation after N events";
+  --kill-after N         kill worker 0's first incarnation after N events
+
+Exit codes:
+  0    ok
+  2    usage or configuration error (bad flag or value, no worker binary,
+       a --checkpoint-dir that already holds a worker checkpoint)
+  11   state failed (the model could not be built, or no checkpoint covers
+       a worker's replay)
+  13   a worker broke the wire protocol
+  14   a worker kept dying: its restart budget ran out
+  N    a worker exited with terminal code N (2, 10, 11 or 13), which
+       restarting cannot fix";
 
 fn parse_options() -> Result<Options, String> {
     let mut options = Options {
@@ -253,24 +269,62 @@ fn parse_options() -> Result<Options, String> {
     Ok(options)
 }
 
+/// A run failure carrying the exit code it maps to.
+enum RunError {
+    /// No worker binary to launch ([`exit::USAGE`]).
+    Usage(String),
+    /// The model could not be built ([`exit::SNAPSHOT_FATAL`]).
+    State(String),
+    /// The fleet failed ([`DistribError::exit_code`]).
+    Fleet(DistribError),
+}
+
+impl RunError {
+    fn code(&self) -> u8 {
+        let code = match self {
+            RunError::Usage(_) => exit::USAGE,
+            RunError::State(_) => exit::SNAPSHOT_FATAL,
+            RunError::Fleet(error) => error.exit_code(),
+        };
+        u8::try_from(code).unwrap_or(1)
+    }
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunError::Usage(message) | RunError::State(message) => f.write_str(message),
+            RunError::Fleet(error) => write!(f, "{error}"),
+        }
+    }
+}
+
+impl From<DistribError> for RunError {
+    fn from(error: DistribError) -> Self {
+        RunError::Fleet(error)
+    }
+}
+
 /// The `privacy-shardd` binary: explicit path, or the one built next to us.
-fn worker_program(options: &Options) -> Result<PathBuf, String> {
+fn worker_program(options: &Options) -> Result<PathBuf, RunError> {
     if let Some(path) = &options.worker {
         return Ok(path.clone());
     }
-    let me = std::env::current_exe().map_err(|e| format!("locating this executable: {e}"))?;
+    let me = std::env::current_exe()
+        .map_err(|e| RunError::Usage(format!("locating this executable: {e}")))?;
     let sibling = me.with_file_name("privacy-shardd");
     if sibling.exists() {
         Ok(sibling)
     } else {
-        Err(format!("no worker at {} — pass --worker PATH", sibling.display()))
+        Err(RunError::Usage(format!("no worker at {} — pass --worker PATH", sibling.display())))
     }
 }
 
-fn run(options: &Options) -> Result<(), String> {
-    let system: PrivacySystem =
-        casestudy::healthcare().map_err(|e| format!("building the healthcare model: {e}"))?;
-    let lts = system.generate_lts().map_err(|e| format!("generating the LTS: {e}"))?;
+fn run(options: &Options) -> Result<(), RunError> {
+    let system: PrivacySystem = casestudy::healthcare()
+        .map_err(|e| RunError::State(format!("building the healthcare model: {e}")))?;
+    let lts =
+        system.generate_lts().map_err(|e| RunError::State(format!("generating the LTS: {e}")))?;
     let fingerprint = LtsIndex::build(&lts).fingerprint();
 
     let services: Vec<ServiceId> = system.catalog().services().map(|s| s.id().clone()).collect();
@@ -338,14 +392,13 @@ fn run(options: &Options) -> Result<(), String> {
     if let Some(kill_after) = options.kill_after {
         config.fault_plan = FaultPlan::none().kill_after(0, 0, kill_after);
     }
-    let mut monitor = DistributedMonitor::launch("Healthcare", &system, fingerprint, config)
-        .map_err(|e| e.to_string())?;
+    let mut monitor = DistributedMonitor::launch("Healthcare", &system, fingerprint, config)?;
     for user in &users {
-        monitor.register_user(user).map_err(|e| e.to_string())?;
+        monitor.register_user(user)?;
     }
     let mut alert_count = 0usize;
     for batch in events.chunks(options.batch) {
-        let alerts = monitor.submit_batch(batch).map_err(|e| e.to_string())?;
+        let alerts = monitor.submit_batch(batch)?;
         alert_count += alerts.len();
         if !options.quiet {
             for alert in &alerts {
@@ -353,7 +406,7 @@ fn run(options: &Options) -> Result<(), String> {
             }
         }
     }
-    let (rest, stats) = monitor.shutdown().map_err(|e| e.to_string())?;
+    let (rest, stats) = monitor.shutdown()?;
     if options.checkpoint_dir.is_none() {
         let _ = std::fs::remove_dir_all(&own_dir);
     }
@@ -396,9 +449,9 @@ fn main() -> ExitCode {
     };
     match run(&options) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("privacy-supervisor: {message}");
-            ExitCode::FAILURE
+        Err(error) => {
+            eprintln!("privacy-supervisor: {error}");
+            ExitCode::from(error.code())
         }
     }
 }

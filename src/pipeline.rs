@@ -36,6 +36,14 @@
 //!   [`PipelineReport::checkpoints`] count durable checkpoints only. A
 //!   failed write surfaces as [`PipelineError::Io`] at the next checkpoint
 //!   or at drain.
+//! * **Checkpoints proportional to change.** A periodic checkpoint whose
+//!   capture directly follows the last one written is appended to the
+//!   store's delta log (`<path>.delta`) as a record holding only the rows
+//!   that capture changed, while the log stays smaller than the base it
+//!   extends; otherwise, and for a run's first checkpoint and its drain
+//!   checkpoint, the whole `PPLC` file is rewritten as a new base, which
+//!   resets the log. [`load_checkpoint`] resumes from the newest base with
+//!   its whole records applied.
 //! * **Graceful drain.** On a stop signal (the [`PipelineRunner::stop_handle`]
 //!   handle, a `--stop-file`, or pipe EOF) the parser finishes the
 //!   partial line it is carrying, the queue drains, pending alerts flush,
@@ -56,7 +64,8 @@
 //! dead-letter entry and a fatal error, exactly like the offline path.
 
 use privacy_distrib::{
-    CheckpointJob, CheckpointStore, CheckpointWriteError, CheckpointWriter, DistributedMonitor,
+    CheckpointJob, CheckpointStore, CheckpointWarning, CheckpointWriteError, CheckpointWriter,
+    DeltaChain, DistributedMonitor, Generation,
 };
 use privacy_ingest::deadletter::{read_dead_letters, DeadLetterRecord, DeadLetterWriter};
 use privacy_ingest::live::{FollowConfig, LineAssembler, LiveSource, SourceEvent};
@@ -64,10 +73,10 @@ use privacy_ingest::stream::{LineIngestor, LinePush, QuarantinedLine};
 use privacy_ingest::{gunzip, is_gzip, ErrorPolicy, FieldMapping, Format, IngestError};
 use privacy_interchange::binary::{CodecError, Decoder, Encoder};
 use privacy_model::{ServiceId, UserId, UserProfile};
-use privacy_runtime::{Alert, Event, IndexedMonitor, MonitorSnapshot};
+use privacy_runtime::{Alert, Event, IndexedMonitor, MonitorSnapshot, SnapshotDelta};
 use std::collections::BTreeSet;
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
@@ -209,18 +218,87 @@ impl PipelineCheckpoint {
     ///
     /// [`CodecError`] on a torn, truncated, or foreign frame.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut decoder =
-            Decoder::new(bytes, PIPELINE_CHECKPOINT_KIND, PIPELINE_CHECKPOINT_VERSION)?;
-        let offset = decoder.u64()?;
-        let lines = decoder.u64()?;
-        let next_sequence = decoder.u64()?;
-        let events = decoder.u64()?;
-        let skipped = decoder.u64()?;
-        let format = tag_format(decoder.u8()?)?;
-        let snapshot = decoder.bytes()?;
-        decoder.finish()?;
-        Ok(PipelineCheckpoint { offset, lines, next_sequence, events, skipped, format, snapshot })
+        let (meta, snapshot) = decode_frame(bytes)?;
+        Ok(meta.checkpoint(snapshot.to_vec()))
     }
+}
+
+/// The stream position of a `PPLC` frame and its embedded snapshot blob,
+/// borrowed from the frame.
+fn decode_frame(bytes: &[u8]) -> Result<(StreamMeta, &[u8]), CodecError> {
+    let mut decoder = Decoder::new(bytes, PIPELINE_CHECKPOINT_KIND, PIPELINE_CHECKPOINT_VERSION)?;
+    let meta = StreamMeta {
+        offset: decoder.u64()?,
+        lines: decoder.u64()?,
+        next_sequence: decoder.u64()?,
+        events: decoder.u64()?,
+        skipped: decoder.u64()?,
+        format: tag_format(decoder.u8()?)?,
+    };
+    let snapshot_len = decoder.u32()? as usize;
+    let snapshot = decoder.raw(snapshot_len)?;
+    decoder.finish()?;
+    Ok((meta, snapshot))
+}
+
+/// A pipeline checkpoint as a resume loads it: see [`load_checkpoint`].
+#[derive(Debug)]
+pub struct ResumePoint {
+    /// The stream position to continue from — the base's, or that of the
+    /// last delta record applied — with an empty `snapshot`.
+    pub checkpoint: PipelineCheckpoint,
+    /// The monitor state at that position; `None` when the checkpoint
+    /// embeds none (a sink that persists its own state).
+    pub snapshot: Option<MonitorSnapshot>,
+    /// The generation the base came from.
+    pub generation: Generation,
+    /// The delta records applied to the base.
+    pub deltas: usize,
+}
+
+/// Loads the pipeline checkpoint at `path` for a resume: the newest base
+/// that decodes, falling back to `<path>.prev`, with every whole delta
+/// record of `<path>.delta` that names it applied in order. Each frame is
+/// decoded once: the base's `PPLC` frame and embedded snapshot, then each
+/// record's `PPLC` frame and embedded [`SnapshotDelta`], which
+/// [`MonitorSnapshot::apply`] splices in.
+///
+/// The returned warnings name each generation skipped and the first record
+/// not applied (torn, corrupt, extending another base, or not
+/// applicable), after which no record is applied.
+pub fn load_checkpoint(path: &Path) -> (Option<ResumePoint>, Vec<CheckpointWarning>) {
+    let (loaded, warnings) = CheckpointStore::new(path).load(
+        |bytes| {
+            let (meta, blob) = decode_frame(bytes).map_err(|error| error.to_string())?;
+            let snapshot = (!blob.is_empty())
+                .then(|| MonitorSnapshot::from_bytes(blob))
+                .transpose()
+                .map_err(|error| format!("embedded snapshot: {error}"))?;
+            Ok((meta, snapshot))
+        },
+        |(meta, snapshot), payload| {
+            let (next, blob) = decode_frame(payload).map_err(|error| error.to_string())?;
+            let delta = SnapshotDelta::from_bytes(blob)
+                .map_err(|error| format!("embedded snapshot delta: {error}"))?;
+            snapshot
+                .as_mut()
+                .ok_or("the base embeds no snapshot to apply a delta to")?
+                .apply(&delta)
+                .map_err(|error| error.to_string())?;
+            *meta = next;
+            Ok(())
+        },
+    );
+    let point = loaded.map(|loaded| {
+        let (meta, snapshot) = loaded.state;
+        ResumePoint {
+            checkpoint: meta.checkpoint(Vec::new()),
+            snapshot,
+            generation: loaded.generation,
+            deltas: loaded.deltas,
+        }
+    });
+    (point, warnings)
 }
 
 /// Where resolved events go. Implementations register unseen users on
@@ -504,6 +582,19 @@ struct StreamMeta {
 }
 
 impl StreamMeta {
+    /// The checkpoint of this position embedding `snapshot`.
+    fn checkpoint(self, snapshot: Vec<u8>) -> PipelineCheckpoint {
+        PipelineCheckpoint {
+            offset: self.offset,
+            lines: self.lines,
+            next_sequence: self.next_sequence,
+            events: self.events,
+            skipped: self.skipped,
+            format: self.format,
+            snapshot,
+        }
+    }
+
     /// A `PPLC` checkpoint frame of this position in `buffer`'s allocation,
     /// up to the snapshot blob the caller appends before sealing it. Room is
     /// reserved for a snapshot of `snapshot_len` bytes.
@@ -527,7 +618,17 @@ impl StreamMeta {
 struct PipelineJob {
     meta: StreamMeta,
     capture: SinkCapture,
+    /// Whether the capture directly follows the one the previous job
+    /// carried (their ordinals are consecutive), so its delta brings the
+    /// last checkpoint written to this one. Never set for a run's first
+    /// checkpoint or its drain checkpoint, which are always bases.
+    follows: bool,
 }
+
+/// A delta record is written only while the delta log, with it, stays
+/// smaller than this many times the base it extends; past that, the log
+/// would hold more bytes than a fresh base, so a base is written instead.
+const DELTA_LOG_PER_BASE: usize = 1;
 
 impl CheckpointJob for PipelineJob {
     type Done = ();
@@ -541,6 +642,25 @@ impl CheckpointJob for PipelineJob {
             SinkCapture::Snapshot(snapshot) => snapshot.encode_nested(&mut encoder),
         }
         *file = encoder.finish();
+    }
+
+    /// A `PPLC` frame of the stream position embedding the capture's
+    /// [`SnapshotDelta`] instead of its whole snapshot.
+    fn encode_delta(self, record: &mut Vec<u8>, chain: &DeltaChain) -> Result<(), Self> {
+        let delta = match &self.capture {
+            SinkCapture::Snapshot(snapshot) if self.follows && chain.base_bytes > 0 => {
+                snapshot.delta()
+            }
+            _ => None,
+        };
+        let Some(delta) = delta else { return Err(self) };
+        let mut encoder = self.meta.checkpoint_encoder(std::mem::take(record), 0);
+        delta.encode_nested(&mut encoder);
+        *record = encoder.finish();
+        if chain.log_bytes + record.len() >= chain.base_bytes * DELTA_LOG_PER_BASE {
+            return Err(self);
+        }
+        Ok(())
     }
 }
 
@@ -910,15 +1030,28 @@ impl PipelineRunner {
         let mut last_meta: Option<StreamMeta> = None;
         let mut since_checkpoint = 0u64;
         let mut fatal: Option<PipelineError> = None;
+        // The ordinal of the capture the last job carried, if it was a
+        // snapshot.
+        let mut last_capture: Option<u64> = None;
 
         // Captures the sink at `meta` and hands the capture to the writer,
-        // which counts the checkpoint once it is durable.
-        let submit_checkpoint =
-            |meta: &StreamMeta, sink: &mut dyn MonitorSink| -> Result<(), PipelineError> {
-                let Some(writer) = &writer else { return Ok(()) };
-                let capture = sink.capture()?;
-                writer.submit(PipelineJob { meta: *meta, capture }).map_err(checkpoint_error)
+        // which counts the checkpoint once it is durable. A periodic
+        // capture that directly follows the last one may go as a delta.
+        let mut submit_checkpoint = |meta: &StreamMeta,
+                                     sink: &mut dyn MonitorSink,
+                                     periodic: bool|
+         -> Result<(), PipelineError> {
+            let Some(writer) = &writer else { return Ok(()) };
+            let capture = sink.capture()?;
+            let ordinal = match &capture {
+                SinkCapture::Snapshot(snapshot) => Some(snapshot.ordinal()),
+                SinkCapture::Encoded(_) => None,
             };
+            let follows =
+                periodic && last_capture.zip(ordinal).is_some_and(|(last, next)| next == last + 1);
+            last_capture = ordinal;
+            writer.submit(PipelineJob { meta: *meta, capture, follows }).map_err(checkpoint_error)
+        };
 
         while let Ok(item) = receiver.recv() {
             match item {
@@ -942,7 +1075,7 @@ impl PipelineRunner {
                     if self.config.checkpoint_every_events > 0
                         && since_checkpoint >= self.config.checkpoint_every_events
                     {
-                        submit_checkpoint(&meta, sink)?;
+                        submit_checkpoint(&meta, sink, true)?;
                         since_checkpoint = 0;
                     }
                     last_meta = Some(meta);
@@ -984,7 +1117,7 @@ impl PipelineRunner {
             report.skipped = meta.skipped;
             report.format = meta.format;
             if fatal.is_none() {
-                submit_checkpoint(meta, sink)?;
+                submit_checkpoint(meta, sink, false)?;
             }
         }
         let closed = writer.map_or(Ok(()), CheckpointWriter::close);
@@ -1106,7 +1239,7 @@ mod tests {
         let mut file = vec![0xEE; 16];
         let capture = sink.capture().expect("capture");
         assert!(matches!(capture, SinkCapture::Snapshot(_)));
-        PipelineJob { meta, capture }.encode(&mut file);
+        PipelineJob { meta, capture, follows: false }.encode(&mut file);
         assert_eq!(file, expected);
     }
 
@@ -1162,6 +1295,339 @@ mod tests {
                 );
             }
         }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// The healthcare sink and log of [`healthcare_sink_and_log`], with
+    /// half the log's users registered up front without consent, and
+    /// `idle` more users who never appear in the log: they make the base
+    /// large against the rows a checkpoint changes.
+    fn sink_with_idle_users(length: usize, idle: usize) -> (IndexedSink, Vec<u8>) {
+        let (mut sink, log) = healthcare_sink_and_log(length);
+        // Half the log's users without consent, so their reads alert.
+        for i in (0..64).step_by(2) {
+            let user = UserId::new(format!("patient-{i:03}"));
+            sink.monitor.register_user(&first_sight_profile(&user, &sink.services, true));
+        }
+        for i in 0..idle {
+            let user = UserId::new(format!("idle-{i:04}"));
+            sink.monitor.register_user(&first_sight_profile(&user, &sink.services, true));
+        }
+        (sink, log)
+    }
+
+    /// The offline oracle: the log's events through a fresh sink of
+    /// [`sink_with_idle_users`] in one batch.
+    fn offline_alerts(length: usize, idle: usize) -> Vec<String> {
+        let (mut sink, log) = sink_with_idle_users(length, idle);
+        let events =
+            privacy_ingest::ingest_bytes(&log, &FieldMapping::canonical(), &Default::default())
+                .expect("clean log")
+                .events;
+        let mut alerts = sink.ingest(&events).expect("ingest");
+        alerts.extend(sink.flush().expect("flush"));
+        alerts.iter().map(ToString::to_string).collect()
+    }
+
+    /// The checkpoint file names a store keeps beside `path`.
+    fn checkpoint_files(path: &Path) -> [PathBuf; 3] {
+        let store = CheckpointStore::new(path);
+        [path.to_owned(), store.prev_path(), store.delta_path()]
+    }
+
+    /// An indexed sink that, when `saves` is set, at each capture up to
+    /// `fail_at` waits until every earlier checkpoint is durable and copies
+    /// the checkpoint files as they stand into `saves/<n>` with the count
+    /// of alerts reported so far; and at capture `fail_at` then puts a
+    /// directory where the delta log was (moving the log to
+    /// `<log>.saved`), so the next append fails.
+    struct Intercepting {
+        inner: IndexedSink,
+        progress: Arc<PipelineProgress>,
+        checkpoint: PathBuf,
+        saves: Option<PathBuf>,
+        fail_at: Option<u64>,
+        captures: u64,
+        alerts: usize,
+        /// The alerts reported before the last capture.
+        captured_alerts: usize,
+        /// Per copy: its directory and the alerts reported before the
+        /// checkpoint it holds.
+        saved: Vec<(PathBuf, usize)>,
+    }
+
+    impl Intercepting {
+        fn new(inner: IndexedSink, runner: &PipelineRunner, checkpoint: &Path) -> Self {
+            Intercepting {
+                inner,
+                progress: runner.progress(),
+                checkpoint: checkpoint.to_owned(),
+                saves: None,
+                fail_at: None,
+                captures: 0,
+                alerts: 0,
+                captured_alerts: 0,
+                saved: Vec::new(),
+            }
+        }
+
+        fn wait_until_durable(&self) {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+            while PipelineProgress::get(&self.progress.checkpoints) < self.captures {
+                assert!(std::time::Instant::now() < deadline, "checkpoints never became durable");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        }
+    }
+
+    impl MonitorSink for Intercepting {
+        fn ingest(&mut self, events: &[Event]) -> Result<Vec<Alert>, PipelineError> {
+            let alerts = self.inner.ingest(events)?;
+            self.alerts += alerts.len();
+            Ok(alerts)
+        }
+
+        fn flush(&mut self) -> Result<Vec<Alert>, PipelineError> {
+            self.inner.flush()
+        }
+
+        fn snapshot(&mut self) -> Result<Vec<u8>, PipelineError> {
+            self.inner.snapshot()
+        }
+
+        fn capture(&mut self) -> Result<SinkCapture, PipelineError> {
+            if let Some(saves) = &self.saves {
+                if self.captures > 0 && self.fail_at.is_none_or(|at| self.captures <= at) {
+                    self.wait_until_durable();
+                    let copy = saves.join(self.captures.to_string());
+                    std::fs::create_dir_all(&copy).expect("copy dir");
+                    for file in checkpoint_files(&self.checkpoint).iter().filter(|f| f.exists()) {
+                        std::fs::copy(file, copy.join(file.file_name().expect("a file name")))
+                            .expect("copy a checkpoint file");
+                    }
+                    self.saved.push((copy, self.captured_alerts));
+                }
+            }
+            if self.fail_at == Some(self.captures) {
+                self.wait_until_durable();
+                let log = CheckpointStore::new(&self.checkpoint).delta_path();
+                let mut saved = log.clone().into_os_string();
+                saved.push(".saved");
+                std::fs::rename(&log, saved).expect("the log exists");
+                std::fs::create_dir(&log).expect("a directory in its place");
+            }
+            self.captures += 1;
+            self.captured_alerts = self.alerts;
+            self.inner.capture()
+        }
+    }
+
+    /// Resumes a fresh healthcare monitor from the checkpoint at `path`
+    /// and runs the rest of `log` through it, checkpointing to `out`.
+    /// Returns the resumed run's alerts.
+    fn resume_run(
+        point: ResumePoint,
+        log: &[u8],
+        services: &[ServiceId],
+        out: &Path,
+    ) -> Vec<String> {
+        let system = privacy_core::casestudy::healthcare().expect("healthcare model");
+        let index = Arc::new(privacy_lts::LtsIndex::build(&system.generate_lts().expect("lts")));
+        let snapshot = point.snapshot.expect("an embedded snapshot");
+        let monitor = IndexedMonitor::resume_from(
+            system.catalog().clone(),
+            system.policy().clone(),
+            index,
+            &snapshot,
+        )
+        .expect("the loaded state resumes");
+        let mut sink = IndexedSink::new(monitor, services.to_vec(), false);
+        let offset = point.checkpoint.offset as usize;
+        let mut config = PipelineConfig::new(FieldMapping::canonical());
+        config.batch = 16;
+        config.checkpoint = Some(out.to_owned());
+        config.checkpoint_every_events = 64;
+        config.resume = Some(point.checkpoint);
+        let follow = config.follow.clone();
+        let source =
+            LiveSource::pipe(Box::new(std::io::Cursor::new(log[offset..].to_vec())), follow);
+        let mut alerts = Vec::new();
+        PipelineRunner::new(config)
+            .run(source, &mut sink, |alert| alerts.push(alert.to_string()))
+            .expect("the resumed run is clean");
+        alerts
+    }
+
+    /// The byte ranges of the records in a delta log.
+    fn record_spans(log: &[u8]) -> Vec<std::ops::Range<usize>> {
+        let mut spans = Vec::new();
+        let mut at = 0;
+        while at < log.len() {
+            let len = privacy_interchange::binary::frame_len(&log[at..]).expect("a whole record");
+            spans.push(at..at + len);
+            at += len;
+        }
+        spans
+    }
+
+    const IDLE_USERS: usize = 400;
+
+    /// A run checkpointing every 64 events writes bases and delta records,
+    /// compacting the log into a new base at least twice. The files as they
+    /// stand after every periodic checkpoint — a base, or a base and its
+    /// records — load without a warning and resume into exactly the rest of
+    /// the uninterrupted run: its alerts, and its final checkpoint bytes.
+    /// Cutting or corrupting the last record of a log resumes from the
+    /// record before it, with one warning, losing and repeating no alert
+    /// against the offline oracle.
+    #[test]
+    fn resuming_after_every_base_and_delta_continues_the_uninterrupted_run() {
+        let dir = std::env::temp_dir().join(format!("pipeline-deltas-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let checkpoint = dir.join("pipeline.ckpt");
+        let (sink, log) = sink_with_idle_users(3_000, IDLE_USERS);
+        let services = sink.services.clone();
+        let mut config = PipelineConfig::new(FieldMapping::canonical());
+        config.batch = 16;
+        config.checkpoint = Some(checkpoint.clone());
+        config.checkpoint_every_events = 64;
+        let follow = config.follow.clone();
+        let runner = PipelineRunner::new(config);
+        let mut sink = Intercepting::new(sink, &runner, &checkpoint);
+        sink.saves = Some(dir.join("saved"));
+        let mut alerts = Vec::new();
+        let source = LiveSource::pipe(Box::new(std::io::Cursor::new(log.clone())), follow);
+        let report = runner
+            .run(source, &mut sink, |alert| alerts.push(alert.to_string()))
+            .expect("clean run");
+        let final_bytes = std::fs::read(&checkpoint).expect("final checkpoint");
+        assert!(!CheckpointStore::new(&checkpoint).delta_path().exists(), "drain writes a base");
+        assert_eq!(alerts, offline_alerts(3_000, IDLE_USERS), "the run differs from the oracle");
+        assert!(!alerts.is_empty(), "the log must raise alerts for this test to pin anything");
+
+        let mut bases = 0;
+        let mut deltas = 0;
+        let mut longest: Option<(usize, usize)> = None;
+        for (at, (copy, before)) in sink.saved.iter().enumerate() {
+            let (point, warnings) = load_checkpoint(&copy.join("pipeline.ckpt"));
+            assert!(warnings.is_empty(), "copy {at}: {warnings:?}");
+            let point = point.expect("the copy loads");
+            if point.deltas == 0 {
+                bases += 1;
+            } else {
+                deltas += 1;
+            }
+            if longest.is_none_or(|(_, records)| point.deltas >= records) {
+                longest = Some((at, point.deltas));
+            }
+            let out = copy.join("resumed.ckpt");
+            let resumed = resume_run(point, &log, &services, &out);
+            assert_eq!(resumed, alerts[*before..], "copy {at}: the resumed alerts differ");
+            assert!(
+                std::fs::read(&out).expect("resumed final checkpoint") == final_bytes,
+                "copy {at}: the resumed final checkpoint differs"
+            );
+        }
+        assert_eq!(
+            sink.saved.len() as u64 + 1,
+            report.checkpoints,
+            "one copy per periodic checkpoint"
+        );
+        assert!(bases >= 3, "{bases} bases: the log must compact at least twice");
+        assert!(deltas > bases, "{deltas} delta checkpoints against {bases} bases");
+
+        // The torn tail, on the copy with the longest log.
+        let (at, records) = longest.expect("a copy");
+        assert!(records >= 2, "the longest log holds {records} records");
+        let (copy, _) = &sink.saved[at];
+        let torn = dir.join("torn");
+        std::fs::create_dir_all(&torn).expect("torn dir");
+        for file in checkpoint_files(&copy.join("pipeline.ckpt")).iter().filter(|f| f.exists()) {
+            std::fs::copy(file, torn.join(file.file_name().expect("a file name"))).expect("copy");
+        }
+        let [torn_base, _, torn_log] = checkpoint_files(&torn.join("pipeline.ckpt"));
+        let log_bytes = std::fs::read(&torn_log).expect("the log");
+        let last = record_spans(&log_bytes).pop().expect("a record");
+        std::fs::write(&torn_log, &log_bytes[..last.start]).expect("drop the last record");
+        let (expected, warnings) = load_checkpoint(&torn_base);
+        let expected = expected.expect("loads");
+        assert!(warnings.is_empty() && expected.deltas == records - 1, "{warnings:?}");
+        let expected_snapshot = expected.snapshot.as_ref().expect("a snapshot").to_bytes();
+        let mut damaged: Vec<Vec<u8>> =
+            (last.start + 1..last.end).map(|len| log_bytes[..len].to_vec()).collect();
+        damaged.extend(last.clone().map(|byte| {
+            let mut flipped = log_bytes.clone();
+            flipped[byte] ^= 0xFF;
+            flipped
+        }));
+        for bytes in &damaged {
+            std::fs::write(&torn_log, bytes).expect("damage the last record");
+            let (point, warnings) = load_checkpoint(&torn_base);
+            let point = point.expect("the base still loads");
+            assert_eq!(warnings.len(), 1, "{warnings:?}");
+            assert_eq!(point.deltas, records - 1);
+            assert_eq!(point.checkpoint, expected.checkpoint);
+            assert!(point.snapshot.expect("a snapshot").to_bytes() == expected_snapshot);
+        }
+        // That state continues the stream with no alert lost or repeated.
+        let before = sink.saved.iter().find_map(|(copy, before)| {
+            let (point, _) = load_checkpoint(&copy.join("pipeline.ckpt"));
+            (point.expect("loads").checkpoint == expected.checkpoint).then_some(*before)
+        });
+        let before = before.expect("the record before is another copy's last");
+        let resumed = resume_run(expected, &log, &services, &torn.join("resumed.ckpt"));
+        assert_eq!(
+            [&alerts[..before], &resumed[..]].concat(),
+            offline_alerts(3_000, IDLE_USERS),
+            "resuming from the torn log lost or repeated alerts"
+        );
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// A delta append that fails after a good base fails the run with the
+    /// sticky `PipelineError::Io` naming the delta log, and the base with
+    /// every whole record appended before the failure still loads.
+    #[test]
+    fn a_failed_delta_append_fails_the_run_and_leaves_the_records_before_it() {
+        let dir = std::env::temp_dir().join(format!("pipeline-delta-fail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let checkpoint = dir.join("pipeline.ckpt");
+        let (sink, log) = sink_with_idle_users(3_000, IDLE_USERS);
+        let mut config = PipelineConfig::new(FieldMapping::canonical());
+        config.batch = 16;
+        config.checkpoint = Some(checkpoint.clone());
+        config.checkpoint_every_events = 64;
+        let follow = config.follow.clone();
+        let runner = PipelineRunner::new(config);
+        let mut sink = Intercepting::new(sink, &runner, &checkpoint);
+        sink.saves = Some(dir.join("saved"));
+        sink.fail_at = Some(3);
+        let source = LiveSource::pipe(Box::new(std::io::Cursor::new(log)), follow);
+        let delta_path = CheckpointStore::new(&checkpoint).delta_path();
+        match runner.run(source, &mut sink, |_| {}) {
+            Err(PipelineError::Io(message)) => {
+                assert!(message.contains(delta_path.to_str().expect("utf-8 path")), "{message}")
+            }
+            other => panic!("expected an Io error, got {other:?}"),
+        }
+        assert_eq!(PipelineProgress::get(&runner.progress().checkpoints), 3);
+
+        std::fs::remove_dir(&delta_path).expect("the directory");
+        let mut saved = delta_path.clone().into_os_string();
+        saved.push(".saved");
+        std::fs::rename(saved, &delta_path).expect("the log back");
+        let (point, warnings) = load_checkpoint(&checkpoint);
+        let point = point.expect("the base loads");
+        assert!(warnings.is_empty(), "{warnings:?}");
+        assert_eq!(point.deltas, 2, "the base and both whole records load");
+        // The same state as the files held before the failed append.
+        let (copy, _) = sink.saved.last().expect("copies up to the failure");
+        let (before, _) = load_checkpoint(&copy.join("pipeline.ckpt"));
+        let before = before.expect("the copy loads");
+        assert_eq!(point.checkpoint, before.checkpoint);
+        assert!(point.snapshot == before.snapshot);
         let _ = std::fs::remove_dir_all(dir);
     }
 

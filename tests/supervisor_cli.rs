@@ -1,6 +1,7 @@
 //! End-to-end tests of the `privacy-supervisor` binary: its worker-count
-//! range is a usage error, and runs with the default checkpoint directory
-//! never see each other's checkpoints.
+//! range is a usage error, runs with the default checkpoint directory
+//! never see each other's checkpoints, and a run over a checkpoint
+//! directory another run used exits with the usage code.
 
 use privacy_mde::distrib::exit;
 use std::path::Path;
@@ -30,14 +31,37 @@ fn worker_counts_outside_the_shard_range_are_usage_errors() {
     }
 }
 
-#[test]
-fn two_default_runs_print_the_same_alert_count() {
-    // The shard worker is built next to this binary by a workspace build;
-    // skip (loudly) if only this package was built.
+/// Whether the shard worker is built next to this binary, as a workspace
+/// build does; says so loudly when it is not.
+fn shardd_built() -> bool {
     let shardd =
         Path::new(env!("CARGO_BIN_EXE_privacy-supervisor")).with_file_name("privacy-shardd");
-    if !shardd.exists() {
+    let built = shardd.exists();
+    if !built {
         eprintln!("skipping: {} not built", shardd.display());
+    }
+    built
+}
+
+#[test]
+fn a_second_run_over_a_used_checkpoint_dir_exits_with_the_usage_code() {
+    if !shardd_built() {
+        return;
+    }
+    let dir = std::env::temp_dir().join(format!("supervisor-cli-used-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_str().expect("utf-8 temp path");
+    let (first, _) = supervisor(&["--quiet", "--checkpoint-dir", dir_arg]);
+    assert!(first.status.success(), "the first run failed: {}", stderr(&first));
+    let (second, _) = supervisor(&["--quiet", "--checkpoint-dir", dir_arg]);
+    assert_eq!(second.status.code(), Some(exit::USAGE), "{}", stderr(&second));
+    assert!(stderr(&second).contains("bad supervisor config"), "{}", stderr(&second));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn two_default_runs_print_the_same_alert_count() {
+    if !shardd_built() {
         return;
     }
     let summaries: Vec<String> = (0..2)
