@@ -1,9 +1,17 @@
-//! Atomic, generationed checkpoint files with an append-only delta log:
-//! [`CheckpointStore`].
+//! Checkpoint files: one frame for every checkpoint, an atomic,
+//! generationed [`CheckpointStore`] with an append-only delta log, and the
+//! [`CheckpointWriter`] thread that writes them.
+//!
+//! Every checkpoint is a stream position plus a monitor state, so every
+//! file is one frame: a kind and version, the position's fields
+//! ([`FramePosition`]), then the state as one length-prefixed nested blob —
+//! a `MonitorSnapshot`, or a `SnapshotDelta` in a delta record. The live
+//! pipeline's `PPLC` file and the `privacy-shardd` worker's `PDCP` file
+//! differ only in their position.
 //!
 //! A checkpoint that can be *torn* by the crash it exists to survive is
 //! worse than none — the classic failure is a process dying mid-`write(2)`
-//! and leaving a half-file that poisons the restart. This store makes the
+//! and leaving a half-file that poisons the restart. The store makes the
 //! standard guarantees explicit:
 //!
 //! * **Atomic replace.** A checkpoint is written to a temporary file in the
@@ -24,25 +32,21 @@
 //!   ordinal in the log (1, 2, …). Writing a base resets the log, after the
 //!   base is durable, so a crash in between leaves records that name the
 //!   older base and are ignored.
-//! * **Typed fallback.** [`CheckpointStore::load_latest`] validates each
-//!   generation with a caller-supplied check (normally
-//!   [`decode_checkpoint`](crate::wire::decode_checkpoint), whose trailing
-//!   checksum covers the whole file) and reports every skipped generation as
-//!   a [`CheckpointWarning`] — the caller can log it, count it, or surface
-//!   it to an operator, but is never silently resumed from stale state.
-//!   [`CheckpointStore::load`] also applies the delta records that name the
-//!   loaded base, in order, stopping with a warning at the first torn or
-//!   invalid one: it never skips a bad record to apply a later one.
+//! * **Typed fallback.** [`CheckpointStore::load`] decodes each generation
+//!   with the caller's decoder (normally [`decode_frame`], whose trailing
+//!   checksum covers the whole file) and reports every skipped generation
+//!   as a [`CheckpointWarning`], never silently resuming stale state. It
+//!   then applies the delta records naming the loaded base, in order,
+//!   stopping with a warning at the first torn or invalid one.
 //!
-//! [`CheckpointWriter`] takes the store off the caller's thread: the caller
-//! captures its state at the exact stream point and submits it, and one
-//! background thread encodes, writes and fsyncs each checkpoint in order —
-//! as a base, or as a delta record when the job offers one
+//! The caller captures its state at the exact stream point and submits it
+//! as a [`CaptureJob`]; the writer's thread encodes, writes and fsyncs each
+//! checkpoint in order, as a base or as a delta record
 //! ([`CheckpointJob::encode_delta`]). `PipelineRunner` and the
 //! `privacy-shardd` worker both checkpoint through it; only the pipeline
 //! writes delta records.
 
-use privacy_interchange::binary::{self, Decoder, Encoder};
+use privacy_interchange::binary::{self, CodecError, Decoder, Encoder};
 use privacy_runtime::MonitorSnapshot;
 use std::fmt;
 use std::fs;
@@ -141,23 +145,13 @@ impl CheckpointStore {
     /// The previous-generation path.
     #[must_use]
     pub fn prev_path(&self) -> PathBuf {
-        let mut name = self.base.as_os_str().to_owned();
-        name.push(".prev");
-        PathBuf::from(name)
+        self.with_suffix(".prev")
     }
 
     /// The delta-log path.
     #[must_use]
     pub fn delta_path(&self) -> PathBuf {
         self.with_suffix(".delta")
-    }
-
-    fn tmp_path(&self) -> PathBuf {
-        self.with_suffix(".tmp")
-    }
-
-    fn prev_tmp_path(&self) -> PathBuf {
-        self.with_suffix(".prev.tmp")
     }
 
     fn with_suffix(&self, suffix: &str) -> PathBuf {
@@ -210,7 +204,7 @@ impl CheckpointStore {
                 fs::create_dir_all(parent)?;
             }
         }
-        let tmp = self.tmp_path();
+        let tmp = self.with_suffix(".tmp");
         {
             let mut file = fs::File::create(&tmp)?;
             file.write_all(bytes)?;
@@ -219,7 +213,7 @@ impl CheckpointStore {
         if self.base.exists() {
             // Demote without unlinking `base`: link the live inode to a
             // scratch name, then atomically rename it over `.prev`.
-            let prev_tmp = self.prev_tmp_path();
+            let prev_tmp = self.with_suffix(".prev.tmp");
             let _ = fs::remove_file(&prev_tmp);
             fs::hard_link(&self.base, &prev_tmp)?;
             fs::rename(&prev_tmp, self.prev_path())?;
@@ -451,12 +445,117 @@ pub struct DeltaChain {
     records: u64,
 }
 
-/// A bare monitor snapshot is a checkpoint file of its own.
-impl CheckpointJob for MonitorSnapshot {
-    type Done = ();
+/// The fields a checkpoint frame holds ahead of its nested blob, and the
+/// frame kind and version they are written under.
+pub trait FramePosition: Copy + Send {
+    /// The frame kind.
+    const KIND: [u8; 4];
+    /// The one frame version written and read; any other is refused with
+    /// [`CodecError::UnsupportedVersion`].
+    const VERSION: u32;
 
-    fn encode(self, file: &mut Vec<u8>) {
-        self.encode_into(file);
+    /// Writes the fields.
+    fn put(&self, encoder: &mut Encoder);
+
+    /// Reads the fields [`FramePosition::put`] wrote.
+    ///
+    /// # Errors
+    ///
+    /// The typed [`CodecError`] of the first field that does not decode.
+    fn get(decoder: &mut Decoder<'_>) -> Result<Self, CodecError>;
+}
+
+/// A frame of `position` in `buffer`'s allocation, with room reserved for
+/// a nested blob of `blob_len` bytes, which the caller appends.
+fn frame_encoder<P: FramePosition>(position: &P, buffer: Vec<u8>, blob_len: usize) -> Encoder {
+    let mut encoder = Encoder::reusing(buffer, P::KIND, P::VERSION);
+    position.put(&mut encoder);
+    encoder.reserve(4 + blob_len);
+    encoder
+}
+
+/// The checkpoint frame of `position` around an already-encoded `blob`.
+#[must_use]
+pub fn encode_frame<P: FramePosition>(position: &P, blob: &[u8]) -> Vec<u8> {
+    let mut encoder = frame_encoder(position, Vec::new(), blob.len());
+    encoder.bytes(blob);
+    encoder.finish()
+}
+
+/// A checkpoint frame's position and nested blob, borrowed from `bytes`.
+///
+/// # Errors
+///
+/// The typed [`CodecError`] of a torn, corrupt, foreign or other-version
+/// frame; the trailing checksum covers the blob too.
+pub fn decode_frame<P: FramePosition>(bytes: &[u8]) -> Result<(P, &[u8]), CodecError> {
+    let mut decoder = Decoder::new(bytes, P::KIND, P::VERSION)?;
+    let position = P::get(&mut decoder)?;
+    let blob_len = decoder.u32()? as usize;
+    let blob = decoder.raw(blob_len)?;
+    decoder.finish()?;
+    Ok((position, blob))
+}
+
+/// A monitor's state at a checkpoint, as a sink captures it.
+#[derive(Debug)]
+pub enum SinkCapture {
+    /// Already encoded: [`MonitorSnapshot`] bytes, or empty for a sink that
+    /// persists its own state.
+    Encoded(Vec<u8>),
+    /// A snapshot the checkpoint writer still has to encode.
+    Snapshot(MonitorSnapshot),
+}
+
+/// A delta record is written only while the delta log, with it, stays
+/// smaller than this many times the base it extends; past that, the log
+/// would hold more bytes than a fresh base, so a base is written instead.
+const DELTA_LOG_PER_BASE: usize = 1;
+
+/// A capture and the stream position it was taken at, on its way to the
+/// [`CheckpointWriter`], whose hook receives the position once durable.
+#[derive(Debug)]
+pub struct CaptureJob<P> {
+    /// The stream position.
+    pub position: P,
+    /// The state at that position.
+    pub capture: SinkCapture,
+    /// Whether the capture directly follows the one the previous job
+    /// carried (consecutive ordinals), so it may go as a delta record.
+    pub follows: bool,
+}
+
+impl<P: FramePosition> CheckpointJob for CaptureJob<P> {
+    type Done = P;
+
+    fn encode(self, file: &mut Vec<u8>) -> P {
+        let mut encoder = frame_encoder(&self.position, std::mem::take(file), 0);
+        match &self.capture {
+            SinkCapture::Encoded(bytes) => encoder.bytes(bytes),
+            // In place: the buffer already holds the previous checkpoint's
+            // capacity, so the snapshot never takes a buffer of its own.
+            SinkCapture::Snapshot(snapshot) => snapshot.encode_nested(&mut encoder),
+        }
+        *file = encoder.finish();
+        self.position
+    }
+
+    /// The frame of the position around the capture's `SnapshotDelta`.
+    fn encode_delta(self, record: &mut Vec<u8>, chain: &DeltaChain) -> Result<P, Self> {
+        let delta = match &self.capture {
+            SinkCapture::Snapshot(snapshot) if self.follows && chain.base_bytes > 0 => {
+                snapshot.delta()
+            }
+            _ => None,
+        };
+        let Some(delta) = delta else { return Err(self) };
+        let mut encoder = frame_encoder(&self.position, std::mem::take(record), 0);
+        delta.encode_nested(&mut encoder);
+        *record = encoder.finish();
+        if chain.log_bytes + record.len() >= chain.base_bytes * DELTA_LOG_PER_BASE {
+            return Err(self);
+        }
+        Ok(self.position)
     }
 }
 
@@ -812,6 +911,73 @@ mod tests {
         store.append_delta(tag, 3, b"+3").unwrap();
         expect_one(&fs::read(store.delta_path()).unwrap(), "refused");
         let _ = fs::remove_dir_all(dir);
+    }
+
+    /// The worker's base is a `PDCP` v4 frame — worker index, covered
+    /// batch, then the snapshot as a nested blob — byte for byte, encoded
+    /// in place over a dirty buffer; it decodes back to its position and
+    /// snapshot bytes, and a flip at any byte is a typed error.
+    #[test]
+    fn worker_checkpoint_bases_are_pdcp_v4_frames_byte_for_byte() {
+        use crate::worker::WorkerPosition;
+
+        let system = privacy_core::casestudy::healthcare().unwrap();
+        let index = privacy_lts::LtsIndex::build(&system.generate_lts().unwrap());
+        let mut monitor = privacy_runtime::IndexedMonitor::new(
+            system.catalog().clone(),
+            system.policy().clone(),
+            Arc::new(index),
+        );
+        monitor.register_user(&privacy_core::casestudy::case_a_user());
+        let snapshot = monitor.snapshot();
+        let snapshot_bytes = snapshot.to_bytes();
+        let mut expected = Encoder::new(*b"PDCP", 4);
+        expected.u32(4);
+        expected.u64(99);
+        expected.bytes(&snapshot_bytes);
+        let expected = expected.finish();
+
+        let position = WorkerPosition { worker_index: 4, through_batch: 99 };
+        let job = CaptureJob { position, capture: SinkCapture::Snapshot(snapshot), follows: false };
+        let mut file = vec![0xEE; 16];
+        assert_eq!(job.encode(&mut file), position);
+        assert_eq!(file, expected);
+        assert_eq!(encode_frame(&position, &snapshot_bytes), expected);
+
+        let (decoded, blob) = decode_frame::<WorkerPosition>(&file).unwrap();
+        assert_eq!((decoded, blob), (position, snapshot_bytes.as_slice()));
+        for at in 0..file.len() {
+            let mut corrupt = file.clone();
+            corrupt[at] ^= 0x40;
+            assert!(
+                decode_frame::<WorkerPosition>(&corrupt).is_err(),
+                "flipping byte {at} went undetected"
+            );
+        }
+    }
+
+    /// Versions 2 and 3 carried a shard-handoff import count after the
+    /// covered batch. Only the build that wrote a worker checkpoint reads
+    /// it, so a frame of any version but 4 is refused by its version,
+    /// never parsed as a version-4 layout.
+    #[test]
+    fn worker_checkpoint_frames_of_earlier_versions_are_typed_unsupported() {
+        use crate::worker::WorkerPosition;
+
+        for version in [1, 2, 3, 5] {
+            let mut old = Encoder::new(*b"PDCP", version);
+            old.u32(2);
+            old.u64(17);
+            if version < 4 {
+                old.u64(0);
+            }
+            old.bytes(&[9u8; 64]);
+            let error = decode_frame::<WorkerPosition>(&old.finish()).unwrap_err();
+            assert!(
+                matches!(error, CodecError::UnsupportedVersion { found, .. } if found == version),
+                "version {version}: {error:?}"
+            );
+        }
     }
 
     /// A test job: writes `gen-<tag>` and reports its tag as durable. A

@@ -37,8 +37,8 @@
 //! * [`checkpoint`] — [`CheckpointStore`]: atomic write-to-temp-then-rename
 //!   checkpoint files with a `.prev` generation, and a loader that falls
 //!   back past a torn or corrupted generation with typed warnings; and
-//!   [`CheckpointWriter`], the one background thread that encodes and
-//!   writes checkpoints for the worker and the live pipeline alike.
+//!   [`CheckpointWriter`], the one background thread that writes
+//!   [`CaptureJob`]s, one frame for the worker and the pipeline alike.
 //! * [`fault`] — [`FaultPlan`]: the failure-injection harness. Kill-at-event,
 //!   stall, drop-ack, sleep-per-event (armed in the worker via `--fault`
 //!   arguments) and corrupt-checkpoint (applied by the supervisor to the
@@ -61,8 +61,8 @@ pub mod wire;
 pub mod worker;
 
 pub use checkpoint::{
-    CheckpointJob, CheckpointStore, CheckpointWarning, CheckpointWriteError, CheckpointWriter,
-    DeltaChain, Generation, Loaded,
+    CaptureJob, CheckpointJob, CheckpointStore, CheckpointWarning, CheckpointWriteError,
+    CheckpointWriter, DeltaChain, FramePosition, Generation, Loaded, SinkCapture,
 };
 pub use fault::{Fault, FaultPlan, WorkerFaults};
 pub use supervisor::{

@@ -64,10 +64,11 @@
 //! resumed: [`DistributedMonitor::launch`] refuses a checkpoint directory
 //! that already holds a worker checkpoint.
 
-use crate::checkpoint::{CheckpointStore, Generation};
+use crate::checkpoint::{decode_frame, CheckpointStore, Generation, Loaded};
 use crate::exit;
 use crate::fault::FaultPlan;
-use crate::wire::{decode_checkpoint, Message};
+use crate::wire::Message;
+use crate::worker::WorkerPosition;
 use privacy_core::PrivacySystem;
 use privacy_interchange::{read_frame, render_system, write_frame};
 use privacy_model::UserProfile;
@@ -902,24 +903,30 @@ impl DistributedMonitor {
     /// resumed from and whether the load fell back a generation.
     fn bring_up(&mut self, w: usize) -> Result<(u64, bool), BringUp> {
         self.reap(w);
-        let (loaded, warnings) = self.workers[w]
-            .store
-            .load_latest(|bytes| decode_checkpoint(bytes).map(|_| ()).map_err(|e| e.to_string()));
+        // One read and decode per generation; the worker decodes the
+        // snapshot. Workers write bases only: no delta record applies.
+        let (loaded, warnings) = self.workers[w].store.load(
+            |bytes| {
+                let (position, snapshot) =
+                    decode_frame::<WorkerPosition>(bytes).map_err(|error| error.to_string())?;
+                Ok((position, snapshot.to_vec()))
+            },
+            |_, _| Err("a worker checkpoint has no delta records".to_owned()),
+        );
         self.stats.checkpoint_warnings.extend(warnings.iter().map(ToString::to_string));
         let (resume, coverage, fell_back) = match loaded {
-            Some((bytes, generation)) => {
-                let file = decode_checkpoint(&bytes).expect("validated by load_latest");
-                if file.worker_index != w as u32 {
+            Some(Loaded { state: (position, snapshot), generation, .. }) => {
+                if position.worker_index != w as u32 {
                     return Err(BringUp::Terminal(DistribError::CheckpointUnrecoverable {
                         worker: w,
                         detail: format!(
                             "checkpoint at `{}` belongs to worker {}",
                             self.workers[w].store.path().display(),
-                            file.worker_index
+                            position.worker_index
                         ),
                     }));
                 }
-                (Some(file.snapshot), file.through_batch, generation == Generation::Previous)
+                (Some(snapshot), position.through_batch, generation == Generation::Previous)
             }
             None => (None, 0, false),
         };
@@ -1371,7 +1378,7 @@ impl DistributedMonitor {
         // already gone.
         let readable = std::fs::read(self.workers[w].store.path())
             .ok()
-            .is_some_and(|bytes| decode_checkpoint(&bytes).is_ok());
+            .is_some_and(|bytes| decode_frame::<WorkerPosition>(&bytes).is_ok());
         if !readable {
             self.stats.checkpoint_warnings.push(format!(
                 "worker {w}: checkpoint {ordinal} failed read-back validation at `{}`; keeping \

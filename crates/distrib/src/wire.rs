@@ -1,4 +1,5 @@
-//! The supervisor ⇄ worker **wire protocol** and the checkpoint file format.
+//! The supervisor ⇄ worker **wire protocol**. The worker's checkpoint file
+//! is not part of it: it is the shared frame of [`crate::checkpoint`].
 //!
 //! Every message is one sealed [`privacy_interchange::binary`] frame of kind
 //! `PDMG` carried over the worker's stdin/stdout pipes with
@@ -16,9 +17,10 @@
 //!   the **index fingerprint** against the supervisor's. The model is the
 //!   contract; shipping the source text reuses the round-trip-tested
 //!   interchange format instead of inventing a second model codec.
-//! * **Snapshots travel as opaque blobs.** A [`MonitorSnapshot`] already
-//!   has its own sealed frame; resume payloads and checkpoint files nest
-//!   those bytes whole (the outer checksum covers them again).
+//! * **Snapshots travel as opaque blobs.** A
+//!   [`MonitorSnapshot`](privacy_runtime::MonitorSnapshot) already has its
+//!   own sealed frame; a resume payload nests those bytes whole (the outer
+//!   checksum covers them again).
 //! * **Events carry explicit batch positions.** The supervisor splits each
 //!   super-batch across owners; the position (`u32` index within the
 //!   super-batch) rides with every event so the merged alert stream can be
@@ -51,29 +53,13 @@ use privacy_model::{
     Consent, DatastoreId, FieldId, RiskLevel, Sensitivity, SensitivityProfile, ServiceId, UserId,
     UserProfile,
 };
-use privacy_runtime::{Alert, Event, MonitorSnapshot};
+use privacy_runtime::{Alert, Event};
 
 /// Artefact kind of every supervisor ⇄ worker message frame.
 pub const MESSAGE_KIND: [u8; 4] = *b"PDMG";
 /// Current message protocol version (coalesced frames, cumulative acks, a
 /// fixed shard map).
 pub const MESSAGE_VERSION: u32 = 3;
-/// Artefact kind of the worker checkpoint file.
-pub const CHECKPOINT_KIND: [u8; 4] = *b"PDCP";
-/// Current checkpoint file version. Version 4 drops the shard-handoff
-/// import count that versions 2 and 3 carried after the covered batch.
-/// Version 3 (sparse snapshots) and version 2 (dense snapshots) are still
-/// decoded via [`CHECKPOINT_VERSION_V3`] and [`CHECKPOINT_VERSION_V2`]; an
-/// old file whose import count is not zero holds state this build cannot
-/// place and is refused with [`CodecError::Malformed`]. A version-1 file
-/// left on disk by an older build is rejected as unsupported, which the
-/// loader reports as a skipped generation rather than resuming from it.
-pub const CHECKPOINT_VERSION: u32 = 4;
-/// The previous checkpoint file version, still accepted on decode.
-pub const CHECKPOINT_VERSION_V3: u32 = 3;
-/// The dense-snapshot checkpoint file version, still accepted on decode.
-pub const CHECKPOINT_VERSION_V2: u32 = 2;
-
 /// One protocol message, in either direction.
 ///
 /// Supervisor → worker: [`Init`](Message::Init), [`Register`](Message::Register),
@@ -170,20 +156,6 @@ const TAG_READY: u8 = 16;
 const TAG_CHECKPOINT_DONE: u8 = 18;
 const TAG_FATAL: u8 = 21;
 const TAG_ACK_THROUGH: u8 = 22;
-
-fn put_opt_bytes(encoder: &mut Encoder, value: Option<&[u8]>) {
-    match value {
-        Some(bytes) => {
-            encoder.bool(true);
-            encoder.bytes(bytes);
-        }
-        None => encoder.bool(false),
-    }
-}
-
-fn get_opt_bytes(decoder: &mut Decoder<'_>) -> Result<Option<Vec<u8>>, CodecError> {
-    Ok(if decoder.bool()? { Some(decoder.bytes()?) } else { None })
-}
 
 fn put_event(encoder: &mut Encoder, event: &Event) {
     encoder.u64(event.sequence());
@@ -311,14 +283,14 @@ impl Message {
                 encoder.u32(*worker_index);
                 encoder.str(model_psm);
                 encoder.u64(*fingerprint);
-                match checkpoint_path {
-                    Some(path) => {
-                        encoder.bool(true);
-                        encoder.str(path);
-                    }
-                    None => encoder.bool(false),
+                encoder.bool(checkpoint_path.is_some());
+                if let Some(path) = checkpoint_path {
+                    encoder.str(path);
                 }
-                put_opt_bytes(&mut encoder, resume.as_deref());
+                encoder.bool(resume.is_some());
+                if let Some(resume) = resume {
+                    encoder.bytes(resume);
+                }
                 encoder.u64(*resume_through_batch);
             }
             Message::Register { profile } => {
@@ -383,7 +355,7 @@ impl Message {
                 let model_psm = decoder.string()?;
                 let fingerprint = decoder.u64()?;
                 let checkpoint_path = if decoder.bool()? { Some(decoder.string()?) } else { None };
-                let resume = get_opt_bytes(&mut decoder)?;
+                let resume = if decoder.bool()? { Some(decoder.bytes()?) } else { None };
                 let resume_through_batch = decoder.u64()?;
                 Message::Init {
                     worker_index,
@@ -439,108 +411,6 @@ impl Message {
         decoder.finish()?;
         Ok(message)
     }
-}
-
-/// Seals a worker checkpoint file into `out`, replacing its contents and
-/// reusing its allocation: worker index, the super-batch the state covers
-/// through, and the monitor snapshot as a nested frame. The snapshot is
-/// encoded in place, byte-identical to appending its encoded bytes as a
-/// blob, so it never takes a buffer of its own.
-pub fn encode_checkpoint(
-    out: &mut Vec<u8>,
-    worker_index: u32,
-    through_batch: u64,
-    snapshot: &MonitorSnapshot,
-) {
-    let mut encoder = Encoder::reusing(std::mem::take(out), CHECKPOINT_KIND, CHECKPOINT_VERSION);
-    encoder.u32(worker_index);
-    encoder.u64(through_batch);
-    snapshot.encode_nested(&mut encoder);
-    *out = encoder.finish();
-}
-
-/// A worker checkpoint file at an explicit file version, around an
-/// already-encoded snapshot — the compatibility seam: tests use it to
-/// produce checkpoint files of any version (at [`CHECKPOINT_VERSION`], the
-/// bytes of [`encode_checkpoint`]) and prove current readers still accept
-/// the old ones. Before version 4 the layout carries an import count after
-/// the covered batch, written here as zero, the only count a current reader
-/// resumes; the nested blob is expected to carry the snapshot format of the
-/// file's day.
-#[must_use]
-pub fn encode_checkpoint_at(
-    version: u32,
-    worker_index: u32,
-    through_batch: u64,
-    snapshot: &[u8],
-) -> Vec<u8> {
-    let mut encoder = Encoder::new(CHECKPOINT_KIND, version);
-    // Two or three counters, the snapshot and its length.
-    encoder.reserve(4 + 8 + 8 + 4 + snapshot.len());
-    encoder.u32(worker_index);
-    encoder.u64(through_batch);
-    if version < CHECKPOINT_VERSION {
-        encoder.u64(0);
-    }
-    encoder.bytes(snapshot);
-    encoder.finish()
-}
-
-/// Opens a worker checkpoint file sealed by [`encode_checkpoint`] — current
-/// ([`CHECKPOINT_VERSION`]) or an earlier version ([`CHECKPOINT_VERSION_V3`],
-/// [`CHECKPOINT_VERSION_V2`]); the nested snapshot blob is passed through
-/// opaquely, and `MonitorSnapshot::from_bytes` applies its own dual-version
-/// handling.
-///
-/// The outer checksum covers the nested snapshot bytes too, so corruption
-/// *anywhere* in the file — header, bookkeeping, or snapshot — surfaces here
-/// as a typed error before any state is trusted.
-///
-/// # Errors
-///
-/// Returns the typed [`CodecError`] describing the first problem with the
-/// envelope or the bookkeeping fields, including
-/// [`CodecError::Malformed`] for an earlier-version file that records
-/// shard-handoff imports: its snapshot holds users of shards its worker did
-/// not own at launch.
-pub fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointFile, CodecError> {
-    let (mut decoder, version) = match Decoder::new(bytes, CHECKPOINT_KIND, CHECKPOINT_VERSION) {
-        Ok(decoder) => (decoder, CHECKPOINT_VERSION),
-        Err(CodecError::UnsupportedVersion { found, .. })
-            if found == CHECKPOINT_VERSION_V3 || found == CHECKPOINT_VERSION_V2 =>
-        {
-            (Decoder::new(bytes, CHECKPOINT_KIND, found)?, found)
-        }
-        Err(error) => return Err(error),
-    };
-    let worker_index = decoder.u32()?;
-    let through_batch = decoder.u64()?;
-    if version < CHECKPOINT_VERSION {
-        let imports = decoder.u64()?;
-        if imports != 0 {
-            return Err(CodecError::Malformed {
-                what: "checkpoint import count",
-                detail: format!(
-                    "a version-{version} checkpoint holding {imports} shard-handoff imports \
-                     cannot be resumed under a fixed shard map"
-                ),
-            });
-        }
-    }
-    let snapshot = decoder.bytes()?;
-    decoder.finish()?;
-    Ok(CheckpointFile { worker_index, through_batch, snapshot })
-}
-
-/// The decoded contents of a worker checkpoint file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckpointFile {
-    /// The worker slot that wrote the checkpoint.
-    pub worker_index: u32,
-    /// The super-batch id the state covers through.
-    pub through_batch: u64,
-    /// The nested, sealed `MonitorSnapshot` frame.
-    pub snapshot: Vec<u8>,
 }
 
 #[cfg(test)]
@@ -714,84 +584,6 @@ mod tests {
             Err(CodecError::Malformed { what: "alert risk level", .. })
         ));
         assert!(Message::decode(&frame).is_ok());
-    }
-
-    #[test]
-    fn snapshot_checkpoints_encode_in_place_byte_identically() {
-        let system = privacy_core::casestudy::healthcare().unwrap();
-        let index = privacy_lts::LtsIndex::build(&system.generate_lts().unwrap());
-        let mut monitor = privacy_runtime::IndexedMonitor::new(
-            system.catalog().clone(),
-            system.policy().clone(),
-            std::sync::Arc::new(index),
-        );
-        monitor.register_user(&privacy_core::casestudy::case_a_user());
-        let snapshot = monitor.snapshot();
-        let mut reused = vec![0xEE; 16];
-        encode_checkpoint(&mut reused, 4, 99, &snapshot);
-        assert_eq!(reused, encode_checkpoint_at(CHECKPOINT_VERSION, 4, 99, &snapshot.to_bytes()));
-    }
-
-    #[test]
-    fn checkpoint_file_round_trips_and_detects_corruption() {
-        let snapshot = vec![7u8; 100];
-        let bytes = encode_checkpoint_at(CHECKPOINT_VERSION, 4, 99, &snapshot);
-        let file = decode_checkpoint(&bytes).unwrap();
-        assert_eq!((file.worker_index, file.through_batch), (4, 99));
-        assert_eq!(file.snapshot, snapshot);
-
-        for position in 0..bytes.len() {
-            let mut corrupt = bytes.clone();
-            corrupt[position] ^= 0x40;
-            assert!(
-                decode_checkpoint(&corrupt).is_err(),
-                "flipping byte {position} went undetected"
-            );
-        }
-    }
-
-    /// A pre-v4 checkpoint file as the build of its day wrote it: the
-    /// covered batch followed by a shard-handoff import count.
-    fn old_checkpoint(version: u32, imports: u64, snapshot: &[u8]) -> Vec<u8> {
-        let mut encoder = Encoder::new(CHECKPOINT_KIND, version);
-        encoder.u32(2);
-        encoder.u64(17);
-        encoder.u64(imports);
-        encoder.bytes(snapshot);
-        encoder.finish()
-    }
-
-    #[test]
-    fn checkpoint_v3_and_v2_files_still_decode_after_the_v4_bump() {
-        // Checkpoints left on disk by a build that still spoke shard
-        // handoff: their layout carries an import count after the covered
-        // batch. One that never imported decodes to the same file as
-        // today's layout, and the zero count is what the compatibility
-        // seam writes.
-        let snapshot = vec![9u8; 64];
-        for version in [CHECKPOINT_VERSION_V3, CHECKPOINT_VERSION_V2] {
-            let old = old_checkpoint(version, 0, &snapshot);
-            assert_eq!(old, encode_checkpoint_at(version, 2, 17, &snapshot));
-            let file = decode_checkpoint(&old).unwrap();
-            assert_eq!((file.worker_index, file.through_batch), (2, 17));
-            assert_eq!(file.snapshot, snapshot);
-            // A file that absorbed a handed-off shard holds users its worker
-            // did not own at launch: refused, typed, never resumed.
-            let imported = old_checkpoint(version, 3, &snapshot);
-            assert!(matches!(
-                decode_checkpoint(&imported),
-                Err(CodecError::Malformed { what: "checkpoint import count", .. })
-            ));
-        }
-        // The compatibility window is exactly {v2, v3, v4}: v1 and future
-        // versions are typed rejections, not best-effort parses.
-        for version in [1, CHECKPOINT_VERSION + 1] {
-            let alien = encode_checkpoint_at(version, 2, 17, &snapshot);
-            assert!(matches!(
-                decode_checkpoint(&alien),
-                Err(CodecError::UnsupportedVersion { found, .. }) if found == version
-            ));
-        }
     }
 
     #[test]

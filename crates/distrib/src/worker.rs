@@ -20,9 +20,10 @@
 //!    ignores unregistered users.
 //! 3. [`Checkpoint`](Message::Checkpoint) — capture the monitor snapshot
 //!    at the exact point in stream order the supervisor requested (a cheap
-//!    capture that shares the monitor's cached shard bodies) and submit it,
-//!    with the covered super-batch, to the shared [`CheckpointWriter`]. Its
-//!    thread encodes the snapshot and the checkpoint file, writes it
+//!    capture that shares the monitor's cached shard bodies) and submit it
+//!    as a [`CaptureJob`] of its `WorkerPosition` to the shared
+//!    [`CheckpointWriter`]. Its thread encodes the checkpoint frame with the
+//!    snapshot nested in place, writes it
 //!    atomically through the [`CheckpointStore`], and sends
 //!    [`CheckpointDone`](Message::CheckpointDone) once the fsync lands. The
 //!    ingest loop keeps evaluating the next coalesced frames while the
@@ -36,10 +37,13 @@
 //! swallowed ack, a sleep after every event. Crude is the point — they model
 //! the failure, not a polite simulation of it.
 
-use crate::checkpoint::{CheckpointJob, CheckpointStore, CheckpointWriteError, CheckpointWriter};
+use crate::checkpoint::{
+    CaptureJob, CheckpointStore, CheckpointWriteError, CheckpointWriter, FramePosition, SinkCapture,
+};
 use crate::exit;
 use crate::fault::WorkerFaults;
-use crate::wire::{encode_checkpoint, Message};
+use crate::wire::Message;
+use privacy_interchange::binary::{CodecError, Decoder, Encoder};
 use privacy_interchange::{parse_document, read_frame, write_frame, FrameIoError};
 use privacy_lts::LtsIndex;
 use privacy_runtime::{Alert, IndexedMonitor, MonitorSnapshot};
@@ -84,28 +88,35 @@ impl fmt::Display for WorkerFailure {
 
 impl std::error::Error for WorkerFailure {}
 
-/// One worker checkpoint: the bookkeeping plus the monitor's capture,
-/// taken at the requested stream point and encoded by the writer thread.
-struct WorkerCheckpoint {
-    worker_index: u32,
-    through_batch: u64,
-    snapshot: MonitorSnapshot,
+/// A worker checkpoint's position: the `PDCP` v4 frame's fields. Only the
+/// build that wrote a worker checkpoint reads it (a fleet launch refuses a
+/// directory holding one), so no earlier version is decoded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct WorkerPosition {
+    /// The worker slot that wrote the checkpoint.
+    pub(crate) worker_index: u32,
+    /// The super-batch id the state covers through.
+    pub(crate) through_batch: u64,
 }
 
-impl CheckpointJob for WorkerCheckpoint {
-    /// The [`Message::CheckpointDone`] to send once the file is durable.
-    type Done = Message;
+impl FramePosition for WorkerPosition {
+    const KIND: [u8; 4] = *b"PDCP";
+    const VERSION: u32 = 4;
 
-    fn encode(self, file: &mut Vec<u8>) -> Message {
-        encode_checkpoint(file, self.worker_index, self.through_batch, &self.snapshot);
-        Message::CheckpointDone { through_batch: self.through_batch }
+    fn put(&self, encoder: &mut Encoder) {
+        encoder.u32(self.worker_index);
+        encoder.u64(self.through_batch);
+    }
+
+    fn get(decoder: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        Ok(WorkerPosition { worker_index: decoder.u32()?, through_batch: decoder.u64()? })
     }
 }
 
 struct WorkerState {
     monitor: IndexedMonitor,
-    worker_index: u32,
-    through_batch: u64,
+    /// The slot and the last super-batch processed.
+    position: WorkerPosition,
     events_seen: u64,
     ingests_seen: u64,
     /// Alerts raised by batches the supervisor has not yet confirmed via a
@@ -152,12 +163,15 @@ fn send<O: Write>(output: &Mutex<&mut O>, message: &Message) -> Result<(), Worke
 /// supervisor is gone, and the ingest loop will see EOF.
 fn checkpoint_reply<O: Write>(
     output: &Mutex<&mut O>,
-    done: Result<Message, &CheckpointWriteError>,
+    done: Result<WorkerPosition, &CheckpointWriteError>,
 ) {
-    let reply = done.unwrap_or_else(|error| {
-        let failure = checkpoint_failure(error);
-        Message::Fatal { code: failure.exit_code() as u32, message: failure.to_string() }
-    });
+    let reply = match done {
+        Ok(position) => Message::CheckpointDone { through_batch: position.through_batch },
+        Err(error) => {
+            let failure = checkpoint_failure(error);
+            Message::Fatal { code: failure.exit_code() as u32, message: failure.to_string() }
+        }
+    };
     let _ = send(output, &reply);
 }
 
@@ -247,8 +261,7 @@ fn serve(
 
     let mut state = WorkerState {
         monitor,
-        worker_index,
-        through_batch: resume_through_batch,
+        position: WorkerPosition { worker_index, through_batch: resume_through_batch },
         events_seen: 0,
         ingests_seen: 0,
         pending_alerts: Vec::new(),
@@ -274,7 +287,7 @@ fn serve(
 fn serve_loop<O: Write + Send>(
     input: &mut impl Read,
     output: &Mutex<&mut O>,
-    writer: Option<&CheckpointWriter<'_, WorkerCheckpoint>>,
+    writer: Option<&CheckpointWriter<'_, CaptureJob<WorkerPosition>>>,
     state: &mut WorkerState,
 ) -> Result<(), WorkerFailure> {
     while let Some(message) = next_message(input)? {
@@ -332,7 +345,7 @@ fn ingest_part(
     // Drained rather than copied, so the ack stream and future snapshots
     // never carry an alert twice.
     alerts.extend(positions.into_iter().zip(state.monitor.drain_alerts()));
-    state.through_batch = batch;
+    state.position.through_batch = batch;
     state.ingests_seen += 1;
     if let Some((threshold, millis)) = state.faults.stall_before_ack {
         if state.events_seen >= threshold {
@@ -368,27 +381,35 @@ fn handle_ingest_batch<O: Write>(
     }
     send(
         output,
-        &Message::AckThrough { through: state.through_batch, alerts: state.pending_alerts.clone() },
+        &Message::AckThrough {
+            through: state.position.through_batch,
+            alerts: state.pending_alerts.clone(),
+        },
     )
 }
 
 fn handle_checkpoint<O: Write>(
     state: &mut WorkerState,
     output: &Mutex<&mut O>,
-    writer: Option<&CheckpointWriter<'_, WorkerCheckpoint>>,
+    writer: Option<&CheckpointWriter<'_, CaptureJob<WorkerPosition>>>,
 ) -> Result<(), WorkerFailure> {
     let Some(writer) = writer else {
         // No store configured: durability is a no-op, reply immediately.
-        return send(output, &Message::CheckpointDone { through_batch: state.through_batch });
+        return send(
+            output,
+            &Message::CheckpointDone { through_batch: state.position.through_batch },
+        );
     };
     // The capture is taken here, at the exact point in stream order the
     // supervisor asked for; encoding, the write and the fsync happen on the
     // writer thread, which sends the `CheckpointDone`.
     writer
-        .submit(WorkerCheckpoint {
-            worker_index: state.worker_index,
-            through_batch: state.through_batch,
-            snapshot: state.monitor.snapshot(),
+        .submit(CaptureJob {
+            position: state.position,
+            capture: SinkCapture::Snapshot(state.monitor.snapshot()),
+            // Workers write bases only: recovery falls back no further than
+            // the `.prev` base, which the supervisor's replay suffix covers.
+            follows: false,
         })
         .map_err(|error| checkpoint_failure(&error))
 }

@@ -501,66 +501,6 @@ fn double_generation_corruption_recovers_by_full_replay() {
     );
 }
 
-#[test]
-fn checkpoint_v2_dense_files_resume_into_v3_monitors() {
-    // A worker checkpoint left on disk by a pre-sparse build: a version-2
-    // file wrapping a version-2 *dense* snapshot. The current loader must
-    // accept both layers — `decode_checkpoint` the old envelope,
-    // `MonitorSnapshot::from_bytes` the dense payload — and the resumed
-    // monitor must continue the stream exactly where the uninterrupted
-    // reference does, so upgrading the fleet never discards worker state.
-    use privacy_distrib::wire::{decode_checkpoint, encode_checkpoint_at, CHECKPOINT_VERSION_V2};
-    use privacy_runtime::snapshot::SNAPSHOT_VERSION_V2;
-    use privacy_runtime::MonitorSnapshot;
-
-    let fixture = fixture();
-    let make_monitor = || {
-        let mut monitor = IndexedMonitor::new(
-            fixture.system.catalog().clone(),
-            fixture.system.policy().clone(),
-            fixture.index.clone(),
-        );
-        for user in &fixture.users {
-            monitor.register_user(user);
-        }
-        monitor
-    };
-
-    let cut = fixture.batches.len() / 2;
-    let mut reference = make_monitor();
-    let mut expected = Vec::new();
-    for batch in &fixture.batches {
-        expected.extend_from_slice(reference.ingest_batch(batch));
-    }
-
-    let mut before = make_monitor();
-    let mut alerts = Vec::new();
-    for batch in &fixture.batches[..cut] {
-        alerts.extend_from_slice(before.ingest_batch(batch));
-    }
-    let old_file = encode_checkpoint_at(
-        CHECKPOINT_VERSION_V2,
-        0,
-        cut as u64,
-        &before.snapshot().to_bytes_at(SNAPSHOT_VERSION_V2),
-    );
-
-    let file = decode_checkpoint(&old_file).expect("v2 checkpoint decodes");
-    assert_eq!(file.through_batch, cut as u64);
-    let snapshot = MonitorSnapshot::from_bytes(&file.snapshot).expect("dense snapshot decodes");
-    let mut resumed = IndexedMonitor::resume_from(
-        fixture.system.catalog().clone(),
-        fixture.system.policy().clone(),
-        fixture.index.clone(),
-        &snapshot,
-    )
-    .expect("dense snapshot resumes");
-    for batch in &fixture.batches[cut..] {
-        alerts.extend_from_slice(resumed.ingest_batch(batch));
-    }
-    assert_eq!(alerts, expected, "resume from a v2 checkpoint diverged from the reference");
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 

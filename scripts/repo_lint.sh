@@ -15,11 +15,13 @@
 # 4. Every checked-in baseline must parse as JSON (python3 json.load): a
 #    truncated or hand-mangled report would otherwise only surface when the
 #    delta tooling reads it.
-# 5. Format-version bumps must ship their compatibility test: when
+# 5. Snapshot-format bumps must ship their compatibility test: when
 #    SNAPSHOT_VERSION is N, some test in crates/runtime must name
-#    `snapshot_v{N-1}`, and when CHECKPOINT_VERSION is N, some test in
-#    crates/distrib must name `checkpoint_v{N-1}` — the grep-level guarantee
-#    that bumping a version without pinning the old decode path fails CI.
+#    `snapshot_v{N-1}` — the grep-level guarantee that bumping the version
+#    without pinning the old decode path fails CI. A snapshot outlives its
+#    run inside the pipeline's checkpoint file; a fleet worker's checkpoint
+#    does not (a fleet launch refuses a directory holding one), so its
+#    frame version has no such guard.
 #
 # Run from anywhere; exits non-zero with one line per violation.
 
@@ -69,7 +71,7 @@ else
     echo "repo-lint: warning: python3 unavailable, skipping baseline JSON validation" >&2
 fi
 
-# 5. Version bumps must ship their compatibility test.
+# 5. Snapshot-format bumps must ship their compatibility test.
 check_version_compat() {
     # $1 constant name, $2 file defining it, $3 test-name prefix,
     # $4 directory the compatibility test must live under.
@@ -91,7 +93,6 @@ version $prev still decodes" >&2
     fi
 }
 check_version_compat SNAPSHOT_VERSION crates/runtime/src/snapshot.rs snapshot_v crates/runtime
-check_version_compat CHECKPOINT_VERSION crates/distrib/src/wire.rs checkpoint_v crates/distrib
 
 [ "$status" -eq 0 ] && echo "repo-lint: ok"
 exit "$status"

@@ -63,9 +63,10 @@
 //! decompressed at drain; a corrupt archive becomes a stream-level
 //! dead-letter entry and a fatal error, exactly like the offline path.
 
+use privacy_distrib::checkpoint::{decode_frame, encode_frame};
 use privacy_distrib::{
-    CheckpointJob, CheckpointStore, CheckpointWarning, CheckpointWriteError, CheckpointWriter,
-    DeltaChain, DistributedMonitor, Generation,
+    CaptureJob, CheckpointStore, CheckpointWarning, CheckpointWriteError, CheckpointWriter,
+    DistributedMonitor, FramePosition, Generation,
 };
 use privacy_ingest::deadletter::{read_dead_letters, DeadLetterRecord, DeadLetterWriter};
 use privacy_ingest::live::{FollowConfig, LineAssembler, LiveSource, SourceEvent};
@@ -83,7 +84,6 @@ use std::sync::Arc;
 
 /// Frame kind for a serialised [`PipelineCheckpoint`].
 pub const PIPELINE_CHECKPOINT_KIND: [u8; 4] = *b"PPLC";
-const PIPELINE_CHECKPOINT_VERSION: u32 = 1;
 
 /// Why a pipeline run failed.
 #[derive(Debug)]
@@ -205,9 +205,7 @@ impl PipelineCheckpoint {
             skipped: self.skipped,
             format: self.format,
         };
-        let mut encoder = position.checkpoint_encoder(Vec::new(), self.snapshot.len());
-        encoder.bytes(&self.snapshot);
-        encoder.finish()
+        encode_frame(&position, &self.snapshot)
     }
 
     /// Decodes a checkpoint written by [`to_bytes`].
@@ -218,27 +216,9 @@ impl PipelineCheckpoint {
     ///
     /// [`CodecError`] on a torn, truncated, or foreign frame.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        let (meta, snapshot) = decode_frame(bytes)?;
+        let (meta, snapshot) = decode_frame::<StreamMeta>(bytes)?;
         Ok(meta.checkpoint(snapshot.to_vec()))
     }
-}
-
-/// The stream position of a `PPLC` frame and its embedded snapshot blob,
-/// borrowed from the frame.
-fn decode_frame(bytes: &[u8]) -> Result<(StreamMeta, &[u8]), CodecError> {
-    let mut decoder = Decoder::new(bytes, PIPELINE_CHECKPOINT_KIND, PIPELINE_CHECKPOINT_VERSION)?;
-    let meta = StreamMeta {
-        offset: decoder.u64()?,
-        lines: decoder.u64()?,
-        next_sequence: decoder.u64()?,
-        events: decoder.u64()?,
-        skipped: decoder.u64()?,
-        format: tag_format(decoder.u8()?)?,
-    };
-    let snapshot_len = decoder.u32()? as usize;
-    let snapshot = decoder.raw(snapshot_len)?;
-    decoder.finish()?;
-    Ok((meta, snapshot))
 }
 
 /// A pipeline checkpoint as a resume loads it: see [`load_checkpoint`].
@@ -269,7 +249,8 @@ pub struct ResumePoint {
 pub fn load_checkpoint(path: &Path) -> (Option<ResumePoint>, Vec<CheckpointWarning>) {
     let (loaded, warnings) = CheckpointStore::new(path).load(
         |bytes| {
-            let (meta, blob) = decode_frame(bytes).map_err(|error| error.to_string())?;
+            let (meta, blob) =
+                decode_frame::<StreamMeta>(bytes).map_err(|error| error.to_string())?;
             let snapshot = (!blob.is_empty())
                 .then(|| MonitorSnapshot::from_bytes(blob))
                 .transpose()
@@ -277,7 +258,8 @@ pub fn load_checkpoint(path: &Path) -> (Option<ResumePoint>, Vec<CheckpointWarni
             Ok((meta, snapshot))
         },
         |(meta, snapshot), payload| {
-            let (next, blob) = decode_frame(payload).map_err(|error| error.to_string())?;
+            let (next, blob) =
+                decode_frame::<StreamMeta>(payload).map_err(|error| error.to_string())?;
             let delta = SnapshotDelta::from_bytes(blob)
                 .map_err(|error| format!("embedded snapshot delta: {error}"))?;
             snapshot
@@ -343,14 +325,7 @@ pub trait MonitorSink {
 }
 
 /// A sink's state at a checkpoint, as [`MonitorSink::capture`] returns it.
-#[derive(Debug)]
-pub enum SinkCapture {
-    /// Already encoded: [`MonitorSnapshot`] bytes, or empty for a sink that
-    /// persists its own state.
-    Encoded(Vec<u8>),
-    /// A snapshot the checkpoint writer still has to encode.
-    Snapshot(MonitorSnapshot),
-}
+pub use privacy_distrib::SinkCapture;
 
 /// A profile for a user first seen in the log.
 fn first_sight_profile(user: &UserId, services: &[ServiceId], no_consent: bool) -> UserProfile {
@@ -594,73 +569,31 @@ impl StreamMeta {
             snapshot,
         }
     }
+}
 
-    /// A `PPLC` checkpoint frame of this position in `buffer`'s allocation,
-    /// up to the snapshot blob the caller appends before sealing it. Room is
-    /// reserved for a snapshot of `snapshot_len` bytes.
-    fn checkpoint_encoder(&self, buffer: Vec<u8>, snapshot_len: usize) -> Encoder {
-        let mut encoder =
-            Encoder::reusing(buffer, PIPELINE_CHECKPOINT_KIND, PIPELINE_CHECKPOINT_VERSION);
-        // Five counters, the format tag, the snapshot and its length.
-        encoder.reserve(5 * 8 + 1 + 4 + snapshot_len);
+/// A `PPLC` v1 frame's position: five counters and the format tag.
+impl FramePosition for StreamMeta {
+    const KIND: [u8; 4] = PIPELINE_CHECKPOINT_KIND;
+    const VERSION: u32 = 1;
+
+    fn put(&self, encoder: &mut Encoder) {
         encoder.u64(self.offset);
         encoder.u64(self.lines);
         encoder.u64(self.next_sequence);
         encoder.u64(self.events);
         encoder.u64(self.skipped);
         encoder.u8(format_tag(self.format));
-        encoder
-    }
-}
-
-/// A checkpoint on its way to the [`CheckpointWriter`]: the stream
-/// position and the sink's capture at that position.
-struct PipelineJob {
-    meta: StreamMeta,
-    capture: SinkCapture,
-    /// Whether the capture directly follows the one the previous job
-    /// carried (their ordinals are consecutive), so its delta brings the
-    /// last checkpoint written to this one. Never set for a run's first
-    /// checkpoint or its drain checkpoint, which are always bases.
-    follows: bool,
-}
-
-/// A delta record is written only while the delta log, with it, stays
-/// smaller than this many times the base it extends; past that, the log
-/// would hold more bytes than a fresh base, so a base is written instead.
-const DELTA_LOG_PER_BASE: usize = 1;
-
-impl CheckpointJob for PipelineJob {
-    type Done = ();
-
-    fn encode(self, file: &mut Vec<u8>) {
-        let mut encoder = self.meta.checkpoint_encoder(std::mem::take(file), 0);
-        match &self.capture {
-            SinkCapture::Encoded(bytes) => encoder.bytes(bytes),
-            // In place: the buffer already holds the previous checkpoint's
-            // capacity, so the snapshot never takes a buffer of its own.
-            SinkCapture::Snapshot(snapshot) => snapshot.encode_nested(&mut encoder),
-        }
-        *file = encoder.finish();
     }
 
-    /// A `PPLC` frame of the stream position embedding the capture's
-    /// [`SnapshotDelta`] instead of its whole snapshot.
-    fn encode_delta(self, record: &mut Vec<u8>, chain: &DeltaChain) -> Result<(), Self> {
-        let delta = match &self.capture {
-            SinkCapture::Snapshot(snapshot) if self.follows && chain.base_bytes > 0 => {
-                snapshot.delta()
-            }
-            _ => None,
-        };
-        let Some(delta) = delta else { return Err(self) };
-        let mut encoder = self.meta.checkpoint_encoder(std::mem::take(record), 0);
-        delta.encode_nested(&mut encoder);
-        *record = encoder.finish();
-        if chain.log_bytes + record.len() >= chain.base_bytes * DELTA_LOG_PER_BASE {
-            return Err(self);
-        }
-        Ok(())
+    fn get(decoder: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        Ok(StreamMeta {
+            offset: decoder.u64()?,
+            lines: decoder.u64()?,
+            next_sequence: decoder.u64()?,
+            events: decoder.u64()?,
+            skipped: decoder.u64()?,
+            format: tag_format(decoder.u8()?)?,
+        })
     }
 }
 
@@ -761,7 +694,7 @@ impl PipelineRunner {
         let outcome = std::thread::scope(|scope| {
             let (progress, durable) = (&self.progress, &durable);
             let writer = self.config.checkpoint.as_ref().map(|path| {
-                CheckpointWriter::<PipelineJob>::spawn(
+                CheckpointWriter::<CaptureJob<StreamMeta>>::spawn(
                     scope,
                     CheckpointStore::new(path),
                     move |done| {
@@ -988,7 +921,7 @@ impl PipelineRunner {
         receiver: &Receiver<WorkItem>,
         spent: &SyncSender<Vec<Event>>,
         sink: &mut dyn MonitorSink,
-        writer: Option<CheckpointWriter<'_, PipelineJob>>,
+        writer: Option<CheckpointWriter<'_, CaptureJob<StreamMeta>>>,
         report: &mut PipelineReport,
         on_alert: &mut dyn FnMut(&Alert),
     ) -> Result<(), PipelineError> {
@@ -1050,7 +983,9 @@ impl PipelineRunner {
             let follows =
                 periodic && last_capture.zip(ordinal).is_some_and(|(last, next)| next == last + 1);
             last_capture = ordinal;
-            writer.submit(PipelineJob { meta: *meta, capture, follows }).map_err(checkpoint_error)
+            writer
+                .submit(CaptureJob { position: *meta, capture, follows })
+                .map_err(checkpoint_error)
         };
 
         while let Ok(item) = receiver.recv() {
@@ -1131,6 +1066,7 @@ impl PipelineRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use privacy_distrib::CheckpointJob;
 
     #[test]
     fn pipeline_checkpoints_round_trip() {
@@ -1209,7 +1145,9 @@ mod tests {
     }
 
     /// The writer's in-place encoding of a captured snapshot is the
-    /// `PipelineCheckpoint` of its encoded bytes.
+    /// `PipelineCheckpoint` of its encoded bytes, and both are a `PPLC` v1
+    /// frame built field by field: five counters, the format tag, then the
+    /// snapshot as a nested blob.
     #[test]
     fn pipeline_jobs_encode_the_checkpoint_bytes() {
         let (mut sink, log) = healthcare_sink_and_log(40);
@@ -1236,10 +1174,17 @@ mod tests {
             snapshot: sink.snapshot().expect("snapshot"),
         }
         .to_bytes();
+        let mut by_hand = Encoder::new(*b"PPLC", 1);
+        for counter in [meta.offset, meta.lines, 77, meta.events, 0] {
+            by_hand.u64(counter);
+        }
+        by_hand.u8(1);
+        by_hand.bytes(&sink.snapshot().expect("snapshot"));
+        assert_eq!(by_hand.finish(), expected);
         let mut file = vec![0xEE; 16];
         let capture = sink.capture().expect("capture");
         assert!(matches!(capture, SinkCapture::Snapshot(_)));
-        PipelineJob { meta, capture, follows: false }.encode(&mut file);
+        CaptureJob { position: meta, capture, follows: false }.encode(&mut file);
         assert_eq!(file, expected);
     }
 
