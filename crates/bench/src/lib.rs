@@ -1,9 +1,8 @@
 //! # privacy-bench
 //!
-//! Benchmark harness for the reproduction: one Criterion bench per table and
-//! figure of the paper's evaluation (Section IV), plus scaling/ablation
-//! benches, plus the `experiments` binary that regenerates every table and
-//! figure as text (the rows recorded in `EXPERIMENTS.md`).
+//! Benchmark harness for the reproduction: the `experiments` binary that
+//! regenerates every table and figure of the paper's evaluation (Section
+//! IV) as text, plus the scaling bins.
 //!
 //! The six scaling bins (`lts_scaling`, `analysis_scaling`,
 //! `runtime_scaling`, `monitor_recovery`, `ingest_scaling`,
@@ -19,8 +18,7 @@
 //! * [`bench_main`] turns a bin's `Err` into a one-line `name: message` and
 //!   a failing exit code.
 //!
-//! Shared fixtures live here too, so the benches and the binaries use
-//! identical workloads.
+//! Shared fixtures live here too, so the bins use identical workloads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,13 +1,16 @@
 //! Process exit-code taxonomy shared by the pipeline binaries.
 //!
-//! `privacy-shardd`, `privacy-supervisor` and `privacy-monitor` all exit
-//! with codes from this table so that callers — the supervisor's restart
-//! policy, CI scripts, shell pipelines — can tell *what kind* of failure
-//! happened without parsing stderr. The supervisor additionally uses
-//! [`is_terminal`] to decide whether restarting a dead worker can possibly
-//! help: a worker that died from an I/O hiccup or an injected crash is
-//! worth restarting, one that rejected the model or the protocol will just
-//! reject them again.
+//! `privacy-shardd` and `privacy-monitor` both exit with codes from this
+//! table so that callers — the supervisor's restart policy, CI scripts,
+//! shell pipelines — can tell *what kind* of failure happened without
+//! parsing stderr. `privacy-monitor --workers N` exits with
+//! [`DistribError::exit_code`](crate::DistribError::exit_code) when its
+//! fleet fails: [`USAGE`], [`SNAPSHOT_FATAL`], [`PROTOCOL_FATAL`],
+//! [`RESTARTS_EXHAUSTED`], or a terminal worker's own code. The supervisor
+//! additionally uses [`is_terminal`] to decide whether restarting a dead
+//! worker can possibly help: a worker that died from an I/O hiccup or an
+//! injected crash is worth restarting, one that rejected the model or the
+//! protocol will just reject them again.
 
 /// Success.
 pub const OK: i32 = 0;
@@ -25,8 +28,8 @@ pub const IO_FATAL: i32 = 12;
 /// frame, out-of-order acknowledgement.
 pub const PROTOCOL_FATAL: i32 = 13;
 /// The supervisor gave up on a worker that kept dying without making
-/// progress (its restart budget ran out). Only the supervisor exits with
-/// it; a worker never does.
+/// progress (its restart budget ran out). Only `privacy-monitor
+/// --workers` exits with it; a worker never does.
 pub const RESTARTS_EXHAUSTED: i32 = 14;
 /// The process terminated itself on purpose because an injected fault from
 /// a [`FaultPlan`](crate::fault::FaultPlan) fired. Test harness only.

@@ -30,8 +30,10 @@
 //!   windows with backpressure**, merges per-worker alert streams back into
 //!   the deterministic batch-position order the in-process sharding
 //!   guarantees, detects death (pipe EOF / ack timeout) and restarts with
-//!   exponential backoff + a jitter cap, resuming the replacement from its
-//!   last good checkpoint and replaying only the unacknowledged suffix.
+//!   exponential backoff + a jitter cap (fixed constants), resuming the
+//!   replacement from its last good checkpoint and replaying only the
+//!   unacknowledged suffix. `privacy-monitor --workers N` drives it from
+//!   the live pipeline, through `privacy_mde::pipeline::DistributedSink`.
 //!   Only checkpoints written during the run are ever resumed: a launch
 //!   refuses a checkpoint directory an earlier run left checkpoints in.
 //! * [`checkpoint`] — [`CheckpointStore`]: atomic write-to-temp-then-rename
@@ -45,10 +47,11 @@
 //!   on-disk file) drive the differential property tests asserting the
 //!   merged alert stream is byte-identical to the uninterrupted
 //!   single-process run under every injected fault schedule.
-//! * [`exit`] — the process exit-code taxonomy shared by `privacy-shardd`,
-//!   `privacy-monitor` and `privacy-supervisor`, so the restart policy can
-//!   distinguish retryable exits (crash, I/O, injected fault) from terminal
-//!   ones (usage, protocol, model mismatch).
+//! * [`exit`] — the process exit-code taxonomy shared by `privacy-shardd`
+//!   and `privacy-monitor`, so the restart policy can distinguish
+//!   retryable exits (crash, I/O, injected fault) from terminal ones
+//!   (usage, protocol, model mismatch), and a failed fleet exits the
+//!   monitor with [`DistribError::exit_code`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -65,7 +68,5 @@ pub use checkpoint::{
     CheckpointWriter, DeltaChain, FramePosition, Generation, Loaded, SinkCapture,
 };
 pub use fault::{Fault, FaultPlan, WorkerFaults};
-pub use supervisor::{
-    DistribError, DistribStats, DistributedMonitor, Recovery, RestartPolicy, SupervisorConfig,
-};
+pub use supervisor::{DistribError, DistribStats, DistributedMonitor, Recovery, SupervisorConfig};
 pub use wire::Message;

@@ -51,7 +51,9 @@
 //! [`Fatal`](Message::Fatal) report, or an ack/checkpoint timeout. Terminal
 //! exit codes (see [`crate::exit`]) abort the run with a typed error;
 //! anything else triggers supervised restart with exponential backoff and a
-//! deterministic jitter, capped by [`RestartPolicy`]. A replacement resumes
+//! deterministic jitter, capped at 2 s; a slot gets 5 restarts without
+//! sustained progress before the run fails. These are constants, not
+//! configuration: no caller has needed another value. A replacement resumes
 //! from the newest *valid* checkpoint generation (falling back past a
 //! corrupt one with a recorded warning), gets its owned profiles
 //! re-registered, and replays exactly the retained suffix of sub-batches
@@ -91,49 +93,39 @@ const WRITER_QUEUE: usize = 16;
 /// and report [`Ready`](Message::Ready).
 const STARTUP_TIMEOUT: Duration = Duration::from_secs(120);
 
-/// When and how often a dead worker is restarted.
-#[derive(Debug, Clone)]
-pub struct RestartPolicy {
-    /// Delay before the first restart attempt; doubles per attempt.
-    pub base_delay: Duration,
-    /// Upper bound on any single backoff delay (the jitter cap).
-    pub max_delay: Duration,
-    /// Restarts allowed without intervening progress before the supervisor
-    /// gives up with a typed error.
-    pub max_restarts: u32,
-    /// Acked batches a fresh incarnation must deliver before the restart
-    /// budget resets. One ack is not progress: a worker that limps through
-    /// a single batch per incarnation and then dies would otherwise crash-
-    /// loop forever inside a perpetually-renewed budget. Only *sustained*
-    /// health — this many acks from one incarnation — forgives its past.
-    pub reset_after_acks: u32,
-}
+/// Delay before the first restart attempt of a dead worker; it doubles
+/// per attempt.
+const RESTART_BASE_DELAY: Duration = Duration::from_millis(50);
 
-impl Default for RestartPolicy {
-    fn default() -> Self {
-        Self {
-            base_delay: Duration::from_millis(50),
-            max_delay: Duration::from_secs(2),
-            max_restarts: 5,
-            reset_after_acks: 3,
-        }
-    }
-}
+/// Upper bound on any single restart backoff delay (the jitter cap).
+const RESTART_MAX_DELAY: Duration = Duration::from_secs(2);
 
-impl RestartPolicy {
-    /// Exponential backoff with a deterministic per-(worker, spawn) jitter,
-    /// capped at `max_delay`. Deterministic jitter keeps runs reproducible
-    /// while still de-synchronising workers that died together.
-    fn delay_for(&self, attempt: u32, worker: usize, spawn_count: u32) -> Duration {
-        let doubled = self.base_delay.saturating_mul(1u32 << attempt.min(10));
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for word in [worker as u64, u64::from(spawn_count)] {
-            hash ^= word;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        let jitter = self.base_delay.saturating_mul((hash % 1000) as u32) / 2000;
-        doubled.saturating_add(jitter).min(self.max_delay)
+/// Restarts a worker slot gets without intervening progress before the
+/// supervisor gives up with [`DistribError::RestartsExhausted`].
+const MAX_RESTARTS: u32 = 5;
+
+/// Acked batches a fresh incarnation must deliver before its slot's restart
+/// budget resets. One ack is not progress: a worker that limps through a
+/// single batch per incarnation and then dies would otherwise crash-loop
+/// forever inside a perpetually renewed budget. Only *sustained* health —
+/// this many acks from one incarnation — forgives its past.
+const RESET_AFTER_ACKS: u32 = 3;
+
+/// How long to wait for a checkpoint reply before declaring a worker dead.
+const CONTROL_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// Exponential restart backoff with a deterministic per-(worker, spawn)
+/// jitter, capped at [`RESTART_MAX_DELAY`]. Deterministic jitter keeps runs
+/// reproducible while still de-synchronising workers that died together.
+fn restart_delay(attempt: u32, worker: usize, spawn_count: u32) -> Duration {
+    let doubled = RESTART_BASE_DELAY.saturating_mul(1u32 << attempt.min(10));
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for word in [worker as u64, u64::from(spawn_count)] {
+        hash ^= word;
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
+    let jitter = RESTART_BASE_DELAY.saturating_mul((hash % 1000) as u32) / 2000;
+    doubled.saturating_add(jitter).min(RESTART_MAX_DELAY)
 }
 
 /// Configuration for a [`DistributedMonitor`].
@@ -145,7 +137,7 @@ pub struct SupervisorConfig {
     pub workers: usize,
     /// Maximum sub-batches in flight per worker before submits block.
     pub window: usize,
-    /// Checkpoint all workers every N super-batches (0 = only on demand).
+    /// Checkpoint all workers every N super-batches (0 = never).
     pub checkpoint_every: u64,
     /// Directory for the per-worker checkpoint files. It must hold no
     /// worker checkpoint when the fleet launches.
@@ -165,10 +157,6 @@ pub struct SupervisorConfig {
     /// parts before flushing it anyway — the latency bound under trickle
     /// input.
     pub linger: Duration,
-    /// How long to wait for a checkpoint reply.
-    pub control_timeout: Duration,
-    /// Restart backoff policy.
-    pub restart: RestartPolicy,
     /// Failure-injection schedule (empty in production).
     pub fault_plan: FaultPlan,
 }
@@ -188,8 +176,6 @@ impl SupervisorConfig {
             ack_grace_per_event: Duration::from_millis(5),
             max_frame_events: 1024,
             linger: Duration::from_millis(2),
-            control_timeout: Duration::from_secs(60),
-            restart: RestartPolicy::default(),
             fault_plan: FaultPlan::none(),
         }
     }
@@ -280,11 +266,12 @@ pub enum DistribError {
 }
 
 impl DistribError {
-    /// The process exit code (see [`crate::exit`]) a supervisor that fails
-    /// with this error exits with: [`exit::USAGE`] for a configuration
-    /// error, a terminal worker's own code, [`exit::PROTOCOL_FATAL`] for a
-    /// protocol break, [`exit::SNAPSHOT_FATAL`] for an unrecoverable
-    /// checkpoint and [`exit::RESTARTS_EXHAUSTED`] for a crash loop.
+    /// The process exit code (see [`crate::exit`]) that a fleet run of
+    /// `privacy-monitor --workers` failing with this error exits with:
+    /// [`exit::USAGE`] for a configuration error, a terminal worker's own
+    /// code, [`exit::PROTOCOL_FATAL`] for a protocol break,
+    /// [`exit::SNAPSHOT_FATAL`] for an unrecoverable checkpoint and
+    /// [`exit::RESTARTS_EXHAUSTED`] for a crash loop.
     #[must_use]
     pub fn exit_code(&self) -> i32 {
         match self {
@@ -456,7 +443,7 @@ struct WorkerSlot {
     /// current incarnation is `spawn_count - 1`.
     spawn_count: u32,
     /// Restarts since the last *sustained* progress (see
-    /// [`RestartPolicy::reset_after_acks`]).
+    /// [`RESET_AFTER_ACKS`]).
     consecutive_restarts: u32,
     /// Batches acked by the current incarnation, for the sustained-progress
     /// test. Zeroed on every spawn.
@@ -703,59 +690,6 @@ impl DistributedMonitor {
         Ok(std::mem::take(&mut self.emitted))
     }
 
-    /// Checkpoints every worker now, **synchronously** (flushing their
-    /// lanes first): on return every worker has a completed checkpoint.
-    /// For callers that need durability to be certain before proceeding;
-    /// the periodic cadence goes through the private `checkpoint_async`
-    /// instead.
-    ///
-    /// The checkpoint is still **broadcast**: every worker gets the request
-    /// before any reply is awaited, so the workers' snapshot encodes and
-    /// fsyncs overlap instead of serializing. A worker that dies
-    /// mid-checkpoint falls back to the sequential per-worker path, which
-    /// restarts it and retries.
-    ///
-    /// # Errors
-    ///
-    /// Propagates typed supervisor failures.
-    pub fn checkpoint_now(&mut self) -> Result<(), DistribError> {
-        for w in 0..self.workers.len() {
-            self.flush_worker(w)?;
-        }
-        let mut awaiting = Vec::new();
-        for w in 0..self.workers.len() {
-            match self.send_raw(w, &Message::Checkpoint) {
-                Ok(()) => awaiting.push(w),
-                Err(cause) => {
-                    self.handle_death(w, cause)?;
-                    self.checkpoint_worker(w)?;
-                }
-            }
-        }
-        for w in awaiting {
-            match self.recv(w, self.config.control_timeout) {
-                Received::Msg(Message::CheckpointDone { through_batch }) => {
-                    self.complete_checkpoint(w, through_batch)?;
-                }
-                Received::Msg(other) => {
-                    return Err(DistribError::Protocol {
-                        worker: w,
-                        detail: format!("expected CheckpointDone, got {other:?}"),
-                    })
-                }
-                Received::Dead(cause) => {
-                    self.handle_death(w, cause)?;
-                    self.checkpoint_worker(w)?;
-                }
-                Received::TimedOut => {
-                    self.handle_death(w, "checkpoint timed out".to_owned())?;
-                    self.checkpoint_worker(w)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Flushes the fleet, asks every worker to exit, reaps the processes,
     /// and returns the remaining merged alerts plus the run statistics.
     ///
@@ -866,11 +800,11 @@ impl DistributedMonitor {
         let mut last = cause.clone().unwrap_or_else(|| "launch".to_owned());
         loop {
             let attempt = self.workers[w].consecutive_restarts;
-            if attempt >= self.config.restart.max_restarts {
+            if attempt >= MAX_RESTARTS {
                 return Err(DistribError::RestartsExhausted { worker: w, attempts: attempt, last });
             }
             if is_recovery || attempt > 0 {
-                let delay = self.config.restart.delay_for(attempt, w, self.workers[w].spawn_count);
+                let delay = restart_delay(attempt, w, self.workers[w].spawn_count);
                 thread::sleep(delay);
             }
             self.workers[w].consecutive_restarts = attempt + 1;
@@ -1108,7 +1042,7 @@ impl DistributedMonitor {
             // (the worker repeats them until it sees our acked_through) and
             // are equally ignorable.
         }
-        if self.workers[w].acks_since_spawn >= self.config.restart.reset_after_acks {
+        if self.workers[w].acks_since_spawn >= RESET_AFTER_ACKS {
             self.workers[w].consecutive_restarts = 0;
         }
         self.workers[w].merged_through = self.workers[w].merged_through.max(through);
@@ -1221,7 +1155,7 @@ impl DistributedMonitor {
 
     /// Drains the lane completely: every in-flight sub-batch acked *and*
     /// every outstanding asynchronous checkpoint completed, so a control
-    /// exchange (a synchronous checkpoint, shutdown) sees only its own
+    /// exchange (a per-worker checkpoint, shutdown) sees only its own
     /// reply next on the pipe.
     fn flush_worker(&mut self, w: usize) -> Result<(), DistribError> {
         loop {
@@ -1231,7 +1165,7 @@ impl DistributedMonitor {
             if self.workers[w].ckpts_pending == 0 {
                 return Ok(());
             }
-            match self.recv(w, self.config.control_timeout) {
+            match self.recv(w, CONTROL_TIMEOUT) {
                 Received::Msg(Message::CheckpointDone { through_batch }) => {
                     self.workers[w].ckpts_pending -= 1;
                     self.complete_checkpoint(w, through_batch)?;
@@ -1306,6 +1240,9 @@ impl DistributedMonitor {
         Ok(())
     }
 
+    /// The synchronous path for one worker: drain its lane, checkpoint,
+    /// and wait for the reply, restarting the worker and retrying until a
+    /// checkpoint lands.
     fn checkpoint_worker(&mut self, w: usize) -> Result<(), DistribError> {
         loop {
             self.flush_worker(w)?;
@@ -1313,7 +1250,7 @@ impl DistributedMonitor {
                 self.handle_death(w, cause)?;
                 continue;
             }
-            match self.recv(w, self.config.control_timeout) {
+            match self.recv(w, CONTROL_TIMEOUT) {
                 Received::Msg(Message::CheckpointDone { through_batch }) => {
                     self.complete_checkpoint(w, through_batch)?;
                     return Ok(());

@@ -405,11 +405,16 @@ fn a_launch_over_an_earlier_runs_checkpoints_is_refused() {
     for user in &fixture.users {
         monitor.register_user(user).expect("registration routes");
     }
-    for batch in &fixture.batches[..4] {
+    // Checkpoints land through the fixture's `checkpoint_every = 3`, each
+    // worker on its own phase of the interval: six batches give both
+    // workers two generations, and `shutdown` waits for the last of them.
+    for batch in &fixture.batches[..6] {
         monitor.submit_batch(batch).expect("batch is processed");
     }
-    monitor.checkpoint_now().expect("checkpoints land");
     monitor.shutdown().expect("clean shutdown");
+    for w in 0..2 {
+        assert!(dir.join(format!("worker-{w}.ckpt.prev")).exists(), "worker {w}: one generation");
+    }
     for workers in [2, 1, 4] {
         let mut again = config("reuse", workers, FaultPlan::none());
         again.checkpoint_dir = dir.clone();

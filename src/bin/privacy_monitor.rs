@@ -1,13 +1,17 @@
-//! `privacy-monitor`: run real logs through the indexed runtime monitor.
+//! `privacy-monitor`: run real logs through the runtime monitor, in process
+//! or on a fleet of worker processes.
 //!
 //! The end-to-end wiring of the ingestion front end: a log file (or stdin),
 //! in JSON lines / logfmt / CSV — gzip-compressed or plain — is parsed
 //! through a [`FieldMapping`], resolved into events, and batch-ingested
-//! into an [`IndexedMonitor`] over the paper's healthcare case-study model.
+//! into an [`IndexedMonitor`] over the paper's healthcare case-study model,
+//! or, with `--workers N`, into a [`DistributedMonitor`] fleet of `N`
+//! shard-owning `privacy-shardd` processes.
 //!
 //! ```text
 //! privacy-monitor [FILE|-] [--format auto|json|logfmt|csv]
-//!                 [--error-policy fail-fast|skip] [--batch N] [--threads N]
+//!                 [--error-policy fail-fast|skip] [--batch N]
+//!                 [--threads N | --workers N]
 //!                 [--checkpoint PATH] [--resume PATH] [--aliases]
 //!                 [--no-consent] [--quiet]
 //!                 [--follow] [--poll-ms N] [--dead-letter PATH]
@@ -46,27 +50,47 @@
 //! the monitor ingests on its own thread, next to the parser thread and,
 //! with `--checkpoint`, the checkpoint writer.
 //!
+//! # The fleet
+//!
+//! `--workers N` (1 to 32) runs the same pipeline over a
+//! [`DistributedSink`]: the supervisor spawns `N` `privacy-shardd` workers,
+//! found next to this executable, each owning a fixed slice of the user
+//! shards; routes every batch to them; and merges their alert streams back
+//! into the in-process monitor's order, so stdout is the same alert for
+//! alert. A worker that dies is restarted from its last checkpoint and
+//! replays what it had not acknowledged. Workers checkpoint every 4
+//! batches into a directory of this process's own under the temp
+//! directory (`$TMPDIR`), removed after a clean run; a fleet never resumes
+//! an earlier run's checkpoints, so `--workers` refuses `--checkpoint`
+//! and `--resume`, and `--threads` too. The stderr summary adds the
+//! fleet's worker checkpoints and recoveries.
+//!
 //! Unknown users are registered on first sight — consenting to every
 //! catalog service by default (so alerts reflect risky *actions*, not a
 //! blanket absence of consent), or with empty consent under `--no-consent`.
 //! Users restored by `--resume` keep their state.
 //!
 //! Exit codes follow the [`privacy_distrib::exit`] taxonomy: 0 ok, 2 usage,
-//! 10 ingestion failed, 11 snapshot/model state failed, 12 I/O failed — see
-//! `--help`.
+//! 10 ingestion failed, 11 snapshot/model state failed, 12 I/O failed; a
+//! failed fleet exits with [`DistribError::exit_code`]: 2 for a fleet that
+//! cannot be configured (no worker binary), 11 when no checkpoint covers a
+//! worker's replay, 13 for a protocol break, 14 when a worker keeps dying,
+//! and a terminal worker's own code — see `--help`.
 //!
 //! [`CheckpointStore`]: privacy_distrib::CheckpointStore
+//! [`DistributedSink`]: privacy_mde::pipeline::DistributedSink
 //! [`MonitorSnapshot`]: privacy_runtime::MonitorSnapshot
 
 use privacy_core::{casestudy, PrivacySystem};
-use privacy_distrib::exit;
+use privacy_distrib::{exit, DistribError, DistributedMonitor, SupervisorConfig};
 use privacy_ingest::{is_gzip, ErrorPolicy, FieldMapping, Format, LiveSource};
 use privacy_lts::LtsIndex;
 use privacy_mde::pipeline::{
-    load_checkpoint, IndexedSink, PipelineConfig, PipelineError, PipelineRunner,
+    load_checkpoint, DistributedSink, IndexedSink, MonitorSink, PipelineConfig, PipelineError,
+    PipelineReport, PipelineRunner,
 };
 use privacy_model::ServiceId;
-use privacy_runtime::IndexedMonitor;
+use privacy_runtime::{IndexedMonitor, SHARD_COUNT};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -80,6 +104,7 @@ struct Options {
     policy: ErrorPolicy,
     batch: usize,
     threads: Option<usize>,
+    workers: Option<usize>,
     checkpoint: Option<String>,
     resume: Option<String>,
     aliases: bool,
@@ -91,8 +116,11 @@ struct Options {
     stop_file: Option<PathBuf>,
 }
 
+/// Worker checkpoints are taken every this many batches.
+const FLEET_CHECKPOINT_EVERY: u64 = 4;
+
 const USAGE: &str = "usage: privacy-monitor [FILE|-] [--format auto|json|logfmt|csv] \
-                     [--error-policy fail-fast|skip] [--batch N] [--threads N] \
+                     [--error-policy fail-fast|skip] [--batch N] [--threads N | --workers N] \
                      [--checkpoint PATH] [--resume PATH] [--aliases] [--no-consent] [--quiet] \
                      [--follow] [--poll-ms N] [--dead-letter PATH] [--stop-file PATH]";
 
@@ -112,6 +140,15 @@ Monitoring:
   --batch N           events per monitor batch (default 1024)
   --threads N         monitor threads per batch (default 1: the monitor
                       ingests on its own thread)
+
+Fleet:
+  --workers N         monitor on N worker processes, 1 to 32: privacy-shardd
+                      next to this executable, each owning a fixed share of
+                      the users; alerts print in the in-process order, a
+                      dead worker is restarted from its last checkpoint
+                      (taken every 4 batches in a temporary directory,
+                      removed after a clean run); not with --threads,
+                      --checkpoint or --resume
 
 Checkpointing:
   --checkpoint PATH   every 1024 resolved events and once at drain, save
@@ -135,7 +172,12 @@ Exit codes:
   2    usage error (bad flag or value)
   10   ingestion failed (unreadable input or a fatal parse under fail-fast)
   11   state failed (model build, snapshot decode, or resume rejected)
-  12   I/O failed (checkpoint could not be written)";
+  12   I/O failed (checkpoint could not be written)
+  13   a fleet worker broke the wire protocol
+  14   a fleet worker kept dying: its restart budget ran out
+  N    a fleet worker exited with terminal code N (2, 10, 11 or 13), which
+       restarting cannot fix; a fleet exits 2 when privacy-shardd is missing
+       and 11 when no checkpoint covers a worker's replay";
 
 /// A run failure carrying the exit code it must map to.
 enum CliError {
@@ -146,20 +188,29 @@ enum CliError {
     State(String),
     /// A checkpoint could not be persisted ([`exit::IO_FATAL`]).
     Io(String),
+    /// The fleet failed ([`DistribError::exit_code`]).
+    Fleet(DistribError),
 }
 
 impl CliError {
     fn code(&self) -> u8 {
-        match self {
-            CliError::Ingest(_) => exit::INGEST_FATAL as u8,
-            CliError::State(_) => exit::SNAPSHOT_FATAL as u8,
-            CliError::Io(_) => exit::IO_FATAL as u8,
-        }
+        let code = match self {
+            CliError::Ingest(_) => exit::INGEST_FATAL,
+            CliError::State(_) => exit::SNAPSHOT_FATAL,
+            CliError::Io(_) => exit::IO_FATAL,
+            CliError::Fleet(error) => error.exit_code(),
+        };
+        u8::try_from(code).unwrap_or(1)
     }
+}
 
-    fn message(&self) -> &str {
+impl std::fmt::Display for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CliError::Ingest(message) | CliError::State(message) | CliError::Io(message) => message,
+            CliError::Ingest(message) | CliError::State(message) | CliError::Io(message) => {
+                f.write_str(message)
+            }
+            CliError::Fleet(error) => write!(f, "fleet: {error}"),
         }
     }
 }
@@ -171,6 +222,7 @@ fn parse_options() -> Result<Options, String> {
         policy: ErrorPolicy::FailFast,
         batch: 1024,
         threads: None,
+        workers: None,
         checkpoint: None,
         resume: None,
         aliases: false,
@@ -219,6 +271,15 @@ fn parse_options() -> Result<Options, String> {
                 }
                 options.threads = Some(threads);
             }
+            "--workers" => {
+                let value = args.next().ok_or("--workers needs a value")?;
+                let workers: usize =
+                    value.parse().map_err(|_| format!("bad --workers value `{value}`"))?;
+                if !(1..=SHARD_COUNT).contains(&workers) {
+                    return Err(format!("--workers must be in 1..={SHARD_COUNT}"));
+                }
+                options.workers = Some(workers);
+            }
             "--checkpoint" => {
                 options.checkpoint = Some(args.next().ok_or("--checkpoint needs a path")?);
             }
@@ -257,6 +318,18 @@ fn parse_options() -> Result<Options, String> {
             other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
         }
     }
+    if options.workers.is_some() {
+        // The fleet checkpoints and parallelises on its own.
+        for (flag, set) in [
+            ("--threads", options.threads.is_some()),
+            ("--checkpoint", options.checkpoint.is_some()),
+            ("--resume", options.resume.is_some()),
+        ] {
+            if set {
+                return Err(format!("--workers cannot be combined with {flag}"));
+            }
+        }
+    }
     Ok(options)
 }
 
@@ -269,9 +342,7 @@ fn run(options: &Options) -> Result<(), CliError> {
     let lts =
         system.generate_lts().map_err(|e| CliError::State(format!("generating the LTS: {e}")))?;
     let index = Arc::new(LtsIndex::build(&lts));
-    let catalog = system.catalog().clone();
-    let policy = system.policy().clone();
-    let services: Vec<ServiceId> = catalog.services().map(|s| s.id().clone()).collect();
+    let services: Vec<ServiceId> = system.catalog().services().map(|s| s.id().clone()).collect();
 
     // A checkpoint is a pipeline checkpoint: the stream offset and
     // counters plus the embedded monitor snapshot, as a base and the delta
@@ -293,15 +364,6 @@ fn run(options: &Options) -> Result<(), CliError> {
         }
         None => (None, None),
     };
-    let monitor = match &snapshot {
-        Some(snapshot) => {
-            IndexedMonitor::resume_from(catalog, policy, Arc::clone(&index), snapshot)
-                .map_err(|e| CliError::State(format!("resuming monitor state: {e}")))?
-        }
-        None => IndexedMonitor::new(catalog, policy, Arc::clone(&index)),
-    }
-    .with_threads(options.threads);
-    let mut sink = IndexedSink::new(monitor, services, options.no_consent);
 
     let mapping = if options.aliases {
         FieldMapping::with_common_aliases()
@@ -336,11 +398,80 @@ fn run(options: &Options) -> Result<(), CliError> {
     } else {
         LiveSource::pipe(Box::new(open_at(&options.input, offset)?), config.follow.clone())
     };
-
     let runner = PipelineRunner::new(config);
+
+    let Some(workers) = options.workers else {
+        let (catalog, policy) = (system.catalog().clone(), system.policy().clone());
+        let monitor = match &snapshot {
+            Some(snapshot) => IndexedMonitor::resume_from(catalog, policy, index, snapshot)
+                .map_err(|e| CliError::State(format!("resuming monitor state: {e}")))?,
+            None => IndexedMonitor::new(catalog, policy, index),
+        }
+        .with_threads(options.threads);
+        let mut sink = IndexedSink::new(monitor, services, options.no_consent);
+        let report = drive(options, &runner, source, &mut sink)?;
+        eprintln!("{}", summary(&report));
+        return Ok(());
+    };
+
+    // The fleet: the same pipeline over the workers, whose checkpoints
+    // live in a directory of this process's own.
+    let me = std::env::current_exe().map_err(|e| {
+        CliError::Fleet(DistribError::Config { detail: format!("locating this executable: {e}") })
+    })?;
+    let worker = me.with_file_name("privacy-shardd");
+    if !worker.exists() {
+        return Err(CliError::Fleet(DistribError::Config {
+            detail: format!("no worker binary at {}", worker.display()),
+        }));
+    }
+    let checkpoint_dir =
+        std::env::temp_dir().join(format!("privacy-monitor-fleet-{}", std::process::id()));
+    let mut fleet = SupervisorConfig::new(worker, &checkpoint_dir);
+    fleet.workers = workers;
+    fleet.checkpoint_every = FLEET_CHECKPOINT_EVERY;
+    let monitor = DistributedMonitor::launch("Healthcare", &system, index.fingerprint(), fleet)
+        .map_err(CliError::Fleet)?;
+    let mut sink = DistributedSink::new(monitor, services, options.no_consent);
+    let mut report = drive(options, &runner, source, &mut sink)?;
+    let (rest, stats) = sink.into_monitor().shutdown().map_err(CliError::Fleet)?;
+    let _ = std::fs::remove_dir_all(&checkpoint_dir);
+    if !options.quiet {
+        for alert in &rest {
+            println!("{alert}");
+        }
+    }
+    report.alerts += rest.len() as u64;
+    eprintln!(
+        "{}; {workers} workers, {} worker checkpoints, {} recoveries",
+        summary(&report),
+        stats.checkpoints,
+        stats.recoveries.len(),
+    );
+    for recovery in &stats.recoveries {
+        eprintln!(
+            "  recovered worker {} (incarnation {}) in {:?}: resumed from batch {}{} — {}",
+            recovery.worker,
+            recovery.incarnation,
+            recovery.latency,
+            recovery.resumed_from_batch,
+            if recovery.fell_back { " (fell back a generation)" } else { "" },
+            recovery.cause,
+        );
+    }
+    Ok(())
+}
+
+/// Runs the pipeline over `sink`, printing alerts as batches complete.
+fn drive(
+    options: &Options,
+    runner: &PipelineRunner,
+    source: LiveSource,
+    sink: &mut dyn MonitorSink,
+) -> Result<PipelineReport, CliError> {
     let quiet = options.quiet;
-    let report = runner
-        .run(source, &mut sink, |alert| {
+    runner
+        .run(source, sink, |alert| {
             if !quiet {
                 println!("{alert}");
             }
@@ -349,10 +480,14 @@ fn run(options: &Options) -> Result<(), CliError> {
             PipelineError::Ingest(e) => {
                 CliError::Ingest(format!("ingesting {}: {e}", options.input))
             }
-            PipelineError::Monitor(e) => CliError::State(e),
+            PipelineError::Monitor(e) => CliError::Fleet(e),
             PipelineError::Io(e) => CliError::Io(e),
-        })?;
-    eprintln!(
+        })
+}
+
+/// The stderr summary of a run.
+fn summary(report: &PipelineReport) -> String {
+    format!(
         "{} format, {} bytes, {} lines, {} events, {} quarantined ({} dead-lettered), \
          {} rotations, {} truncations, {} checkpoints, {} alerts — drained through offset {}",
         report.format.map_or_else(|| "undetected".to_owned(), |f| f.to_string()),
@@ -366,8 +501,7 @@ fn run(options: &Options) -> Result<(), CliError> {
         report.checkpoints,
         report.alerts,
         report.offset,
-    );
-    Ok(())
+    )
 }
 
 /// Opens the finite input file positioned at a resumed stream `offset`.
@@ -423,7 +557,7 @@ fn main() -> ExitCode {
     match run(&options) {
         Ok(()) => ExitCode::SUCCESS,
         Err(error) => {
-            eprintln!("privacy-monitor: {}", error.message());
+            eprintln!("privacy-monitor: {error}");
             ExitCode::from(error.code())
         }
     }

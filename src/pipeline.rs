@@ -66,7 +66,7 @@
 use privacy_distrib::checkpoint::{decode_frame, encode_frame};
 use privacy_distrib::{
     CaptureJob, CheckpointStore, CheckpointWarning, CheckpointWriteError, CheckpointWriter,
-    DistributedMonitor, FramePosition, Generation,
+    DistribError, DistributedMonitor, FramePosition, Generation,
 };
 use privacy_ingest::deadletter::{read_dead_letters, DeadLetterRecord, DeadLetterWriter};
 use privacy_ingest::live::{FollowConfig, LineAssembler, LiveSource, SourceEvent};
@@ -91,8 +91,10 @@ pub enum PipelineError {
     /// The source or parser failed fatally (IO retries exhausted, a
     /// stream-level error, or a line-level error under fail-fast).
     Ingest(IngestError),
-    /// The monitor sink rejected events or could not flush.
-    Monitor(String),
+    /// The monitor sink failed: the fleet behind a [`DistributedSink`]
+    /// stopped with a typed error, or refused a pipeline checkpoint. Its
+    /// [`DistribError::exit_code`] is the process exit code.
+    Monitor(DistribError),
     /// A checkpoint or dead-letter file could not be read or written.
     Io(String),
 }
@@ -101,7 +103,7 @@ impl fmt::Display for PipelineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PipelineError::Ingest(error) => write!(f, "ingest: {error}"),
-            PipelineError::Monitor(message) => write!(f, "monitor: {message}"),
+            PipelineError::Monitor(error) => write!(f, "monitor: {error}"),
             PipelineError::Io(message) => write!(f, "io: {message}"),
         }
     }
@@ -301,13 +303,13 @@ pub trait MonitorSink {
     /// [`PipelineError::Monitor`] when the flush fails.
     fn flush(&mut self) -> Result<Vec<Alert>, PipelineError>;
 
-    /// State to embed in a [`PipelineCheckpoint`] — empty when the sink
-    /// persists its own state (the distributed monitor checkpoints its
-    /// workers instead).
+    /// State to embed in a [`PipelineCheckpoint`].
     ///
     /// # Errors
     ///
-    /// [`PipelineError::Monitor`] when state capture fails.
+    /// [`PipelineError::Monitor`] when state capture fails, or when the
+    /// sink persists its own state and refuses pipeline checkpoints, as
+    /// [`DistributedSink`] does.
     fn snapshot(&mut self) -> Result<Vec<u8>, PipelineError>;
 
     /// The state for the next checkpoint, captured now and encoded later
@@ -403,8 +405,10 @@ impl MonitorSink for IndexedSink {
 }
 
 /// The multi-process [`DistributedMonitor`] as a pipeline sink. The
-/// supervisor checkpoints its workers itself, so pipeline checkpoints
-/// embed no snapshot and `--resume` is scoped to the indexed sink.
+/// supervisor checkpoints its workers itself, so a run over this sink sets
+/// no [`PipelineConfig::checkpoint`]: a pipeline checkpoint is refused with
+/// a typed [`DistribError::Config`], and `--resume` is scoped to the
+/// indexed sink.
 ///
 /// Each `ingest` call maps to one supervisor super-batch; the supervisor's
 /// per-worker writer threads coalesce consecutive sub-batches into single
@@ -442,19 +446,25 @@ impl MonitorSink for DistributedSink {
                         &self.services,
                         self.no_consent,
                     ))
-                    .map_err(|error| PipelineError::Monitor(error.to_string()))?;
+                    .map_err(PipelineError::Monitor)?;
             }
         }
-        self.monitor.submit_batch(events).map_err(|error| PipelineError::Monitor(error.to_string()))
+        self.monitor.submit_batch(events).map_err(PipelineError::Monitor)
     }
 
     fn flush(&mut self) -> Result<Vec<Alert>, PipelineError> {
-        self.monitor.flush().map_err(|error| PipelineError::Monitor(error.to_string()))
+        self.monitor.flush().map_err(PipelineError::Monitor)
     }
 
+    /// Always refused: a pipeline checkpoint could hold only the stream
+    /// position, which nothing can resume, because a fleet never resumes
+    /// an earlier run's worker checkpoints.
     fn snapshot(&mut self) -> Result<Vec<u8>, PipelineError> {
-        self.monitor.checkpoint_now().map_err(|error| PipelineError::Monitor(error.to_string()))?;
-        Ok(Vec::new())
+        Err(PipelineError::Monitor(DistribError::Config {
+            detail: "the fleet checkpoints its own workers; a pipeline checkpoint over it \
+                     could not be resumed"
+                .to_owned(),
+        }))
     }
 }
 

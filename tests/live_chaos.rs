@@ -511,3 +511,42 @@ fn distributed_sink_with_fault_plan_survives_composed_chaos() {
     assert!(dead.iter().any(|record| record.kind == "bad_value"));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The fleet checkpoints its own workers, and a pipeline checkpoint over it
+/// could hold only a stream position nothing can resume: asking for one
+/// fails the run with a typed configuration error, exit code 2, and writes
+/// no file.
+#[test]
+fn a_pipeline_checkpoint_over_the_fleet_is_a_typed_refusal() {
+    use privacy_distrib::{exit, DistribError, DistributedMonitor, SupervisorConfig};
+
+    let shardd = Path::new(env!("CARGO_BIN_EXE_privacy-monitor")).with_file_name("privacy-shardd");
+    if !shardd.exists() {
+        eprintln!("skipping: {} not built", shardd.display());
+        return;
+    }
+    let dir = tempdir("distrib-checkpoint");
+    let mut supervisor_config = SupervisorConfig::new(&shardd, dir.join("ckpt"));
+    supervisor_config.workers = 1;
+    let fingerprint = context().index().fingerprint();
+    let monitor = DistributedMonitor::launch(
+        "Healthcare",
+        context().system(),
+        fingerprint,
+        supervisor_config,
+    )
+    .expect("launch supervisor");
+    let mut sink = DistributedSink::new(monitor, context().services().to_vec(), false);
+    let runner = PipelineRunner::new(config(&dir));
+    let log = render_events(&corpus_events(40), LogFormat::Json).into_bytes();
+    let source = LiveSource::pipe(Box::new(std::io::Cursor::new(log)), fast_follow());
+    let error = runner.run(source, &mut sink, |_| {}).expect_err("a checkpoint must be refused");
+    let PipelineError::Monitor(error) = error else {
+        panic!("expected a monitor error, got {error:?}");
+    };
+    assert!(matches!(error, DistribError::Config { .. }), "{error}");
+    assert_eq!(error.exit_code(), exit::USAGE);
+    assert!(!dir.join("pipeline.ckpt").exists(), "a refused checkpoint left a file");
+    let _ = sink.into_monitor().shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -3,8 +3,13 @@
 //! Every case runs the built CLI over a small seeded healthcare JSON log
 //! under `--no-consent` (first-sight users consent to nothing, so the log
 //! raises a few hundred alerts) and compares the alert lines it prints:
-//! one-shot file vs stdin pipe vs the offline oracle, a checkpointed run
-//! split across a `--resume`, and the typed exit codes of each failure.
+//! one-shot file vs stdin pipe vs the offline oracle, the in-process
+//! monitor vs a `--workers 1`, `2` and `4` fleet (file, gzip, stdin, and a
+//! `--follow` tail drained by `--stop-file` with its dead letters), a
+//! checkpointed run split across a `--resume`, and the typed exit codes of
+//! each failure. The fleet cases skip, saying so, when `privacy-shardd` is
+//! not built next to the binary, as a build of the root package alone
+//! leaves it.
 
 use privacy_ingest::deadletter::read_dead_letters;
 use privacy_ingest::{gzip_compress_stored, FieldMapping};
@@ -14,9 +19,9 @@ use privacy_mde::pipeline::PipelineCheckpoint;
 use privacy_model::{FieldId, Record, UserId};
 use privacy_runtime::{MonitorSnapshot, ServiceEngine};
 use privacy_synth::{random_workload, render_events, LogFormat, WorkloadConfig};
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output, Stdio};
+use std::process::{Child, Command, Output, Stdio};
 use std::sync::OnceLock;
 
 /// Lines in the first half of a split run: past one periodic checkpoint
@@ -89,18 +94,40 @@ fn write(path: &Path, lines: &[String]) {
     std::fs::write(path, lines.concat()).expect("write log");
 }
 
-/// Runs the CLI with `--no-consent` plus `args`, feeding `stdin`.
-fn monitor(args: &[&str], stdin: &[u8]) -> Output {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_privacy-monitor"))
+/// Starts the CLI with `--no-consent` plus `args`, every stream piped.
+fn spawn_monitor(args: &[&str]) -> Child {
+    Command::new(env!("CARGO_BIN_EXE_privacy-monitor"))
         .arg("--no-consent")
         .args(args)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
-        .expect("privacy-monitor spawns");
+        .expect("privacy-monitor spawns")
+}
+
+/// Runs the CLI with `--no-consent` plus `args`, feeding `stdin`.
+fn monitor(args: &[&str], stdin: &[u8]) -> Output {
+    let mut child = spawn_monitor(args);
     child.stdin.take().expect("piped stdin").write_all(stdin).expect("feed stdin");
     child.wait_with_output().expect("privacy-monitor exits")
+}
+
+/// Whether the fleet's worker binary is built next to the CLI, as a
+/// workspace build does; says so loudly when it is not.
+fn shardd_built() -> bool {
+    let shardd = Path::new(env!("CARGO_BIN_EXE_privacy-monitor")).with_file_name("privacy-shardd");
+    let built = shardd.exists();
+    if !built {
+        eprintln!("skipping the fleet cases: {} not built", shardd.display());
+    }
+    built
+}
+
+/// The worker checkpoint directory a fleet run with process id `pid`
+/// owns.
+fn fleet_dir(pid: u32) -> PathBuf {
+    std::env::temp_dir().join(format!("privacy-monitor-fleet-{pid}"))
 }
 
 /// The alert lines of a run that must succeed.
@@ -177,6 +204,107 @@ fn file_pipe_gzip_and_offline_oracle_agree() {
     let gzipped = dir.join("access.log.gz");
     std::fs::write(&gzipped, gzip_compress_stored(&bytes)).expect("write gzip");
     assert_eq!(alerts(&[str_of(&gzipped)]), from_file, "gzip file vs plain file");
+
+    // A fleet merges its workers' alerts back into the in-process order.
+    if !shardd_built() {
+        return;
+    }
+    for workers in ["1", "2", "4"] {
+        let fleet = ["--workers", workers];
+        assert_eq!(alerts(&[&[str_of(&log)], &fleet[..]].concat()), from_file, "{workers} file");
+        assert_eq!(
+            alerts(&[&[str_of(&gzipped)], &fleet[..]].concat()),
+            from_file,
+            "{workers} gzip"
+        );
+        let piped = monitor(&[&["-"], &fleet[..]].concat(), &bytes);
+        assert!(piped.status.success(), "{workers} stdin: {}", stderr(&piped));
+        assert_eq!(stdout_lines(&piped), from_file, "{workers} stdin");
+        assert!(stderr(&piped).contains(&format!("; {workers} workers, ")), "{}", stderr(&piped));
+    }
+}
+
+#[test]
+fn a_fleet_tail_drained_by_a_stop_file_equals_the_one_shot_run() {
+    if !shardd_built() {
+        return;
+    }
+    let dir = tempdir("fleet-follow");
+    let log = dir.join("access.log");
+    let mut poisoned = healthcare_log().clone();
+    poisoned.insert(SPLIT / 2, "{\"user\": \"patient-001\", \"service\": \n".to_owned());
+    write(&log, &poisoned);
+    let (one_shot_dead, fleet_dead) = (dir.join("one-shot.ndjson"), dir.join("fleet.ndjson"));
+    let skip = ["--error-policy", "skip", "--batch", "64"];
+    let one_shot =
+        alerts(&[&[str_of(&log), "--dead-letter", str_of(&one_shot_dead)], &skip[..]].concat());
+
+    // The tail starts on the first part of the log; the rest is appended
+    // once the fleet prints its first alert, and the stop file is made
+    // well after the tail has read it.
+    write(&log, &poisoned[..SPLIT]);
+    let stop = dir.join("stop");
+    let mut child = spawn_monitor(
+        &[
+            &[str_of(&log), "--workers", "2", "--follow", "--stop-file", str_of(&stop)],
+            &["--dead-letter", str_of(&fleet_dead)][..],
+            &skip[..],
+        ]
+        .concat(),
+    );
+    // Stdout is read as it comes, so the fleet never blocks on a full pipe.
+    let stdout = child.stdout.take().expect("piped stdout");
+    let (first, first_seen) = std::sync::mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        let mut printed = Vec::new();
+        for line in BufReader::new(stdout).lines() {
+            printed.push(line.expect("read an alert"));
+            let _ = first.send(());
+        }
+        printed
+    });
+    let _ = first_seen.recv();
+    std::fs::OpenOptions::new()
+        .append(true)
+        .open(&log)
+        .and_then(|mut file| file.write_all(poisoned[SPLIT..].concat().as_bytes()))
+        .expect("append the rest of the log");
+    std::thread::sleep(std::time::Duration::from_secs(2));
+    std::fs::write(&stop, b"").expect("write stop file");
+    let printed = reader.join().expect("stdout reader");
+    let output = child.wait_with_output().expect("privacy-monitor exits");
+    assert!(output.status.success(), "{}", stderr(&output));
+    assert_eq!(printed, one_shot, "a --workers 2 tail vs the in-process one-shot run");
+    let dead = read_dead_letters(&fleet_dead).expect("the fleet's dead letters");
+    assert_eq!(dead.len(), 1, "{dead:?}");
+    assert_eq!(dead, read_dead_letters(&one_shot_dead).expect("the one-shot dead letters"));
+}
+
+#[test]
+fn two_fleet_runs_print_the_same_alerts_and_leave_no_directory_behind() {
+    if !shardd_built() {
+        return;
+    }
+    let dir = tempdir("fleet-twice");
+    let log = dir.join("access.log");
+    write(&log, healthcare_log());
+    let runs: Vec<Vec<String>> = (0..2)
+        .map(|run| {
+            let child = spawn_monitor(&[str_of(&log), "--workers", "2"]);
+            let pid = child.id();
+            let output = child.wait_with_output().expect("privacy-monitor exits");
+            assert!(output.status.success(), "run {run}: {}", stderr(&output));
+            assert!(!fleet_dir(pid).exists(), "run {run} left {} behind", fleet_dir(pid).display());
+            assert!(
+                stderr(&output).contains(" worker checkpoints, 0 recoveries"),
+                "{}",
+                stderr(&output)
+            );
+            stdout_lines(&output)
+        })
+        .collect();
+    assert!(!runs[0].is_empty(), "the log must raise alerts for this test to pin anything");
+    assert_eq!(runs[0], runs[1], "a second fleet run diverged from the first");
 }
 
 #[test]
@@ -199,6 +327,19 @@ fn the_final_checkpoint_carries_no_pending_alerts() {
 }
 
 #[test]
+fn worker_counts_outside_the_shard_range_are_usage_errors() {
+    let dir = tempdir("workers");
+    let log = dir.join("access.log");
+    write(&log, healthcare_log());
+    for workers in ["0", "33"] {
+        let output = monitor(&[str_of(&log), "--workers", workers], b"");
+        assert_eq!(output.status.code(), Some(exit::USAGE), "--workers {workers}");
+        assert!(stderr(&output).contains("--workers must be in 1..=32"), "{}", stderr(&output));
+        assert!(output.stdout.is_empty(), "--workers {workers} printed alerts");
+    }
+}
+
+#[test]
 fn failures_map_to_typed_exit_codes() {
     let dir = tempdir("exits");
     let log = dir.join("access.log");
@@ -212,6 +353,20 @@ fn failures_map_to_typed_exit_codes() {
         assert_eq!(output.status.code(), Some(exit::USAGE), "{flag} 0: {}", stderr(&output));
         assert!(stderr(&output).contains(flag), "{flag} 0: {}", stderr(&output));
         assert!(output.stdout.is_empty(), "{flag} 0 printed alerts");
+    }
+    // So is a fleet asked to fan out, checkpoint or resume the pipeline:
+    // it does those itself.
+    for (flag, value) in
+        [("--threads", "2"), ("--checkpoint", checkpoint_arg), ("--resume", checkpoint_arg)]
+    {
+        let output = monitor(&[log_arg, "--workers", "2", flag, value], b"");
+        assert_eq!(output.status.code(), Some(exit::USAGE), "--workers with {flag}");
+        assert!(
+            stderr(&output).contains(&format!("--workers cannot be combined with {flag}")),
+            "{}",
+            stderr(&output)
+        );
+        assert!(output.stdout.is_empty(), "--workers with {flag} printed alerts");
     }
 
     // A bare monitor snapshot (`PMSN`) is not a pipeline checkpoint.
